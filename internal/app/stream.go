@@ -59,6 +59,7 @@ type Stream struct {
 
 	tickFn  func()
 	stopped bool
+	timer   sim.Timer
 }
 
 // NewStream wraps conn (which must have been created with AppLimited set)
@@ -72,11 +73,14 @@ func NewStream(eng *sim.Engine, conn *mptcp.Conn, cfg StreamConfig) *Stream {
 // Start begins producing and playing.
 func (s *Stream) Start() {
 	s.conn.Start()
-	s.eng.ScheduleAfter(s.cfg.Chunk, s.tickFn)
+	s.timer = s.eng.After(s.cfg.Chunk, s.tickFn)
 }
 
-// Stop halts the session after the current chunk.
-func (s *Stream) Stop() { s.stopped = true }
+// Stop halts the session and cancels its pending chunk.
+func (s *Stream) Stop() {
+	s.stopped = true
+	s.timer.Stop()
+}
 
 func (s *Stream) tick() {
 	if s.stopped {
@@ -112,7 +116,7 @@ func (s *Stream) tick() {
 			s.stalledTotal += s.eng.Now() - s.stallSince
 		}
 	}
-	s.eng.ScheduleAfter(dt, s.tickFn)
+	s.timer = s.eng.After(dt, s.tickFn)
 }
 
 // Started reports whether playback has begun.

@@ -119,7 +119,11 @@ func TestStreamStopHaltsTicks(t *testing.T) {
 	s := streamOver(t, eng, twoPaths(eng, 10*netem.Mbps), 4_000_000)
 	s.Start()
 	eng.Run(5 * sim.Second)
+	queued := eng.Pending()
 	s.Stop()
+	if got := eng.Pending(); got != queued-1 {
+		t.Errorf("Pending = %d after Stop, want %d: the next chunk must leave the queue", got, queued-1)
+	}
 	produced := s.conn.ProducedBytes()
 	eng.Run(10 * sim.Second)
 	if s.conn.ProducedBytes() != produced {

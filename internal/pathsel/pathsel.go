@@ -52,6 +52,7 @@ type Selector struct {
 	suspended int
 	tickFn    func()
 	stopped   bool
+	timer     sim.Timer
 }
 
 // New creates a selector for conn; models[i] is the power model of
@@ -70,11 +71,14 @@ func New(eng *sim.Engine, conn *mptcp.Conn, models []energy.Model, cfg Config) *
 
 // Start begins periodic path evaluation.
 func (s *Selector) Start() {
-	s.eng.ScheduleAfter(s.cfg.Period, s.tickFn)
+	s.timer = s.eng.After(s.cfg.Period, s.tickFn)
 }
 
-// Stop halts the selector after the current period.
-func (s *Selector) Stop() { s.stopped = true }
+// Stop halts the selector and cancels its pending evaluation.
+func (s *Selector) Stop() {
+	s.stopped = true
+	s.timer.Stop()
+}
 
 // Decisions reports how many evaluation rounds have run.
 func (s *Selector) Decisions() int { return s.decisions }
@@ -102,7 +106,7 @@ func (s *Selector) tick() {
 		}
 		s.conn.SetSubflowEnabled(r, enable)
 	}
-	s.eng.ScheduleAfter(s.cfg.Period, s.tickFn)
+	s.timer = s.eng.After(s.cfg.Period, s.tickFn)
 }
 
 // costs estimates joules per bit for each subflow over the last period:

@@ -104,7 +104,11 @@ func TestSelectorStops(t *testing.T) {
 	conn.Start()
 	sel.Start()
 	eng.Run(5 * sim.Second)
+	queued := eng.Pending()
 	sel.Stop()
+	if got := eng.Pending(); got != queued-1 {
+		t.Errorf("Pending = %d after Stop, want %d: the next evaluation must leave the queue", got, queued-1)
+	}
 	n := sel.Decisions()
 	eng.Run(15 * sim.Second)
 	if sel.Decisions() != n {

@@ -81,3 +81,31 @@ func TestEventBudgetTripMayPanic(t *testing.T) {
 	eng.Run(Second)
 	t.Fatalf("Run returned without panicking")
 }
+
+// TestEngineSteadyStateAllocs is the allocation budget of the queue: once
+// the slab has reached its size, schedule, fire, Stop and the cascades in
+// between allocate nothing — events at nanosecond, microsecond and second
+// deltas, so every window is one the cursor crosses level boundaries in.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	fn := func() { fired++ }
+	var rto Timer
+	window := func() {
+		for i := 0; i < 512; i++ {
+			e.ScheduleAfter(staggered(i), fn)
+			e.After(Time(i)*Millisecond, fn)
+			rto.Stop()
+			rto = e.At(e.Now()+3600*Second, fn)
+		}
+		e.Run(e.Now() + Second)
+	}
+	window() // warm-up: grows the slab
+	avg := testing.AllocsPerRun(20, window)
+	if avg != 0 {
+		t.Errorf("steady-state schedule/fire/stop/cascade allocates %.2f times per window, want 0", avg)
+	}
+	if e.Pending() != 1 || fired != 22*1024 {
+		t.Errorf("Pending = %d, fired = %d; want the one hour-ahead timer and %d", e.Pending(), fired, 22*1024)
+	}
+}

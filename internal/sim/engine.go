@@ -3,9 +3,46 @@
 // The engine advances a virtual clock from event to event. Events scheduled
 // for the same instant run in the order they were scheduled, which — together
 // with a seeded random source — makes every run fully reproducible.
+//
+// # The event queue
+//
+// Pending events sit in one hierarchical timing wheel: 11 levels of 64 slots
+// (66 bits, covering every non-negative Time), level k indexed by bits
+// [6k, 6k+6) of the event's instant — its "group k". A slot is a
+// doubly-linked list threaded through the event slab, and each level keeps a
+// 64-bit occupancy word, so schedule, fire and Timer.Stop are O(1) relinks
+// with no key comparisons. The wheel keeps three invariants:
+//
+//  1. cursor ≤ Now() ≤ the instant of every queued event.
+//  2. An event at level k agrees with the cursor on every bit above group k
+//     and is greater in group k (at level 0: greater or equal). Level and
+//     slot are therefore a function of (instant, cursor) alone, see place:
+//     two events for one instant always share a list, Stop finds an event's
+//     list without storing it, every event of a lower level precedes every
+//     event of a higher one, and within a level slot order is time order.
+//  3. A slot is cascaded — the cursor moved into its window (to its start,
+//     or straight to the instant of the slot's only event) and its events
+//     relinked by place — only while every lower level is empty.
+//
+// Why lists stay in schedule order: a list changes by a tail append (a new
+// event, scheduled after all that are queued), by an unlink (fire or Stop),
+// or by a cascade, which walks its list front to back and appends into lists
+// that invariant 3 found empty. None of the three reorders two events that
+// stay queued, and by invariant 2 events of one instant never part, so they
+// leave in the order they were scheduled. A level-0 slot is one exact
+// nanosecond: the head of the first occupied one is the next event, and
+// same-instant FIFO needs no sequence number.
+//
+// Cost: an event is relinked once per level between the one it entered and
+// level 0 — two to three times at the 100 µs deltas of a packet run,
+// whatever the queue depth, where a heap pays log(depth) unpredictable
+// compares — and a slot holding a single event fires from where it sits. A
+// near-empty queue is the one shape a heap serves faster: link, level search
+// and unlink cost more than a one-element heap's push and pop.
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -32,46 +69,28 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds reports the instant as fractional seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Events live in a slab addressed by a small integer id; the priority queue
-// orders value-typed, pointer-free keys. Splitting the two means the 4-ary
-// sift loops move 24-byte values with no GC write barriers and compare keys
-// without chasing an event pointer per probe — the pointer-heavy heap was
-// the single largest line in the packet-path CPU profile.
-
-// slabEvent is an event's slab slot. gen is bumped on each recycle so a
-// stale Timer handle can tell its event has moved on; index is the event's
-// current heap position (indexInNowQ while batched for same-instant
-// dispatch), maintained only for timer-tracked events.
-type slabEvent struct {
-	fn    func()
-	gen   uint64
-	index int32
-}
-
-// index sentinels. Untracked events keep indexNone throughout; a tracked
-// event's index is its heap position while queued.
+// Wheel geometry. The constants are fixed: levels × levelBits must cover the
+// 63 value bits of a Time.
 const (
-	indexNone   int32 = -1
-	indexInNowQ int32 = -2
+	levelBits      = 6
+	slotMask       = 1<<levelBits - 1
+	levels         = 11
+	maxTime   Time = 1<<63 - 1
 )
 
-// heapNode is one priority-queue entry: the ordering key (at, seq), the
-// owning slab id, and whether that slot's index must be maintained (only
-// events with live Timer handles need it).
-type heapNode struct {
-	at      Time
-	seq     uint64
-	id      int32
-	tracked bool
+// slabEvent is an event's slab slot, 32 pointer-light bytes. gen is bumped
+// on each recycle so a stale Timer handle can tell its event has moved on;
+// next and prev link the event into its wheel slot (next also threads the
+// free list). Slab id 0 is never handed out: it is the nil link.
+type slabEvent struct {
+	fn         func()
+	gen        uint64
+	at         Time
+	next, prev int32
 }
 
-// nowEntry is one same-instant batch entry. The generation pins the slab
-// incarnation: a stopped entry's slot is recycled immediately, so a
-// mismatch marks the entry as a tombstone to skip.
-type nowEntry struct {
-	id  int32
-	gen uint64
-}
+// slot is one wheel slot: the ends of its event list, 0 when empty.
+type slot struct{ head, tail int32 }
 
 // Timer is a handle to a scheduled event that can be cancelled before it
 // fires. The zero value is an inert timer: Stop and Active are no-ops on it.
@@ -81,28 +100,17 @@ type Timer struct {
 	gen uint64
 }
 
-// Stop cancels the timer, removing its event from the queue immediately. It
+// Stop cancels the timer, unlinking its event from the queue immediately. It
 // reports whether the event had not yet fired. Stopping an already-fired or
 // already-stopped timer is a no-op: the generation counter on the recycled
 // slab slot makes a stale handle harmless even after the slot is reused.
 func (t Timer) Stop() bool {
-	if t.eng == nil {
+	if !t.Active() {
 		return false
 	}
 	e := t.eng
-	ev := &e.slab[t.id]
-	if ev.gen != t.gen {
-		return false
-	}
-	if ev.index == indexInNowQ {
-		// Queued in the same-instant batch: recycling the slot bumps its
-		// generation, turning the queued entry into a tombstone the
-		// dispatch loop skips.
-		e.nowLive--
-		e.recycle(t.id)
-		return true
-	}
-	e.removeAt(int(ev.index))
+	e.unlink(t.id, e.place(e.slab[t.id].at))
+	e.recycle(t.id)
 	return true
 }
 
@@ -116,23 +124,15 @@ func (t Timer) Active() bool {
 // engines may run on separate goroutines (see internal/runner).
 type Engine struct {
 	now Time
-	seq uint64
+	cur Time // wheel cursor: the instant of the last fire or cascade
 	rng *rand.Rand
 
-	slab []slabEvent // all live and free event slots
-	free []int32     // recycled slab ids
+	slab    []slabEvent // all live and free event slots; slab[0] is the nil link
+	free    int32       // head of the recycled-slot list, linked through next
+	pending int
 
-	heap []heapNode // 4-ary min-heap of future events, ordered by (at, seq)
-
-	// Same-instant batch: events scheduled at (or clamped to) the current
-	// instant append here and dispatch FIFO, so bursts that reschedule at
-	// t=now drain without ever touching the heap. Every heap event with
-	// at == now predates the instant and therefore has a smaller seq than
-	// any batch entry, so "heap first while its top is due, then the batch
-	// cursor" preserves exact (at, seq) order.
-	nowQ    []nowEntry
-	nowHead int
-	nowLive int // batch entries that are not tombstones (Pending)
+	occ   [levels]uint64 // bit s of occ[k]: slot s of level k is non-empty
+	slots [levels << levelBits]slot
 
 	processed uint64
 	stopped   bool
@@ -143,7 +143,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), slab: make([]slabEvent, 1)}
 }
 
 // Now returns the current simulated time.
@@ -159,7 +159,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // at the current time (it cannot rewind the clock). It returns a cancellable
 // timer handle.
 func (e *Engine) At(t Time, fn func()) Timer {
-	id := e.push(t, fn, true)
+	id := e.push(t, fn)
 	return Timer{eng: e, id: id, gen: e.slab[id].gen}
 }
 
@@ -171,52 +171,148 @@ func (e *Engine) After(d Time, fn func()) Timer {
 // Schedule is the no-handle variant of At, for events that never need
 // cancelling.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.push(t, fn, false)
+	e.push(t, fn)
 }
 
 // ScheduleAfter is Schedule relative to the current time.
 func (e *Engine) ScheduleAfter(d Time, fn func()) {
-	e.push(e.now+d, fn, false)
+	e.push(e.now+d, fn)
 }
 
-func (e *Engine) push(t Time, fn func(), tracked bool) int32 {
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
+func (e *Engine) push(t Time, fn func()) int32 {
+	id := e.free
+	if id != 0 {
+		e.free = e.slab[id].next
 	} else {
-		e.slab = append(e.slab, slabEvent{index: indexNone})
+		e.slab = append(e.slab, slabEvent{})
 		id = int32(len(e.slab) - 1)
 	}
-	ev := &e.slab[id]
-	ev.fn = fn
-	if t <= e.now {
-		// Due now (or clamped from the past): join the same-instant batch.
-		ev.index = indexInNowQ
-		e.nowQ = append(e.nowQ, nowEntry{id: id, gen: ev.gen})
-		e.nowLive++
-	} else {
-		i := len(e.heap)
-		if tracked {
-			ev.index = int32(i)
-		} else {
-			ev.index = indexNone
-		}
-		e.heap = append(e.heap, heapNode{at: t, seq: e.seq, id: id, tracked: tracked})
-		e.siftUp(i)
+	if t < e.now {
+		t = e.now // invariant 1
 	}
-	e.seq++
+	ev := &e.slab[id]
+	ev.fn, ev.at = fn, t
+	e.link(id)
+	e.pending++
 	return id
 }
 
-// recycle retires a slab slot: the generation bump invalidates every
-// outstanding Timer handle and nowQ entry for this incarnation.
+// recycle retires an unlinked event's slab slot: the generation bump
+// invalidates every outstanding Timer handle for this incarnation.
 func (e *Engine) recycle(id int32) {
 	ev := &e.slab[id]
 	ev.fn = nil
 	ev.gen++
-	ev.index = indexNone
-	e.free = append(e.free, id)
+	ev.next = e.free
+	e.free = id
+	e.pending--
+}
+
+// place returns the slot invariant 2 assigns to instant at under the current
+// cursor, as an index into slots: level<<levelBits | slot within the level.
+func (e *Engine) place(at Time) uint {
+	k := uint(bits.Len64(uint64(at^e.cur)|1)-1) / levelBits
+	return k<<levelBits | uint(at>>(k*levelBits))&slotMask
+}
+
+// link appends event id to the tail of its slot's list.
+func (e *Engine) link(id int32) {
+	ev := &e.slab[id]
+	i := e.place(ev.at)
+	sl := &e.slots[i]
+	ev.prev, ev.next = sl.tail, 0
+	if sl.tail != 0 {
+		e.slab[sl.tail].next = id
+	} else {
+		sl.head = id
+		e.occ[i>>levelBits] |= 1 << (i & slotMask)
+	}
+	sl.tail = id
+}
+
+// unlink removes event id from the list of slots[i].
+func (e *Engine) unlink(id int32, i uint) {
+	ev, sl := &e.slab[id], &e.slots[i]
+	if ev.prev != 0 {
+		e.slab[ev.prev].next = ev.next
+	} else {
+		sl.head = ev.next
+	}
+	if ev.next != 0 {
+		e.slab[ev.next].prev = ev.prev
+	} else {
+		sl.tail = ev.prev
+	}
+	if sl.head == 0 {
+		e.occ[i>>levelBits] &^= 1 << (i & slotMask)
+	}
+}
+
+// next unlinks and returns the earliest queued event, or 0 if there is none
+// at or before until. It advances the cursor to that event's instant,
+// cascading the slots whose windows the cursor enters on the way, but never
+// past until — so the cursor cannot overtake the clock (invariant 1).
+func (e *Engine) next(until Time) int32 {
+	for {
+		if occ := e.occ[0]; occ != 0 {
+			s := uint(bits.TrailingZeros64(occ))
+			at := e.cur&^slotMask | Time(s)
+			if at > until {
+				return 0
+			}
+			e.cur = at
+			id := e.slots[s].head
+			e.unlink(id, s)
+			return id
+		}
+		k := uint(1)
+		for k < levels && e.occ[k] == 0 {
+			k++
+		}
+		if k == levels {
+			return 0
+		}
+		// By invariant 2 the first occupied slot of the lowest occupied
+		// level holds the earliest events, and every level below is empty.
+		s := uint(bits.TrailingZeros64(e.occ[k]))
+		shift := k * levelBits
+		sl := &e.slots[k<<levelBits|s]
+		id, lone := sl.head, sl.head == sl.tail
+		to := e.cur&^(1<<(shift+levelBits)-1) | Time(s)<<shift
+		if lone {
+			to = e.slab[id].at // the earliest event itself: skip the levels between
+		}
+		if to > until {
+			return 0
+		}
+		e.cur = to
+		*sl = slot{}
+		e.occ[k] &^= 1 << s
+		if lone {
+			return id
+		}
+		for id != 0 {
+			nx := e.slab[id].next
+			e.link(id)
+			id = nx
+		}
+	}
+}
+
+// earliest reports the instant of the earliest queued event without moving
+// the cursor: the minimum over the list next would cascade or fire first.
+func (e *Engine) earliest() Time {
+	at := maxTime
+	for k, occ := range e.occ {
+		if occ != 0 {
+			i := k<<levelBits | bits.TrailingZeros64(occ)
+			for id := e.slots[i].head; id != 0; id = e.slab[id].next {
+				at = min(at, e.slab[id].at)
+			}
+			break
+		}
+	}
+	return at
 }
 
 // Stop makes Run return after the event currently executing completes.
@@ -237,10 +333,11 @@ func (e *Engine) SetEventBudget(n uint64, trip func()) {
 }
 
 // Run executes events in timestamp order until the queue empties or the
-// clock would pass until. It returns the time at which it stopped: until if
-// the horizon was reached, otherwise the time of the last event.
+// next event lies beyond until, then advances the clock to until — unless
+// Stop or the event budget ended the run early, or the clock is already past
+// until: the clock never moves backwards. It returns the clock.
 func (e *Engine) Run(until Time) Time {
-	e.loop(until, true)
+	e.loop(until)
 	if e.now < until && !e.stopped {
 		e.now = until
 	}
@@ -251,69 +348,31 @@ func (e *Engine) Run(until Time) Time {
 // at the last event processed (so the engine stays usable afterwards).
 // Intended for tests.
 func (e *Engine) Drain() {
-	e.loop(0, false)
+	e.loop(maxTime)
 }
 
-// loop is the shared dispatch cycle behind Run and Drain. Stopped heap
-// timers leave the queue at Stop time and stopped batch entries become
-// tombstones, so every event that reaches the budget check fires.
-func (e *Engine) loop(until Time, bounded bool) {
+// loop is the shared dispatch cycle behind Run and Drain. Stopped timers
+// leave the wheel at Stop time, so every event next returns fires.
+func (e *Engine) loop(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		// Skip tombstoned batch entries; compact once the cursor drains.
-		for e.nowHead < len(e.nowQ) {
-			en := e.nowQ[e.nowHead]
-			if e.slab[en.id].gen == en.gen {
-				break
-			}
-			e.nowHead++
-		}
-		if e.nowHead == len(e.nowQ) && e.nowHead > 0 {
-			e.nowQ = e.nowQ[:0]
-			e.nowHead = 0
-		}
-
-		// Select the next event in (at, seq) order: the heap owns anything
-		// due at the current instant that predates it (smaller seq), then
-		// the batch drains FIFO, then the heap advances the clock.
-		fromHeap := false
-		switch {
-		case len(e.heap) > 0 && e.heap[0].at <= e.now:
-			fromHeap = true
-		case e.nowHead < len(e.nowQ):
-			if bounded && e.now > until {
-				e.now = until
-				return
-			}
-		case len(e.heap) > 0:
-			if bounded && e.heap[0].at > until {
-				e.now = until
-				return
-			}
-			fromHeap = true
-		default:
-			return
-		}
-
 		if e.maxProcessed != 0 && e.processed >= e.maxProcessed {
-			if e.onBudget != nil {
-				e.onBudget()
+			// Out of budget: trip only if an event is due within the
+			// horizon, and find that out without moving the cursor, which
+			// next could leave past a clock that will not advance.
+			if e.pending > 0 && e.earliest() <= until {
+				if e.onBudget != nil {
+					e.onBudget()
+				}
+				e.stopped = true
 			}
-			e.stopped = true
 			return
 		}
-
-		var id int32
-		if fromHeap {
-			top := e.heap[0]
-			e.popTop()
-			e.now = top.at
-			id = top.id
-		} else {
-			id = e.nowQ[e.nowHead].id
-			e.nowHead++
-			e.nowLive--
+		id := e.next(until)
+		if id == 0 {
+			return
 		}
+		e.now = e.cur
 		fn := e.slab[id].fn
 		e.recycle(id)
 		e.processed++
@@ -323,103 +382,4 @@ func (e *Engine) loop(until Time, bounded bool) {
 
 // Pending reports how many scheduled events remain queued. Stopped timers
 // leave the count immediately, so they are never included.
-func (e *Engine) Pending() int { return len(e.heap) + e.nowLive }
-
-// --- 4-ary min-heap ---
-//
-// A 4-ary heap halves sift depth versus the binary container/heap and keeps
-// parent/child hops within two cache lines of value-typed nodes; the inline
-// key comparisons avoid both interface boxing and per-probe pointer chasing,
-// and moving pointer-free nodes emits no GC write barriers.
-
-// popTop removes the minimum node.
-func (e *Engine) popTop() {
-	h := e.heap
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if n > 0 {
-		h[0] = last
-		if last.tracked {
-			e.slab[last.id].index = 0
-		}
-		e.siftDown(0)
-	}
-}
-
-// removeAt deletes the heap node at index i (Timer.Stop) and recycles its
-// event.
-func (e *Engine) removeAt(i int) {
-	h := e.heap
-	id := h[i].id
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if i < n {
-		h[i] = last
-		if last.tracked {
-			e.slab[last.id].index = int32(i)
-		}
-		if !e.siftDown(i) {
-			e.siftUp(i)
-		}
-	}
-	e.recycle(id)
-}
-
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	nd := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h[p].at < nd.at || (h[p].at == nd.at && h[p].seq < nd.seq) {
-			break
-		}
-		h[i] = h[p]
-		if h[i].tracked {
-			e.slab[h[i].id].index = int32(i)
-		}
-		i = p
-	}
-	h[i] = nd
-	if nd.tracked {
-		e.slab[nd.id].index = int32(i)
-	}
-}
-
-// siftDown restores heap order below i and reports whether the node moved.
-func (e *Engine) siftDown(i int) bool {
-	h := e.heap
-	n := len(h)
-	nd := h[i]
-	start := i
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-				m = j
-			}
-		}
-		if nd.at < h[m].at || (nd.at == h[m].at && nd.seq < h[m].seq) {
-			break
-		}
-		h[i] = h[m]
-		if h[i].tracked {
-			e.slab[h[i].id].index = int32(i)
-		}
-		i = m
-	}
-	h[i] = nd
-	if nd.tracked {
-		e.slab[nd.id].index = int32(i)
-	}
-	return i != start
-}
+func (e *Engine) Pending() int { return e.pending }

@@ -7,9 +7,9 @@ import "testing"
 // in review), and events/sec across these shapes is the number the BENCH
 // JSON trajectory tracks. CI runs them with -bench=Engine.
 
-// BenchmarkEngineScheduleFire is the minimal self-rescheduling tick: heap
-// stays near size 1, so this isolates per-event fixed cost (push, pop,
-// recycle, dispatch).
+// BenchmarkEngineScheduleFire is the minimal self-rescheduling tick: the
+// queue holds one event, so this isolates per-event fixed cost (link, level
+// search, unlink, recycle, dispatch) — the wheel's worst case against a heap.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	eng := NewEngine(1)
 	n := 0
@@ -28,32 +28,85 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	b.ReportMetric(float64(n)/float64(b.N), "events/op")
 }
 
-// BenchmarkEngineDeepQueue keeps 1024 self-rescheduling events in flight —
-// the realistic shape for a figure run (hundreds of flows, each with link,
-// meter and transport events pending) — so sift depth dominates.
-func BenchmarkEngineDeepQueue(b *testing.B) {
-	const depth = 1024
+// benchDeepQueue keeps depth self-rescheduling events in flight, event i
+// every period(i), and measures one schedule plus one fire at that depth.
+func benchDeepQueue(b *testing.B, depth int, period func(i int) Time) {
 	eng := NewEngine(1)
-	fired := 0
+	fired, target := 0, -1
 	for i := 0; i < depth; i++ {
-		i := i
+		d := period(i)
 		var tick func()
 		tick = func() {
 			fired++
-			// Staggered periods keep the heap genuinely unsorted.
-			eng.ScheduleAfter(Time(1+i%7)*Microsecond, tick)
+			if fired == target {
+				eng.Stop()
+			}
+			eng.ScheduleAfter(d, tick)
 		}
-		eng.ScheduleAfter(Time(1+i%7)*Microsecond, tick)
+		eng.ScheduleAfter(d, tick)
 	}
+	timeEvents(b, eng, &fired, &target)
+}
+
+// timeEvents times b.N events of an engine whose handlers count into fired
+// and call Stop on reaching target, after a warm-up in which every event
+// has fired once, so that the slab is at its size.
+func timeEvents(b *testing.B, eng *Engine, fired, target *int) {
+	eng.Run(8 * Microsecond)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for fired < b.N {
-		eng.Run(eng.Now() + Millisecond)
+	*target = *fired + b.N
+	eng.Run(eng.Now() + Time(b.N+8)*Second)
+	if *fired != *target {
+		b.Fatalf("fired %d events, want %d", *fired, *target)
 	}
-	b.StopTimer()
-	if fired == 0 {
-		b.Fatal("no events ran")
+}
+
+// BenchmarkEngineDeepQueue keeps 1024 events in flight on seven distinct
+// microsecond periods, so they share a handful of instants: long same-instant
+// runs, which the wheel serves from seven hot slots.
+func BenchmarkEngineDeepQueue(b *testing.B) {
+	benchDeepQueue(b, 1024, func(i int) Time { return Time(1+i%7) * Microsecond })
+}
+
+// staggered spreads periods over 1–7 µs at nanosecond grain, so instants
+// rarely tie and events spread over the wheel's slots the way a figure
+// run's link, meter and transport events do.
+func staggered(i int) Time { return Microsecond + Time(i*7919%6007) }
+
+// BenchmarkEngineDeepQueue4k is the pending depth of the datacenter runs
+// (1.1 k–4.2 k events): the shape the packet figures spend their time in.
+func BenchmarkEngineDeepQueue4k(b *testing.B) { benchDeepQueue(b, 4<<10, staggered) }
+
+// BenchmarkEngineDeepQueue64k is a queue that no longer fits the L2 cache:
+// cost per event must stay flat in depth, up to cache misses.
+func BenchmarkEngineDeepQueue64k(b *testing.B) { benchDeepQueue(b, 64<<10, staggered) }
+
+// BenchmarkEngineTimerRestart is the retransmission-timer idiom under
+// traffic: each of 256 flows keeps one timer 200 ms ahead and, on every
+// packet event, stops and rearms it — At far ahead, Stop, At — so the timers
+// live in an upper level and are unlinked from lists other timers share.
+func BenchmarkEngineTimerRestart(b *testing.B) {
+	const flows = 256
+	eng := NewEngine(1)
+	fired, target := 0, -1
+	expire := func() {}
+	for i := 0; i < flows; i++ {
+		d := staggered(i)
+		rto := eng.After(200*Millisecond, expire)
+		var ack func()
+		ack = func() {
+			fired++
+			if fired == target {
+				eng.Stop()
+			}
+			rto.Stop()
+			rto = eng.At(eng.Now()+200*Millisecond, expire)
+			eng.ScheduleAfter(d, ack)
+		}
+		eng.ScheduleAfter(d, ack)
 	}
+	timeEvents(b, eng, &fired, &target)
 }
 
 // BenchmarkEngineTimerChurn is the rearm-heavy pattern transports generate:

@@ -103,6 +103,43 @@ func TestEngineRunHorizon(t *testing.T) {
 	}
 }
 
+func TestRunNeverMovesClockBackwards(t *testing.T) {
+	// A Run to an instant already passed must leave the clock where it is,
+	// whether or not events are pending (a pending event used to pull the
+	// clock back to until), and also when the run ends early.
+	e := NewEngine(1)
+	e.At(Second, func() {})
+	e.Run(20 * Millisecond)
+	if end := e.Run(5 * Millisecond); end != 20*Millisecond || e.Now() != 20*Millisecond {
+		t.Fatalf("Run(5ms) after Run(20ms) left the clock at %v (returned %v), want 20ms",
+			e.Now().Duration(), end.Duration())
+	}
+	// An event scheduled now is due at 20 ms, not at the stale horizon.
+	var at Time
+	e.Schedule(0, func() { at = e.Now() })
+	e.Run(10 * Millisecond)
+	if at != 0 || e.Pending() != 2 {
+		t.Fatalf("event due at 20ms ran at %v inside Run(10ms)", at.Duration())
+	}
+	e.Run(30 * Millisecond)
+	if at != 20*Millisecond {
+		t.Fatalf("clamped event ran at %v, want 20ms", at.Duration())
+	}
+	// Ended early by Stop or by the budget, the clock stays at the last event.
+	e.Schedule(40*Millisecond, e.Stop)
+	e.SetEventBudget(e.Processed()+2, func() {})
+	e.Schedule(50*Millisecond, func() {})
+	e.Schedule(60*Millisecond, func() {})
+	for _, want := range []Time{40 * Millisecond, 50 * Millisecond, 50 * Millisecond} {
+		if end := e.Run(35 * Millisecond); end != e.Now() || end < 30*Millisecond {
+			t.Fatalf("Run(35ms) moved the clock back to %v", end.Duration())
+		}
+		if end := e.Run(Second / 2); end != want {
+			t.Fatalf("run ended early at %v, want %v", end.Duration(), want.Duration())
+		}
+	}
+}
+
 func TestTimerStopPreventsFiring(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
@@ -139,7 +176,7 @@ func TestTimerActive(t *testing.T) {
 func TestPendingExcludesStoppedTimers(t *testing.T) {
 	// Pinned semantics: Pending counts events still scheduled to fire.
 	// Stopping a timer removes its event from the queue immediately, so
-	// cancelled events are never reported (and never occupy heap space).
+	// cancelled events are never reported (and never occupy a wheel slot).
 	e := NewEngine(1)
 	timers := make([]Timer, 3)
 	for i := range timers {
@@ -185,7 +222,7 @@ func TestStaleTimerHandleIsInert(t *testing.T) {
 
 func TestStopDuringRunRemovesFromQueue(t *testing.T) {
 	// An event firing may stop another pending timer; the removal happens
-	// mid-loop and must keep the heap consistent.
+	// mid-loop and must keep the queue consistent.
 	e := NewEngine(1)
 	var victims []Timer
 	fired := 0

@@ -26,7 +26,7 @@ func (c *allocCoord) Views() []core.View {
 // processing, including AIMD sawtooth losses and retransmissions — runs
 // allocation-free once warmed up: the packet pool's free list covers the
 // peak window after the first loss, and every slice (retransmit episode,
-// reorder buffer, event heap, pool free list) has reached its steady
+// reorder buffer, event slab, pool free list) has reached its steady
 // capacity.
 func TestSubflowSteadyStatePacketPathAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)

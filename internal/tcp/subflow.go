@@ -120,7 +120,7 @@ type Subflow struct {
 
 	// Lazy retransmission timer: rtoDeadline moves forward on every ACK,
 	// but the engine event only fires at the old deadline and reschedules
-	// itself, so rearming costs no heap operations (the standard
+	// itself, so rearming costs no queue operations (the standard
 	// simulator/kernel trick).
 	rtoDeadline sim.Time
 	rtoArmed    bool

@@ -84,7 +84,7 @@ func TestParetoOnOffStops(t *testing.T) {
 
 // TestParetoOnOffStopCancelsPendingEvents is the regression test for the
 // timer leak: Stop used to only set a flag, leaving the Off-gap (or burst
-// tick/end) timer live in the event heap — a zombie event that could fire a
+// tick/end) timer live in the event queue — a zombie event that could fire a
 // whole post-Stop burst and kept a "drained" engine from ever emptying.
 func TestParetoOnOffStopCancelsPendingEvents(t *testing.T) {
 	// Stop during the Off gap: the pending burst timer must be cancelled.
@@ -97,7 +97,7 @@ func TestParetoOnOffStopCancelsPendingEvents(t *testing.T) {
 	}
 	p.Stop()
 	if n := eng.Pending(); n != 0 {
-		t.Errorf("Stop during Off gap left %d events in the heap", n)
+		t.Errorf("Stop during Off gap left %d events in the queue", n)
 	}
 
 	// Stop mid-burst: the tick chain and the burst-end event must both go.
@@ -125,7 +125,7 @@ func TestParetoOnOffStopCancelsPendingEvents(t *testing.T) {
 	}
 	at := p.Sent()
 	// Packets already in flight still traverse the link, but generation has
-	// ceased and nothing the generator owns is left behind: the heap drains
+	// ceased and nothing the generator owns is left behind: the queue drains
 	// completely instead of carrying burst timers to their natural expiry.
 	eng.Run(2000 * sim.Second)
 	if p.Sent() != at {

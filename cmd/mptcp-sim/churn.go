@@ -79,6 +79,8 @@ func runChurnScenario(ctx context.Context, sc scenario, co churnOpts, seed int64
 		}, obsv.Options{Interval: sim.FromDuration(sc.sampleInt), Stream: f})
 	}
 
+	// The summary's percentiles are exact and over completed flows only.
+	var fcts, gputs, joules []float64
 	mgr, err := flows.New(eng, net, flows.Config{
 		Algorithm:     sc.alg,
 		Subflows:      sc.subflows,
@@ -87,6 +89,11 @@ func runChurnScenario(ctx context.Context, sc scenario, co churnOpts, seed int64
 		Arrivals:      flows.Poisson{Rate: rate},
 		Check:         inv,
 		Emit: func(r flows.Report) {
+			if r.Shed == "" {
+				fcts = append(fcts, r.FCT.Seconds())
+				gputs = append(gputs, r.GoodputBps)
+				joules = append(joules, r.Joules)
+			}
 			if rec == nil {
 				return
 			}
@@ -128,8 +135,7 @@ func runChurnScenario(ctx context.Context, sc scenario, co churnOpts, seed int64
 		eng.Now().Seconds(), time.Since(start).Seconds(), eng.Processed())
 	fmt.Printf("flows:   %d offered = %d completed + %d shed + %d cut (peak live %d)\n",
 		st.Offered, st.Completed, st.ShedCapacity, st.Cut, st.PeakLive)
-	if fcts := mgr.FCTs(); len(fcts) > 0 {
-		gputs, joules := mgr.Goodputs(), mgr.Joules()
+	if len(fcts) > 0 {
 		fmt.Printf("fct:     p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
 			stats.Percentile(fcts, 50), stats.Percentile(fcts, 95), stats.Percentile(fcts, 99))
 		fmt.Printf("goodput: p50 %.2f Mb/s\n", stats.Percentile(gputs, 50)/1e6)

@@ -48,18 +48,18 @@ func (c ConformanceConfig) withDefaults() ConformanceConfig {
 // the equilibrium shares are distinguishable from an even split, equal
 // propagation delays so capacity — not RTT bias — drives the split.
 const (
-	confRate0    = 16 * netem.Mbps
-	confRate1    = 8 * netem.Mbps
-	confDelay    = 20 * sim.Millisecond
-	confQueue    = 50
-	confWirePkt  = 1500           // wire size of a full segment (MSS 1448 + 52)
+	confRate0   = 16 * netem.Mbps
+	confRate1   = 8 * netem.Mbps
+	confDelay   = 20 * sim.Millisecond
+	confQueue   = 50
+	confWirePkt = 1500 // wire size of a full segment (MSS 1448 + 52)
 	// Cross traffic for the shifting row: half of path1's capacity. Loading
 	// the path much harder starves it entirely in the fluid model (rates can
 	// fall to zero there), while a packet subflow never drops below one
 	// segment per RTT — the comparison is only meaningful while both sides
 	// keep the path alive.
 	confCrossBps = 4 * netem.Mbps
-	confPriceRho = 1.0            // Eq. 6 price on path0's switch link (dtsep row)
+	confPriceRho = 1.0 // Eq. 6 price on path0's switch link (dtsep row)
 )
 
 // ConfRow is one algorithm's conformance verdict.

@@ -72,6 +72,9 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut
 		panic("exp: unknown churn scenario " + scenario)
 	}
 
+	// The table's percentiles are exact and over completed flows only, so
+	// the run keeps one sample per completion; the manager keeps none.
+	var fcts, gputs, joules []float64
 	mgr := flows.MustNew(eng, net, flows.Config{
 		Algorithm:     alg,
 		TotalFlows:    total,
@@ -79,6 +82,11 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut
 		Arrivals:      arrivals,
 		Check:         obs.Inv(),
 		Emit: func(r flows.Report) {
+			if r.Shed == "" {
+				fcts = append(fcts, r.FCT.Seconds())
+				gputs = append(gputs, r.GoodputBps)
+				joules = append(joules, r.Joules)
+			}
 			obs.Flow(obsv.Flow{
 				T: r.At.Seconds(), ID: r.ID, Class: r.Class.String(),
 				Bytes: r.Bytes, FCTSeconds: r.FCT.Seconds(),
@@ -114,7 +122,6 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut
 	mgr.CutLive()
 
 	st := mgr.Stats()
-	fcts, gputs, joules := mgr.FCTs(), mgr.Goodputs(), mgr.Joules()
 	p := func(xs []float64, q float64) float64 {
 		if len(xs) == 0 {
 			return 0

@@ -11,8 +11,67 @@
 // part of the contract — a deterministic admission controller sheds flows
 // beyond Config.MaxConcurrent with per-class drop accounting, flows still
 // alive when the run ends are cut and reported (never silently lost), and
-// per-flow state is recycled through a generation-counted slab so memory is
-// bounded by peak concurrency, not by the total number of flows offered.
+// memory is bounded by peak concurrency, not by the number of flows offered:
+// the Manager allocates nothing that scales with Config.TotalFlows. Per-flow
+// samples (FCT, goodput, joules) leave through Config.Emit; a caller that
+// wants exact percentiles collects them there.
+//
+// # What a flow reuses
+//
+// In steady state admit → finish costs one heap allocation (the completion
+// closure). Three things are recycled:
+//
+//   - the per-flow record, a slot in a generation-counted slab (the engine's
+//     timer idiom), so a stale handle in an old flow's timer closure can
+//     never touch the slot's next tenant;
+//   - the routes: Net.Paths is memoised by the topology, so every flow of a
+//     host pair runs over the same *netem.Path values and draws its packets
+//     from the pool the previous flow of that pair released them to;
+//   - the connection: a released mptcp.Conn waits in a FIFO and the next
+//     admission rebuilds its head in place with Conn.Reset — the same code
+//     mptcp.New runs on a blank connection, so a recycled connection is
+//     field for field a new one.
+//
+// # When a connection may be rebuilt
+//
+// Only when nothing in the simulation can still reach it. Once release has
+// bumped the slot's generation, stopped the stream timers and unwatched the
+// connection, the only references left are the simulation's own: packets in
+// the network, addressed to a subflow or its receiver, and ticks in the
+// engine. The rule (tcp.Subflow.Drained) reads transport state, never the
+// workload. Per subflow:
+//
+//   - state == StateActive, PktsRtx == 0 and Fails == 0: it never
+//     retransmitted, probed or failed over. Every segment therefore entered
+//     the network exactly once, is delivered at most once, and is answered
+//     by exactly one ACK if delivered — none otherwise. No probe tick exists.
+//   - acksIn == maxSent, where acksIn counts ACK arrivals at the sender: as
+//     many ACKs came home as segments went out. With at most one ACK per
+//     segment that means every segment was delivered and every ACK arrived,
+//     so no packet of the subflow is in a queue or on a wire — whatever
+//     loss, reordering or outage the links applied to other packets. That
+//     much is "settled", and it is final: a settled subflow sends again only
+//     if someone calls into it, and nobody can.
+//   - !rtoArmed: the lazy RTO tick, the one event a settled subflow may
+//     still own, has fired. A tick armed at the first send stays queued for
+//     RTOInit (1 s) even when the transfer took a millisecond; until then the
+//     connection is "cooling".
+//
+// release queues a connection only if it is settled at that instant, so
+// everything in the FIFO drains within one RTO and a head that never drains
+// cannot exist. A connection with a loss, a lost ACK or a failover behind
+// it, a stream stopped or a flow cut with data in flight is not settled; it
+// is dropped and collected as every connection used to be. If the head is
+// still cooling, the admission allocates. The cooling set is arrival rate ×
+// RTO connections, each of which the queued tick would keep alive anyway, so
+// recycling adds no memory. Reuse is invisible to the simulation: no packet,
+// timer or tie-break moves (TestPopulationsPinned, mptcp's
+// TestResetEqualsNew, tcp's TestDrainedMeansQuiescentForever).
+//
+// Deliberately not recycled: the congestion-control instance (one core.New
+// per flow; algorithms carry per-connection state and have no reset seam),
+// and connections that are not settled — making those reusable would mean
+// cancelling their packets and timers, which changes the event sequence.
 //
 // Every random draw comes from the engine's RNG in a fixed order, so a run
 // is fully determined by its seed regardless of admission outcomes or

@@ -1,0 +1,91 @@
+package flows
+
+import (
+	"runtime"
+	"testing"
+
+	"mptcpsim/internal/sim"
+	"mptcpsim/internal/topo"
+)
+
+// miceConfig is a web-only population of 4–16 KB objects over two subflows:
+// ~120 events per flow, so admission, connection build and teardown are
+// most of what a flow costs.
+func miceConfig(total int, rate float64) Config {
+	return Config{
+		Algorithm:  "lia",
+		TotalFlows: total,
+		Arrivals:   Poisson{Rate: rate},
+		Mix:        []ClassMix{{Web, 1}},
+		WebSizes:   SizeDist{Alpha: 1.2, Min: 4 << 10, Max: 16 << 10},
+	}
+}
+
+// TestMiceLifecycleAllocationBudget is the flow-lifecycle counterpart of
+// sim's TestEngineSteadyStateAllocs: once every host pair's paths are cached
+// and the cooling queue has filled (arrival rate × the lazy RTO tick's one
+// second), a flow's admit → finish may cost at most 4 heap allocations —
+// today the completion closure and whatever core.New hands out — where it
+// used to cost a connection, its subflows, their closures, a path set and
+// every packet sent: 45.
+func TestMiceLifecycleAllocationBudget(t *testing.T) {
+	const warm, measured = 5000, 5000
+	eng := sim.NewEngine(1)
+	ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNew(eng, ft, miceConfig(warm+measured, 2000))
+	m.OnDrained = eng.Stop
+	m.Start()
+	for m.Stats().Offered < warm {
+		eng.Run(eng.Now() + 10*sim.Millisecond)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	from, reusedFrom := m.Stats().Completed, m.reused
+	eng.Run(eng.Now() + 60*sim.Second)
+	runtime.ReadMemStats(&after)
+
+	st := m.Stats()
+	if st.Completed != warm+measured {
+		t.Fatalf("completed %d of %d flows", st.Completed, warm+measured)
+	}
+	flows := st.Completed - from
+	perFlow := float64(after.Mallocs-before.Mallocs) / float64(flows)
+	reused := float64(m.reused-reusedFrom) / float64(flows)
+	t.Logf("%.2f mallocs per flow over %d flows, %.1f%% of them on a rebuilt connection", perFlow, flows, 100*reused)
+	if perFlow > 4 {
+		t.Errorf("%.2f mallocs per flow in steady state, budget 4", perFlow)
+	}
+	if reused < 0.95 {
+		t.Errorf("only %.1f%% of steady-state admissions reused a connection", 100*reused)
+	}
+}
+
+// BenchmarkManagerLifecycle is the admit → finish cost of one flow in steady
+// state, the whole lifecycle included: arrival draw, Paths, connection
+// rebuild, a one-segment transfer, completion accounting, slot release.
+func BenchmarkManagerLifecycle(b *testing.B) {
+	eng := sim.NewEngine(1)
+	ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const warm = 30000
+	cfg := miceConfig(warm+b.N, 20000)
+	cfg.WebSizes = SizeDist{Min: 1000, Max: 1000}
+	m := MustNew(eng, ft, cfg)
+	m.OnDrained = eng.Stop
+	m.Start()
+	for m.Stats().Offered < warm {
+		eng.Run(eng.Now() + 10*sim.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(eng.Now() + sim.Time(b.N)*sim.Second)
+	b.StopTimer()
+	if st := m.Stats(); st.Completed != uint64(warm+b.N) {
+		b.Fatalf("completed %d of %d flows", st.Completed, warm+b.N)
+	}
+}

@@ -175,9 +175,11 @@ type handle struct {
 }
 
 // Manager owns the open-loop flow population on one engine: it draws
-// arrivals, admits or sheds, creates and tears down real mptcp.Conns, and
-// keeps bounded aggregate statistics (percentile sample vectors are one
-// float per completed flow; per-flow state is recycled).
+// arrivals, admits or sheds, runs each admitted flow on a real mptcp.Conn,
+// and keeps bounded aggregate statistics. Nothing it allocates scales with
+// TotalFlows: per-flow records are recycled slots, connections are rebuilt
+// in place once the simulation has let go of them (see the package
+// comment), and per-flow samples leave through Emit.
 type Manager struct {
 	eng *sim.Engine
 	net Net
@@ -187,16 +189,19 @@ type Manager struct {
 	free  []int32
 	live  int
 
+	// cooling is the FIFO of released connections waiting to be rebuilt in
+	// place: cooling[coolHead:] in release order. Only settled connections
+	// enter (mptcp.Conn.Drained), so the head becomes drained as soon as its
+	// last RTO tick has fired and nothing can hold the queue up for good.
+	cooling  []*mptcp.Conn
+	coolHead int
+	reused   uint64 // admissions served from cooling
+
 	mixTotal float64
 	stats    Stats
 	drained  bool
 	offering bool
-
-	// Percentile samples for completed flows only — shed and cut flows are
-	// accounted separately, not averaged in.
-	fcts     []float64 // seconds
-	goodputs []float64 // bits per second
-	joules   []float64
+	arriveFn func() // m.arrive, bound once: a method value allocates per use
 
 	// OnDrained, when set, fires once the arrival process has offered
 	// TotalFlows and the last live flow has finished — the natural moment
@@ -215,6 +220,7 @@ func New(eng *sim.Engine, net Net, cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("flows: Config.TotalFlows must be positive, got %d", cfg.TotalFlows)
 	}
 	m := &Manager{eng: eng, net: net, cfg: cfg}
+	m.arriveFn = m.arrive
 	for _, mx := range cfg.Mix {
 		if mx.Weight < 0 || mx.Class >= numClasses {
 			return nil, fmt.Errorf("flows: bad mix entry {%v %v}", mx.Class, mx.Weight)
@@ -224,9 +230,6 @@ func New(eng *sim.Engine, net Net, cfg Config) (*Manager, error) {
 	if m.mixTotal <= 0 {
 		return nil, fmt.Errorf("flows: class mix has no weight")
 	}
-	m.fcts = make([]float64, 0, cfg.TotalFlows)
-	m.goodputs = make([]float64, 0, cfg.TotalFlows)
-	m.joules = make([]float64, 0, cfg.TotalFlows)
 	return m, nil
 }
 
@@ -255,12 +258,6 @@ func (m *Manager) Live() int { return m.live }
 // concurrency, never by TotalFlows (the memory-boundedness tests pin this).
 func (m *Manager) SlotsAllocated() int { return len(m.slots) }
 
-// FCTs, Goodputs and Joules return the completed-flow percentile samples
-// (one float64 per completed flow, in completion order).
-func (m *Manager) FCTs() []float64     { return m.fcts }
-func (m *Manager) Goodputs() []float64 { return m.goodputs }
-func (m *Manager) Joules() []float64   { return m.joules }
-
 func (m *Manager) scheduleArrival() {
 	if int(m.stats.Offered) >= m.cfg.TotalFlows {
 		m.offering = false
@@ -268,7 +265,7 @@ func (m *Manager) scheduleArrival() {
 		return
 	}
 	gap := m.cfg.Arrivals.Next(m.eng.Rand())
-	m.eng.After(gap, m.arrive)
+	m.eng.After(gap, m.arriveFn)
 }
 
 // arrive offers one flow: class, size and endpoints are always drawn in the
@@ -343,14 +340,20 @@ func (m *Manager) alloc() (int32, *flowSlot) {
 }
 
 // release recycles a slot: the generation bump turns every outstanding
-// handle into a tombstone, and the references the slot held are dropped so
-// the connection's memory is reclaimable immediately.
+// handle into a tombstone and the references the slot held are dropped, so
+// from here on nothing but the simulation's own packets and ticks can reach
+// the connection. A settled connection has no packets left and is queued
+// for reuse; any other — a loss behind it, a stream or a cut flow with data
+// still in flight — might never drain and is left to the collector.
 func (m *Manager) release(idx int32) {
 	s := &m.slots[idx]
 	s.chunkTimer.Stop()
 	s.endTimer.Stop()
 	if s.watched && m.cfg.Check != nil {
 		m.cfg.Check.Unwatch(s.conn)
+	}
+	if _, settled := s.conn.Drained(); settled {
+		m.cooling = append(m.cooling, s.conn)
 	}
 	*s = flowSlot{gen: s.gen + 1}
 	m.free = append(m.free, idx)
@@ -369,8 +372,7 @@ func (m *Manager) admit(id uint64, class Class, size int64, streamDur sim.Time, 
 	} else {
 		cfg.TransferBytes = size
 	}
-	paths := m.net.Paths(src, dst, m.cfg.Subflows)
-	conn := mptcp.MustNew(m.eng, cfg, id, paths...)
+	conn := m.conn(cfg, id, m.net.Paths(src, dst, m.cfg.Subflows))
 
 	s.id = id
 	s.class = class
@@ -398,6 +400,35 @@ func (m *Manager) admit(id uint64, class Class, size int64, streamDur sim.Time, 
 		conn.OnComplete = func(at sim.Time) { m.finish(h, at) }
 	}
 	conn.Start()
+}
+
+// conn returns the connection for a newly admitted flow: the oldest cooling
+// connection rebuilt in place if it has drained, a fresh one otherwise (the
+// head is then still waiting for a tick, and so is everything behind it that
+// was released at about the same age). A bad configuration panics either
+// way, as flows.New has validated what it can.
+func (m *Manager) conn(cfg mptcp.Config, id uint64, paths []*netem.Path) *mptcp.Conn {
+	if m.coolHead == len(m.cooling) {
+		return mptcp.MustNew(m.eng, cfg, id, paths...)
+	}
+	c := m.cooling[m.coolHead]
+	if drained, _ := c.Drained(); !drained {
+		return mptcp.MustNew(m.eng, cfg, id, paths...)
+	}
+	m.cooling[m.coolHead] = nil
+	m.coolHead++
+	if 2*m.coolHead >= len(m.cooling) {
+		// Slide the queue back over its consumed half, so the slice stays
+		// within twice the cooling set however many flows pass through.
+		n := copy(m.cooling, m.cooling[m.coolHead:])
+		clear(m.cooling[n:])
+		m.cooling, m.coolHead = m.cooling[:n], 0
+	}
+	if err := c.Reset(m.eng, cfg, id, paths...); err != nil {
+		panic(err)
+	}
+	m.reused++
+	return c
 }
 
 // slot resolves a handle, or nil if the flow it named is gone.
@@ -455,8 +486,8 @@ func (m *Manager) finishStream(h handle) {
 	m.release(h.idx)
 }
 
-// complete records one completed flow: percentile samples, per-class
-// accounting and the streamed report.
+// complete records one completed flow: per-class accounting and the
+// streamed report.
 func (m *Manager) complete(s *flowSlot, at sim.Time) {
 	fct := at - s.start
 	bytes := s.conn.AckedBytes()
@@ -469,9 +500,6 @@ func (m *Manager) complete(s *flowSlot, at sim.Time) {
 	m.stats.Completed++
 	m.stats.CompletedByClass[s.class]++
 	m.stats.AckedBytes += bytes
-	m.fcts = append(m.fcts, fct.Seconds())
-	m.goodputs = append(m.goodputs, goodput)
-	m.joules = append(m.joules, j)
 	m.report(Report{
 		ID: s.id, Class: s.class, At: at, Bytes: bytes, FCT: fct,
 		GoodputBps: goodput, Joules: j, Subflows: s.subflows,

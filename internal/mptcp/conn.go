@@ -70,7 +70,7 @@ type Conn struct {
 	ctl            []subCtl
 	reinjectedSegs int64
 
-	goodput *trace.RateMeter
+	goodput trace.RateMeter
 	views   []core.View
 }
 
@@ -97,22 +97,45 @@ type subCtl struct {
 // New assembles a connection with one subflow per path. flowID tags packets
 // for tracing.
 func New(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) (*Conn, error) {
+	c := new(Conn)
+	if err := c.Reset(eng, cfg, flowID, paths...); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset rebuilds the connection in place as New would build it, for a new
+// transfer over paths: every field is rewritten from the arguments, the
+// subflows are Reset one by one (and made where there are more paths than
+// before), and only the subflow objects and the per-subflow slices' backing
+// arrays survive. New is Reset on a blank connection, so there is
+// one construction path. On error the connection is left as it was. Call it
+// only on a connection that is Drained and that no caller still drives.
+func (c *Conn) Reset(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) error {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("mptcp: connection needs at least one path")
+		return fmt.Errorf("mptcp: connection needs at least one path")
 	}
 	if cfg.TransferBytes > 0 && cfg.AppLimited {
-		return nil, fmt.Errorf("mptcp: Config.TransferBytes and Config.AppLimited are mutually exclusive; use TransferBytes for a fixed-size transfer or AppLimited with Produce for a streaming source")
+		return fmt.Errorf("mptcp: Config.TransferBytes and Config.AppLimited are mutually exclusive; use TransferBytes for a fixed-size transfer or AppLimited with Produce for a streaming source")
 	}
 	alg, err := core.New(cfg.Algorithm)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &Conn{
+	// Up to cap, not len: subflow objects a narrower incarnation left
+	// unused are still there for a wider one.
+	n := len(paths)
+	subs := c.subs[:cap(c.subs)]
+	if len(subs) < n {
+		subs = append(subs, make([]*tcp.Subflow, n-len(subs))...)
+	}
+	*c = Conn{
 		eng:     eng,
 		cfg:     cfg,
-		goodput: trace.NewRateMeter(eng, 1),
-		views:   make([]core.View, len(paths)),
-		ctl:     make([]subCtl, len(paths)),
+		subs:    subs[:n],
+		ctl:     append(c.ctl[:0], make([]subCtl, n)...),
+		goodput: *trace.NewRateMeter(eng, 1),
+		views:   append(c.views[:0], make([]core.View, n)...),
 	}
 	c.SetAlgorithm(alg)
 	mss := cfg.Transport.MSS
@@ -123,9 +146,27 @@ func New(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) (*Con
 		c.totalSegs = (cfg.TransferBytes + int64(mss) - 1) / int64(mss)
 	}
 	for i, p := range paths {
-		c.subs = append(c.subs, tcp.NewSubflow(eng, cfg.Transport, c, flowID, i, p))
+		if c.subs[i] == nil {
+			c.subs[i] = new(tcp.Subflow)
+		}
+		c.subs[i].Reset(eng, cfg.Transport, c, flowID, i, p)
 	}
-	return c, nil
+	return nil
+}
+
+// Drained reports whether the simulation can still reach the connection:
+// both answers are the conjunction of tcp.Subflow.Drained over the subflows.
+// settled — no packet of the connection is or will be in the network — is
+// final for a connection nobody drives any more (no Produce, no
+// SetSubflowEnabled, no Start); drained adds that none of its ticks is still
+// queued, which is when Reset is safe.
+func (c *Conn) Drained() (drained, settled bool) {
+	drained, settled = true, true
+	for _, s := range c.subs {
+		d, q := s.Drained()
+		drained, settled = drained && d, settled && q
+	}
+	return drained, settled
 }
 
 // MustNew is New for known-good configurations; it panics on error.
@@ -345,7 +386,7 @@ func (c *Conn) CompletedAt() sim.Time { return c.completedAt }
 func (c *Conn) AckedBytes() uint64 { return c.goodput.TotalBytes() }
 
 // Goodput returns the connection's goodput meter.
-func (c *Conn) Goodput() *trace.RateMeter { return c.goodput }
+func (c *Conn) Goodput() *trace.RateMeter { return &c.goodput }
 
 // MeanThroughputBps returns the average goodput over [0, now] in bits per
 // second (or over [0, completion] for finished transfers).

@@ -65,7 +65,9 @@ const poolMaxFree = 4096
 // it on the list, Get pops and re-zeroes it. A pool belongs to one simulation
 // domain (a Path, a traffic generator) and therefore one engine, so unlike
 // the sync.Pool it replaces it needs no synchronization and recycles across
-// the whole run instead of per-GC-cycle. The zero value is ready to use.
+// the whole run instead of per-GC-cycle. Its lifetime is its owner's: a
+// path's pool lasts as long as the topology that owns the path, across every
+// flow sent over it. The zero value is ready to use.
 type Pool struct {
 	free []*Packet
 }

@@ -3,7 +3,10 @@ package netem
 import "mptcpsim/internal/sim"
 
 // Path is one end-to-end route of a (sub)flow: the chain of links data
-// packets traverse and the chain ACKs take back.
+// packets traverse and the chain ACKs take back. A path belongs to the
+// topology that built it, not to a flow: the datacenter topologies hand the
+// same Path to every flow between a host pair, concurrent ones included, so
+// senders treat it as read-only.
 type Path struct {
 	Name    string
 	Forward []*Link
@@ -14,7 +17,10 @@ type Path struct {
 
 // Pool returns the path's packet free list. Every sender over the path draws
 // data packets from it; ACKs answer from the same pool via Packet.Pool, so
-// the whole round trip recycles in one single-threaded domain.
+// the whole round trip recycles in one single-threaded domain. The pool
+// lives as long as the path, which is as long as the topology: a short flow
+// sends the packets, forward closures included, that earlier flows over the
+// path left behind.
 func (p *Path) Pool() *Pool { return &p.pool }
 
 // MinRate returns the smallest line rate along the forward direction — the

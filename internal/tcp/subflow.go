@@ -95,6 +95,7 @@ type Subflow struct {
 	nextSeq  int64
 	maxSent  int64 // highest nextSeq reached; sends below it are re-sends
 	cumAck   int64
+	acksIn   int64 // ACK arrivals, duplicates included; see Drained
 
 	// sacked holds, sorted, the segments above cumAck the receiver has
 	// reported; retransmitted holds, sorted, the holes already resent this
@@ -151,26 +152,64 @@ type Subflow struct {
 // NewSubflow wires a sender over path for subflow id of coordinator coord.
 // The matching receiver is created automatically at the far end.
 func NewSubflow(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id int, path *netem.Path) *Subflow {
+	s := new(Subflow)
+	s.Reset(eng, cfg, coord, flow, id, path)
+	return s
+}
+
+// Reset rebuilds the subflow in place as NewSubflow would build it: every
+// field is rewritten from the arguments, and only what is expensive to make
+// and carries no state survives — the two tick closures, the receiver
+// object, and the backing arrays of the SACK scoreboard and the reordering
+// buffer (emptied). NewSubflow is Reset on a blank subflow, so there is one
+// construction path. Call it only on a subflow that is Drained: anything the
+// simulation still holds of the old incarnation would reach the new one.
+func (s *Subflow) Reset(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id int, path *netem.Path) {
 	cfg = cfg.withDefaults()
-	s := &Subflow{
-		eng:       eng,
-		cfg:       cfg,
-		coord:     coord,
-		id:        id,
-		flow:      flow,
-		path:      path,
-		cwnd:      cfg.InitialCwnd,
-		ssthresh:  1 << 30,
-		rto:       cfg.RTOInit,
-		viewDirty: true,
+	rx, rtoTickFn, probeTickFn := s.rx, s.rtoTickFn, s.probeTickFn
+	if rx == nil {
+		rx, rtoTickFn, probeTickFn = new(Receiver), s.rtoTick, s.probeTick
 	}
-	s.rtoTickFn = s.rtoTick
-	s.probeTickFn = s.probeTick
+	*rx = Receiver{eng: eng, sub: s, ooo: rx.ooo[:0]}
+	*s = Subflow{
+		eng:           eng,
+		cfg:           cfg,
+		coord:         coord,
+		id:            id,
+		flow:          flow,
+		path:          path,
+		rx:            rx,
+		cwnd:          cfg.InitialCwnd,
+		ssthresh:      1 << 30,
+		sacked:        s.sacked[:0],
+		retransmitted: s.retransmitted[:0],
+		rto:           cfg.RTOInit,
+		rtoTickFn:     rtoTickFn,
+		probeTickFn:   probeTickFn,
+		viewDirty:     true,
+	}
 	if w := cfg.MinRTTWindow; w > 0 {
 		s.rtt.SetWindow(w)
 	}
-	s.rx = &Receiver{eng: eng, sub: s}
-	return s
+}
+
+// Drained reports whether the simulation can still reach the subflow.
+//
+// settled means no packet names it and none ever will unless it is made to
+// send again: it never retransmitted and never failed, so every segment went
+// out exactly once and is answered by at most one ACK, and as many ACKs came
+// home as segments went out — nothing was lost in either direction, nothing
+// is in flight, whatever faults dropped, delayed or reordered on the way. A
+// subflow with a retransmission, a lost segment or ACK, or a failover behind
+// it is never settled again; the rule errs towards "reachable".
+//
+// drained adds that no tick is queued either: the lazy RTO tick is the only
+// event a settled subflow can still own (the probe tick needs a failure),
+// and rtoArmed is true exactly while one sits in the engine. A drained
+// subflow that nobody calls into stays drained, and may be Reset.
+func (s *Subflow) Drained() (drained, settled bool) {
+	settled = s.state == StateActive && s.stats.PktsRtx == 0 && s.stats.Fails == 0 && s.acksIn == s.maxSent
+	return settled && !s.rtoArmed, settled
 }
 
 // Start begins transmitting; call once after the connection is assembled.
@@ -494,6 +533,7 @@ func (s *Subflow) Receive(p *netem.Packet) {
 		p.Release() // a stray data packet addressed to the sender; drop it
 		return
 	}
+	s.acksIn++
 	if p.ECE {
 		s.stats.MarkedAcked++
 	}

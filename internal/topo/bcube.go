@@ -172,11 +172,16 @@ func (b *BCube) route(src, dst, start, detour int) []int32 {
 // Paths returns n routes between two hosts: the k+1 digit-rotation
 // parallel paths (and, with UseDetours, altered paths relaying through
 // extra intermediate servers), deduplicated; once the distinct routes run
-// out, routes repeat (multiple subflows per route).
+// out, routes repeat (multiple subflows per route). The routes are built
+// once per (src, dst, n) and shared by every caller; see FatTree.Paths.
 func (b *BCube) Paths(src, dst, n int) []*netem.Path {
 	if src == dst {
 		return nil
 	}
+	return b.g.paths(src, dst, n, b.buildPaths)
+}
+
+func (b *BCube) buildPaths(src, dst, n int) []*netem.Path {
 	maxDetour := 1
 	if b.cfg.UseDetours {
 		maxDetour = b.cfg.N

@@ -104,10 +104,18 @@ func (f *FatTree) edgeIdxOf(h int) int { return (h % (f.k * f.k / 4)) / (f.k / 2
 // aggregation switches within a pod). When n exceeds the distinct routes
 // available, routes repeat — the MPTCP path manager's multiple subflows
 // per physical route (the kernel's num_subflows parameter).
+//
+// The routes of a (src, dst, n) request are built once and belong to the
+// topology: every call returns the same *netem.Path values, shared by all
+// flows between the two hosts. Callers must not modify them.
 func (f *FatTree) Paths(src, dst, n int) []*netem.Path {
 	if src == dst {
 		return nil
 	}
+	return f.g.paths(src, dst, n, f.buildPaths)
+}
+
+func (f *FatTree) buildPaths(src, dst, n int) []*netem.Path {
 	half := f.k / 2
 	ps, pd := f.podOf(src), f.podOf(dst)
 	es, ed := f.edgeIdxOf(src), f.edgeIdxOf(dst)

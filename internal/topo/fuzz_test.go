@@ -17,10 +17,10 @@ func boundCfg(v, m int) int { return v % m }
 // whose host-to-host paths resolve to complete link chains — graph.chain
 // panics on a missing edge, so any wiring gap aborts the fuzzer.
 func FuzzConstructors(f *testing.F) {
-	f.Add(4, 5, 2, 2, 8, 4, 4)   // the paper's figure configurations
-	f.Add(8, 3, 1, 4, 64, 8, 8)  // published VL2 scale
-	f.Add(-2, 2, 0, 1, 1, 2, 1)  // minimal and invalid corners
-	f.Add(0, 0, 0, 0, 0, 0, 0)   // all defaults
+	f.Add(4, 5, 2, 2, 8, 4, 4)  // the paper's figure configurations
+	f.Add(8, 3, 1, 4, 64, 8, 8) // published VL2 scale
+	f.Add(-2, 2, 0, 1, 1, 2, 1) // minimal and invalid corners
+	f.Add(0, 0, 0, 0, 0, 0, 0)  // all defaults
 	f.Fuzz(func(t *testing.T, ftK, bcN, bcK, perToR, tors, aggs, ints int) {
 		eng := sim.NewEngine(1)
 		if ft, err := NewFatTree(eng, FatTreeConfig{K: boundCfg(ftK, 11)}); err == nil {

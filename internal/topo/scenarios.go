@@ -262,11 +262,17 @@ func NewEC2VPC(eng *sim.Engine, cfg EC2Config) *EC2VPC {
 // Hosts returns the host count.
 func (v *EC2VPC) Hosts() int { return v.hosts }
 
-// Paths returns up to n routes between two hosts, one per subnet.
+// Paths returns up to n routes between two hosts, one per subnet. The
+// routes are built once per (src, dst, n) and shared by every caller; see
+// FatTree.Paths.
 func (v *EC2VPC) Paths(src, dst, n int) []*netem.Path {
 	if n <= 0 || n > v.nets {
 		n = v.nets
 	}
+	return v.g.paths(src, dst, n, v.buildPaths)
+}
+
+func (v *EC2VPC) buildPaths(src, dst, n int) []*netem.Path {
 	out := make([]*netem.Path, 0, n)
 	h := (src + dst) % v.nets
 	for s := 0; s < n; s++ {

@@ -16,14 +16,46 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// graph tracks directed links between node IDs, creating each once.
+// graph tracks directed links between node IDs, creating each once, and
+// owns the routes enumerated over them.
 type graph struct {
 	eng   *sim.Engine
 	links map[[2]int32]*netem.Link
+
+	// routes memoises Paths(src, dst, n): a host pair's n routes are built
+	// on the first request and handed out again on every later one, so the
+	// topology owns its paths exactly as TwoPath, HetWireless and NPath own
+	// theirs. That is what lets a path's packet pool outlive any one flow:
+	// every flow of a host pair sends over the same *netem.Path, and the
+	// packets the last flow released are the ones the next flow sends. The
+	// map is bounded by host pairs × the subflow counts asked for.
+	routes map[pathsKey][]*netem.Path
 }
 
+// pathsKey is one Paths request.
+type pathsKey struct{ src, dst, n int }
+
 func newGraph(eng *sim.Engine) *graph {
-	return &graph{eng: eng, links: make(map[[2]int32]*netem.Link)}
+	return &graph{
+		eng:    eng,
+		links:  make(map[[2]int32]*netem.Link),
+		routes: make(map[pathsKey][]*netem.Path),
+	}
+}
+
+// paths answers Paths(src, dst, n) from the memo, calling build on the
+// first request only. The slice is returned with cap == len, so a caller's
+// append copies instead of writing into the memo; its elements are shared
+// and read-only.
+func (g *graph) paths(src, dst, n int, build func(src, dst, n int) []*netem.Path) []*netem.Path {
+	key := pathsKey{src, dst, n}
+	ps, ok := g.routes[key]
+	if !ok {
+		ps = build(src, dst, n)
+		ps = ps[:len(ps):len(ps)]
+		g.routes[key] = ps
+	}
+	return ps
 }
 
 // biLink creates both directions of an edge with the same configuration.

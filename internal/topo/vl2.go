@@ -122,11 +122,16 @@ func (v *VL2) torAgg(t, a int) int {
 
 // Paths returns n routes between two hosts, spread over intermediate
 // switches and the dual-homed aggregation choices (VL2's valiant load
-// balancing, enumerated deterministically).
+// balancing, enumerated deterministically). The routes are built once per
+// (src, dst, n) and shared by every caller; see FatTree.Paths.
 func (v *VL2) Paths(src, dst, n int) []*netem.Path {
 	if src == dst {
 		return nil
 	}
+	return v.g.paths(src, dst, n, v.buildPaths)
+}
+
+func (v *VL2) buildPaths(src, dst, n int) []*netem.Path {
 	ts, td := src/v.cfg.HostsPerToR, dst/v.cfg.HostsPerToR
 	out := make([]*netem.Path, 0, n)
 	if ts == td {

@@ -26,9 +26,10 @@ bench:
 bench-engine:
 	$(GO) test ./internal/sim/ -run '^$$' -bench Engine -benchtime 200ms
 
-# Regression gate: compare a fresh BENCH JSON (BENCH=<file>) against the
+# Tripwire: compare a fresh BENCH JSON (BENCH=<file>) against the
 # committed baseline, failing if any shared experiment's events/sec
-# dropped more than 10%. BENCH_ALLOW exempts comma-separated experiments
+# dropped more than 10% (a rate of work units whose size changes between
+# commits, not a speed: see README, Performance). BENCH_ALLOW exempts comma-separated experiments
 # from the gate (still reported) for known, accepted slowdowns:
 #   make bench-diff BENCH=BENCH_20260808T...json BENCH_ALLOW=fig6
 BENCH_BASE ?= BENCH_seed.json

@@ -50,12 +50,15 @@ type SweepSpec struct {
 // DefaultSweepSpec is the stock hybrid grid mptcp-bench -sweep runs: every
 // registered topology × the algorithms whose fluid mapping holds across the
 // whole default load axis × light-to-moderate cross loads. Two calibrated
-// exclusions, both documented in docs/backends.md: `coupled` (its fully
-// coupled window collapses to a near-winner-take-all split under any cross
-// load, which Eq. 3's smooth equilibrium does not reproduce) and loads
-// above 0.15 (deterministic CBR cross traffic phase-locks against the
-// DropTail queue, so the packet run's cross traffic either fully survives
-// or fully starves — no constant-load fluid term matches either regime).
+// exclusions, both documented in docs/backends.md: `coupled` (Peng et al.
+// show the fully coupled window has no unique equilibrium — any split over
+// equally priced paths is a fixed point — so the packet run tips toward one
+// path by same-instant event order while Eq. 3's solver reports one smooth
+// point of the set, and which grid points land outside tolerance moves with
+// any change of tie order) and loads above 0.15 (deterministic CBR cross
+// traffic phase-locks against the DropTail queue, so the packet run's cross
+// traffic either fully survives or fully starves — no constant-load fluid
+// term matches either regime).
 func DefaultSweepSpec() SweepSpec {
 	return SweepSpec{
 		Topologies: Topologies(),

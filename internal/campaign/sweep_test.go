@@ -192,14 +192,14 @@ func TestSweepCampaignMergesIdenticalAcrossWorkers(t *testing.T) {
 // tolerance is a quarantined unit — the campaign finishes, the journal
 // notes the disagreeing point, and the unit's table records the row.
 func TestSweepCampaignQuarantinesDisagreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full-horizon packet spot check")
-	}
 	spec := Spec{Sweep: &backend.SweepSpec{
 		Topologies: []string{"twopath-asym"},
-		Algorithms: []string{"coupled"}, // calibrated over-tolerance under cross load
+		Algorithms: []string{"lia"},
 		Loads:      []float64{0.1},
 		SpotCheck:  1,
+		Tol:        1e-9, // below any delta a packet run can reach: fails by construction
+		Horizon:    6 * sim.Second,
+		Warmup:     2 * sim.Second,
 	}}
 	dir := t.TempDir()
 	sum, err := Start(context.Background(), dir, spec, Options{Workers: 1})
@@ -213,10 +213,10 @@ func TestSweepCampaignQuarantinesDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(journal), "disagreement") || !strings.Contains(string(journal), "twopath-asym/coupled@0.1") {
+	if !strings.Contains(string(journal), "disagreement") || !strings.Contains(string(journal), "twopath-asym/lia@0.1") {
 		t.Errorf("journal does not name the disagreeing point:\n%s", journal)
 	}
-	u := Unit{Experiment: sweepCheckExp, Algorithm: "coupled", Scenario: "twopath-asym@0.1", Seed: 1}
+	u := Unit{Experiment: sweepCheckExp, Algorithm: "lia", Scenario: "twopath-asym@0.1", Seed: 1}
 	table, err := os.ReadFile(filepath.Join(u.Dir(dir), "table.txt"))
 	if err != nil {
 		t.Fatalf("the failing unit must still write its table: %v", err)

@@ -50,28 +50,40 @@ type LinkConfig struct {
 	PriceQTarget int
 }
 
-// Link is a unidirectional link: a DropTail FIFO drained at line rate, with
-// each departing packet delivered to its next hop after the propagation
-// delay. Propagation overlaps the serialization of subsequent packets.
+// Link is a unidirectional link: a DropTail FIFO drained at line rate, each
+// packet reaching its next hop one propagation delay after it leaves the
+// queue. Propagation overlaps the serialization of subsequent packets.
+//
+// It is a finish-time queue, not the textbook two-event link. Admission fixes
+// a packet's departure, depart = max(now, busyUntil) + TxTime(size), and
+// schedules its one event on this hop: arrival at the next, at depart + Delay.
+// Nothing fires at depart: every reader of the queue (DropTail, ECN, Price,
+// the counters) first calls settle, which retires the entries whose depart
+// has passed, so a departure precedes an arrival at the same instant — the
+// link's tie rule. A reconfiguration cancels or re-arms the arrival events of
+// undeparted packets through the handle each carries, and so ends as on the
+// two-event link. The deviation is kept because the benchmark says so: the
+// serialization-done event decided nothing and was half of all events
+// (churn-mice cpu_s −38 %, EXPERIMENTS.md "One event per packet per hop").
 type Link struct {
 	eng *sim.Engine
 	cfg LinkConfig
 
-	queue pktRing
-	busy  bool
-	down  bool
+	queue     departRing // departs of the admitted, undeparted packets, oldest first
+	tail      *Packet    // the newest of them; the rest chain back through prev
+	busyUntil sim.Time   // depart of the newest admitted packet
+	down      bool
+	doomed    bool // a flush caught the head mid-serialization: dropped at its depart
 
-	txDoneFn func() // cached method value for the hot path
-
-	// Counters, exported via methods.
+	// Counters, exported via methods. sent and sentBytes cover what was admitted
+	// and not flushed, queued or departed; busyTime is spent by busyUntil.
 	arrived     uint64
-	delivered   uint64
 	dropped     uint64
 	randDropped uint64
 	outageDrops uint64
-	bytesOut    uint64
+	sent        uint64
+	sentBytes   uint64
 	busyTime    sim.Time
-	lastTxStart sim.Time
 }
 
 // NewLink creates a link driven by eng.
@@ -82,9 +94,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.QueueLimit == 0 {
 		cfg.QueueLimit = DefaultQueueLimit
 	}
-	l := &Link{eng: eng, cfg: cfg}
-	l.txDoneFn = l.txDone
-	return l
+	return &Link{eng: eng, cfg: cfg}
 }
 
 // Name returns the configured link name.
@@ -98,7 +108,7 @@ func (l *Link) Delay() sim.Time { return l.cfg.Delay }
 
 // QueueLen reports the number of packets currently queued or in
 // serialization.
-func (l *Link) QueueLen() int { return l.queue.len() }
+func (l *Link) QueueLen() int { return l.settle() }
 
 // QueueLimit reports the DropTail capacity in packets.
 func (l *Link) QueueLimit() int { return l.cfg.QueueLimit }
@@ -110,7 +120,7 @@ func (l *Link) QueueLimit() int { return l.cfg.QueueLimit }
 func (l *Link) Arrived() uint64 { return l.arrived }
 
 // Delivered reports packets fully forwarded to their next hop.
-func (l *Link) Delivered() uint64 { return l.delivered }
+func (l *Link) Delivered() uint64 { return l.sent - uint64(l.settle()) }
 
 // Dropped reports packets lost to queue overflow.
 func (l *Link) Dropped() uint64 { return l.dropped }
@@ -120,7 +130,10 @@ func (l *Link) RandDropped() uint64 { return l.randDropped }
 
 // OutageDropped reports packets lost to link-down periods: arrivals while
 // down, plus flushed queue contents when FlushOnDown is set.
-func (l *Link) OutageDropped() uint64 { return l.outageDrops }
+func (l *Link) OutageDropped() uint64 {
+	l.settle()
+	return l.outageDrops
+}
 
 // LossProb returns the current random-loss probability.
 func (l *Link) LossProb() float64 { return l.cfg.LossProb }
@@ -138,27 +151,33 @@ func (l *Link) SetDown() {
 		return
 	}
 	l.down = true
-	if l.cfg.FlushOnDown {
-		keep := 0
-		if l.busy {
-			keep = 1 // head is mid-serialization; txDone discards it
-		}
-		for l.queue.len() > keep {
-			l.outageDrops++
-			l.queue.popBack().Release()
-		}
+	if !l.cfg.FlushOnDown {
+		return
+	}
+	ps := l.queued()
+	for i := len(ps) - 1; i > 0; i-- {
+		l.queue.popBack()
+		l.cut(ps[i])
+	}
+	if len(ps) > 0 {
+		l.tail = ps[0]
+		l.tail.timer.Stop()
+		l.doomed = true
+		l.busyTime -= l.busyUntil - *l.queue.at(0) // the flushed never serialized
+		l.busyUntil = *l.queue.at(0)
 	}
 }
 
-// SetUp brings the link back up and resumes serving whatever survived the
-// outage.
+// SetUp brings the link back up. A packet a flush caught mid-serialization
+// that is still serializing survives the outage and is delivered after all.
 func (l *Link) SetUp() {
 	if !l.down {
 		return
 	}
 	l.down = false
-	if !l.busy && l.queue.len() > 0 {
-		l.startTx()
+	if l.settle(); l.doomed {
+		l.doomed = false
+		l.rearm()
 	}
 }
 
@@ -169,15 +188,14 @@ func (l *Link) SetRate(rate int64) {
 		panic(fmt.Sprintf("netem: link %q rate set to non-positive %d", l.cfg.Name, rate))
 	}
 	l.cfg.Rate = rate
+	l.rearm()
 }
 
 // SetDelay changes the one-way propagation delay for packets that finish
 // serialization after the call.
 func (l *Link) SetDelay(d sim.Time) {
-	if d < 0 {
-		d = 0
-	}
-	l.cfg.Delay = d
+	l.cfg.Delay = max(d, 0)
+	l.rearm()
 }
 
 // SetLossProb changes the random-loss probability for subsequent arrivals.
@@ -191,21 +209,24 @@ func (l *Link) SetLossProb(p float64) {
 	l.cfg.LossProb = p
 }
 
-// BytesDelivered reports the payload bytes fully forwarded.
-func (l *Link) BytesDelivered() uint64 { return l.bytesOut }
+// BytesDelivered reports the payload bytes fully forwarded (queued packets'
+// sizes are read off them: they still belong to the link).
+func (l *Link) BytesDelivered() uint64 {
+	out := l.sentBytes
+	for n, p := l.settle(), l.tail; n > 0; n, p = n-1, p.prev {
+		out -= uint64(p.Size)
+	}
+	return out
+}
 
-// Utilization reports the fraction of the interval [0, now] the link spent
-// serializing packets.
+// Utilization reports the fraction of [0, now] the link spent serializing. The
+// queue drains back to back: the unspent part of busyTime is busyUntil − now.
 func (l *Link) Utilization() float64 {
 	now := l.eng.Now()
 	if now == 0 {
 		return 0
 	}
-	busy := l.busyTime
-	if l.busy {
-		busy += now - l.lastTxStart
-	}
-	return float64(busy) / float64(now)
+	return float64(l.busyTime-max(0, l.busyUntil-now)) / float64(now)
 }
 
 // TxTime returns the serialization delay of a packet of size bytes.
@@ -226,11 +247,7 @@ func (l *Link) Price() float64 {
 	if l.cfg.PriceRho == 0 && l.cfg.PriceGamma == 0 {
 		return 0
 	}
-	excess := l.queue.len() - l.cfg.PriceQTarget
-	if excess < 0 {
-		excess = 0
-	}
-	return l.cfg.PriceRho + l.cfg.PriceGamma*float64(excess)
+	return l.cfg.PriceRho + l.cfg.PriceGamma*float64(max(0, l.QueueLen()-l.cfg.PriceQTarget))
 }
 
 // Enqueue admits a packet to the link, dropping it when the queue is full or
@@ -248,45 +265,79 @@ func (l *Link) Enqueue(p *Packet) {
 		p.Release()
 		return
 	}
-	if l.queue.len() >= l.cfg.QueueLimit {
+	qlen := l.settle()
+	if qlen >= l.cfg.QueueLimit {
 		l.dropped++
 		p.Release()
 		return
 	}
-	if l.cfg.MarkThreshold > 0 && l.queue.len() >= l.cfg.MarkThreshold && !p.IsAck {
+	if l.cfg.MarkThreshold > 0 && qlen >= l.cfg.MarkThreshold && !p.IsAck {
 		p.CE = true
 	}
 	if !p.IsAck {
 		p.Price += l.Price()
 	}
-	l.queue.push(p, l.cfg.QueueLimit)
-	if !l.busy {
-		l.startTx()
-	}
+	tx := l.TxTime(int(p.Size))
+	l.busyUntil = max(l.eng.Now(), l.busyUntil) + tx
+	l.busyTime += tx
+	l.sent++
+	l.sentBytes += uint64(p.Size)
+	l.queue.push(l.busyUntil, l.cfg.QueueLimit)
+	p.prev, l.tail = l.tail, p
+	p.timer = l.eng.At(l.busyUntil+l.cfg.Delay, p.fwd())
 }
 
-func (l *Link) startTx() {
-	l.busy = true
-	l.lastTxStart = l.eng.Now()
-	l.eng.ScheduleAfter(l.TxTime(l.queue.front().Size), l.txDoneFn)
+// settle retires the queue entries that have departed and returns the queue
+// length. Their packets are in flight or recycled and are not touched, except
+// a doomed head: the link owns it, and with nothing admitted since it is tail.
+func (l *Link) settle() int {
+	for now := l.eng.Now(); l.queue.len() > 0 && *l.queue.at(0) <= now; {
+		if l.queue.pop(); l.doomed {
+			l.doomed = false
+			l.cut(l.tail)
+		}
+	}
+	return l.queue.len()
 }
 
-// txDone completes serialization of the head-of-line packet.
-func (l *Link) txDone() {
-	p := l.queue.pop()
-	l.busyTime += l.eng.Now() - l.lastTxStart
-	if l.down && l.cfg.FlushOnDown {
-		// The link was cut mid-serialization: the packet never made it.
-		l.outageDrops++
-		p.Release()
-	} else {
-		l.delivered++
-		l.bytesOut += uint64(p.Size)
-		l.eng.ScheduleAfter(l.cfg.Delay, p.fwd())
+// queued returns the packets in the queue, oldest first, following prev back
+// from the tail no further than the queue is long: beyond that the chain
+// leads to packets that have departed and are no longer the link's to read.
+func (l *Link) queued() []*Packet {
+	ps := make([]*Packet, l.settle())
+	for i, p := len(ps)-1, l.tail; i >= 0; i, p = i-1, p.prev {
+		ps[i] = p
 	}
-	if l.queue.len() > 0 {
-		l.startTx()
-	} else {
-		l.busy = false
+	return ps
+}
+
+// cut discards a packet that was admitted and will not be delivered after
+// all: its arrival event is cancelled and it becomes an outage drop.
+func (l *Link) cut(p *Packet) {
+	p.timer.Stop()
+	l.sent--
+	l.sentBytes -= uint64(p.Size)
+	l.outageDrops++
+	p.Release()
+}
+
+// rearm re-times what has not departed after a reconfiguration: the head is
+// mid-serialization and keeps its depart, each packet behind it departs one
+// TxTime at the current rate later, every arrival moves to depart + Delay.
+func (l *Link) rearm() {
+	ps := l.queued()
+	if len(ps) == 0 || l.doomed {
+		return
 	}
+	depart := *l.queue.at(0)
+	for i, p := range ps {
+		if i > 0 {
+			depart += l.TxTime(int(p.Size))
+			*l.queue.at(i) = depart
+		}
+		p.timer.Stop()
+		p.timer = l.eng.At(depart+l.cfg.Delay, p.fwd())
+	}
+	l.busyTime += depart - l.busyUntil
+	l.busyUntil = depart
 }

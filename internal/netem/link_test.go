@@ -19,7 +19,7 @@ func (c *collector) Receive(p *Packet) {
 }
 
 func sendOne(eng *sim.Engine, links []*Link, dst Endpoint, size int, seq int64) *Packet {
-	p := &Packet{Seq: seq, Size: size}
+	p := &Packet{Seq: seq, Size: int32(size)}
 	p.SetRoute(links, dst)
 	p.Send()
 	return p

@@ -13,27 +13,23 @@ type Endpoint interface {
 
 // Packet is a simulated network packet. Sequence and acknowledgement numbers
 // are in MSS units (one data packet carries one segment); Size is the wire
-// size in bytes and is what links serialize.
+// size in bytes and is what links serialize. The small fields are 32 bits
+// wide and the flags share a word so that the link's timer and prev cost the
+// struct nothing (TestPacketSizeBudget).
 type Packet struct {
 	// Flow identifies the transport flow; Subflow the MPTCP subflow index
 	// within it. Both are carried for tracing and demultiplexing.
 	Flow    uint64
-	Subflow int
+	Subflow int32
 
-	Seq   int64 // data: segment sequence number
-	Size  int   // wire size in bytes
-	IsAck bool
-	Ack   int64 // ack: cumulative acknowledgement (next expected Seq)
+	Size int32 // wire size in bytes
+	Seq  int64 // data: segment sequence number
+	Ack  int64 // ack: cumulative acknowledgement (next expected Seq)
 
 	// SackSeq, on ACKs, is the sequence number of the data segment whose
 	// arrival generated this ACK — per-segment selective acknowledgement,
 	// the idealized equivalent of the SACK option.
 	SackSeq int64
-
-	// CE is the ECN Congestion Experienced codepoint, set by marking queues
-	// on data packets. ECE echoes it back on ACKs (for DCTCP).
-	CE  bool
-	ECE bool
 
 	// SentAt is the simulated send time of a data packet. EchoedAt carries
 	// it back on the corresponding ACK, giving the sender an exact RTT
@@ -46,14 +42,28 @@ type Packet struct {
 	Price     float64
 	EchoPrice float64
 
+	IsAck bool
+
+	// CE is the ECN Congestion Experienced codepoint, set by marking queues
+	// on data packets. ECE echoes it back on ACKs (for DCTCP).
+	CE  bool
+	ECE bool
+
+	pooled bool
+	hop    int32
+
 	route []*Link
-	hop   int
 	dst   Endpoint
 	fwdFn func()
 
-	pool   *Pool
-	gen    uint64
-	pooled bool
+	// timer is the packet's arrival event at its next hop, held so the link
+	// it is crossing can cancel or re-time it (Link.cut, Link.rearm); prev is
+	// the packet admitted to that link before this one (Link.queued).
+	timer sim.Timer
+	prev  *Packet
+
+	pool *Pool
+	gen  uint64
 }
 
 // poolMaxFree bounds each free list; beyond it released packets fall back to
@@ -159,7 +169,8 @@ func (p *Packet) fwd() func() {
 }
 
 func (p *Packet) forward() {
-	if p.hop >= len(p.route) {
+	p.prev = nil // off the last link's chain: it must not keep that link's history alive
+	if int(p.hop) >= len(p.route) {
 		p.dst.Receive(p)
 		return
 	}

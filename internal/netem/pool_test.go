@@ -3,6 +3,7 @@ package netem
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mptcpsim/internal/sim"
 )
@@ -35,7 +36,7 @@ func TestPoolRecycleScrubsEveryField(t *testing.T) {
 		switch f.Kind() {
 		case reflect.Bool:
 			f.SetBool(true)
-		case reflect.Int, reflect.Int64:
+		case reflect.Int, reflect.Int32, reflect.Int64:
 			f.SetInt(77)
 		case reflect.Uint, reflect.Uint64:
 			f.SetUint(77)
@@ -160,5 +161,15 @@ func TestSetPriceTakesEffect(t *testing.T) {
 	l.SetPrice(1.5, 0, 0)
 	if l.Price() != 1.5 {
 		t.Errorf("Price = %v after SetPrice, want 1.5", l.Price())
+	}
+}
+
+// TestPacketSizeBudget holds Packet at the 176 bytes it had before it carried
+// a hop timer and a queue link: their 32 bytes were paid for by narrowing
+// Subflow, Size and hop to 32 bits and packing the flags, and every queued or
+// in-flight packet of a run costs this much.
+func TestPacketSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 176 {
+		t.Errorf("Packet is %d bytes, budget 176", got)
 	}
 }

@@ -1,15 +1,17 @@
 package netem
 
-// pktRing is a fixed-capacity FIFO of packets backing a link's DropTail
-// queue. The previous queue was a plain slice advanced with queue[1:] and
-// refilled with append, which regrows the backing array perpetually (every
-// element of the array is used exactly once); the ring reuses its backing
-// array forever, so a link in steady state never allocates. Capacity grows
-// geometrically up to the link's queue limit and then stays fixed — the
-// limit itself may be large (fuzzed configs), so it is not allocated
-// eagerly.
-type pktRing struct {
-	buf  []*Packet
+import "mptcpsim/internal/sim"
+
+// departRing is a fixed-capacity FIFO backing a link's DropTail queue: one
+// departure instant per queued packet, oldest first. It holds instants, not
+// packets (the link reaches those through Packet.prev): retiring a departed
+// entry must read the ring alone, the packet may by then be recycled into
+// another queue, and a slot stays 8 bytes. The backing array is reused
+// forever, so a link in steady state never allocates; it grows geometrically
+// up to the link's queue limit — which may be large (fuzzed configs), so it
+// is not allocated eagerly — and then stays fixed.
+type departRing struct {
+	buf  []sim.Time
 	head int
 	n    int
 }
@@ -17,54 +19,41 @@ type pktRing struct {
 // ringInitialCap is the smallest backing array a non-empty ring allocates.
 const ringInitialCap = 16
 
-func (r *pktRing) len() int { return r.n }
+func (r *departRing) len() int { return r.n }
 
-// front returns the oldest packet without removing it.
-func (r *pktRing) front() *Packet { return r.buf[r.head] }
+// at returns the i-th oldest entry without removing it.
+func (r *departRing) at(i int) *sim.Time {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
 
-// push appends a packet, growing toward limit if the backing array is full.
-// The caller enforces the queue limit; pushing past it panics via index
-// arithmetic only after grow declines to exceed limit.
-func (r *pktRing) push(p *Packet, limit int) {
+// push appends an entry, growing toward limit if the backing array is full.
+// The caller enforces the queue limit; grow panics rather than exceed it.
+func (r *departRing) push(t sim.Time, limit int) {
 	if r.n == len(r.buf) {
 		r.grow(limit)
 	}
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = p
 	r.n++
+	*r.at(r.n - 1) = t
 }
 
-// pop removes and returns the oldest packet.
-func (r *pktRing) pop() *Packet {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
+// pop removes the oldest entry. An emptied ring restarts at the front of its
+// array.
+func (r *departRing) pop() {
 	r.head++
-	if r.head == len(r.buf) {
+	r.n--
+	if r.n == 0 || r.head == len(r.buf) {
 		r.head = 0
 	}
-	r.n--
-	if r.n == 0 {
-		r.head = 0
-	}
-	return p
 }
 
-// popBack removes and returns the newest packet (queue flush on link-down).
-func (r *pktRing) popBack() *Packet {
-	r.n--
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	p := r.buf[i]
-	r.buf[i] = nil
-	return p
-}
+// popBack removes the newest entry (queue flush on link-down).
+func (r *departRing) popBack() { r.n-- }
 
-func (r *pktRing) grow(limit int) {
+func (r *departRing) grow(limit int) {
 	newCap := 2 * len(r.buf)
 	if newCap == 0 {
 		newCap = ringInitialCap
@@ -75,7 +64,7 @@ func (r *pktRing) grow(limit int) {
 	if newCap <= r.n {
 		panic("netem: ring grown past its queue limit")
 	}
-	buf := make([]*Packet, newCap)
+	buf := make([]sim.Time, newCap)
 	m := copy(buf, r.buf[r.head:])
 	copy(buf[m:], r.buf[:r.head])
 	r.buf, r.head = buf, 0

@@ -65,7 +65,7 @@ func (r *Receiver) Receive(p *netem.Packet) {
 	ack.IsAck = true
 	ack.Ack = r.rcvNext
 	ack.SackSeq = p.Seq
-	ack.Size = r.sub.cfg.AckBytes
+	ack.Size = int32(r.sub.cfg.AckBytes)
 	ack.ECE = p.CE
 	ack.EchoedAt = p.SentAt
 	ack.EchoPrice = p.Price

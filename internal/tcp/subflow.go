@@ -352,9 +352,9 @@ func (s *Subflow) trySend() {
 func (s *Subflow) sendSeq(seq int64, rtx bool) {
 	p := s.path.Pool().Get()
 	p.Flow = s.flow
-	p.Subflow = s.id
+	p.Subflow = int32(s.id)
 	p.Seq = seq
-	p.Size = s.cfg.WireSize()
+	p.Size = int32(s.cfg.WireSize())
 	p.SentAt = s.eng.Now()
 	p.SetRoute(s.path.Forward, s.rx)
 	p.Send()

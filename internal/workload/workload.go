@@ -71,7 +71,7 @@ func (c *CBR) emit() {
 		return
 	}
 	p := c.pool.Get()
-	p.Size = c.pktSize
+	p.Size = int32(c.pktSize)
 	p.SentAt = c.eng.Now()
 	p.SetRoute(c.route, c.sink)
 	p.Send()
@@ -198,7 +198,7 @@ func (p *ParetoOnOff) burst() {
 			return
 		}
 		pkt := p.pool.Get()
-		pkt.Size = p.pktSize
+		pkt.Size = int32(p.pktSize)
 		pkt.SentAt = p.eng.Now()
 		pkt.SetRoute(p.route, p.sink)
 		pkt.Send()

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"mptcpsim/internal/check"
@@ -64,19 +63,21 @@ func runChurnScenario(ctx context.Context, sc scenario, co churnOpts, seed int64
 		inv = check.New(eng)
 	}
 	var rec *obsv.Recorder
-	var traceFile *os.File
+	var sink *obsv.Sink
 	if sc.trace != "" {
-		f, err := os.Create(tracePath(sc.trace, seed, sc.multiTrace))
-		if err != nil {
+		var err error
+		if sink, err = obsv.CreateSink(tracePath(sc.trace, seed, sc.multiTrace)); err != nil {
 			return err
 		}
-		traceFile = f
+		// A no-op after the Close below; on a panic or an early return it
+		// flushes the record through its last line and releases the file.
+		defer sink.Close()
 		rec = obsv.NewRecorder(eng, obsv.Meta{
 			Experiment: "churn",
 			Scenario:   sc.topo,
 			Algorithm:  sc.alg,
 			Seed:       seed,
-		}, obsv.Options{Interval: sim.FromDuration(sc.sampleInt), Stream: f})
+		}, obsv.Options{Interval: sim.FromDuration(sc.sampleInt), Stream: sink})
 	}
 
 	// The summary's percentiles are exact and over completed flows only.
@@ -149,7 +150,7 @@ func runChurnScenario(ctx context.Context, sc scenario, co churnOpts, seed int64
 		rec.SetSummary("flows_shed", float64(st.ShedCapacity))
 		rec.SetSummary("flows_cut", float64(st.Cut))
 		err := rec.Close()
-		if cerr := traceFile.Close(); err == nil {
+		if cerr := sink.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {

@@ -474,22 +474,25 @@ func tracePath(base string, seed int64, multi bool) string {
 }
 
 // startTrace attaches a JSONL run recorder when -trace is set, returning a
-// finish func that completes the record after the engine has run. Both
-// returns are nil when tracing is off.
-func startTrace(eng *sim.Engine, sc scenario, seed int64, conn *mptcp.Conn, meter *energy.Meter) (func() error, error) {
+// finish func that completes the record after the engine has run (nil when
+// tracing is off) and an abort func for the caller to defer: a no-op after
+// finish, it otherwise flushes and releases the record, so a run that
+// panics (watchdog, event budget) or returns early leaves a file that
+// parses through its last sample.
+func startTrace(eng *sim.Engine, sc scenario, seed int64, conn *mptcp.Conn, meter *energy.Meter) (finish func() error, abort func(), err error) {
 	if sc.trace == "" {
-		return nil, nil
+		return nil, func() {}, nil
 	}
-	f, err := os.Create(tracePath(sc.trace, seed, sc.multiTrace))
+	sink, err := obsv.CreateSink(tracePath(sc.trace, seed, sc.multiTrace))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec := obsv.NewRecorder(eng, obsv.Meta{
 		Experiment: "adhoc",
 		Scenario:   sc.topo,
 		Algorithm:  sc.alg,
 		Seed:       seed,
-	}, obsv.Options{Interval: sim.FromDuration(sc.sampleInt), Stream: f})
+	}, obsv.Options{Interval: sim.FromDuration(sc.sampleInt), Stream: sink})
 	rec.WatchConn("", conn)
 	rec.WatchMeter("host", meter)
 	rec.Start()
@@ -498,11 +501,11 @@ func startTrace(eng *sim.Engine, sc scenario, seed int64, conn *mptcp.Conn, mete
 		rec.SetSummary("energy_j", meter.Joules())
 		rec.SetSummary("reinjected_segs", float64(conn.ReinjectedSegs()))
 		err := rec.Close()
-		if cerr := f.Close(); err == nil {
+		if cerr := sink.Close(); err == nil {
 			err = cerr
 		}
 		return err
-	}, nil
+	}, func() { _ = sink.Close() }, nil
 }
 
 // runQuiet executes one run and returns only the summary, for -runs > 1.
@@ -514,10 +517,11 @@ func runQuiet(ctx context.Context, sc scenario, seed int64, wd *supervise.Watchd
 	if err != nil {
 		return runResult{seed: seed, err: err}
 	}
-	finish, err := startTrace(eng, sc, seed, conn, meter)
+	finish, abort, err := startTrace(eng, sc, seed, conn, meter)
 	if err != nil {
 		return runResult{seed: seed, err: err}
 	}
+	defer abort()
 	inv := startCheck(eng, sc, conn, meter)
 	if sc.transfer > 0 {
 		conn.OnComplete = func(sim.Time) {
@@ -560,10 +564,11 @@ func runOne(ctx context.Context, sc scenario, seed int64, wd *supervise.Watchdog
 	if err != nil {
 		return err
 	}
-	finish, err := startTrace(eng, sc, seed, conn, meter)
+	finish, abort, err := startTrace(eng, sc, seed, conn, meter)
 	if err != nil {
 		return err
 	}
+	defer abort()
 	inv := startCheck(eng, sc, conn, meter)
 	if sc.transfer > 0 {
 		conn.OnComplete = func(at sim.Time) {

@@ -8,7 +8,6 @@ import (
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/trace"
 )
 
 func TestCPUModelFig3aShape(t *testing.T) {
@@ -143,15 +142,18 @@ func TestMeterStop(t *testing.T) {
 
 func TestMeterTrace(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewMeter(eng, Constant(3), func(sim.Time) Sample { return Sample{} }, 100*sim.Millisecond)
-	m.Trace = &trace.Series{Name: "power"}
+	ticks := 0
+	m := NewMeter(eng, Constant(3), func(sim.Time) Sample { ticks++; return Sample{} }, 100*sim.Millisecond)
+	if m.LastWatts() != 0 {
+		t.Errorf("LastWatts = %.2f before the first tick, want 0", m.LastWatts())
+	}
 	m.Start()
 	eng.Run(sim.Second)
-	if m.Trace.Len() != 10 {
-		t.Errorf("trace has %d samples over 1 s at 100 ms, want 10", m.Trace.Len())
+	if ticks != 10 {
+		t.Errorf("meter probed %d times over 1 s at 100 ms, want 10", ticks)
 	}
-	if m.Trace.Mean() != 3 {
-		t.Errorf("trace mean %.2f, want 3", m.Trace.Mean())
+	if m.LastWatts() != 3 {
+		t.Errorf("LastWatts = %.2f, want 3", m.LastWatts())
 	}
 }
 
@@ -284,15 +286,15 @@ func TestMeterFlushResidualAtHorizon(t *testing.T) {
 
 func TestMeterDoubleStart(t *testing.T) {
 	// Regression: a second Start used to schedule a second tick chain,
-	// doubling both the event load and (via duplicated intervals) the trace.
+	// doubling both the event load and (via duplicated intervals) the probes.
 	eng := sim.NewEngine(1)
-	m := NewMeter(eng, Constant(1), func(sim.Time) Sample { return Sample{} }, 100*sim.Millisecond)
-	m.Trace = &trace.Series{Name: "p"}
+	ticks := 0
+	m := NewMeter(eng, Constant(1), func(sim.Time) Sample { ticks++; return Sample{} }, 100*sim.Millisecond)
 	m.Start()
 	eng.At(500*sim.Millisecond, m.Start) // must be a no-op while running
 	eng.Run(sim.Second)
-	if m.Trace.Len() != 10 {
-		t.Errorf("trace has %d samples, want 10 (double-Start doubled the tick chain?)", m.Trace.Len())
+	if ticks != 10 {
+		t.Errorf("meter probed %d times, want 10 (double-Start doubled the tick chain?)", ticks)
 	}
 	if math.Abs(m.Joules()-1) > 1e-9 {
 		t.Errorf("Joules = %.3f, want 1", m.Joules())

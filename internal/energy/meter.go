@@ -4,7 +4,6 @@ import (
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/trace"
 )
 
 // DefaultInterval is the power sampling period (10 ms of simulated time,
@@ -17,7 +16,7 @@ type Probe func(window sim.Time) Sample
 
 // Meter integrates a power model over simulated time: every interval it
 // probes the host's activity, evaluates the model and accumulates
-// P·Δt joules, optionally recording the power time series.
+// P·Δt joules, keeping the most recent power reading for samplers.
 //
 // The meter only accounts for time while it is running: Start marks the
 // beginning of the metered span, Stop integrates the residual partial
@@ -32,15 +31,13 @@ type Meter struct {
 	interval sim.Time
 
 	joules   float64
+	watts    float64  // power over the most recent integrated span
 	metered  sim.Time // total span integrated so far
 	lastTick sim.Time
 	started  bool
 	stopped  bool
 	armed    bool // a tick is scheduled and will fire
 	tickFn   func()
-
-	// Trace, when set before Start, receives (time, watts) samples.
-	Trace *trace.Series
 }
 
 // NewMeter creates a meter; interval 0 takes DefaultInterval.
@@ -95,11 +92,8 @@ func (m *Meter) Flush() {
 	}
 	m.lastTick = now
 	m.metered += dt
-	watts := m.model.Power(m.probe(dt))
-	m.joules += watts * dt.Seconds()
-	if m.Trace != nil {
-		m.Trace.Add(now, watts)
-	}
+	m.watts = m.model.Power(m.probe(dt))
+	m.joules += m.watts * dt.Seconds()
 }
 
 func (m *Meter) tick() {
@@ -114,6 +108,10 @@ func (m *Meter) tick() {
 
 // Joules returns the energy integrated so far.
 func (m *Meter) Joules() float64 { return m.joules }
+
+// LastWatts returns the power the model reported for the most recently
+// integrated span (0 before the first tick).
+func (m *Meter) LastWatts() float64 { return m.watts }
 
 // MeanPower returns the average power over the metered span so far — the
 // time the meter was actually running, not the engine clock, so a meter

@@ -42,6 +42,7 @@ func shiftRunWith(cfg Config, wd *supervise.Watchdog, expID, scenario string, se
 	replaceAlg(conn, alg)
 	meter := meterFor(eng, energy.NewI7(), conn)
 	obs := cfg.observe(eng, expID, scenario, alg.Name(), seed)
+	defer obs.Abort()
 	obs.Conn("", conn)
 	obs.Meter("host", meter)
 	obs.Start()
@@ -157,6 +158,7 @@ func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed in
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, tp.Paths()...)
 	replaceAlg(conn, alg)
 	obs := cfg.observe(eng, "abl-kappa", scenario, alg.Name(), seed)
+	defer obs.Abort()
 	obs.Conn("", conn)
 	obs.Start()
 	conn.Start()
@@ -203,6 +205,7 @@ func AblationHystart(cfg Config) *Result {
 			Transport:     tcpConfigHystart(disable),
 		}, 1, p)
 		obs := cfg.observe(eng, "abl-hystart", fmt.Sprintf("hystart-%v", !disable), "reno", cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Start()
 		conn.OnComplete = func(sim.Time) { eng.Stop() }
@@ -285,6 +288,7 @@ func pathselRun(cfg Config, wd *supervise.Watchdog, seed int64, approach string,
 	}
 	meter := newHandsetMeter(eng, conn, true)
 	obs := cfg.observe(eng, "abl-pathsel", "hetwireless", approach, seed)
+	defer obs.Abort()
 	obs.Conn("", conn)
 	obs.Sample("host.joules", func() float64 { return meter.joules })
 	obs.Start()

@@ -44,6 +44,7 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut
 	eng := sim.NewEngine(seed)
 	wd.Attach(eng)
 	obs := cfg.observe(eng, "churn", scenario, alg, seed)
+	defer obs.Abort()
 
 	net := dcBuild(eng, "fattree", cfg.Scale)
 	hosts := net.Hosts()

@@ -52,6 +52,7 @@ func Fig10(cfg Config) *Result {
 		vpc := topo.NewEC2VPC(eng, topo.EC2Config{Hosts: hosts, MarkThreshold: 20})
 		perm := workload.Permutation(eng, hosts)
 		obs := cfg.observe(eng, "fig10", fmt.Sprintf("ec2-%dhosts", hosts), a.name, cfg.Seed)
+		defer obs.Abort()
 
 		remaining := hosts
 		meters := make([]*energy.Meter, hosts)
@@ -224,6 +225,7 @@ func dcOverheadSweep(cfg Config, kind, expect string) *Result {
 		wd.Attach(eng)
 		net := dcBuild(eng, kind, cfg.Scale)
 		obs := cfg.observe(eng, res.ID, fmt.Sprintf("%s-%dsub", kind, nsub), "lia", cfg.Seed+int64(r))
+		defer obs.Abort()
 		j, b, _ := dcRun(net, eng, "lia", nsub, horizon, false, obs)
 		return dcOut{joules: j, bytes: b, events: eng.Processed()}
 	})
@@ -289,6 +291,7 @@ func dcCompareAlgs(cfg Config, res *Result) map[string]map[string][3]float64 {
 		wd.Attach(eng)
 		net := dcBuild(eng, kind, cfg.Scale)
 		obs := cfg.observe(eng, res.ID, fmt.Sprintf("%s-priced-8sub", kind), alg, cfg.Seed+int64(r))
+		defer obs.Abort()
 		j, b, _ := dcRun(net, eng, alg, 8, horizon, true, obs)
 		return dcOut{joules: j, bytes: b, events: eng.Processed()}
 	})

@@ -45,6 +45,7 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 	eng := sim.NewEngine(seed)
 	wd.Attach(eng)
 	obs := cfg.observe(eng, "faults", scenario, alg, seed)
+	defer obs.Abort()
 	var conn *mptcp.Conn
 	var joules func() float64
 	flush := func() {}

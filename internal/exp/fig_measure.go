@@ -89,6 +89,7 @@ func Fig1(cfg Config) *Result {
 		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: algFor(sp.nsub)}, 1, repeatPaths(paths, sp.nsub)...)
 		meter := meterFor(eng, energy.NewI7(), conn)
 		obs := cfg.observe(eng, "fig1", fmt.Sprintf("%s-%dsub", sp.label, sp.nsub), algFor(sp.nsub), cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Meter("host", meter)
 		obs.Start()
@@ -155,6 +156,7 @@ func Fig2(cfg Config) *Result {
 		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg}, 1, paths...)
 		meter := newHandsetMeter(eng, conn, sp.useWiFi && sp.useLTE)
 		obs := cfg.observe(eng, "fig2", sp.label, alg, cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Sample("host.joules", func() float64 { return meter.joules })
 		obs.Start()
@@ -246,6 +248,7 @@ func Fig3a(cfg Config) *Result {
 		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia", TransferBytes: transfer}, 1, paths...)
 		meter := meterFor(eng, energy.NewI7(), conn)
 		obs := cfg.observe(eng, "fig3a", fmt.Sprintf("wired-%dmbps", mbps), "lia", cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Meter("host", meter)
 		obs.Start()
@@ -299,6 +302,7 @@ func Fig3b(cfg Config) *Result {
 		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno", TransferBytes: transfer}, 1, p)
 		meter := meterFor(eng, energy.NewWiFi(), conn)
 		obs := cfg.observe(eng, "fig3b", fmt.Sprintf("wifi-%dmbps", mbps), "reno", cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Meter("host", meter)
 		obs.Start()
@@ -358,6 +362,7 @@ func Fig4(cfg Config) *Result {
 		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, paths...)
 		meter := meterFor(eng, energy.NewI7(), conn)
 		obs := cfg.observe(eng, "fig4", fmt.Sprintf("delay-%dus", delay/sim.Microsecond), "lia", cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Meter("host", meter)
 		obs.Start()

@@ -69,6 +69,7 @@ func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, tra
 	wd.Attach(eng)
 	d := topo.NewDumbbell(eng, topo.DumbbellConfig{Users: 3 * n})
 	obs := cfg.observe(eng, "fig6", fmt.Sprintf("dumbbell-%dusers", n), alg, cfg.Seed)
+	defer obs.Abort()
 
 	remaining := n
 	meters := make([]*energy.Meter, n)
@@ -136,6 +137,7 @@ func shiftRun(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg 
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg}, 1, tp.Paths()...)
 	meter := meterFor(eng, energy.NewI7(), conn)
 	obs := cfg.observe(eng, expID, "burst-twopath", alg, seed)
+	defer obs.Abort()
 	obs.Conn("", conn)
 	obs.Meter("host", meter)
 	obs.Start()
@@ -223,6 +225,7 @@ func Fig8(cfg Config) *Result {
 		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg}, 1, tp.Paths()...)
 		meter := meterFor(eng, energy.NewI7(), conn)
 		obs := cfg.observe(eng, "fig8", "burst-twopath", alg, cfg.Seed)
+		defer obs.Abort()
 		obs.Conn("", conn)
 		obs.Meter("host", meter)
 		obs.Start()

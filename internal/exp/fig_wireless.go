@@ -49,6 +49,7 @@ func fig17Run(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg 
 		scenario = "hetwireless-priced"
 	}
 	obs := cfg.observe(eng, expID, scenario, alg, seed)
+	defer obs.Abort()
 	obs.Conn("", conn)
 	obs.Sample("host.joules", func() float64 { return meter.joules })
 	obs.Start()

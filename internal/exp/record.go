@@ -20,8 +20,9 @@ import (
 // observables unconditionally and observation only happens when requested.
 type expObs struct {
 	rec  *obsv.Recorder
-	file *os.File
+	sink *obsv.Sink
 	base string // path without extension
+	done bool   // Close got past the final invariant check; Abort is a no-op
 
 	inv *check.Invariants
 }
@@ -29,11 +30,12 @@ type expObs struct {
 // observe opens the observation hook for one (experiment, scenario,
 // algorithm, seed) run, or returns nil when the config neither exports
 // records nor checks invariants. The returned observer is not yet sampling:
-// register observables (Conn, Meter, Sample), then call Start before running
-// the engine and Close after. Failures panic — record export is explicitly
-// requested, and a partial record set silently missing runs would be worse
-// than stopping; invariant violations likewise panic (FailFast) so the
-// worker pool surfaces them with the failing run's identity.
+// defer Abort, register observables (Conn, Meter, Sample), then call Start
+// before running the engine and Close after. Failures panic — record export
+// is explicitly requested, and a partial record set silently missing runs
+// would be worse than stopping; invariant violations likewise panic
+// (FailFast) so the worker pool surfaces them with the failing run's
+// identity.
 func (c Config) observe(eng *sim.Engine, expID, scenario, alg string, seed int64) *expObs {
 	if c.OutDir == "" && !c.Check {
 		return nil
@@ -50,18 +52,18 @@ func (c Config) observe(eng *sim.Engine, expID, scenario, alg string, seed int64
 		panic(fmt.Errorf("exp: creating record dir: %w", err))
 	}
 	o.base = filepath.Join(c.OutDir, fmt.Sprintf("%s_%s_%s_seed%d", slug(expID), slug(alg), slug(scenario), seed))
-	f, err := os.Create(o.base + ".jsonl")
+	sink, err := obsv.CreateSink(o.base + ".jsonl")
 	if err != nil {
 		panic(fmt.Errorf("exp: creating record: %w", err))
 	}
-	o.file = f
+	o.sink = sink
 	o.rec = obsv.NewRecorder(eng, obsv.Meta{
 		Experiment: expID,
 		Scenario:   scenario,
 		Algorithm:  alg,
 		Seed:       seed,
 		Scale:      c.Scale,
-	}, obsv.Options{Interval: c.SampleInterval, Stream: f, Retain: true})
+	}, obsv.Options{Interval: c.SampleInterval, Stream: sink, Retain: true})
 	return o
 }
 
@@ -153,24 +155,45 @@ func (o *expObs) Close() {
 	if o.rec == nil {
 		return
 	}
+	o.done = true
 	err := o.rec.Close()
-	if cerr := o.file.Close(); err == nil {
+	if cerr := o.sink.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		panic(fmt.Errorf("exp: writing record %s.jsonl: %w", o.base, err))
 	}
+	if err := o.writeCSV(); err != nil {
+		panic(fmt.Errorf("exp: writing record %s.csv: %w", o.base, err))
+	}
+}
+
+// Abort is deferred by every run closure right after observe. After Close
+// it does nothing; when the run panicked instead — an invariant violation
+// under FailFast, an event budget, a watchdog trip — it saves what was
+// recorded: the JSONL is flushed through the last completed tick (no
+// summary line) and released, and the CSV twin is written from the rows
+// retained so far. Errors are dropped: the run is already failing with a
+// better one.
+func (o *expObs) Abort() {
+	if o == nil || o.rec == nil || o.done {
+		return
+	}
+	_ = o.sink.Close()
+	_ = o.writeCSV()
+}
+
+// writeCSV writes the CSV twin from the recorder's retained rows.
+func (o *expObs) writeCSV() error {
 	cf, err := os.Create(o.base + ".csv")
 	if err != nil {
-		panic(fmt.Errorf("exp: creating record CSV: %w", err))
+		return err
 	}
 	err = obsv.WriteCSV(cf, o.rec.Series(), o.rec.Rows())
 	if cerr := cf.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		panic(fmt.Errorf("exp: writing record %s.csv: %w", o.base, err))
-	}
+	return err
 }
 
 // slug normalizes a record filename component: lower case, with anything

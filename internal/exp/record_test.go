@@ -4,7 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"mptcpsim/internal/check"
+	"mptcpsim/internal/mptcp"
+	"mptcpsim/internal/obsv"
+	"mptcpsim/internal/sim"
+	"mptcpsim/internal/topo"
 )
 
 // fig1Records runs Fig1 with run-record export into a fresh temp dir and
@@ -78,5 +85,106 @@ func TestFig1GoldenRecord(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from committed golden (see test comment to regenerate)", name)
 		}
+	}
+}
+
+// openDescriptors counts this process's open file descriptors.
+func openDescriptors(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(entries)
+}
+
+// TestObserverAbortOnViolation runs an observed run the way every figure
+// closure does — observe, defer Abort, Start, Run, Close — and injects an
+// invariant violation mid-run. FailFast turns it into a panic that skips
+// Close; the deferred Abort must still leave a JSONL that parses through
+// the last tick before the violation with no summary line, the CSV twin of
+// the same rows, and no open descriptor.
+func TestObserverAbortOnViolation(t *testing.T) {
+	cfg := Config{Seed: 1, OutDir: t.TempDir(), Check: true}
+	before := openDescriptors(t)
+	var panicked any
+	func() {
+		defer func() { panicked = recover() }()
+		eng := sim.NewEngine(cfg.Seed)
+		tp := topo.NewTwoPath(eng, topo.TwoPathConfig{})
+		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, tp.Paths()...)
+		obs := cfg.observe(eng, "abort", "twopath", "lia", cfg.Seed)
+		defer obs.Abort()
+		obs.Conn("", conn)
+		obs.Summary("never_written", 1)
+		obs.Start()
+		conn.Start()
+		eng.At(1250*sim.Millisecond, func() {
+			obs.Inv().Inject(check.Violation{T: eng.Now(), Invariant: "injected", Detail: "test"})
+		})
+		eng.Run(5 * sim.Second)
+		obs.Close()
+	}()
+	if panicked == nil {
+		t.Fatal("the injected violation did not panic under FailFast")
+	}
+	if after := openDescriptors(t); after != before {
+		t.Errorf("%d descriptors open after the aborted run, %d before", after, before)
+	}
+
+	base := filepath.Join(cfg.OutDir, "abort_lia_twopath_seed1")
+	f, err := os.Open(base + ".jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rec, err := obsv.ParseRecord(f)
+	if err != nil {
+		t.Fatalf("aborted record does not parse: %v", err)
+	}
+	if n := len(rec.Samples); n != 12 || rec.Samples[n-1].T != 1.2 {
+		t.Errorf("aborted record has %d samples, want 12 ending at t=1.2", n)
+	}
+	if rec.Summary != nil {
+		t.Errorf("aborted record has a summary line: %v", rec.Summary)
+	}
+	csv, err := os.ReadFile(base + ".csv")
+	if err != nil {
+		t.Fatalf("aborted run left no CSV twin: %v", err)
+	}
+	if rows := bytes.Count(csv, []byte("\n")); rows != 13 {
+		t.Errorf("CSV twin has %d lines, want the header and 12 rows", rows)
+	}
+}
+
+// TestEveryObserverDefersAbort holds the line every run closure needs:
+// whoever opens an observer defers its Abort in the next statement.
+func TestEveryObserverDefersAbort(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(src), "\n")
+		for i, line := range lines {
+			if !strings.Contains(line, ":= cfg.observe(") {
+				continue
+			}
+			sites++
+			if i+1 >= len(lines) || strings.TrimSpace(lines[i+1]) != "defer obs.Abort()" {
+				t.Errorf("%s:%d opens an observer without deferring obs.Abort()", name, i+1)
+			}
+		}
+	}
+	if sites == 0 {
+		t.Error("found no cfg.observe call: the scan is stale")
 	}
 }

@@ -15,8 +15,6 @@ package fluid
 import (
 	"fmt"
 	"math"
-
-	"mptcpsim/internal/core"
 )
 
 // Path is one route of the modelled connection: a round-trip time, a
@@ -29,7 +27,8 @@ type Path struct {
 
 // System is an Eq. 3 instance over a set of paths. Psi/Beta/Phi follow the
 // congestion-control model; nil Beta means the TCP standard 1/2 and nil
-// Phi means no compensative term.
+// Phi means no compensative term. A System is single-goroutine: ModelFor's
+// Psi closures reuse scratch state between evaluations.
 type System struct {
 	Paths []Path
 	Psi   func(x []float64, r int) float64
@@ -234,30 +233,6 @@ func (s *System) minRTT() float64 {
 		return 0.01
 	}
 	return min
-}
-
-// Views synthesizes core.View state from a rate vector so the packet-level
-// ψ decompositions in internal/core can drive the fluid model.
-// baseRTTFrac sets BaseRTT/RTT (the paper treats its expectation as 1/2).
-func (s *System) Views(x []float64, baseRTTFrac float64) []core.View {
-	views := make([]core.View, len(s.Paths))
-	for r, p := range s.Paths {
-		views[r] = core.View{
-			Cwnd:    x[r] * p.RTT,
-			SRTT:    p.RTT,
-			LastRTT: p.RTT,
-			BaseRTT: p.RTT * baseRTTFrac,
-		}
-	}
-	return views
-}
-
-// FromParam adapts a core.ParamFunc (the §IV ψ decompositions) to the
-// fluid model's signature.
-func (s *System) FromParam(fn core.ParamFunc, baseRTTFrac float64) func(x []float64, r int) float64 {
-	return func(x []float64, r int) float64 {
-		return fn(s.Views(x, baseRTTFrac), r)
-	}
 }
 
 // AggregateRate sums the rate vector.

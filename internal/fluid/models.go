@@ -18,7 +18,9 @@ type AlgModel struct {
 	// Psi builds the traffic-shifting parameter ψ_r from the operating
 	// point — per-path RTTs (seconds) and baseRTT/RTT fractions, measured
 	// in a packet run (internal/check) or estimated from the topology
-	// (internal/backend). The returned closure is System.Psi.
+	// (internal/backend), which must not change afterwards. The returned
+	// closure is System.Psi; it owns scratch state, so build one per System
+	// and evaluate a System from one goroutine.
 	Psi func(rtt, frac []float64) func(x []float64, r int) float64
 
 	// Oracle, for delay-based algorithms that the Kelly loss price cannot
@@ -66,8 +68,10 @@ func ModelFor(alg string) (AlgModel, bool) {
 	case "dts-lia", "dtsep-lia":
 		// Modified LIA: LIA's coupled ψ scaled by the Eq. 5 delay factor.
 		return AlgModel{Psi: func(rtt, frac []float64) func(x []float64, r int) float64 {
+			eps := epsPsi(core.EpsExact)(rtt, frac)
+			lia := uniformPsi(core.PsiLIA)(rtt, frac)
 			return func(x []float64, r int) float64 {
-				return core.EpsExact(frac[r]) * core.PsiLIA(ViewsAt(x, rtt, frac), r)
+				return eps(x, r) * lia(x, r)
 			}
 		}}, true
 	case "wvegas", "vegas":
@@ -78,30 +82,38 @@ func ModelFor(alg string) (AlgModel, bool) {
 }
 
 // uniformPsi adapts a §IV ψ decomposition (core.ParamFunc) into an
-// operating-point-parameterized System.Psi.
+// operating-point-parameterized System.Psi. The views the decomposition
+// reads are refilled in place on every evaluation: one scratch slice per
+// closure, nothing allocated per derivative.
 func uniformPsi(fn core.ParamFunc) func(rtt, frac []float64) func(x []float64, r int) float64 {
 	return func(rtt, frac []float64) func(x []float64, r int) float64 {
+		views := make([]core.View, len(rtt))
 		return func(x []float64, r int) float64 {
-			return fn(ViewsAt(x, rtt, frac), r)
+			fillViews(views, x, rtt, frac)
+			return fn(views, r)
 		}
 	}
 }
 
 // epsPsi builds ψ_r = ε(baseRTT_r/RTT_r) for the DTS family from an ε
-// evaluator.
+// evaluator. ε depends on the operating point alone, so it is evaluated
+// once per path here, not once per derivative.
 func epsPsi(eps func(ratio float64) float64) func(rtt, frac []float64) func(x []float64, r int) float64 {
 	return func(rtt, frac []float64) func(x []float64, r int) float64 {
+		e := make([]float64, len(frac))
+		for r, f := range frac {
+			e[r] = eps(f)
+		}
 		return func(x []float64, r int) float64 {
-			return eps(frac[r])
+			return e[r]
 		}
 	}
 }
 
-// ViewsAt synthesizes core.Views from a fluid rate vector at per-path RTTs
-// and baseRTT/RTT fractions (System.Views only supports one shared
-// fraction).
-func ViewsAt(x, rtt, frac []float64) []core.View {
-	views := make([]core.View, len(x))
+// fillViews synthesizes core.Views from a fluid rate vector at per-path RTTs
+// and baseRTT/RTT fractions, so the packet-level ψ decompositions in
+// internal/core can drive the fluid model. views must be len(x) long.
+func fillViews(views []core.View, x, rtt, frac []float64) {
 	for r := range x {
 		views[r] = core.View{
 			Cwnd:    x[r] * rtt[r],
@@ -110,7 +122,6 @@ func ViewsAt(x, rtt, frac []float64) []core.View {
 			BaseRTT: rtt[r] * frac[r],
 		}
 	}
-	return views
 }
 
 // FreeCapacityShares is the oracle for the Vegas family on disjoint

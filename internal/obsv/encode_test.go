@@ -24,11 +24,16 @@ func TestAppendJSONFloatMatchesMarshal(t *testing.T) {
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
 		0.30000000000000004, 1.0 / 3.0, 42, 1234.5678, 8e6, 3659547.7111299993,
 	}
+	// Everything the CSV reference test calls an edge, NaN/Inf sanitized:
+	// −0 and the integer fast path's 2⁵³ limit above all.
+	for _, v := range edgeValues {
+		cases = append(cases, sanitize(v))
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		// Sweep magnitudes across the f/e format boundary on both sides.
 		v := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(60)-30))
-		cases = append(cases, v)
+		cases = append(cases, v, math.Trunc(v))
 	}
 	for _, v := range cases {
 		want, err := json.Marshal(v)
@@ -112,6 +117,14 @@ func TestRecorderStreamingSampleAllocs(t *testing.T) {
 	rec := NewRecorder(eng, Meta{Experiment: "alloc", Algorithm: "dtsep", Seed: 3},
 		Options{Stream: io.Discard})
 	rec.WatchConn("", conn)
+	// The idle connection's series are mostly whole numbers (the integer
+	// fast path); these move, and cover the fractional path and both sides
+	// of the fast path's limits.
+	var n float64
+	rec.AddSampler("count", func() float64 { n++; return n })
+	rec.AddSampler("fraction", func() float64 { return n / 7 })
+	rec.AddSampler("big", func() float64 { return 1<<53 + 2*n })
+	rec.AddSampler("negzero", func() float64 { return math.Copysign(0, -1) })
 	rec.Start()
 
 	// Warm up: grow the line buffer, the engine's event slab and the

@@ -215,6 +215,22 @@ func TestRecorderAddSamplerAfterStartPanics(t *testing.T) {
 	rec.AddSampler("late", func() float64 { return 0 })
 }
 
+// TestRecorderAddSamplerRejectsCSVBreakingNames: the CSV header is written
+// unescaped, so a name that would shift its columns is refused up front.
+func TestRecorderAddSamplerRejectsCSVBreakingNames(t *testing.T) {
+	for _, name := range []string{"a,b", `q"uote`, "line\nbreak", "cr\rname"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddSampler(%q) did not panic", name)
+				}
+			}()
+			NewRecorder(sim.NewEngine(1), Meta{}, Options{}).AddSampler(name, func() float64 { return 0 })
+		}()
+	}
+	NewRecorder(sim.NewEngine(1), Meta{}, Options{}).AddSampler("sub0.cwnd_µs [x]", func() float64 { return 0 })
+}
+
 func TestWriteCSV(t *testing.T) {
 	rows := []Row{
 		{T: 100 * sim.Millisecond, V: []float64{1, 2.5}},

@@ -127,13 +127,29 @@ func sanitize(v float64) float64 {
 	return v
 }
 
+// integral reports f as an int64 when strconv.AppendInt renders it to the
+// same bytes as the float formats below: f is a whole number, |f| < lim and
+// f is not −0 (which the float formats print as "-0").
+func integral(f, lim float64) (int64, bool) {
+	if !(f > -lim && f < lim) {
+		return 0, false
+	}
+	i := int64(f)
+	return i, float64(i) == f && (i != 0 || !math.Signbit(f))
+}
+
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest round-trip form, 'f' format unless the magnitude calls for
 // scientific notation (< 1e-6 or >= 1e21), with Go's two-digit negative
 // exponents shortened ("e-09" → "e-9"). Keeping these bytes identical to
 // json.Marshal is what lets the hot-path sample encoder replace it without
-// perturbing golden records. f must be finite (sanitize first).
+// perturbing golden records. Whole numbers below 2⁵³ — counters, states,
+// most series — print as their digits either way and skip the
+// shortest-float search. f must be finite (sanitize first).
 func appendJSONFloat(b []byte, f float64) []byte {
+	if i, ok := integral(f, 1<<53); ok {
+		return strconv.AppendInt(b, i, 10)
+	}
 	abs := math.Abs(f)
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -147,6 +163,16 @@ func appendJSONFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// appendCSVFloat appends f as fmt's %v prints a float64: strconv's 'g'
+// format at shortest precision, which switches to an exponent from 1e6 up —
+// so only whole numbers below that take the integer path.
+func appendCSVFloat(b []byte, f float64) []byte {
+	if i, ok := integral(f, 1e6); ok {
+		return strconv.AppendInt(b, i, 10)
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // appendSampleLine appends one sample tick in the schema-v1 line format,
@@ -186,35 +212,39 @@ type Row struct {
 	V []float64
 }
 
+// csvChunk is how much WriteCSV renders before it hands the bytes on.
+const csvChunk = 32 << 10
+
 // WriteCSV renders retained rows as CSV: a t_s column followed by one
 // column per series, one row per sampling tick. Values print in Go's
-// shortest-round-trip float format, so the output is deterministic.
+// shortest-round-trip float format (what %v prints), so the output is
+// deterministic. Rows are rendered into one buffer and written in chunks of
+// at least csvChunk bytes, each ending on a row boundary, so w may be a
+// bare file.
 func WriteCSV(w io.Writer, series []string, rows []Row) error {
-	if _, err := io.WriteString(w, "t_s"); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, csvChunk+csvChunk/8)
+	buf = append(buf, "t_s"...)
 	for _, name := range series {
-		if _, err := io.WriteString(w, ","+name); err != nil {
-			return err
-		}
+		buf = append(buf, ',')
+		buf = append(buf, name...)
 	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
+	buf = append(buf, '\n')
 	for _, row := range rows {
-		if _, err := fmt.Fprintf(w, "%v", row.T.Seconds()); err != nil {
-			return err
-		}
-		for _, v := range row.V {
-			if _, err := fmt.Fprintf(w, ",%v", v); err != nil {
+		if len(buf) >= csvChunk {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
+			buf = buf[:0]
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
+		buf = appendCSVFloat(buf, row.T.Seconds())
+		for _, v := range row.V {
+			buf = append(buf, ',')
+			buf = appendCSVFloat(buf, v)
 		}
+		buf = append(buf, '\n')
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 // sortedKeys returns m's keys in sorted order.

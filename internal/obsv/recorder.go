@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/energy"
@@ -92,10 +93,15 @@ func (r *Recorder) Series() []string { return r.names }
 func (r *Recorder) Rows() []Row { return r.rows }
 
 // AddSampler registers a named series sampled every tick. It panics after
-// Start: the series set is part of the record header.
+// Start — the series set is part of the record header — and on a name the
+// CSV header cannot carry unescaped (a comma, a quote or a line break would
+// shift every column).
 func (r *Recorder) AddSampler(name string, fn func() float64) {
 	if r.started {
 		panic("obsv: AddSampler after Start")
+	}
+	if strings.ContainsAny(name, ",\"\r\n") {
+		panic(fmt.Sprintf("obsv: series name %q needs CSV escaping", name))
 	}
 	r.names = append(r.names, name)
 	r.samplers = append(r.samplers, fn)
@@ -181,15 +187,9 @@ func (r *Recorder) WatchConn(prefix string, conn *mptcp.Conn) {
 }
 
 // WatchMeter registers the host's power and energy series for an energy
-// meter, using the meter's Trace hook for instantaneous watts. The meter's
-// Trace must be unset and the meter not yet sampling when WatchMeter is
-// called (attach before the first meter tick).
+// meter: the watts of its most recent tick and the joules integrated so far.
 func (r *Recorder) WatchMeter(prefix string, m *energy.Meter) {
-	if m.Trace == nil {
-		m.Trace = &trace.Series{Name: prefix + ".watts"}
-	}
-	tr := m.Trace
-	r.AddSampler(prefix+".watts", tr.Last)
+	r.AddSampler(prefix+".watts", m.LastWatts)
 	r.AddSampler(prefix+".joules", m.Joules)
 }
 

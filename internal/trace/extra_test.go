@@ -21,13 +21,3 @@ func TestRateMeterTotalAcrossWindows(t *testing.T) {
 		t.Errorf("TotalBytes = %d, want 5000", m.TotalBytes())
 	}
 }
-
-func TestSeriesValuesCopy(t *testing.T) {
-	var s Series
-	s.Add(0, 1)
-	vs := s.Values()
-	vs[0] = 99
-	if s.Points[0].V != 1 {
-		t.Error("Values returned a view into internal storage")
-	}
-}

@@ -1,60 +1,10 @@
-// Package trace provides light-weight time-series recording and rate
-// estimation for simulation runs.
+// Package trace provides labelled-event timelines and rate estimation for
+// simulation runs. (Sampled time series live in internal/obsv.)
 package trace
 
 import (
 	"mptcpsim/internal/sim"
 )
-
-// Point is one sample of a time series.
-type Point struct {
-	T sim.Time
-	V float64
-}
-
-// Series records (time, value) samples, e.g. cwnd, throughput or power over
-// a run.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(t sim.Time, v float64) {
-	s.Points = append(s.Points, Point{T: t, V: v})
-}
-
-// Len reports the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
-// Values returns just the sampled values, in order.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		vs[i] = p.V
-	}
-	return vs
-}
-
-// Mean returns the time-unweighted mean of the samples (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Last returns the most recent sample value (0 when empty).
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
 
 // Event is one labelled instant on a Timeline.
 type Event struct {

@@ -7,31 +7,6 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-func TestSeriesBasics(t *testing.T) {
-	var s Series
-	s.Add(sim.Second, 1)
-	s.Add(2*sim.Second, 3)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if s.Mean() != 2 {
-		t.Errorf("Mean = %v, want 2", s.Mean())
-	}
-	if s.Last() != 3 {
-		t.Errorf("Last = %v, want 3", s.Last())
-	}
-	if vs := s.Values(); len(vs) != 2 || vs[0] != 1 || vs[1] != 3 {
-		t.Errorf("Values = %v", vs)
-	}
-}
-
-func TestSeriesEmpty(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 || s.Last() != 0 || s.Len() != 0 {
-		t.Error("empty series should report zeros")
-	}
-}
-
 func TestRateMeterExactRate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewRateMeter(eng, 1) // no smoothing

@@ -45,7 +45,8 @@ full:
 	$(GO) run ./cmd/mptcp-bench -full
 
 # Fluid-vs-packet conformance for every algorithm (EXPERIMENTS.md,
-# "Validation methodology"); CI diffs this against the committed golden.
+# "Validation methodology"); CI diffs this against the committed golden,
+# internal/backend/testdata/conformance_golden.txt.
 validate:
 	$(GO) run ./cmd/mptcp-bench -validate
 

@@ -57,7 +57,7 @@
 // -check runs the internal/check invariant checker on every simulation run
 // (violations quarantine the failing run). -validate
 // skips the experiments and instead runs the fluid-model conformance suite,
-// printing the table compared against internal/check/testdata/
+// printing the table compared against internal/backend/testdata/
 // conformance_golden.txt in CI; a non-OK row exits non-zero. See
 // EXPERIMENTS.md, "Validation methodology".
 package main
@@ -80,7 +80,6 @@ import (
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/campaign"
-	"mptcpsim/internal/check"
 	"mptcpsim/internal/exp"
 	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
@@ -225,7 +224,7 @@ func run(args []string) error {
 		return nil
 	}
 	if *validate {
-		c, err := check.RunConformance(check.ConformanceConfig{Seed: *seed})
+		c, err := backend.RunConformance(backend.Scenario{Seed: *seed})
 		if err != nil {
 			return fmt.Errorf("conformance: %w", err)
 		}

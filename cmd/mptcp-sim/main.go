@@ -251,7 +251,7 @@ func run(args []string) error {
 	// killing the batch, and -timeout bounds each run's wall clock. A
 	// signal drains the in-flight seeds and skips the rest.
 	sup := supervise.New(supervise.Budget{Wall: *timeout})
-	results, done := runner.MapCtx(ctx, *workers, *runs, func(i int) runResult {
+	results, errs := runner.MapErrCtx(ctx, *workers, *runs, func(i int) (runResult, error) {
 		s := *seed + int64(i)
 		var r runResult
 		rep := sup.Run(supervise.RunID{Seed: s, Scenario: sc.topo, Phase: "adhoc"},
@@ -262,7 +262,7 @@ func run(args []string) error {
 		if rep.Outcome.Failed() {
 			r = runResult{seed: s, err: rep.Err}
 		}
-		return r
+		return r, nil
 	})
 	fmt.Printf("%-6s %12s %10s %12s %10s %10s %8s\n",
 		"seed", "goodput_mbps", "acked_mb", "energy_j", "mean_w", "events", "wall_s")
@@ -270,10 +270,13 @@ func run(args []string) error {
 	var failed []runResult
 	var skipped, cut int
 	for i, r := range results {
-		if done != nil && !done[i] {
-			fmt.Printf("%-6d skipped (interrupted before start)\n", *seed+int64(i))
-			skipped++
-			continue
+		if errs != nil && errs[i] != nil {
+			if errors.Is(errs[i], runner.ErrSkipped) {
+				fmt.Printf("%-6d skipped (interrupted before start)\n", *seed+int64(i))
+				skipped++
+				continue
+			}
+			r = runResult{seed: *seed + int64(i), err: errs[i]}
 		}
 		if r.err != nil {
 			// Report the failure in the row, keep printing the other seeds,

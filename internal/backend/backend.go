@@ -6,9 +6,11 @@
 //
 // Two engines implement it. PacketEngine runs the full netem/tcp/mptcp
 // stack — every ACK clock, queue drop and RTO — and is the ground truth.
-// FluidEngine solves the paper's Eq. 3 equilibrium through the same
-// fluid.ModelFor mapping the conformance harness validates, at a fraction
-// of the cost: microseconds per point instead of seconds. Sweep fans a
+// FluidEngine solves the paper's Eq. 3 equilibrium at a fraction of the
+// cost: microseconds per point instead of seconds. RunConformance is the
+// differential harness between the two — a table of scenarios run through
+// the engines' own measurement and solve code — so the model that answers
+// sweeps is the model that was validated. Sweep fans a
 // (topology × algorithm × load) grid to the fluid engine and re-runs a
 // deterministic, seed-derived sample on the packet engine so fluid answers
 // are never trusted blind.
@@ -28,8 +30,7 @@ import (
 	"mptcpsim/internal/topo"
 )
 
-// Wire conventions shared with the conformance harness (internal/check):
-// a full segment occupies wirePkt bytes on the wire (MSS 1448 + 52 header),
+// Wire conventions: a full segment occupies wirePkt bytes on the wire (MSS 1448 + 52 header),
 // ACKs ride headerBytes-sized packets.
 const (
 	wirePkt     = 1500
@@ -37,10 +38,11 @@ const (
 	headerBytes = 52
 )
 
-// priceExp is the Kelly price exponent the fluid engine solves with — the
-// same sharpened b = 20 the conformance harness uses, because the packet
-// scenarios' DropTail queues are a hard capacity knee (no loss below
-// capacity, heavy loss above) that the default soft price misrepresents.
+// priceExp is the Kelly price exponent solveFluid uses, sharpened beyond
+// the fluid package's default b = 6: the packet scenarios' DropTail queues
+// are a hard capacity knee (no loss below capacity, heavy loss above), and
+// a soft price would tax flows well below capacity — visibly starving a
+// cross-loaded path where the real subflow still holds its share.
 const priceExp = 20
 
 // Scenario is a backend-neutral experiment description: which topology,
@@ -79,9 +81,9 @@ type Scenario struct {
 
 	// Op, when set, pins the operating point (per-path SRTT and
 	// baseRTT/SRTT) the fluid engine parameterizes ψ with, instead of the
-	// engine's own topology-derived estimate. The conformance-parity tests
-	// inject measured packet operating points here; ordinary sweeps leave
-	// it nil. The packet engine ignores it.
+	// engine's own topology-derived estimate. The conformance harness
+	// injects each packet run's measured operating point here; ordinary
+	// sweeps leave it nil. The packet engine ignores it.
 	Op *OperatingPoint
 }
 

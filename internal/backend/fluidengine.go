@@ -10,10 +10,8 @@ import (
 	"mptcpsim/internal/topo"
 )
 
-// FluidEngine answers scenarios by solving the paper's Eq. 3 equilibrium —
-// the same model, algorithm mapping (fluid.ModelFor) and solver
-// (EquilibriumShares) the conformance harness validates against packet
-// runs. It costs microseconds per scenario where the packet engine costs
+// FluidEngine answers scenarios by solving the paper's Eq. 3 equilibrium.
+// It costs microseconds per scenario where the packet engine costs
 // seconds, and it answers only equilibrium questions: no loss-episode
 // transients, no failover dynamics, no per-RTT behaviour (docs/backends.md
 // spells out the fidelity model).
@@ -24,6 +22,16 @@ func (FluidEngine) Name() string { return "fluid" }
 
 // Run implements Engine.
 func (FluidEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
+	return solveFluid(ctx, sc, nil)
+}
+
+// solveFluid is the one model-side protocol, shared by the engine and the
+// conformance harness, which validates exactly this code against packet
+// runs: the algorithm's fluid.ModelFor mapping at the scenario's operating
+// point, the sharpened Kelly price, the EquilibriumShares solve. phi, when
+// non-nil, is a compensative term (Eq. 9 in rate form) — the harness's
+// priced row; no Scenario carries link prices.
+func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) float64) (Result, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
@@ -54,7 +62,7 @@ func (FluidEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
 		}
 		res.Converged = true
 	} else {
-		s := &fluid.System{Paths: paths, PriceExp: priceExp}
+		s := &fluid.System{Paths: paths, PriceExp: priceExp, Phi: phi}
 		s.Psi = model.Psi(op.RTT, op.Frac)
 		shares, rates, res.Converged = s.EquilibriumShares(1e-3, 400000)
 	}

@@ -7,17 +7,14 @@ import (
 
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/mptcp"
+	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/workload"
 )
 
 // PacketEngine answers scenarios with a full discrete-event run of the
-// netem/tcp/mptcp stack — the ground-truth backend. Its measurement
-// protocol is the conformance harness's: snapshot cumulative acks at
-// warmup, sample SRTT every 250 ms through the window, read the deltas at
-// the horizon. On the conformance topology at the conformance seed it is
-// run-for-run identical with internal/check's packet side.
+// netem/tcp/mptcp stack — the ground-truth backend.
 type PacketEngine struct{}
 
 // Name implements Engine.
@@ -26,6 +23,20 @@ func (PacketEngine) Name() string { return "packet" }
 // Run implements Engine. Cancelling ctx stops the simulation at the next
 // simulated-second boundary and returns the context's error.
 func (PacketEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
+	return runPacket(ctx, sc, nil)
+}
+
+// packetHook attaches to a packet run what the Scenario surface
+// deliberately omits — the conformance harness's invariant checker and its
+// one priced link. It runs once the world is built and before anything is
+// started; the function it returns runs after the horizon.
+type packetHook func(eng *sim.Engine, conn *mptcp.Conn, paths []*netem.Path) (final func())
+
+// runPacket is the one packet-side measurement protocol, shared by the
+// engine and the conformance harness: snapshot cumulative acks at warmup,
+// sample SRTT every 250 ms through the window, read the deltas at the
+// horizon, and report shares, rates and the measured operating point.
+func runPacket(ctx context.Context, sc Scenario, hook packetHook) (Result, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
@@ -47,6 +58,10 @@ func (PacketEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
 		// Cross traffic enters at the shared hop, keeping the sender's
 		// access link clean — the conformance convention.
 		workload.NewCBR(eng, n.Paths()[last].Forward[1:], rate, wirePkt).Start()
+	}
+	final := func() {}
+	if hook != nil {
+		final = hook(eng, conn, n.Paths())
 	}
 
 	var meter *energy.Meter
@@ -94,6 +109,7 @@ func (PacketEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
 
 	conn.Start()
 	eng.Run(sc.Horizon)
+	final()
 	if meter != nil {
 		meter.Flush()
 	}

@@ -298,11 +298,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		res := checks[k]
 		pr.Packet = &res
 		pr.Checked = true
-		for r := range pr.Fluid.Shares {
-			if d := math.Abs(pr.Fluid.Shares[r] - res.Shares[r]); d > pr.Delta {
-				pr.Delta = d
-			}
-		}
+		pr.Delta = shareDelta(pr.Fluid.Shares, res.Shares)
 		pr.OK = pr.Fluid.Converged && pr.Delta <= spec.Tol
 		out.Checked++
 		if !pr.OK {

@@ -1,10 +1,7 @@
-// Package check is the model-conformance and invariant-checking layer: the
-// machinery that continuously proves the packet-level simulator, the
-// congestion-control algorithms and the energy accounting agree with the
-// structural rules they claim to follow and with the paper's Eq. 3 fluid
-// model.
-//
-// It has two halves:
+// Package check is the invariant-checking layer: the machinery that
+// continuously proves the packet-level simulator, the congestion-control
+// algorithms and the energy accounting agree with the structural rules they
+// claim to follow.
 //
 // Invariants hooks a running simulation (connections, links, energy meters,
 // the engine clock) and asserts structural invariants on a fixed simulated-
@@ -19,11 +16,7 @@
 // functions over snapshot structs, so each invariant is independently
 // testable against deliberately broken synthetic states.
 //
-// Conformance is the differential half: for every multipath algorithm it
-// solves the Eq. 3 fluid equilibrium with internal/fluid, runs the matching
-// packet-level scenario, and asserts the per-path throughput shares (and
-// DTS's traffic-shifting ratio) land within a documented tolerance band.
-// cmd/mptcp-bench -validate renders the comparison as a table whose golden
-// copy is committed and diffed in CI; see EXPERIMENTS.md ("Validation
-// methodology") for the bands and the regeneration procedure.
+// The differential half of validation — packet runs against the Eq. 3 fluid
+// equilibrium — is backend.RunConformance, which runs every row under a
+// FailFast checker from this package.
 package check

@@ -14,10 +14,7 @@
 // via New.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // View is the congestion-control-visible state of one subflow. RTTs are in
 // seconds, windows in packets (MSS units).
@@ -90,22 +87,14 @@ type LossObserver interface {
 // Introspector is implemented by algorithms that expose their internal
 // tunable components — the quantities the paper's model decomposes window
 // evolution into (ψ_r, ε_r, per-path prices, mark fractions) — for
-// observability. The returned map holds the components for subflow r
-// evaluated against the current views; keys are stable for the lifetime of
-// the instance so samplers can fix their series set up front. The map is
-// freshly allocated per call and may be retained by the caller.
+// observability. Introspect writes the components for subflow r, evaluated
+// against the current views, into the caller's map: samplers reuse one map
+// per subflow across ticks, so steady-state introspection allocates
+// nothing. Implementations overwrite their key set — stable for the
+// lifetime of the instance, so samplers can fix their series up front —
+// and leave other keys untouched.
 type Introspector interface {
-	Introspect(flows []View, r int) map[string]float64
-}
-
-// IntrospectorInto is an optional extension of Introspector: the same
-// component map written into a caller-owned map instead of a freshly
-// allocated one. Samplers on the hot path reuse one map per subflow across
-// ticks, so steady-state introspection allocates nothing. Implementations
-// overwrite their stable key set and leave other keys untouched.
-type IntrospectorInto interface {
-	Introspector
-	IntrospectInto(flows []View, r int, out map[string]float64)
+	Introspect(flows []View, r int, out map[string]float64)
 }
 
 // ClockUser is implemented by algorithms whose window law is a function of
@@ -149,35 +138,91 @@ type RoundTuner interface {
 	OnRound(flows []View, r int) (cwnd, ssthresh float64)
 }
 
-// Factory creates a fresh per-connection Algorithm instance.
-type Factory func() Algorithm
+// Entry describes one registered algorithm, once, for both sides of the
+// repository. New builds the per-connection policy the transport consults
+// on every ACK — the kernel's per-ACK form, hand-written. The other fields
+// are the algorithm's Eq. 3 description, which internal/fluid builds its
+// systems from: exactly one of a traffic-shifting parameter (Psi, Eps or
+// their product), Delay, or NoModel is set.
+type Entry struct {
+	Name string
+	New  func() Algorithm
 
-var registry = map[string]Factory{
-	"reno":       func() Algorithm { return NewReno() },
-	"cubic":      func() Algorithm { return NewCubic() },
-	"vegas":      func() Algorithm { return NewVegas() },
-	"dctcp":      func() Algorithm { return NewDCTCP() },
-	"ewtcp":      func() Algorithm { return NewEWTCP() },
-	"coupled":    func() Algorithm { return NewCoupled() },
-	"lia":        func() Algorithm { return NewLIA() },
-	"olia":       func() Algorithm { return NewOLIA() },
-	"balia":      func() Algorithm { return NewBalia() },
-	"ecmtcp":     func() Algorithm { return NewECMTCP() },
-	"wvegas":     func() Algorithm { return NewWVegas() },
-	"dts":        func() Algorithm { return NewDTS() },
-	"dts-taylor": func() Algorithm { return &DTS{C: 1, Taylor: true} },
-	"dts-lia":    func() Algorithm { return NewDTSLIA() },
-	"dtsep":      func() Algorithm { return NewDTSEP(DefaultKappa) },
-	"dtsep-lia":  func() Algorithm { return NewDTSEPLIA(DefaultKappa) },
+	// Psi is the §IV decomposition ψ_r(x_s) (model.go).
+	Psi ParamFunc
+
+	// Eps is the DTS family's delay factor ε as a function of
+	// baseRTT_r/RTT_r (Eq. 5). Alone it is ψ_r = c·ε_r at the paper's
+	// c = 1; next to Psi it scales it, ψ_r = ε_r·Psi (Modified LIA). The
+	// priced variants carry the same ψ: their compensative term is a
+	// property of the scenario's link prices and enters a fluid system
+	// through Phi.
+	Eps func(ratio float64) float64
+
+	// Residual names what the per-ACK form of New does that ψ does not
+	// say — a cap, an extra term, another discretization. Empty means
+	// Increase is ψ through the per-ACK form of Eq. 3 and nothing else
+	// (checked for every entry by TestModelDecompositionMatchesDirectForms).
+	Residual string
+
+	// Delay marks the delay-based family: it holds per-path backlog below
+	// the loss knee instead of probing for it, so the Kelly loss price
+	// does not model it and the fluid side answers with the free-capacity
+	// split over the paths.
+	Delay bool
+
+	// NoModel is the reason an algorithm has no fluid counterpart and only
+	// the packet backend can answer for it.
+	NoModel string
+}
+
+const liaCap = "RFC 6356's min(·, 1/w_r) cap on the per-ACK increase"
+
+// table is the registry, sorted by name.
+var table = []Entry{
+	{Name: "balia", New: func() Algorithm { return NewBalia() }, Psi: PsiBalia},
+	{Name: "coupled", New: func() Algorithm { return NewCoupled() }, Psi: PsiCoupled,
+		Residual: "the NSDI'11 per-ACK form 1/w_total where ψ gives Kelly & Voice's w_r/w_total²"},
+	// Per-subflow CUBIC is uncoupled, and on disjoint DropTail bottlenecks
+	// any uncoupled loss-based law settles at the capacity split: the
+	// window-law details shift the loss rate, not the equilibrium share.
+	{Name: "cubic", New: func() Algorithm { return NewCubic() }, Psi: PsiUncoupled,
+		Residual: "the time-based CUBIC window law once the transport sets a clock"},
+	{Name: "dctcp", New: func() Algorithm { return NewDCTCP() },
+		NoModel: "its equilibrium is set by the ECN marking threshold, which the Kelly loss price does not represent"},
+	{Name: "dts", New: func() Algorithm { return &DTS{C: 1} }, Eps: EpsExact},
+	{Name: "dts-lia", New: func() Algorithm { return &DTS{C: 1, LIA: true} }, Eps: EpsExact, Psi: PsiLIA, Residual: liaCap},
+	{Name: "dts-taylor", New: func() Algorithm { return &DTS{C: 1, Taylor: true} }, Eps: epsTaylorAt},
+	{Name: "dtsep", New: func() Algorithm { return &DTS{C: 1, Priced: true, Kappa: DefaultKappa} }, Eps: EpsExact},
+	{Name: "dtsep-lia", New: func() Algorithm { return &DTS{C: 1, LIA: true, Priced: true, Kappa: DefaultKappa} },
+		Eps: EpsExact, Psi: PsiLIA, Residual: liaCap},
+	{Name: "ecmtcp", New: NewECMTCP, Psi: PsiECMTCP},
+	{Name: "ewtcp", New: func() Algorithm { return NewEWTCP() }, Psi: PsiEWTCP},
+	{Name: "lia", New: func() Algorithm { return NewLIA() }, Psi: PsiLIA, Residual: liaCap},
+	{Name: "olia", New: func() Algorithm { return NewOLIA() }, Psi: PsiOLIA,
+		Residual: "the α_r/w_r opportunistic shifting term"},
+	{Name: "reno", New: func() Algorithm { return NewReno() }, Psi: PsiUncoupled},
+	{Name: "vegas", New: func() Algorithm { return NewVegas() }, Delay: true},
+	{Name: "wvegas", New: func() Algorithm { return NewWVegas() }, Delay: true},
+}
+
+// Lookup returns the registered entry for an algorithm name.
+func Lookup(name string) (Entry, bool) {
+	for i := range table {
+		if table[i].Name == name {
+			return table[i], true
+		}
+	}
+	return Entry{}, false
 }
 
 // New creates a per-connection instance of the named algorithm.
 func New(name string) (Algorithm, error) {
-	f, ok := registry[name]
+	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown congestion control algorithm %q", name)
 	}
-	return f(), nil
+	return e.New(), nil
 }
 
 // MustNew is New for callers with a known-valid name; it panics otherwise.
@@ -191,10 +236,9 @@ func MustNew(name string) Algorithm {
 
 // Names lists the registered algorithms in sorted order.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
 	return names
 }

@@ -73,7 +73,7 @@ func TestDTSAtEquilibriumRatioIsReno(t *testing.T) {
 	// baseRTT/RTT = 1/2 (where eps = 1) the increase equals Reno's 1/w
 	// on a single path — the fairness choice c = 1 of §V-B.
 	f := View{Cwnd: 20, SRTT: 0.1, LastRTT: 0.1, BaseRTT: 0.05}
-	d := NewDTS()
+	d := &DTS{C: 1}
 	if got := d.Increase([]View{f}, 0); !almostEq(got, 1.0/20, 1e-9) {
 		t.Errorf("DTS increase at ratio 1/2 = %v, want 1/w = 0.05", got)
 	}
@@ -186,32 +186,81 @@ func TestBaliaDecreaseCap(t *testing.T) {
 
 // --- §IV decompositions: ψ through the model reproduces the algorithms ---
 
+// psiOn evaluates an entry's traffic-shifting parameter on packet views.
+func psiOn(e Entry) ParamFunc {
+	return func(flows []View, r int) float64 {
+		psi := 1.0
+		if e.Eps != nil {
+			psi = e.Eps(rttRatio(flows[r]))
+		}
+		if e.Psi != nil {
+			psi *= e.Psi(flows, r)
+		}
+		return psi
+	}
+}
+
+// TestModelDecompositionMatchesDirectForms walks the table: an entry's ψ,
+// fed through Model's per-ACK form of Eq. 3, is the increase of the entry's
+// own packet implementation — everywhere when the entry names no residual,
+// and wherever the named residual vanishes when it does.
 func TestModelDecompositionMatchesDirectForms(t *testing.T) {
+	delayed := func(cwnd, rtt, base float64) View {
+		return View{Cwnd: cwnd, SSThresh: cwnd, SRTT: rtt, LastRTT: rtt * 1.05, BaseRTT: base}
+	}
 	states := [][]View{
+		{v(10, 0.1)},
+		{v(40, 0.3)},
+		{delayed(22, 0.05, 0.03)},
 		{v(10, 0.1), v(10, 0.1)},
 		{v(8, 0.04), v(25, 0.2)},
 		{v(3, 0.01), v(14, 0.08), v(40, 0.3)},
+		{delayed(12, 0.05, 0.03), delayed(12, 0.06, 0.055)},
+		{delayed(30, 0.02, 0.012), delayed(9, 0.11, 0.04), delayed(17, 0.07, 0.07)},
 	}
-	tests := []struct {
-		name   string
-		psi    ParamFunc
-		direct Algorithm
-	}{
-		{name: "ewtcp", psi: PsiEWTCP, direct: NewEWTCP()},
-		{name: "balia", psi: PsiBalia, direct: NewBalia()},
+	liaUncapped := func(_ Algorithm, flows []View, r int) bool {
+		return NewLIA().Alpha(flows)/SumCwnd(flows) <= 1/flows[r].Cwnd
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			m := &Model{ModelName: tt.name, Psi: tt.psi}
+	// Where each named residual vanishes.
+	vanishes := map[string]func(direct Algorithm, flows []View, r int) bool{
+		"coupled":   func(_ Algorithm, flows []View, _ int) bool { return len(flows) == 1 },
+		"cubic":     func(Algorithm, []View, int) bool { return true }, // no clock set
+		"dts-lia":   liaUncapped,
+		"dtsep-lia": liaUncapped,
+		"lia":       liaUncapped,
+		"olia": func(direct Algorithm, flows []View, r int) bool {
+			return direct.(*OLIA).alpha(flows, r) == 0
+		},
+	}
+	for _, e := range table {
+		if e.Psi == nil && e.Eps == nil {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			applies := vanishes[e.Name]
+			if (applies != nil) != (e.Residual != "") {
+				t.Fatalf("entry names residual %q but the test has regime=%v for it; keep the two in step",
+					e.Residual, applies != nil)
+			}
+			m := &Model{ModelName: e.Name, Psi: psiOn(e)}
+			direct := e.New()
+			compared := 0
 			for _, flows := range states {
 				for r := range flows {
+					if applies != nil && !applies(direct, flows, r) {
+						continue
+					}
+					compared++
 					got := m.Increase(flows, r)
-					want := tt.direct.Increase(flows, r)
+					want := direct.Increase(flows, r)
 					if !almostEq(got, want, 1e-12+1e-9*want) {
 						t.Errorf("state %v subflow %d: model %v, direct %v",
 							flows, r, got, want)
 					}
 				}
+			}
+			if compared < 3 {
+				t.Errorf("only %d points outside the residual; add states", compared)
 			}
 		})
 	}
@@ -356,7 +405,7 @@ func TestEpsTaylorBoundsProperty(t *testing.T) {
 }
 
 func TestDTSSuppressesInflatedPath(t *testing.T) {
-	d := NewDTS()
+	d := &DTS{C: 1}
 	good := View{Cwnd: 10, SRTT: 0.1, LastRTT: 0.1, BaseRTT: 0.1}
 	// Same path, RTT inflated 4x by queueing: ratio 0.25 -> eps ~ 0.15.
 	bad := View{Cwnd: 10, SRTT: 0.4, LastRTT: 0.4, BaseRTT: 0.1}
@@ -374,7 +423,7 @@ func TestDTSSuppressesInflatedPath(t *testing.T) {
 }
 
 func TestDTSTaylorVariantCloseToExact(t *testing.T) {
-	exact := NewDTS()
+	exact := &DTS{C: 1}
 	taylor := &DTS{C: 1, Taylor: true}
 	flows := []View{
 		{Cwnd: 10, SRTT: 0.12, LastRTT: 0.12, BaseRTT: 0.07},
@@ -389,14 +438,14 @@ func TestDTSTaylorVariantCloseToExact(t *testing.T) {
 }
 
 func TestDTSEPPricePenalty(t *testing.T) {
-	d := NewDTSEP(0.001)
+	d, plain := &DTS{C: 1, Priced: true, Kappa: 0.001}, &DTS{C: 1}
 	free := []View{v(10, 0.1), v(10, 0.1)}
 	priced := []View{v(10, 0.1), v(10, 0.1)}
 	priced[0].Price = 5
-	if got, want := d.Increase(priced, 0), NewDTS().Increase(free, 0)-0.001*10*5; !almostEq(got, want, 1e-12) {
+	if got, want := d.Increase(priced, 0), plain.Increase(free, 0)-0.001*10*5; !almostEq(got, want, 1e-12) {
 		t.Errorf("priced increase = %v, want %v", got, want)
 	}
-	if d.Increase(priced, 1) != NewDTS().Increase(free, 1) {
+	if d.Increase(priced, 1) != plain.Increase(free, 1) {
 		t.Error("price on path 0 affected path 1's increase")
 	}
 }

@@ -139,14 +139,7 @@ func (c *Cubic) OnTimeout(flows []View, r int) {
 
 // Introspect implements Introspector: the epoch quantities behind the
 // current increase.
-func (c *Cubic) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 5)
-	c.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (c *Cubic) IntrospectInto(flows []View, r int, out map[string]float64) {
+func (c *Cubic) Introspect(flows []View, r int, out map[string]float64) {
 	c.ensure(len(flows))
 	st := &c.st[r]
 	var t float64
@@ -161,8 +154,8 @@ func (c *Cubic) IntrospectInto(flows []View, r int, out map[string]float64) {
 }
 
 var (
-	_ Algorithm        = (*Cubic)(nil)
-	_ ClockUser        = (*Cubic)(nil)
-	_ TimeoutObserver  = (*Cubic)(nil)
-	_ IntrospectorInto = (*Cubic)(nil)
+	_ Algorithm       = (*Cubic)(nil)
+	_ ClockUser       = (*Cubic)(nil)
+	_ TimeoutObserver = (*Cubic)(nil)
+	_ Introspector    = (*Cubic)(nil)
 )

@@ -128,7 +128,8 @@ func TestCubicIntrospection(t *testing.T) {
 	c.SetClock(clk.fn())
 	flows := []View{v(100, 0.1)}
 	c.Decrease(flows, 0)
-	m := c.Introspect(flows, 0)
+	m := map[string]float64{}
+	c.Introspect(flows, 0, m)
 	for _, key := range []string{"w_max", "w_last_max", "k", "w_cubic", "w_est"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("introspection missing %q", key)

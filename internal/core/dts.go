@@ -54,23 +54,64 @@ func EpsTaylor(ratioPct int64) int64 {
 	return 2 * 100 * num / den // ε scaled by 100
 }
 
-// DTS implements the Delay-based Traffic Shifting algorithm.
-type DTS struct {
-	// C is the Pareto-optimality constant c in ψ_r = c·ε_r. The paper picks
-	// c = 1 so the fairness condition also holds.
-	C float64
-	// Taylor, when set, evaluates ε_r with the kernel's integer
-	// approximation instead of the exact logistic (the ablation of
-	// Algorithm 1's fixed-point port).
-	Taylor bool
+// epsTaylorAt is EpsTaylor on a floating-point ratio, as a drop-in for
+// EpsExact.
+func epsTaylorAt(ratio float64) float64 {
+	return float64(EpsTaylor(int64(math.Round(ratio*100)))) / 100
 }
 
-// NewDTS returns DTS with the paper's parameters (c = 1, exact ε).
-func NewDTS() *DTS { return &DTS{C: 1} }
+// DefaultKappa is the default weight κ_s of the energy price in the
+// extended algorithm (Eq. 9), calibrated so the compensative term bends the
+// equilibrium without starving subflows.
+const DefaultKappa = 2e-4
+
+// DTS implements the Delay-based Traffic Shifting family. The zero variant
+// is §V-B's algorithm; the fields select the registered variants, each
+// stated explicitly so a run's name and series set do not depend on a
+// parameter's value (an ablation may run the priced variant at κ = 0).
+type DTS struct {
+	// C is the Pareto-optimality constant c in ψ_r = c·ε_r. The paper picks
+	// c = 1 so the fairness condition also holds. The LIA variant's
+	// aggressiveness is LIA's α and ignores it.
+	C float64
+
+	// Taylor evaluates ε_r with the kernel's integer approximation instead
+	// of the exact logistic (the ablation of Algorithm 1's fixed-point
+	// port).
+	Taylor bool
+
+	// LIA selects the "Modified LIA" variant the paper's kernel experiments
+	// plot (Fig. 8): LIA's coupled increase scaled by the Eq. 5 delay
+	// factor, w_r += ε_r·min(α/w_total, 1/w_r) per ACK. §V-B's ψ = c·ε
+	// reading replaces LIA's ψ entirely; this variant instead composes ε
+	// with LIA's aggressiveness, which preserves LIA's strong loss-based
+	// shifting — the property the paper highlights in Fig. 7 — while ε
+	// steers traffic off delay-inflated paths. EXPERIMENTS.md compares the
+	// two.
+	LIA bool
+	lia LIA
+
+	// Priced selects the extended algorithm of §V-C: Eq. 9 adds the
+	// compensative term φ_r = κ_s·x_r²·∂U_ep/∂x_r to the window evolution,
+	// where U_ep (Eq. 6) prices traffic on switch-to-switch links
+	// proportionally to their energy cost ρ and queue excess. Links
+	// accumulate that price on data packets in transit and receivers echo
+	// it on ACKs; converted per ACK the term is a decrement
+	// Kappa·w_r·price_r.
+	Priced bool
+	Kappa  float64
+}
 
 // Name implements Algorithm.
 func (d *DTS) Name() string {
-	if d.Taylor {
+	switch {
+	case d.Priced && d.LIA:
+		return "dtsep-lia"
+	case d.Priced:
+		return "dtsep"
+	case d.LIA:
+		return "dts-lia"
+	case d.Taylor:
 		return "dts-taylor"
 	}
 	return "dts"
@@ -97,183 +138,53 @@ func rttRatio(f View) float64 {
 func (d *DTS) Eps(f View) float64 {
 	ratio := rttRatio(f)
 	if d.Taylor {
-		return float64(EpsTaylor(int64(math.Round(ratio*100)))) / 100
+		return epsTaylorAt(ratio)
 	}
 	return EpsExact(ratio)
 }
 
-// Increase implements Algorithm.
+// Increase implements Algorithm: the variant's increase, minus the per-ACK
+// compensative term when priced.
 func (d *DTS) Increase(flows []View, r int) float64 {
 	f := flows[r]
-	if f.SRTT <= 0 {
-		return 0
+	var inc float64
+	if d.LIA {
+		inc = d.Eps(f) * d.lia.Increase(flows, r)
+	} else if f.SRTT > 0 {
+		if sum := SumRates(flows); sum > 0 {
+			inc = d.C * d.Eps(f) * f.Cwnd / (f.SRTT * f.SRTT * sum * sum)
+		}
 	}
-	sum := SumRates(flows)
-	if sum <= 0 {
-		return 0
+	if d.Priced {
+		inc -= d.Kappa * f.Cwnd * f.Price
 	}
-	return d.C * d.Eps(f) * f.Cwnd / (f.SRTT * f.SRTT * sum * sum)
+	return inc
 }
 
 // Decrease implements Algorithm.
 func (*DTS) Decrease(flows []View, r int) float64 { return flows[r].Cwnd / 2 }
 
 // Introspect implements Introspector: the Eq. 5 components driving subflow
-// r's window growth — the RTT ratio, ε_r and the traffic-shifting parameter
-// ψ_r = c·ε_r.
-func (d *DTS) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 3)
-	d.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (d *DTS) IntrospectInto(flows []View, r int, out map[string]float64) {
+// r's window growth — the RTT ratio, ε_r and the factor it scales (c, as
+// ψ_r = c·ε_r, or the LIA increase) — plus, when priced, the echoed path
+// price and the per-ACK compensative decrement φ_r it induces.
+func (d *DTS) Introspect(flows []View, r int, out map[string]float64) {
 	f := flows[r]
 	eps := d.Eps(f)
 	out["rtt_ratio"] = rttRatio(f)
 	out["eps"] = eps
-	out["psi"] = d.C * eps
+	if d.LIA {
+		out["lia_inc"] = d.lia.Increase(flows, r)
+	} else {
+		out["psi"] = d.C * eps
+	}
+	if d.Priced {
+		out["price"] = f.Price
+		out["phi"] = d.Kappa * f.Cwnd * f.Price
+	}
 }
 
-var _ Algorithm = (*DTS)(nil)
-var _ IntrospectorInto = (*DTS)(nil)
-
-// DTSLIA is the "Modified LIA" variant of DTS that the paper's kernel
-// experiments plot (Fig. 8): LIA's coupled increase scaled by the Eq. 5
-// delay factor, w_r += ε_r·min(α/w_total, 1/w_r) per ACK. §V-B's ψ = c·ε
-// reading replaces LIA's ψ entirely (the DTS type above); this variant
-// instead composes ε with LIA's aggressiveness, which preserves LIA's
-// strong loss-based shifting — the property the paper highlights in
-// Fig. 7 — while ε steers traffic off delay-inflated paths. Both are
-// provided; EXPERIMENTS.md compares them.
-type DTSLIA struct {
-	lia LIA
-	dts DTS
-}
-
-// NewDTSLIA returns the Modified-LIA DTS variant.
-func NewDTSLIA() *DTSLIA { return &DTSLIA{dts: DTS{C: 1}} }
-
-// Name implements Algorithm.
-func (*DTSLIA) Name() string { return "dts-lia" }
-
-// Increase implements Algorithm.
-func (d *DTSLIA) Increase(flows []View, r int) float64 {
-	return d.dts.Eps(flows[r]) * d.lia.Increase(flows, r)
-}
-
-// Decrease implements Algorithm.
-func (d *DTSLIA) Decrease(flows []View, r int) float64 {
-	return d.lia.Decrease(flows, r)
-}
-
-// Introspect implements Introspector: the delay factor ε_r plus the LIA
-// increase it scales.
-func (d *DTSLIA) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 3)
-	d.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (d *DTSLIA) IntrospectInto(flows []View, r int, out map[string]float64) {
-	f := flows[r]
-	out["rtt_ratio"] = rttRatio(f)
-	out["eps"] = d.dts.Eps(f)
-	out["lia_inc"] = d.lia.Increase(flows, r)
-}
-
-var _ Algorithm = (*DTSLIA)(nil)
-var _ IntrospectorInto = (*DTSLIA)(nil)
-
-// DefaultKappa is the default weight κ_s of the energy price in the
-// extended algorithm (Eq. 9), calibrated so the compensative term bends the
-// equilibrium without starving subflows.
-const DefaultKappa = 2e-4
-
-// DTSEP is the extended DTS of §V-C: Eq. 9 adds the compensative term
-// φ_r = κ_s·x_r²·∂U_ep/∂x_r to the DTS window evolution, where U_ep
-// (Eq. 6) prices traffic on switch-to-switch links proportionally to their
-// energy cost ρ and queue excess. Links accumulate that price on data
-// packets in transit and receivers echo it on ACKs; converted per ACK the
-// term is a decrement κ_s·w_r·price_r.
-type DTSEP struct {
-	DTS
-
-	// Kappa is the price weight κ_s.
-	Kappa float64
-}
-
-// NewDTSEP returns the extended algorithm with price weight kappa.
-func NewDTSEP(kappa float64) *DTSEP {
-	return &DTSEP{DTS: DTS{C: 1}, Kappa: kappa}
-}
-
-// Name implements Algorithm.
-func (*DTSEP) Name() string { return "dtsep" }
-
-// Increase implements Algorithm: the DTS increase minus the per-ACK
-// compensative term.
-func (d *DTSEP) Increase(flows []View, r int) float64 {
-	inc := d.DTS.Increase(flows, r)
-	return inc - d.Kappa*flows[r].Cwnd*flows[r].Price
-}
-
-// Introspect implements Introspector: the DTS components plus the echoed
-// path price and the per-ACK compensative decrement φ_r it induces.
-func (d *DTSEP) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 5)
-	d.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (d *DTSEP) IntrospectInto(flows []View, r int, out map[string]float64) {
-	d.DTS.IntrospectInto(flows, r, out)
-	out["price"] = flows[r].Price
-	out["phi"] = d.Kappa * flows[r].Cwnd * flows[r].Price
-}
-
-var _ Algorithm = (*DTSEP)(nil)
-var _ IntrospectorInto = (*DTSEP)(nil)
-
-// DTSEPLIA is the extended algorithm built on the Modified-LIA variant:
-// DTSLIA's increase minus the Eq. 9 compensative term.
-type DTSEPLIA struct {
-	DTSLIA
-
-	// Kappa is the price weight κ_s.
-	Kappa float64
-}
-
-// NewDTSEPLIA returns the extended Modified-LIA variant.
-func NewDTSEPLIA(kappa float64) *DTSEPLIA {
-	return &DTSEPLIA{DTSLIA: *NewDTSLIA(), Kappa: kappa}
-}
-
-// Name implements Algorithm.
-func (*DTSEPLIA) Name() string { return "dtsep-lia" }
-
-// Increase implements Algorithm.
-func (d *DTSEPLIA) Increase(flows []View, r int) float64 {
-	return d.DTSLIA.Increase(flows, r) - d.Kappa*flows[r].Cwnd*flows[r].Price
-}
-
-// Introspect implements Introspector: the Modified-LIA components plus the
-// price-driven compensative decrement.
-func (d *DTSEPLIA) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 5)
-	d.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (d *DTSEPLIA) IntrospectInto(flows []View, r int, out map[string]float64) {
-	d.DTSLIA.IntrospectInto(flows, r, out)
-	out["price"] = flows[r].Price
-	out["phi"] = d.Kappa * flows[r].Cwnd * flows[r].Price
-}
-
-var _ Algorithm = (*DTSEPLIA)(nil)
-var _ IntrospectorInto = (*DTSEPLIA)(nil)
+var (
+	_ Algorithm    = (*DTS)(nil)
+	_ Introspector = (*DTS)(nil)
+)

@@ -139,12 +139,6 @@ func PsiBalia(flows []View, r int) float64 {
 	return (1 + a) / 2 * (4 + a) / 5
 }
 
-// PsiDTS is ψ_r = c·ε_r, the paper's Delay-based Traffic Shifting parameter
-// with c = 1 (Pareto-optimality/fairness choice of §V-B).
-func PsiDTS(flows []View, r int) float64 {
-	return EpsExact(rttRatio(flows[r]))
-}
-
 // PsiUncoupled is ψ_r = (Σ_k x_k)² / x_r²: per-ack increase 1/w_r on every
 // subflow independently — n uncoupled TCP flows. This is the fluid stand-in
 // for the per-subflow CUBIC family: at a DropTail equilibrium the loss rate

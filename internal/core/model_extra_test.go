@@ -40,7 +40,7 @@ func TestPsiDecompositionsFiniteProperty(t *testing.T) {
 		"lia":     PsiLIA,
 		"ecmtcp":  PsiECMTCP,
 		"balia":   PsiBalia,
-		"dts":     PsiDTS,
+		"dts":     func(flows []View, r int) float64 { return EpsExact(rttRatio(flows[r])) },
 	}
 	f := func(w1, w2, w3 uint8, r1, r2, r3 uint8) bool {
 		flows := []View{
@@ -67,7 +67,7 @@ func TestPsiDecompositionsFiniteProperty(t *testing.T) {
 // The Modified-LIA variant inherits LIA's cap: its increase never exceeds
 // 2x the uncoupled 1/w (eps is bounded by 2).
 func TestDTSLIABoundedByTwiceUncoupled(t *testing.T) {
-	d := NewDTSLIA()
+	d := &DTS{C: 1, LIA: true}
 	f := func(w1, w2 uint8, r1, r2 uint8) bool {
 		flows := []View{
 			v(float64(w1%120)+2, float64(r1%150+1)/1000),
@@ -86,11 +86,11 @@ func TestDTSLIABoundedByTwiceUncoupled(t *testing.T) {
 }
 
 func TestDTSEPLIAPricePenalty(t *testing.T) {
-	d := NewDTSEPLIA(0.001)
+	d := &DTS{C: 1, LIA: true, Priced: true, Kappa: 0.001}
 	free := []View{v(10, 0.1), v(10, 0.1)}
 	priced := []View{v(10, 0.1), v(10, 0.1)}
 	priced[1].Price = 3
-	base := NewDTSLIA()
+	base := &DTS{C: 1, LIA: true}
 	if got, want := d.Increase(priced, 1), base.Increase(free, 1)-0.001*10*3; !almostEq(got, want, 1e-12) {
 		t.Errorf("priced increase = %v, want %v", got, want)
 	}

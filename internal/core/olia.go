@@ -61,13 +61,23 @@ func (o *OLIA) OnLoss(flows []View, r int) {
 	o.paths[r].sinceLoss = 0
 }
 
+// sets reports whether path k, in state f, belongs to B — the paths
+// maximizing the rate proxy ℓ_k²/RTT_k — and to M — the paths with the
+// largest window. A path without an RTT sample is in neither.
+func (o *OLIA) sets(f View, k int, bestProxy, maxW float64) (inB, inM bool) {
+	if f.SRTT <= 0 {
+		return false, false
+	}
+	const tol = 1e-9
+	l := o.interLoss(k)
+	return l*l/f.SRTT >= bestProxy*(1-tol), f.Cwnd >= maxW*(1-tol)
+}
+
 // alpha returns α_r per the OLIA definition.
 func (o *OLIA) alpha(flows []View, r int) float64 {
 	o.grow(len(flows))
 	n := float64(len(flows))
 
-	// B: paths maximizing the rate proxy ℓ_k²/RTT_k. M: paths with the
-	// largest window.
 	var bestProxy, maxW float64
 	for k, f := range flows {
 		if f.SRTT <= 0 {
@@ -81,31 +91,23 @@ func (o *OLIA) alpha(flows []View, r int) float64 {
 			maxW = f.Cwnd
 		}
 	}
-	const tol = 1e-9
 	var nBnotM, nM int
-	inB := make([]bool, len(flows))
-	inM := make([]bool, len(flows))
 	for k, f := range flows {
-		if f.SRTT <= 0 {
-			continue
-		}
-		l := o.interLoss(k)
-		inB[k] = l*l/f.SRTT >= bestProxy*(1-tol)
-		inM[k] = f.Cwnd >= maxW*(1-tol)
-		if inM[k] {
+		inB, inM := o.sets(f, k, bestProxy, maxW)
+		if inM {
 			nM++
 		}
-		if inB[k] && !inM[k] {
+		if inB && !inM {
 			nBnotM++
 		}
 	}
 	if nBnotM == 0 {
 		return 0 // every best path already has the largest window
 	}
-	switch {
-	case inB[r] && !inM[r]:
+	switch inB, inM := o.sets(flows[r], r, bestProxy, maxW); {
+	case inB && !inM:
 		return 1 / (n * float64(nBnotM))
-	case inM[r]:
+	case inM:
 		return -1 / (n * float64(nM))
 	default:
 		return 0

@@ -89,19 +89,14 @@ func (d *DCTCP) Alpha() float64 { return d.alpha }
 
 // Introspect implements Introspector: the mark-fraction estimate that
 // scales DCTCP's multiplicative decrease.
-func (d *DCTCP) Introspect(flows []View, r int) map[string]float64 {
-	return map[string]float64{"alpha": d.alpha}
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (d *DCTCP) IntrospectInto(flows []View, r int, out map[string]float64) {
+func (d *DCTCP) Introspect(flows []View, r int, out map[string]float64) {
 	out["alpha"] = d.alpha
 }
 
 var (
-	_ Algorithm        = (*DCTCP)(nil)
-	_ AckObserver      = (*DCTCP)(nil)
-	_ RoundTuner       = (*DCTCP)(nil)
-	_ IntrospectorInto = (*DCTCP)(nil)
-	_ Algorithm        = (*Reno)(nil)
+	_ Algorithm    = (*DCTCP)(nil)
+	_ AckObserver  = (*DCTCP)(nil)
+	_ RoundTuner   = (*DCTCP)(nil)
+	_ Introspector = (*DCTCP)(nil)
+	_ Algorithm    = (*Reno)(nil)
 )

@@ -83,21 +83,14 @@ func (v *Vegas) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
 
 // Introspect implements Introspector: the backlog estimate and its target
 // band.
-func (v *Vegas) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 3)
-	v.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (v *Vegas) IntrospectInto(flows []View, r int, out map[string]float64) {
+func (v *Vegas) Introspect(flows []View, r int, out map[string]float64) {
 	out["diff"] = v.diff(flows[r])
 	out["alpha"] = vegasAlpha
 	out["beta"] = vegasBeta
 }
 
 var (
-	_ Algorithm        = (*Vegas)(nil)
-	_ RoundTuner       = (*Vegas)(nil)
-	_ IntrospectorInto = (*Vegas)(nil)
+	_ Algorithm    = (*Vegas)(nil)
+	_ RoundTuner   = (*Vegas)(nil)
+	_ Introspector = (*Vegas)(nil)
 )

@@ -191,14 +191,7 @@ func (v *WVegas) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
 
 // Introspect implements Introspector: the backlog estimate λ-side quantity
 // diff_r, the rate-share weight and the per-path backlog target α_r.
-func (v *WVegas) Introspect(flows []View, r int) map[string]float64 {
-	m := make(map[string]float64, 3)
-	v.IntrospectInto(flows, r, m)
-	return m
-}
-
-// IntrospectInto implements IntrospectorInto.
-func (v *WVegas) IntrospectInto(flows []View, r int, out map[string]float64) {
+func (v *WVegas) Introspect(flows []View, r int, out map[string]float64) {
 	f := flows[r]
 	weight := 1 / float64(len(flows))
 	if r < len(v.weights) {
@@ -212,7 +205,7 @@ func (v *WVegas) IntrospectInto(flows []View, r int, out map[string]float64) {
 var (
 	_ Algorithm          = (*WVegas)(nil)
 	_ RoundTuner         = (*WVegas)(nil)
-	_ IntrospectorInto   = (*WVegas)(nil)
+	_ Introspector       = (*WVegas)(nil)
 	_ MembershipObserver = (*WVegas)(nil)
 	_ Weighted           = (*WVegas)(nil)
 )

@@ -128,7 +128,7 @@ func AblationKappa(cfg Config) *Result {
 	}
 	outs := runPar(cfg, res, len(kappas)*reps, func(i int, wd *supervise.Watchdog) kappaOut {
 		kappa, r := kappas[i/reps], i%reps
-		tp, sh, ev := pricedShiftRun(cfg, wd, fmt.Sprintf("priced-kappa%g", kappa), cfg.Seed+int64(r), core.NewDTSEPLIA(kappa), horizon)
+		tp, sh, ev := pricedShiftRun(cfg, wd, fmt.Sprintf("priced-kappa%g", kappa), cfg.Seed+int64(r), &core.DTS{C: 1, LIA: true, Priced: true, Kappa: kappa}, horizon)
 		return kappaOut{tput: tp, share: sh, events: ev}
 	})
 	for ki, kappa := range kappas {

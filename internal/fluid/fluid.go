@@ -191,9 +191,8 @@ func (s *System) equilibriumAt(x0 []float64, dt, tol float64, maxSteps int) ([]f
 // EquilibriumShares solves the system from the standard seed — half the
 // free capacity of each path, floored at one packet/s — and returns the
 // per-path shares of the equilibrium aggregate alongside the raw rates.
-// This is the one solve path both the conformance validator
-// (internal/check) and the fluid backend engine (internal/backend) go
-// through, so validator and backend answers cannot drift apart.
+// This is the one solve path the fluid backend engine and the conformance
+// harness (both internal/backend) go through.
 //
 // Seeding at half the FREE capacity matters: starting a cross-loaded path
 // above its free share puts it over capacity, where the price crushes the

@@ -129,12 +129,17 @@ func TestDTSEquilibriumMatchesOLIAAtHalfRatio(t *testing.T) {
 		}
 		return x
 	}
-	dts, olia := mk(core.PsiDTS), mk(core.PsiOLIA)
+	dts, olia := mk(psiDTS), mk(core.PsiOLIA)
 	for r := range dts {
 		if math.Abs(dts[r]-olia[r]) > 0.02*olia[r]+1 {
 			t.Errorf("path %d: DTS %.1f vs OLIA %.1f at eps=1", r, dts[r], olia[r])
 		}
 	}
+}
+
+// psiDTS is ψ_r = c·ε_r at c = 1 (Eq. 5) on synthesized views.
+func psiDTS(flows []core.View, r int) float64 {
+	return core.EpsExact(flows[r].BaseRTT / flows[r].LastRTT)
 }
 
 func TestDTSSuppressedAtLowRatio(t *testing.T) {
@@ -143,7 +148,7 @@ func TestDTSSuppressedAtLowRatio(t *testing.T) {
 	paths := []Path{{RTT: 0.06, Capacity: 900}}
 	mk := func(frac float64) float64 {
 		s := &System{Paths: paths}
-		s.Psi = s.FromParam(core.PsiDTS, frac)
+		s.Psi = s.FromParam(psiDTS, frac)
 		x, ok := s.Equilibrium([]float64{40}, 1e-3, 400000)
 		if !ok {
 			t.Fatalf("no convergence")

@@ -88,22 +88,27 @@ func TestEquilibriumSharesSeedsAtHalfFreeCapacity(t *testing.T) {
 }
 
 func TestModelForCoversRegistry(t *testing.T) {
-	// Every registered algorithm except DCTCP has a fluid mapping, and the
-	// mapping is exactly one of Psi/Oracle.
+	// Every entry states exactly one of: a traffic-shifting parameter (Psi,
+	// Eps or both), the delay-based oracle, or the reason it has no model —
+	// and ModelFor maps it accordingly.
 	for _, name := range core.Names() {
-		m, ok := ModelFor(name)
-		if name == "dctcp" {
-			if ok {
-				t.Errorf("dctcp: unexpected fluid mapping (ECN threshold is not a Kelly price)")
+		e, _ := core.Lookup(name)
+		kinds := 0
+		for _, set := range []bool{e.Psi != nil || e.Eps != nil, e.Delay, e.NoModel != ""} {
+			if set {
+				kinds++
 			}
+		}
+		if kinds != 1 {
+			t.Errorf("%s: entry states %d of {ψ, delay-based, no-model reason}, want exactly one", name, kinds)
 			continue
 		}
-		if !ok {
-			t.Errorf("%s: no fluid mapping", name)
-			continue
+		m, ok := ModelFor(name)
+		if ok != (e.NoModel == "") {
+			t.Errorf("%s: ModelFor ok = %v with NoModel = %q", name, ok, e.NoModel)
 		}
-		if (m.Psi == nil) == (m.Oracle == nil) {
-			t.Errorf("%s: want exactly one of Psi/Oracle, got psi=%v oracle=%v",
+		if (m.Oracle != nil) != e.Delay || (m.Psi != nil) != (e.Psi != nil || e.Eps != nil) {
+			t.Errorf("%s: mapping psi=%v oracle=%v does not follow the entry",
 				name, m.Psi != nil, m.Oracle != nil)
 		}
 	}

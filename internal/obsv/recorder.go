@@ -155,31 +155,23 @@ func (r *Recorder) WatchConn(prefix string, conn *mptcp.Conn) {
 		r.AddSampler(sub+"state", func() float64 { return float64(s.State()) })
 		if intr != nil {
 			// The key set is fixed at registration so the record's series
-			// list (and the CSV header) is complete up front.
-			keys := sortedKeys(intr.Introspect(conn.Views(), i))
-			if len(keys) > 0 {
-				// All key samplers for this subflow share one component row,
-				// refreshed on the first access of each tick; with an
-				// IntrospectorInto the row map is reused across ticks, so
-				// steady-state introspection allocates nothing.
-				into, _ := intr.(core.IntrospectorInto)
-				row := make(map[string]float64, len(keys))
-				stamp := sim.Time(-1)
-				component := func(key string) float64 {
-					if now := r.eng.Now(); now != stamp {
-						stamp = now
-						if into != nil {
-							into.IntrospectInto(conn.Views(), i, row)
-						} else {
-							row = intr.Introspect(conn.Views(), i)
-						}
-					}
-					return row[key]
+			// list (and the CSV header) is complete up front. All key
+			// samplers for this subflow share one component row, refreshed
+			// in place on the first access of each tick, so steady-state
+			// introspection allocates nothing.
+			row := map[string]float64{}
+			intr.Introspect(conn.Views(), i, row)
+			stamp := sim.Time(-1)
+			component := func(key string) float64 {
+				if now := r.eng.Now(); now != stamp {
+					stamp = now
+					intr.Introspect(conn.Views(), i, row)
 				}
-				for _, key := range keys {
-					key := key
-					r.AddSampler(sub+key, func() float64 { return component(key) })
-				}
+				return row[key]
+			}
+			for _, key := range sortedKeys(row) {
+				key := key
+				r.AddSampler(sub+key, func() float64 { return component(key) })
 			}
 		}
 		r.AddTimeline(sub, s.Transitions())

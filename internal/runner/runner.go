@@ -30,107 +30,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // are built on.
 var ErrSkipped = errors.New("runner: skipped after cancellation")
 
-// Map runs fn(0) … fn(n-1) across at most workers goroutines and returns
-// the results ordered by index. fn must be safe to call concurrently with
-// itself on distinct indices (for simulation runs: build your own engine,
-// share nothing). workers <= 0 means DefaultWorkers; workers == 1 runs
-// inline on the calling goroutine, which is the reference execution the
-// determinism tests compare against.
-//
-// A panic in any fn is re-raised on the calling goroutine once the other
-// workers have drained, so figure runners keep their fail-fast behaviour.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out, _ := MapCtx(context.Background(), workers, n, fn)
-	return out
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is cancelled no new
-// index is dispatched, but indices already running finish normally and keep
-// their results — a draining stop, never an abandoning one. The second
-// return reports per index whether fn ran: done[i] is false only for
-// indices skipped by cancellation (done is nil when every index ran, so the
-// uncancelled path allocates nothing extra).
-//
-// Like Map, a panic is re-raised after the pool drains; cancellation does
-// not suppress it.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, []bool) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	var (
-		skippedMu sync.Mutex
-		done      []bool
-	)
-	skip := func(i int) {
-		skippedMu.Lock()
-		if done == nil {
-			done = make([]bool, n)
-			for j := range done {
-				done[j] = true
-			}
-		}
-		done[i] = false
-		skippedMu.Unlock()
-	}
-	if workers == 1 {
-		for i := range out {
-			if ctx.Err() != nil {
-				skip(i)
-				continue
-			}
-			out[i] = fn(i)
-		}
-		return out, done
-	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Value
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil || panicked.Load() != nil {
-					skip(i)
-					continue
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, &panicValue{r})
-						}
-					}()
-					out[i] = fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if pv := panicked.Load(); pv != nil {
-		panic(pv.(*panicValue).v)
-	}
-	return out, done
-}
-
-// panicValue wraps a recovered value so a nil panic payload still registers
-// in the atomic.Value.
-type panicValue struct{ v any }
-
-// PanicError is a panic recovered by MapErr, carrying the failing index,
+// PanicError is a panic recovered by MapErrCtx, carrying the failing index,
 // the panic payload and the goroutine stack at the point of the panic.
 type PanicError struct {
 	Index int
@@ -142,25 +42,26 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: fn(%d) panicked: %v", e.Index, e.Value)
 }
 
-// MapErr is Map for runs that may fail individually: fn returns (result,
-// error), a panic in fn is captured as a *PanicError instead of re-raised,
-// and — unlike Map — the remaining indices still run after a failure. It
+// MapErrCtx runs fn(0) … fn(n-1) across at most workers goroutines and
 // returns the results and errors both ordered by index (errs[i] is nil for
-// indices that succeeded, and errs is nil when every index did), so a
+// indices that succeeded, and errs is nil when every index did). fn must be
+// safe to call concurrently with itself on distinct indices (for simulation
+// runs: build your own engine, share nothing). workers <= 0 means
+// DefaultWorkers; workers == 1 runs inline on the calling goroutine in
+// index order, which is the reference execution the determinism tests
+// compare against.
+//
+// Runs fail individually: a panic in fn is captured as a *PanicError in
+// every mode, and the remaining indices still run after a failure, so a
 // campaign degrades to partial results instead of losing the whole batch to
-// one bad run. Like Map, workers == 1 executes inline in index order and
-// is the reference for the determinism tests; panics are captured in every
-// mode so the two paths stay behaviour-identical.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, []error) {
-	return MapErrCtx(context.Background(), workers, n, fn)
-}
-
-// MapErrCtx is MapErr with cooperative cancellation: once ctx is cancelled
-// no new index is dispatched — indices already running finish and keep
-// their results and errors, and every index that never started gets
-// errs[i] satisfying errors.Is(err, ErrSkipped). A skipped index is not a
-// failed run: it is safe to re-dispatch on a later attempt, which is how
-// a resumable campaign drains in-flight work on SIGINT without losing it.
+// one bad run.
+//
+// Cancellation is cooperative: once ctx is cancelled no new index is
+// dispatched — indices already running finish and keep their results and
+// errors, and every index that never started gets errs[i] satisfying
+// errors.Is(err, ErrSkipped). A skipped index is not a failed run: it is
+// safe to re-dispatch on a later attempt, which is how a resumable campaign
+// drains in-flight work on SIGINT without losing it.
 func MapErrCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, []error) {
 	if n <= 0 {
 		return nil, nil
@@ -228,7 +129,7 @@ func MapErrCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, er
 	return out, errs
 }
 
-// FirstErr returns the first non-nil error of a MapErr error slice, or nil.
+// FirstErr returns the first non-nil error of a MapErrCtx error slice, or nil.
 func FirstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {

@@ -7,9 +7,19 @@ import (
 	"testing"
 )
 
+// mapAll is MapErrCtx for an fn that cannot fail, under a live context.
+func mapAll[T any](t *testing.T, workers, n int, fn func(i int) T) []T {
+	t.Helper()
+	out, errs := MapErrCtx(context.Background(), workers, n, func(i int) (T, error) { return fn(i), nil })
+	if errs != nil {
+		t.Fatalf("workers=%d: errs = %v, want nil on a clean batch", workers, errs)
+	}
+	return out
+}
+
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 0} {
-		got := Map(workers, 100, func(i int) int { return i * i })
+		got := mapAll(t, workers, 100, func(i int) int { return i * i })
 		if len(got) != 100 {
 			t.Fatalf("workers=%d: got %d results, want 100", workers, len(got))
 		}
@@ -22,14 +32,14 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map[int](4, 0, func(int) int { return 1 }); got != nil {
-		t.Errorf("Map with n=0 returned %v, want nil", got)
+	if got := mapAll(t, 4, 0, func(int) int { return 1 }); got != nil {
+		t.Errorf("MapErrCtx with n=0 returned %v, want nil", got)
 	}
 }
 
 func TestMapRunsEveryIndexExactlyOnce(t *testing.T) {
 	var calls [257]atomic.Int32
-	Map(7, len(calls), func(i int) struct{} {
+	mapAll(t, 7, len(calls), func(i int) struct{} {
 		calls[i].Add(1)
 		return struct{}{}
 	})
@@ -43,36 +53,16 @@ func TestMapRunsEveryIndexExactlyOnce(t *testing.T) {
 func TestMapCapsWorkersAtN(t *testing.T) {
 	// More workers than items must still execute every item once; the
 	// easiest observable contract is correct output.
-	got := Map(64, 3, func(i int) int { return i })
+	got := mapAll(t, 64, 3, func(i int) int { return i })
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("got %v, want [0 1 2]", got)
-	}
-}
-
-func TestMapRepanicsOnCaller(t *testing.T) {
-	sentinel := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if r := recover(); r != sentinel {
-					t.Errorf("workers=%d: recovered %v, want sentinel", workers, r)
-				}
-			}()
-			Map(workers, 8, func(i int) int {
-				if i == 3 {
-					panic(sentinel)
-				}
-				return i
-			})
-			t.Errorf("workers=%d: Map returned instead of panicking", workers)
-		}()
 	}
 }
 
 func TestMapErrCollectsPerIndexErrors(t *testing.T) {
 	sentinel := errors.New("bad index")
 	for _, workers := range []int{1, 4} {
-		out, errs := MapErr(workers, 10, func(i int) (int, error) {
+		out, errs := MapErrCtx(context.Background(), workers, 10, func(i int) (int, error) {
 			if i%3 == 1 {
 				return 0, sentinel
 			}
@@ -99,7 +89,7 @@ func TestMapErrCollectsPerIndexErrors(t *testing.T) {
 }
 
 func TestMapErrNilWhenClean(t *testing.T) {
-	_, errs := MapErr(4, 32, func(i int) (int, error) { return i, nil })
+	_, errs := MapErrCtx(context.Background(), 4, 32, func(i int) (int, error) { return i, nil })
 	if errs != nil {
 		t.Errorf("errs = %v, want nil on a clean batch", errs)
 	}
@@ -107,7 +97,7 @@ func TestMapErrNilWhenClean(t *testing.T) {
 
 func TestMapErrCapturesPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out, errs := MapErr(workers, 8, func(i int) (int, error) {
+		out, errs := MapErrCtx(context.Background(), workers, 8, func(i int) (int, error) {
 			if i == 3 {
 				panic("boom")
 			}
@@ -135,7 +125,7 @@ func TestMapErrCapturesPanics(t *testing.T) {
 
 func TestMapErrDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) ([]int, []error) {
-		return MapErr(workers, 64, func(i int) (int, error) {
+		return MapErrCtx(context.Background(), workers, 64, func(i int) (int, error) {
 			if i == 17 {
 				panic(i)
 			}
@@ -225,41 +215,5 @@ func TestMapErrCtxCancelledBeforeStart(t *testing.T) {
 		if !errors.Is(err, ErrSkipped) {
 			t.Fatalf("errs[%d] = %v, want ErrSkipped", i, err)
 		}
-	}
-}
-
-func TestMapCtxDoneFlags(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int32
-		out, done := MapCtx(ctx, workers, 32, func(i int) int {
-			if started.Add(1) == int32(workers) {
-				cancel()
-			}
-			return i
-		})
-		cancel()
-		if done == nil {
-			t.Fatalf("workers=%d: cancellation reported no skipped indices", workers)
-		}
-		var ran int
-		for i, ok := range done {
-			if ok {
-				if out[i] != i {
-					t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], i)
-				}
-				ran++
-			}
-		}
-		if ran != int(started.Load()) {
-			t.Fatalf("workers=%d: done flags %d but %d fns started", workers, ran, started.Load())
-		}
-	}
-}
-
-func TestMapCtxUncancelledAllocatesNoDoneSlice(t *testing.T) {
-	_, done := MapCtx(context.Background(), 4, 16, func(i int) int { return i })
-	if done != nil {
-		t.Fatalf("uncancelled MapCtx returned done flags: %v", done)
 	}
 }

@@ -27,7 +27,7 @@
 // and "hybrid" (the default) solves everything on the fluid engine and
 // re-runs a deterministic seed-derived -spot-check fraction on the packet
 // engine, comparing per-path shares within -tol. -topos/-algs narrow the
-// grid (defaults: every registered topology, the calibrated algorithm
+// grid (defaults: the four N-path sweep topologies, the calibrated algorithm
 // set); -loads takes either a comma-separated list or lo:hi:n for n evenly
 // spaced loads. A disagreeing spot check exits 3 naming the points. With
 // -campaign, -sweep adds its grid to the campaign as journaled units — see

@@ -9,6 +9,13 @@
 //	mptcp-sim -topo twopath -alg dts -trace run.jsonl -sample-interval 50ms
 //	mptcp-sim -topo fattree -alg lia -churn 5000 -max-flows 600 -check
 //
+// The flags are a front-end: they lower to one backend.Scenario, which the
+// same Validate and builder every other front-end uses check and wire
+// (ARCHITECTURE.md, "How a run is assembled"). -topo names a registered
+// topology (internal/topo); -subflows fans that many subflows round-robin
+// over a two-path topology's routes and asks a fabric for that many routes
+// from host 0 to the last host; -hosts sizes ec2; -cross adds Pareto bursts
+// on a topology that has cross-traffic entries and is an error elsewhere.
 // -seed picks the base random seed (runs use seed..seed+runs-1), -rwnd caps
 // the connection receive window in segments, and -timeout sets a per-run
 // wall-clock deadline enforced by the run supervisor.
@@ -64,23 +71,23 @@ import (
 	"syscall"
 	"time"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/chaos"
-	"mptcpsim/internal/check"
 	"mptcpsim/internal/core"
-	"mptcpsim/internal/energy"
-	"mptcpsim/internal/faults"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/flows"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signalContext()
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mptcp-sim:", err)
 		var ec *supervise.ExitCodeError
 		if errors.As(err, &ec) {
@@ -106,9 +113,6 @@ func signalContext() (context.Context, context.CancelFunc) {
 // simulated time actually elapsed. The check touches no RNG, so an
 // uncancelled run's results are unchanged by it.
 func stopOnCancel(ctx context.Context, eng *sim.Engine) {
-	if ctx == nil {
-		return
-	}
 	const every = 100 * sim.Millisecond
 	var tick func()
 	tick = func() {
@@ -126,52 +130,54 @@ func interruptedErr(msg string) error {
 	return &supervise.ExitCodeError{Code: supervise.ExitInterrupted, Msg: msg}
 }
 
-// scenario carries every knob one simulation run needs, so repeated runs
-// differ only in their seed.
-type scenario struct {
-	topo       string
-	alg        string
-	subflows   int
-	hosts      int
-	duration   time.Duration
-	transfer   int64
-	cross      bool
-	rwnd       int64
-	fault      string
-	trace      string
-	sampleInt  time.Duration
-	multiTrace bool // -runs > 1: insert the seed into each trace filename
-	check      bool
+// invocation is one parsed command line: the Scenario the world flags lower
+// to (its Seed is -seed, the first run's), and how to run and observe it.
+type invocation struct {
+	sc      backend.Scenario
+	runs    int
+	workers int
+	timeout time.Duration
+
+	trace     string
+	sampleInt time.Duration
+	check     bool
+
+	soak, soakDir string
+	soakEvents    uint64
+	inject        int
+	replay        string
 }
 
-// runResult summarises one completed run for the multi-run table.
-type runResult struct {
-	seed       int64
-	simSecs    float64
-	wallSecs   float64
-	events     uint64
-	goodputBps float64
-	acked      uint64
-	joules     float64
-	meanPower  float64
-	reinj      int64
-	// interrupted: a signal stopped this run before its horizon; the
-	// metrics cover only the simulated time that elapsed.
-	interrupted bool
-	err         error
+// size is what -topo builds: ec2 takes -hosts; the fabrics have no flag and
+// come small enough that an ad-hoc run finishes in seconds.
+func size(name string, hosts int) int {
+	switch name {
+	case "ec2":
+		return hosts
+	case "fattree":
+		return 4
+	case "vl2":
+		return 8
+	case "bcube":
+		return 3
+	}
+	return 0
 }
 
-func run(args []string) error {
+// parse turns the command line into an invocation: flag combinations that
+// make no sense together are rejected here, everything about the world by
+// the lowered Scenario's Validate.
+func parse(args []string) (invocation, error) {
 	fs := flag.NewFlagSet("mptcp-sim", flag.ContinueOnError)
 	var (
-		topoName  = fs.String("topo", "twopath", "scenario: twopath, hetwireless, dumbbell, ec2, fattree, vl2, bcube")
+		topoName  = fs.String("topo", "twopath", "scenario: "+strings.Join(topo.Names(), ", "))
 		alg       = fs.String("alg", "lia", "congestion control: "+strings.Join(core.Names(), ", "))
-		subflows  = fs.Int("subflows", 2, "subflows for the datacenter topologies")
+		subflows  = fs.Int("subflows", 2, "subflows, fanned round-robin over a two-path topology's routes")
 		hosts     = fs.Int("hosts", 16, "hosts for the ec2 topology")
 		duration  = fs.Duration("duration", 30*time.Second, "simulated duration")
 		transfer  = fs.Int64("bytes", 0, "transfer size (0 = long-lived flow)")
 		seed      = fs.Int64("seed", 1, "random seed")
-		cross     = fs.Bool("cross", false, "add Pareto bursty cross traffic (twopath/hetwireless)")
+		cross     = fs.Bool("cross", false, "add Pareto bursty cross traffic (topologies with a cross-traffic entry)")
 		rwnd      = fs.Int64("rwnd", 0, "connection receive window in segments (0 = unlimited)")
 		fault     = fs.String("fault", "", `fault schedule, e.g. "path1:down@2s,up@5s;path0:flap@1s+6s/500ms" (see internal/faults)`)
 		runs      = fs.Int("runs", 1, "independent runs with seeds seed..seed+runs-1")
@@ -190,119 +196,126 @@ func run(args []string) error {
 		maxFlows  = fs.Int("max-flows", 0, "churn admission cap on concurrent flows; excess arrivals are shed and accounted (0 = uncapped)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return invocation{}, err
 	}
-	if *churn <= 0 && (*arrival != 0 || *maxFlows != 0) {
-		return fmt.Errorf("-arrival and -max-flows require -churn")
+	inv := invocation{
+		runs: *runs, workers: *workers, timeout: *timeout,
+		trace: *traceOut, sampleInt: *sampleInt, check: *checkInv,
+		soak: *soakSpec, soakDir: *soakDir, soakEvents: *soakEv, inject: *inject, replay: *replay,
+		sc: backend.Scenario{
+			Topology: *topoName, Net: topo.Params{Size: size(*topoName, *hosts)},
+			Algorithm: *alg, Subflows: *subflows, TransferBytes: *transfer, Rwnd: *rwnd,
+			Cross: *cross, Faults: *fault, EnergyModel: "i7",
+			Seed: *seed, Horizon: sim.FromDuration(*duration),
+		},
 	}
-
-	ctx, stop := signalContext()
-	defer stop()
-
-	if *replay != "" {
-		return runReplay(*replay, *timeout, *soakEv)
-	}
-	if *soakSpec != "" {
-		return runSoak(ctx, *soakSpec, *seed, *workers, *soakDir, *timeout, *soakEv, *inject)
-	}
-
-	sc := scenario{
-		topo: *topoName, alg: *alg, subflows: *subflows, hosts: *hosts,
-		duration: *duration, transfer: *transfer, cross: *cross,
-		rwnd: *rwnd, fault: *fault,
-		trace: *traceOut, sampleInt: *sampleInt, multiTrace: *runs > 1,
-		check: *checkInv,
-	}
-
-	if *churn > 0 {
+	switch {
+	case *churn <= 0 && (*arrival != 0 || *maxFlows != 0):
+		return invocation{}, fmt.Errorf("-arrival and -max-flows require -churn")
+	case *churn > 0 && (*transfer != 0 || *cross || *fault != "" || *rwnd != 0 || *runs > 1):
 		// The population is open-loop: the single-connection knobs have no
 		// meaning, and accepting them silently would misreport the scenario.
-		if *transfer != 0 || *cross || *fault != "" || *rwnd != 0 || *runs > 1 {
-			return fmt.Errorf("-churn is incompatible with -bytes, -cross, -fault, -rwnd and -runs > 1")
+		return invocation{}, fmt.Errorf("-churn is incompatible with -bytes, -cross, -fault, -rwnd and -runs > 1")
+	case *churn > 0:
+		pop := &flows.Config{Algorithm: *alg, Subflows: *subflows, TotalFlows: *churn, MaxConcurrent: *maxFlows}
+		if *arrival > 0 {
+			pop.Arrivals = flows.Poisson{Rate: *arrival}
 		}
-		co := churnOpts{flows: *churn, arrival: *arrival, maxFlows: *maxFlows}
-		if *timeout <= 0 {
-			return runChurnScenario(ctx, sc, co, *seed, nil)
-		}
-		sup := supervise.New(supervise.Budget{Wall: *timeout})
-		rep := sup.Run(supervise.RunID{Seed: *seed, Scenario: sc.topo, Phase: "churn"},
-			func(wd *supervise.Watchdog) error { return runChurnScenario(ctx, sc, co, *seed, wd) })
-		if rep.Outcome.Failed() {
-			return rep.Err
-		}
-		return nil
+		inv.sc.Algorithm, inv.sc.Subflows, inv.sc.EnergyModel, inv.sc.Population = "", 0, "none", pop
 	}
+	return inv, inv.sc.Validate()
+}
 
-	if *runs <= 1 {
-		if *timeout <= 0 {
-			return runOne(ctx, sc, *seed, nil)
-		}
-		sup := supervise.New(supervise.Budget{Wall: *timeout})
-		rep := sup.Run(supervise.RunID{Seed: *seed, Scenario: sc.topo, Phase: "adhoc"},
-			func(wd *supervise.Watchdog) error { return runOne(ctx, sc, *seed, wd) })
-		if rep.Outcome.Failed() {
-			return rep.Err
-		}
-		return nil
+func run(ctx context.Context, args []string) error {
+	inv, err := parse(args)
+	if err != nil {
+		return err
+	}
+	if inv.replay != "" {
+		return runReplay(inv.replay, inv.timeout, inv.soakEvents)
+	}
+	if inv.soak != "" {
+		return runSoak(ctx, inv.soak, inv.sc.Seed, inv.workers, inv.soakDir, inv.timeout, inv.soakEvents, inv.inject)
 	}
 
 	// Every run of a batch executes under the supervisor: a panicking or
 	// invariant-violating seed is quarantined into its row instead of
-	// killing the batch, and -timeout bounds each run's wall clock. A
-	// signal drains the in-flight seeds and skips the rest.
-	sup := supervise.New(supervise.Budget{Wall: *timeout})
-	results, errs := runner.MapErrCtx(ctx, *workers, *runs, func(i int) (runResult, error) {
-		s := *seed + int64(i)
-		var r runResult
-		rep := sup.Run(supervise.RunID{Seed: s, Scenario: sc.topo, Phase: "adhoc"},
+	// killing the batch, and -timeout bounds each run's wall clock; a single
+	// run is supervised only when a -timeout asks for the watchdog. A signal
+	// drains the in-flight seeds and skips the rest.
+	sup := supervise.New(supervise.Budget{Wall: inv.timeout})
+	phase := "adhoc"
+	if inv.sc.Population != nil {
+		phase = "churn"
+	}
+	supervised := func(seed int64) (outcome, error) {
+		var o outcome
+		var err error
+		rep := sup.Run(supervise.RunID{Seed: seed, Scenario: inv.sc.Topology, Phase: phase},
 			func(wd *supervise.Watchdog) error {
-				r = runQuiet(ctx, sc, s, wd)
-				return r.err
+				o, err = execute(ctx, inv, seed, wd)
+				return err
 			})
 		if rep.Outcome.Failed() {
-			r = runResult{seed: s, err: rep.Err}
+			return outcome{}, rep.Err
 		}
-		return r, nil
+		return o, nil
+	}
+	if inv.runs <= 1 {
+		exec := supervised
+		if inv.timeout <= 0 {
+			exec = func(seed int64) (outcome, error) { return execute(ctx, inv, seed, nil) }
+		}
+		o, err := exec(inv.sc.Seed)
+		if err != nil {
+			return err
+		}
+		return o.report(inv)
+	}
+
+	outs, errs := runner.MapErrCtx(ctx, inv.workers, inv.runs, func(i int) (outcome, error) {
+		return supervised(inv.sc.Seed + int64(i))
 	})
 	fmt.Printf("%-6s %12s %10s %12s %10s %10s %8s\n",
 		"seed", "goodput_mbps", "acked_mb", "energy_j", "mean_w", "events", "wall_s")
 	var sumGoodput, sumJoules float64
-	var failed []runResult
+	var failed []string
 	var skipped, cut int
-	for i, r := range results {
-		if errs != nil && errs[i] != nil {
-			if errors.Is(errs[i], runner.ErrSkipped) {
-				fmt.Printf("%-6d skipped (interrupted before start)\n", *seed+int64(i))
-				skipped++
-				continue
-			}
-			r = runResult{seed: *seed + int64(i), err: errs[i]}
+	for i, o := range outs {
+		seed := inv.sc.Seed + int64(i)
+		var err error
+		if errs != nil {
+			err = errs[i]
 		}
-		if r.err != nil {
+		switch {
+		case errors.Is(err, runner.ErrSkipped):
+			fmt.Printf("%-6d skipped (interrupted before start)\n", seed)
+			skipped++
+		case err != nil:
 			// Report the failure in the row, keep printing the other seeds,
 			// and fail the whole invocation below. A bad seed must not be
 			// silently averaged away — nor hide the remaining results.
-			fmt.Printf("%-6d FAILED: %v\n", r.seed, r.err)
-			failed = append(failed, r)
-			continue
-		}
-		if r.interrupted {
+			fmt.Printf("%-6d FAILED: %v\n", seed, err)
+			failed = append(failed, fmt.Sprintf("\n  seed %d: %v", seed, err))
+		case o.interrupted:
 			// Stopped mid-run by the signal: the partial metrics would skew
 			// the mean, so the row reports how far it got and nothing more.
 			fmt.Printf("%-6d interrupted at %.1fs simulated (partial, excluded from mean)\n",
-				r.seed, r.simSecs)
+				seed, o.w.Eng.Now().Seconds())
 			cut++
-			continue
+		default:
+			conn, meter := o.w.Conn, o.w.Meter
+			fmt.Printf("%-6d %12.2f %10.1f %12.1f %10.2f %10d %8.2f\n",
+				seed, conn.MeanThroughputBps()/1e6, float64(conn.AckedBytes())/(1<<20),
+				meter.Joules(), meter.MeanPower(), o.w.Eng.Processed(), o.wallSecs)
+			sumGoodput += conn.MeanThroughputBps()
+			sumJoules += meter.Joules()
 		}
-		fmt.Printf("%-6d %12.2f %10.1f %12.1f %10.2f %10d %8.2f\n",
-			r.seed, r.goodputBps/1e6, float64(r.acked)/(1<<20),
-			r.joules, r.meanPower, r.events, r.wallSecs)
-		sumGoodput += r.goodputBps
-		sumJoules += r.joules
 	}
-	if n := float64(len(results) - len(failed) - skipped - cut); n > 0 {
+	done := len(outs) - len(failed) - skipped - cut
+	if done > 0 {
 		fmt.Printf("mean over %d runs: goodput %.2f Mb/s, energy %.1f J\n",
-			int(n), sumGoodput/n/1e6, sumJoules/n)
+			done, sumGoodput/float64(done)/1e6, sumJoules/float64(done))
 	}
 	fmt.Printf("outcomes: %s\n", sup.Counts())
 	if skipped+cut > 0 {
@@ -310,17 +323,13 @@ func run(args []string) error {
 		// are valid and were flushed before exit.
 		return interruptedErr(fmt.Sprintf(
 			"interrupted: %d of %d runs completed (%d cut mid-run, %d never started)",
-			len(results)-len(failed)-skipped-cut, len(results), cut, skipped))
+			done, len(outs), cut, skipped))
 	}
 	if len(failed) > 0 {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%d of %d runs quarantined:", len(failed), len(results))
-		for _, r := range failed {
-			fmt.Fprintf(&sb, "\n  seed %d: %v", r.seed, r.err)
-		}
 		// Exit 3: the batch completed and the surviving rows above are
 		// valid, but at least one run was quarantined.
-		return &supervise.ExitCodeError{Code: supervise.ExitQuarantined, Msg: sb.String()}
+		return &supervise.ExitCodeError{Code: supervise.ExitQuarantined,
+			Msg: fmt.Sprintf("%d of %d runs quarantined:%s", len(failed), len(outs), strings.Join(failed, ""))}
 	}
 	return nil
 }
@@ -395,218 +404,144 @@ func runReplay(path string, timeout time.Duration, events uint64) error {
 	return nil
 }
 
-// startCheck attaches the invariant checker to one run when -check is set.
-// It runs in collect mode rather than panicking, so a violating seed in a
-// multi-run batch reports cleanly alongside the surviving rows.
-func startCheck(eng *sim.Engine, sc scenario, conn *mptcp.Conn, meter *energy.Meter) *check.Invariants {
-	if !sc.check {
-		return nil
-	}
-	inv := check.New(eng)
-	inv.Watch("", conn)
-	inv.WatchMeter("host", meter)
-	inv.Start()
-	return inv
-}
-
-// finishCheck evaluates the invariants one final time and converts any
-// recorded violations into the run's error.
-func finishCheck(inv *check.Invariants) error {
-	if inv == nil {
-		return nil
-	}
-	inv.Final()
-	return inv.Err()
-}
-
-// setup wires the scenario onto a fresh engine and returns the connection
-// and energy meter; it is the shared front half of runOne and runQuiet.
-func setup(eng *sim.Engine, sc scenario) (*mptcp.Conn, *energy.Meter, error) {
-	paths, crossLinks, err := buildScenario(eng, sc.topo, sc.subflows, sc.hosts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sc.fault != "" {
-		pfs, err := faults.Parse(sc.fault)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Reject schedules that target absent paths or lie entirely past
-		// the horizon before the run starts, instead of silently no-opping.
-		if err := faults.Validate(pfs, paths, sim.FromDuration(sc.duration)); err != nil {
-			return nil, nil, err
-		}
-		for _, pf := range pfs {
-			p, err := faults.Resolve(pf.Target, paths)
-			if err != nil {
-				return nil, nil, err
-			}
-			faults.Apply(eng, p, pf.Faults...)
-		}
-	}
-	if sc.cross {
-		for _, l := range crossLinks {
-			workload.NewParetoOnOff(eng, []*netem.Link{l}, workload.ParetoConfig{
-				RateBps: l.Rate() * 9 / 10,
-			}).Start()
-		}
-	}
-
-	conn, err := mptcp.New(eng, mptcp.Config{
-		Algorithm:     sc.alg,
-		TransferBytes: sc.transfer,
-		RwndSegments:  sc.rwnd,
-	}, 1, paths...)
-	if err != nil {
-		return nil, nil, err
-	}
-	meter := energy.NewMeter(eng, energy.NewI7(), energy.ConnProbe(conn), 0)
-	meter.Start()
-	return conn, meter, nil
-}
-
 // tracePath names the run record file for one seed. Single runs use the
 // -trace argument verbatim; multi-run invocations insert the seed before the
 // extension so every run keeps its own record.
-func tracePath(base string, seed int64, multi bool) string {
-	if !multi {
-		return base
+func (inv invocation) tracePath(seed int64) string {
+	if inv.trace == "" || inv.runs <= 1 {
+		return inv.trace
 	}
-	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + fmt.Sprintf("_seed%d", seed) + ext
+	ext := filepath.Ext(inv.trace)
+	return strings.TrimSuffix(inv.trace, ext) + fmt.Sprintf("_seed%d", seed) + ext
 }
 
-// startTrace attaches a JSONL run recorder when -trace is set, returning a
-// finish func that completes the record after the engine has run (nil when
-// tracing is off) and an abort func for the caller to defer: a no-op after
-// finish, it otherwise flushes and releases the record, so a run that
-// panics (watchdog, event budget) or returns early leaves a file that
-// parses through its last sample.
-func startTrace(eng *sim.Engine, sc scenario, seed int64, conn *mptcp.Conn, meter *energy.Meter) (finish func() error, abort func(), err error) {
-	if sc.trace == "" {
-		return nil, func() {}, nil
-	}
-	sink, err := obsv.CreateSink(tracePath(sc.trace, seed, sc.multiTrace))
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := obsv.NewRecorder(eng, obsv.Meta{
-		Experiment: "adhoc",
-		Scenario:   sc.topo,
-		Algorithm:  sc.alg,
-		Seed:       seed,
-	}, obsv.Options{Interval: sim.FromDuration(sc.sampleInt), Stream: sink})
-	rec.WatchConn("", conn)
-	rec.WatchMeter("host", meter)
-	rec.Start()
-	return func() error {
-		rec.SetSummary("goodput_mbps", conn.MeanThroughputBps()/1e6)
-		rec.SetSummary("energy_j", meter.Joules())
-		rec.SetSummary("reinjected_segs", float64(conn.ReinjectedSegs()))
-		err := rec.Close()
-		if cerr := sink.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}, func() { _ = sink.Close() }, nil
+// outcome is one finished run: the world it ran (still readable), what the
+// observer saw, and for a population the exact per-flow samples of the
+// completed flows its percentiles are taken over.
+type outcome struct {
+	w                   *backend.World
+	wallSecs            float64
+	checks              uint64
+	trace               string
+	fcts, gputs, joules []float64
+	// interrupted: a signal stopped this run before its horizon; the
+	// metrics cover only the simulated time that elapsed.
+	interrupted bool
 }
 
-// runQuiet executes one run and returns only the summary, for -runs > 1.
-func runQuiet(ctx context.Context, sc scenario, seed int64, wd *supervise.Watchdog) runResult {
+// execute is the one function that runs an engine to its horizon: wire the
+// invocation's scenario on a fresh engine, observe (-trace, -check in
+// collecting mode, so a violating seed of a batch reports cleanly beside the
+// surviving rows), start, run, settle, summarise, close. The deferred Abort
+// leaves a record that parses through its last sample when the run panics
+// (watchdog, event budget) or fails.
+func execute(ctx context.Context, inv invocation, seed int64, wd *supervise.Watchdog) (outcome, error) {
+	sc, o := inv.sc, outcome{trace: inv.tracePath(seed)}
 	eng := sim.NewEngine(seed)
 	wd.Attach(eng)
 	stopOnCancel(ctx, eng)
-	conn, meter, err := setup(eng, sc)
-	if err != nil {
-		return runResult{seed: seed, err: err}
+
+	oc := obsv.Config{
+		Meta: obsv.Meta{Experiment: "adhoc", Scenario: sc.Topology, Algorithm: sc.Algorithm, Seed: seed},
+		Path: o.trace, Interval: sim.FromDuration(inv.sampleInt),
 	}
-	finish, abort, err := startTrace(eng, sc, seed, conn, meter)
-	if err != nil {
-		return runResult{seed: seed, err: err}
+	if inv.check {
+		oc.Check = obsv.CheckCollect
 	}
-	defer abort()
-	inv := startCheck(eng, sc, conn, meter)
-	if sc.transfer > 0 {
-		conn.OnComplete = func(sim.Time) {
-			meter.Stop()
+	if sc.Population != nil {
+		pop := *sc.Population
+		pop.Emit = func(r flows.Report) {
+			if r.Shed == "" {
+				o.fcts = append(o.fcts, r.FCT.Seconds())
+				o.gputs = append(o.gputs, r.GoodputBps)
+				o.joules = append(o.joules, r.Joules)
+			}
+		}
+		sc.Population, oc.Meta.Experiment, oc.Meta.Algorithm = &pop, "churn", pop.Algorithm
+	}
+	obs, err := obsv.NewObserver(eng, oc)
+	if err != nil {
+		return o, err
+	}
+	defer obs.Abort()
+	if o.w, err = backend.Wire(eng, sc, obs); err != nil {
+		return o, err
+	}
+	w := o.w
+	w.Observe(obs)
+	if sc.TransferBytes > 0 {
+		w.Conn.OnComplete = func(sim.Time) {
+			w.Meter.Stop()
 			eng.Stop()
 		}
 	}
+	obs.Start()
 	start := time.Now()
-	conn.Start()
-	eng.Run(sim.FromDuration(sc.duration))
-	meter.Flush() // integrate the residual when the horizon cut the run off
-	if err := finishCheck(inv); err != nil {
-		return runResult{seed: seed, err: err}
+	w.Start()
+	eng.Run(sc.Horizon)
+	w.Settle() // integrate the meter's residual, cut and account live flows
+	o.wallSecs = time.Since(start).Seconds()
+	o.interrupted = ctx.Err() != nil
+
+	if w.Conn != nil {
+		obs.Summary("goodput_mbps", w.Conn.MeanThroughputBps()/1e6)
+		obs.Summary("energy_j", w.Meter.Joules())
+		obs.Summary("reinjected_segs", float64(w.Conn.ReinjectedSegs()))
+	} else {
+		st := w.Pop.Stats()
+		obs.Summary("flows_offered", float64(st.Offered))
+		obs.Summary("flows_completed", float64(st.Completed))
+		obs.Summary("flows_shed", float64(st.ShedCapacity))
+		obs.Summary("flows_cut", float64(st.Cut))
 	}
-	if finish != nil {
-		if err := finish(); err != nil {
-			return runResult{seed: seed, err: err}
-		}
+	if err := obs.Close(); err != nil {
+		return o, err
 	}
-	return runResult{
-		seed:        seed,
-		simSecs:     eng.Now().Seconds(),
-		wallSecs:    time.Since(start).Seconds(),
-		events:      eng.Processed(),
-		goodputBps:  conn.MeanThroughputBps(),
-		acked:       conn.AckedBytes(),
-		joules:      meter.Joules(),
-		meanPower:   meter.MeanPower(),
-		reinj:       conn.ReinjectedSegs(),
-		interrupted: ctx != nil && ctx.Err() != nil,
+	if checker := obs.Inv(); checker != nil {
+		o.checks = checker.Checks()
 	}
+	return o, nil
 }
 
-// runOne executes a single run with the full per-subflow report.
-func runOne(ctx context.Context, sc scenario, seed int64, wd *supervise.Watchdog) error {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	stopOnCancel(ctx, eng)
-	conn, meter, err := setup(eng, sc)
-	if err != nil {
-		return err
+// report prints a single run in full: the per-subflow state of a measured
+// connection, or a population's offered / completed / shed / cut
+// reconciliation and per-flow percentiles.
+func (o outcome) report(inv invocation) error {
+	w, eng := o.w, o.w.Eng
+	if w.Conn != nil && w.Conn.Done() {
+		fmt.Printf("transfer completed at %.3fs\n", w.Conn.CompletedAt().Seconds())
 	}
-	finish, abort, err := startTrace(eng, sc, seed, conn, meter)
-	if err != nil {
-		return err
+	if inv.check {
+		fmt.Printf("checks:  %d invariant evaluations, clean\n", o.checks)
 	}
-	defer abort()
-	inv := startCheck(eng, sc, conn, meter)
-	if sc.transfer > 0 {
-		conn.OnComplete = func(at sim.Time) {
-			fmt.Printf("transfer completed at %.3fs\n", at.Seconds())
-			meter.Stop()
-			eng.Stop()
+	if o.trace != "" {
+		fmt.Printf("trace:   %s\n", o.trace)
+	}
+	fmt.Printf("simulated %.1fs in %.2fs wall (%d events)\n", eng.Now().Seconds(), o.wallSecs, eng.Processed())
+	if w.Conn == nil {
+		st := w.Pop.Stats()
+		fmt.Printf("flows:   %d offered = %d completed + %d shed + %d cut (peak live %d)\n",
+			st.Offered, st.Completed, st.ShedCapacity, st.Cut, st.PeakLive)
+		if len(o.fcts) > 0 {
+			fmt.Printf("fct:     p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
+				stats.Percentile(o.fcts, 50), stats.Percentile(o.fcts, 95), stats.Percentile(o.fcts, 99))
+			fmt.Printf("goodput: p50 %.2f Mb/s\n", stats.Percentile(o.gputs, 50)/1e6)
+			fmt.Printf("energy:  p50 %.3f J/flow  p99 %.3f J/flow (marginal over idle)\n",
+				stats.Percentile(o.joules, 50), stats.Percentile(o.joules, 99))
 		}
-	}
-
-	start := time.Now()
-	conn.Start()
-	eng.Run(sim.FromDuration(sc.duration))
-	meter.Flush() // integrate the residual when the horizon cut the run off
-	if err := finishCheck(inv); err != nil {
-		return err
-	}
-	if inv != nil {
-		fmt.Printf("checks:  %d invariant evaluations, clean\n", inv.Checks())
-	}
-	if finish != nil {
-		if err := finish(); err != nil {
-			return err
+		if o.interrupted {
+			return interruptedErr(fmt.Sprintf("interrupted at %.1fs simulated (%d of %d flows offered)",
+				eng.Now().Seconds(), st.Offered, inv.sc.Population.TotalFlows))
 		}
-		fmt.Printf("trace:   %s\n", tracePath(sc.trace, seed, sc.multiTrace))
+		return nil
 	}
-
-	fmt.Printf("simulated %.1fs in %.2fs wall (%d events)\n",
-		eng.Now().Seconds(), time.Since(start).Seconds(), eng.Processed())
 	fmt.Printf("goodput: %.2f Mb/s (%.1f MB acked)\n",
-		conn.MeanThroughputBps()/1e6, float64(conn.AckedBytes())/(1<<20))
-	fmt.Printf("energy:  %.1f J (mean %.2f W)\n", meter.Joules(), meter.MeanPower())
-	if reinj := conn.ReinjectedSegs(); reinj > 0 {
+		w.Conn.MeanThroughputBps()/1e6, float64(w.Conn.AckedBytes())/(1<<20))
+	fmt.Printf("energy:  %.1f J (mean %.2f W)\n", w.Meter.Joules(), w.Meter.MeanPower())
+	if reinj := w.Conn.ReinjectedSegs(); reinj > 0 {
 		fmt.Printf("failover: %d segments re-injected onto surviving subflows\n", reinj)
 	}
-	for _, s := range conn.Subflows() {
+	for _, s := range w.Conn.Subflows() {
 		st := s.Stats()
 		fmt.Printf("  subflow %d %-12s %-8s cwnd=%6.1f srtt=%-12v acked=%-8d loss=%-4d rtx=%-5d timeouts=%d fails=%d probes=%d revivals=%d\n",
 			s.ID(), s.Path().Name, s.State(), s.Cwnd(), s.SRTT().Duration(), s.Acked(),
@@ -619,50 +554,11 @@ func runOne(ctx context.Context, sc scenario, seed int64, wd *supervise.Watchdog
 			fmt.Println()
 		}
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if o.interrupted {
 		// Exit 4: the metrics above cover the simulated time that elapsed
 		// before the signal; trace and meter were flushed.
-		return interruptedErr(fmt.Sprintf(
-			"interrupted at %.1fs simulated (of %s requested)", eng.Now().Seconds(), sc.duration))
+		return interruptedErr(fmt.Sprintf("interrupted at %.1fs simulated (of %s requested)",
+			eng.Now().Seconds(), inv.sc.Horizon.Duration()))
 	}
 	return nil
-}
-
-// buildScenario wires the requested topology and returns the paths of the
-// measured connection plus links suitable for cross-traffic injection.
-func buildScenario(eng *sim.Engine, name string, subflows, hosts int) ([]*netem.Path, []*netem.Link, error) {
-	switch name {
-	case "twopath":
-		tp := topo.NewTwoPath(eng, topo.TwoPathConfig{})
-		return tp.Paths(), []*netem.Link{tp.CrossEntry(0), tp.CrossEntry(1)}, nil
-	case "hetwireless":
-		h := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-		return h.Paths(), []*netem.Link{h.CrossEntry(0), h.CrossEntry(1)}, nil
-	case "dumbbell":
-		d := topo.NewDumbbell(eng, topo.DumbbellConfig{Users: 1})
-		return d.MPTCPPaths(0), nil, nil
-	case "ec2":
-		v := topo.NewEC2VPC(eng, topo.EC2Config{Hosts: hosts})
-		return v.Paths(0, 1, subflows), nil, nil
-	case "fattree":
-		ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: 4})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ft.Paths(0, ft.Hosts()-1, subflows), nil, nil
-	case "vl2":
-		v, err := topo.NewVL2(eng, topo.VL2Config{HostsPerToR: 2, ToRs: 8, Aggs: 4, Ints: 4})
-		if err != nil {
-			return nil, nil, err
-		}
-		return v.Paths(0, v.Hosts()-1, subflows), nil, nil
-	case "bcube":
-		b, err := topo.NewBCube(eng, topo.BCubeConfig{N: 3, K: 1})
-		if err != nil {
-			return nil, nil, err
-		}
-		return b.Paths(0, b.Hosts()-1, subflows), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown topology %q", name)
-	}
 }

@@ -156,7 +156,7 @@ func TestPackageMapCoversEveryPackage(t *testing.T) {
 // shaped like <recv>.String("name", ...) (or Bool / Int / Int64 / Uint64 /
 // Float64 / Duration) with a string-literal first argument. Matching on
 // the method name alone covers both the flag.FlagSet style (mptcp-bench,
-// mptcp-sim) and the package-level flag style (bench-diff).
+// mptcp-sim) and the package-level flag style.
 func cliFlags(t *testing.T, file string) (names []string, doc string) {
 	t.Helper()
 	fset := token.NewFileSet()

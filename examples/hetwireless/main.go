@@ -9,12 +9,9 @@ import (
 	"fmt"
 	"log"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 func main() {
@@ -38,28 +35,24 @@ func run() error {
 }
 
 func one(alg string) (tputBps, joules float64, err error) {
-	eng := sim.NewEngine(7)
-	het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-	if alg == "dtsep" {
-		// Price the energy-hungry 4G hop for the compensative term (Eq. 9).
-		for _, l := range het.Paths()[1].Forward {
-			l.SetPrice(2.0, 0.1, 12)
-		}
+	// The Fig. 17 world, declared: the registry's handset topology, bursty
+	// cross traffic on both radio links (Pareto bursts), the paper's 64 KB
+	// receive buffer, and for dtsep a price on the energy-hungry 4G hop for
+	// the compensative term (Eq. 9).
+	const horizon = 120 * sim.Second
+	sc := backend.Scenario{
+		Topology: "hetwireless", Algorithm: alg, Rwnd: 45, Cross: true,
+		EnergyModel: "none", Seed: 7, Horizon: horizon,
 	}
-
-	// Bursty cross traffic on both radio links (Pareto bursts).
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(0)},
-		workload.ParetoConfig{RateBps: 8 * netem.Mbps}).Start()
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(1)},
-		workload.ParetoConfig{RateBps: 16 * netem.Mbps}).Start()
-
-	conn, err := mptcp.New(eng, mptcp.Config{
-		Algorithm:    alg,
-		RwndSegments: 45, // the paper's 64 KB receive buffer
-	}, 1, het.Paths()...)
+	if alg == "dtsep" {
+		sc.Price = &backend.Price{Path: 1, Rho: 2.0, Gamma: 0.1, QTarget: 12}
+	}
+	eng := sim.NewEngine(sc.Seed)
+	w, err := backend.Wire(eng, sc, nil)
 	if err != nil {
 		return 0, 0, err
 	}
+	conn := w.Conn
 
 	// Handset energy: SoC plus both radios, with per-radio throughput.
 	nexus := energy.NewNexus()
@@ -84,7 +77,7 @@ func one(alg string) (tputBps, joules float64, err error) {
 	}
 	eng.After(energy.DefaultInterval, tick)
 
-	conn.Start()
-	eng.Run(120 * sim.Second)
+	w.Start()
+	eng.Run(horizon)
 	return conn.MeanThroughputBps(), joulesAcc, nil
 }

@@ -1,19 +1,23 @@
-// Package backend puts the packet simulator and the Eq. 3 fluid model
-// behind one backend-neutral seam: a Scenario (topology + algorithm +
-// cross-traffic load + horizon) goes in, a Result (per-path equilibrium
-// rates and shares, aggregate goodput, energy estimate, fidelity tag)
-// comes out, and the Engine interface hides which machinery answered.
+// Package backend owns the one description of a run and the two machines
+// that can answer it. A Scenario — registered topology and its parameters,
+// algorithm, subflows, transfer, cross traffic, fault schedule, optional
+// flow population, priced path, energy model, seed, horizon — is what every
+// front-end (the engines here, internal/chaos, cmd/mptcp-sim, the figure
+// runners of internal/exp) lowers its own vocabulary to; Validate checks it
+// and Wire builds it, once (ARCHITECTURE.md, "How a run is assembled").
 //
-// Two engines implement it. PacketEngine runs the full netem/tcp/mptcp
-// stack — every ACK clock, queue drop and RTO — and is the ground truth.
+// Two engines answer a Scenario with a Result (per-path equilibrium rates
+// and shares, aggregate goodput, energy estimate, fidelity tag) behind the
+// Engine interface. PacketEngine wires the full netem/tcp/mptcp stack —
+// every ACK clock, queue drop and RTO — and is the ground truth.
 // FluidEngine solves the paper's Eq. 3 equilibrium at a fraction of the
-// cost: microseconds per point instead of seconds. RunConformance is the
-// differential harness between the two — a table of scenarios run through
-// the engines' own measurement and solve code — so the model that answers
-// sweeps is the model that was validated. Sweep fans a
-// (topology × algorithm × load) grid to the fluid engine and re-runs a
-// deterministic, seed-derived sample on the packet engine so fluid answers
-// are never trusted blind.
+// cost, microseconds per point instead of seconds, and refuses by name what
+// an equilibrium cannot say. RunConformance is the differential harness
+// between the two — a table of scenarios run through the engines' own
+// measurement and solve code — so the model that answers sweeps is the
+// model that was validated. Sweep fans a (topology × algorithm × load) grid
+// to the fluid engine and re-runs a deterministic, seed-derived sample on
+// the packet engine so fluid answers are never trusted blind.
 //
 // The contract, the fidelity model (what fluid can and cannot answer), and
 // backend-selection guidance are documented in docs/backends.md.
@@ -22,11 +26,13 @@ package backend
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/energy"
+	"mptcpsim/internal/faults"
+	"mptcpsim/internal/flows"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
 )
 
@@ -45,39 +51,67 @@ const (
 // cross-loaded path where the real subflow still holds its share.
 const priceExp = 20
 
-// Scenario is a backend-neutral experiment description: which topology,
-// which algorithm, how much competing load, and how long to (simulatedly)
-// run. The zero values of Seed/Horizon/Warmup/EnergyModel take defaults;
-// Topology and Algorithm are required.
+// Scenario is the declarative description of one run. Front-ends fill it
+// literally and hand it to Wire; the engines additionally apply
+// WithDefaults, so for them the zero values of Seed/Horizon/Warmup/
+// EnergyModel take defaults and only Topology and Algorithm are required.
 type Scenario struct {
-	// Topology names a registered topology (see Topologies).
+	// Topology names a registered topology (topo.Names); Net carries the
+	// size and link parameters that topology reads. Topology is empty only
+	// when Wire is handed ready paths.
 	Topology string
+	Net      topo.Params
 
-	// Algorithm names a registered congestion-control algorithm
-	// (core.Names). The fluid engine additionally requires a fluid mapping
-	// (fluid.ModelFor) — every registered algorithm has one except dctcp.
+	// Algorithm names the measured connection's congestion control
+	// (core.Names); empty means no measured connection — a population
+	// alone, or a bare substrate the caller places its own users on. The
+	// fluid engine additionally requires a fluid mapping (fluid.ModelFor).
 	Algorithm string
+	// Subflows fans the measured connection over the topology's routes:
+	// round-robin over a one-pair topology's (0 = one per route), the
+	// fabric's own Paths(host 0, last host, n) otherwise (0 is rejected).
+	Subflows int
+	// TransferBytes is the measured connection's transfer (0 = long-lived),
+	// Rwnd its receive window in segments (0 = unlimited), Transport its
+	// per-subflow TCP parameterization.
+	TransferBytes int64
+	Rwnd          int64
+	Transport     tcp.Config
 
-	// Load is the cross-traffic level: a CBR source on the LAST path's
-	// shared hop sending at Load × that path's capacity. Zero means no
-	// competing traffic; values at or above 1 saturate the path and are
-	// rejected. Loading the last path follows the conformance harness's
-	// traffic-shifting row (cross on the slower path).
+	// Load is unresponsive CBR cross traffic on the LAST route's shared
+	// hop, as a fraction of that route's capacity: 0 is none, values at or
+	// above 1 saturate the path and are rejected. Loading the last path
+	// follows the conformance harness's traffic-shifting row.
 	Load float64
+	// Cross adds one Pareto on/off source per route (§VI-B), bursting at
+	// the topology's own rate (topo.Pair.BurstRate). Both need a topology
+	// with cross-traffic entries.
+	Cross bool
+	// Price charges the Eq. 6 energy price on one of the measured
+	// connection's paths.
+	Price *Price
+	// Faults is a schedule in the faults.Parse grammar; targets resolve
+	// against the measured connection's paths.
+	Faults string
+	// Population, when set, runs an open-loop flow population on a
+	// multi-host topology, alongside the measured connection if there is
+	// one. Nil Arrivals means Poisson at 40 flows/s per host; Check is
+	// taken from the run's observer.
+	Population *flows.Config
 
-	// Seed seeds the packet engine (default 1 — the conformance seed).
-	// The fluid engine is deterministic and ignores it.
+	// EnergyModel names the host power model metering the measured
+	// connection (energy.Lookup: "i7", "xeon", "wifi", "none").
+	EnergyModel string
+
+	// Seed seeds the engine (engines default it to 1 — the conformance
+	// seed). The fluid engine is deterministic and ignores it.
 	Seed int64
-
-	// Horizon is the simulated run length (default 60 s); Warmup is the
-	// prefix excluded from measurement (default Horizon/3). The defaults
-	// reproduce the conformance harness's 60 s / 20 s window.
+	// Horizon is the simulated run length and Warmup the prefix the engines
+	// exclude from measurement (engine defaults 60 s and Horizon/3 — the
+	// conformance harness's window). With a Warmup the meter is handed over
+	// stopped, for whoever measures the window to start.
 	Horizon sim.Time
 	Warmup  sim.Time
-
-	// EnergyModel selects the host power model integrated over the
-	// measurement window: "i7" (default), "xeon", or "none".
-	EnergyModel string
 
 	// Op, when set, pins the operating point (per-path SRTT and
 	// baseRTT/SRTT) the fluid engine parameterizes ψ with, instead of the
@@ -85,6 +119,14 @@ type Scenario struct {
 	// injects each packet run's measured operating point here; ordinary
 	// sweeps leave it nil. The packet engine ignores it.
 	Op *OperatingPoint
+}
+
+// Price is the per-hop Eq. 6 price ρ + γ·max(0, qlen − QTarget) charged on
+// every forward link of path Path.
+type Price struct {
+	Path       int
+	Rho, Gamma float64
+	QTarget    int
 }
 
 // OperatingPoint is the measured or estimated state the Eq. 3 model is
@@ -96,7 +138,7 @@ type OperatingPoint struct {
 }
 
 // WithDefaults returns the scenario with zero values replaced by the
-// documented defaults.
+// engines' documented defaults.
 func (s Scenario) WithDefaults() Scenario {
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -113,32 +155,65 @@ func (s Scenario) WithDefaults() Scenario {
 	return s
 }
 
-// Validate checks the scenario against the registries. It validates the
-// defaulted form, so a zero-filled scenario with valid Topology/Algorithm
-// passes.
-func (s Scenario) Validate() error {
-	s = s.WithDefaults()
-	top, ok := TopologyFor(s.Topology)
-	if !ok {
-		return fmt.Errorf("backend: unknown topology %q (have %v)", s.Topology, Topologies())
+// Validate checks the scenario, as written, against the registries and
+// against itself. It is the one gate every front-end's input goes through.
+func (s Scenario) Validate() error { return s.validate(0) }
+
+// validate is Validate for a scenario wired over ready routes (0: over its
+// registered topology).
+func (s Scenario) validate(ready int) error {
+	e := topo.Entry{Routes: ready}
+	if ready == 0 {
+		var ok bool
+		if e, ok = topo.Lookup(s.Topology); !ok {
+			return fmt.Errorf("backend: unknown topology %q (have %v)", s.Topology, topo.Names())
+		}
+	} else if s.Topology != "" || s.Load != 0 || s.Cross || s.Population != nil {
+		return fmt.Errorf("backend: ready paths take no topology name, cross traffic or population")
 	}
-	if _, err := core.New(s.Algorithm); err != nil {
-		return fmt.Errorf("backend: %w", err)
+	measured := s.Algorithm != ""
+	if _, ok := core.Lookup(s.Algorithm); measured && !ok {
+		return fmt.Errorf("backend: unknown algorithm %q (have %v)", s.Algorithm, core.Names())
+	}
+	if s.Subflows < 0 || s.TransferBytes < 0 || s.Rwnd < 0 {
+		return fmt.Errorf("backend: negative subflows, transfer or receive window")
 	}
 	if s.Load < 0 || s.Load >= 1 {
 		return fmt.Errorf("backend: load %v outside [0, 1)", s.Load)
 	}
-	if s.Warmup >= s.Horizon {
-		return fmt.Errorf("backend: warmup %v >= horizon %v", s.Warmup, s.Horizon)
+	if (s.Load > 0 || s.Cross) && e.Routes == 0 {
+		return fmt.Errorf("backend: topology %q has no cross-traffic entry", s.Topology)
 	}
-	if _, err := energyModel(s.EnergyModel); err != nil {
-		return err
+	if measured && e.Fabric && s.Subflows == 0 {
+		return fmt.Errorf("backend: a measured connection on %q needs a subflow count", s.Topology)
 	}
-	if s.Op != nil {
-		if len(s.Op.RTT) != len(top.Paths) || len(s.Op.Frac) != len(top.Paths) {
-			return fmt.Errorf("backend: operating point has %d/%d entries for %d paths",
-				len(s.Op.RTT), len(s.Op.Frac), len(top.Paths))
+	if s.Population != nil && !e.Fabric {
+		return fmt.Errorf("backend: a flow population needs a multi-host topology, not %q", s.Topology)
+	}
+	if s.Horizon <= 0 {
+		return fmt.Errorf("backend: horizon %v must be positive", s.Horizon.Duration())
+	}
+	if s.Warmup < 0 || s.Warmup >= s.Horizon {
+		return fmt.Errorf("backend: warmup %v outside [0, horizon %v)", s.Warmup, s.Horizon)
+	}
+	model, err := energy.Lookup(s.EnergyModel)
+	if err != nil {
+		return fmt.Errorf("backend: %w", err)
+	}
+	if !measured && (model != nil || s.Price != nil || s.Faults != "") {
+		return fmt.Errorf("backend: energy model, priced path and fault schedule need a measured connection")
+	}
+	if s.Price != nil && s.Price.Path < 0 {
+		return fmt.Errorf("backend: priced path %d", s.Price.Path)
+	}
+	if s.Faults != "" {
+		if _, err := faults.Parse(s.Faults); err != nil {
+			return fmt.Errorf("backend: %w", err)
 		}
+	}
+	if s.Op != nil && (len(s.Op.RTT) != e.Routes || len(s.Op.Frac) != e.Routes) {
+		return fmt.Errorf("backend: operating point has %d/%d entries for %d paths",
+			len(s.Op.RTT), len(s.Op.Frac), e.Routes)
 	}
 	return nil
 }
@@ -182,81 +257,4 @@ type Result struct {
 type Engine interface {
 	Name() string
 	Run(ctx context.Context, sc Scenario) (Result, error)
-}
-
-// Topology is a registered scenario topology: N parallel link-disjoint
-// paths between one sender-receiver pair (topo.NPath).
-type Topology struct {
-	Name  string
-	Desc  string
-	Paths []topo.NPathSpec
-}
-
-// topologies is the registry. All specs are fully explicit (no NPathSpec
-// defaults in play) so the fluid engine can read capacities and queues
-// straight off them.
-var topologies = map[string]Topology{
-	"twopath-sym": {
-		Name: "twopath-sym",
-		Desc: "two symmetric 12 Mb/s paths, 20 ms delay",
-		Paths: []topo.NPathSpec{
-			{Rate: 12 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-			{Rate: 12 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-		},
-	},
-	"twopath-asym": {
-		Name: "twopath-asym",
-		Desc: "the conformance scenario: 16 + 8 Mb/s, 20 ms delay",
-		Paths: []topo.NPathSpec{
-			{Rate: 16 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-			{Rate: 8 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-		},
-	},
-	"threepath": {
-		Name: "threepath",
-		Desc: "three asymmetric paths: 24 + 12 + 6 Mb/s, 20 ms delay",
-		Paths: []topo.NPathSpec{
-			{Rate: 24 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-			{Rate: 12 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-			{Rate: 6 * 1e6, Delay: 20 * sim.Millisecond, Queue: 50},
-		},
-	},
-	"hetdelay": {
-		Name: "hetdelay",
-		Desc: "heterogeneous delays: 16 Mb/s @ 10 ms + 8 Mb/s @ 40 ms",
-		Paths: []topo.NPathSpec{
-			{Rate: 16 * 1e6, Delay: 10 * sim.Millisecond, Queue: 50},
-			{Rate: 8 * 1e6, Delay: 40 * sim.Millisecond, Queue: 50},
-		},
-	},
-}
-
-// Topologies lists the registered topology names in sorted order.
-func Topologies() []string {
-	names := make([]string, 0, len(topologies))
-	for n := range topologies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TopologyFor looks a topology up by name.
-func TopologyFor(name string) (Topology, bool) {
-	t, ok := topologies[name]
-	return t, ok
-}
-
-// energyModel resolves a Scenario.EnergyModel name; "none" returns nil.
-func energyModel(name string) (energy.Model, error) {
-	switch name {
-	case "i7":
-		return energy.NewI7(), nil
-	case "xeon":
-		return energy.NewXeon(), nil
-	case "none":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("backend: unknown energy model %q (have i7, xeon, none)", name)
-	}
 }

@@ -3,17 +3,20 @@ package backend
 import (
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"mptcpsim/internal/flows"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/topo"
 )
 
 func TestScenarioValidate(t *testing.T) {
-	good := Scenario{Topology: "twopath-sym", Algorithm: "lia"}
+	good := Scenario{Topology: "twopath-sym", Algorithm: "lia"}.WithDefaults()
 	if err := good.Validate(); err != nil {
-		t.Fatalf("zero-filled valid scenario rejected: %v", err)
+		t.Fatalf("defaulted valid scenario rejected: %v", err)
 	}
 	cases := []struct {
 		name string
@@ -27,6 +30,16 @@ func TestScenarioValidate(t *testing.T) {
 		{"warmup past horizon", func(s *Scenario) { s.Horizon = sim.Second; s.Warmup = 2 * sim.Second }, "warmup"},
 		{"unknown energy model", func(s *Scenario) { s.EnergyModel = "solar" }, "energy"},
 		{"op length mismatch", func(s *Scenario) { s.Op = &OperatingPoint{RTT: []float64{0.04}, Frac: []float64{1}} }, "operating point"},
+		{"zero horizon", func(s *Scenario) { s.Horizon, s.Warmup = 0, 0 }, "horizon"},
+		{"negative horizon", func(s *Scenario) { s.Horizon, s.Warmup = -sim.Second, 0 }, "horizon"},
+		{"cross without an entry", func(s *Scenario) { s.Topology, s.Cross = "fattree", true }, "no cross-traffic entry"},
+		{"load without an entry", func(s *Scenario) { s.Topology, s.Load = "dumbbell", 0.1 }, "no cross-traffic entry"},
+		{"population off a fabric", func(s *Scenario) { s.Population = &flows.Config{TotalFlows: 10} }, "multi-host"},
+		{"bad fault grammar", func(s *Scenario) { s.Faults = "path1:sideways@2s" }, "directive"},
+		{"faults without a connection", func(s *Scenario) { s.Algorithm, s.EnergyModel, s.Faults = "", "none", "path1:down@2s" }, "measured connection"},
+		{"meter without a connection", func(s *Scenario) { s.Algorithm = "" }, "measured connection"},
+		{"negative subflows", func(s *Scenario) { s.Subflows = -1 }, "negative"},
+		{"no subflow count on a fabric", func(s *Scenario) { s.Topology = "vl2" }, "subflow count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,25 +53,63 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+// TestTopologiesRegistry: the default sweep grid is the four bare N-path
+// topologies it was calibrated on, each a registered one-pair topology the
+// fluid engine can read routes off; the registry itself is sorted.
 func TestTopologiesRegistry(t *testing.T) {
-	names := Topologies()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("Topologies() not sorted: %v", names)
+	if names := topo.Names(); !sort.StringsAreSorted(names) {
+		t.Errorf("topo.Names() not sorted: %v", names)
 	}
 	want := []string{"hetdelay", "threepath", "twopath-asym", "twopath-sym"}
-	if len(names) != len(want) {
-		t.Fatalf("Topologies() = %v, want %v", names, want)
+	if got := DefaultSweepSpec().Topologies; !reflect.DeepEqual(got, want) {
+		t.Fatalf("default sweep topologies = %v, want %v", got, want)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Topologies() = %v, want %v", names, want)
+	for _, name := range want {
+		if e, ok := topo.Lookup(name); !ok || e.Routes < 2 {
+			t.Errorf("topo.Lookup(%s) = %+v, %v: want a registered multi-route pair", name, e, ok)
 		}
 	}
-	if _, ok := TopologyFor("twopath-asym"); !ok {
-		t.Error("TopologyFor(twopath-asym) missing")
+	if _, ok := topo.Lookup("mesh"); ok {
+		t.Error("topo.Lookup(mesh) resolved")
 	}
-	if _, ok := TopologyFor("mesh"); ok {
-		t.Error("TopologyFor(mesh) resolved")
+}
+
+// TestFluidEngineRefusesByName: everything a Scenario can say that an
+// equilibrium over disjoint paths cannot answer is refused naming it, the way
+// dctcp is — never silently ignored. The same scenarios wire on the packet
+// side.
+func TestFluidEngineRefusesByName(t *testing.T) {
+	base := Scenario{Topology: "twopath-asym", Algorithm: "lia", Horizon: 2 * sim.Second}
+	cases := []struct {
+		want string
+		mut  func(*Scenario)
+	}{
+		{"fault schedule", func(s *Scenario) { s.Faults = "path1:down@1s" }},
+		{"finite transfer", func(s *Scenario) { s.TransferBytes = 1 << 20 }},
+		{"flow population", func(s *Scenario) {
+			s.Topology, s.Net.Size, s.Subflows, s.Population = "fattree", 4, 2, &flows.Config{Algorithm: "lia", TotalFlows: 10}
+		}},
+		{"Pareto cross traffic", func(s *Scenario) { s.Cross = true }},
+		{"receive window", func(s *Scenario) { s.Rwnd = 45 }},
+		{"subflow fan-out", func(s *Scenario) { s.Subflows = 4 }},
+		{"priced path", func(s *Scenario) { s.Price = &Price{Path: 1, Rho: 1} }},
+		{"transport options", func(s *Scenario) { s.Transport.DisableHystart = true }},
+		{"disjoint paths", func(s *Scenario) { s.Topology, s.Net.Size, s.Subflows = "fattree", 4, 2 }},
+	}
+	for _, tc := range cases {
+		sc := base
+		tc.mut(&sc)
+		if _, err := (FluidEngine{}).Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("fluid %s: err = %v, want a refusal naming it", tc.want, err)
+		}
+		if _, err := Wire(sim.NewEngine(1), sc.WithDefaults(), nil); err != nil {
+			t.Errorf("packet side cannot wire the %s scenario: %v", tc.want, err)
+		}
+	}
+	sc := base
+	sc.Subflows = 2 // one per route: not a fan-out
+	if _, err := (FluidEngine{}).Run(context.Background(), sc); err != nil {
+		t.Errorf("fluid refused subflows == routes: %v", err)
 	}
 }
 

@@ -1,0 +1,166 @@
+package backend
+
+import (
+	"fmt"
+
+	"mptcpsim/internal/energy"
+	"mptcpsim/internal/faults"
+	"mptcpsim/internal/flows"
+	"mptcpsim/internal/mptcp"
+	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
+	"mptcpsim/internal/sim"
+	"mptcpsim/internal/topo"
+	"mptcpsim/internal/workload"
+)
+
+// World is a wired Scenario: everything Wire built, ready to observe and
+// start. Fields a scenario does not ask for are nil.
+type World struct {
+	Eng   *sim.Engine
+	Net   topo.Net       // the built topology; nil over ready paths
+	Paths []*netem.Path  // the measured connection's subflow paths
+	Conn  *mptcp.Conn    // the measured connection
+	Meter *energy.Meter  // its host power meter, running unless sc.Warmup > 0
+	Pop   *flows.Manager // the flow population
+}
+
+// Wire validates sc and builds it on eng — the one place a run is
+// assembled. The topology is sc.Topology from the registry or, for a
+// substrate the registry does not name, the ready paths (sc.Subflows fans
+// over either). Construction order is fixed, because same-instant event
+// order and RNG draws follow it and the committed tables were generated
+// under it: topology → link price → cross traffic → connection → meter →
+// faults → population. obs (nil is fine) supplies the population's
+// invariant checker and receives its per-flow lines; registering the rest
+// of the world with it is World.Observe.
+func Wire(eng *sim.Engine, sc Scenario, obs *obsv.Observer, ready ...*netem.Path) (*World, error) {
+	if err := sc.validate(len(ready)); err != nil {
+		return nil, err
+	}
+	w := &World{Eng: eng}
+	entry, _ := topo.Lookup(sc.Topology) // zero over ready paths
+	if len(ready) > 0 {
+		w.Paths = topo.Fan(ready, sc.Subflows)
+	} else {
+		net, err := topo.Build(eng, sc.Topology, sc.Net)
+		if err != nil {
+			return nil, fmt.Errorf("backend: %w", err)
+		}
+		w.Net = net
+		if entry.Fabric && net.Hosts() < 2 {
+			return nil, fmt.Errorf("backend: %s of size %d yields %d hosts", sc.Topology, sc.Net.Size, net.Hosts())
+		}
+		if sc.Algorithm != "" {
+			w.Paths = net.Paths(0, net.Hosts()-1, sc.Subflows)
+		}
+	}
+	if p := sc.Price; p != nil {
+		if p.Path >= len(w.Paths) {
+			return nil, fmt.Errorf("backend: priced path %d of %d", p.Path, len(w.Paths))
+		}
+		for _, l := range w.Paths[p.Path].Forward {
+			l.SetPrice(p.Rho, p.Gamma, p.QTarget)
+		}
+	}
+	if pair, ok := w.Net.(*topo.Pair); ok {
+		for i := 0; sc.Cross && i < entry.Routes; i++ {
+			workload.NewParetoOnOff(eng, []*netem.Link{pair.CrossEntry(i)},
+				workload.ParetoConfig{RateBps: pair.BurstRate(i)}).Start()
+		}
+		if sc.Load > 0 {
+			// Cross traffic enters at the shared hop, keeping the sender's
+			// access link clean — the conformance convention.
+			l := pair.CrossEntry(entry.Routes - 1)
+			workload.NewCBR(eng, []*netem.Link{l}, int64(sc.Load*float64(l.Rate())), wirePkt).Start()
+		}
+	}
+	if sc.Algorithm != "" {
+		conn, err := mptcp.New(eng, mptcp.Config{
+			Transport: sc.Transport, Algorithm: sc.Algorithm,
+			RwndSegments: sc.Rwnd, TransferBytes: sc.TransferBytes,
+		}, 1, w.Paths...)
+		if err != nil {
+			return nil, fmt.Errorf("backend: %w", err)
+		}
+		w.Conn = conn
+		if model, _ := energy.Lookup(sc.EnergyModel); model != nil {
+			w.Meter = energy.NewMeter(eng, model, energy.ConnProbe(conn), 0)
+			if sc.Warmup == 0 {
+				w.Meter.Start()
+			}
+		}
+		if err := faults.Install(eng, sc.Faults, w.Paths, sc.Horizon); err != nil {
+			return nil, fmt.Errorf("backend: %w", err)
+		}
+	}
+	if sc.Population != nil {
+		pop := *sc.Population
+		if pop.Arrivals == nil {
+			pop.Arrivals = flows.Poisson{Rate: 40 * float64(w.Net.Hosts())}
+		}
+		pop.Check = obs.Inv()
+		if emit := pop.Emit; obs != nil {
+			pop.Emit = func(r flows.Report) {
+				obs.Flow(obsv.Flow{
+					T: r.At.Seconds(), ID: r.ID, Class: r.Class.String(),
+					Bytes: r.Bytes, FCTSeconds: r.FCT.Seconds(),
+					GoodputBps: r.GoodputBps, Joules: r.Joules,
+					Subflows: r.Subflows, Shed: r.Shed,
+				})
+				if emit != nil {
+					emit(r)
+				}
+			}
+		}
+		mgr, err := flows.New(eng, w.Net, pop)
+		if err != nil {
+			return nil, fmt.Errorf("backend: %w", err)
+		}
+		w.Pop = mgr
+	}
+	return w, nil
+}
+
+// Observe registers the world's standard observables with obs: the measured
+// connection as "", its meter as "host", the population's live, offered and
+// shed counts.
+func (w *World) Observe(obs *obsv.Observer) {
+	if w.Conn != nil {
+		obs.Conn("", w.Conn)
+	}
+	if w.Meter != nil {
+		obs.Meter("host", w.Meter)
+	}
+	if mgr := w.Pop; mgr != nil {
+		obs.Sample("flows.live", func() float64 { return float64(mgr.Live()) })
+		obs.Sample("flows.offered", func() float64 { return float64(mgr.Stats().Offered) })
+		obs.Sample("flows.shed", func() float64 { return float64(mgr.Stats().ShedCapacity) })
+	}
+}
+
+// Start starts the measured connection and the population. A population
+// alone ends the run when it drains.
+func (w *World) Start() {
+	if w.Conn != nil {
+		w.Conn.Start()
+	}
+	if w.Pop != nil {
+		if w.Conn == nil {
+			w.Pop.OnDrained = w.Eng.Stop
+		}
+		w.Pop.Start()
+	}
+}
+
+// Settle closes the books once the engine has stopped: the meter integrates
+// the residual the horizon cut off, and flows still alive are cut and
+// accounted.
+func (w *World) Settle() {
+	if w.Meter != nil {
+		w.Meter.Flush()
+	}
+	if w.Pop != nil {
+		w.Pop.CutLive()
+	}
+}

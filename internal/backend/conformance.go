@@ -6,11 +6,8 @@ import (
 	"math"
 	"strings"
 
-	"mptcpsim/internal/check"
 	"mptcpsim/internal/core"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
-	"mptcpsim/internal/sim"
+	"mptcpsim/internal/obsv"
 )
 
 // The differential-conformance harness: for every multipath algorithm it
@@ -36,10 +33,10 @@ type confSpec struct {
 	// its capacity.
 	load float64
 
-	// price, when non-zero, is the Eq. 6 price ρ charged on path0's
-	// switch-to-switch link in the packet run, and the fluid side carries
-	// the matching compensative term φ_0 = κ·ρ·x_0² (Eq. 9 converted to
-	// rate form).
+	// price, when non-zero, is the Eq. 6 price ρ a packet of path0 picks up
+	// in the packet run — charged half on each of its two forward hops, the
+	// Scenario's per-hop form — and the fluid side carries the matching
+	// compensative term φ_0 = κ·ρ·x_0² (Eq. 9 converted to rate form).
 	price float64
 }
 
@@ -52,6 +49,9 @@ func (s confSpec) scenario(base Scenario) Scenario {
 	}
 	if s.alg != "" {
 		sc.Algorithm = s.alg
+	}
+	if s.price != 0 {
+		sc.Price = &Price{Path: 0, Rho: s.price / 2}
 	}
 	return sc
 }
@@ -118,17 +118,7 @@ func RunConformance(base Scenario) (*Conformance, error) {
 	out := &Conformance{}
 	for _, spec := range confSpecs() {
 		sc := spec.scenario(base)
-		pkt, err := runPacket(ctx, sc, func(eng *sim.Engine, conn *mptcp.Conn, paths []*netem.Path) func() {
-			if spec.price != 0 {
-				paths[0].Forward[1].SetPrice(spec.price, 0, 0)
-			}
-			inv := check.New(eng)
-			inv.FailFast = true
-			inv.Watch(spec.name, conn)
-			inv.WatchPaths(paths...)
-			inv.Start()
-			return inv.Final
-		})
+		pkt, err := runPacket(ctx, sc, obsv.CheckFailFast)
 		if err != nil {
 			return nil, fmt.Errorf("conformance %s: %w", spec.name, err)
 		}

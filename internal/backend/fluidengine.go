@@ -7,6 +7,7 @@ import (
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/fluid"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
 )
 
@@ -20,9 +21,45 @@ type FluidEngine struct{}
 // Name implements Engine.
 func (FluidEngine) Name() string { return "fluid" }
 
-// Run implements Engine.
+// Run implements Engine: it answers what an equilibrium over disjoint paths
+// can say and refuses the rest of the Scenario vocabulary by name.
 func (FluidEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
+	for _, r := range fluidRefusals {
+		if r.set(sc) {
+			return Result{}, fmt.Errorf("backend: the fluid engine cannot model %s (%s); use the packet engine", r.what, r.why)
+		}
+	}
 	return solveFluid(ctx, sc, nil)
+}
+
+// fluidRefusals is what a Scenario can say that Eq. 3's equilibrium cannot
+// answer (docs/backends.md, "What the fluid engine refuses"). A topology
+// that is not one pair over disjoint routes, and an algorithm without a
+// fluid mapping, are refused by solveFluid itself.
+var fluidRefusals = []struct {
+	what string
+	set  func(Scenario) bool
+	why  string
+}{
+	{"a fault schedule", func(s Scenario) bool { return s.Faults != "" },
+		"failure and recovery are transients; the model is a fixed point"},
+	{"a finite transfer", func(s Scenario) bool { return s.TransferBytes > 0 },
+		"completion time is slow start and drain, not equilibrium"},
+	{"a flow population", func(s Scenario) bool { return s.Population != nil },
+		"arrivals and departures never settle"},
+	{"Pareto cross traffic", func(s Scenario) bool { return s.Cross },
+		"bursts flip paths between states; the model carries a constant cross load"},
+	{"a receive window", func(s Scenario) bool { return s.Rwnd > 0 },
+		"rwnd, not the congestion window, would bind the rate"},
+	{"a subflow fan-out", func(s Scenario) bool {
+		e, _ := topo.Lookup(s.Topology)
+		return e.Routes > 0 && s.Subflows != 0 && s.Subflows != e.Routes
+	},
+		"subflows sharing a route share its loss signal; the model has one subflow per path"},
+	{"a priced path", func(s Scenario) bool { return s.Price != nil },
+		"the algorithm table does not say who reads the price"},
+	{"transport options", func(s Scenario) bool { return s.Transport != (tcp.Config{}) },
+		"the model has no slow start or RTO to tune"},
 }
 
 // solveFluid is the one model-side protocol, shared by the engine and the
@@ -39,13 +76,14 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	top, _ := TopologyFor(sc.Topology)
 	model, ok := fluid.ModelFor(sc.Algorithm)
 	if !ok {
-		return Result{}, fmt.Errorf("backend: %s has no fluid mapping; use the packet engine", sc.Algorithm)
+		return Result{}, fmt.Errorf("backend: %q has no fluid mapping; use the packet engine", sc.Algorithm)
 	}
-
-	paths, op := fluidPaths(top, sc)
+	paths, op, err := fluidPaths(sc)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{Fidelity: "fluid", Op: op}
 
 	var shares, rates []float64
@@ -85,17 +123,23 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 // between empty (right after a synchronized drop) and full, so SRTT is
 // estimated at baseRTT plus half the queue's drain time. Scenario.Op
 // overrides the estimate with a measured one.
-func fluidPaths(top Topology, sc Scenario) ([]fluid.Path, OperatingPoint) {
-	eng := sim.NewEngine(1)
-	n := topo.NewNPath(eng, top.Paths...)
-	ps := n.Paths()
+func fluidPaths(sc Scenario) ([]fluid.Path, OperatingPoint, error) {
+	net, err := topo.Build(sim.NewEngine(1), sc.Topology, sc.Net)
+	if err != nil {
+		return nil, OperatingPoint{}, fmt.Errorf("backend: %w", err)
+	}
+	pair, ok := net.(*topo.Pair)
+	if !ok {
+		return nil, OperatingPoint{}, fmt.Errorf("backend: the fluid engine models one pair over disjoint paths, not %q; use the packet engine", sc.Topology)
+	}
+	ps := pair.Paths(0, 1, 0)
 
 	paths := make([]fluid.Path, len(ps))
 	op := OperatingPoint{RTT: make([]float64, len(ps)), Frac: make([]float64, len(ps))}
 	for r, p := range ps {
 		rate := float64(p.MinRate())
 		base := p.BaseRTT(wirePkt, headerBytes).Seconds()
-		queueDelay := float64(top.Paths[r].Queue) * wirePkt * 8 / rate
+		queueDelay := float64(pair.CrossEntry(r).QueueLimit()) * wirePkt * 8 / rate
 		srtt := base + queueDelay/2
 		op.RTT[r] = srtt
 		op.Frac[r] = base / srtt
@@ -111,7 +155,7 @@ func fluidPaths(top Topology, sc Scenario) ([]fluid.Path, OperatingPoint) {
 		last := len(paths) - 1
 		paths[last].Cross = sc.Load * paths[last].Capacity
 	}
-	return paths, op
+	return paths, op, nil
 }
 
 // fluidJoules estimates the measurement-window energy the packet engine's
@@ -120,7 +164,7 @@ func fluidPaths(top Topology, sc Scenario) ([]fluid.Path, OperatingPoint) {
 // RTT) times the window — the steady-state reading, with no transient
 // contribution by construction.
 func fluidJoules(sc Scenario, res Result, op OperatingPoint) float64 {
-	model, _ := energyModel(sc.EnergyModel)
+	model, _ := energy.Lookup(sc.EnergyModel)
 	if model == nil {
 		return 0
 	}

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"mptcpsim/internal/energy"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 // PacketEngine answers scenarios with a full discrete-event run of the
@@ -23,51 +19,31 @@ func (PacketEngine) Name() string { return "packet" }
 // Run implements Engine. Cancelling ctx stops the simulation at the next
 // simulated-second boundary and returns the context's error.
 func (PacketEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
-	return runPacket(ctx, sc, nil)
+	return runPacket(ctx, sc, obsv.CheckOff)
 }
 
-// packetHook attaches to a packet run what the Scenario surface
-// deliberately omits — the conformance harness's invariant checker and its
-// one priced link. It runs once the world is built and before anything is
-// started; the function it returns runs after the horizon.
-type packetHook func(eng *sim.Engine, conn *mptcp.Conn, paths []*netem.Path) (final func())
-
 // runPacket is the one packet-side measurement protocol, shared by the
-// engine and the conformance harness: snapshot cumulative acks at warmup,
-// sample SRTT every 250 ms through the window, read the deltas at the
-// horizon, and report shares, rates and the measured operating point.
-func runPacket(ctx context.Context, sc Scenario, hook packetHook) (Result, error) {
+// engine and the conformance harness (which runs it under fail-fast
+// invariants): snapshot cumulative acks at warmup, sample SRTT every 250 ms
+// through the window, read the deltas at the horizon, and report shares,
+// rates and the measured operating point.
+func runPacket(ctx context.Context, sc Scenario, check obsv.CheckMode) (Result, error) {
 	sc = sc.WithDefaults()
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	top, _ := TopologyFor(sc.Topology)
-
 	eng := sim.NewEngine(sc.Seed)
-	n := topo.NewNPath(eng, top.Paths...)
-	conn, err := mptcp.New(eng, mptcp.Config{Algorithm: sc.Algorithm}, 1, n.Paths()...)
+	obs, _ := obsv.NewObserver(eng, obsv.Config{Check: check}) // no record, so nothing to fail
+	w, err := Wire(eng, sc, obs)
 	if err != nil {
-		return Result{}, fmt.Errorf("backend: %w", err)
+		return Result{}, err
 	}
-	if sc.Load > 0 {
-		last := len(top.Paths) - 1
-		rate := int64(sc.Load * float64(top.Paths[last].Rate))
-		// Cross traffic enters at the shared hop, keeping the sender's
-		// access link clean — the conformance convention.
-		workload.NewCBR(eng, n.Paths()[last].Forward[1:], rate, wirePkt).Start()
+	if w.Conn == nil {
+		return Result{}, fmt.Errorf("backend: the packet engine measures a connection; scenario names no algorithm")
 	}
-	final := func() {}
-	if hook != nil {
-		final = hook(eng, conn, n.Paths())
-	}
-
-	var meter *energy.Meter
-	if model, _ := energyModel(sc.EnergyModel); model != nil {
-		meter = energy.NewMeter(eng, model, energy.ConnProbe(conn), 0)
-	}
+	w.Observe(obs)
+	obs.Start()
+	conn, meter := w.Conn, w.Meter
 
 	subs := conn.Subflows()
 	ackAt := make([]int64, len(subs))
@@ -107,13 +83,13 @@ func runPacket(ctx context.Context, sc Scenario, hook packetHook) (Result, error
 	}
 	eng.ScheduleAfter(sim.Second, poll)
 
-	conn.Start()
+	w.Start()
 	eng.Run(sc.Horizon)
-	final()
-	if meter != nil {
-		meter.Flush()
-	}
+	w.Settle()
 	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	if err := obs.Close(); err != nil {
 		return Result{}, err
 	}
 

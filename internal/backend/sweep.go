@@ -47,8 +47,8 @@ type SweepSpec struct {
 	Warmup  sim.Time
 }
 
-// DefaultSweepSpec is the stock hybrid grid mptcp-bench -sweep runs: every
-// registered topology × the algorithms whose fluid mapping holds across the
+// DefaultSweepSpec is the stock hybrid grid mptcp-bench -sweep runs: the four
+// bare N-path topologies × the algorithms whose fluid mapping holds across the
 // whole default load axis × light-to-moderate cross loads. Two calibrated
 // exclusions, both documented in docs/backends.md: `coupled` (Peng et al.
 // show the fully coupled window has no unique equilibrium — any split over
@@ -61,7 +61,7 @@ type SweepSpec struct {
 // term matches either regime).
 func DefaultSweepSpec() SweepSpec {
 	return SweepSpec{
-		Topologies: Topologies(),
+		Topologies: []string{"hetdelay", "threepath", "twopath-asym", "twopath-sym"},
 		Algorithms: []string{"ewtcp", "lia", "olia", "balia", "cubic", "wvegas", "vegas", "dts", "dtsep"},
 		Loads:      []float64{0, 0.05, 0.1, 0.15},
 	}.WithDefaults()
@@ -243,7 +243,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		return nil, fmt.Errorf("backend: empty sweep grid")
 	}
 	for _, p := range pts {
-		if err := p.Scenario(spec).Validate(); err != nil {
+		if err := p.Scenario(spec).WithDefaults().Validate(); err != nil {
 			return nil, fmt.Errorf("%s: %w", p.ID(), err)
 		}
 	}

@@ -41,7 +41,7 @@ func expandSweep(spec Spec, m *Manifest) error {
 		return fmt.Errorf("campaign: sweep grid is empty")
 	}
 	for _, p := range pts {
-		if err := p.Scenario(sw).Validate(); err != nil {
+		if err := p.Scenario(sw).WithDefaults().Validate(); err != nil {
 			return fmt.Errorf("campaign: sweep point %s: %w", p.ID(), err)
 		}
 	}

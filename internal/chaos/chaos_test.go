@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"mptcpsim/internal/backend"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
 )
 
@@ -22,7 +24,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("GenerateAt(1, %d) not deterministic:\n%+v\n%+v", i, a, b)
 		}
-		if _, err := a.Build(); err != nil {
+		if _, err := backend.Wire(sim.NewEngine(a.Seed), a.Lower(), nil); err != nil {
 			t.Errorf("scenario %d (%s) does not build: %v", i, a, err)
 		}
 	}

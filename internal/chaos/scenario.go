@@ -1,7 +1,9 @@
 // Package chaos generates adversarial simulation scenarios and keeps the
 // ones that break. A seeded generator samples topology, algorithm, link
-// parameters, workload and a random fault schedule; each scenario runs
-// under internal/check invariants and an internal/supervise watchdog. A
+// parameters, workload and a random fault schedule in a flat vocabulary of
+// its own, which Scenario.Lower translates to the backend.Scenario every
+// front-end builds from; each scenario runs under collecting invariants
+// and an internal/supervise watchdog. A
 // failing scenario is shrunk — fewer fault clauses, less cross traffic,
 // fewer subflows, a smaller topology, a shorter horizon — to a minimal
 // repro that still fails with the same signature, then written as a
@@ -23,15 +25,14 @@ import (
 	"strings"
 	"time"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/check"
-	"mptcpsim/internal/faults"
 	"mptcpsim/internal/flows"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 // Scenario is one generated chaos run, fully determined by its fields: the
@@ -206,187 +207,74 @@ func genFaults(rng *rand.Rand, sc Scenario) string {
 	return strings.Join(clauses, ";")
 }
 
-// built is a constructed scenario ready to run.
-type built struct {
-	eng   *sim.Engine
-	conn  *mptcp.Conn
-	paths []*netem.Path // the connection's path list; fault targets resolve here
-	// mkChurn, when the scenario carries a churn population, creates the
-	// flow manager. It is a deferred constructor rather than a manager
-	// because the invariant checker the population registers with is
-	// created by Run, after Build.
-	mkChurn func(inv *check.Invariants) (*flows.Manager, error)
-}
-
-// repeat fans n subflows over the physical paths round-robin.
-func repeat(paths []*netem.Path, n int) []*netem.Path {
-	out := make([]*netem.Path, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, paths[i%len(paths)])
+// Lower translates the generator's flat integer vocabulary — the sampling
+// space of GenerateAt and Shrink and the artifact format — into the one run
+// description every front-end builds from. Arity sizes whichever fabric Topo
+// names, the link fields parameterize twopath (each topology reads only its
+// own); LossProb becomes a loss fault on path0 from t = 0.
+func (sc Scenario) Lower() backend.Scenario {
+	out := backend.Scenario{
+		Topology: sc.Topo, Algorithm: sc.Algorithm, Subflows: sc.Subflows,
+		Net: topo.Params{
+			Size:  sc.Arity,
+			Rates: [2]int64{sc.RateMbps[0] * netem.Mbps, sc.RateMbps[1] * netem.Mbps},
+			Delay: sim.Time(sc.DelayMs) * sim.Millisecond,
+			Queue: sc.QueueLimit,
+		},
+		TransferBytes: int64(sc.TransferMB) << 20,
+		Cross:         sc.Cross,
+		Faults:        sc.Faults,
+		EnergyModel:   "none",
+		Seed:          sc.Seed,
+		Horizon:       sc.Horizon(),
+	}
+	if sc.LossProb > 0 {
+		out.Faults = strings.TrimSuffix(fmt.Sprintf("path0:loss@0s=%g;%s", sc.LossProb, sc.Faults), ";")
+	}
+	if sc.ChurnFlows > 0 {
+		out.Population = &flows.Config{
+			Algorithm:     sc.Algorithm,
+			TotalFlows:    sc.ChurnFlows,
+			MaxConcurrent: sc.ChurnCap,
+			Arrivals:      flows.Poisson{Rate: sc.ChurnRate},
+		}
 	}
 	return out
 }
 
-// Build constructs the scenario's engine, topology, workload and fault
-// schedule. Errors (bad algorithm, unresolvable fault target, schedule past
-// horizon) are returned, not panicked: in a soak they quarantine just the
-// one scenario.
-func (sc Scenario) Build() (*built, error) {
-	if sc.Subflows < 1 {
-		return nil, fmt.Errorf("chaos: scenario needs at least one subflow, got %d", sc.Subflows)
-	}
-	if sc.HorizonMs <= 0 {
-		return nil, fmt.Errorf("chaos: scenario needs a positive horizon, got %dms", sc.HorizonMs)
-	}
-	eng := sim.NewEngine(sc.Seed)
-	var paths []*netem.Path
-	var mkChurn func(inv *check.Invariants) (*flows.Manager, error)
-	switch sc.Topo {
-	case "twopath":
-		tp := topo.NewTwoPath(eng, topo.TwoPathConfig{
-			Rates:      [2]int64{sc.RateMbps[0] * netem.Mbps, sc.RateMbps[1] * netem.Mbps},
-			Delay:      sim.Time(sc.DelayMs) * sim.Millisecond,
-			QueueLimit: sc.QueueLimit,
-		})
-		if sc.LossProb > 0 {
-			for _, l := range tp.Paths()[0].Forward {
-				l.SetLossProb(sc.LossProb)
-			}
-		}
-		if sc.Cross {
-			for i := 0; i < 2; i++ {
-				workload.NewParetoOnOff(eng, []*netem.Link{tp.CrossEntry(i)}, workload.ParetoConfig{
-					RateBps: sc.RateMbps[i] * netem.Mbps * 9 / 10,
-				}).Start()
-			}
-		}
-		paths = repeat(tp.Paths(), sc.Subflows)
-	case "hetwireless":
-		het := topo.NewHetWireless(eng, topo.HetWirelessConfig{WiFiLoss: sc.LossProb})
-		if sc.Cross {
-			workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(0)}, workload.ParetoConfig{
-				RateBps: 8 * netem.Mbps,
-			}).Start()
-			workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(1)}, workload.ParetoConfig{
-				RateBps: 16 * netem.Mbps,
-			}).Start()
-		}
-		paths = repeat(het.Paths(), sc.Subflows)
-	case "fattree", "vl2", "bcube":
-		net, err := sc.buildDC(eng)
-		if err != nil {
-			return nil, err
-		}
-		hosts := net.Hosts()
-		if hosts < 2 {
-			return nil, fmt.Errorf("chaos: %s arity %d yields %d hosts", sc.Topo, sc.Arity, hosts)
-		}
-		dst := 1 + eng.Rand().Intn(hosts-1)
-		paths = net.Paths(0, dst, sc.Subflows)
-		if sc.ChurnFlows > 0 {
-			mkChurn = func(inv *check.Invariants) (*flows.Manager, error) {
-				return flows.New(eng, net, flows.Config{
-					Algorithm:     sc.Algorithm,
-					TotalFlows:    sc.ChurnFlows,
-					MaxConcurrent: sc.ChurnCap,
-					Arrivals:      flows.Poisson{Rate: sc.ChurnRate},
-					Check:         inv,
-				})
-			}
-		}
-	default:
-		return nil, fmt.Errorf("chaos: unknown topology %q", sc.Topo)
-	}
-	if sc.ChurnFlows > 0 && mkChurn == nil {
-		return nil, fmt.Errorf("chaos: churn population needs a datacenter topology, not %q", sc.Topo)
-	}
-
-	cfg := mptcp.Config{Algorithm: sc.Algorithm, TransferBytes: int64(sc.TransferMB) << 20}
-	conn, err := mptcp.New(eng, cfg, 1, paths...)
-	if err != nil {
-		return nil, err
-	}
-
-	if sc.Faults != "" {
-		pfs, err := faults.Parse(sc.Faults)
-		if err != nil {
-			return nil, err
-		}
-		if err := faults.Validate(pfs, paths, sc.Horizon()); err != nil {
-			return nil, err
-		}
-		for _, pf := range pfs {
-			p, err := faults.Resolve(pf.Target, paths)
-			if err != nil {
-				return nil, err
-			}
-			faults.Apply(eng, p, pf.Faults...)
-		}
-	}
-	return &built{eng: eng, conn: conn, paths: paths, mkChurn: mkChurn}, nil
-}
-
-// dcNet is the common surface of the three datacenter topologies.
-type dcNet interface {
-	Hosts() int
-	Paths(src, dst, n int) []*netem.Path
-}
-
-func (sc Scenario) buildDC(eng *sim.Engine) (dcNet, error) {
-	switch sc.Topo {
-	case "fattree":
-		return topo.NewFatTree(eng, topo.FatTreeConfig{K: sc.Arity})
-	case "vl2":
-		a := sc.Arity / 2
-		if a < 2 {
-			a = 2
-		}
-		return topo.NewVL2(eng, topo.VL2Config{HostsPerToR: 2, ToRs: sc.Arity, Aggs: a, Ints: a})
-	default:
-		return topo.NewBCube(eng, topo.BCubeConfig{N: sc.Arity, K: 1})
-	}
-}
-
-// Run executes the scenario under invariant checking, with the watchdog
-// (nil-safe) attached to the engine. It returns the build error, the
-// failpoint's effect, or the collected invariant violations; a panic out of
-// the engine propagates to the supervisor as usual.
+// Run executes the scenario under collecting invariants, with the watchdog
+// (nil-safe) attached to the engine. It returns the build error (bad
+// algorithm, unresolvable fault target, schedule past horizon: in a soak
+// these quarantine just the one scenario), the failpoint's effect, or the
+// collected invariant violations; a panic out of the engine propagates to
+// the supervisor as usual.
 func (sc Scenario) Run(wd *supervise.Watchdog) error {
-	b, err := sc.Build()
+	low := sc.Lower()
+	eng := sim.NewEngine(low.Seed)
+	wd.Attach(eng)
+	obs, _ := obsv.NewObserver(eng, obsv.Config{Check: obsv.CheckCollect}) // no record, so nothing to fail
+	w, err := backend.Wire(eng, low, obs)
 	if err != nil {
 		return err
 	}
-	wd.Attach(b.eng)
-	inv := check.New(b.eng)
-	inv.Watch("conn", b.conn)
-	inv.WatchPaths(b.paths...)
-	var mgr *flows.Manager
-	if b.mkChurn != nil {
-		if mgr, err = b.mkChurn(inv); err != nil {
-			return err
-		}
-	}
-	if err := sc.installFailpoint(b.eng, inv); err != nil {
+	if err := sc.installFailpoint(eng, obs.Inv()); err != nil {
 		return err
 	}
-	inv.Start()
-	b.conn.Start()
-	if mgr != nil {
-		mgr.Start()
-	}
-	b.eng.Run(sc.Horizon())
-	if mgr != nil {
-		// The horizon cuts whatever is still live; after that the zero-
+	w.Observe(obs)
+	obs.Start()
+	w.Start()
+	eng.Run(low.Horizon)
+	w.Settle()
+	if w.Pop != nil {
+		// The horizon cut whatever was still live; after that the zero-
 		// silent-loss ledger must balance, faults and all.
-		mgr.CutLive()
-		st := mgr.Stats()
+		st := w.Pop.Stats()
 		if st.Offered != st.Completed+st.ShedCapacity+st.Cut {
 			return fmt.Errorf("chaos: churn accounting broken: %d offered != %d completed + %d shed + %d cut",
 				st.Offered, st.Completed, st.ShedCapacity, st.Cut)
 		}
 	}
-	inv.Final()
-	return inv.Err()
+	return obs.Close()
 }
 
 // installFailpoint arms the scenario's deliberate failure, if any.

@@ -16,7 +16,10 @@
 //     radio is active, small per-Mb/s slope for downlink.
 package energy
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Sample carries the instantaneous observables a power model maps to watts.
 type Sample struct {
@@ -171,3 +174,20 @@ func (c Constant) Name() string { return "constant" }
 
 // Power implements Model.
 func (c Constant) Power(Sample) float64 { return float64(c) }
+
+// Lookup resolves a host power model by the name scenarios use: "i7",
+// "xeon", "wifi", or "none" (nil: no meter).
+func Lookup(name string) (Model, error) {
+	switch name {
+	case "i7":
+		return NewI7(), nil
+	case "xeon":
+		return NewXeon(), nil
+	case "wifi":
+		return NewWiFi(), nil
+	case "none":
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("energy: unknown model %q (have i7, xeon, wifi, none)", name)
+	}
+}

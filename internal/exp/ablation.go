@@ -3,16 +3,16 @@ package exp
 import (
 	"fmt"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/energy"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/pathsel"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: the DTS
@@ -20,39 +20,21 @@ import (
 // algorithm's price weight κ_s (the energy/throughput tradeoff of Eq. 9),
 // and the transport's slow-start exit guard.
 
-func replaceAlg(conn *mptcp.Conn, alg core.Algorithm) { conn.SetAlgorithm(alg) }
-
-func tcpConfigHystart(disable bool) tcp.Config {
-	return tcp.Config{DisableHystart: disable}
-}
-
 // shiftRunWith runs the Fig. 5b scenario with an explicit algorithm
 // instance (for parameterized variants outside the registry). Algorithm
 // instances carry per-run state, so callers running on the pool must
 // construct a fresh instance per run. expID and scenario identify the run
 // record when Config.OutDir is set.
-func shiftRunWith(cfg Config, wd *supervise.Watchdog, expID, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) (tputBps, joules float64, events uint64) {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	tp := topo.NewTwoPath(eng, topo.TwoPathConfig{Rate: 50 * netem.Mbps})
-	for i := 0; i < 2; i++ {
-		workload.NewParetoOnOff(eng, []*netem.Link{tp.CrossEntry(i)}, workload.ParetoConfig{}).Start()
-	}
-	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, tp.Paths()...)
-	replaceAlg(conn, alg)
-	meter := meterFor(eng, energy.NewI7(), conn)
-	obs := cfg.observe(eng, expID, scenario, alg.Name(), seed)
-	defer obs.Abort()
-	obs.Conn("", conn)
-	obs.Meter("host", meter)
-	obs.Start()
-	conn.Start()
-	eng.Run(horizon)
-	meter.Flush()
-	obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-	obs.Summary("energy_j", meter.Joules())
-	obs.Close()
-	return conn.MeanThroughputBps(), meter.Joules(), eng.Processed()
+func shiftRunWith(cfg Config, wd *supervise.Watchdog, expID, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) repOut {
+	return shiftOutcome(cfg.run(wd, world{
+		exp: expID, scenario: scenario, alg: alg.Name(),
+		sc: burstTwoPath(seed, "lia", horizon),
+		attach: func(w *backend.World, obs *obsv.Observer) {
+			w.Conn.SetAlgorithm(alg)
+			w.Observe(obs)
+		},
+		summary: shiftSummary,
+	}))
 }
 
 // AblationC sweeps the DTS constant c. c < 1 under-uses the fair share;
@@ -71,22 +53,13 @@ func AblationC(cfg Config) *Result {
 	horizon := cfg.scaledTime(300*sim.Second, 60*sim.Second)
 	reps := cfg.reps(3)
 	cs := []float64{0.5, 1.0, 1.5, 2.0}
-	outs := runPar(cfg, res, len(cs)*reps, func(i int, wd *supervise.Watchdog) ablOut {
-		c, r := cs[i/reps], i%reps
+	means := meanOver(res, reps, runPar(cfg, res, len(cs)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		c := cs[i/reps]
 		// A fresh DTS instance per run: algorithm state is per-connection.
-		tp, j, ev := shiftRunWith(cfg, wd, "abl-c", fmt.Sprintf("burst-c%g", c), cfg.Seed+int64(r), &core.DTS{C: c}, horizon)
-		return ablOut{tput: tp, joules: j, events: ev}
-	})
+		return shiftRunWith(cfg, wd, "abl-c", fmt.Sprintf("burst-c%g", c), cfg.Seed+int64(i%reps), &core.DTS{C: c}, horizon)
+	}))
 	for ci, c := range cs {
-		var tput, joules float64
-		for r := 0; r < reps; r++ {
-			o := outs[ci*reps+r]
-			tput += o.tput
-			joules += o.joules
-			res.Events += o.events
-		}
-		tput /= float64(reps)
-		joules /= float64(reps)
+		tput, joules := means[ci][0], means[ci][1]
 		// Condition 1 evaluated at the design-point equilibrium ratio 1/2.
 		eq := []core.View{{Cwnd: 20, SRTT: 0.04, LastRTT: 0.04, BaseRTT: 0.02}}
 		cond := core.SatisfiesCondition1(&core.DTS{C: c}, eq, 1e-9)
@@ -95,12 +68,6 @@ func AblationC(cfg Config) *Result {
 			fmt.Sprintf("%v", cond))
 	}
 	return res
-}
-
-// ablOut is one ablation run's payload on the pool.
-type ablOut struct {
-	tput, joules float64
-	events       uint64
 }
 
 // AblationKappa sweeps the Eq. 9 price weight κ_s on a two-path wired
@@ -122,60 +89,42 @@ func AblationKappa(cfg Config) *Result {
 	horizon := cfg.scaledTime(120*sim.Second, 30*sim.Second)
 	reps := cfg.reps(3)
 	kappas := []float64{0, 1e-4, 5e-4, 2e-3}
-	type kappaOut struct {
-		tput, share float64
-		events      uint64
-	}
-	outs := runPar(cfg, res, len(kappas)*reps, func(i int, wd *supervise.Watchdog) kappaOut {
-		kappa, r := kappas[i/reps], i%reps
-		tp, sh, ev := pricedShiftRun(cfg, wd, fmt.Sprintf("priced-kappa%g", kappa), cfg.Seed+int64(r), &core.DTS{C: 1, LIA: true, Priced: true, Kappa: kappa}, horizon)
-		return kappaOut{tput: tp, share: sh, events: ev}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(kappas)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		kappa := kappas[i/reps]
+		return pricedShiftRun(cfg, wd, fmt.Sprintf("priced-kappa%g", kappa), cfg.Seed+int64(i%reps), &core.DTS{C: 1, LIA: true, Priced: true, Kappa: kappa}, horizon)
+	}))
 	for ki, kappa := range kappas {
-		var tput, share float64
-		for r := 0; r < reps; r++ {
-			o := outs[ki*reps+r]
-			tput += o.tput
-			share += o.share
-			res.Events += o.events
-		}
-		res.AddRow(fmt.Sprintf("%.0e", kappa),
-			fmtF(tput/float64(reps)/1e6, 1),
-			fmtF(share/float64(reps), 3))
+		res.AddRow(fmt.Sprintf("%.0e", kappa), fmtF(means[ki][0]/1e6, 1), fmtF(means[ki][1], 3))
 	}
 	return res
 }
 
 // pricedShiftRun runs two clean 50 Mb/s paths with the second one charged
 // an energy price, returning goodput and the priced path's traffic share.
-func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) (tputBps, pricedShare float64, events uint64) {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	tp := topo.NewTwoPath(eng, topo.TwoPathConfig{Rate: 50 * netem.Mbps})
-	for _, l := range tp.Paths()[1].Forward {
-		l.SetPrice(1.0, 0.05, 25)
+func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) repOut {
+	sc := backend.Scenario{
+		Topology: "twopath", Net: topo.Params{Rates: [2]int64{50 * netem.Mbps, 50 * netem.Mbps}},
+		Algorithm: "lia", Price: &backend.Price{Path: 1, Rho: 1.0, Gamma: 0.05, QTarget: 25},
+		EnergyModel: "none", Seed: seed, Horizon: horizon,
 	}
-	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, tp.Paths()...)
-	replaceAlg(conn, alg)
-	obs := cfg.observe(eng, "abl-kappa", scenario, alg.Name(), seed)
-	defer obs.Abort()
-	obs.Conn("", conn)
-	obs.Start()
-	conn.Start()
-	eng.Run(horizon)
-	a0 := float64(conn.Subflows()[0].Acked())
-	a1 := float64(conn.Subflows()[1].Acked())
-	share := 0.0
-	if a0+a1 > 0 {
-		share = a1 / (a0 + a1)
-	}
-	obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-	obs.Summary("priced_path_share", share)
-	obs.Close()
-	if a0+a1 == 0 {
-		return 0, 0, eng.Processed()
-	}
-	return conn.MeanThroughputBps(), share, eng.Processed()
+	var share float64
+	w := cfg.run(wd, world{
+		exp: "abl-kappa", scenario: scenario, alg: alg.Name(), sc: sc,
+		attach: func(w *backend.World, obs *obsv.Observer) {
+			w.Conn.SetAlgorithm(alg)
+			w.Observe(obs)
+		},
+		summary: func(w *backend.World, obs *obsv.Observer) {
+			a0 := float64(w.Conn.Subflows()[0].Acked())
+			a1 := float64(w.Conn.Subflows()[1].Acked())
+			if a0+a1 > 0 {
+				share = a1 / (a0 + a1)
+			}
+			obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+			obs.Summary("priced_path_share", share)
+		},
+	})
+	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), share}, events: w.Eng.Processed()}
 }
 
 // AblationHystart compares the transport with and without the delay-based
@@ -194,31 +143,31 @@ func AblationHystart(cfg Config) *Result {
 	variants := []bool{false, true}
 	res.addRows(runPar(cfg, res, len(variants), func(i int, wd *supervise.Watchdog) runRow {
 		disable := variants[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: 100 * netem.Mbps, Delay: 20 * sim.Millisecond, QueueLimit: 1500})
-		rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 100 * netem.Mbps, Delay: 20 * sim.Millisecond})
-		p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
-		conn := mptcp.MustNew(eng, mptcp.Config{
-			Algorithm:     "reno",
-			TransferBytes: transfer,
-			Transport:     tcpConfigHystart(disable),
-		}, 1, p)
-		obs := cfg.observe(eng, "abl-hystart", fmt.Sprintf("hystart-%v", !disable), "reno", cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Start()
-		conn.OnComplete = func(sim.Time) { eng.Stop() }
-		conn.Start()
-		eng.Run(600 * sim.Second)
-		st := conn.Subflows()[0].Stats()
-		obs.Summary("completion_s", conn.CompletedAt().Seconds())
-		obs.Summary("loss_events", float64(st.LossEvents))
-		obs.Summary("rtx", float64(st.PktsRtx))
-		obs.Close()
-		return runRow{events: eng.Processed(), cells: []string{
+		var st tcp.Stats
+		w := cfg.run(wd, world{
+			exp: "abl-hystart", scenario: fmt.Sprintf("hystart-%v", !disable),
+			sc: backend.Scenario{
+				Algorithm: "reno", TransferBytes: transfer, Transport: tcp.Config{DisableHystart: disable},
+				EnergyModel: "none", Seed: cfg.Seed, Horizon: 600 * sim.Second,
+			},
+			// One deep-buffered link: no registered topology is a single hop.
+			ready: func(eng *sim.Engine) []*netem.Path {
+				return []*netem.Path{linkPath(eng, "p", 100*netem.Mbps, 20*sim.Millisecond, 1500, 0)}
+			},
+			attach: func(w *backend.World, obs *obsv.Observer) {
+				w.Observe(obs)
+				w.Conn.OnComplete = func(sim.Time) { w.Eng.Stop() }
+			},
+			summary: func(w *backend.World, obs *obsv.Observer) {
+				st = w.Conn.Subflows()[0].Stats()
+				obs.Summary("completion_s", w.Conn.CompletedAt().Seconds())
+				obs.Summary("loss_events", float64(st.LossEvents))
+				obs.Summary("rtx", float64(st.PktsRtx))
+			},
+		})
+		return runRow{events: w.Eng.Processed(), cells: []string{
 			fmt.Sprintf("%v", !disable),
-			fmtF(conn.CompletedAt().Seconds(), 2),
+			fmtF(w.Conn.CompletedAt().Seconds(), 2),
 			fmt.Sprintf("%d", st.LossEvents),
 			fmt.Sprintf("%d", st.PktsRtx)}}
 	}))
@@ -244,21 +193,11 @@ func AblationPathsel(cfg Config) *Result {
 	horizon := cfg.scaledTime(200*sim.Second, 40*sim.Second)
 	reps := cfg.reps(3)
 	approaches := []string{"lia", "dts-lia", "lia+selector"}
-	outs := runPar(cfg, res, len(approaches)*reps, func(i int, wd *supervise.Watchdog) ablOut {
-		approach, r := approaches[i/reps], i%reps
-		tp, j, ev := pathselRun(cfg, wd, cfg.Seed+int64(r), approach, horizon)
-		return ablOut{tput: tp, joules: j, events: ev}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(approaches)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		return pathselRun(cfg, wd, cfg.Seed+int64(i%reps), approaches[i/reps], horizon)
+	}))
 	for ai, approach := range approaches {
-		var tput, joules float64
-		for r := 0; r < reps; r++ {
-			o := outs[ai*reps+r]
-			tput += o.tput
-			joules += o.joules
-			res.Events += o.events
-		}
-		tput /= float64(reps)
-		joules /= float64(reps)
+		tput, joules := means[ai][0], means[ai][1]
 		res.AddRow(approach, fmtF(tput/1e6, 2),
 			fmtF(joules/horizon.Seconds(), 2),
 			fmtF(joules/(tput*horizon.Seconds()/1e9), 1))
@@ -267,56 +206,14 @@ func AblationPathsel(cfg Config) *Result {
 }
 
 // pathselRun runs the Fig. 17 wireless scenario with the given approach.
-func pathselRun(cfg Config, wd *supervise.Watchdog, seed int64, approach string, horizon sim.Time) (tputBps, joules float64, events uint64) {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(0)}, workload.ParetoConfig{
-		RateBps: 8 * netem.Mbps,
-	}).Start()
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(1)}, workload.ParetoConfig{
-		RateBps: 16 * netem.Mbps,
-	}).Start()
-	alg := approach
-	if approach == "lia+selector" {
-		alg = "lia"
+func pathselRun(cfg Config, wd *supervise.Watchdog, seed int64, approach string, horizon sim.Time) repOut {
+	r := world{exp: "abl-pathsel", scenario: "hetwireless", alg: approach, sc: handsetWorld(seed, approach, horizon)}
+	if approach != "lia+selector" {
+		return handsetRun(cfg, wd, r, nil)
 	}
-	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, RwndSegments: 45}, 1, het.Paths()...)
-	if approach == "lia+selector" {
-		pathsel.New(eng, conn, []energy.Model{energy.NewWiFi(), energy.NewLTE()},
+	r.sc.Algorithm = "lia"
+	return handsetRun(cfg, wd, r, func(w *backend.World) {
+		pathsel.New(w.Eng, w.Conn, []energy.Model{energy.NewWiFi(), energy.NewLTE()},
 			pathsel.Config{}).Start()
-	}
-	meter := newHandsetMeter(eng, conn, true)
-	obs := cfg.observe(eng, "abl-pathsel", "hetwireless", approach, seed)
-	defer obs.Abort()
-	obs.Conn("", conn)
-	obs.Sample("host.joules", func() float64 { return meter.joules })
-	obs.Start()
-	conn.Start()
-	eng.Run(horizon)
-	obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-	obs.Summary("energy_j", meter.joules)
-	obs.Close()
-	return conn.MeanThroughputBps(), meter.joules, eng.Processed()
-}
-
-// fig17RunWith is fig17Run with an explicit algorithm instance.
-func fig17RunWith(seed int64, alg core.Algorithm, horizon sim.Time) (tputBps, joules float64, events uint64) {
-	eng := sim.NewEngine(seed)
-	het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-	for _, l := range het.Paths()[1].Forward {
-		l.SetPrice(2.0, 0.1, 12)
-	}
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(0)}, workload.ParetoConfig{
-		RateBps: 8 * netem.Mbps,
-	}).Start()
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(1)}, workload.ParetoConfig{
-		RateBps: 16 * netem.Mbps,
-	}).Start()
-	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia", RwndSegments: 45}, 1, het.Paths()...)
-	replaceAlg(conn, alg)
-	meter := newHandsetMeter(eng, conn, true)
-	conn.Start()
-	eng.Run(horizon)
-	return conn.MeanThroughputBps(), meter.joules, eng.Processed()
+	})
 }

@@ -1,6 +1,8 @@
 // Package exp reproduces the paper's evaluation: one runner per figure,
-// each building its scenario from the substrate packages, running it on
-// the simulator and reporting the same rows/series the paper plots.
+// each declaring its worlds as backend.Scenarios, taking every one through
+// the same run sequence (Config.run) and reporting the same rows/series the
+// paper plots. How a Scenario becomes a wired, observed simulation is
+// internal/backend's business (ARCHITECTURE.md, "How a run is assembled").
 //
 // Runners accept a Scale knob so the test suite and benchmarks can run
 // reduced versions (fewer users, shorter horizons) while cmd/mptcp-bench
@@ -220,8 +222,7 @@ type Result struct {
 	Events uint64
 	// Flows counts the workload flows the experiment offered, for the
 	// population-scale runs; cmd/mptcp-bench derives a flows/sec figure
-	// from it so cmd/bench-diff can gate churn-path regressions. Zero for
-	// figures without a flow population.
+	// from it. Zero for figures without a flow population.
 	Flows uint64
 	// Interrupted reports that Config.Ctx was cancelled before every run
 	// of the figure was dispatched: the table is missing rows (each noted)
@@ -235,11 +236,13 @@ func (r *Result) AddRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
 }
 
-// runRow is one parallel run's rendered table row plus its event count;
-// figures whose runs map 1:1 to rows collect these from the pool.
+// runRow is one parallel run's rendered table row plus its event count and
+// the flows it offered; figures whose runs map 1:1 to rows collect these
+// from the pool.
 type runRow struct {
 	cells  []string
 	events uint64
+	flows  uint64
 }
 
 // addRows appends pool-collected rows in submission order and accumulates
@@ -253,7 +256,35 @@ func (r *Result) addRows(rows []runRow) {
 		}
 		r.AddRow(row.cells...)
 		r.Events += row.events
+		r.Flows += row.flows
 	}
+}
+
+// repOut is one repetition's outcome on the pool, for the figures that average
+// repetitions: up to four scalars plus the events the run processed.
+type repOut struct {
+	v      [4]float64
+	events uint64
+}
+
+// meanOver averages each consecutive group of reps pool outcomes — group g
+// is outs[g*reps : (g+1)*reps] — summing in index order, the order every
+// printed digit was produced under, and adds the runs' events to r.
+func meanOver(r *Result, reps int, outs []repOut) [][4]float64 {
+	means := make([][4]float64, len(outs)/reps)
+	for i, o := range outs {
+		m := &means[i/reps]
+		for k, v := range o.v {
+			m[k] += v
+		}
+		r.Events += o.events
+	}
+	for g := range means {
+		for k := range means[g] {
+			means[g][k] /= float64(reps)
+		}
+	}
+	return means
 }
 
 // String renders an aligned text table.

@@ -3,13 +3,14 @@ package exp
 import (
 	"fmt"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/faults"
 	"mptcpsim/internal/flows"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
+	"mptcpsim/internal/topo"
 )
 
 // This file adds the population-scale churn experiment the ROADMAP's
@@ -28,26 +29,16 @@ var (
 	churnScenarios  = []string{"open", "overload"}
 )
 
-// churnOut is one run's rendered row plus the throughput counters the
-// benchmark payload reports.
-type churnOut struct {
-	cells  []string
-	events uint64
-	flows  uint64
-}
-
 // runChurn executes one algorithm under one arrival regime on a FatTree
 // sized by the scale knob, with a switch-link fault schedule running
 // concurrently with the arrival storm.
-func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut {
-	seed := cfg.Seed
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	obs := cfg.observe(eng, "churn", scenario, alg, seed)
-	defer obs.Abort()
-
-	net := dcBuild(eng, "fattree", cfg.Scale)
-	hosts := net.Hosts()
+func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) runRow {
+	params := dcParams("fattree", cfg.Scale)
+	k := params.Size
+	if k == 0 {
+		k = 8 // the registry's default: the paper's 128-host tree
+	}
+	hosts := k * k * k / 4
 	total := cfg.scaled(50_000, 800)
 
 	// The open regime offers what the tree can drain; overload modulates
@@ -72,73 +63,66 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut
 	default:
 		panic("exp: unknown churn scenario " + scenario)
 	}
+	arrDur := sim.Time(float64(total) / openRate * float64(sim.Second))
 
 	// The table's percentiles are exact and over completed flows only, so
 	// the run keeps one sample per completion; the manager keeps none.
 	var fcts, gputs, joules []float64
-	mgr := flows.MustNew(eng, net, flows.Config{
-		Algorithm:     alg,
-		TotalFlows:    total,
-		MaxConcurrent: capFlows,
-		Arrivals:      arrivals,
-		Check:         obs.Inv(),
-		Emit: func(r flows.Report) {
-			if r.Shed == "" {
-				fcts = append(fcts, r.FCT.Seconds())
-				gputs = append(gputs, r.GoodputBps)
-				joules = append(joules, r.Joules)
-			}
-			obs.Flow(obsv.Flow{
-				T: r.At.Seconds(), ID: r.ID, Class: r.Class.String(),
-				Bytes: r.Bytes, FCTSeconds: r.FCT.Seconds(),
-				GoodputBps: r.GoodputBps, Joules: r.Joules,
-				Subflows: r.Subflows, Shed: r.Shed,
-			})
-		},
-	})
-	obs.Sample("flows.live", func() float64 { return float64(mgr.Live()) })
-	obs.Sample("flows.offered", func() float64 { return float64(mgr.Stats().Offered) })
-	obs.Sample("flows.shed", func() float64 { return float64(mgr.Stats().ShedCapacity) })
-
-	// Fault schedule concurrent with the churn: one switch link dies
-	// mid-storm and heals, another flaps throughout — failover must keep
-	// working while flows are being born and torn down. Instants are
-	// fractions of the arrival phase so every scale exercises them while
-	// arrivals are still coming.
-	arrDur := sim.Time(float64(total) / openRate * float64(sim.Second))
-	if sw, ok := net.(interface{ SwitchLinks() []*netem.Link }); ok {
-		links := sw.SwitchLinks()
-		faults.ApplyLinks(eng, links[:1], faults.Outage{Down: arrDur / 4, Up: arrDur / 2})
-		faults.ApplyLinks(eng, links[1:2], faults.Flap{
-			Start: arrDur / 6, Period: arrDur / 3, DownFor: arrDur / 12,
-		})
-	}
-
-	mgr.OnDrained = eng.Stop
-	obs.Start()
-	mgr.Start()
-	// Generous backstop: the run normally stops when the population
-	// drains; whatever is still alive at the horizon is cut and accounted.
-	eng.Run(4*arrDur + 60*sim.Second)
-	mgr.CutLive()
-
-	st := mgr.Stats()
 	p := func(xs []float64, q float64) float64 {
 		if len(xs) == 0 {
 			return 0
 		}
 		return stats.Percentile(xs, q)
 	}
-	obs.Summary("flows_offered", float64(st.Offered))
-	obs.Summary("flows_completed", float64(st.Completed))
-	obs.Summary("flows_shed", float64(st.ShedCapacity))
-	obs.Summary("flows_cut", float64(st.Cut))
-	obs.Summary("peak_live", float64(st.PeakLive))
-	obs.Summary("fct_p99_s", p(fcts, 99))
-	obs.Summary("j_per_flow_p99", p(joules, 99))
-	obs.Close()
+	var st flows.Stats
+	w := cfg.run(wd, world{
+		exp: "churn", scenario: scenario, alg: alg,
+		sc: backend.Scenario{
+			Topology: "fattree", Net: params, EnergyModel: "none", Seed: cfg.Seed,
+			// Generous backstop: the run normally stops when the population
+			// drains; whatever is still alive at the horizon is cut and
+			// accounted.
+			Horizon: 4*arrDur + 60*sim.Second,
+			Population: &flows.Config{
+				Algorithm:     alg,
+				TotalFlows:    total,
+				MaxConcurrent: capFlows,
+				Arrivals:      arrivals,
+				Emit: func(r flows.Report) {
+					if r.Shed == "" {
+						fcts = append(fcts, r.FCT.Seconds())
+						gputs = append(gputs, r.GoodputBps)
+						joules = append(joules, r.Joules)
+					}
+				},
+			},
+		},
+		attach: func(w *backend.World, obs *obsv.Observer) {
+			w.Observe(obs)
+			// Fault schedule concurrent with the churn: one switch link dies
+			// mid-storm and heals, another flaps throughout — failover must
+			// keep working while flows are being born and torn down. Instants
+			// are fractions of the arrival phase so every scale exercises
+			// them while arrivals are still coming.
+			links := w.Net.(*topo.FatTree).SwitchLinks()
+			faults.ApplyLinks(w.Eng, links[:1], faults.Outage{Down: arrDur / 4, Up: arrDur / 2})
+			faults.ApplyLinks(w.Eng, links[1:2], faults.Flap{
+				Start: arrDur / 6, Period: arrDur / 3, DownFor: arrDur / 12,
+			})
+		},
+		summary: func(w *backend.World, obs *obsv.Observer) {
+			st = w.Pop.Stats()
+			obs.Summary("flows_offered", float64(st.Offered))
+			obs.Summary("flows_completed", float64(st.Completed))
+			obs.Summary("flows_shed", float64(st.ShedCapacity))
+			obs.Summary("flows_cut", float64(st.Cut))
+			obs.Summary("peak_live", float64(st.PeakLive))
+			obs.Summary("fct_p99_s", p(fcts, 99))
+			obs.Summary("j_per_flow_p99", p(joules, 99))
+		},
+	})
 
-	return churnOut{
+	return runRow{
 		cells: []string{
 			scenario, alg,
 			fmt.Sprintf("%d", st.Offered),
@@ -150,7 +134,7 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) churnOut
 			fmtF(p(gputs, 50)/1e6, 2),
 			fmtF(p(joules, 50), 3), fmtF(p(joules, 95), 3), fmtF(p(joules, 99), 3),
 		},
-		events: eng.Processed(),
+		events: w.Eng.Processed(),
 		flows:  st.Offered,
 	}
 }
@@ -173,16 +157,8 @@ func FigChurn(cfg Config) *Result {
 	}
 	algs := filterAxis(churnAlgorithms, cfg.Algorithm)
 	scenarios := filterAxis(churnScenarios, cfg.Scenario)
-	outs := runPar(cfg, res, len(scenarios)*len(algs), func(i int, wd *supervise.Watchdog) churnOut {
+	res.addRows(runPar(cfg, res, len(scenarios)*len(algs), func(i int, wd *supervise.Watchdog) runRow {
 		return runChurn(cfg, wd, algs[i%len(algs)], scenarios[i/len(algs)])
-	})
-	for _, o := range outs {
-		if o.cells == nil {
-			continue
-		}
-		res.AddRow(o.cells...)
-		res.Events += o.events
-		res.Flows += o.flows
-	}
+	}))
 	return res
 }

@@ -3,9 +3,11 @@ package exp
 import (
 	"fmt"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
@@ -47,47 +49,52 @@ func Fig10(cfg Config) *Result {
 	}
 	outcomes := runPar(cfg, res, len(algs), func(i int, wd *supervise.Watchdog) outcome {
 		a := algs[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		vpc := topo.NewEC2VPC(eng, topo.EC2Config{Hosts: hosts, MarkThreshold: 20})
-		perm := workload.Permutation(eng, hosts)
-		obs := cfg.observe(eng, "fig10", fmt.Sprintf("ec2-%dhosts", hosts), a.name, cfg.Seed)
-		defer obs.Abort()
-
-		remaining := hosts
 		meters := make([]*energy.Meter, hosts)
+		var out outcome
 		var doneSum float64
-		for h := 0; h < hosts; h++ {
-			h := h
-			conn := mptcp.MustNew(eng,
-				mptcp.Config{Algorithm: a.name, TransferBytes: transfer},
-				uint64(h+1), vpc.Paths(h, perm[h], a.paths)...)
-			meters[h] = meterFor(eng, energy.NewXeon(), conn)
-			if h == 0 {
-				obs.Conn("host0.", conn)
-				obs.Meter("host0.host", meters[h])
-			}
-			conn.OnComplete = func(at sim.Time) {
-				meters[h].Stop()
-				doneSum += at.Seconds()
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
+		w := cfg.run(wd, world{
+			exp: "fig10", scenario: fmt.Sprintf("ec2-%dhosts", hosts), alg: a.name,
+			sc: backend.Scenario{
+				Topology: "ec2", Net: topo.Params{Size: hosts},
+				EnergyModel: "none", Seed: cfg.Seed, Horizon: 4000 * sim.Second,
+			},
+			attach: func(w *backend.World, obs *obsv.Observer) {
+				eng := w.Eng
+				perm := workload.Permutation(eng, hosts)
+				remaining := hosts
+				for h := 0; h < hosts; h++ {
+					h := h
+					conn := mptcp.MustNew(eng,
+						mptcp.Config{Algorithm: a.name, TransferBytes: transfer},
+						uint64(h+1), w.Net.Paths(h, perm[h], a.paths)...)
+					meters[h] = meterFor(eng, energy.NewXeon(), conn)
+					if h == 0 {
+						obs.Conn("host0.", conn)
+						obs.Meter("host0.host", meters[h])
+					}
+					conn.OnComplete = func(at sim.Time) {
+						meters[h].Stop()
+						doneSum += at.Seconds()
+						remaining--
+						if remaining == 0 {
+							eng.Stop()
+						}
+					}
+					conn.Start()
 				}
-			}
-			conn.Start()
-		}
-		obs.Start()
-		eng.Run(4000 * sim.Second)
-		var joules float64
-		for _, m := range meters {
-			m.Flush() // transfers the horizon cut off still owe their residual
-			joules += m.Joules()
-		}
-		obs.Summary("aggregate_j", joules)
-		obs.Summary("mean_completion_s", doneSum/float64(hosts))
-		obs.Close()
-		return outcome{joules: joules, meanDone: doneSum / float64(hosts), events: eng.Processed()}
+			},
+			summary: func(_ *backend.World, obs *obsv.Observer) {
+				for _, m := range meters {
+					m.Flush() // transfers the horizon cut off still owe their residual
+					out.joules += m.Joules()
+				}
+				out.meanDone = doneSum / float64(hosts)
+				obs.Summary("aggregate_j", out.joules)
+				obs.Summary("mean_completion_s", out.meanDone)
+			},
+		})
+		out.events = w.Eng.Processed()
+		return out
 	})
 	base := outcomes[0].joules // algs[0] is reno
 	for i, a := range algs {
@@ -100,65 +107,21 @@ func Fig10(cfg Config) *Result {
 	return res
 }
 
-// dcNet is the common surface of the three datacenter topologies.
-type dcNet interface {
-	Hosts() int
-	Paths(src, dst, n int) []*netem.Path
-}
-
-// dcBuild constructs a datacenter topology sized by the scale knob.
-func dcBuild(eng *sim.Engine, kind string, scale float64) dcNet {
-	full := scale >= 0.75
-	switch kind {
-	case "fattree":
-		k := 4
-		if full {
-			k = 8
-		}
-		ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: k})
-		if err != nil {
-			panic(err)
-		}
-		return ft
-	case "vl2":
-		c := topo.VL2Config{HostsPerToR: 2, ToRs: 8, Aggs: 4, Ints: 4}
-		if full {
-			c = topo.VL2Config{} // paper scale: 64 ToRs, 8 aggs, 8 ints
-		}
-		v, err := topo.NewVL2(eng, c)
-		if err != nil {
-			panic(err)
-		}
-		return v
-	case "bcube":
-		c := topo.BCubeConfig{N: 3, K: 1}
-		switch {
-		case full:
-			c = topo.BCubeConfig{} // paper scale: BCube(5,2)
-		case scale >= 0.12:
-			c = topo.BCubeConfig{N: 3, K: 2} // 27 hosts, 3 NICs each
-		}
-		b, err := topo.NewBCube(eng, c)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	default:
-		panic("unknown datacenter topology " + kind)
+// dcParams sizes a datacenter topology by the scale knob: the paper's
+// fabric (FatTree(8), VL2 64/8/8, BCube(5,2)) from scale 0.75 up, a small
+// one below.
+func dcParams(kind string, scale float64) topo.Params {
+	switch {
+	case scale >= 0.75:
+		return topo.Params{}
+	case kind == "fattree":
+		return topo.Params{Size: 4}
+	case kind == "vl2":
+		return topo.Params{Size: 8} // 8 ToRs, 4 aggs, 4 ints
+	case scale >= 0.12:
+		return topo.Params{Size: 3, Levels: 2} // BCube: 27 hosts, 3 NICs each
 	}
-}
-
-// dcPricedLinks enables the Eq. 6 energy price on a topology's
-// switch-to-switch links, when it has any.
-func dcPricedLinks(net dcNet) {
-	type switched interface{ SwitchLinks() []*netem.Link }
-	sw, ok := net.(switched)
-	if !ok {
-		return
-	}
-	for _, l := range sw.SwitchLinks() {
-		l.SetPrice(1.0, 0.05, l.QueueLimit()/4)
-	}
+	return topo.Params{Size: 3, Levels: 1}
 }
 
 // dcRun runs one random-destination experiment, matching the paper's
@@ -166,44 +129,54 @@ func dcPricedLinks(net dcNet) {
 // chosen at random"): destinations may collide, which is precisely why
 // extra subflows cannot add capacity in the single-NIC FatTree/VL2 hosts
 // but keep helping BCube's multi-NIC servers. It returns aggregate energy
-// (J), aggregate goodput (bytes) and the mean per-connection throughput
-// (b/s). obs (which may be nil) records host 0's connection and meter plus
-// the aggregate outcome, and is closed before dcRun returns.
-func dcRun(net dcNet, eng *sim.Engine, alg string, subflows int, horizon sim.Time, priced bool, obs *expObs) (joules float64, bytes uint64, meanTput float64) {
-	if priced {
-		dcPricedLinks(net)
-	}
-	hosts := net.Hosts()
-	conns := make([]*mptcp.Conn, 0, hosts)
-	meters := make([]*energy.Meter, 0, hosts)
-	for h := 0; h < hosts; h++ {
-		dst := eng.Rand().Intn(hosts - 1)
-		if dst >= h {
-			dst++
-		}
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg},
-			uint64(h+1), net.Paths(h, dst, subflows)...)
-		conns = append(conns, conn)
-		meters = append(meters, meterFor(eng, energy.NewI7(), conn))
-		if h == 0 {
-			obs.Conn("host0.", conn)
-			obs.Meter("host0.host", meters[h])
-		}
-		conn.Start()
-	}
-	obs.Start()
-	eng.Run(horizon)
-	for i, c := range conns {
-		meters[i].Flush()
-		joules += meters[i].Joules()
-		bytes += c.AckedBytes()
-		meanTput += c.MeanThroughputBps()
-	}
-	meanTput /= float64(hosts)
-	obs.Summary("aggregate_j", joules)
-	obs.Summary("agg_goodput_mbps", float64(bytes)*8/horizon.Seconds()/1e6)
-	obs.Close()
-	return joules, bytes, meanTput
+// (J), aggregate goodput (bytes, and b/s over the horizon) for meanOver;
+// the record holds host 0's connection and meter plus the aggregate outcome.
+// priced enables the Eq. 6 energy price on the switch-to-switch links.
+func dcRun(cfg Config, wd *supervise.Watchdog, expID, kind, scenario, alg string, seed int64, subflows int, horizon sim.Time, priced bool) repOut {
+	var conns []*mptcp.Conn
+	var meters []*energy.Meter
+	var joules float64
+	var bytes uint64
+	w := cfg.run(wd, world{
+		exp: expID, scenario: scenario, alg: alg,
+		sc: backend.Scenario{
+			Topology: kind, Net: dcParams(kind, cfg.Scale),
+			EnergyModel: "none", Seed: seed, Horizon: horizon,
+		},
+		attach: func(w *backend.World, obs *obsv.Observer) {
+			if sw, ok := w.Net.(interface{ SwitchLinks() []*netem.Link }); ok && priced {
+				for _, l := range sw.SwitchLinks() {
+					l.SetPrice(1.0, 0.05, l.QueueLimit()/4)
+				}
+			}
+			eng, hosts := w.Eng, w.Net.Hosts()
+			for h := 0; h < hosts; h++ {
+				dst := eng.Rand().Intn(hosts - 1)
+				if dst >= h {
+					dst++
+				}
+				conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg},
+					uint64(h+1), w.Net.Paths(h, dst, subflows)...)
+				conns = append(conns, conn)
+				meters = append(meters, meterFor(eng, energy.NewI7(), conn))
+				if h == 0 {
+					obs.Conn("host0.", conn)
+					obs.Meter("host0.host", meters[h])
+				}
+				conn.Start()
+			}
+		},
+		summary: func(_ *backend.World, obs *obsv.Observer) {
+			for i, c := range conns {
+				meters[i].Flush()
+				joules += meters[i].Joules()
+				bytes += c.AckedBytes()
+			}
+			obs.Summary("aggregate_j", joules)
+			obs.Summary("agg_goodput_mbps", float64(bytes)*8/horizon.Seconds()/1e6)
+		},
+	})
+	return repOut{v: [4]float64{joules, float64(bytes), float64(bytes) * 8 / horizon.Seconds()}, events: w.Eng.Processed()}
 }
 
 // dcOverheadSweep produces one of Figs. 12-14: energy overhead (J per
@@ -219,40 +192,16 @@ func dcOverheadSweep(cfg Config, kind, expect string) *Result {
 	horizon := cfg.scaledTime(60*sim.Second, 10*sim.Second)
 	reps := cfg.reps(3)
 	subflows := []int{1, 2, 4, 8}
-	outs := runPar(cfg, res, len(subflows)*reps, func(i int, wd *supervise.Watchdog) dcOut {
-		nsub, r := subflows[i/reps], i%reps
-		eng := sim.NewEngine(cfg.Seed + int64(r))
-		wd.Attach(eng)
-		net := dcBuild(eng, kind, cfg.Scale)
-		obs := cfg.observe(eng, res.ID, fmt.Sprintf("%s-%dsub", kind, nsub), "lia", cfg.Seed+int64(r))
-		defer obs.Abort()
-		j, b, _ := dcRun(net, eng, "lia", nsub, horizon, false, obs)
-		return dcOut{joules: j, bytes: b, events: eng.Processed()}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(subflows)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		nsub := subflows[i/reps]
+		return dcRun(cfg, wd, res.ID, kind, fmt.Sprintf("%s-%dsub", kind, nsub), "lia", cfg.Seed+int64(i%reps), nsub, horizon, false)
+	}))
 	for s, nsub := range subflows {
-		var joules, tput float64
-		var bytes uint64
-		for r := 0; r < reps; r++ {
-			o := outs[s*reps+r]
-			joules += o.joules
-			bytes += o.bytes
-			tput += float64(o.bytes) * 8 / horizon.Seconds()
-			res.Events += o.events
-		}
-		joules /= float64(reps)
-		bytes /= uint64(reps)
-		tput /= float64(reps)
+		joules, bytes, tput := means[s][0], uint64(means[s][1]), means[s][2]
 		res.AddRow(fmt.Sprintf("%d", nsub), fmtF(tput/1e6, 0),
 			fmtF(joules, 0), fmtF(energy.PerGigabit(joules, bytes), 1))
 	}
 	return res
-}
-
-// dcOut is one datacenter run's payload on the pool.
-type dcOut struct {
-	joules float64
-	bytes  uint64
-	events uint64
 }
 
 // Fig12 is the BCube sweep (paper: more subflows reduce energy overhead).
@@ -283,35 +232,16 @@ func dcCompareAlgs(cfg Config, res *Result) map[string]map[string][3]float64 {
 	reps := cfg.reps(3)
 	kinds := []string{"fattree", "vl2"}
 	algs := []string{"lia", "dts-lia", "dtsep-lia"}
-	outs := runPar(cfg, res, len(kinds)*len(algs)*reps, func(i int, wd *supervise.Watchdog) dcOut {
-		kind := kinds[i/(len(algs)*reps)]
-		alg := algs[i/reps%len(algs)]
-		r := i % reps
-		eng := sim.NewEngine(cfg.Seed + int64(r))
-		wd.Attach(eng)
-		net := dcBuild(eng, kind, cfg.Scale)
-		obs := cfg.observe(eng, res.ID, fmt.Sprintf("%s-priced-8sub", kind), alg, cfg.Seed+int64(r))
-		defer obs.Abort()
-		j, b, _ := dcRun(net, eng, alg, 8, horizon, true, obs)
-		return dcOut{joules: j, bytes: b, events: eng.Processed()}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(kinds)*len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		kind, alg := kinds[i/(len(algs)*reps)], algs[i/reps%len(algs)]
+		return dcRun(cfg, wd, res.ID, kind, fmt.Sprintf("%s-priced-8sub", kind), alg, cfg.Seed+int64(i%reps), 8, horizon, true)
+	}))
 	out := make(map[string]map[string][3]float64)
 	for k, kind := range kinds {
 		out[kind] = make(map[string][3]float64)
 		for a, alg := range algs {
-			var joules, tput float64
-			var bytes uint64
-			for r := 0; r < reps; r++ {
-				o := outs[(k*len(algs)+a)*reps+r]
-				joules += o.joules
-				bytes += o.bytes
-				tput += float64(o.bytes) * 8 / horizon.Seconds()
-				res.Events += o.events
-			}
-			joules /= float64(reps)
-			bytes /= uint64(reps)
-			tput /= float64(reps)
-			out[kind][alg] = [3]float64{energy.PerGigabit(joules, bytes), tput, joules}
+			m := means[k*len(algs)+a]
+			out[kind][alg] = [3]float64{energy.PerGigabit(m[0], uint64(m[1])), m[2], m[0]}
 		}
 	}
 	return out

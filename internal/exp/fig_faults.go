@@ -3,10 +3,11 @@ package exp
 import (
 	"fmt"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/faults"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/topo"
@@ -29,27 +30,17 @@ var (
 	faultsScenarios  = []string{"outage", "flap", "handover"}
 )
 
-// faultsOutcome is one run's scoreboard.
-type faultsOutcome struct {
-	completedS  float64
-	goodputMbps float64
-	jPerGbit    float64
-	reinjected  float64
-	events      uint64
-}
-
-// runFaultScenario executes one algorithm under one fault scenario. Fault
-// instants are fractions of the horizon so every Scale still exercises
-// failure, survival and recovery before the transfer would finish.
-func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scenario string, horizon sim.Time) faultsOutcome {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	obs := cfg.observe(eng, "faults", scenario, alg, seed)
-	defer obs.Abort()
-	var conn *mptcp.Conn
+// runFaultScenario executes one algorithm under one fault scenario and
+// returns completion time (s), goodput (Mb/s), J/Gb and re-injected segments
+// for meanOver. Fault instants are fractions of the horizon so every Scale
+// still exercises failure, survival and recovery before the transfer would
+// finish.
+func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scenario string, horizon sim.Time) repOut {
+	r := world{exp: "faults", scenario: scenario, sc: backend.Scenario{
+		Algorithm: alg, Seed: seed, Horizon: horizon,
+	}}
+	sc := &r.sc
 	var joules func() float64
-	flush := func() {}
-
 	// Size the transfer so the fault hits mid-transfer AND the faulted
 	// path's return (outage heals, flap cycles) still matters before the
 	// transfer ends — otherwise outage and flap are indistinguishable and
@@ -58,71 +49,68 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 	// handover scenario uses a lower estimate: its surviving LTE path has
 	// a 200 ms RTT, where coupled window growth delivers far less than
 	// line rate over these horizons.
-	bytes := int64(20e6 / 8 * horizon.Seconds() * 2 / 3)
-	if scenario == "handover" {
-		bytes = int64(6e6 / 8 * horizon.Seconds() / 3)
-	}
-
+	dur := func(t sim.Time) string { return t.Duration().String() }
 	switch scenario {
 	case "outage", "flap":
-		tp := topo.NewTwoPath(eng, topo.TwoPathConfig{Rate: 20 * netem.Mbps, QueueLimit: 50})
-		conn = mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, TransferBytes: bytes}, 1, tp.Paths()...)
-		m := meterFor(eng, energy.NewI7(), conn)
-		joules = m.Joules
-		flush = m.Flush
-		obs.Meter("host", m)
-		if scenario == "outage" {
-			faults.Apply(eng, tp.Paths()[1], faults.Outage{Down: horizon / 6, Up: horizon / 2})
-		} else {
-			faults.Apply(eng, tp.Paths()[1], faults.Flap{
-				Start: horizon / 6, Period: horizon / 6, DownFor: horizon / 18,
-			})
+		sc.Topology, sc.Net = "twopath", topo.Params{Rates: [2]int64{20 * netem.Mbps, 20 * netem.Mbps}, Queue: 50}
+		sc.TransferBytes = int64(20e6 / 8 * horizon.Seconds() * 2 / 3)
+		sc.EnergyModel = "i7"
+		sc.Faults = "path1:down@" + dur(horizon/6) + ",up@" + dur(horizon/2)
+		if scenario == "flap" {
+			sc.Faults = "path1:flap@" + dur(horizon/6) + "+" + dur(horizon/6) + "/" + dur(horizon/18)
+		}
+		r.attach = func(w *backend.World, obs *obsv.Observer) {
+			joules = w.Meter.Joules
+			// Host series ahead of the connection's: the order the committed
+			// faults records list them in.
+			obs.Meter("host", w.Meter)
+			obs.Conn("", w.Conn)
 		}
 	case "handover":
 		// No 64 KB receive-window cap here (unlike Fig. 17): the LTE path's
 		// 100 ms RTT would pin it at ~5 Mb/s and the completion times would
 		// measure the buffer, not the failover.
-		het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-		conn = mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, TransferBytes: bytes}, 1, het.Paths()...)
-		m := newHandsetMeter(eng, conn, true)
-		joules = func() float64 { return m.joules }
-		obs.Sample("host.joules", joules)
-		// The user walks away from the AP: WiFi degrades to 1 Mb/s and
-		// 100 ms per hop, drops entirely, then comes back and recovers as
-		// they return — the paper's mobility story as a fault schedule.
-		faults.Apply(eng, het.Paths()[0],
-			faults.Ramp{Start: horizon / 6, Duration: horizon / 6, RateTo: netem.Mbps, DelayTo: 100 * sim.Millisecond},
-			faults.Outage{Down: horizon / 3, Up: 2 * horizon / 3},
-			faults.Ramp{Start: 2 * horizon / 3, Duration: horizon / 12, RateTo: 10 * netem.Mbps, DelayTo: 20 * sim.Millisecond},
-		)
+		sc.Topology = "hetwireless"
+		sc.TransferBytes = int64(6e6 / 8 * horizon.Seconds() / 3)
+		sc.EnergyModel = "none"
+		r.attach = func(w *backend.World, obs *obsv.Observer) {
+			m := newHandsetMeter(w.Eng, w.Conn, true)
+			joules = func() float64 { return m.joules }
+			obs.Sample("host.joules", joules)
+			// The user walks away from the AP: WiFi degrades to 1 Mb/s and
+			// 100 ms per hop, drops entirely, then comes back and recovers as
+			// they return — the paper's mobility story as a fault schedule
+			// (typed: the -fault grammar has no ramp).
+			faults.Apply(w.Eng, w.Paths[0],
+				faults.Ramp{Start: horizon / 6, Duration: horizon / 6, RateTo: netem.Mbps, DelayTo: 100 * sim.Millisecond},
+				faults.Outage{Down: horizon / 3, Up: 2 * horizon / 3},
+				faults.Ramp{Start: 2 * horizon / 3, Duration: horizon / 12, RateTo: 10 * netem.Mbps, DelayTo: 20 * sim.Millisecond},
+			)
+			obs.Conn("", w.Conn)
+		}
 	default:
 		panic("exp: unknown fault scenario " + scenario)
 	}
 
-	obs.Conn("", conn)
-	obs.Start()
-	conn.Start()
-	eng.Run(horizon)
-	flush()
-
-	completed := horizon
-	if conn.Done() {
-		completed = conn.CompletedAt()
+	var out repOut
+	r.summary = func(w *backend.World, obs *obsv.Observer) {
+		conn := w.Conn
+		completed := horizon
+		if conn.Done() {
+			completed = conn.CompletedAt()
+		}
+		var goodputMbps float64
+		if completed > 0 {
+			goodputMbps = float64(conn.AckedBytes()) * 8 / completed.Seconds() / 1e6
+		}
+		out.v = [4]float64{completed.Seconds(), goodputMbps,
+			energy.PerGigabit(joules(), conn.AckedBytes()), float64(conn.ReinjectedSegs())}
+		obs.Summary("completed_s", out.v[0])
+		obs.Summary("goodput_mbps", out.v[1])
+		obs.Summary("j_per_gbit", out.v[2])
+		obs.Summary("reinjected_segs", out.v[3])
 	}
-	out := faultsOutcome{
-		completedS: completed.Seconds(),
-		reinjected: float64(conn.ReinjectedSegs()),
-		events:     eng.Processed(),
-	}
-	if completed > 0 {
-		out.goodputMbps = float64(conn.AckedBytes()) * 8 / completed.Seconds() / 1e6
-	}
-	out.jPerGbit = energy.PerGigabit(joules(), conn.AckedBytes())
-	obs.Summary("completed_s", out.completedS)
-	obs.Summary("goodput_mbps", out.goodputMbps)
-	obs.Summary("j_per_gbit", out.jPerGbit)
-	obs.Summary("reinjected_segs", out.reinjected)
-	obs.Close()
+	out.events = cfg.run(wd, r).Eng.Processed()
 	return out
 }
 
@@ -143,29 +131,14 @@ func FigFaults(cfg Config) *Result {
 	reps := cfg.reps(3)
 	algs := filterAxis(faultsAlgorithms, cfg.Algorithm)
 	scenarios := filterAxis(faultsScenarios, cfg.Scenario)
-	outs := runPar(cfg, res, len(scenarios)*len(algs)*reps, func(i int, wd *supervise.Watchdog) faultsOutcome {
-		scenario := scenarios[i/(len(algs)*reps)]
-		alg := algs[i/reps%len(algs)]
-		r := i % reps
-		return runFaultScenario(cfg, wd, cfg.Seed+int64(r), alg, scenario, horizon)
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(scenarios)*len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		scenario, alg := scenarios[i/(len(algs)*reps)], algs[i/reps%len(algs)]
+		return runFaultScenario(cfg, wd, cfg.Seed+int64(i%reps), alg, scenario, horizon)
+	}))
 	for s, scenario := range scenarios {
 		for a, alg := range algs {
-			var acc faultsOutcome
-			for r := 0; r < reps; r++ {
-				o := outs[(s*len(algs)+a)*reps+r]
-				acc.completedS += o.completedS
-				acc.goodputMbps += o.goodputMbps
-				acc.jPerGbit += o.jPerGbit
-				acc.reinjected += o.reinjected
-				res.Events += o.events
-			}
-			n := float64(reps)
-			res.AddRow(scenario, alg,
-				fmtF(acc.completedS/n, 2),
-				fmtF(acc.goodputMbps/n, 2),
-				fmtF(acc.jPerGbit/n, 1),
-				fmt.Sprintf("%.0f", acc.reinjected/n))
+			m := means[s*len(algs)+a]
+			res.AddRow(scenario, alg, fmtF(m[0], 2), fmtF(m[1], 2), fmtF(m[2], 1), fmt.Sprintf("%.0f", m[3]))
 		}
 	}
 	return res

@@ -3,54 +3,41 @@ package exp
 import (
 	"fmt"
 
-	"mptcpsim/internal/supervise"
-
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/topo"
 )
 
 // This file reproduces the measurement study of §III: Figs. 1-4.
 
-// twoNICPaths builds the paper's testbed machine pair: two NICs, one
-// disjoint path per NIC. Queues are sized to at least the
-// bandwidth-delay product, as NIC rings and switch buffers on a real
-// testbed are; a far-below-BDP buffer would collapse throughput at the
-// gigabit rates of Fig. 3a.
-func twoNICPaths(eng *sim.Engine, rate int64, delay sim.Time) []*netem.Path {
-	qlimit := int(rate * int64(4*delay) / (8 * 1500 * int64(sim.Second)))
-	if qlimit < 100 {
-		qlimit = 100
+// twoNICPaths is the paper's testbed machine pair: two NICs, one disjoint
+// single-link path per NIC — a substrate the topology registry does not name
+// (its one-pair topologies are two-hop, with a shared hop for cross traffic).
+// qlimit 0 sizes the queues to at least the bandwidth-delay product, as NIC
+// rings and switch buffers on a real testbed are; a far-below-BDP buffer
+// would collapse throughput at the gigabit rates of Fig. 3a.
+func twoNICPaths(rate int64, delay sim.Time, qlimit int) func(*sim.Engine) []*netem.Path {
+	if qlimit == 0 {
+		qlimit = max(int(rate*int64(4*delay)/(8*1500*int64(sim.Second))), 100)
 	}
-	mk := func(name string) *netem.Path {
-		fwd := netem.NewLink(eng, netem.LinkConfig{Name: name + "-f", Rate: rate, Delay: delay, QueueLimit: qlimit})
-		rev := netem.NewLink(eng, netem.LinkConfig{Name: name + "-r", Rate: rate, Delay: delay, QueueLimit: qlimit})
-		return &netem.Path{Name: name, Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
+	return func(eng *sim.Engine) []*netem.Path {
+		return []*netem.Path{
+			linkPath(eng, "nic0", rate, delay, qlimit, qlimit),
+			linkPath(eng, "nic1", rate, delay, qlimit, qlimit),
+		}
 	}
-	return []*netem.Path{mk("nic0"), mk("nic1")}
 }
 
-// fixedQueuePaths is twoNICPaths with an explicit queue limit, for sweeps
-// where the buffer must stay constant across rows.
-func fixedQueuePaths(eng *sim.Engine, rate int64, delay sim.Time, qlimit int) []*netem.Path {
-	mk := func(name string) *netem.Path {
-		fwd := netem.NewLink(eng, netem.LinkConfig{Name: name + "-f", Rate: rate, Delay: delay, QueueLimit: qlimit})
-		rev := netem.NewLink(eng, netem.LinkConfig{Name: name + "-r", Rate: rate, Delay: delay, QueueLimit: qlimit})
-		return &netem.Path{Name: name, Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
-	}
-	return []*netem.Path{mk("nic0"), mk("nic1")}
-}
-
-// repeatPaths fans n subflows over the given physical paths round-robin
-// (the kernel path manager's num_subflows).
-func repeatPaths(paths []*netem.Path, n int) []*netem.Path {
-	out := make([]*netem.Path, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, paths[i%len(paths)])
-	}
-	return out
+// linkPath is a one-link-each-way path (reverse queue 0: the link default).
+func linkPath(eng *sim.Engine, name string, rate int64, delay sim.Time, fwdQ, revQ int) *netem.Path {
+	fwd := netem.NewLink(eng, netem.LinkConfig{Name: name + "-f", Rate: rate, Delay: delay, QueueLimit: fwdQ})
+	rev := netem.NewLink(eng, netem.LinkConfig{Name: name + "-r", Rate: rate, Delay: delay, QueueLimit: revQ})
+	return &netem.Path{Name: name, Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
 }
 
 // Fig1 measures sender CPU power for classic TCP (one NIC) and MPTCP with
@@ -80,28 +67,27 @@ func Fig1(cfg Config) *Result {
 	}
 	res.addRows(runPar(cfg, res, len(specs), func(i int, wd *supervise.Watchdog) runRow {
 		sp := specs[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		paths := twoNICPaths(eng, 100*netem.Mbps, 150*sim.Microsecond)
-		if sp.singleNIC {
-			paths = paths[:1]
-		}
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: algFor(sp.nsub)}, 1, repeatPaths(paths, sp.nsub)...)
-		meter := meterFor(eng, energy.NewI7(), conn)
-		obs := cfg.observe(eng, "fig1", fmt.Sprintf("%s-%dsub", sp.label, sp.nsub), algFor(sp.nsub), cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Meter("host", meter)
-		obs.Start()
-		conn.Start()
-		eng.Run(horizon)
-		meter.Flush()
-		obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-		obs.Summary("power_w", meter.MeanPower())
-		obs.Close()
-		return runRow{events: eng.Processed(), cells: []string{
+		w := cfg.run(wd, world{
+			exp: "fig1", scenario: fmt.Sprintf("%s-%dsub", sp.label, sp.nsub),
+			sc: backend.Scenario{
+				Algorithm: algFor(sp.nsub), Subflows: sp.nsub,
+				EnergyModel: "i7", Seed: cfg.Seed, Horizon: horizon,
+			},
+			ready: func(eng *sim.Engine) []*netem.Path {
+				paths := twoNICPaths(100*netem.Mbps, 150*sim.Microsecond, 0)(eng)
+				if sp.singleNIC {
+					paths = paths[:1]
+				}
+				return paths
+			},
+			summary: func(w *backend.World, obs *obsv.Observer) {
+				obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+				obs.Summary("power_w", w.Meter.MeanPower())
+			},
+		})
+		return runRow{events: w.Eng.Processed(), cells: []string{
 			sp.label, fmt.Sprintf("%d", sp.nsub),
-			fmtF(conn.MeanThroughputBps()/1e6, 1), fmtF(meter.MeanPower(), 2)}}
+			fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}}
 	}))
 	return res
 }
@@ -139,34 +125,42 @@ func Fig2(cfg Config) *Result {
 	}
 	res.addRows(runPar(cfg, res, len(specs), func(i int, wd *supervise.Watchdog) runRow {
 		sp := specs[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-		var paths []*netem.Path
-		if sp.useWiFi {
-			paths = append(paths, het.Paths()[0])
-		}
-		if sp.useLTE {
-			paths = append(paths, het.Paths()[1])
-		}
 		alg := "lia"
-		if len(paths) == 1 {
+		if !sp.useWiFi || !sp.useLTE {
 			alg = "reno"
 		}
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg}, 1, paths...)
-		meter := newHandsetMeter(eng, conn, sp.useWiFi && sp.useLTE)
-		obs := cfg.observe(eng, "fig2", sp.label, alg, cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Sample("host.joules", func() float64 { return meter.joules })
-		obs.Start()
-		conn.Start()
-		eng.Run(horizon)
-		obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-		obs.Summary("power_w", meter.MeanPower())
-		obs.Close()
-		return runRow{events: eng.Processed(), cells: []string{
-			sp.label, fmtF(conn.MeanThroughputBps()/1e6, 1), fmtF(meter.MeanPower(), 2)}}
+		var meter *handsetMeter
+		w := cfg.run(wd, world{
+			exp: "fig2", scenario: sp.label,
+			sc: backend.Scenario{Algorithm: alg, EnergyModel: "none", Seed: cfg.Seed, Horizon: horizon},
+			// One radio alone is a subset of the handset's routes, which a
+			// Scenario cannot say; the routes themselves are the registry's.
+			ready: func(eng *sim.Engine) []*netem.Path {
+				net, err := topo.Build(eng, "hetwireless", topo.Params{})
+				if err != nil {
+					panic(err)
+				}
+				routes := net.Paths(0, 1, 0)
+				switch {
+				case !sp.useLTE:
+					return routes[:1]
+				case !sp.useWiFi:
+					return routes[1:]
+				}
+				return routes
+			},
+			attach: func(w *backend.World, obs *obsv.Observer) {
+				meter = newHandsetMeter(w.Eng, w.Conn, sp.useWiFi && sp.useLTE)
+				obs.Conn("", w.Conn)
+				obs.Sample("host.joules", func() float64 { return meter.joules })
+			},
+			summary: func(w *backend.World, obs *obsv.Observer) {
+				obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+				obs.Summary("power_w", meter.MeanPower())
+			},
+		})
+		return runRow{events: w.Eng.Processed(), cells: []string{
+			sp.label, fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(meter.MeanPower(), 2)}}
 	}))
 	return res
 }
@@ -242,39 +236,44 @@ func Fig3a(cfg Config) *Result {
 	rates := []int64{200, 400, 600, 800, 1000}
 	res.addRows(runPar(cfg, res, len(rates), func(i int, wd *supervise.Watchdog) runRow {
 		mbps := rates[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		paths := twoNICPaths(eng, mbps/2*netem.Mbps, 150*sim.Microsecond)
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia", TransferBytes: transfer}, 1, paths...)
-		meter := meterFor(eng, energy.NewI7(), conn)
-		obs := cfg.observe(eng, "fig3a", fmt.Sprintf("wired-%dmbps", mbps), "lia", cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Meter("host", meter)
-		obs.Start()
-		var done sim.Time
-		conn.OnComplete = func(at sim.Time) {
-			done = at
-			meter.Stop()
-			eng.Stop()
-		}
-		conn.Start()
-		eng.Run(2000 * sim.Second)
-		if done == 0 {
-			done = eng.Now()
-			meter.Flush()
-		}
-		obs.Summary("energy_j", meter.Joules())
-		obs.Summary("time_s", done.Seconds())
-		obs.Close()
-		return runRow{events: eng.Processed(), cells: []string{
-			fmt.Sprintf("%d", mbps),
-			fmtF(conn.MeanThroughputBps()/1e6, 1),
-			fmtF(meter.MeanPower(), 2),
-			fmtF(meter.Joules(), 1),
-			fmtF(done.Seconds(), 2)}}
+		return transferRow(cfg, wd, mbps, world{
+			exp: "fig3a", scenario: fmt.Sprintf("wired-%dmbps", mbps),
+			sc: backend.Scenario{
+				Algorithm: "lia", TransferBytes: transfer,
+				EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2000 * sim.Second,
+			},
+			ready: twoNICPaths(mbps/2*netem.Mbps, 150*sim.Microsecond, 0),
+		})
 	}))
 	return res
+}
+
+// transferRow runs one fixed transfer (Figs. 3a/3b), stopping the meter and
+// the engine at completion, and renders its row.
+func transferRow(cfg Config, wd *supervise.Watchdog, mbps int64, r world) runRow {
+	var done sim.Time
+	r.attach = func(w *backend.World, obs *obsv.Observer) {
+		w.Observe(obs)
+		w.Conn.OnComplete = func(at sim.Time) {
+			done = at
+			w.Meter.Stop()
+			w.Eng.Stop()
+		}
+	}
+	r.summary = func(w *backend.World, obs *obsv.Observer) {
+		if done == 0 {
+			done = w.Eng.Now() // cut by the horizon
+		}
+		obs.Summary("energy_j", w.Meter.Joules())
+		obs.Summary("time_s", done.Seconds())
+	}
+	w := cfg.run(wd, r)
+	return runRow{events: w.Eng.Processed(), cells: []string{
+		fmt.Sprintf("%d", mbps),
+		fmtF(w.Conn.MeanThroughputBps()/1e6, 1),
+		fmtF(w.Meter.MeanPower(), 2),
+		fmtF(w.Meter.Joules(), 1),
+		fmtF(done.Seconds(), 2)}}
 }
 
 // Fig3b downloads a fixed amount of data over WiFi at increasing rates.
@@ -294,39 +293,17 @@ func Fig3b(cfg Config) *Result {
 	rates := []int64{10, 20, 30, 40, 50}
 	res.addRows(runPar(cfg, res, len(rates), func(i int, wd *supervise.Watchdog) runRow {
 		mbps := rates[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		fwd := netem.NewLink(eng, netem.LinkConfig{Name: "wifi-f", Rate: mbps * netem.Mbps, Delay: 20 * sim.Millisecond, QueueLimit: 100})
-		rev := netem.NewLink(eng, netem.LinkConfig{Name: "wifi-r", Rate: mbps * netem.Mbps, Delay: 20 * sim.Millisecond, QueueLimit: 100})
-		p := &netem.Path{Name: "wifi", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno", TransferBytes: transfer}, 1, p)
-		meter := meterFor(eng, energy.NewWiFi(), conn)
-		obs := cfg.observe(eng, "fig3b", fmt.Sprintf("wifi-%dmbps", mbps), "reno", cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Meter("host", meter)
-		obs.Start()
-		var done sim.Time
-		conn.OnComplete = func(at sim.Time) {
-			done = at
-			meter.Stop()
-			eng.Stop()
-		}
-		conn.Start()
-		eng.Run(4000 * sim.Second)
-		if done == 0 {
-			done = eng.Now()
-			meter.Flush()
-		}
-		obs.Summary("energy_j", meter.Joules())
-		obs.Summary("time_s", done.Seconds())
-		obs.Close()
-		return runRow{events: eng.Processed(), cells: []string{
-			fmt.Sprintf("%d", mbps),
-			fmtF(conn.MeanThroughputBps()/1e6, 1),
-			fmtF(meter.MeanPower(), 2),
-			fmtF(meter.Joules(), 1),
-			fmtF(done.Seconds(), 2)}}
+		return transferRow(cfg, wd, mbps, world{
+			exp: "fig3b", scenario: fmt.Sprintf("wifi-%dmbps", mbps),
+			sc: backend.Scenario{
+				Algorithm: "reno", TransferBytes: transfer,
+				EnergyModel: "wifi", Seed: cfg.Seed, Horizon: 4000 * sim.Second,
+			},
+			// One WiFi link each way: no registered topology is a single hop.
+			ready: func(eng *sim.Engine) []*netem.Path {
+				return []*netem.Path{linkPath(eng, "wifi", mbps*netem.Mbps, 20*sim.Millisecond, 100, 100)}
+			},
+		})
 	}))
 	return res
 }
@@ -356,33 +333,30 @@ func Fig4(cfg Config) *Result {
 	delays := []sim.Time{500 * sim.Microsecond, 2 * sim.Millisecond, 5 * sim.Millisecond}
 	res.addRows(runPar(cfg, res, len(delays), func(i int, wd *supervise.Watchdog) runRow {
 		delay := delays[i]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		paths := fixedQueuePaths(eng, 100*netem.Mbps, delay, 100)
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, paths...)
-		meter := meterFor(eng, energy.NewI7(), conn)
-		obs := cfg.observe(eng, "fig4", fmt.Sprintf("delay-%dus", delay/sim.Microsecond), "lia", cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Meter("host", meter)
-		obs.Start()
-		conn.Start()
-		// Discard the startup transient so the longer-RTT runs are
-		// measured at the same steady throughput as the short ones.
-		warmup := horizon
-		eng.Run(warmup)
-		bytes0, joules0 := conn.AckedBytes(), meter.Joules()
-		eng.Run(warmup + horizon)
-		meter.Flush()
-		window := horizon.Seconds()
-		tput := float64(conn.AckedBytes()-bytes0) * 8 / window
-		power := (meter.Joules() - joules0) / window
-		obs.Summary("throughput_mbps", tput/1e6)
-		obs.Summary("power_w", power)
-		obs.Close()
-		return runRow{events: eng.Processed(), cells: []string{
+		var tput, power float64
+		w := cfg.run(wd, world{
+			exp: "fig4", scenario: fmt.Sprintf("delay-%dus", delay/sim.Microsecond),
+			sc:    backend.Scenario{Algorithm: "lia", EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2 * horizon},
+			ready: twoNICPaths(100*netem.Mbps, delay, 100),
+			// Discard the startup transient so the longer-RTT runs are
+			// measured at the same steady throughput as the short ones.
+			drive: func(w *backend.World) {
+				w.Eng.Run(horizon)
+				bytes0, joules0 := w.Conn.AckedBytes(), w.Meter.Joules()
+				w.Eng.Run(2 * horizon)
+				w.Meter.Flush()
+				window := horizon.Seconds()
+				tput = float64(w.Conn.AckedBytes()-bytes0) * 8 / window
+				power = (w.Meter.Joules() - joules0) / window
+			},
+			summary: func(_ *backend.World, obs *obsv.Observer) {
+				obs.Summary("throughput_mbps", tput/1e6)
+				obs.Summary("power_w", power)
+			},
+		})
+		return runRow{events: w.Eng.Processed(), cells: []string{
 			fmtF(delay.Seconds()*1000, 1),
-			fmtF(conn.MeanSRTTSeconds()*1000, 1),
+			fmtF(w.Conn.MeanSRTTSeconds()*1000, 1),
 			fmtF(tput/1e6, 1),
 			fmtF(power, 2)}}
 	}))

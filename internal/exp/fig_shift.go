@@ -3,14 +3,15 @@ package exp
 import (
 	"fmt"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 // This file reproduces §VI-A and §VI-B: the Fig. 5a multi-user sharing
@@ -65,50 +66,52 @@ func Fig6(cfg Config) *Result {
 // When records are exported, user 0 is the observed connection (one record
 // per run; the other users are statistically equivalent).
 func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, transfer int64) ([]float64, uint64) {
-	eng := sim.NewEngine(cfg.Seed)
-	wd.Attach(eng)
-	d := topo.NewDumbbell(eng, topo.DumbbellConfig{Users: 3 * n})
-	obs := cfg.observe(eng, "fig6", fmt.Sprintf("dumbbell-%dusers", n), alg, cfg.Seed)
-	defer obs.Abort()
-
-	remaining := n
 	meters := make([]*energy.Meter, n)
-	for u := 0; u < n; u++ {
-		u := u
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, TransferBytes: transfer},
-			uint64(u+1), d.MPTCPPaths(u)...)
-		meters[u] = meterFor(eng, energy.NewI7(), conn)
-		if u == 0 {
-			obs.Conn("user0.", conn)
-			obs.Meter("user0.host", meters[u])
-		}
-		conn.OnComplete = func(sim.Time) {
-			meters[u].Stop()
-			remaining--
-			if remaining == 0 {
-				eng.Stop()
-			}
-		}
-		conn.Start()
-	}
-	// 2N long-lived TCP users, N per bottleneck.
-	for u := 0; u < n; u++ {
-		t0 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(1000+u), d.TCPPath(n+u, 0))
-		t1 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(2000+u), d.TCPPath(2*n+u, 1))
-		t0.Start()
-		t1.Start()
-	}
-	obs.Start()
-	eng.Run(600 * sim.Second)
-
 	out := make([]float64, n)
-	for u, m := range meters {
-		m.Flush() // integrate the residual for transfers cut off by the horizon
-		out[u] = m.Joules()
-	}
-	obs.Summary("user0_energy_j", out[0])
-	obs.Close()
-	return out, eng.Processed()
+	w := cfg.run(wd, world{
+		exp: "fig6", scenario: fmt.Sprintf("dumbbell-%dusers", n), alg: alg,
+		sc: backend.Scenario{
+			Topology: "dumbbell", Net: topo.Params{Size: 3 * n},
+			EnergyModel: "none", Seed: cfg.Seed, Horizon: 600 * sim.Second,
+		},
+		attach: func(w *backend.World, obs *obsv.Observer) {
+			eng, d := w.Eng, w.Net.(*topo.Dumbbell)
+			remaining := n
+			for u := 0; u < n; u++ {
+				u := u
+				conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, TransferBytes: transfer},
+					uint64(u+1), d.MPTCPPaths(u)...)
+				meters[u] = meterFor(eng, energy.NewI7(), conn)
+				if u == 0 {
+					obs.Conn("user0.", conn)
+					obs.Meter("user0.host", meters[u])
+				}
+				conn.OnComplete = func(sim.Time) {
+					meters[u].Stop()
+					remaining--
+					if remaining == 0 {
+						eng.Stop()
+					}
+				}
+				conn.Start()
+			}
+			// 2N long-lived TCP users, N per bottleneck.
+			for u := 0; u < n; u++ {
+				t0 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(1000+u), d.TCPPath(n+u, 0))
+				t1 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(2000+u), d.TCPPath(2*n+u, 1))
+				t0.Start()
+				t1.Start()
+			}
+		},
+		summary: func(_ *backend.World, obs *obsv.Observer) {
+			for u, m := range meters {
+				m.Flush() // integrate the residual for transfers cut off by the horizon
+				out[u] = m.Joules()
+			}
+			obs.Summary("user0_energy_j", out[0])
+		},
+	})
+	return out, w.Eng.Processed()
 }
 
 // fig7Algorithms are the existing algorithms compared for traffic shifting
@@ -116,38 +119,35 @@ func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, tra
 // and anchor the comparison).
 var fig7Algorithms = []string{"lia", "olia", "balia", "ecmtcp", "cubic", "vegas", "wvegas"}
 
-// shiftRun runs one Fig. 5b experiment: an MPTCP connection over two paths
-// with Pareto bursty cross traffic on each, returning mean goodput (b/s),
-// sender energy (J) and events processed. expID names the figure the run
-// record (if any) is filed under.
-func shiftRun(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg string, horizon sim.Time) (tputBps, joules float64, events uint64) {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	// 45 Mb/s bursts on a 50 Mb/s path genuinely flip it to the Bad
-	// state of Fig. 5b; on a faster path they would barely register.
-	tp := topo.NewTwoPath(eng, topo.TwoPathConfig{Rate: 50 * netem.Mbps})
-	for i := 0; i < 2; i++ {
-		cross := workload.NewParetoOnOff(eng, []*netem.Link{tp.CrossEntry(i)}, workload.ParetoConfig{
-			RateBps: 45 * netem.Mbps,
-			MeanOff: 10 * sim.Second,
-			MeanOn:  5 * sim.Second,
-		})
-		cross.Start()
+// burstTwoPath is the Fig. 5b world: an MPTCP connection over two 50 Mb/s
+// paths with Pareto bursty cross traffic on each. The 45 Mb/s bursts
+// genuinely flip a 50 Mb/s path to the Bad state; on a faster path they
+// would barely register.
+func burstTwoPath(seed int64, alg string, horizon sim.Time) backend.Scenario {
+	return backend.Scenario{
+		Topology: "twopath", Net: topo.Params{Rates: [2]int64{50 * netem.Mbps, 50 * netem.Mbps}},
+		Algorithm: alg, Cross: true, EnergyModel: "i7", Seed: seed, Horizon: horizon,
 	}
-	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg}, 1, tp.Paths()...)
-	meter := meterFor(eng, energy.NewI7(), conn)
-	obs := cfg.observe(eng, expID, "burst-twopath", alg, seed)
-	defer obs.Abort()
-	obs.Conn("", conn)
-	obs.Meter("host", meter)
-	obs.Start()
-	conn.Start()
-	eng.Run(horizon)
-	meter.Flush()
-	obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-	obs.Summary("energy_j", meter.Joules())
-	obs.Close()
-	return conn.MeanThroughputBps(), meter.Joules(), eng.Processed()
+}
+
+// shiftSummary and shiftOutcome are a Fig. 5b run's filed and returned
+// outcomes: mean goodput (b/s), sender energy (J), events processed.
+func shiftSummary(w *backend.World, obs *obsv.Observer) {
+	obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+	obs.Summary("energy_j", w.Meter.Joules())
+}
+
+func shiftOutcome(w *backend.World) repOut {
+	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), w.Meter.Joules()}, events: w.Eng.Processed()}
+}
+
+// shiftRun runs one Fig. 5b experiment; expID names the figure the run
+// record (if any) is filed under.
+func shiftRun(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg string, horizon sim.Time) repOut {
+	return shiftOutcome(cfg.run(wd, world{
+		exp: expID, scenario: "burst-twopath",
+		sc: burstTwoPath(seed, alg, horizon), summary: shiftSummary,
+	}))
 }
 
 // Fig7 compares the existing algorithms' shifting behaviour under bursty
@@ -164,27 +164,13 @@ func Fig7(cfg Config) *Result {
 	}
 	horizon := cfg.scaledTime(300*sim.Second, 60*sim.Second)
 	reps := cfg.reps(5)
-	type shiftOut struct {
-		tput, joules float64
-		events       uint64
-	}
 	// One pool run per (algorithm, repetition); the seed depends only on
 	// the repetition index, exactly as the sequential loops derived it.
-	outs := runPar(cfg, res, len(fig7Algorithms)*reps, func(i int, wd *supervise.Watchdog) shiftOut {
-		alg, r := fig7Algorithms[i/reps], i%reps
-		tp, j, ev := shiftRun(cfg, wd, "fig7", cfg.Seed+int64(r), alg, horizon)
-		return shiftOut{tput: tp, joules: j, events: ev}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(fig7Algorithms)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		return shiftRun(cfg, wd, "fig7", cfg.Seed+int64(i%reps), fig7Algorithms[i/reps], horizon)
+	}))
 	for a, alg := range fig7Algorithms {
-		var tput, joules float64
-		for r := 0; r < reps; r++ {
-			o := outs[a*reps+r]
-			tput += o.tput
-			joules += o.joules
-			res.Events += o.events
-		}
-		tput /= float64(reps)
-		joules /= float64(reps)
+		tput, joules := means[a][0], means[a][1]
 		gbits := tput * horizon.Seconds() / 1e9
 		res.AddRow(alg, fmtF(tput/1e6, 1), fmtF(joules, 1), fmtF(joules/gbits, 1))
 	}
@@ -214,37 +200,25 @@ func Fig8(cfg Config) *Result {
 	// the pool fans out over algorithms only.
 	traces := runPar(cfg, res, len(algs), func(ai int, wd *supervise.Watchdog) traceOut {
 		alg := algs[ai]
-		eng := sim.NewEngine(cfg.Seed)
-		wd.Attach(eng)
-		// 45 Mb/s bursts on a 50 Mb/s path genuinely flip it to the Bad
-		// state of Fig. 5b; on a faster path they would barely register.
-		tp := topo.NewTwoPath(eng, topo.TwoPathConfig{Rate: 50 * netem.Mbps})
-		for i := 0; i < 2; i++ {
-			workload.NewParetoOnOff(eng, []*netem.Link{tp.CrossEntry(i)}, workload.ParetoConfig{}).Start()
-		}
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg}, 1, tp.Paths()...)
-		meter := meterFor(eng, energy.NewI7(), conn)
-		obs := cfg.observe(eng, "fig8", "burst-twopath", alg, cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Meter("host", meter)
-		obs.Start()
-		conn.Start()
 		var out traceOut
-		var lastBytes uint64
-		step := horizon / samples
-		for i := 1; i <= samples; i++ {
-			eng.Run(step * sim.Time(i))
-			delta := conn.AckedBytes() - lastBytes
-			lastBytes = conn.AckedBytes()
-			out.rows = append(out.rows, []string{alg, fmtF((step * sim.Time(i)).Seconds(), 0),
-				fmtF(float64(delta)*8/step.Seconds()/1e6, 1),
-				fmtF(meter.Joules(), 1)})
-		}
-		meter.Flush()
-		obs.Summary("energy_j", meter.Joules())
-		obs.Close()
-		out.events = eng.Processed()
+		w := cfg.run(wd, world{
+			exp: "fig8", scenario: "burst-twopath",
+			sc: burstTwoPath(cfg.Seed, alg, horizon),
+			drive: func(w *backend.World) {
+				var lastBytes uint64
+				step := horizon / samples
+				for i := 1; i <= samples; i++ {
+					w.Eng.Run(step * sim.Time(i))
+					delta := w.Conn.AckedBytes() - lastBytes
+					lastBytes = w.Conn.AckedBytes()
+					out.rows = append(out.rows, []string{alg, fmtF((step * sim.Time(i)).Seconds(), 0),
+						fmtF(float64(delta)*8/step.Seconds()/1e6, 1),
+						fmtF(w.Meter.Joules(), 1)})
+				}
+			},
+			summary: func(w *backend.World, obs *obsv.Observer) { obs.Summary("energy_j", w.Meter.Joules()) },
+		})
+		out.events = w.Eng.Processed()
 		return out
 	})
 	for _, tr := range traces {
@@ -273,25 +247,11 @@ func Fig9(cfg Config) *Result {
 	perGbit := make(map[string]float64)
 	tputs := make(map[string]float64)
 	algs := []string{"lia", "dts", "dts-lia", "dts-taylor"}
-	type shiftOut struct {
-		tput, joules float64
-		events       uint64
-	}
-	outs := runPar(cfg, res, len(algs)*reps, func(i int, wd *supervise.Watchdog) shiftOut {
-		alg, r := algs[i/reps], i%reps
-		tp, j, ev := shiftRun(cfg, wd, "fig9", cfg.Seed+int64(r), alg, horizon)
-		return shiftOut{tput: tp, joules: j, events: ev}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		return shiftRun(cfg, wd, "fig9", cfg.Seed+int64(i%reps), algs[i/reps], horizon)
+	}))
 	for a, alg := range algs {
-		var tput, joules float64
-		for r := 0; r < reps; r++ {
-			o := outs[a*reps+r]
-			tput += o.tput
-			joules += o.joules
-			res.Events += o.events
-		}
-		tput /= float64(reps)
-		joules /= float64(reps)
+		tput, joules := means[a][0], means[a][1]
 		perGbit[alg] = joules / (tput * horizon.Seconds() / 1e9)
 		tputs[alg] = tput
 	}

@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/backend"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
-	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
 
 // This file reproduces §VI-C-2: the heterogeneous wireless experiment
@@ -16,49 +14,49 @@ import (
 // receive buffer, under bursty cross traffic on both links, exactly the
 // paper's ns-2 setup; handset energy comes from the Nexus radio models.
 
-// fig17Run executes one 200 s (scaled) run and returns goodput (b/s),
-// handset energy (J) and events processed. expID names the figure the run
-// record (if any) is filed under.
-func fig17Run(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg string, horizon sim.Time, priceLTE bool) (tputBps, joules float64, events uint64) {
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-	if priceLTE {
-		// The compensative parameter prices the energy-expensive 4G hop:
-		// the LTE radio's high base power maps to a standing per-packet
-		// price plus a queue-pressure term.
-		for _, l := range het.Paths()[1].Forward {
-			l.SetPrice(2.0, 0.1, 12)
-		}
-	}
-	// Cross traffic on both links, scaled to each link's capacity so both
-	// paths flip between Good and Bad states.
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(0)}, workload.ParetoConfig{
-		RateBps: 8 * netem.Mbps,
-	}).Start()
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(1)}, workload.ParetoConfig{
-		RateBps: 16 * netem.Mbps,
-	}).Start()
-
+// handsetWorld is the Fig. 17 world: the WiFi+4G handset under bursty cross
+// traffic on both links (scaled to each link's capacity, so both paths flip
+// between Good and Bad states) with a 64 KB receive buffer; energy comes
+// from the Nexus radio models, which the caller attaches.
+func handsetWorld(seed int64, alg string, horizon sim.Time) backend.Scenario {
 	const rwnd64KB = 45 // 64 KiB / 1448-byte segments
-	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, RwndSegments: rwnd64KB},
-		1, het.Paths()...)
-	meter := newHandsetMeter(eng, conn, true)
-	scenario := "hetwireless"
-	if priceLTE {
-		scenario = "hetwireless-priced"
+	return backend.Scenario{
+		Topology: "hetwireless", Algorithm: alg, Rwnd: rwnd64KB, Cross: true,
+		EnergyModel: "none", Seed: seed, Horizon: horizon,
 	}
-	obs := cfg.observe(eng, expID, scenario, alg, seed)
-	defer obs.Abort()
-	obs.Conn("", conn)
-	obs.Sample("host.joules", func() float64 { return meter.joules })
-	obs.Start()
-	conn.Start()
-	eng.Run(horizon)
-	obs.Summary("throughput_mbps", conn.MeanThroughputBps()/1e6)
-	obs.Summary("energy_j", meter.joules)
-	obs.Close()
-	return conn.MeanThroughputBps(), meter.joules, eng.Processed()
+}
+
+// handsetRun runs r — a handsetWorld — with the handset meter attached after
+// whatever before adds, and returns goodput (b/s), handset energy (J) and
+// events processed.
+func handsetRun(cfg Config, wd *supervise.Watchdog, r world, before func(*backend.World)) repOut {
+	var meter *handsetMeter
+	r.attach = func(w *backend.World, obs *obsv.Observer) {
+		if before != nil {
+			before(w)
+		}
+		meter = newHandsetMeter(w.Eng, w.Conn, true)
+		obs.Conn("", w.Conn)
+		obs.Sample("host.joules", func() float64 { return meter.joules })
+	}
+	r.summary = func(w *backend.World, obs *obsv.Observer) {
+		obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+		obs.Summary("energy_j", meter.joules)
+	}
+	w := cfg.run(wd, r)
+	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), meter.joules}, events: w.Eng.Processed()}
+}
+
+// fig17Run executes one 200 s (scaled) run. With priceLTE the compensative
+// parameter prices the energy-expensive 4G hop: the LTE radio's high base
+// power maps to a standing per-packet price plus a queue-pressure term.
+func fig17Run(cfg Config, wd *supervise.Watchdog, seed int64, alg string, horizon sim.Time, priceLTE bool) repOut {
+	r := world{exp: "fig17", scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon)}
+	if priceLTE {
+		r.scenario = "hetwireless-priced"
+		r.sc.Price = &backend.Price{Path: 1, Rho: 2.0, Gamma: 0.1, QTarget: 12}
+	}
+	return handsetRun(cfg, wd, r, nil)
 }
 
 // Fig17 compares LIA, DTS and the extended DTS on handset energy and
@@ -79,25 +77,12 @@ func Fig17(cfg Config) *Result {
 	perGbit := make(map[string]float64)
 	tputs := make(map[string]float64)
 	algs := []string{"lia", "dts", "dts-lia", "dtsep"}
-	type wlOut struct {
-		tput, joules float64
-		events       uint64
-	}
-	outs := runPar(cfg, res, len(algs)*reps, func(i int, wd *supervise.Watchdog) wlOut {
-		alg, r := algs[i/reps], i%reps
-		tp, j, ev := fig17Run(cfg, wd, "fig17", cfg.Seed+int64(r), alg, horizon, alg == "dtsep")
-		return wlOut{tput: tp, joules: j, events: ev}
-	})
+	means := meanOver(res, reps, runPar(cfg, res, len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		alg := algs[i/reps]
+		return fig17Run(cfg, wd, cfg.Seed+int64(i%reps), alg, horizon, alg == "dtsep")
+	}))
 	for a, alg := range algs {
-		var tput, joules float64
-		for r := 0; r < reps; r++ {
-			o := outs[a*reps+r]
-			tput += o.tput
-			joules += o.joules
-			res.Events += o.events
-		}
-		tput /= float64(reps)
-		joules /= float64(reps)
+		tput, joules := means[a][0], means[a][1]
 		gbits := tput * horizon.Seconds() / 1e9
 		perGbit[alg] = joules / gbits
 		tputs[alg] = tput

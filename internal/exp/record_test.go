@@ -7,11 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"mptcpsim/internal/backend"
 	"mptcpsim/internal/check"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/topo"
 )
 
 // fig1Records runs Fig1 with run-record export into a fresh temp dir and
@@ -98,32 +97,30 @@ func openDescriptors(t *testing.T) int {
 	return len(entries)
 }
 
-// TestObserverAbortOnViolation runs an observed run the way every figure
-// closure does — observe, defer Abort, Start, Run, Close — and injects an
-// invariant violation mid-run. FailFast turns it into a panic that skips
-// Close; the deferred Abort must still leave a JSONL that parses through
-// the last tick before the violation with no summary line, the CSV twin of
-// the same rows, and no open descriptor.
+// TestObserverAbortOnViolation runs an observed run through the one run
+// sequence every figure closure uses and injects an invariant violation
+// mid-run. FailFast turns it into a panic that skips Close; the deferred
+// Abort must still leave a JSONL that parses through the last tick before
+// the violation with no summary line, the CSV twin of the same rows, and no
+// open descriptor.
 func TestObserverAbortOnViolation(t *testing.T) {
 	cfg := Config{Seed: 1, OutDir: t.TempDir(), Check: true}
 	before := openDescriptors(t)
 	var panicked any
 	func() {
 		defer func() { panicked = recover() }()
-		eng := sim.NewEngine(cfg.Seed)
-		tp := topo.NewTwoPath(eng, topo.TwoPathConfig{})
-		conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, tp.Paths()...)
-		obs := cfg.observe(eng, "abort", "twopath", "lia", cfg.Seed)
-		defer obs.Abort()
-		obs.Conn("", conn)
-		obs.Summary("never_written", 1)
-		obs.Start()
-		conn.Start()
-		eng.At(1250*sim.Millisecond, func() {
-			obs.Inv().Inject(check.Violation{T: eng.Now(), Invariant: "injected", Detail: "test"})
+		cfg.run(nil, world{
+			exp: "abort", scenario: "twopath",
+			sc: backend.Scenario{Topology: "twopath", Algorithm: "lia", EnergyModel: "none", Seed: cfg.Seed, Horizon: 5 * sim.Second},
+			attach: func(w *backend.World, obs *obsv.Observer) {
+				w.Observe(obs)
+				obs.Summary("never_written", 1)
+				w.Eng.At(1250*sim.Millisecond, func() {
+					obs.Inv().Inject(check.Violation{T: w.Eng.Now(), Invariant: "injected", Detail: "test"})
+				})
+			},
+			summary: func(*backend.World, *obsv.Observer) { t.Error("the run reached its summary") },
 		})
-		eng.Run(5 * sim.Second)
-		obs.Close()
 	}()
 	if panicked == nil {
 		t.Fatal("the injected violation did not panic under FailFast")
@@ -157,8 +154,9 @@ func TestObserverAbortOnViolation(t *testing.T) {
 	}
 }
 
-// TestEveryObserverDefersAbort holds the line every run closure needs:
-// whoever opens an observer defers its Abort in the next statement.
+// TestEveryObserverDefersAbort holds the line the one run sequence needs:
+// the package opens its observer in exactly one place, and defers its Abort
+// in the next statement.
 func TestEveryObserverDefersAbort(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -175,16 +173,17 @@ func TestEveryObserverDefersAbort(t *testing.T) {
 		}
 		lines := strings.Split(string(src), "\n")
 		for i, line := range lines {
-			if !strings.Contains(line, ":= cfg.observe(") {
+			if !strings.Contains(line, "obsv.NewObserver(") {
 				continue
 			}
 			sites++
-			if i+1 >= len(lines) || strings.TrimSpace(lines[i+1]) != "defer obs.Abort()" {
-				t.Errorf("%s:%d opens an observer without deferring obs.Abort()", name, i+1)
+			rest := strings.Join(lines[i+1:min(i+5, len(lines))], "\n")
+			if !strings.Contains(rest, "}\n\tdefer obs.Abort()") {
+				t.Errorf("%s:%d opens an observer without deferring obs.Abort() right after its error check", name, i+1)
 			}
 		}
 	}
-	if sites == 0 {
-		t.Error("found no cfg.observe call: the scan is stale")
+	if sites != 1 {
+		t.Errorf("found %d obsv.NewObserver sites in the package, want the one in Config.run", sites)
 	}
 }

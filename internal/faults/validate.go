@@ -79,6 +79,27 @@ func Validate(pfs []PathFaults, paths []*netem.Path, horizon sim.Time) error {
 	return nil
 }
 
+// Install schedules a fault spec in the Parse grammar against the scenario it
+// will run in: parse, Validate against paths and horizon, resolve each
+// clause's target and Apply its faults. An empty spec installs nothing.
+func Install(eng *sim.Engine, spec string, paths []*netem.Path, horizon sim.Time) error {
+	if spec == "" {
+		return nil
+	}
+	pfs, err := Parse(spec)
+	if err != nil {
+		return err
+	}
+	if err := Validate(pfs, paths, horizon); err != nil {
+		return err
+	}
+	for _, pf := range pfs {
+		p, _ := Resolve(pf.Target, paths) // Validate resolved it already
+		Apply(eng, p, pf.Faults...)
+	}
+	return nil
+}
+
 // describe names a fault for error messages without dumping its full struct.
 func describe(f Fault) string {
 	switch f.(type) {

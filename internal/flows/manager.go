@@ -8,14 +8,12 @@ import (
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/topo"
 )
 
 // Net is the topology surface the manager places flows on: the datacenter
 // topologies (FatTree, VL2, BCube) and the EC2 VPC all satisfy it.
-type Net interface {
-	Hosts() int
-	Paths(src, dst, n int) []*netem.Path
-}
+type Net = topo.Net
 
 // ClassMix is one class's share of the arrival stream.
 type ClassMix struct {

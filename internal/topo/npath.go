@@ -13,10 +13,7 @@ import (
 // engines fan over: per-path asymmetry makes equilibrium shares
 // distinguishable, and disjoint bottlenecks match the fluid model's
 // per-path loss signal (see internal/backend and docs/backends.md).
-//
-// With two paths of equal configuration NPath wires exactly the same nodes,
-// links and names as NewTwoPath, so packet runs over either builder are
-// event-for-event identical (asserted by TestNPathTwoPathEquivalence).
+// TwoPath and HetWireless are NPaths of two specs.
 type NPath struct {
 	g     *graph
 	paths []*netem.Path
@@ -27,6 +24,8 @@ type NPathSpec struct {
 	Rate  int64    // bottleneck capacity (default 100 Mb/s)
 	Delay sim.Time // one-way end-to-end delay (default 10 ms)
 	Queue int      // per-hop DropTail queue (default 100)
+	Name  string   // path and link name (default "path<i>" over "tp" links)
+	Loss  float64  // random loss on both hops, both directions
 }
 
 func (s NPathSpec) withDefaults() NPathSpec {
@@ -53,10 +52,14 @@ func NewNPath(eng *sim.Engine, specs ...NPathSpec) *NPath {
 	for i, spec := range specs {
 		spec = spec.withDefaults()
 		relay := int32(10 + i)
-		lc := netem.LinkConfig{Name: "tp", Rate: spec.Rate, Delay: spec.Delay / 2, QueueLimit: spec.Queue}
+		name, link := fmt.Sprintf("path%d", i), "tp"
+		if spec.Name != "" {
+			name, link = spec.Name, spec.Name
+		}
+		lc := netem.LinkConfig{Name: link, Rate: spec.Rate, Delay: spec.Delay / 2, QueueLimit: spec.Queue, LossProb: spec.Loss}
 		g.biLink(0, relay, lc)
 		g.biLink(relay, 1, lc)
-		n.paths = append(n.paths, g.path(fmt.Sprintf("path%d", i), 0, relay, 1))
+		n.paths = append(n.paths, g.path(name, 0, relay, 1))
 	}
 	return n
 }

@@ -89,6 +89,13 @@ func (d *Dumbbell) TCPPath(u, b int) *netem.Path {
 	return d.g.path(fmt.Sprintf("u%d-tcp%d", u, b), srcHost(u), dumbIngress, egress, dstHost(u))
 }
 
+// Hosts implements Net: one sending host per user.
+func (d *Dumbbell) Hosts() int { return d.users }
+
+// Paths implements Net: n subflows over user src's two routes, one through
+// each bottleneck. dst is ignored — every user has its own sink.
+func (d *Dumbbell) Paths(src, _, n int) []*netem.Path { return Fan(d.MPTCPPaths(src), n) }
+
 // Bottlenecks returns the two shared forward bottleneck links.
 func (d *Dumbbell) Bottlenecks() [2]*netem.Link { return d.bottleneck }
 
@@ -96,10 +103,7 @@ func (d *Dumbbell) Bottlenecks() [2]*netem.Link { return d.bottleneck }
 // two independent paths whose quality flips between Good and Bad as bursty
 // cross traffic comes and goes. CrossEntry(i) exposes the link cross
 // traffic must be injected into.
-type TwoPath struct {
-	g     *graph
-	paths []*netem.Path
-}
+type TwoPath = NPath
 
 // TwoPathConfig parameterizes the Fig. 5b scenario.
 type TwoPathConfig struct {
@@ -108,58 +112,28 @@ type TwoPathConfig struct {
 	QueueLimit int      // per-path queue (default 100)
 
 	// Rates, when non-zero, overrides Rate per path (index 0 and 1) so the
-	// two paths can have asymmetric capacity. The conformance harness uses
-	// this to make the fluid equilibrium's per-path shares distinguishable.
+	// two paths can have asymmetric capacity.
 	Rates [2]int64
 }
 
-// NewTwoPath builds the scenario.
+// NewTwoPath builds the scenario: sender 0, receiver 1, relay switches 10
+// and 11, one per path.
 func NewTwoPath(eng *sim.Engine, cfg TwoPathConfig) *TwoPath {
-	if cfg.Rate == 0 {
-		cfg.Rate = 100 * netem.Mbps
-	}
 	for i := range cfg.Rates {
 		if cfg.Rates[i] == 0 {
 			cfg.Rates[i] = cfg.Rate
 		}
 	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 10 * sim.Millisecond
-	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 100
-	}
-	g := newGraph(eng)
-	// Nodes: sender 0, receiver 1, relay switches 10 and 11 (one per path).
-	lc0 := netem.LinkConfig{Name: "tp", Rate: cfg.Rates[0], Delay: cfg.Delay / 2, QueueLimit: cfg.QueueLimit}
-	lc1 := netem.LinkConfig{Name: "tp", Rate: cfg.Rates[1], Delay: cfg.Delay / 2, QueueLimit: cfg.QueueLimit}
-	g.biLink(0, 10, lc0)
-	g.biLink(10, 1, lc0)
-	g.biLink(0, 11, lc1)
-	g.biLink(11, 1, lc1)
-	return &TwoPath{
-		g: g,
-		paths: []*netem.Path{
-			g.path("path0", 0, 10, 1),
-			g.path("path1", 0, 11, 1),
-		},
-	}
+	return NewNPath(eng,
+		NPathSpec{Rate: cfg.Rates[0], Delay: cfg.Delay, Queue: cfg.QueueLimit},
+		NPathSpec{Rate: cfg.Rates[1], Delay: cfg.Delay, Queue: cfg.QueueLimit})
 }
-
-// Paths returns the sender's two paths.
-func (t *TwoPath) Paths() []*netem.Path { return t.paths }
-
-// CrossEntry returns the forward link of path i that cross traffic shares
-// (the second hop, so the sender's access hop stays clean).
-func (t *TwoPath) CrossEntry(i int) *netem.Link { return t.paths[i].Forward[1] }
 
 // HetWireless is the Fig. 17 scenario: a mobile sender with a WiFi path
-// (10 Mb/s, 40 ms) and a 4G path (20 Mb/s, 100 ms), DropTail queues of 50
-// packets, as in the paper's ns-2 setup.
-type HetWireless struct {
-	g     *graph
-	paths []*netem.Path
-}
+// (10 Mb/s, 40 ms; index 0, through AP node 10) and a 4G path (20 Mb/s,
+// 100 ms; index 1, through base station 11), DropTail queues of 50 packets,
+// as in the paper's ns-2 setup.
+type HetWireless = NPath
 
 // HetWirelessConfig parameterizes the Fig. 17 scenario; zero values take
 // the paper's settings.
@@ -191,28 +165,10 @@ func NewHetWireless(eng *sim.Engine, cfg HetWirelessConfig) *HetWireless {
 	if cfg.Queue == 0 {
 		cfg.Queue = 50
 	}
-	g := newGraph(eng)
-	// Nodes: sender 0, receiver 1, WiFi AP 10, 4G base station 11.
-	wifi := netem.LinkConfig{Name: "wifi", Rate: cfg.WiFiRate, Delay: cfg.WiFiDelay / 2, QueueLimit: cfg.Queue, LossProb: cfg.WiFiLoss}
-	lte := netem.LinkConfig{Name: "lte", Rate: cfg.LTERate, Delay: cfg.LTEDelay / 2, QueueLimit: cfg.Queue}
-	g.biLink(0, 10, wifi)
-	g.biLink(10, 1, wifi)
-	g.biLink(0, 11, lte)
-	g.biLink(11, 1, lte)
-	return &HetWireless{
-		g: g,
-		paths: []*netem.Path{
-			g.path("wifi", 0, 10, 1),
-			g.path("lte", 0, 11, 1),
-		},
-	}
+	return NewNPath(eng,
+		NPathSpec{Name: "wifi", Rate: cfg.WiFiRate, Delay: cfg.WiFiDelay, Queue: cfg.Queue, Loss: cfg.WiFiLoss},
+		NPathSpec{Name: "lte", Rate: cfg.LTERate, Delay: cfg.LTEDelay, Queue: cfg.Queue})
 }
-
-// Paths returns the WiFi path (index 0) and the 4G path (index 1).
-func (h *HetWireless) Paths() []*netem.Path { return h.paths }
-
-// CrossEntry returns the shared hop of path i for cross-traffic injection.
-func (h *HetWireless) CrossEntry(i int) *netem.Link { return h.paths[i].Forward[1] }
 
 // EC2VPC is the Fig. 10 scenario: hosts with four elastic network
 // interfaces, each on its own subnet, giving four routes between every

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-engine experiments full validate sweep docs soak campaign resume-smoke churn-smoke clean
+.PHONY: all build vet test race bench bench-engine experiments examples full validate sweep docs soak campaign resume-smoke churn-smoke clean
 
 all: build vet test race
 
@@ -31,6 +31,12 @@ bench-engine:
 # cores). CI regenerates it and fails on any diff.
 experiments:
 	$(GO) run ./cmd/mptcp-bench -scale 0.15 -seed 1 -markdown > experiments_output.md
+
+# Every example end to end, each under a time bound (the slowest, the
+# datacentre one, takes ~20 s): go build alone does not show an example that
+# wires the library wrongly or no longer finishes.
+examples:
+	for d in examples/*/; do echo "== $$d"; timeout 120 $(GO) run ./$$d || exit 1; done
 
 full:
 	$(GO) run ./cmd/mptcp-bench -full

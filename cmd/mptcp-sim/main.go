@@ -18,7 +18,11 @@
 // on a topology that has cross-traffic entries and is an error elsewhere.
 // -seed picks the base random seed (runs use seed..seed+runs-1), -rwnd caps
 // the connection receive window in segments, and -timeout sets a per-run
-// wall-clock deadline enforced by the run supervisor.
+// wall-clock deadline enforced by the run supervisor. -fault takes a
+// schedule in the internal/faults grammar: per path, down@T/up@T,
+// flap@START+PERIOD/DOWNFOR, ramp@START+DUR=RATE/DELAY (rate and delay move
+// linearly to the targets — a user walking away from an access point),
+// loss@T=P, rate@T=R and delay@T=D.
 //
 // -churn N replaces the single measured connection with an open-loop
 // population (internal/flows): N flows arrive Poisson across random host
@@ -179,7 +183,7 @@ func parse(args []string) (invocation, error) {
 		seed      = fs.Int64("seed", 1, "random seed")
 		cross     = fs.Bool("cross", false, "add Pareto bursty cross traffic (topologies with a cross-traffic entry)")
 		rwnd      = fs.Int64("rwnd", 0, "connection receive window in segments (0 = unlimited)")
-		fault     = fs.String("fault", "", `fault schedule, e.g. "path1:down@2s,up@5s;path0:flap@1s+6s/500ms" (see internal/faults)`)
+		fault     = fs.String("fault", "", `fault schedule, e.g. "path1:down@2s,up@5s;path0:flap@1s+6s/500ms" or "wifi:ramp@5s+10s=1Mbps/100ms" (see internal/faults)`)
 		runs      = fs.Int("runs", 1, "independent runs with seeds seed..seed+runs-1")
 		workers   = fs.Int("j", runner.DefaultWorkers(), "concurrent runs when -runs > 1")
 		traceOut  = fs.String("trace", "", "stream a JSONL run record to this file (per-seed files when -runs > 1)")

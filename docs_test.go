@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mptcpsim/internal/faults"
 )
 
 // TestPackageComments gates the documentation pass: every package in the
@@ -195,8 +197,21 @@ func cliFlags(t *testing.T, file string) (names []string, doc string) {
 
 // TestCLIFlagsDocumented requires every flag a command registers to be
 // mentioned as "-name" in that command's package comment — the text godoc
-// and the README point at. A flag added without prose fails here.
+// and the README point at. A flag added without prose fails here. So does
+// a -fault directive: each one the grammar accepts (faults.Directives) must
+// be written as "kind@" in mptcp-sim's package comment and in the README.
 func TestCLIFlagsDocumented(t *testing.T) {
+	_, simDoc := cliFlags(t, "cmd/mptcp-sim/main.go")
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range faults.Directives {
+		if !strings.Contains(simDoc, kind+"@") || !strings.Contains(string(readme), kind+"@") {
+			t.Errorf("-fault directive %s@ is not described in both cmd/mptcp-sim's package comment and README.md", kind)
+		}
+	}
+
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil {
 		t.Fatal(err)

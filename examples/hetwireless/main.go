@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"mptcpsim/internal/backend"
-	"mptcpsim/internal/energy"
 	"mptcpsim/internal/sim"
 )
 
@@ -37,12 +36,13 @@ func run() error {
 func one(alg string) (tputBps, joules float64, err error) {
 	// The Fig. 17 world, declared: the registry's handset topology, bursty
 	// cross traffic on both radio links (Pareto bursts), the paper's 64 KB
-	// receive buffer, and for dtsep a price on the energy-hungry 4G hop for
-	// the compensative term (Eq. 9).
+	// receive buffer, the Nexus 5 meter (SoC plus both radios, each priced
+	// at the goodput of its own path), and for dtsep a price on the
+	// energy-hungry 4G hop for the compensative term (Eq. 9).
 	const horizon = 120 * sim.Second
 	sc := backend.Scenario{
 		Topology: "hetwireless", Algorithm: alg, Rwnd: 45, Cross: true,
-		EnergyModel: "none", Seed: 7, Horizon: horizon,
+		EnergyModel: "nexus5", Seed: 7, Horizon: horizon,
 	}
 	if alg == "dtsep" {
 		sc.Price = &backend.Price{Path: 1, Rho: 2.0, Gamma: 0.1, QTarget: 12}
@@ -52,32 +52,8 @@ func one(alg string) (tputBps, joules float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	conn := w.Conn
-
-	// Handset energy: SoC plus both radios, with per-radio throughput.
-	nexus := energy.NewNexus()
-	var (
-		lastWiFi, lastLTE int64
-		joulesAcc         float64
-		lastT             sim.Time
-	)
-	var tick func()
-	tick = func() {
-		now := eng.Now()
-		dt := now - lastT
-		lastT = now
-		subs := conn.Subflows()
-		dWiFi := subs[0].Acked() - lastWiFi
-		dLTE := subs[1].Acked() - lastLTE
-		lastWiFi, lastLTE = subs[0].Acked(), subs[1].Acked()
-		wifi := energy.Sample{ThroughputBps: float64(dWiFi) * 1448 * 8 / dt.Seconds(), Subflows: 1}
-		lte := energy.Sample{ThroughputBps: float64(dLTE) * 1448 * 8 / dt.Seconds(), Subflows: 1}
-		joulesAcc += nexus.PowerSplit(wifi, lte) * dt.Seconds()
-		eng.After(energy.DefaultInterval, tick)
-	}
-	eng.After(energy.DefaultInterval, tick)
-
 	w.Start()
 	eng.Run(horizon)
-	return conn.MeanThroughputBps(), joulesAcc, nil
+	w.Settle()
+	return w.Conn.MeanThroughputBps(), w.Meter.Joules(), nil
 }

@@ -100,7 +100,9 @@ type Scenario struct {
 	Population *flows.Config
 
 	// EnergyModel names the host power model metering the measured
-	// connection (energy.Lookup: "i7", "xeon", "wifi", "none").
+	// connection (energy.Names: "i7", "xeon", "wifi", "none", and "nexus5",
+	// the handset, which prices power per radio and so needs every path of
+	// the connection to be one — the routes of "hetwireless").
 	EnergyModel string
 
 	// Seed seeds the engine (engines default it to 1 — the conformance

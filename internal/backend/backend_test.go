@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mptcpsim/internal/energy"
 	"mptcpsim/internal/flows"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/topo"
@@ -199,6 +200,53 @@ func TestFluidEngineEnergyModels(t *testing.T) {
 	}
 	if nres.Joules != 0 {
 		t.Errorf("EnergyModel none reported %v J", nres.Joules)
+	}
+}
+
+// TestEveryEnergyModelOnBothEngines walks energy.Names on the handset
+// topology: Validate accepts each name, both engines meter it with a finite
+// non-negative reading (zero only for "none"), and the handset's reading is
+// Eq. 2's sum over interfaces — SoC, WiFi and LTE terms adding up to the
+// total, the LTE radio's base power among them. Off the handset's radios
+// both engines refuse "nexus5" rather than leave traffic unmetered.
+func TestEveryEnergyModelOnBothEngines(t *testing.T) {
+	for _, name := range energy.Names() {
+		sc := Scenario{Topology: "hetwireless", Algorithm: "lia", EnergyModel: name, Horizon: 6 * sim.Second}
+		if err := sc.WithDefaults().Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", name, err)
+			continue
+		}
+		for _, eng := range []Engine{FluidEngine{}, PacketEngine{}} {
+			res, err := eng.Run(context.Background(), sc)
+			if err != nil {
+				t.Errorf("%s on %s: %v", name, eng.Name(), err)
+				continue
+			}
+			if j := res.Joules; math.IsNaN(j) || math.IsInf(j, 0) || j < 0 || (j == 0) != (name == "none") {
+				t.Errorf("%s on %s: %v J", name, eng.Name(), j)
+			}
+			if name != "nexus5" || eng.Name() != "fluid" {
+				continue
+			}
+			nexus := energy.NewNexus()
+			smp := energy.PathsSample([]energy.PathSample{
+				{Name: "wifi", ThroughputBps: res.RateBps[0], RTTSeconds: res.Op.RTT[0]},
+				{Name: "lte", ThroughputBps: res.RateBps[1], RTTSeconds: res.Op.RTT[1]},
+			})
+			soc, wifi, lte := nexus.Terms(smp)
+			if sum := soc + wifi + lte; sum != nexus.Power(smp) || res.Joules != sum*4 {
+				t.Errorf("nexus5 terms %v + %v + %v W over the 4 s window, engine read %v J", soc, wifi, lte, res.Joules)
+			}
+			if lte < 1.288 || wifi < 0.30 {
+				t.Errorf("nexus5 radio terms wifi %v W, lte %v W: both carry traffic and must be above their active base", wifi, lte)
+			}
+		}
+	}
+	sc := Scenario{Topology: "twopath-sym", Algorithm: "lia", EnergyModel: "nexus5", Horizon: 6 * sim.Second}
+	for _, eng := range []Engine{FluidEngine{}, PacketEngine{}} {
+		if _, err := eng.Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), `none for path "path0"`) {
+			t.Errorf("nexus5 off the handset on %s: %v, want a refusal naming the path", eng.Name(), err)
+		}
 	}
 }
 

@@ -84,7 +84,11 @@ func Wire(eng *sim.Engine, sc Scenario, obs *obsv.Observer, ready ...*netem.Path
 			return nil, fmt.Errorf("backend: %w", err)
 		}
 		w.Conn = conn
-		if model, _ := energy.Lookup(sc.EnergyModel); model != nil {
+		model, err := powerModel(sc.EnergyModel, w.Paths)
+		if err != nil {
+			return nil, err
+		}
+		if model != nil {
 			w.Meter = energy.NewMeter(eng, model, energy.ConnProbe(conn), 0)
 			if sc.Warmup == 0 {
 				w.Meter.Start()
@@ -120,6 +124,22 @@ func Wire(eng *sim.Engine, sc Scenario, obs *obsv.Observer, ready ...*netem.Path
 		w.Pop = mgr
 	}
 	return w, nil
+}
+
+// powerModel resolves a validated scenario's host power model against the
+// paths it will meter. The handset prices power per radio, keyed by path
+// name, so a path it has no radio for would carry traffic unmetered: both
+// engines refuse that by name.
+func powerModel(name string, paths []*netem.Path) (energy.Model, error) {
+	model, _ := energy.Lookup(name)
+	if nexus, ok := model.(*energy.NexusModel); ok {
+		for _, p := range paths {
+			if !nexus.HasRadio(p.Name) {
+				return nil, fmt.Errorf("backend: energy model %q meters the handset's wifi and lte radios and has none for path %q", name, p.Name)
+			}
+		}
+	}
+	return model, nil
 }
 
 // Observe registers the world's standard observables with obs: the measured

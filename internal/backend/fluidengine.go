@@ -6,6 +6,7 @@ import (
 
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/fluid"
+	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
@@ -80,7 +81,11 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 	if !ok {
 		return Result{}, fmt.Errorf("backend: %q has no fluid mapping; use the packet engine", sc.Algorithm)
 	}
-	paths, op, err := fluidPaths(sc)
+	routes, paths, op, err := fluidPaths(sc)
+	if err != nil {
+		return Result{}, err
+	}
+	power, err := powerModel(sc.EnergyModel, routes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -111,26 +116,26 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 		res.RateBps[r] = x * 8 * wirePkt
 		res.AggregateBps += res.RateBps[r]
 	}
-	res.Joules = fluidJoules(sc, res, op)
+	res.Joules = fluidJoules(power, routes, res, sc.Horizon-sc.Warmup)
 	return res, nil
 }
 
-// fluidPaths converts a topology into Eq. 3 paths plus the operating point
-// the model is evaluated at. Capacities and base RTTs are read off the
-// built netem topology (so serialization delays are included exactly as
-// the packet engine sees them). The default operating point models the
-// loss-based steady state: the bottleneck DropTail queue oscillates
-// between empty (right after a synchronized drop) and full, so SRTT is
-// estimated at baseRTT plus half the queue's drain time. Scenario.Op
-// overrides the estimate with a measured one.
-func fluidPaths(sc Scenario) ([]fluid.Path, OperatingPoint, error) {
+// fluidPaths converts a topology into its routes, their Eq. 3 paths and the
+// operating point the model is evaluated at. Capacities and base RTTs are
+// read off the built netem topology (so serialization delays are included
+// exactly as the packet engine sees them). The default operating point
+// models the loss-based steady state: the bottleneck DropTail queue
+// oscillates between empty (right after a synchronized drop) and full, so
+// SRTT is estimated at baseRTT plus half the queue's drain time.
+// Scenario.Op overrides the estimate with a measured one.
+func fluidPaths(sc Scenario) ([]*netem.Path, []fluid.Path, OperatingPoint, error) {
 	net, err := topo.Build(sim.NewEngine(1), sc.Topology, sc.Net)
 	if err != nil {
-		return nil, OperatingPoint{}, fmt.Errorf("backend: %w", err)
+		return nil, nil, OperatingPoint{}, fmt.Errorf("backend: %w", err)
 	}
 	pair, ok := net.(*topo.Pair)
 	if !ok {
-		return nil, OperatingPoint{}, fmt.Errorf("backend: the fluid engine models one pair over disjoint paths, not %q; use the packet engine", sc.Topology)
+		return nil, nil, OperatingPoint{}, fmt.Errorf("backend: the fluid engine models one pair over disjoint paths, not %q; use the packet engine", sc.Topology)
 	}
 	ps := pair.Paths(0, 1, 0)
 
@@ -155,31 +160,21 @@ func fluidPaths(sc Scenario) ([]fluid.Path, OperatingPoint, error) {
 		last := len(paths) - 1
 		paths[last].Cross = sc.Load * paths[last].Capacity
 	}
-	return paths, op, nil
+	return ps, paths, op, nil
 }
 
 // fluidJoules estimates the measurement-window energy the packet engine's
 // meter would integrate: the host power model evaluated once at the
-// equilibrium (aggregate goodput, subflow count, traffic-weighted mean
-// RTT) times the window — the steady-state reading, with no transient
-// contribution by construction.
-func fluidJoules(sc Scenario, res Result, op OperatingPoint) float64 {
-	model, _ := energy.Lookup(sc.EnergyModel)
+// equilibrium — the Sample of the solved per-path rates at the operating
+// point's RTTs — times the window: the steady-state reading, with no
+// transient contribution by construction.
+func fluidJoules(model energy.Model, routes []*netem.Path, res Result, window sim.Time) float64 {
 	if model == nil {
 		return 0
 	}
-	var rttWeighted, weight float64
-	for r := range op.RTT {
-		rttWeighted += res.RateBps[r] * op.RTT[r]
-		weight += res.RateBps[r]
+	paths := make([]energy.PathSample, len(routes))
+	for r, p := range routes {
+		paths[r] = energy.PathSample{Name: p.Name, ThroughputBps: res.RateBps[r], RTTSeconds: res.Op.RTT[r]}
 	}
-	smp := energy.Sample{
-		ThroughputBps: res.AggregateBps,
-		Subflows:      len(op.RTT),
-	}
-	if weight > 0 {
-		smp.MeanRTTSeconds = rttWeighted / weight
-	}
-	window := sc.Horizon - sc.Warmup
-	return model.Power(smp) * window.Seconds()
+	return model.Power(energy.PathsSample(paths)) * window.Seconds()
 }

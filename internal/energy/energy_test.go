@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -75,15 +76,49 @@ func TestLTEBaseDominates(t *testing.T) {
 
 func TestNexusComposite(t *testing.T) {
 	m := NewNexus()
-	idle := m.PowerSplit(Sample{}, Sample{})
-	wifiOnly := m.PowerSplit(Sample{ThroughputBps: 20e6}, Sample{})
-	both := m.PowerSplit(Sample{ThroughputBps: 20e6}, Sample{ThroughputBps: 20e6})
+	on := func(names ...string) Sample {
+		paths := make([]PathSample, len(names))
+		for i, name := range names {
+			paths[i] = PathSample{Name: name, ThroughputBps: 20e6}
+		}
+		return PathsSample(paths)
+	}
+	idle := m.Power(Sample{})
+	wifiOnly := m.Power(on("wifi"))
+	both := m.Power(on("wifi", "lte"))
 	if !(idle < wifiOnly && wifiOnly < both) {
 		t.Errorf("want idle < wifi-only < wifi+lte, got %.2f, %.2f, %.2f", idle, wifiOnly, both)
 	}
 	// Fig. 2's headline: MPTCP (both radios) costs much more than WiFi TCP.
 	if both < wifiOnly+1 {
 		t.Errorf("adding the LTE radio gained only %.2f W; expected > 1 W", both-wifiOnly)
+	}
+	// Eq. 2 is a sum over interfaces: two subflows on one radio add their
+	// goodput there, and the aggregate alone moves no radio.
+	if got, want := m.Power(on("wifi", "wifi")), m.SoC+m.WiFi.Power(Sample{ThroughputBps: 40e6})+m.LTE.Power(Sample{}); got != want {
+		t.Errorf("two subflows on wifi: %.3f W, want %.3f", got, want)
+	}
+	if got := m.Power(Sample{ThroughputBps: 20e6, Subflows: 1}); got != idle {
+		t.Errorf("aggregate without a per-path breakdown: %.3f W, want idle %.3f", got, idle)
+	}
+	if m.HasRadio("path0") || !m.HasRadio("wifi") || !m.HasRadio("lte") {
+		t.Error("HasRadio: want wifi and lte only")
+	}
+}
+
+func TestLookupNames(t *testing.T) {
+	for _, name := range Names() {
+		m, err := Lookup(name)
+		if err != nil {
+			t.Errorf("Lookup(%q): %v", name, err)
+		}
+		if (m == nil) != (name == "none") {
+			t.Errorf("Lookup(%q) = %v", name, m)
+		}
+	}
+	_, err := Lookup("abacus")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+		t.Errorf("unknown model error %v does not list %v", err, Names())
 	}
 }
 

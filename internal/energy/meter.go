@@ -3,7 +3,6 @@ package energy
 import (
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/tcp"
 )
 
 // DefaultInterval is the power sampling period (10 ms of simulated time,
@@ -124,44 +123,50 @@ func (m *Meter) MeanPower() float64 {
 }
 
 // ConnProbe builds a Probe over a set of connections terminating at one
-// host: throughput is the sum of their goodput over the window; RTT is the
-// traffic-weighted mean across subflows, matching Eq. 2's per-path form
+// host — the one place a run's activity becomes a Sample. The aggregate:
+// throughput is the sum of the connections' goodput over the window; RTT is
+// the traffic-weighted mean across subflows, matching Eq. 2's per-path form
 // Σ_r P_r(τ_r, RTT_r) — a path only contributes its delay in proportion to
-// the traffic it carries. Completed connections stop contributing.
+// the traffic it carries. Completed connections stop contributing. The
+// breakdown: one PathSample per subflow, its goodput the segments newly
+// acked in the window, so a completed connection's last delivery is still
+// attributed to the paths that carried it.
 func ConnProbe(conns ...*mptcp.Conn) Probe {
 	var lastBytes uint64
-	lastAcked := make(map[*tcp.Subflow]int64)
+	var n int
+	for _, c := range conns {
+		n += len(c.Subflows())
+	}
+	lastAcked := make([]int64, n)
+	paths := make([]PathSample, n)
 	return func(window sim.Time) Sample {
 		var total uint64
-		var subflows int
-		var rttWeighted, weight, rttPlain float64
+		var rtt rttMean
+		seconds := window.Seconds()
+		i := 0
 		for _, c := range conns {
 			total += c.AckedBytes()
-			if c.Done() {
-				continue
-			}
+			live := !c.Done()
 			for _, s := range c.Subflows() {
-				subflows++
-				rtt := s.SRTT().Seconds()
-				rttPlain += rtt
+				srtt := s.SRTT().Seconds()
 				acked := s.Acked()
-				d := float64(acked - lastAcked[s])
-				lastAcked[s] = acked
-				rttWeighted += d * rtt
-				weight += d
+				d := float64(acked - lastAcked[i])
+				lastAcked[i] = acked
+				paths[i] = PathSample{Name: s.Path().Name, RTTSeconds: srtt}
+				if window > 0 {
+					paths[i].ThroughputBps = d * float64(s.MSS()) * 8 / seconds
+				}
+				i++
+				if live {
+					rtt.add(d, srtt)
+				}
 			}
 		}
 		delta := total - lastBytes
 		lastBytes = total
-		smp := Sample{Subflows: subflows}
+		smp := Sample{Subflows: rtt.n, MeanRTTSeconds: rtt.mean(), Paths: paths}
 		if window > 0 {
-			smp.ThroughputBps = float64(delta) * 8 / window.Seconds()
-		}
-		switch {
-		case weight > 0:
-			smp.MeanRTTSeconds = rttWeighted / weight
-		case subflows > 0:
-			smp.MeanRTTSeconds = rttPlain / float64(subflows)
+			smp.ThroughputBps = float64(delta) * 8 / seconds
 		}
 		return smp
 	}

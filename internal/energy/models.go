@@ -19,16 +19,75 @@ package energy
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
-// Sample carries the instantaneous observables a power model maps to watts.
+// Sample carries the instantaneous observables a power model maps to watts:
+// the host aggregate and, beside it, the per-path breakdown Eq. 2 sums over —
+// E = Σ_r P_r(τ_r, RTT_r)·T. A model reads the form it is calibrated in:
+// CPUModel and RadioModel the aggregate, NexusModel the paths.
 type Sample struct {
 	// ThroughputBps is the host's current transport goodput in bits/s.
 	ThroughputBps float64
 	// Subflows is the number of active subflows terminating at the host.
 	Subflows int
-	// MeanRTTSeconds is the mean smoothed RTT across those subflows.
+	// MeanRTTSeconds is the traffic-weighted mean smoothed RTT across those
+	// subflows: a path contributes its delay in proportion to the traffic it
+	// carries.
 	MeanRTTSeconds float64
+	// Paths is the same activity per subflow, in connection order. It
+	// aliases the producing probe's buffer and is valid until the probe is
+	// called again.
+	Paths []PathSample
+}
+
+// PathSample is one subflow's share of a Sample.
+type PathSample struct {
+	// Name is the subflow's netem path name — the interface it rides, for a
+	// model that prices interfaces apart.
+	Name string
+	// ThroughputBps is the subflow's goodput in bits/s; RTTSeconds its
+	// smoothed RTT.
+	ThroughputBps float64
+	RTTSeconds    float64
+}
+
+// rttMean accumulates the traffic-weighted mean RTT of Eq. 2's per-path
+// form, falling back to the plain mean while nothing carries traffic.
+type rttMean struct {
+	weighted, weight, plain float64
+	n                       int
+}
+
+func (m *rttMean) add(traffic, rtt float64) {
+	m.n++
+	m.plain += rtt
+	m.weighted += traffic * rtt
+	m.weight += traffic
+}
+
+func (m *rttMean) mean() float64 {
+	switch {
+	case m.weight > 0:
+		return m.weighted / m.weight
+	case m.n > 0:
+		return m.plain / float64(m.n)
+	}
+	return 0
+}
+
+// PathsSample is the Sample of a host whose activity is known per path —
+// the form an equilibrium solution comes in — with the aggregate ConnProbe
+// would report for it.
+func PathsSample(paths []PathSample) Sample {
+	s := Sample{Subflows: len(paths), Paths: paths}
+	var rtt rttMean
+	for _, p := range paths {
+		s.ThroughputBps += p.ThroughputBps
+		rtt.add(p.ThroughputBps, p.RTTSeconds)
+	}
+	s.MeanRTTSeconds = rtt.mean()
+	return s
 }
 
 // Model maps host activity to instantaneous power in watts.
@@ -140,7 +199,10 @@ func NewLTE() *RadioModel {
 }
 
 // NexusModel composes the Nexus 5 of Fig. 2: SoC base power plus the WiFi
-// and LTE radios, fed by per-interface samples.
+// and LTE radios. It is Eq. 2 as written — one power term per interface —
+// so it reads a Sample's per-path breakdown, keyed by path name: traffic on
+// a path named "wifi" or "lte" drives that radio, and a radio none of the
+// paths names idles.
 type NexusModel struct {
 	SoC  float64
 	WiFi Model
@@ -155,14 +217,38 @@ func NewNexus() *NexusModel {
 // Name implements Model (for the composite as a whole).
 func (m *NexusModel) Name() string { return "nexus5" }
 
-// Power implements Model, treating the sample as WiFi-only traffic.
-func (m *NexusModel) Power(s Sample) float64 {
-	return m.PowerSplit(s, Sample{})
+// radioOf maps a path name to the handset radio it rides: 0 WiFi, 1 LTE,
+// -1 for a path the handset has no interface for.
+func radioOf(path string) int {
+	switch path {
+	case "wifi":
+		return 0
+	case "lte":
+		return 1
+	}
+	return -1
 }
 
-// PowerSplit evaluates the handset with separate WiFi and LTE activity.
-func (m *NexusModel) PowerSplit(wifi, lte Sample) float64 {
-	return m.SoC + m.WiFi.Power(wifi) + m.LTE.Power(lte)
+// HasRadio reports whether the handset has an interface for a path of that
+// name; traffic on any other path would go unmetered.
+func (m *NexusModel) HasRadio(path string) bool { return radioOf(path) >= 0 }
+
+// Terms evaluates the per-interface power terms of Eq. 2 in watts.
+func (m *NexusModel) Terms(s Sample) (soc, wifi, lte float64) {
+	var radios [2]Sample
+	for _, p := range s.Paths {
+		if i := radioOf(p.Name); i >= 0 {
+			radios[i].ThroughputBps += p.ThroughputBps
+			radios[i].Subflows++
+		}
+	}
+	return m.SoC, m.WiFi.Power(radios[0]), m.LTE.Power(radios[1])
+}
+
+// Power implements Model: the sum of Terms.
+func (m *NexusModel) Power(s Sample) float64 {
+	soc, wifi, lte := m.Terms(s)
+	return soc + wifi + lte
 }
 
 // Constant is a fixed-power model, useful in tests and as a switch/port
@@ -175,19 +261,34 @@ func (c Constant) Name() string { return "constant" }
 // Power implements Model.
 func (c Constant) Power(Sample) float64 { return float64(c) }
 
-// Lookup resolves a host power model by the name scenarios use: "i7",
-// "xeon", "wifi", or "none" (nil: no meter).
-func Lookup(name string) (Model, error) {
-	switch name {
-	case "i7":
-		return NewI7(), nil
-	case "xeon":
-		return NewXeon(), nil
-	case "wifi":
-		return NewWiFi(), nil
-	case "none":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("energy: unknown model %q (have i7, xeon, wifi, none)", name)
+// models is the table of host power models scenarios name, sorted by name;
+// "none" is no model (nil: no meter).
+var models = []struct {
+	name string
+	make func() Model
+}{
+	{"i7", func() Model { return NewI7() }},
+	{"nexus5", func() Model { return NewNexus() }},
+	{"none", func() Model { return nil }},
+	{"wifi", func() Model { return NewWiFi() }},
+	{"xeon", func() Model { return NewXeon() }},
+}
+
+// Names lists the model names Lookup resolves, sorted.
+func Names() []string {
+	out := make([]string, len(models))
+	for i, m := range models {
+		out[i] = m.name
 	}
+	return out
+}
+
+// Lookup resolves a host power model by the name scenarios use (Names).
+func Lookup(name string) (Model, error) {
+	for _, m := range models {
+		if m.name == name {
+			return m.make(), nil
+		}
+	}
+	return nil, fmt.Errorf("energy: unknown model %q (have %s)", name, strings.Join(Names(), ", "))
 }

@@ -207,13 +207,14 @@ func AblationPathsel(cfg Config) *Result {
 
 // pathselRun runs the Fig. 17 wireless scenario with the given approach.
 func pathselRun(cfg Config, wd *supervise.Watchdog, seed int64, approach string, horizon sim.Time) repOut {
-	r := world{exp: "abl-pathsel", scenario: "hetwireless", alg: approach, sc: handsetWorld(seed, approach, horizon)}
-	if approach != "lia+selector" {
-		return handsetRun(cfg, wd, r, nil)
+	r := world{exp: "abl-pathsel", scenario: "hetwireless", alg: approach,
+		sc: handsetWorld(seed, approach, horizon), summary: shiftSummary}
+	if approach == "lia+selector" {
+		r.sc.Algorithm = "lia"
+		r.attach = func(w *backend.World, obs *obsv.Observer) {
+			pathsel.New(w.Eng, w.Conn, []energy.Model{energy.NewWiFi(), energy.NewLTE()}).Start()
+			w.Observe(obs)
+		}
 	}
-	r.sc.Algorithm = "lia"
-	return handsetRun(cfg, wd, r, func(w *backend.World) {
-		pathsel.New(w.Eng, w.Conn, []energy.Model{energy.NewWiFi(), energy.NewLTE()},
-			pathsel.Config{}).Start()
-	})
+	return shiftOutcome(cfg.run(wd, r))
 }

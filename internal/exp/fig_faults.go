@@ -5,7 +5,6 @@ import (
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
-	"mptcpsim/internal/faults"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
@@ -36,11 +35,16 @@ var (
 // still exercises failure, survival and recovery before the transfer would
 // finish.
 func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scenario string, horizon sim.Time) repOut {
-	r := world{exp: "faults", scenario: scenario, sc: backend.Scenario{
-		Algorithm: alg, Seed: seed, Horizon: horizon,
-	}}
+	r := world{exp: "faults", scenario: scenario,
+		sc: backend.Scenario{Algorithm: alg, Seed: seed, Horizon: horizon},
+		// Host series ahead of the connection's: the order the committed
+		// faults records list them in.
+		attach: func(w *backend.World, obs *obsv.Observer) {
+			obs.Meter("host", w.Meter)
+			obs.Conn("", w.Conn)
+		},
+	}
 	sc := &r.sc
-	var joules func() float64
 	// Size the transfer so the fault hits mid-transfer AND the faulted
 	// path's return (outage heals, flap cycles) still matters before the
 	// transfer ends — otherwise outage and flap are indistinguishable and
@@ -59,35 +63,19 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 		if scenario == "flap" {
 			sc.Faults = "path1:flap@" + dur(horizon/6) + "+" + dur(horizon/6) + "/" + dur(horizon/18)
 		}
-		r.attach = func(w *backend.World, obs *obsv.Observer) {
-			joules = w.Meter.Joules
-			// Host series ahead of the connection's: the order the committed
-			// faults records list them in.
-			obs.Meter("host", w.Meter)
-			obs.Conn("", w.Conn)
-		}
 	case "handover":
 		// No 64 KB receive-window cap here (unlike Fig. 17): the LTE path's
 		// 100 ms RTT would pin it at ~5 Mb/s and the completion times would
 		// measure the buffer, not the failover.
 		sc.Topology = "hetwireless"
 		sc.TransferBytes = int64(6e6 / 8 * horizon.Seconds() / 3)
-		sc.EnergyModel = "none"
-		r.attach = func(w *backend.World, obs *obsv.Observer) {
-			m := newHandsetMeter(w.Eng, w.Conn, true)
-			joules = func() float64 { return m.joules }
-			obs.Sample("host.joules", joules)
-			// The user walks away from the AP: WiFi degrades to 1 Mb/s and
-			// 100 ms per hop, drops entirely, then comes back and recovers as
-			// they return — the paper's mobility story as a fault schedule
-			// (typed: the -fault grammar has no ramp).
-			faults.Apply(w.Eng, w.Paths[0],
-				faults.Ramp{Start: horizon / 6, Duration: horizon / 6, RateTo: netem.Mbps, DelayTo: 100 * sim.Millisecond},
-				faults.Outage{Down: horizon / 3, Up: 2 * horizon / 3},
-				faults.Ramp{Start: 2 * horizon / 3, Duration: horizon / 12, RateTo: 10 * netem.Mbps, DelayTo: 20 * sim.Millisecond},
-			)
-			obs.Conn("", w.Conn)
-		}
+		sc.EnergyModel = "nexus5"
+		// The user walks away from the AP: WiFi degrades to 1 Mb/s and
+		// 100 ms per hop, drops entirely, then comes back and recovers as
+		// they return — the paper's mobility story as a fault schedule.
+		sc.Faults = "wifi:ramp@" + dur(horizon/6) + "+" + dur(horizon/6) + "=1Mbps/100ms" +
+			",down@" + dur(horizon/3) + ",up@" + dur(2*horizon/3) +
+			",ramp@" + dur(2*horizon/3) + "+" + dur(horizon/12) + "=10Mbps/20ms"
 	default:
 		panic("exp: unknown fault scenario " + scenario)
 	}
@@ -104,7 +92,7 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 			goodputMbps = float64(conn.AckedBytes()) * 8 / completed.Seconds() / 1e6
 		}
 		out.v = [4]float64{completed.Seconds(), goodputMbps,
-			energy.PerGigabit(joules(), conn.AckedBytes()), float64(conn.ReinjectedSegs())}
+			energy.PerGigabit(w.Meter.Joules(), conn.AckedBytes()), float64(conn.ReinjectedSegs())}
 		obs.Summary("completed_s", out.v[0])
 		obs.Summary("goodput_mbps", out.v[1])
 		obs.Summary("j_per_gbit", out.v[2])

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"mptcpsim/internal/backend"
-	"mptcpsim/internal/energy"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
@@ -80,10 +78,7 @@ func Fig1(cfg Config) *Result {
 				}
 				return paths
 			},
-			summary: func(w *backend.World, obs *obsv.Observer) {
-				obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
-				obs.Summary("power_w", w.Meter.MeanPower())
-			},
+			summary: powerSummary,
 		})
 		return runRow{events: w.Eng.Processed(), cells: []string{
 			sp.label, fmt.Sprintf("%d", sp.nsub),
@@ -129,10 +124,9 @@ func Fig2(cfg Config) *Result {
 		if !sp.useWiFi || !sp.useLTE {
 			alg = "reno"
 		}
-		var meter *handsetMeter
 		w := cfg.run(wd, world{
 			exp: "fig2", scenario: sp.label,
-			sc: backend.Scenario{Algorithm: alg, EnergyModel: "none", Seed: cfg.Seed, Horizon: horizon},
+			sc: backend.Scenario{Algorithm: alg, EnergyModel: "nexus5", Seed: cfg.Seed, Horizon: horizon},
 			// One radio alone is a subset of the handset's routes, which a
 			// Scenario cannot say; the routes themselves are the registry's.
 			ready: func(eng *sim.Engine) []*netem.Path {
@@ -149,73 +143,19 @@ func Fig2(cfg Config) *Result {
 				}
 				return routes
 			},
-			attach: func(w *backend.World, obs *obsv.Observer) {
-				meter = newHandsetMeter(w.Eng, w.Conn, sp.useWiFi && sp.useLTE)
-				obs.Conn("", w.Conn)
-				obs.Sample("host.joules", func() float64 { return meter.joules })
-			},
-			summary: func(w *backend.World, obs *obsv.Observer) {
-				obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
-				obs.Summary("power_w", meter.MeanPower())
-			},
+			summary: powerSummary,
 		})
 		return runRow{events: w.Eng.Processed(), cells: []string{
-			sp.label, fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(meter.MeanPower(), 2)}}
+			sp.label, fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}}
 	}))
 	return res
 }
 
-// handsetMeter integrates the Nexus composite model with per-radio
-// throughput attribution (subflow 0 = WiFi when both radios are up).
-type handsetMeter struct {
-	eng    *sim.Engine
-	model  *energy.NexusModel
-	conn   *mptcp.Conn
-	both   bool
-	last   []int64
-	joules float64
-	lastT  sim.Time
-}
-
-func newHandsetMeter(eng *sim.Engine, conn *mptcp.Conn, both bool) *handsetMeter {
-	m := &handsetMeter{
-		eng:   eng,
-		model: energy.NewNexus(),
-		conn:  conn,
-		both:  both,
-		last:  make([]int64, len(conn.Subflows())),
-	}
-	m.lastT = eng.Now()
-	eng.After(energy.DefaultInterval, m.tick)
-	return m
-}
-
-func (m *handsetMeter) tick() {
-	now := m.eng.Now()
-	dt := now - m.lastT
-	m.lastT = now
-	var samples [2]energy.Sample // [wifi, lte]
-	for i, s := range m.conn.Subflows() {
-		acked := s.Acked()
-		delta := acked - m.last[i]
-		m.last[i] = acked
-		tput := float64(delta) * 1448 * 8 / dt.Seconds()
-		radio := 0
-		if m.both && i == 1 || !m.both && s.Path().Name == "lte" {
-			radio = 1
-		}
-		samples[radio].ThroughputBps += tput
-		samples[radio].Subflows++
-	}
-	m.joules += m.model.PowerSplit(samples[0], samples[1]) * dt.Seconds()
-	m.eng.After(energy.DefaultInterval, m.tick)
-}
-
-func (m *handsetMeter) MeanPower() float64 {
-	if m.eng.Now() <= 0 {
-		return 0
-	}
-	return m.joules / m.eng.Now().Seconds()
+// powerSummary files a power measurement's outcomes (Figs. 1-2): mean
+// goodput and mean host power.
+func powerSummary(w *backend.World, obs *obsv.Observer) {
+	obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+	obs.Summary("power_w", w.Meter.MeanPower())
 }
 
 // Fig3a transfers a fixed amount of data over Ethernet at increasing

@@ -130,8 +130,9 @@ func burstTwoPath(seed int64, alg string, horizon sim.Time) backend.Scenario {
 	}
 }
 
-// shiftSummary and shiftOutcome are a Fig. 5b run's filed and returned
-// outcomes: mean goodput (b/s), sender energy (J), events processed.
+// shiftSummary and shiftOutcome are the filed and returned outcomes of a
+// Fig. 5b run, and of a Fig. 17 handset run: mean goodput (b/s), sender
+// energy (J), events processed.
 func shiftSummary(w *backend.World, obs *obsv.Observer) {
 	obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
 	obs.Summary("energy_j", w.Meter.Joules())

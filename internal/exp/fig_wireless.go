@@ -2,7 +2,6 @@ package exp
 
 import (
 	"mptcpsim/internal/backend"
-	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
@@ -12,51 +11,32 @@ import (
 // (Fig. 17). A mobile sender uses a WiFi path (10 Mb/s, 40 ms) and a 4G
 // path (20 Mb/s, 100 ms) with 50-packet DropTail queues and a 64 KB
 // receive buffer, under bursty cross traffic on both links, exactly the
-// paper's ns-2 setup; handset energy comes from the Nexus radio models.
+// paper's ns-2 setup; handset energy comes from the Nexus radio models
+// (energy model "nexus5").
 
 // handsetWorld is the Fig. 17 world: the WiFi+4G handset under bursty cross
 // traffic on both links (scaled to each link's capacity, so both paths flip
-// between Good and Bad states) with a 64 KB receive buffer; energy comes
-// from the Nexus radio models, which the caller attaches.
+// between Good and Bad states) with a 64 KB receive buffer, metered by the
+// Nexus radio models.
 func handsetWorld(seed int64, alg string, horizon sim.Time) backend.Scenario {
-	const rwnd64KB = 45 // 64 KiB / 1448-byte segments
+	const rwnd64KB = 45 // 64 KiB in full segments of the default MSS
 	return backend.Scenario{
 		Topology: "hetwireless", Algorithm: alg, Rwnd: rwnd64KB, Cross: true,
-		EnergyModel: "none", Seed: seed, Horizon: horizon,
+		EnergyModel: "nexus5", Seed: seed, Horizon: horizon,
 	}
 }
 
-// handsetRun runs r — a handsetWorld — with the handset meter attached after
-// whatever before adds, and returns goodput (b/s), handset energy (J) and
-// events processed.
-func handsetRun(cfg Config, wd *supervise.Watchdog, r world, before func(*backend.World)) repOut {
-	var meter *handsetMeter
-	r.attach = func(w *backend.World, obs *obsv.Observer) {
-		if before != nil {
-			before(w)
-		}
-		meter = newHandsetMeter(w.Eng, w.Conn, true)
-		obs.Conn("", w.Conn)
-		obs.Sample("host.joules", func() float64 { return meter.joules })
-	}
-	r.summary = func(w *backend.World, obs *obsv.Observer) {
-		obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
-		obs.Summary("energy_j", meter.joules)
-	}
-	w := cfg.run(wd, r)
-	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), meter.joules}, events: w.Eng.Processed()}
-}
-
-// fig17Run executes one 200 s (scaled) run. With priceLTE the compensative
+// fig17Run executes one 200 s (scaled) run and returns goodput (b/s),
+// handset energy (J) and events processed. With priceLTE the compensative
 // parameter prices the energy-expensive 4G hop: the LTE radio's high base
 // power maps to a standing per-packet price plus a queue-pressure term.
 func fig17Run(cfg Config, wd *supervise.Watchdog, seed int64, alg string, horizon sim.Time, priceLTE bool) repOut {
-	r := world{exp: "fig17", scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon)}
+	r := world{exp: "fig17", scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon), summary: shiftSummary}
 	if priceLTE {
 		r.scenario = "hetwireless-priced"
 		r.sc.Price = &backend.Price{Path: 1, Rho: 2.0, Gamma: 0.1, QTarget: 12}
 	}
-	return handsetRun(cfg, wd, r, nil)
+	return shiftOutcome(cfg.run(wd, r))
 }
 
 // Fig17 compares LIA, DTS and the extended DTS on handset energy and

@@ -23,8 +23,8 @@ type world struct {
 	// ready builds the paths of a substrate the registry does not name.
 	ready func(*sim.Engine) []*netem.Path
 	// attach runs on the wired world before anything starts. It adds what
-	// only this figure has (an algorithm instance, the handset meter, typed
-	// faults, its own users) and registers the observed series; nil means
+	// only this figure has (an algorithm instance, the path selector, its
+	// own users) and registers the observed series; nil means
 	// World.Observe — the connection as "", its meter as "host".
 	attach func(w *backend.World, obs *obsv.Observer)
 	// drive runs the engine (nil: to sc.Horizon).

@@ -1,6 +1,9 @@
 package faults
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mptcpsim/internal/netem"
@@ -177,6 +180,78 @@ func TestParseSpec(t *testing.T) {
 	r, ok := pfs[1].Faults[1].(SetRate)
 	if !ok || r.Rate != 2*netem.Mbps {
 		t.Errorf("rate = %#v", pfs[1].Faults[1])
+	}
+}
+
+// TestParseRamp: the ramp directive round-trips to the typed Ramp, keeps
+// directive order around an outage (the outage is placed where its up@ is
+// written, so an up and a ramp at the same instant install in that order),
+// and schedules what the typed form schedules.
+func TestParseRamp(t *testing.T) {
+	const spec = "wifi:ramp@2.5s+2.5s=1Mbps/100ms,down@5s,up@10s,ramp@10s+1.25s=10Mbps/20ms"
+	pfs, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Fault{
+		Ramp{Start: 2500 * sim.Millisecond, Duration: 2500 * sim.Millisecond, RateTo: netem.Mbps, DelayTo: 100 * sim.Millisecond},
+		Outage{Down: 5 * sim.Second, Up: 10 * sim.Second},
+		Ramp{Start: 10 * sim.Second, Duration: 1250 * sim.Millisecond, RateTo: 10 * netem.Mbps, DelayTo: 20 * sim.Millisecond},
+	}
+	if len(pfs) != 1 || pfs[0].Target != "wifi" || !reflect.DeepEqual(pfs[0].Faults, want) {
+		t.Fatalf("Parse(%q) = %#v, want wifi: %#v", spec, pfs, want)
+	}
+
+	// Parsed and typed schedules drive two identical links identically.
+	state := func(install func(*sim.Engine, *netem.Path)) (out []string) {
+		eng := sim.NewEngine(1)
+		l := func() *netem.Link {
+			return netem.NewLink(eng, netem.LinkConfig{Rate: 10 * netem.Mbps, Delay: 20 * sim.Millisecond})
+		}
+		p := &netem.Path{Name: "wifi", Forward: []*netem.Link{l()}, Reverse: []*netem.Link{l()}}
+		install(eng, p)
+		for at := sim.Second; at <= 15*sim.Second; at += 250 * sim.Millisecond {
+			eng.Run(at)
+			f := p.Forward[0]
+			out = append(out, fmt.Sprint(at, f.Rate(), f.Delay(), f.Down()))
+		}
+		return out
+	}
+	parsed := state(func(eng *sim.Engine, p *netem.Path) {
+		if err := Install(eng, spec, []*netem.Path{p}, 15*sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	typed := state(func(eng *sim.Engine, p *netem.Path) { Apply(eng, p, want...) })
+	if !reflect.DeepEqual(parsed, typed) {
+		t.Errorf("parsed schedule diverges from the typed one:\n%v\n%v", parsed, typed)
+	}
+
+	for _, bad := range []string{
+		"p:ramp@1s",                  // no window or targets
+		"p:ramp@1s+2s",               // no targets
+		"p:ramp@1s=1Mbps/10ms",       // no duration
+		"p:ramp@1s+2s=1Mbps",         // no delay target
+		"p:ramp@1s+0s=1Mbps/10ms",    // empty window
+		"p:ramp@1s+2s=0Mbps/10ms",    // zero rate
+		"p:ramp@1s+2s=1Mbps/0s",      // zero delay
+		"p:ramp@1s+2s=1Mbps/-10ms",   // negative delay
+		"p:ramp@soon+2s=1Mbps/10ms",  // bad time
+		"p:ramp@1s+2s=1Mbps/10ms/1s", // trailing field
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestDirectivesListed: Directives names exactly the kinds Parse knows.
+func TestDirectivesListed(t *testing.T) {
+	for _, kind := range append([]string{"sideways"}, Directives...) {
+		_, err := Parse("p:" + kind + "@")
+		if unknown := err != nil && strings.Contains(err.Error(), "unknown directive"); unknown != (kind == "sideways") {
+			t.Errorf("Parse of a %s@ directive: %v", kind, err)
+		}
 	}
 }
 

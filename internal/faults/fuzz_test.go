@@ -18,6 +18,7 @@ func FuzzParse(f *testing.F) {
 		"0:down@1s",
 		"p:up@0s;p:down@1s,down@2s",
 		"path0:flap@2s+4s/1s",
+		"wifi:ramp@5s+5s=1Mbps/100ms,down@10s,up@20s,ramp@20s+3s=10Mbps/20ms",
 	} {
 		f.Add(spec)
 	}
@@ -63,14 +64,16 @@ func FuzzParseRate(f *testing.F) {
 // returns must be one of the named sentinels so callers can match it.
 func FuzzValidate(f *testing.F) {
 	for _, spec := range []string{
-		"wifi:down@2s,up@5s", // valid, in window
-		"dsl:down@2s",        // ErrUnknownTarget: no such name
-		"path7:down@2s",      // ErrUnknownTarget: index out of range
-		"wifi:down@12s",      // ErrPastHorizon: outage after horizon
-		"wifi:loss@10s=0.5",  // ErrPastHorizon: exactly at horizon
-		"lte:flap@11s+4s/1s", // ErrPastHorizon: flap starts late
-		"lte:delay@20s=50ms", // ErrPastHorizon: delay change after end
-		"0:rate@1s=2Mbps",    // valid, bare-index target
+		"wifi:down@2s,up@5s",           // valid, in window
+		"dsl:down@2s",                  // ErrUnknownTarget: no such name
+		"path7:down@2s",                // ErrUnknownTarget: index out of range
+		"wifi:down@12s",                // ErrPastHorizon: outage after horizon
+		"wifi:loss@10s=0.5",            // ErrPastHorizon: exactly at horizon
+		"lte:flap@11s+4s/1s",           // ErrPastHorizon: flap starts late
+		"lte:delay@20s=50ms",           // ErrPastHorizon: delay change after end
+		"0:rate@1s=2Mbps",              // valid, bare-index target
+		"wifi:ramp@9s+5s=1Mbps/100ms",  // valid: starts in window, ends after it
+		"wifi:ramp@10s+5s=1Mbps/100ms", // ErrPastHorizon: ramp starts at horizon
 	} {
 		f.Add(spec)
 	}

@@ -17,6 +17,9 @@ type PathFaults struct {
 	Faults []Fault
 }
 
+// Directives lists the directive kinds of the Parse grammar.
+var Directives = []string{"down", "up", "flap", "ramp", "loss", "rate", "delay"}
+
 // Parse turns a command-line fault spec into per-path fault lists. The
 // grammar, clauses separated by ';':
 //
@@ -25,6 +28,9 @@ type PathFaults struct {
 //	directive = "down@T" | "up@T"            (paired in order; an unpaired
 //	                                          down is a permanent outage)
 //	          | "flap@START+PERIOD/DOWNFOR"  (e.g. flap@2s+4s/1s)
+//	          | "ramp@START+DUR=RATE/DELAY"  (e.g. ramp@5s+10s=1Mbps/100ms:
+//	                                          rate and delay move linearly
+//	                                          to the targets over DUR)
 //	          | "loss@T=P"                   (e.g. loss@3s=0.05)
 //	          | "rate@T=R"                   (e.g. rate@5s=2Mbps)
 //	          | "delay@T=D"                  (e.g. delay@5s=150ms)
@@ -34,6 +40,7 @@ type PathFaults struct {
 //
 //	-fault "path1:down@2s,up@5s"
 //	-fault "wifi:rate@5s=2Mbps,delay@5s=150ms;lte:flap@1s+6s/500ms"
+//	-fault "wifi:ramp@5s+5s=1Mbps/100ms,down@10s,up@20s,ramp@20s+3s=10Mbps/20ms"
 func Parse(spec string) ([]PathFaults, error) {
 	var out []PathFaults
 	for _, clause := range strings.Split(spec, ";") {
@@ -89,6 +96,12 @@ func Parse(spec string) ([]PathFaults, error) {
 					return nil, fmt.Errorf("faults: %q: %v", d, err)
 				}
 				pf.Faults = append(pf.Faults, f)
+			case "ramp":
+				r, err := parseRamp(arg)
+				if err != nil {
+					return nil, fmt.Errorf("faults: %q: %v", d, err)
+				}
+				pf.Faults = append(pf.Faults, r)
 			case "loss", "rate", "delay":
 				at, val, ok := strings.Cut(arg, "=")
 				if !ok {
@@ -119,7 +132,7 @@ func Parse(spec string) ([]PathFaults, error) {
 					pf.Faults = append(pf.Faults, SetDelay{At: t, Delay: dur})
 				}
 			default:
-				return nil, fmt.Errorf("faults: unknown directive %q (want down/up/flap/loss/rate/delay)", kind)
+				return nil, fmt.Errorf("faults: unknown directive %q (want %s)", kind, strings.Join(Directives, "/"))
 			}
 		}
 		flushDown()
@@ -157,6 +170,34 @@ func parseFlap(arg string) (Flap, error) {
 		return Flap{}, fmt.Errorf("flap down time %v must be positive and below the period %v", d.Duration(), p.Duration())
 	}
 	return Flap{Start: s, Period: p, DownFor: d}, nil
+}
+
+// parseRamp parses START+DUR=RATE/DELAY.
+func parseRamp(arg string) (Ramp, error) {
+	window, targets, ok := strings.Cut(arg, "=")
+	start, dur, okWindow := strings.Cut(window, "+")
+	rate, delay, okTargets := strings.Cut(targets, "/")
+	if !ok || !okWindow || !okTargets {
+		return Ramp{}, fmt.Errorf("ramp wants START+DUR=RATE/DELAY")
+	}
+	var r Ramp
+	var err error
+	if r.Start, err = parseTime(start); err != nil {
+		return Ramp{}, err
+	}
+	if r.Duration, err = parseTime(dur); err != nil {
+		return Ramp{}, err
+	}
+	if r.RateTo, err = ParseRate(rate); err != nil {
+		return Ramp{}, err
+	}
+	if r.DelayTo, err = parseTime(delay); err != nil {
+		return Ramp{}, err
+	}
+	if r.Duration <= 0 || r.DelayTo <= 0 {
+		return Ramp{}, fmt.Errorf("ramp duration %v and delay target %v must be positive", r.Duration.Duration(), r.DelayTo.Duration())
+	}
+	return r, nil
 }
 
 func parseTime(s string) (sim.Time, error) {

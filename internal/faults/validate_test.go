@@ -39,6 +39,8 @@ func TestValidate(t *testing.T) {
 		{"loss at horizon", "wifi:loss@10s=0.5", horizon, ErrPastHorizon},
 		{"flap past horizon", "lte:flap@11s+4s/1s", horizon, ErrPastHorizon},
 		{"delay past horizon", "lte:delay@20s=50ms", horizon, ErrPastHorizon},
+		{"ok ramp ending past horizon", "wifi:ramp@8s+4s=1Mbps/100ms", horizon, nil},
+		{"ramp past horizon", "wifi:ramp@10s+1s=1Mbps/100ms", horizon, ErrPastHorizon},
 		{"no horizon check when zero", "wifi:down@12s", 0, nil},
 		{"unknown target beats horizon skip", "dsl:down@12s", 0, ErrUnknownTarget},
 	}

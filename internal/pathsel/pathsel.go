@@ -12,31 +12,18 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// Config parameterizes the selector.
-type Config struct {
-	// Period is how often paths are re-evaluated (default 1 s, matching
-	// eMPTCP's decision epochs).
-	Period sim.Time
-	// Threshold suspends a path whose estimated energy per bit exceeds
-	// the cheapest path's by this factor (default 1.5).
-	Threshold float64
-	// MinRateBps is the throughput below which a path's estimate is
-	// treated as idle and the path given a chance (default 100 kb/s).
-	MinRateBps float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Period == 0 {
-		c.Period = sim.Second
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 1.5
-	}
-	if c.MinRateBps == 0 {
-		c.MinRateBps = 100e3
-	}
-	return c
-}
+// The selector's fixed parameters.
+const (
+	// period is how often paths are re-evaluated, matching eMPTCP's
+	// decision epochs.
+	period = sim.Second
+	// threshold suspends a path whose estimated energy per bit exceeds the
+	// cheapest path's by this factor.
+	threshold = 1.5
+	// minRateBps is the throughput below which a path's estimate is treated
+	// as idle and the path given a chance.
+	minRateBps = 100e3
+)
 
 // Selector periodically estimates each subflow's energy per bit from its
 // interface power model and suspends paths that are too expensive
@@ -45,9 +32,9 @@ type Selector struct {
 	eng    *sim.Engine
 	conn   *mptcp.Conn
 	models []energy.Model // one per subflow, same order
-	cfg    Config
+	probe  energy.Probe   // the connection's activity over the last period
 
-	lastAcked []int64
+	costs     []float64
 	decisions int
 	suspended int
 	tickFn    func()
@@ -57,13 +44,13 @@ type Selector struct {
 
 // New creates a selector for conn; models[i] is the power model of
 // subflow i's interface.
-func New(eng *sim.Engine, conn *mptcp.Conn, models []energy.Model, cfg Config) *Selector {
+func New(eng *sim.Engine, conn *mptcp.Conn, models []energy.Model) *Selector {
 	s := &Selector{
-		eng:       eng,
-		conn:      conn,
-		models:    models,
-		cfg:       cfg.withDefaults(),
-		lastAcked: make([]int64, len(conn.Subflows())),
+		eng:    eng,
+		conn:   conn,
+		models: models,
+		probe:  energy.ConnProbe(conn),
+		costs:  make([]float64, len(conn.Subflows())),
 	}
 	s.tickFn = s.tick
 	return s
@@ -71,7 +58,7 @@ func New(eng *sim.Engine, conn *mptcp.Conn, models []energy.Model, cfg Config) *
 
 // Start begins periodic path evaluation.
 func (s *Selector) Start() {
-	s.timer = s.eng.After(s.cfg.Period, s.tickFn)
+	s.timer = s.eng.After(period, s.tickFn)
 }
 
 // Stop halts the selector and cancels its pending evaluation.
@@ -91,7 +78,7 @@ func (s *Selector) tick() {
 		return
 	}
 	s.decisions++
-	costs := s.costs()
+	costs := s.estimate()
 
 	cheapest := 0
 	for r, c := range costs {
@@ -100,36 +87,28 @@ func (s *Selector) tick() {
 		}
 	}
 	for r := range costs {
-		enable := r == cheapest || costs[r] <= costs[cheapest]*s.cfg.Threshold
+		enable := r == cheapest || costs[r] <= costs[cheapest]*threshold
 		if !enable && s.conn.SubflowEnabled(r) {
 			s.suspended++
 		}
 		s.conn.SetSubflowEnabled(r, enable)
 	}
-	s.timer = s.eng.After(s.cfg.Period, s.tickFn)
+	s.timer = s.eng.After(period, s.tickFn)
 }
 
-// costs estimates joules per bit for each subflow over the last period:
-// the interface's power at the observed rate divided by that rate. Idle
-// or suspended paths are probed with their power at MinRateBps, so a
-// suspended path can win back its slot when conditions change.
-func (s *Selector) costs() []float64 {
-	subs := s.conn.Subflows()
-	costs := make([]float64, len(subs))
-	for r, sub := range subs {
-		acked := sub.Acked()
-		delta := acked - s.lastAcked[r]
-		s.lastAcked[r] = acked
-		rate := float64(delta) * 1448 * 8 / s.cfg.Period.Seconds()
-		if rate < s.cfg.MinRateBps {
-			rate = s.cfg.MinRateBps
-		}
+// estimate prices each subflow in joules per bit over the last period: the
+// interface's power at the observed rate divided by that rate. Idle or
+// suspended paths are probed with their power at minRateBps, so a suspended
+// path can win back its slot when conditions change.
+func (s *Selector) estimate() []float64 {
+	for r, path := range s.probe(period).Paths {
+		rate := max(path.ThroughputBps, minRateBps)
 		p := s.models[r].Power(energy.Sample{
 			ThroughputBps:  rate,
 			Subflows:       1,
-			MeanRTTSeconds: sub.SRTT().Seconds(),
+			MeanRTTSeconds: path.RTTSeconds,
 		})
-		costs[r] = p / rate
+		s.costs[r] = p / rate
 	}
-	return costs
+	return s.costs
 }

@@ -27,7 +27,7 @@ func TestSelectorSuspendsExpensiveLTE(t *testing.T) {
 	// reviews in §II.
 	eng := sim.NewEngine(1)
 	conn, models := hetConn(t, eng, "lia")
-	sel := New(eng, conn, models, Config{})
+	sel := New(eng, conn, models)
 	conn.Start()
 	sel.Start()
 	eng.Run(30 * sim.Second)
@@ -52,35 +52,16 @@ func TestSelectorTradesThroughputForEnergy(t *testing.T) {
 	run := func(withSelector bool) (tputBps, joules float64) {
 		eng := sim.NewEngine(2)
 		conn, models := hetConn(t, eng, "lia")
-		// Per-radio metering: attribute each subflow's bytes to its own
-		// interface model (the composite Nexus model split by hand).
-		nexus := energy.NewNexus()
-		var last [2]int64
-		var acc float64
-		lastT := eng.Now()
-		var tick func()
-		tick = func() {
-			dt := eng.Now() - lastT
-			lastT = eng.Now()
-			var samples [2]energy.Sample
-			for i, sub := range conn.Subflows() {
-				d := sub.Acked() - last[i]
-				last[i] = sub.Acked()
-				samples[i] = energy.Sample{
-					ThroughputBps: float64(d) * 1448 * 8 / dt.Seconds(),
-					Subflows:      1,
-				}
-			}
-			acc += nexus.PowerSplit(samples[0], samples[1]) * dt.Seconds()
-			eng.ScheduleAfter(energy.DefaultInterval, tick)
-		}
-		eng.ScheduleAfter(energy.DefaultInterval, tick)
+		// Per-radio metering: the handset model prices each subflow's
+		// goodput on its own interface.
+		meter := energy.NewMeter(eng, energy.NewNexus(), energy.ConnProbe(conn), 0)
+		meter.Start()
 		if withSelector {
-			New(eng, conn, models, Config{}).Start()
+			New(eng, conn, models).Start()
 		}
 		conn.Start()
 		eng.Run(60 * sim.Second)
-		return conn.MeanThroughputBps(), acc
+		return conn.MeanThroughputBps(), meter.Joules()
 	}
 	tputFull, joulesFull := run(false)
 	tputSel, joulesSel := run(true)
@@ -100,7 +81,7 @@ func TestSelectorTradesThroughputForEnergy(t *testing.T) {
 func TestSelectorStops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	conn, models := hetConn(t, eng, "lia")
-	sel := New(eng, conn, models, Config{})
+	sel := New(eng, conn, models)
 	conn.Start()
 	sel.Start()
 	eng.Run(5 * sim.Second)
@@ -121,7 +102,7 @@ func TestSelectorKeepsCheapestWhenAllExpensive(t *testing.T) {
 	eng := sim.NewEngine(1)
 	conn, _ := hetConn(t, eng, "lia")
 	models := []energy.Model{energy.NewLTE(), energy.NewLTE()}
-	sel := New(eng, conn, models, Config{Threshold: 1.01})
+	sel := New(eng, conn, models)
 	conn.Start()
 	sel.Start()
 	eng.Run(20 * sim.Second)

@@ -227,6 +227,9 @@ func (s *Subflow) Stats() Stats { return s.stats }
 // Config returns the subflow's transport parameters with defaults applied.
 func (s *Subflow) Config() Config { return s.cfg }
 
+// MSS returns the payload bytes per segment.
+func (s *Subflow) MSS() int { return s.cfg.MSS }
+
 // Cwnd returns the current congestion window in segments.
 func (s *Subflow) Cwnd() float64 { return s.cwnd }
 
@@ -431,7 +434,7 @@ func (s *Subflow) onRTO() {
 		s.fail()
 		return
 	}
-	s.ssthresh = max2(s.cwnd/2, 2)
+	s.ssthresh = max(s.cwnd/2, 2)
 	s.cwnd = s.cfg.MinCwnd
 	s.viewDirty = true
 	s.inRecovery = false
@@ -473,7 +476,7 @@ func (s *Subflow) fail() {
 	// connection stops budgeting receive window for it, matching the
 	// re-injection credit it is about to get back.
 	s.nextSeq = s.cumAck
-	s.ssthresh = max2(s.cwnd/2, 2)
+	s.ssthresh = max(s.cwnd/2, 2)
 	s.cwnd = s.cfg.MinCwnd
 	s.viewDirty = true
 	if obs, ok := s.coord.Alg().(core.TimeoutObserver); ok {
@@ -587,7 +590,7 @@ func (s *Subflow) onNewAck(p *netem.Packet) {
 		// Post-RTO resends can be cumulatively acked past the rolled-back
 		// send point (the receiver had the rest buffered); skip ahead.
 		s.nextSeq = s.cumAck
-		s.maxSent = max64(s.maxSent, s.nextSeq)
+		s.maxSent = max(s.maxSent, s.nextSeq)
 	}
 	// Karn's rule (RFC 6298, 3): an ACK covering a segment that was
 	// retransmitted is ambiguous — the echoed timestamp may belong to
@@ -713,8 +716,8 @@ func (s *Subflow) enterRecovery() {
 	if obs, ok := alg.(core.LossObserver); ok {
 		obs.OnLoss(views, s.id)
 	}
-	newCwnd := max2(alg.Decrease(views, s.id), s.cfg.MinCwnd)
-	s.ssthresh = max2(newCwnd, 2)
+	newCwnd := max(alg.Decrease(views, s.id), s.cfg.MinCwnd)
+	s.ssthresh = max(newCwnd, 2)
 	s.cwnd = newCwnd
 	s.viewDirty = true
 	s.inRecovery = true
@@ -734,7 +737,7 @@ func (s *Subflow) grow(acked int, views []core.View, alg core.Algorithm) {
 			// stop doubling before overshooting into heavy loss. Clamped
 			// like every other ssthresh assignment: right after a timeout
 			// cwnd sits at MinCwnd, which can be below 2.
-			s.ssthresh = max2(s.cwnd, 2)
+			s.ssthresh = max(s.cwnd, 2)
 			s.viewDirty = true
 		} else {
 			// Slow start: one segment per acked segment, not beyond ssthresh.
@@ -780,8 +783,8 @@ func (s *Subflow) roundTick(views []core.View, alg core.Algorithm) {
 	s.stats.RoundTrips++
 	if rt, ok := alg.(core.RoundTuner); ok {
 		cwnd, ssthresh := rt.OnRound(views, s.id)
-		s.cwnd = max2(cwnd, s.cfg.MinCwnd)
-		s.ssthresh = max2(ssthresh, 2)
+		s.cwnd = max(cwnd, s.cfg.MinCwnd)
+		s.ssthresh = max(ssthresh, 2)
 		s.viewDirty = true
 	}
 }
@@ -797,20 +800,6 @@ func (s *Subflow) sampleRTT(rtt sim.Time) {
 	s.viewDirty = true
 	s.backoff = 0
 	s.rto = s.rtt.RTO(s.cfg.RTOMin, s.cfg.RTOMax)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var _ netem.Endpoint = (*Subflow)(nil)

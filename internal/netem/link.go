@@ -17,9 +17,10 @@ const (
 // leaves QueueLimit zero. It matches common simulator defaults (htsim, ns-2).
 const DefaultQueueLimit = 100
 
-// LinkConfig describes one unidirectional link.
+// LinkConfig describes one unidirectional link. The numbers Enqueue reads
+// come first and fill one cache line of the Link that embeds the config;
+// Name and FlushOnDown, which no hop reads, come last.
 type LinkConfig struct {
-	Name  string
 	Rate  int64    // line rate, bits per second
 	Delay sim.Time // one-way propagation delay
 
@@ -35,12 +36,6 @@ type LinkConfig struct {
 	// modelling a lossy (e.g. wireless) medium. Zero disables it.
 	LossProb float64
 
-	// FlushOnDown controls what happens to queued packets when the link is
-	// taken down (SetDown): false lets the queue drain onto the wire (a
-	// scheduled outage that stops admitting new traffic), true discards the
-	// queue immediately (a cut cable / radio loss).
-	FlushOnDown bool
-
 	// PriceRho and PriceGamma configure the per-link energy price that data
 	// packets accumulate in transit: rho + gamma*max(0, qlen-PriceQTarget).
 	// The paper's U_ep (Eq. 6) charges this only on switch-to-switch links,
@@ -48,6 +43,14 @@ type LinkConfig struct {
 	PriceRho     float64
 	PriceGamma   float64
 	PriceQTarget int
+
+	Name string
+
+	// FlushOnDown controls what happens to queued packets when the link is
+	// taken down (SetDown): false lets the queue drain onto the wire (a
+	// scheduled outage that stops admitting new traffic), true discards the
+	// queue immediately (a cut cable / radio loss).
+	FlushOnDown bool
 }
 
 // Link is a unidirectional link: a DropTail FIFO drained at line rate, each
@@ -65,25 +68,41 @@ type LinkConfig struct {
 // two-event link. The deviation is kept because the benchmark says so: the
 // serialization-done event decided nothing and was half of all events
 // (churn-mice cpu_s −38 %, EXPERIMENTS.md "One event per packet per hop").
+//
+// Field order is the cache-line map (TestHopLayout pins it): a hop into a
+// link that last moved a packet milliseconds ago pays for each 64-byte line
+// it touches, and the object is 256 bytes so that its size class aligns it.
+//
+//	line 0  the queue: what settle and the admission decision read
+//	line 1  the eight numbers of cfg that Enqueue reads
+//	line 2  cfg's tail, then what an admission writes and nothing waits for
+//	line 3  the drop counters
 type Link struct {
-	eng *sim.Engine
+	eng       *sim.Engine
+	busyUntil sim.Time // depart of the newest admitted packet
+	// headDepart is the oldest entry of queue while there is one, so that
+	// settling a queue of at most one packet never reads the ring's array.
+	headDepart sim.Time
+	queue      departRing // departs of the admitted, undeparted packets, oldest first
+	down       bool
+	doomed     bool // a flush caught the head mid-serialization: dropped at its depart
+
 	cfg LinkConfig
 
-	queue     departRing // departs of the admitted, undeparted packets, oldest first
-	tail      *Packet    // the newest of them; the rest chain back through prev
-	busyUntil sim.Time   // depart of the newest admitted packet
-	down      bool
-	doomed    bool // a flush caught the head mid-serialization: dropped at its depart
+	tail *Packet // the newest queued packet; the rest chain back through prev
 
 	// Counters, exported via methods. sent and sentBytes cover what was admitted
 	// and not flushed, queued or departed; busyTime is spent by busyUntil.
-	arrived     uint64
+	arrived   uint64
+	sent      uint64
+	sentBytes uint64
+	busyTime  sim.Time
+
 	dropped     uint64
 	randDropped uint64
 	outageDrops uint64
-	sent        uint64
-	sentBytes   uint64
-	busyTime    sim.Time
+
+	_ [40]byte
 }
 
 // NewLink creates a link driven by eng.
@@ -163,8 +182,8 @@ func (l *Link) SetDown() {
 		l.tail = ps[0]
 		l.tail.timer.Stop()
 		l.doomed = true
-		l.busyTime -= l.busyUntil - *l.queue.at(0) // the flushed never serialized
-		l.busyUntil = *l.queue.at(0)
+		l.busyTime -= l.busyUntil - l.headDepart // the flushed never serialized
+		l.busyUntil = l.headDepart
 	}
 }
 
@@ -282,17 +301,23 @@ func (l *Link) Enqueue(p *Packet) {
 	l.busyTime += tx
 	l.sent++
 	l.sentBytes += uint64(p.Size)
+	if qlen == 0 {
+		l.headDepart = l.busyUntil
+	}
 	l.queue.push(l.busyUntil, l.cfg.QueueLimit)
 	p.prev, l.tail = l.tail, p
-	p.timer = l.eng.At(l.busyUntil+l.cfg.Delay, p.fwd())
+	p.timer = l.eng.AtHandler(l.busyUntil+l.cfg.Delay, p)
 }
 
 // settle retires the queue entries that have departed and returns the queue
 // length. Their packets are in flight or recycled and are not touched, except
 // a doomed head: the link owns it, and with nothing admitted since it is tail.
 func (l *Link) settle() int {
-	for now := l.eng.Now(); l.queue.len() > 0 && *l.queue.at(0) <= now; {
-		if l.queue.pop(); l.doomed {
+	for now := l.eng.Now(); l.queue.len() > 0 && l.headDepart <= now; {
+		if l.queue.pop(); l.queue.len() > 0 {
+			l.headDepart = *l.queue.at(0)
+		}
+		if l.doomed {
 			l.doomed = false
 			l.cut(l.tail)
 		}
@@ -329,14 +354,14 @@ func (l *Link) rearm() {
 	if len(ps) == 0 || l.doomed {
 		return
 	}
-	depart := *l.queue.at(0)
+	depart := l.headDepart
 	for i, p := range ps {
 		if i > 0 {
 			depart += l.TxTime(int(p.Size))
 			*l.queue.at(i) = depart
 		}
 		p.timer.Stop()
-		p.timer = l.eng.At(depart+l.cfg.Delay, p.fwd())
+		p.timer = l.eng.AtHandler(depart+l.cfg.Delay, p)
 	}
 	l.busyTime += depart - l.busyUntil
 	l.busyUntil = depart

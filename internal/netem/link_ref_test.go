@@ -551,7 +551,7 @@ func (l *refLink) txDone() {
 	} else {
 		l.delivered++
 		l.bytesOut += uint64(p.Size)
-		l.eng.ScheduleAfter(l.cfg.Delay, p.fwd())
+		l.eng.AtHandler(l.eng.Now()+l.cfg.Delay, p)
 	}
 	if l.queue.len() > 0 {
 		l.startTx()

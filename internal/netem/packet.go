@@ -13,18 +13,59 @@ type Endpoint interface {
 
 // Packet is a simulated network packet. Sequence and acknowledgement numbers
 // are in MSS units (one data packet carries one segment); Size is the wire
-// size in bytes and is what links serialize. The small fields are 32 bits
-// wide and the flags share a word so that the link's timer and prev cost the
-// struct nothing (TestPacketSizeBudget).
+// size in bytes and is what links serialize.
+//
+// Field order is the cache-line map, not a grouping by meaning. Between two
+// hops a packet sleeps for milliseconds, so its hop event meets it cold and
+// pays for every 64-byte line it touches (TestHopLayout pins the map):
+//
+//	line 0  what Fire and Link.Enqueue read and write on every hop
+//	line 1  what only the last hop, a release or a reconfiguration reads
+//	line 2  what only the endpoints read
+//
+// The small fields are 32 bits wide and the flags share a word so that line 0
+// holds them all; the struct is padded to 192 bytes because Go's 192-byte
+// size class is 64-aligned and the 176-byte one is not.
 type Packet struct {
-	// Flow identifies the transport flow; Subflow the MPTCP subflow index
-	// within it. Both are carried for tracing and demultiplexing.
-	Flow    uint64
-	Subflow int32
+	route []*Link
+	// next is route[hop], loaded when the previous hop fired, so that a hop
+	// event never waits for the route's backing array; nil past the last link.
+	next *Link
+	// prev is the packet admitted to the link being crossed before this one
+	// (Link.queued).
+	prev *Packet
+
+	// Price accumulates per-link energy prices on data packets (Eq. 6-9 of
+	// the paper, carried as in-band telemetry). EchoPrice returns it on ACKs.
+	Price float64
 
 	Size int32 // wire size in bytes
-	Seq  int64 // data: segment sequence number
-	Ack  int64 // ack: cumulative acknowledgement (next expected Seq)
+	// Subflow is the MPTCP subflow index within Flow. Both are carried for
+	// tracing and demultiplexing.
+	Subflow int32
+	hop     int32
+
+	IsAck bool
+	// CE is the ECN Congestion Experienced codepoint, set by marking queues
+	// on data packets. ECE echoes it back on ACKs (for DCTCP).
+	CE     bool
+	ECE    bool
+	pooled bool
+
+	// Line 1.
+	dst Endpoint
+	// timer is the packet's arrival event at its next hop, held so the link
+	// it is crossing can cancel or re-time it (Link.cut, Link.rearm).
+	timer sim.Timer
+	pool  *Pool
+	gen   uint64
+
+	// Flow identifies the transport flow.
+	Flow uint64
+
+	// Line 2.
+	Seq int64 // data: segment sequence number
+	Ack int64 // ack: cumulative acknowledgement (next expected Seq)
 
 	// SackSeq, on ACKs, is the sequence number of the data segment whose
 	// arrival generated this ACK — per-segment selective acknowledgement,
@@ -37,33 +78,9 @@ type Packet struct {
 	SentAt   sim.Time
 	EchoedAt sim.Time
 
-	// Price accumulates per-link energy prices on data packets (Eq. 6-9 of
-	// the paper, carried as in-band telemetry). EchoPrice returns it on ACKs.
-	Price     float64
 	EchoPrice float64
 
-	IsAck bool
-
-	// CE is the ECN Congestion Experienced codepoint, set by marking queues
-	// on data packets. ECE echoes it back on ACKs (for DCTCP).
-	CE  bool
-	ECE bool
-
-	pooled bool
-	hop    int32
-
-	route []*Link
-	dst   Endpoint
-	fwdFn func()
-
-	// timer is the packet's arrival event at its next hop, held so the link
-	// it is crossing can cancel or re-time it (Link.cut, Link.rearm); prev is
-	// the packet admitted to that link before this one (Link.queued).
-	timer sim.Timer
-	prev  *Packet
-
-	pool *Pool
-	gen  uint64
+	_ [16]byte
 }
 
 // poolMaxFree bounds each free list; beyond it released packets fall back to
@@ -97,11 +114,10 @@ func (pl *Pool) Get() *Packet {
 	p := pl.free[n-1]
 	pl.free[n-1] = nil
 	pl.free = pl.free[:n-1]
-	// The forward closure is bound to this same pointer and survives reuse;
-	// the generation counter survives so stale holders stay detectable.
-	fn, gen := p.fwdFn, p.gen
+	// The generation counter survives so stale holders stay detectable.
+	gen := p.gen
 	*p = Packet{}
-	p.fwdFn, p.pool, p.gen = fn, pl, gen
+	p.pool, p.gen = pl, gen
 	return p
 }
 
@@ -147,7 +163,16 @@ func (p *Packet) Gen() uint64 { return p.gen }
 func (p *Packet) SetRoute(links []*Link, dst Endpoint) {
 	p.route = links
 	p.hop = 0
+	p.next = p.linkAt(0)
 	p.dst = dst
+}
+
+// linkAt returns route[i], nil past the last link.
+func (p *Packet) linkAt(i int32) *Link {
+	if int(i) < len(p.route) {
+		return p.route[i]
+	}
+	return nil
 }
 
 // Send injects the packet into the first link of its route, or delivers it
@@ -156,25 +181,20 @@ func (p *Packet) Send() {
 	if p.pooled {
 		panic("netem: packet used after release")
 	}
-	p.forward()
+	p.Fire()
 }
 
-// fwd returns a cached closure over forward, so scheduling a hop does not
-// allocate.
-func (p *Packet) fwd() func() {
-	if p.fwdFn == nil {
-		p.fwdFn = p.forward
-	}
-	return p.fwdFn
-}
-
-func (p *Packet) forward() {
+// Fire moves the packet one hop on: into the next link of its route, or to
+// its endpoint after the last. It implements sim.Handler — a link schedules
+// the packet itself as its arrival event at the next hop.
+func (p *Packet) Fire() {
 	p.prev = nil // off the last link's chain: it must not keep that link's history alive
-	if int(p.hop) >= len(p.route) {
+	l := p.next
+	if l == nil {
 		p.dst.Receive(p)
 		return
 	}
-	l := p.route[p.hop]
 	p.hop++
+	p.next = p.linkAt(p.hop)
 	l.Enqueue(p)
 }

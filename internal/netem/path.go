@@ -19,8 +19,7 @@ type Path struct {
 // data packets from it; ACKs answer from the same pool via Packet.Pool, so
 // the whole round trip recycles in one single-threaded domain. The pool
 // lives as long as the path, which is as long as the topology: a short flow
-// sends the packets, forward closures included, that earlier flows over the
-// path left behind.
+// sends the packets that earlier flows over the path left behind.
 func (p *Path) Pool() *Pool { return &p.pool }
 
 // MinRate returns the smallest line rate along the forward direction — the

@@ -2,17 +2,17 @@ package netem
 
 import (
 	"reflect"
+	"strings"
 	"testing"
-	"unsafe"
 
 	"mptcpsim/internal/sim"
 )
 
 // poolCarryFields are the unexported Packet fields that intentionally
-// survive recycling: the cached forward closure (bound to the packet
-// pointer), the pool backpointer and the generation/release bookkeeping.
+// survive recycling: the pool backpointer and the generation/release
+// bookkeeping.
 var poolCarryFields = map[string]bool{
-	"fwdFn": true, "pool": true, "gen": true, "pooled": true,
+	"pool": true, "gen": true, "pooled": true,
 }
 
 // TestPoolRecycleScrubsEveryField sets every exported Packet field to a
@@ -86,7 +86,8 @@ func TestPacketPoolReuseIsClean(t *testing.T) {
 }
 
 func TestPooledPacketForwardAfterReuse(t *testing.T) {
-	// The cached forward closure must keep working across pool cycles.
+	// A recycled packet is its own hop event: it must keep forwarding across
+	// pool cycles.
 	eng := sim.NewEngine(1)
 	l := NewLink(eng, LinkConfig{Name: "l", Rate: Gbps, Delay: sim.Microsecond})
 	c := &collector{eng: eng}
@@ -164,12 +165,43 @@ func TestSetPriceTakesEffect(t *testing.T) {
 	}
 }
 
-// TestPacketSizeBudget holds Packet at the 176 bytes it had before it carried
-// a hop timer and a queue link: their 32 bytes were paid for by narrowing
-// Subflow, Size and hop to 32 bits and packing the flags, and every queued or
-// in-flight packet of a run costs this much.
-func TestPacketSizeBudget(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got > 176 {
-		t.Errorf("Packet is %d bytes, budget 176", got)
+// TestHopLayout pins the cache-line maps in the Packet and Link comments. A
+// hop event meets both objects cold, so what it costs is the number of lines
+// it touches: each object must be a whole number of lines (so that its size
+// class aligns it), and every field the hop path reads must sit in the
+// leading lines. The fields are listed by name, so a field added in front of
+// them fails here with the name of the one it pushed out.
+func TestHopLayout(t *testing.T) {
+	for _, tc := range []struct {
+		typ        reflect.Type
+		size, line uintptr // the object's budget; where its hop-path fields must end
+		hot        []string
+	}{
+		{reflect.TypeOf(Packet{}), 192, 64, []string{
+			"route", "next", "prev", "Price", "Size", "Subflow", "hop", "IsAck", "CE", "ECE", "pooled",
+		}},
+		{reflect.TypeOf(Link{}), 256, 128, []string{
+			"eng", "busyUntil", "headDepart", "queue", "down", "doomed",
+			"cfg.Rate", "cfg.Delay", "cfg.QueueLimit", "cfg.MarkThreshold", "cfg.LossProb",
+			"cfg.PriceRho", "cfg.PriceGamma", "cfg.PriceQTarget",
+		}},
+	} {
+		name := tc.typ.Name()
+		if got := tc.typ.Size(); got%64 != 0 || got > tc.size {
+			t.Errorf("%s is %d bytes, want a multiple of 64 no larger than %d", name, got, tc.size)
+		}
+		for _, path := range tc.hot {
+			typ, end := tc.typ, uintptr(0)
+			for _, part := range strings.Split(path, ".") {
+				f, ok := typ.FieldByName(part)
+				if !ok {
+					t.Fatalf("%s has no field %s — update the list with the layout", name, path)
+				}
+				typ, end = f.Type, end+f.Offset
+			}
+			if end += typ.Size(); end > tc.line {
+				t.Errorf("%s.%s ends at byte %d, past the %d the hop path may touch", name, path, end, tc.line)
+			}
+		}
 	}
 }

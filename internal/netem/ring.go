@@ -11,19 +11,18 @@ import "mptcpsim/internal/sim"
 // up to the link's queue limit — which may be large (fuzzed configs), so it
 // is not allocated eagerly — and then stays fixed.
 type departRing struct {
-	buf  []sim.Time
-	head int
-	n    int
+	buf     []sim.Time
+	head, n uint32 // 32 bits each: the ring is 32 of the 64 bytes of Link's first line
 }
 
 // ringInitialCap is the smallest backing array a non-empty ring allocates.
 const ringInitialCap = 16
 
-func (r *departRing) len() int { return r.n }
+func (r *departRing) len() int { return int(r.n) }
 
 // at returns the i-th oldest entry without removing it.
 func (r *departRing) at(i int) *sim.Time {
-	i += r.head
+	i += int(r.head)
 	if i >= len(r.buf) {
 		i -= len(r.buf)
 	}
@@ -33,11 +32,11 @@ func (r *departRing) at(i int) *sim.Time {
 // push appends an entry, growing toward limit if the backing array is full.
 // The caller enforces the queue limit; grow panics rather than exceed it.
 func (r *departRing) push(t sim.Time, limit int) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow(limit)
 	}
 	r.n++
-	*r.at(r.n - 1) = t
+	*r.at(int(r.n) - 1) = t
 }
 
 // pop removes the oldest entry. An emptied ring restarts at the front of its
@@ -45,7 +44,7 @@ func (r *departRing) push(t sim.Time, limit int) {
 func (r *departRing) pop() {
 	r.head++
 	r.n--
-	if r.n == 0 || r.head == len(r.buf) {
+	if r.n == 0 || int(r.head) == len(r.buf) {
 		r.head = 0
 	}
 }
@@ -61,7 +60,7 @@ func (r *departRing) grow(limit int) {
 	if newCap > limit {
 		newCap = limit
 	}
-	if newCap <= r.n {
+	if newCap <= int(r.n) {
 		panic("netem: ring grown past its queue limit")
 	}
 	buf := make([]sim.Time, newCap)

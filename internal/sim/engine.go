@@ -39,6 +39,16 @@
 // compares — and a slot holding a single event fires from where it sits. A
 // near-empty queue is the one shape a heap serves faster: link, level search
 // and unlink cost more than a one-element heap's push and pop.
+//
+// # What an event is
+//
+// A slab slot holds a Handler, and the loop calls its Fire. An object that is
+// scheduled again and again implements Handler and is scheduled as itself
+// (AtHandler): a packet is its own hop event, so firing it loads the slot and
+// then the packet, with no closure object between the two — by the time a
+// queued event fires, every one of those loads misses the cache. At, After,
+// Schedule and ScheduleAfter take a func() and wrap it in Func; such events
+// (timers, ticks, arrivals) pay one more indirect call, Func.Fire's.
 package sim
 
 import (
@@ -78,15 +88,28 @@ const (
 	maxTime   Time = 1<<63 - 1
 )
 
-// slabEvent is an event's slab slot, 32 pointer-light bytes. gen is bumped
-// on each recycle so a stale Timer handle can tell its event has moved on;
-// next and prev link the event into its wheel slot (next also threads the
-// free list). Slab id 0 is never handed out: it is the nil link.
+// Handler is what an event is: the engine calls Fire once, at the event's
+// instant (package comment, "What an event is").
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler. A func value is pointer-shaped,
+// so the conversion does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// slabEvent is an event's slab slot, 40 bytes. gen is bumped on each recycle
+// so a stale Timer handle can tell its event has moved on; next and prev link
+// the event into its wheel slot (next also threads the free list). Slab id 0
+// is never handed out: it is the nil link. A 40-byte slot can straddle a
+// cache line, so what firing waits for (the links, then h) is the first 24
+// bytes and what it only writes (gen) the last 8.
 type slabEvent struct {
-	fn         func()
-	gen        uint64
-	at         Time
+	h          Handler
 	next, prev int32
+	at         Time
+	gen        uint64
 }
 
 // slot is one wheel slot: the ends of its event list, 0 when empty.
@@ -159,7 +182,13 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // at the current time (it cannot rewind the clock). It returns a cancellable
 // timer handle.
 func (e *Engine) At(t Time, fn func()) Timer {
-	id := e.push(t, fn)
+	return e.AtHandler(t, Func(fn))
+}
+
+// AtHandler is At for an event that is an object rather than a function: h
+// fires at instant t without the adapter's second indirect call.
+func (e *Engine) AtHandler(t Time, h Handler) Timer {
+	id := e.push(t, h)
 	return Timer{eng: e, id: id, gen: e.slab[id].gen}
 }
 
@@ -171,15 +200,15 @@ func (e *Engine) After(d Time, fn func()) Timer {
 // Schedule is the no-handle variant of At, for events that never need
 // cancelling.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.push(t, fn)
+	e.push(t, Func(fn))
 }
 
 // ScheduleAfter is Schedule relative to the current time.
 func (e *Engine) ScheduleAfter(d Time, fn func()) {
-	e.push(e.now+d, fn)
+	e.push(e.now+d, Func(fn))
 }
 
-func (e *Engine) push(t Time, fn func()) int32 {
+func (e *Engine) push(t Time, h Handler) int32 {
 	id := e.free
 	if id != 0 {
 		e.free = e.slab[id].next
@@ -191,7 +220,7 @@ func (e *Engine) push(t Time, fn func()) int32 {
 		t = e.now // invariant 1
 	}
 	ev := &e.slab[id]
-	ev.fn, ev.at = fn, t
+	ev.h, ev.at = h, t
 	e.link(id)
 	e.pending++
 	return id
@@ -201,7 +230,7 @@ func (e *Engine) push(t Time, fn func()) int32 {
 // invalidates every outstanding Timer handle for this incarnation.
 func (e *Engine) recycle(id int32) {
 	ev := &e.slab[id]
-	ev.fn = nil
+	ev.h = nil
 	ev.gen++
 	ev.next = e.free
 	e.free = id
@@ -373,10 +402,10 @@ func (e *Engine) loop(until Time) {
 			return
 		}
 		e.now = e.cur
-		fn := e.slab[id].fn
+		h := e.slab[id].h
 		e.recycle(id)
 		e.processed++
-		fn()
+		h.Fire()
 	}
 }
 

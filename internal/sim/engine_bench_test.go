@@ -28,6 +28,58 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	b.ReportMetric(float64(n)/float64(b.N), "events/op")
 }
 
+// ticker is an object that is its own event: it reschedules itself each time
+// it fires.
+type ticker struct {
+	eng *Engine
+	n   int
+}
+
+func (t *ticker) Fire() {
+	t.n++
+	t.eng.AtHandler(t.eng.Now()+Microsecond, t)
+}
+
+// BenchmarkEngineHandler is BenchmarkEngineScheduleFire for the two kinds of
+// event the slab holds: an object scheduled through AtHandler, which the loop
+// calls directly, and a func() scheduled through At, which goes through Func
+// and pays a second indirect call. Neither may allocate.
+func BenchmarkEngineHandler(b *testing.B) {
+	run := func(b *testing.B, start func(eng *Engine) (fired *int)) {
+		eng := NewEngine(1)
+		fired := start(eng)
+		step := func() { eng.Run(eng.Now() + 64*Microsecond) }
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			b.Fatalf("%v allocations per 64 events, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run(eng.Now() + Time(b.N)*Microsecond)
+		if *fired < b.N {
+			b.Fatalf("fired %d events, want at least %d", *fired, b.N)
+		}
+	}
+	b.Run("Handler", func(b *testing.B) {
+		run(b, func(eng *Engine) *int {
+			t := &ticker{eng: eng}
+			eng.AtHandler(Microsecond, t)
+			return &t.n
+		})
+	})
+	b.Run("Func", func(b *testing.B) {
+		run(b, func(eng *Engine) *int {
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				eng.At(eng.Now()+Microsecond, tick)
+			}
+			eng.At(Microsecond, tick)
+			return &n
+		})
+	})
+}
+
 // benchDeepQueue keeps depth self-rescheduling events in flight, event i
 // every period(i), and measures one schedule plus one fire at that depth.
 func benchDeepQueue(b *testing.B, depth int, period func(i int) Time) {

@@ -1,6 +1,48 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestSlabEventLayout pins the slab slot the hop path pays for: 40 bytes, and
+// what firing an event waits for — its list links, then its handler — in the
+// first 24 of them, so a slot that straddles a cache line seldom costs two
+// misses. (The packet's and the link's halves of the budget are netem's
+// TestHopLayout.)
+func TestSlabEventLayout(t *testing.T) {
+	var ev slabEvent
+	if got := unsafe.Sizeof(ev); got > 40 {
+		t.Errorf("slabEvent is %d bytes, budget 40", got)
+	}
+	for name, end := range map[string]uintptr{
+		"h":    unsafe.Offsetof(ev.h) + unsafe.Sizeof(ev.h),
+		"next": unsafe.Offsetof(ev.next) + unsafe.Sizeof(ev.next),
+		"prev": unsafe.Offsetof(ev.prev) + unsafe.Sizeof(ev.prev),
+	} {
+		if end > 24 {
+			t.Errorf("slabEvent.%s ends at byte %d, past the 24 a fire may wait for", name, end)
+		}
+	}
+}
+
+// TestHandlerAndFuncShareOneQueue schedules an object and a func for the same
+// instants: both are one kind of slab event, so they fire in schedule order.
+func TestHandlerAndFuncShareOneQueue(t *testing.T) {
+	e := NewEngine(1)
+	var order []int
+	e.AtHandler(Millisecond, Func(func() { order = append(order, 0) }))
+	e.At(Millisecond, func() { order = append(order, 1) })
+	tm := e.AtHandler(Millisecond, Func(func() { order = append(order, -1) }))
+	e.AtHandler(Millisecond, Func(func() { order = append(order, 2) }))
+	if !tm.Stop() {
+		t.Fatal("Stop on a pending handler event reported false")
+	}
+	e.Run(Second)
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("order = %v, want [0 1 2]", order)
+	}
+}
 
 func TestScheduleRunsLikeAt(t *testing.T) {
 	e := NewEngine(1)

@@ -32,6 +32,7 @@ func (r *Receiver) OutOfOrderPeak() int { return r.oooPeak }
 // Receive implements netem.Endpoint for data segments.
 func (r *Receiver) Receive(p *netem.Packet) {
 	if p.IsAck {
+		p.Release() // a stray ACK addressed to the receiver; drop it
 		return
 	}
 	r.pktsReceived++
@@ -59,17 +60,22 @@ func (r *Receiver) Receive(p *netem.Packet) {
 
 	// Answer from the data packet's own pool (plain allocation for unpooled
 	// packets), so the ACK recycles in the same domain it was provoked in.
-	ack := p.Pool().Get()
-	ack.Flow = p.Flow
-	ack.Subflow = p.Subflow
+	// The data packet is released before the ACK is drawn: the pool is LIFO,
+	// so the ACK is the packet this hop has just pulled into cache, not one
+	// that last moved a round trip ago.
+	pool, flow, subflow, seq := p.Pool(), p.Flow, p.Subflow, p.Seq
+	ce, sentAt, price := p.CE, p.SentAt, p.Price
+	p.Release()
+	ack := pool.Get()
+	ack.Flow = flow
+	ack.Subflow = subflow
 	ack.IsAck = true
 	ack.Ack = r.rcvNext
-	ack.SackSeq = p.Seq
+	ack.SackSeq = seq
 	ack.Size = int32(r.sub.cfg.AckBytes)
-	ack.ECE = p.CE
-	ack.EchoedAt = p.SentAt
-	ack.EchoPrice = p.Price
-	p.Release()
+	ack.ECE = ce
+	ack.EchoedAt = sentAt
+	ack.EchoPrice = price
 	ack.SetRoute(r.sub.path.Reverse, r.sub)
 	ack.Send()
 }

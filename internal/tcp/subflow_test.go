@@ -287,6 +287,32 @@ func TestReceiverOutOfOrderBuffering(t *testing.T) {
 	eng.Run(eng.Now() + sim.Second) // let the generated ACKs drain back
 }
 
+// TestStrayPacketsReturnToPool hands each end the kind of packet it does not
+// consume — an ACK to the receiver, a data packet to the sender — and checks
+// that both drop it back into its pool instead of leaking it.
+func TestStrayPacketsReturnToPool(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s, _, _ := newTestSubflow(eng, 10*netem.Mbps, sim.Millisecond, 100, 0)
+	for _, tc := range []struct {
+		name  string
+		isAck bool
+		dst   netem.Endpoint
+	}{
+		{"ACK to the receiver", true, s.rx},
+		{"data to the sender", false, s},
+	} {
+		var pool netem.Pool
+		pool.Get().Release() // one packet parked, which the stray one is drawn from
+		pkt := pool.Get()
+		pkt.IsAck = tc.isAck
+		pkt.SetRoute(nil, tc.dst)
+		pkt.Send()
+		if got := pool.FreeLen(); got != 1 {
+			t.Errorf("%s: pool holds %d packets after the stray one, want 1", tc.name, got)
+		}
+	}
+}
+
 func TestHystartCanBeDisabled(t *testing.T) {
 	run := func(disable bool) float64 {
 		eng := sim.NewEngine(1)

@@ -53,10 +53,12 @@ validate:
 sweep:
 	$(GO) run ./cmd/mptcp-bench -sweep -loads 0:0.15:28
 
-# Documentation gates (docs_test.go): package comments, package-map
-# coverage, CLI flag docs, and markdown file references.
+# Repository gates (docs_test.go): package comments, package-map
+# coverage, CLI flag docs, markdown file references, and supervision kept
+# in internal/supervise (no stray recover, time.Sleep, os.Exit or exit-code
+# error literal).
 docs:
-	$(GO) test -run 'TestPackageComments|TestPackageMapCoversEveryPackage|TestCLIFlagsDocumented|TestMarkdownFileReferencesResolve' .
+	$(GO) test -run 'TestPackageComments|TestPackageMapCoversEveryPackage|TestCLIFlagsDocumented|TestMarkdownFileReferencesResolve|TestSupervisionLivesInOnePlace' .
 
 # Bounded chaos soak (EXPERIMENTS.md, "Soak & quarantine methodology"):
 # 60 generated scenarios under invariants and the run supervisor. Exit 3

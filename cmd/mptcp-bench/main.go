@@ -65,17 +65,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"mptcpsim/internal/backend"
@@ -87,24 +84,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := supervise.SignalContext()
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mptcp-bench:", err)
-		var ec *supervise.ExitCodeError
-		if errors.As(err, &ec) {
-			os.Exit(ec.Code)
-		}
-		os.Exit(1)
+		os.Exit(supervise.ExitCode(err))
 	}
-}
-
-// signalContext cancels on the first SIGINT/SIGTERM so in-flight work
-// drains; the AfterFunc restores default signal dispositions the moment the
-// context dies, so a second signal kills the process immediately instead of
-// waiting out the drain.
-func signalContext() (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	context.AfterFunc(ctx, func() { stop() })
-	return ctx, stop
 }
 
 // benchTiming is one experiment's wall-clock row — volatile by nature, so
@@ -141,15 +127,6 @@ type benchRecord struct {
 	Flows      uint64 `json:"flows,omitempty"`
 }
 
-// benchOutcomes mirrors supervise.Counts into the -json report.
-type benchOutcomes struct {
-	OK          int64 `json:"ok"`
-	Retried     int64 `json:"retried"`
-	Quarantined int64 `json:"quarantined"`
-	TimedOut    int64 `json:"timed_out"`
-	OverBudget  int64 `json:"over_budget"`
-}
-
 // benchPayload is the deterministic half of the -json report: everything in
 // it derives from (scale, seed, reps, experiment set) alone, so two runs of
 // the same commit with the same flags produce byte-identical payloads at
@@ -162,8 +139,8 @@ type benchPayload struct {
 	TotalEvents uint64        `json:"total_events"`
 	// Outcomes counts every supervised simulation run across the suite;
 	// Quarantined lists each failed run's identity and error.
-	Outcomes    benchOutcomes `json:"outcomes"`
-	Quarantined []string      `json:"quarantined,omitempty"`
+	Outcomes    supervise.Counts `json:"outcomes"`
+	Quarantined []string         `json:"quarantined,omitempty"`
 }
 
 // benchReport is the whole -json document, split so the volatile and
@@ -173,7 +150,7 @@ type benchReport struct {
 	Payload benchPayload `json:"payload"`
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("mptcp-bench", flag.ContinueOnError)
 	var (
 		expFlag     = fs.String("exp", "all", "comma-separated experiment IDs (see -list) or 'all'")
@@ -238,9 +215,6 @@ func run(args []string) error {
 		*scale = 1
 	}
 
-	ctx, stop := signalContext()
-	defer stop()
-
 	if *campaignDir != "" || *resumeDir != "" {
 		if *campaignDir != "" && *resumeDir != "" {
 			return fmt.Errorf("-campaign and -resume are mutually exclusive")
@@ -302,10 +276,7 @@ func run(args []string) error {
 		res, err := backend.Sweep(ctx, sw)
 		if err != nil {
 			if ctx.Err() != nil {
-				return &supervise.ExitCodeError{
-					Code: supervise.ExitInterrupted,
-					Msg:  "interrupted by signal before the sweep finished",
-				}
+				return supervise.InterruptedErr("interrupted by signal before the sweep finished")
 			}
 			return err
 		}
@@ -313,11 +284,8 @@ func run(args []string) error {
 		if !res.OK() {
 			// Exit 3: the table above is complete, but the fluid answers at
 			// the named points cannot be trusted.
-			return &supervise.ExitCodeError{
-				Code: supervise.ExitQuarantined,
-				Msg: fmt.Sprintf("fluid/packet disagreement at %d of %d checked points: %s",
-					len(res.Disagreements), res.Checked, strings.Join(res.Disagreements, "; ")),
-			}
+			return supervise.QuarantinedErr("fluid/packet disagreement at %d of %d checked points: %s",
+				len(res.Disagreements), res.Checked, strings.Join(res.Disagreements, "; "))
 		}
 		return nil
 	}
@@ -363,11 +331,10 @@ func run(args []string) error {
 		},
 		Payload: benchPayload{Scale: *scale, Seed: *seed, Reps: *reps},
 	}
-	interrupted := false
 	suiteStart := time.Now()
 	for _, e := range selected {
 		if ctx.Err() != nil {
-			interrupted = true
+			report.Meta.Interrupted = true
 			break
 		}
 		start := time.Now()
@@ -376,7 +343,7 @@ func run(args []string) error {
 		if res.Interrupted {
 			// A partial figure is not a result: note the interruption and
 			// keep it out of the payload entirely.
-			interrupted = true
+			report.Meta.Interrupted = true
 			fmt.Fprintf(os.Stderr, "interrupted during %s; its rows are discarded\n", e.ID)
 			break
 		}
@@ -396,12 +363,8 @@ func run(args []string) error {
 		report.Payload.TotalEvents += res.Events
 	}
 	report.Meta.TotalWallSec = time.Since(suiteStart).Seconds()
-	report.Meta.Interrupted = interrupted
 	counts := sup.Counts()
-	report.Payload.Outcomes = benchOutcomes{
-		OK: counts.OK, Retried: counts.Retried, Quarantined: counts.Quarantined,
-		TimedOut: counts.TimedOut, OverBudget: counts.OverBudget,
-	}
+	report.Payload.Outcomes = counts
 	for _, f := range sup.Failures() {
 		report.Payload.Quarantined = append(report.Payload.Quarantined, fmt.Sprintf("%s: %s: %s", f.ID, f.Kind, f.Msg))
 	}
@@ -431,21 +394,15 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d experiments, %.1fs, %d events)\n",
 			name, len(report.Payload.Experiments), report.Meta.TotalWallSec, report.Payload.TotalEvents)
 	}
-	if interrupted {
+	if report.Meta.Interrupted {
 		// Exit 4: stopped by signal after a clean drain — the printed tables
 		// and any written report cover only completed experiments.
-		return &supervise.ExitCodeError{
-			Code: supervise.ExitInterrupted,
-			Msg:  "interrupted by signal; completed experiments were flushed",
-		}
+		return supervise.InterruptedErr("interrupted by signal; completed experiments were flushed")
 	}
 	if counts.Failed() > 0 {
 		// Exit 3: the tables above are valid partial results, but at least
 		// one supervised run was quarantined.
-		return &supervise.ExitCodeError{
-			Code: supervise.ExitQuarantined,
-			Msg:  fmt.Sprintf("%d of %d supervised runs quarantined (see report)", counts.Failed(), counts.Total()),
-		}
+		return supervise.QuarantinedErr("%d of %d supervised runs quarantined (see report)", counts.Failed(), counts.Total())
 	}
 	return nil
 }
@@ -481,19 +438,13 @@ func runCampaign(ctx context.Context, startDir, resumeDir string, spec campaign.
 			filepath.Join(dir, "results.txt"), filepath.Join(dir, "campaign.json"))
 	}
 	if sum.Interrupted {
-		return &supervise.ExitCodeError{
-			Code: supervise.ExitInterrupted,
-			Msg:  fmt.Sprintf("interrupted; continue with -resume %s", dir),
-		}
+		return supervise.InterruptedErr("interrupted; continue with -resume %s", dir)
 	}
 	if !sum.Merged {
 		fmt.Fprintln(os.Stderr, "campaign: other shards still pending; the last shard to finish merges")
 	}
 	if sum.Quarantined > 0 {
-		return &supervise.ExitCodeError{
-			Code: supervise.ExitQuarantined,
-			Msg:  fmt.Sprintf("%d of %d units quarantined (see results)", sum.Quarantined, sum.Total),
-		}
+		return supervise.QuarantinedErr("%d of %d units quarantined (see results)", sum.Quarantined, sum.Total)
 	}
 	return nil
 }

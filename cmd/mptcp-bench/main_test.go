@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mptcpsim/internal/supervise"
 )
 
 func TestParseLoads(t *testing.T) {
@@ -64,13 +69,57 @@ func TestSweepSpecFromFlags(t *testing.T) {
 }
 
 func TestRunRejectsSweepFlagMisuse(t *testing.T) {
-	if err := run([]string{"-backend", "fluid"}); err == nil || !strings.Contains(err.Error(), "-backend requires -sweep") {
+	if err := run(context.Background(), []string{"-backend", "fluid"}); err == nil || !strings.Contains(err.Error(), "-backend requires -sweep") {
 		t.Errorf("run(-backend without -sweep) = %v", err)
 	}
-	if err := run([]string{"-sweep", "-loads", "nope"}); err == nil {
+	if err := run(context.Background(), []string{"-sweep", "-loads", "nope"}); err == nil {
 		t.Error("run(-sweep -loads nope) accepted")
 	}
-	if err := run([]string{"-sweep", "-backend", "quantum", "-loads", "0"}); err == nil {
+	if err := run(context.Background(), []string{"-sweep", "-backend", "quantum", "-loads", "0"}); err == nil {
 		t.Error("run(-sweep -backend quantum) accepted")
+	}
+}
+
+// TestRunExitCodes drives run in-process through the exit-code contract:
+// 0 for clean invocations, 1 for usage, 3 when a spot check disagrees, 4
+// when the context main builds from the signals is cancelled — and a campaign
+// interrupted that way resumes to the bytes of an uninterrupted one.
+func TestRunExitCodes(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	dir, ref := filepath.Join(t.TempDir(), "c"), filepath.Join(t.TempDir(), "ref")
+	campaign := " -exp fig1,fig4 -seeds 1,2 -scale 0.05 -j 2"
+	cases := []struct {
+		name string
+		ctx  context.Context
+		args string
+		want int
+	}{
+		{"list", context.Background(), "-list", 0},
+		{"unknown experiment", context.Background(), "-exp nosuch", 1},
+		{"sweep flag without -sweep", context.Background(), "-tol 0.1", 1},
+		{"one figure", context.Background(), "-exp fig1 -scale 0.05 -j 2", 0},
+		{"sweep whose one spot check disagrees", context.Background(),
+			"-sweep -topos twopath-asym -algs ewtcp -loads 0.05 -spot-check 1 -tol 0.001", 3},
+		{"suite cancelled before it starts", cancelled, "-exp fig1,fig4 -scale 0.05", 4},
+		{"campaign cancelled before it starts", cancelled, "-campaign " + dir + campaign, 4},
+		{"resume", context.Background(), "-resume " + dir + " -j 2", 0},
+		{"uninterrupted campaign", context.Background(), "-campaign " + ref + campaign, 0},
+	}
+	for _, tc := range cases {
+		if got := supervise.ExitCode(run(tc.ctx, strings.Fields(tc.args))); got != tc.want {
+			t.Errorf("%s: mptcp-bench %s exited %d, want %d", tc.name, tc.args, got, tc.want)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(ref, "results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) || len(got) == 0 {
+		t.Errorf("resumed campaign's results.txt differs from an uninterrupted one:\n%s\nwant:\n%s", got, want)
 	}
 }

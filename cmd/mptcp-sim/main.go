@@ -64,15 +64,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"mptcpsim/internal/backend"
@@ -88,27 +85,13 @@ import (
 )
 
 func main() {
-	ctx, stop := signalContext()
+	ctx, stop := supervise.SignalContext()
 	err := run(ctx, os.Args[1:])
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mptcp-sim:", err)
-		var ec *supervise.ExitCodeError
-		if errors.As(err, &ec) {
-			os.Exit(ec.Code)
-		}
-		os.Exit(1)
+		os.Exit(supervise.ExitCode(err))
 	}
-}
-
-// signalContext cancels on the first SIGINT/SIGTERM so in-flight work
-// drains; the AfterFunc restores default signal dispositions the moment the
-// context dies, so a second signal kills the process immediately instead of
-// waiting out the drain.
-func signalContext() (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	context.AfterFunc(ctx, func() { stop() })
-	return ctx, stop
 }
 
 // stopOnCancel schedules a periodic engine event that stops the engine once
@@ -127,11 +110,6 @@ func stopOnCancel(ctx context.Context, eng *sim.Engine) {
 		eng.ScheduleAfter(every, tick)
 	}
 	eng.ScheduleAfter(every, tick)
-}
-
-// interruptedErr is the exit-4 error for a signal-stopped invocation.
-func interruptedErr(msg string) error {
-	return &supervise.ExitCodeError{Code: supervise.ExitInterrupted, Msg: msg}
 }
 
 // invocation is one parsed command line: the Scenario the world flags lower
@@ -252,34 +230,32 @@ func run(ctx context.Context, args []string) error {
 	if inv.sc.Population != nil {
 		phase = "churn"
 	}
-	supervised := func(seed int64) (outcome, error) {
-		var o outcome
-		var err error
-		rep := sup.Run(supervise.RunID{Seed: seed, Scenario: inv.sc.Topology, Phase: phase},
-			func(wd *supervise.Watchdog) error {
-				o, err = execute(ctx, inv, seed, wd)
-				return err
-			})
-		if rep.Outcome.Failed() {
-			return outcome{}, rep.Err
-		}
-		return o, nil
+	runID := func(i int) supervise.RunID {
+		return supervise.RunID{Seed: inv.sc.Seed + int64(i), Scenario: inv.sc.Topology, Phase: phase}
 	}
 	if inv.runs <= 1 {
-		exec := supervised
 		if inv.timeout <= 0 {
-			exec = func(seed int64) (outcome, error) { return execute(ctx, inv, seed, nil) }
+			o, err := execute(ctx, inv, inv.sc.Seed, nil)
+			if err != nil {
+				return err
+			}
+			return o.report(inv)
 		}
-		o, err := exec(inv.sc.Seed)
-		if err != nil {
+		var o outcome
+		rep := sup.Run(ctx, runID(0), func(wd *supervise.Watchdog) (err error) {
+			o, err = execute(ctx, inv, inv.sc.Seed, wd)
 			return err
+		})
+		if rep.Outcome.Failed() {
+			return rep.Err
 		}
 		return o.report(inv)
 	}
 
-	outs, errs := runner.MapErrCtx(ctx, inv.workers, inv.runs, func(i int) (outcome, error) {
-		return supervised(inv.sc.Seed + int64(i))
-	})
+	outs, reports := supervise.Map(ctx, sup, inv.workers, inv.runs, runID,
+		func(i int, wd *supervise.Watchdog) (outcome, error) {
+			return execute(ctx, inv, inv.sc.Seed+int64(i), wd)
+		})
 	fmt.Printf("%-6s %12s %10s %12s %10s %10s %8s\n",
 		"seed", "goodput_mbps", "acked_mb", "energy_j", "mean_w", "events", "wall_s")
 	var sumGoodput, sumJoules float64
@@ -287,20 +263,16 @@ func run(ctx context.Context, args []string) error {
 	var skipped, cut int
 	for i, o := range outs {
 		seed := inv.sc.Seed + int64(i)
-		var err error
-		if errs != nil {
-			err = errs[i]
-		}
-		switch {
-		case errors.Is(err, runner.ErrSkipped):
+		switch rep := reports[i]; {
+		case rep.Outcome == supervise.Skipped:
 			fmt.Printf("%-6d skipped (interrupted before start)\n", seed)
 			skipped++
-		case err != nil:
+		case rep.Outcome.Failed():
 			// Report the failure in the row, keep printing the other seeds,
 			// and fail the whole invocation below. A bad seed must not be
 			// silently averaged away — nor hide the remaining results.
-			fmt.Printf("%-6d FAILED: %v\n", seed, err)
-			failed = append(failed, fmt.Sprintf("\n  seed %d: %v", seed, err))
+			fmt.Printf("%-6d FAILED: %v\n", seed, rep.Err)
+			failed = append(failed, fmt.Sprintf("\n  seed %d: %v", seed, rep.Err))
 		case o.interrupted:
 			// Stopped mid-run by the signal: the partial metrics would skew
 			// the mean, so the row reports how far it got and nothing more.
@@ -325,15 +297,14 @@ func run(ctx context.Context, args []string) error {
 	if skipped+cut > 0 {
 		// Exit 4: a signal stopped the batch early; completed rows above
 		// are valid and were flushed before exit.
-		return interruptedErr(fmt.Sprintf(
+		return supervise.InterruptedErr(
 			"interrupted: %d of %d runs completed (%d cut mid-run, %d never started)",
-			done, len(outs), cut, skipped))
+			done, len(outs), cut, skipped)
 	}
 	if len(failed) > 0 {
 		// Exit 3: the batch completed and the surviving rows above are
 		// valid, but at least one run was quarantined.
-		return &supervise.ExitCodeError{Code: supervise.ExitQuarantined,
-			Msg: fmt.Sprintf("%d of %d runs quarantined:%s", len(failed), len(outs), strings.Join(failed, ""))}
+		return supervise.QuarantinedErr("%d of %d runs quarantined:%s", len(failed), len(outs), strings.Join(failed, ""))
 	}
 	return nil
 }
@@ -374,14 +345,11 @@ func runSoak(ctx context.Context, spec string, seed int64, workers int, dir stri
 	if res.Interrupted {
 		// Exit 4: the soak was stopped by a signal; artifacts written so far
 		// are complete and valid.
-		return interruptedErr(fmt.Sprintf(
-			"soak interrupted after %d scenarios (%d quarantined)", res.Scenarios, len(res.Failures)))
+		return supervise.InterruptedErr(
+			"soak interrupted after %d scenarios (%d quarantined)", res.Scenarios, len(res.Failures))
 	}
 	if res.Failed() {
-		return &supervise.ExitCodeError{
-			Code: supervise.ExitQuarantined,
-			Msg:  fmt.Sprintf("soak quarantined %d of %d scenarios", len(res.Failures), res.Scenarios),
-		}
+		return supervise.QuarantinedErr("soak quarantined %d of %d scenarios", len(res.Failures), res.Scenarios)
 	}
 	return nil
 }
@@ -534,8 +502,8 @@ func (o outcome) report(inv invocation) error {
 				stats.Percentile(o.joules, 50), stats.Percentile(o.joules, 99))
 		}
 		if o.interrupted {
-			return interruptedErr(fmt.Sprintf("interrupted at %.1fs simulated (%d of %d flows offered)",
-				eng.Now().Seconds(), st.Offered, inv.sc.Population.TotalFlows))
+			return supervise.InterruptedErr("interrupted at %.1fs simulated (%d of %d flows offered)",
+				eng.Now().Seconds(), st.Offered, inv.sc.Population.TotalFlows)
 		}
 		return nil
 	}
@@ -561,8 +529,8 @@ func (o outcome) report(inv invocation) error {
 	if o.interrupted {
 		// Exit 4: the metrics above cover the simulated time that elapsed
 		// before the signal; trace and meter were flushed.
-		return interruptedErr(fmt.Sprintf("interrupted at %.1fs simulated (of %s requested)",
-			eng.Now().Seconds(), inv.sc.Horizon.Duration()))
+		return supervise.InterruptedErr("interrupted at %.1fs simulated (of %s requested)",
+			eng.Now().Seconds(), inv.sc.Horizon.Duration())
 	}
 	return nil
 }

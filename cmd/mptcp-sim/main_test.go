@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,18 +144,6 @@ func TestSubflowsMeanTheSameAsChaos(t *testing.T) {
 	}
 }
 
-// exitCode is the process exit status main would report for err.
-func exitCode(err error) int {
-	var ec *supervise.ExitCodeError
-	switch {
-	case err == nil:
-		return 0
-	case errors.As(err, &ec):
-		return ec.Code
-	}
-	return 1
-}
-
 // TestRunExitCodes drives run in-process through the exit-code contract:
 // 0 for clean runs of every mode, 1 for usage, 3 when something was
 // quarantined (the -inject self-test the flag exists for, and a batch with a
@@ -184,7 +171,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"cancelled before a single run", cancelled, "-duration 5s", 4},
 	}
 	for _, tc := range cases {
-		if got := exitCode(run(tc.ctx, strings.Fields(tc.args))); got != tc.want {
+		if got := supervise.ExitCode(run(tc.ctx, strings.Fields(tc.args))); got != tc.want {
 			t.Errorf("%s: mptcp-sim %s exited %d, want %d", tc.name, tc.args, got, tc.want)
 		}
 	}
@@ -201,7 +188,7 @@ func TestRunExitCodes(t *testing.T) {
 	ctx, stop := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer stop()
 	err := run(ctx, strings.Fields("-duration 600s -runs 3 -j 1"))
-	if exitCode(err) != 4 || !strings.Contains(err.Error(), "1 cut mid-run, 2 never started") {
+	if supervise.ExitCode(err) != 4 || !strings.Contains(err.Error(), "1 cut mid-run, 2 never started") {
 		t.Errorf("batch cancelled mid-run: %v, want exit 4 with one run cut and two skipped", err)
 	}
 }

@@ -121,6 +121,71 @@ func goPackageDirs(t *testing.T, roots ...string) []string {
 	return dirs
 }
 
+// TestSupervisionLivesInOnePlace keeps the copies PR 23 deleted from growing
+// back: outside internal/runner (the bare pool) and internal/supervise (the
+// retry loop, the classifier, the process boundary) no non-test code
+// recovers a panic, sleeps on the wall clock, exits the process or builds an
+// exit-code error by hand. The exceptions are the two main functions, which
+// exit with supervise.ExitCode, and the chaos spin failpoint, whose job is to
+// hang. benchmark/ is frozen and stands outside.
+func TestSupervisionLivesInOnePlace(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range goPackageDirs(t, "internal", "cmd", "examples") {
+		owner := dir == "internal/runner" || dir == "internal/supervise"
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", file, err)
+			}
+			file = filepath.ToSlash(file)
+			for _, decl := range f.Decls {
+				fn, _ := decl.(*ast.FuncDecl)
+				inMain := fn != nil && fn.Name.Name == "main" && fn.Recv == nil && strings.HasPrefix(dir, "cmd/")
+				ast.Inspect(decl, func(n ast.Node) bool {
+					var what string
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						switch fun := n.Fun.(type) {
+						case *ast.Ident:
+							if fun.Name == "recover" && !owner {
+								what = "recover() — run it under internal/supervise instead"
+							}
+						case *ast.SelectorExpr:
+							pkg, _ := fun.X.(*ast.Ident)
+							switch {
+							case pkg == nil:
+							case pkg.Name == "time" && fun.Sel.Name == "Sleep" && file != "internal/chaos/scenario.go":
+								what = "time.Sleep — a wait belongs to Supervisor.Run, which a cancellation can cut short"
+							case pkg.Name == "os" && fun.Sel.Name == "Exit" && !inMain:
+								what = "os.Exit — return an error; main exits with supervise.ExitCode"
+							}
+						}
+					case *ast.CompositeLit:
+						typ := n.Type
+						if sel, ok := typ.(*ast.SelectorExpr); ok {
+							typ = sel.Sel
+						}
+						if id, ok := typ.(*ast.Ident); ok && id.Name == "ExitCodeError" && dir != "internal/supervise" {
+							what = "an ExitCodeError literal — use supervise.QuarantinedErr or supervise.InterruptedErr"
+						}
+					}
+					if what != "" {
+						t.Errorf("%s: %s", fset.Position(n.Pos()), what)
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
 // TestPackageMapCoversEveryPackage pins the README architecture block and
 // the ARCHITECTURE.md package map to the package tree: every internal
 // package and every command must be listed in both, so a new package

@@ -257,34 +257,87 @@ func TestDigestMismatchReruns(t *testing.T) {
 	}
 }
 
+// TestQuarantinedUnitDegradesToNote: a unit that fails for good — its
+// executor returns an error, or panics — is journaled as quarantined with a
+// one-line note, merges as that note, and is not re-run by a resume. What the
+// supervisor recovered from a panic beside the message (kind, stack) goes to
+// the log instead of being dropped.
 func TestQuarantinedUnitDegradesToNote(t *testing.T) {
-	dir := t.TempDir()
 	badID := "fig4_all_all_seed1"
-	fe := &fakeExec{fail: map[string]bool{badID: true}}
-	sum, err := Start(context.Background(), dir, fakeSpec, Options{Workers: 1, Exec: fe.exec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Quarantined != 1 || !sum.Merged {
-		t.Fatalf("sum=%+v, want one quarantined unit and a merge", sum)
-	}
-	results, payload := mustOutputs(t, dir)
-	if !strings.Contains(results, "== "+badID+": quarantined ==") ||
-		!strings.Contains(results, "deterministic failure in "+badID) {
-		t.Errorf("merged results missing quarantine stanza:\n%s", results)
-	}
-	if !strings.Contains(payload, `"status": "quarantined"`) {
-		t.Errorf("payload missing quarantined status:\n%s", payload)
-	}
+	for _, tc := range []struct {
+		name, note string
+		exec       func(*fakeExec) func(context.Context, Unit, string, exp.Config) (UnitOutput, error)
+	}{
+		{"error", "deterministic failure in " + badID, func(fe *fakeExec) func(context.Context, Unit, string, exp.Config) (UnitOutput, error) {
+			fe.fail = map[string]bool{badID: true}
+			return fe.exec
+		}},
+		{"panic", "panic: boom in " + badID, func(fe *fakeExec) func(context.Context, Unit, string, exp.Config) (UnitOutput, error) {
+			return panickyExec(fe, badID)
+		}},
+	} {
+		dir := t.TempDir()
+		var mu sync.Mutex
+		var logged []string
+		var entry Entry
+		sum, err := Start(context.Background(), dir, fakeSpec, Options{
+			Workers: 1, Exec: tc.exec(&fakeExec{}),
+			Log: func(format string, args ...any) {
+				mu.Lock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			},
+			OnUnitDone: func(u Unit, e Entry) {
+				if u.ID() == badID {
+					entry = e
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Quarantined != 1 || sum.Ran != 4 || !sum.Merged {
+			t.Fatalf("%s: sum=%+v, want four units run, one of them quarantined, and a merge", tc.name, sum)
+		}
+		if entry.Status != StatusQuarantined || entry.Note != tc.note || entry.Attempts != 1 {
+			t.Errorf("%s: journal entry = %+v, want quarantined on the first attempt with the note %q", tc.name, entry, tc.note)
+		}
+		results, payload := mustOutputs(t, dir)
+		if !strings.Contains(results, "== "+badID+": quarantined ==") || !strings.Contains(results, tc.note) {
+			t.Errorf("%s: merged results missing quarantine stanza:\n%s", tc.name, results)
+		}
+		if !strings.Contains(payload, `"status": "quarantined"`) {
+			t.Errorf("%s: payload missing quarantined status:\n%s", tc.name, payload)
+		}
+		log := strings.Join(logged, "\n")
+		if !strings.Contains(log, "unit "+badID+" quarantined: "+tc.note) {
+			t.Errorf("%s: quarantine not logged:\n%s", tc.name, log)
+		}
+		if tc.name == "panic" && (!strings.Contains(log, "unit "+badID+" panic") ||
+			!strings.Contains(log, "panickyExec") || !strings.Contains(log, "goroutine ")) {
+			t.Errorf("log does not carry the panic's kind and a stack naming the executor:\n%s", log)
+		}
 
-	// Resume must not re-run a deterministic failure.
-	fe2 := &fakeExec{fail: map[string]bool{badID: true}}
-	sum2, err := Resume(context.Background(), dir, Options{Workers: 1, Exec: fe2.exec})
-	if err != nil {
-		t.Fatal(err)
+		// Resume must not re-run a deterministic failure.
+		fe2 := &fakeExec{}
+		sum2, err := Resume(context.Background(), dir, Options{Workers: 1, Exec: tc.exec(fe2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fe2.ran) != 0 || sum2.Reused != 4 {
+			t.Fatalf("%s: resume re-ran quarantined unit: ran=%v sum=%+v", tc.name, fe2.ran, sum2)
+		}
 	}
-	if len(fe2.ran) != 0 || sum2.Reused != 4 {
-		t.Fatalf("resume re-ran quarantined unit: ran=%v sum=%+v", fe2.ran, sum2)
+}
+
+// panickyExec is fe.exec with one unit that panics; the function's name is
+// what the logged stack must show.
+func panickyExec(fe *fakeExec, bad string) func(context.Context, Unit, string, exp.Config) (UnitOutput, error) {
+	return func(ctx context.Context, u Unit, udir string, cfg exp.Config) (UnitOutput, error) {
+		if u.ID() == bad {
+			panic("boom in " + bad)
+		}
+		return fe.exec(ctx, u, udir, cfg)
 	}
 }
 
@@ -292,7 +345,9 @@ func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
 	dir := t.TempDir()
 	flaky := "fig1_all_all_seed2"
 	fe := &fakeExec{transientFails: map[string]int{flaky: 2}}
-	sum, err := Start(context.Background(), dir, fakeSpec, Options{Workers: 1, Exec: fe.exec, Retries: 2})
+	attempts := map[string]int{}
+	sum, err := Start(context.Background(), dir, fakeSpec, Options{Workers: 1, Exec: fe.exec, Retries: 2,
+		OnUnitDone: func(u Unit, e Entry) { attempts[u.ID()] = e.Attempts }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +356,9 @@ func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
 	}
 	if n := fe.runCount(flaky); n != 3 {
 		t.Fatalf("flaky unit ran %d times, want 3 (two transient failures + success)", n)
+	}
+	if attempts[flaky] != 3 || attempts["fig1_all_all_seed1"] != 1 {
+		t.Fatalf("journaled attempts = %v, want 3 for the flaky unit and 1 for the others", attempts)
 	}
 }
 
@@ -314,6 +372,51 @@ func TestTransientExhaustionQuarantines(t *testing.T) {
 	}
 	if sum.Quarantined != 1 {
 		t.Fatalf("exhausted transient retries did not quarantine: %+v", sum)
+	}
+}
+
+// TestInterruptDuringRetryBackoff: a cancellation that lands while a unit
+// waits to retry leaves the unit pending — not run again, not quarantined,
+// not journaled — and the invocation interrupted; resume then runs it.
+func TestInterruptDuringRetryBackoff(t *testing.T) {
+	dir := t.TempDir()
+	flaky := "fig1_all_all_seed2" // the second unit: the first is checkpointed before the cancel
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fe := &fakeExec{}
+	sum, err := Start(ctx, dir, fakeSpec, Options{Workers: 1, Retries: 2,
+		Exec: func(ctx context.Context, u Unit, udir string, cfg exp.Config) (UnitOutput, error) {
+			if u.ID() == flaky {
+				fe.exec(ctx, u, udir, cfg) // counts the attempt
+				cancel()
+				return UnitOutput{}, supervise.Transient(errors.New("flaky filesystem"))
+			}
+			return fe.exec(ctx, u, udir, cfg)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Interrupted || sum.Ran != 1 || sum.Pending != 3 || sum.Quarantined != 0 || sum.Merged {
+		t.Fatalf("sum=%+v, want interrupted with one unit checkpointed and three pending", sum)
+	}
+	if n := fe.runCount(flaky); n != 1 {
+		t.Errorf("the unit ran %d times, want no attempt after the cancel", n)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(journal), flaky) || strings.Count(string(journal), "\n") != 1 {
+		t.Errorf("journal should hold the first unit only:\n%s", journal)
+	}
+
+	fe2 := &fakeExec{}
+	sum2, err := Resume(context.Background(), dir, Options{Workers: 1, Exec: fe2.exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fe2.runCount(flaky) != 1 || sum2.Ran != 3 || sum2.Reused != 1 || !sum2.Merged || sum2.Interrupted {
+		t.Fatalf("resume: ran=%v sum=%+v, want the three pending units run and a merge", fe2.ran, sum2)
 	}
 }
 

@@ -176,71 +176,67 @@ func run(ctx context.Context, dir string, m *Manifest, opt Options) (*Summary, e
 	logf("%d units total on this shard: %d reused from journal, %d to run",
 		sum.Total, sum.Reused, len(pending))
 
+	// runSup bounds and counts the simulation runs inside each figure
+	// (Summary.Counts); unitSup retries a unit whose file system hiccuped and
+	// quarantines one that fails for good. The pool's own supervisor turns
+	// what escapes the checkpoint step into a report that fails the
+	// invocation: a journal that cannot be written cannot promise resumability.
 	runSup := supervise.New(supervise.Budget{Wall: opt.Timeout})
-	var (
-		mu          sync.Mutex // journal appends and summary updates
-		interrupted bool
-	)
-	_, errs := runner.MapErrCtx(ctx, opt.Workers, len(pending), func(i int) (struct{}, error) {
-		u := pending[i]
-		cfg := exp.Config{
-			Seed: u.Seed, Scale: m.Spec.Scale, Reps: m.Spec.Reps,
-			Workers: 1, Check: m.Spec.Check, Sup: runSup, Ctx: ctx,
-			SampleInterval: opt.SampleInterval,
-		}
-		// A pinned axis value narrows the figure to this unit's slice; the
-		// sentinel "all" (undeclared axis, or a manifest from before the
-		// axis was declared) leaves the filter off.
-		if u.Algorithm != "all" {
-			cfg.Algorithm = u.Algorithm
-		}
-		if u.Scenario != "all" {
-			cfg.Scenario = u.Scenario
-		}
-		entry, out, uerr := runUnit(ctx, u, u.Dir(dir), cfg, m.Spec.Records, opt.Retries, execFn)
-		mu.Lock()
-		defer mu.Unlock()
-		if out.Interrupted {
-			interrupted = true
-			sum.Pending++
+	unitSup := supervise.New(supervise.Budget{})
+	unitSup.Retries = opt.Retries
+	var mu sync.Mutex // journal appends and summary updates
+	_, reports := supervise.Map(ctx, supervise.New(supervise.Budget{}), opt.Workers, len(pending),
+		func(i int) supervise.RunID { return pending[i].runID() },
+		func(i int, _ *supervise.Watchdog) (struct{}, error) {
+			u := pending[i]
+			cfg := exp.Config{
+				Seed: u.Seed, Scale: m.Spec.Scale, Reps: m.Spec.Reps,
+				Workers: 1, Check: m.Spec.Check, Sup: runSup, Ctx: ctx,
+				SampleInterval: opt.SampleInterval,
+			}
+			// A pinned axis value narrows the figure to this unit's slice; the
+			// sentinel "all" (undeclared axis, or a manifest from before the
+			// axis was declared) leaves the filter off.
+			if u.Algorithm != "all" {
+				cfg.Algorithm = u.Algorithm
+			}
+			if u.Scenario != "all" {
+				cfg.Scenario = u.Scenario
+			}
+			if m.Spec.Records {
+				cfg.OutDir = filepath.Join(u.Dir(dir), "records")
+			}
+			entry, cut, err := runUnit(ctx, unitSup, u, u.Dir(dir), cfg, execFn, logf)
+			if cut || err != nil {
+				return struct{}{}, err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err := journal.Append(entry); err != nil {
+				return struct{}{}, fmt.Errorf("campaign: journal append: %w", err)
+			}
+			sum.Ran++
+			if entry.Status == StatusQuarantined {
+				sum.Quarantined++
+				logf("unit %s quarantined: %s", u.ID(), entry.Note)
+			} else {
+				logf("unit %s done (%d events)", u.ID(), entry.Events)
+			}
+			if opt.OnUnitDone != nil {
+				opt.OnUnitDone(u, entry)
+			}
 			return struct{}{}, nil
+		})
+	for _, rep := range reports {
+		if rep.Outcome.Failed() {
+			return nil, rep.Err
 		}
-		if uerr != nil {
-			// Journal append or digest failure: the unit ran but could not
-			// be checkpointed. Fail hard — a journal that cannot be written
-			// cannot promise resumability.
-			return struct{}{}, uerr
-		}
-		if err := journal.Append(entry); err != nil {
-			return struct{}{}, fmt.Errorf("campaign: journal append: %w", err)
-		}
-		sum.Ran++
-		if entry.Status == StatusQuarantined {
-			sum.Quarantined++
-			logf("unit %s quarantined: %s", u.ID(), entry.Note)
-		} else {
-			logf("unit %s done (%d events)", u.ID(), entry.Events)
-		}
-		if opt.OnUnitDone != nil {
-			opt.OnUnitDone(u, entry)
-		}
-		return struct{}{}, nil
-	})
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if errors.Is(e, runner.ErrSkipped) {
-			interrupted = true
-			sum.Pending++
-			continue
-		}
-		return nil, e
 	}
 	if err := journal.Sync(); err != nil {
 		return nil, fmt.Errorf("campaign: journal sync: %w", err)
 	}
-	sum.Interrupted = interrupted || ctx.Err() != nil
+	sum.Pending = len(pending) - sum.Ran // never started, or cut short
+	sum.Interrupted = sum.Pending > 0 || ctx.Err() != nil
 	sum.Counts = runSup.Counts()
 
 	// Merge when every unit across all shards is terminal; an incomplete
@@ -254,76 +250,53 @@ func run(ctx context.Context, dir string, m *Manifest, opt Options) (*Summary, e
 	return sum, nil
 }
 
-// runUnit executes one unit with transient retry, returning its journal
-// entry. The unit directory is wiped before each attempt so artifacts are
-// exactly what this execution wrote — never a blend with a dead one.
-func runUnit(ctx context.Context, u Unit, udir string, cfg exp.Config, records bool,
-	retries int, execFn func(context.Context, Unit, string, exp.Config) (UnitOutput, error),
-) (Entry, UnitOutput, error) {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if ctx.Err() != nil {
-			return Entry{}, UnitOutput{Interrupted: true}, nil
-		}
+// runID names the unit to a supervisor.
+func (u Unit) runID() supervise.RunID {
+	return supervise.RunID{Seed: u.Seed, Scenario: u.ID(), Phase: "campaign"}
+}
+
+// runUnit executes one unit under the unit supervisor and returns its journal
+// entry: done with the digest of its artifacts, or quarantined with a note —
+// its stanza in the merged results degrades to that note, mirroring how
+// exp.Config.Sup drops a failed row inside a figure. cut reports a unit the
+// cancellation stopped short of either (inside the executor, or waiting to
+// retry): its artifacts are partial and it must not be checkpointed. The unit
+// directory is wiped before each attempt so artifacts are exactly what this
+// execution wrote — never a blend with a dead one.
+func runUnit(ctx context.Context, sup *supervise.Supervisor, u Unit, udir string, cfg exp.Config,
+	execFn func(context.Context, Unit, string, exp.Config) (UnitOutput, error), logf func(string, ...any),
+) (entry Entry, cut bool, err error) {
+	var out UnitOutput
+	rep := sup.Run(ctx, u.runID(), func(*supervise.Watchdog) error {
 		if err := os.RemoveAll(udir); err != nil {
-			lastErr = supervise.Transient(err)
-		} else if err := os.MkdirAll(udir, 0o755); err != nil {
-			lastErr = supervise.Transient(err)
-		} else {
-			if records {
-				cfg.OutDir = filepath.Join(udir, "records")
-			}
-			out, err := execSafe(ctx, u, udir, cfg, execFn)
-			if err == nil {
-				if out.Interrupted {
-					return Entry{}, out, nil
-				}
-				digest, derr := digestDir(udir)
-				if derr != nil {
-					return Entry{}, UnitOutput{}, fmt.Errorf("campaign: digesting %s: %w", udir, derr)
-				}
-				return Entry{
-					ID: u.ID(), Status: StatusDone, Digest: digest,
-					Events: out.Events, Attempts: attempt,
-				}, out, nil
-			}
-			lastErr = err
+			return supervise.Transient(err)
 		}
-		if supervise.IsTransient(lastErr) && attempt <= retries {
-			time.Sleep(backoff(attempt))
-			continue
+		if err := os.MkdirAll(udir, 0o755); err != nil {
+			return supervise.Transient(err)
 		}
-		// Permanent failure: quarantine the unit. Its stanza in the merged
-		// results degrades to a note, mirroring how exp.Config.Sup drops a
-		// failed row inside a figure.
-		return Entry{
-			ID: u.ID(), Status: StatusQuarantined,
-			Attempts: attempt, Note: lastErr.Error(),
-		}, UnitOutput{}, nil
+		var err error
+		out, err = execFn(ctx, u, udir, cfg)
+		return err
+	})
+	entry = Entry{ID: u.ID(), Attempts: rep.Attempts}
+	switch {
+	case rep.Outcome.Failed():
+		entry.Status, entry.Note = StatusQuarantined, rep.Err.Msg
+		if rep.Err.Stack != "" {
+			// A panic: the journal keeps the one-line note, the log the
+			// rest of what the supervisor recovered.
+			entry.Note = "panic: " + rep.Err.Msg
+			logf("unit %s %s, last observation %q, stack:\n%s", entry.ID, rep.Err.Kind, rep.Err.LastObsv, rep.Err.Stack)
+		}
+		return entry, false, nil
+	case rep.Outcome == supervise.Skipped || out.Interrupted:
+		return entry, true, nil
 	}
-}
-
-// execSafe invokes the unit executor with a panic guard: an escaped panic
-// becomes the unit's quarantine note instead of killing the campaign.
-func execSafe(ctx context.Context, u Unit, udir string, cfg exp.Config,
-	execFn func(context.Context, Unit, string, exp.Config) (UnitOutput, error),
-) (out UnitOutput, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return execFn(ctx, u, udir, cfg)
-}
-
-// backoff is the capped exponential delay before transient retry attempt
-// (1-based).
-func backoff(attempt int) time.Duration {
-	d := 100 * time.Millisecond << (attempt - 1)
-	if d > 2*time.Second {
-		d = 2 * time.Second
+	entry.Status, entry.Events = StatusDone, out.Events
+	if entry.Digest, err = digestDir(udir); err != nil {
+		return entry, false, fmt.Errorf("campaign: digesting %s: %w", udir, err)
 	}
-	return d
+	return entry, false, nil
 }
 
 // execUnit is the production unit executor: it runs the unit's figure at

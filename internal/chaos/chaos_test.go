@@ -41,9 +41,7 @@ func shortBudget() supervise.Budget {
 // runScenario executes sc under a fresh supervisor and returns the report.
 func runScenario(t *testing.T, sc Scenario) supervise.Report {
 	t.Helper()
-	sup := supervise.New(shortBudget())
-	return sup.Run(supervise.RunID{Seed: sc.Seed, Scenario: "test", Phase: "chaos"},
-		func(wd *supervise.Watchdog) error { return sc.Run(wd) })
+	return sc.runUnder(shortBudget(), "test")
 }
 
 // baseScenario is a small twopath scenario used as the failpoint carrier.
@@ -88,9 +86,7 @@ func TestPanicFailpointQuarantined(t *testing.T) {
 func TestSpinFailpointTimesOut(t *testing.T) {
 	sc := baseScenario()
 	sc.Failpoint = "spin@200ms=400ms"
-	sup := supervise.New(supervise.Budget{Wall: 100 * time.Millisecond, CheckEvery: 0})
-	rep := sup.Run(supervise.RunID{Seed: sc.Seed, Scenario: "spin", Phase: "chaos"},
-		func(wd *supervise.Watchdog) error { return sc.Run(wd) })
+	rep := sc.runUnder(supervise.Budget{Wall: 100 * time.Millisecond}, "spin")
 	if rep.Outcome != supervise.TimedOut {
 		t.Fatalf("outcome = %v, want TimedOut (err: %+v)", rep.Outcome, rep.Err)
 	}

@@ -19,6 +19,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"regexp"
@@ -275,6 +276,15 @@ func (sc Scenario) Run(wd *supervise.Watchdog) error {
 		}
 	}
 	return obs.Close()
+}
+
+// runUnder runs the scenario once under a supervisor of its own holding
+// budget — no retries (chaos failures are deterministic by construction), no
+// shared counters — for whoever name says is asking ("replay", "shrink").
+// The soak's own runs go through the campaign supervisor, which counts them.
+func (sc Scenario) runUnder(budget supervise.Budget, name string) supervise.Report {
+	return supervise.New(budget).Run(context.Background(),
+		supervise.RunID{Seed: sc.Seed, Scenario: name, Phase: "chaos"}, sc.Run)
 }
 
 // installFailpoint arms the scenario's deliberate failure, if any.

@@ -19,21 +19,15 @@ type shrinker struct {
 	max    int
 }
 
-// reproduces runs the candidate under an isolated supervisor (no retries:
-// chaos failures are deterministic by construction) and reports whether it
-// fails with the same signature as the original.
+// reproduces runs the candidate and reports whether it fails with the same
+// signature as the original.
 func (sh *shrinker) reproduces(sc Scenario) bool {
 	if sh.runs >= sh.max {
 		return false
 	}
 	sh.runs++
-	sup := supervise.New(sh.budget)
-	rep := sup.Run(supervise.RunID{Seed: sc.Seed, Scenario: "shrink", Phase: "chaos"},
-		func(wd *supervise.Watchdog) error { return sc.Run(wd) })
-	if !rep.Outcome.Failed() {
-		return false
-	}
-	return Signature(rep.Err) == sh.sig
+	rep := sc.runUnder(sh.budget, "shrink")
+	return rep.Outcome.Failed() && Signature(rep.Err) == sh.sig
 }
 
 // Shrink reduces a failing scenario to a smaller one that fails with the

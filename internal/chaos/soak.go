@@ -102,19 +102,8 @@ func Replay(path string, budget supervise.Budget) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if budget.Wall == 0 {
-		budget.Wall = DefaultRunTimeout
-	}
-	if budget.Events == 0 {
-		budget.Events = DefaultMaxEvents
-	}
-	sup := supervise.New(budget)
-	rep := sup.Run(supervise.RunID{Seed: a.Scenario.Seed, Scenario: "replay", Phase: "chaos"},
-		func(wd *supervise.Watchdog) error { return a.Scenario.Run(wd) })
-	res := &ReplayResult{Artifact: a, Outcome: rep.Outcome}
-	if rep.Outcome.Failed() {
-		res.Signature = Signature(rep.Err)
-	}
+	rep := a.Scenario.runUnder(withDefaults(budget), "replay")
+	res := &ReplayResult{Artifact: a, Outcome: rep.Outcome, Signature: Signature(rep.Err)}
 	res.Match = res.Signature == a.Signature
 	return res, nil
 }
@@ -124,6 +113,17 @@ const (
 	DefaultRunTimeout = 30 * time.Second
 	DefaultMaxEvents  = 20_000_000
 )
+
+// withDefaults fills a budget's unset wall and event bounds with them.
+func withDefaults(b supervise.Budget) supervise.Budget {
+	if b.Wall == 0 {
+		b.Wall = DefaultRunTimeout
+	}
+	if b.Events == 0 {
+		b.Events = DefaultMaxEvents
+	}
+	return b
+}
 
 // SoakConfig controls a chaos campaign.
 type SoakConfig struct {
@@ -162,10 +162,9 @@ type SoakFailure struct {
 
 // SoakResult summarises a campaign.
 type SoakResult struct {
-	Scenarios int                   `json:"scenarios"`
-	Counts    supervise.Counts      `json:"counts"`
-	Failures  []SoakFailure         `json:"failures,omitempty"`
-	Sup       *supervise.Supervisor `json:"-"`
+	Scenarios int              `json:"scenarios"`
+	Counts    supervise.Counts `json:"counts"`
+	Failures  []SoakFailure    `json:"failures,omitempty"`
 	// Interrupted: the campaign was cancelled before finishing; Scenarios
 	// counts only the runs that actually executed.
 	Interrupted bool `json:"interrupted,omitempty"`
@@ -181,12 +180,6 @@ func (r *SoakResult) Failed() bool { return len(r.Failures) > 0 }
 // deterministic for any Workers value (wall timeouts excepted — the event
 // budget is the deterministic bound).
 func Soak(cfg SoakConfig) (*SoakResult, error) {
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultRunTimeout
-	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = DefaultMaxEvents
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runner.DefaultWorkers()
 	}
@@ -198,54 +191,43 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	budget := supervise.Budget{Wall: cfg.Timeout, Events: cfg.MaxEvents}
+	budget := withDefaults(supervise.Budget{Wall: cfg.Timeout, Events: cfg.MaxEvents})
 	sup := supervise.New(budget)
-	res := &SoakResult{Sup: sup}
+	res := &SoakResult{}
 
 	// runBatch executes scenarios [start, start+n) and reports their
-	// failures plus how many actually ran (cancellation skips the rest).
-	runBatch := func(start, n int) ([]SoakFailure, int) {
-		type slot struct {
-			rep supervise.Report
-			sc  Scenario
-			ran bool
+	// failures (cancellation skips the rest; the supervisor counts those
+	// that ran).
+	runBatch := func(start, n int) []SoakFailure {
+		scs := make([]Scenario, n)
+		for i := range scs {
+			scs[i] = GenerateAt(cfg.Seed, start+i)
+			cfg.applyInjection(&scs[i], start+i)
 		}
-		slots := make([]slot, n)
-		runner.MapErrCtx(ctx, cfg.Workers, n, func(i int) (struct{}, error) {
-			sc := GenerateAt(cfg.Seed, start+i)
-			cfg.applyInjection(&sc, start+i)
-			rep := sup.Run(supervise.RunID{
-				Seed:     sc.Seed,
-				Scenario: fmt.Sprintf("chaos[%d]", start+i),
-				Phase:    "chaos",
-			}, func(wd *supervise.Watchdog) error { return sc.Run(wd) })
-			slots[i] = slot{rep: rep, sc: sc, ran: true}
-			return struct{}{}, nil
-		})
-		ran := 0
+		_, reports := supervise.Map(ctx, sup, cfg.Workers, n,
+			func(i int) supervise.RunID {
+				return supervise.RunID{Seed: scs[i].Seed, Scenario: fmt.Sprintf("chaos[%d]", start+i), Phase: "chaos"}
+			},
+			func(i int, wd *supervise.Watchdog) (struct{}, error) { return struct{}{}, scs[i].Run(wd) })
 		var fails []SoakFailure
-		for i, sl := range slots {
-			if !sl.ran {
+		for i, rep := range reports {
+			if !rep.Outcome.Failed() {
 				continue
 			}
-			ran++
-			if !sl.rep.Outcome.Failed() {
-				continue
-			}
-			sig := Signature(sl.rep.Err)
-			logf("chaos[%d] %s: %s — shrinking", start+i, sl.rep.Outcome, sig)
-			shrunk, runs := Shrink(sl.sc, sig, budget, DefaultShrinkRuns)
+			sig := Signature(rep.Err)
+			logf("chaos[%d] %s: %s — shrinking", start+i, rep.Outcome, sig)
+			shrunk, runs := Shrink(scs[i], sig, budget, DefaultShrinkRuns)
 			// Stacks carry goroutine ids and pool frames, which depend on
 			// Workers; drop them so failure records and artifacts are
 			// byte-identical at every pool width.
-			failure := *sl.rep.Err
+			failure := *rep.Err
 			failure.Stack = ""
 			f := SoakFailure{
 				Index:      start + i,
 				Signature:  sig,
-				Outcome:    sl.rep.Outcome.String(),
+				Outcome:    rep.Outcome.String(),
 				Error:      failure,
-				Shrunk:     shrunk != sl.sc,
+				Shrunk:     shrunk != scs[i],
 				ShrinkRuns: runs,
 			}
 			if cfg.Dir != "" {
@@ -253,7 +235,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 					Version:    ArtifactVersion,
 					Signature:  sig,
 					Scenario:   shrunk,
-					Original:   sl.sc,
+					Original:   scs[i],
 					Failure:    failure,
 					ShrinkRuns: runs,
 				}
@@ -267,14 +249,12 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 			}
 			fails = append(fails, f)
 		}
-		return fails, ran
+		return fails
 	}
 
 	switch {
 	case cfg.Count > 0:
-		fails, ran := runBatch(0, cfg.Count)
-		res.Failures = fails
-		res.Scenarios = ran
+		res.Failures = runBatch(0, cfg.Count)
 	case cfg.Duration > 0:
 		batch := cfg.Workers * 4
 		if batch < 8 {
@@ -282,14 +262,13 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		}
 		deadline := time.Now().Add(cfg.Duration)
 		for start := 0; time.Now().Before(deadline) && ctx.Err() == nil; start += batch {
-			fails, ran := runBatch(start, batch)
-			res.Failures = append(res.Failures, fails...)
-			res.Scenarios += ran
+			res.Failures = append(res.Failures, runBatch(start, batch)...)
 		}
 	default:
 		return nil, fmt.Errorf("chaos: soak needs a Count or a Duration")
 	}
 	res.Counts = sup.Counts()
+	res.Scenarios = int(res.Counts.Total())
 	res.Interrupted = ctx.Err() != nil
 	return res, nil
 }

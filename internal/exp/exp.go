@@ -116,56 +116,39 @@ func runPar[T any](cfg Config, res *Result, n int, fn func(i int, wd *supervise.
 		out, errs := runner.MapErrCtx(ctx, cfg.Workers, n, func(i int) (T, error) {
 			return fn(i, nil), nil
 		})
-		for _, err := range errs {
+		for i, err := range errs {
 			var pe *runner.PanicError
-			if errors.As(err, &pe) {
+			switch {
+			case errors.As(err, &pe):
 				panic(pe.Value)
+			case errors.Is(err, runner.ErrSkipped):
+				res.noteSkipped(i)
 			}
 		}
-		noteSkipped(res, errs)
 		return out
 	}
-	reports := make([]supervise.Report, n)
-	out, errs := runner.MapErrCtx(ctx, cfg.Workers, n, func(i int) (T, error) {
-		var v T
-		rep := cfg.Sup.Run(supervise.RunID{
-			Seed:     cfg.Seed,
-			Scenario: fmt.Sprintf("%s[%d]", res.ID, i),
-			Phase:    res.ID,
-		}, func(wd *supervise.Watchdog) error {
-			v = fn(i, wd)
-			return nil
-		})
-		reports[i] = rep
-		if rep.Outcome.Failed() {
-			var zero T
-			return zero, rep.Err
-		}
-		return v, nil
-	})
+	out, reports := supervise.Map(ctx, cfg.Sup, cfg.Workers, n,
+		func(i int) supervise.RunID {
+			return supervise.RunID{Seed: cfg.Seed, Scenario: fmt.Sprintf("%s[%d]", res.ID, i), Phase: res.ID}
+		},
+		func(i int, wd *supervise.Watchdog) (T, error) { return fn(i, wd), nil })
 	for i, rep := range reports {
-		if errs != nil && errors.Is(errs[i], runner.ErrSkipped) {
-			continue // noted below, no report exists
-		}
-		if rep.Outcome.Failed() {
+		switch {
+		case rep.Outcome == supervise.Skipped:
+			res.noteSkipped(i)
+		case rep.Outcome.Failed():
 			res.Notes = append(res.Notes,
 				fmt.Sprintf("run %s[%d] %s: %s", res.ID, i, rep.Outcome, rep.Err.Msg))
 		}
 	}
-	noteSkipped(res, errs)
 	return out
 }
 
-// noteSkipped marks the Result interrupted and notes every run the pool
-// skipped after cancellation, in index order.
-func noteSkipped(res *Result, errs []error) {
-	for i, err := range errs {
-		if errors.Is(err, runner.ErrSkipped) {
-			res.Interrupted = true
-			res.Notes = append(res.Notes,
-				fmt.Sprintf("run %s[%d] skipped: interrupted before start", res.ID, i))
-		}
-	}
+// noteSkipped marks the Result interrupted and notes run i, which the pool
+// skipped after cancellation.
+func (r *Result) noteSkipped(i int) {
+	r.Interrupted = true
+	r.Notes = append(r.Notes, fmt.Sprintf("run %s[%d] skipped: interrupted before start", r.ID, i))
 }
 
 // scaled returns n scaled down, never below min.

@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -317,7 +318,7 @@ func TestChurn50kBounded(t *testing.T) {
 	var m *Manager
 	var events uint64
 	sup := supervise.New(supervise.Budget{Events: 500_000_000, HeapBytes: 4 << 30})
-	rep := sup.Run(supervise.RunID{Seed: 1, Scenario: "fattree-overload", Phase: "churn50k"}, func(wd *supervise.Watchdog) error {
+	rep := sup.Run(context.Background(), supervise.RunID{Seed: 1, Scenario: "fattree-overload", Phase: "churn50k"}, func(wd *supervise.Watchdog) error {
 		eng := sim.NewEngine(1)
 		wd.Attach(eng)
 		ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: 4})

@@ -9,6 +9,14 @@
 // and seed-derived jitter; every outcome (ok, retried, quarantined,
 // timed-out, over-budget) is counted for the campaign summary.
 //
+// The package owns the supervised fan-out (Map) and the process boundary
+// (SignalContext, ExitCode, QuarantinedErr, InterruptedErr): it is the one
+// place a unit of work is run, retried, classified and given an exit code.
+// internal/runner's pool is used bare only where a failure must not be
+// absorbed or there is nothing to supervise: backend.Sweep, exp's fail-fast
+// branch and the benchmark. ARCHITECTURE.md, "Run supervision", tabulates
+// what can go wrong with a unit and where each case ends up.
+//
 // The package is deliberately engine-agnostic on the happy path: the
 // supervisor never touches a run's engine itself, it only recovers what
 // escapes the run closure and interrogates the Watchdog the closure
@@ -18,14 +26,19 @@
 package supervise
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"os/signal"
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"time"
+
+	"mptcpsim/internal/runner"
 )
 
 // Kind classifies why a run failed.
@@ -62,6 +75,11 @@ const (
 	// OverBudget: the event or simulated-time budget fired; not retried
 	// (budgets are deterministic under a fixed seed).
 	OverBudget
+	// Skipped: the run reached no verdict because the context was cancelled
+	// — before the pool started it, or while it waited out a retry backoff.
+	// It is neither a success nor a failure and is not counted: the run is
+	// safe to dispatch again, which is what a resumable campaign does.
+	Skipped
 )
 
 func (o Outcome) String() string {
@@ -76,13 +94,15 @@ func (o Outcome) String() string {
 		return "timed-out"
 	case OverBudget:
 		return "over-budget"
+	case Skipped:
+		return "skipped"
 	default:
 		return fmt.Sprintf("outcome(%d)", int(o))
 	}
 }
 
 // Failed reports whether the outcome denotes a failed run.
-func (o Outcome) Failed() bool { return o != OK && o != Retried }
+func (o Outcome) Failed() bool { return o == Quarantined || o == TimedOut || o == OverBudget }
 
 // RunID names one run for reporting: the seed that reproduces it, the
 // scenario it executed and the campaign phase (figure ID, "chaos", …) it
@@ -119,8 +139,8 @@ func (e *RunError) Error() string {
 // Report is the terminal result of one supervised run.
 type Report struct {
 	Outcome  Outcome
-	Attempts int       // total attempts, >= 1
-	Err      *RunError // nil for OK and Retried
+	Attempts int       // attempts made: >= 1, or 0 for a run Skipped before it started
+	Err      *RunError // nil for OK and Retried; the last failure for a run Skipped mid-backoff
 }
 
 // transientError marks an error as worth retrying.
@@ -182,58 +202,38 @@ type Supervisor struct {
 	// nothing and the supervisor only provides panic quarantine.
 	Budget Budget
 	// Retries is how many times a transient failure is re-attempted before
-	// quarantine (0 = never retry).
+	// quarantine (0 or less = never retry).
 	Retries int
-	// Backoff is the base delay before the first retry; each further retry
-	// doubles it, capped at MaxBackoff. Defaults: 100ms base, 5s cap.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 
-	// sleep and now are test seams.
-	sleep func(time.Duration)
+	// after and now are test seams for the backoff timer and the watchdog's
+	// wall clock.
+	after func(time.Duration) <-chan time.Time
 	now   func() time.Time
 
-	ok, retried, quarantined, timedOut, overBudget atomic.Int64
-
 	mu       sync.Mutex
+	counts   [Skipped]int64 // verdicts by Outcome
 	failures []RunError
-	dropped  int
 }
 
 // New returns a supervisor with the given budget and no retries.
 func New(b Budget) *Supervisor {
-	return &Supervisor{Budget: b}
+	return &Supervisor{Budget: b, after: time.After, now: time.Now}
 }
 
-func (s *Supervisor) sleepFn() func(time.Duration) {
-	if s.sleep != nil {
-		return s.sleep
-	}
-	return time.Sleep
-}
-
-func (s *Supervisor) nowFn() func() time.Time {
-	if s.now != nil {
-		return s.now
-	}
-	return time.Now
-}
+// The retry backoff: the delay before the first retry, doubled by each
+// further one up to the cap.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 5 * time.Second
+)
 
 // backoffDelay computes the capped exponential backoff before retry
 // attempt (1-based), with deterministic seed-derived jitter in
 // [0, delay/2) so a batch of retrying runs does not thunder in lockstep.
-func (s *Supervisor) backoffDelay(seed int64, attempt int) time.Duration {
-	base := s.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	cap := s.MaxBackoff
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	d := base << (attempt - 1)
-	if d > cap || d <= 0 { // d <= 0 guards shift overflow
-		d = cap
+func backoffDelay(seed int64, attempt int) time.Duration {
+	d := backoffBase << (attempt - 1)
+	if d > backoffCap || d <= 0 { // d <= 0 guards shift overflow
+		d = backoffCap
 	}
 	rng := rand.New(rand.NewSource(seed + int64(attempt)*0x9E3779B9))
 	return d + time.Duration(rng.Int63n(int64(d)/2+1))
@@ -244,42 +244,53 @@ func (s *Supervisor) backoffDelay(seed int64, attempt int) time.Duration {
 // budget enforcement (a nil-safe no-op when the caller has no engine).
 // Every failure mode — a returned error, a panic, a watchdog trip — ends in
 // a Report instead of propagating, so callers on a worker pool can always
-// collect partial results.
-func (s *Supervisor) Run(id RunID, fn func(wd *Watchdog) error) Report {
+// collect partial results. ctx cuts a retry backoff short (the run returns
+// Skipped at once); stopping an attempt that is executing is fn's business.
+func (s *Supervisor) Run(ctx context.Context, id RunID, fn func(wd *Watchdog) error) Report {
 	for attempt := 1; ; attempt++ {
-		wd := &Watchdog{id: id, budget: s.Budget, now: s.nowFn()}
+		wd := &Watchdog{budget: s.Budget, now: s.now}
 		err := runAttempt(wd, fn)
 		if err == nil {
 			if attempt > 1 {
-				s.retried.Add(1)
-				return Report{Outcome: Retried, Attempts: attempt}
+				return s.verdict(Report{Outcome: Retried, Attempts: attempt})
 			}
-			s.ok.Add(1)
-			return Report{Outcome: OK, Attempts: attempt}
+			return s.verdict(Report{Outcome: OK, Attempts: attempt})
 		}
-		re := s.classify(id, wd, err, attempt)
-		switch re.Kind {
-		case KindTimeout:
-			s.timedOut.Add(1)
-			s.record(*re)
-			return Report{Outcome: TimedOut, Attempts: attempt, Err: re}
-		case KindBudget:
-			s.overBudget.Add(1)
-			s.record(*re)
-			return Report{Outcome: OverBudget, Attempts: attempt, Err: re}
+		rep := Report{Outcome: Quarantined, Attempts: attempt, Err: s.classify(id, wd, err, attempt)}
+		switch {
+		case rep.Err.Kind == KindTimeout:
+			rep.Outcome = TimedOut
+		case rep.Err.Kind == KindBudget:
+			rep.Outcome = OverBudget
+		case IsTransient(err) && attempt <= s.Retries:
+			select {
+			case <-s.after(backoffDelay(id.Seed, attempt)):
+				continue
+			case <-ctx.Done():
+				rep.Outcome = Skipped
+				return rep
+			}
 		}
-		if IsTransient(err) && attempt <= s.Retries {
-			s.sleepFn()(s.backoffDelay(id.Seed, attempt))
-			continue
-		}
-		s.quarantined.Add(1)
-		s.record(*re)
-		return Report{Outcome: Quarantined, Attempts: attempt, Err: re}
+		return s.verdict(rep)
 	}
 }
 
+// verdict counts a finished run and retains its failure (the list is
+// bounded; the counters are not).
+func (s *Supervisor) verdict(rep Report) Report {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.counts[rep.Outcome]++
+	if rep.Err != nil && len(s.failures) < maxFailures {
+		s.failures = append(s.failures, *rep.Err)
+	}
+	return rep
+}
+
 // runAttempt executes fn once, converting panics (including watchdog
-// trips, which travel as panics out of the engine loop) into errors.
+// trips, which travel as panics out of the engine loop) into errors. The
+// pool's recover only keeps a worker alive; this one, inside the retry
+// loop, is what classifies, with the attempt's watchdog and stack in hand.
 func runAttempt(wd *Watchdog, fn func(*Watchdog) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -314,15 +325,12 @@ func (s *Supervisor) classify(id RunID, wd *Watchdog, err error, attempt int) *R
 		re.Kind = KindPanic
 		re.Msg = fmt.Sprint(p.value)
 		re.Stack = string(p.stack)
-		if isInvariantMsg(re.Msg) {
-			re.Kind = KindInvariant
-		}
 	default:
 		re.Kind = KindError
 		re.Msg = err.Error()
-		if isInvariantMsg(re.Msg) {
-			re.Kind = KindInvariant
-		}
+	}
+	if t == nil && isInvariantMsg(re.Msg) { // a watchdog trip keeps its own kind
+		re.Kind = KindInvariant
 	}
 	return re
 }
@@ -334,24 +342,16 @@ func isInvariantMsg(msg string) bool {
 	return strings.Contains(msg, "invariant violat")
 }
 
-func (s *Supervisor) record(re RunError) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.failures) < maxFailures {
-		s.failures = append(s.failures, re)
-	} else {
-		s.dropped++
-	}
-}
-
 // Counts snapshots the outcome counters.
 func (s *Supervisor) Counts() Counts {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return Counts{
-		OK:          s.ok.Load(),
-		Retried:     s.retried.Load(),
-		Quarantined: s.quarantined.Load(),
-		TimedOut:    s.timedOut.Load(),
-		OverBudget:  s.overBudget.Load(),
+		OK:          s.counts[OK],
+		Retried:     s.counts[Retried],
+		Quarantined: s.counts[Quarantined],
+		TimedOut:    s.counts[TimedOut],
+		OverBudget:  s.counts[OverBudget],
 	}
 }
 
@@ -364,6 +364,33 @@ func (s *Supervisor) Failures() []RunError {
 	return out
 }
 
+// Map is the supervised fan-out: fn(0) … fn(n-1) on internal/runner's pool
+// (results by index, identical for any worker count), each under s.Run as
+// id(i). Every index ends in exactly one Report: a failed one yields the
+// zero T, one the pool never started because ctx was cancelled is Skipped
+// with no attempts, and those already running drain and keep theirs.
+func Map[T any](ctx context.Context, s *Supervisor, workers, n int,
+	id func(i int) RunID, fn func(i int, wd *Watchdog) (T, error)) ([]T, []Report) {
+	reports := make([]Report, n)
+	out, _ := runner.MapErrCtx(ctx, workers, n, func(i int) (T, error) {
+		var v T // set by the attempt that succeeds, if one does
+		reports[i] = s.Run(ctx, id(i), func(wd *Watchdog) error {
+			r, err := fn(i, wd)
+			if err == nil {
+				v = r
+			}
+			return err
+		})
+		return v, nil
+	})
+	for i := range reports {
+		if reports[i].Attempts == 0 { // the pool never reached it
+			reports[i].Outcome = Skipped
+		}
+	}
+	return out, reports
+}
+
 // ExitCodeError carries a specific process exit code through an error
 // return, so a CLI can distinguish "campaign completed with quarantined
 // runs" (partial results, exit 3) from hard usage errors (exit 1).
@@ -373,6 +400,39 @@ type ExitCodeError struct {
 }
 
 func (e *ExitCodeError) Error() string { return e.Msg }
+
+// QuarantinedErr is the error a CLI returns to exit with ExitQuarantined.
+func QuarantinedErr(format string, args ...any) error {
+	return &ExitCodeError{Code: ExitQuarantined, Msg: fmt.Sprintf(format, args...)}
+}
+
+// InterruptedErr is the error a CLI returns to exit with ExitInterrupted.
+func InterruptedErr(format string, args ...any) error {
+	return &ExitCodeError{Code: ExitInterrupted, Msg: fmt.Sprintf(format, args...)}
+}
+
+// ExitCode is the process exit status for the error a CLI's run returned:
+// 0 for nil, the code an ExitCodeError in the chain carries, else 1.
+func ExitCode(err error) int {
+	var ec *ExitCodeError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &ec):
+		return ec.Code
+	}
+	return 1
+}
+
+// SignalContext is the context a CLI's main runs under: it cancels on the
+// first SIGINT/SIGTERM so in-flight work drains; the AfterFunc restores
+// default signal dispositions the moment the context dies, so a second
+// signal kills the process immediately instead of waiting out the drain.
+func SignalContext() (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, func() { stop() })
+	return ctx, stop
+}
 
 // Process exit codes shared by both CLIs (0 is success, 1 a usage or hard
 // error). They are distinct so wrappers — CI, the resume smoke test, shard

@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,21 +12,24 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// noSleep replaces the backoff sleep and records the delays it was asked
-// to wait.
-func noSleep() (*[]time.Duration, func(time.Duration)) {
+// noSleep replaces the backoff timer with one that has already fired and
+// records the delays it was asked to wait.
+func noSleep() (*[]time.Duration, func(time.Duration) <-chan time.Time) {
 	var mu sync.Mutex
 	var ds []time.Duration
-	return &ds, func(d time.Duration) {
+	fired := make(chan time.Time)
+	close(fired)
+	return &ds, func(d time.Duration) <-chan time.Time {
 		mu.Lock()
 		ds = append(ds, d)
 		mu.Unlock()
+		return fired
 	}
 }
 
 func TestRunOK(t *testing.T) {
 	s := New(Budget{})
-	rep := s.Run(RunID{Seed: 1, Scenario: "ok", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 1, Scenario: "ok", Phase: "test"}, func(wd *Watchdog) error {
 		return nil
 	})
 	if rep.Outcome != OK || rep.Attempts != 1 || rep.Err != nil {
@@ -39,10 +43,10 @@ func TestRunOK(t *testing.T) {
 func TestRetryThenSucceed(t *testing.T) {
 	s := New(Budget{})
 	s.Retries = 3
-	delays, sleep := noSleep()
-	s.sleep = sleep
+	var delays *[]time.Duration
+	delays, s.after = noSleep()
 	calls := 0
-	rep := s.Run(RunID{Seed: 7, Scenario: "flaky", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 7, Scenario: "flaky", Phase: "test"}, func(wd *Watchdog) error {
 		calls++
 		if calls < 3 {
 			return Transient(errors.New("io hiccup"))
@@ -71,9 +75,9 @@ func TestRetryThenSucceed(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	s := New(Budget{})
 	s.Retries = 2
-	_, s.sleep = func() (*[]time.Duration, func(time.Duration)) { return noSleep() }()
+	_, s.after = noSleep()
 	calls := 0
-	rep := s.Run(RunID{Seed: 9, Scenario: "doomed", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 9, Scenario: "doomed", Phase: "test"}, func(wd *Watchdog) error {
 		calls++
 		return Transient(errors.New("still broken"))
 	})
@@ -95,7 +99,7 @@ func TestNonTransientNotRetried(t *testing.T) {
 	s := New(Budget{})
 	s.Retries = 5
 	calls := 0
-	rep := s.Run(RunID{Seed: 2, Scenario: "hard", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 2, Scenario: "hard", Phase: "test"}, func(wd *Watchdog) error {
 		calls++
 		return errors.New("deterministic failure")
 	})
@@ -108,7 +112,7 @@ func TestPanicQuarantinedWithStack(t *testing.T) {
 	s := New(Budget{})
 	s.Retries = 5 // panics must never be retried
 	calls := 0
-	rep := s.Run(RunID{Seed: 3, Scenario: "boom", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 3, Scenario: "boom", Phase: "test"}, func(wd *Watchdog) error {
 		calls++
 		panic("kaboom")
 	})
@@ -125,7 +129,7 @@ func TestPanicQuarantinedWithStack(t *testing.T) {
 
 func TestInvariantPanicClassified(t *testing.T) {
 	s := New(Budget{})
-	rep := s.Run(RunID{Seed: 4, Scenario: "inv", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 4, Scenario: "inv", Phase: "test"}, func(wd *Watchdog) error {
 		panic("check: invariant violated: t=1.000s conn.conservation: lost bytes")
 	})
 	if rep.Err == nil || rep.Err.Kind != KindInvariant {
@@ -137,14 +141,14 @@ func TestInvariantPanicClassified(t *testing.T) {
 // processes events normally until the clock (advanced by each watchdog
 // check) passes the deadline mid-run, and the trip surfaces as TimedOut.
 func TestDeadlineMidSlowStart(t *testing.T) {
-	s := New(Budget{Wall: 100 * time.Millisecond, CheckEvery: sim.Millisecond})
+	s := New(Budget{Wall: 100 * time.Millisecond})
 	fake := time.Unix(0, 0)
 	s.now = func() time.Time {
 		fake = fake.Add(10 * time.Millisecond) // each check costs 10ms of "wall" time
 		return fake
 	}
 	var lastT sim.Time
-	rep := s.Run(RunID{Seed: 5, Scenario: "slow-start", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 5, Scenario: "slow-start", Phase: "test"}, func(wd *Watchdog) error {
 		eng := sim.NewEngine(5)
 		wd.Attach(eng)
 		// A long run: an event every 100us for 10 simulated seconds, far
@@ -178,7 +182,7 @@ func TestDeadlineMidSlowStart(t *testing.T) {
 // TestTimeoutNotRetried pins that a timed-out run is terminal even with a
 // retry budget: a hang will hang again.
 func TestTimeoutNotRetried(t *testing.T) {
-	s := New(Budget{Wall: time.Millisecond, CheckEvery: sim.Millisecond})
+	s := New(Budget{Wall: time.Millisecond})
 	s.Retries = 5
 	fake := time.Unix(0, 0)
 	s.now = func() time.Time {
@@ -186,7 +190,7 @@ func TestTimeoutNotRetried(t *testing.T) {
 		return fake
 	}
 	calls := 0
-	rep := s.Run(RunID{Seed: 6, Scenario: "hang", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 6, Scenario: "hang", Phase: "test"}, func(wd *Watchdog) error {
 		calls++
 		eng := sim.NewEngine(6)
 		wd.Attach(eng)
@@ -207,7 +211,7 @@ func TestTimeoutNotRetried(t *testing.T) {
 func TestBudgetExhaustionAtHorizon(t *testing.T) {
 	run := func(events int) Report {
 		s := New(Budget{Events: 100})
-		return s.Run(RunID{Seed: 8, Scenario: "boundary", Phase: "test"}, func(wd *Watchdog) error {
+		return s.Run(context.Background(), RunID{Seed: 8, Scenario: "boundary", Phase: "test"}, func(wd *Watchdog) error {
 			eng := sim.NewEngine(8)
 			wd.Attach(eng)
 			for i := 0; i < events; i++ {
@@ -231,7 +235,7 @@ func TestBudgetExhaustionAtHorizon(t *testing.T) {
 
 func TestSimTimeBudget(t *testing.T) {
 	s := New(Budget{SimTime: sim.Second})
-	rep := s.Run(RunID{Seed: 10, Scenario: "simtime", Phase: "test"}, func(wd *Watchdog) error {
+	rep := s.Run(context.Background(), RunID{Seed: 10, Scenario: "simtime", Phase: "test"}, func(wd *Watchdog) error {
 		eng := sim.NewEngine(10)
 		wd.Attach(eng)
 		var spin func()
@@ -251,7 +255,7 @@ func TestSimTimeBudget(t *testing.T) {
 func TestHeapBytesBudget(t *testing.T) {
 	run := func(heap uint64) Report {
 		s := New(Budget{HeapBytes: heap})
-		return s.Run(RunID{Seed: 12, Scenario: "heap", Phase: "test"}, func(wd *Watchdog) error {
+		return s.Run(context.Background(), RunID{Seed: 12, Scenario: "heap", Phase: "test"}, func(wd *Watchdog) error {
 			eng := sim.NewEngine(12)
 			wd.Attach(eng)
 			var spin func()
@@ -273,7 +277,7 @@ func TestHeapBytesBudget(t *testing.T) {
 func TestFailuresBounded(t *testing.T) {
 	s := New(Budget{})
 	for i := 0; i < maxFailures+10; i++ {
-		s.Run(RunID{Seed: int64(i), Scenario: "f", Phase: "test"}, func(wd *Watchdog) error {
+		s.Run(context.Background(), RunID{Seed: int64(i), Scenario: "f", Phase: "test"}, func(wd *Watchdog) error {
 			return fmt.Errorf("fail %d", i)
 		})
 	}
@@ -286,16 +290,18 @@ func TestFailuresBounded(t *testing.T) {
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	s := New(Budget{})
-	a := s.backoffDelay(42, 1)
-	b := s.backoffDelay(42, 1)
+	a := backoffDelay(42, 1)
+	b := backoffDelay(42, 1)
 	if a != b {
 		t.Fatalf("jitter not seed-deterministic: %v vs %v", a, b)
 	}
-	s.Backoff = 100 * time.Millisecond
-	s.MaxBackoff = 300 * time.Millisecond
-	if d := s.backoffDelay(1, 30); d > 450*time.Millisecond {
-		t.Fatalf("backoff not capped: %v", d)
+	if a < backoffBase || a > backoffBase*3/2 {
+		t.Fatalf("first retry waits %v, want the %v base plus at most half of it", a, backoffBase)
+	}
+	for _, attempt := range []int{30, 80} { // 80 overflows the shift
+		if d := backoffDelay(1, attempt); d < backoffCap || d > backoffCap*3/2 {
+			t.Fatalf("backoff before retry %d is %v, want the %v cap plus at most half of it", attempt, d, backoffCap)
+		}
 	}
 }
 
@@ -327,7 +333,7 @@ func TestNilWatchdogNoop(t *testing.T) {
 func TestOutcomeStrings(t *testing.T) {
 	want := map[Outcome]string{
 		OK: "ok", Retried: "retried", Quarantined: "quarantined",
-		TimedOut: "timed-out", OverBudget: "over-budget",
+		TimedOut: "timed-out", OverBudget: "over-budget", Skipped: "skipped",
 	}
 	for o, s := range want {
 		if o.String() != s {

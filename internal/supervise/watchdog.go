@@ -29,10 +29,14 @@ type Budget struct {
 	// whatever else shares the process — so it belongs on population-scale
 	// runs as an OOM guard, not as a determinism-bearing bound.
 	HeapBytes uint64
-	// CheckEvery is the simulated cadence of the wall-clock check event.
-	// Defaults to 10ms of simulated time.
-	CheckEvery sim.Time
 }
+
+// The simulated cadence of the watchdog's periodic checks. Heap checks are
+// coarser than wall checks: ReadMemStats is not free.
+const (
+	wallCheckEvery = 10 * sim.Millisecond
+	heapCheckEvery = 100 * sim.Millisecond
+)
 
 // Trip is the panic payload a watchdog throws through the engine loop when
 // a budget is exhausted. It implements error so the supervisor's recover
@@ -52,7 +56,6 @@ func (t *Trip) Error() string { return fmt.Sprintf("%s: %s", t.Kind, t.Msg) }
 // Report, which is what lets the budget abort a run from inside the engine
 // without any per-closure error plumbing.
 type Watchdog struct {
-	id       RunID
 	budget   Budget
 	now      func() time.Time
 	deadline time.Time
@@ -65,22 +68,15 @@ type Watchdog struct {
 // one-shot event enforces the simulated-time cap. Calling Attach on a nil
 // watchdog or with a zero budget is a no-op. The watchdog's own periodic
 // check events count toward the event budget; size Events accordingly
-// (the default cadence adds ~100 events per simulated second).
+// (the wall check adds 100 events per simulated second).
 func (w *Watchdog) Attach(eng *sim.Engine) {
 	if w == nil || eng == nil {
 		return
 	}
 	w.eng = eng
 	if w.budget.Wall > 0 {
-		if w.now == nil {
-			w.now = time.Now
-		}
-		if w.deadline.IsZero() {
+		if w.deadline.IsZero() { // one deadline per attempt, however many engines it attaches
 			w.deadline = w.now().Add(w.budget.Wall)
-		}
-		every := w.budget.CheckEvery
-		if every <= 0 {
-			every = 10 * sim.Millisecond
 		}
 		var tick func()
 		tick = func() {
@@ -88,17 +84,11 @@ func (w *Watchdog) Attach(eng *sim.Engine) {
 				panic(&Trip{Kind: KindTimeout, Msg: fmt.Sprintf(
 					"wall-clock deadline %v exceeded at %s", w.budget.Wall, w.lastObsv())})
 			}
-			eng.ScheduleAfter(every, tick)
+			eng.ScheduleAfter(wallCheckEvery, tick)
 		}
-		eng.ScheduleAfter(every, tick)
+		eng.ScheduleAfter(wallCheckEvery, tick)
 	}
 	if w.budget.HeapBytes > 0 {
-		// Heap checks are coarser than wall checks: ReadMemStats is not
-		// free, so the cadence floors at 100ms of simulated time.
-		every := w.budget.CheckEvery
-		if every < 100*sim.Millisecond {
-			every = 100 * sim.Millisecond
-		}
 		var tick func()
 		tick = func() {
 			var ms runtime.MemStats
@@ -108,9 +98,9 @@ func (w *Watchdog) Attach(eng *sim.Engine) {
 					"heap budget %d bytes exceeded (HeapAlloc=%d) at %s",
 					w.budget.HeapBytes, ms.HeapAlloc, w.lastObsv())})
 			}
-			eng.ScheduleAfter(every, tick)
+			eng.ScheduleAfter(heapCheckEvery, tick)
 		}
-		eng.ScheduleAfter(every, tick)
+		eng.ScheduleAfter(heapCheckEvery, tick)
 	}
 	if w.budget.Events > 0 {
 		eng.SetEventBudget(w.budget.Events, func() {

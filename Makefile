@@ -56,9 +56,10 @@ sweep:
 # Repository gates (docs_test.go): package comments, package-map
 # coverage, CLI flag docs, markdown file references, and supervision kept
 # in internal/supervise (no stray recover, time.Sleep, os.Exit or exit-code
-# error literal).
+# error literal), and periodic work kept on sim.Ticker (no function that
+# schedules itself).
 docs:
-	$(GO) test -run 'TestPackageComments|TestPackageMapCoversEveryPackage|TestCLIFlagsDocumented|TestMarkdownFileReferencesResolve|TestSupervisionLivesInOnePlace' .
+	$(GO) test -run 'TestPackageComments|TestPackageMapCoversEveryPackage|TestCLIFlagsDocumented|TestMarkdownFileReferencesResolve|TestSupervisionLivesInOnePlace|TestPeriodicWorkUsesTicker' .
 
 # Bounded chaos soak (EXPERIMENTS.md, "Soak & quarantine methodology"):
 # 60 generated scenarios under invariants and the run supervisor. Exit 3

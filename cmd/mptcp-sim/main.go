@@ -94,24 +94,6 @@ func main() {
 	}
 }
 
-// stopOnCancel schedules a periodic engine event that stops the engine once
-// ctx is cancelled, so a signal ends the simulation at a clean event
-// boundary — metrics, traces and meters then flush normally over whatever
-// simulated time actually elapsed. The check touches no RNG, so an
-// uncancelled run's results are unchanged by it.
-func stopOnCancel(ctx context.Context, eng *sim.Engine) {
-	const every = 100 * sim.Millisecond
-	var tick func()
-	tick = func() {
-		if ctx.Err() != nil {
-			eng.Stop()
-			return
-		}
-		eng.ScheduleAfter(every, tick)
-	}
-	eng.ScheduleAfter(every, tick)
-}
-
 // invocation is one parsed command line: the Scenario the world flags lower
 // to (its Seed is -seed, the first run's), and how to run and observe it.
 type invocation struct {
@@ -411,7 +393,7 @@ func execute(ctx context.Context, inv invocation, seed int64, wd *supervise.Watc
 	sc, o := inv.sc, outcome{trace: inv.tracePath(seed)}
 	eng := sim.NewEngine(seed)
 	wd.Attach(eng)
-	stopOnCancel(ctx, eng)
+	supervise.StopOnCancel(ctx, eng, 100*sim.Millisecond)
 
 	oc := obsv.Config{
 		Meta: obsv.Meta{Experiment: "adhoc", Scenario: sc.Topology, Algorithm: sc.Algorithm, Seed: seed},

@@ -186,6 +186,150 @@ func TestSupervisionLivesInOnePlace(t *testing.T) {
 	}
 }
 
+// selfSchedulers lists the functions TestPeriodicWorkUsesTicker lets schedule
+// themselves, each with the reason sim.Ticker cannot carry it.
+var selfSchedulers = map[string]string{
+	"internal/tcp.rtoTick":       "a lazy deadline chaser: it re-arms at rtoDeadline, which every ACK moves, not every period",
+	"internal/tcp.probeTick":     "its interval doubles up to RTOMax",
+	"internal/flows.streamChunk": "its flowSlot lives in a slice append may move, so it cannot be queued by address",
+}
+
+// TestPeriodicWorkUsesTicker keeps the hand-rolled tick loops sim.Ticker
+// replaced from growing back: outside internal/sim no non-test function hands
+// itself to Schedule, ScheduleAfter, At or After — by its own name, as a
+// method value, through the <name>Fn field that holds it, or wrapped in a
+// literal that calls it. benchmark/ is frozen and stands outside.
+func TestPeriodicWorkUsesTicker(t *testing.T) {
+	fset := token.NewFileSet()
+	found := map[string]bool{}
+	for _, dir := range goPackageDirs(t, "internal", "cmd", "examples") {
+		if dir == "internal/sim" {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", file, err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				for _, s := range selfScheduling(fn) {
+					key := dir + "." + s.name
+					if _, ok := selfSchedulers[key]; ok {
+						found[key] = true
+						continue
+					}
+					t.Errorf("%s: %s schedules itself — periodic work goes through sim.Ticker", fset.Position(s.pos), s.name)
+				}
+			}
+		}
+	}
+	for key := range selfSchedulers {
+		if !found[key] {
+			t.Errorf("selfSchedulers allows %s, which no longer schedules itself: drop the entry", key)
+		}
+	}
+}
+
+type selfScheduler struct {
+	name string
+	pos  token.Pos
+}
+
+// selfScheduling returns fn, and every function literal bound to a variable
+// inside it, that passes itself to one of the engine's scheduling calls.
+func selfScheduling(fn *ast.FuncDecl) []selfScheduler {
+	// Literals bound to a name: tick = func() {…}, tick := func() {…}.
+	litName := map[*ast.FuncLit]string{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				id, isID := as.Lhs[i].(*ast.Ident)
+				if lit, isLit := rhs.(*ast.FuncLit); isID && isLit {
+					litName[lit] = id.Name
+				}
+			}
+		}
+		return true
+	})
+	recv := "" // selectors count only on the method's own receiver
+	if fn.Recv != nil && len(fn.Recv.List[0].Names) == 1 {
+		recv = fn.Recv.List[0].Names[0].Name
+	}
+	// A scope is one enclosing function: fn itself or a named literal.
+	type scope struct {
+		name string
+		body ast.Node
+	}
+	// self returns the enclosing function that e names, or is a literal that
+	// calls.
+	var self func(e ast.Expr, in []scope) *scope
+	self = func(e ast.Expr, in []scope) *scope {
+		switch e := e.(type) {
+		case *ast.Ident:
+			for i := range in {
+				if e.Name == in[i].name || e.Name == in[i].name+"Fn" {
+					return &in[i]
+				}
+			}
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && x.Name == recv {
+				return self(e.Sel, in)
+			}
+		case *ast.FuncLit:
+			var hit *scope
+			ast.Inspect(e.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && hit == nil {
+					hit = self(call.Fun, in)
+				}
+				return hit == nil
+			})
+			return hit
+		}
+		return nil
+	}
+	var out []selfScheduler
+	seen := map[ast.Node]bool{}
+	var walk func(in []scope)
+	walk = func(in []scope) {
+		body := in[len(in)-1].body
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				if name, ok := litName[n]; ok && n != body {
+					walk(append(in[:len(in):len(in)], scope{name, n}))
+					return false
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || len(n.Args) < 2 {
+					break
+				}
+				switch sel.Sel.Name {
+				case "Schedule", "ScheduleAfter", "At", "After":
+					if s := self(n.Args[len(n.Args)-1], in); s != nil && !seen[s.body] {
+						seen[s.body] = true
+						out = append(out, selfScheduler{s.name, n.Pos()})
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk([]scope{{fn.Name.Name, fn.Body}})
+	return out
+}
+
 // TestPackageMapCoversEveryPackage pins the README architecture block and
 // the ARCHITECTURE.md package map to the package tree: every internal
 // package and every command must be listed in both, so a new package

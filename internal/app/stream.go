@@ -57,35 +57,27 @@ type Stream struct {
 	stallSince   sim.Time
 	stalledTotal sim.Time
 
-	tickFn  func()
-	stopped bool
-	timer   sim.Timer
+	ticker sim.Ticker
 }
 
 // NewStream wraps conn (which must have been created with AppLimited set)
 // in a media session.
 func NewStream(eng *sim.Engine, conn *mptcp.Conn, cfg StreamConfig) *Stream {
 	s := &Stream{eng: eng, cfg: cfg.withDefaults(), conn: conn}
-	s.tickFn = s.tick
+	s.ticker = sim.MakeTicker(eng, s.cfg.Chunk, s.tick)
 	return s
 }
 
 // Start begins producing and playing.
 func (s *Stream) Start() {
 	s.conn.Start()
-	s.timer = s.eng.After(s.cfg.Chunk, s.tickFn)
+	s.ticker.Start()
 }
 
 // Stop halts the session and cancels its pending chunk.
-func (s *Stream) Stop() {
-	s.stopped = true
-	s.timer.Stop()
-}
+func (s *Stream) Stop() { s.ticker.Stop() }
 
 func (s *Stream) tick() {
-	if s.stopped {
-		return
-	}
 	dt := s.cfg.Chunk
 	// Produce the next chunk of media.
 	s.conn.Produce(int64(float64(s.cfg.BitrateBps) * dt.Seconds() / 8))
@@ -116,7 +108,6 @@ func (s *Stream) tick() {
 			s.stalledTotal += s.eng.Now() - s.stallSince
 		}
 	}
-	s.timer = s.eng.After(dt, s.tickFn)
 }
 
 // Started reports whether playback has begun.

@@ -7,6 +7,7 @@ import (
 
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/supervise"
 )
 
 // PacketEngine answers scenarios with a full discrete-event run of the
@@ -57,31 +58,21 @@ func runPacket(ctx context.Context, sc Scenario, check obsv.CheckMode) (Result, 
 			meter.Start()
 		}
 	})
-	var sample func()
-	sample = func() {
+	var sample sim.Ticker
+	sample = sim.MakeTicker(eng, 250*sim.Millisecond, func() {
 		for r := range srttSum {
 			srttSum[r] += subs[r].SRTT().Seconds()
 		}
 		srttN++
-		if eng.Now() < sc.Horizon {
-			eng.ScheduleAfter(250*sim.Millisecond, sample)
+		if eng.Now() >= sc.Horizon {
+			sample.Stop()
 		}
-	}
-	eng.Schedule(sc.Warmup, sample)
+	})
+	eng.Schedule(sc.Warmup, sample.StartNow)
 
 	// Cooperative cancellation: poll the context once per simulated second
 	// and stop the engine early when it fires.
-	var poll func()
-	poll = func() {
-		if ctx.Err() != nil {
-			eng.Stop()
-			return
-		}
-		if eng.Now() < sc.Horizon {
-			eng.ScheduleAfter(sim.Second, poll)
-		}
-	}
-	eng.ScheduleAfter(sim.Second, poll)
+	supervise.StopOnCancel(ctx, eng, sim.Second)
 
 	w.Start()
 	eng.Run(sc.Horizon)

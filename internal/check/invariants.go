@@ -334,8 +334,7 @@ func CheckMeter(t sim.Time, st MeterState) []Violation {
 // the end of the run). Register objects before Start; the checker is as
 // deterministic as the run it watches.
 type Invariants struct {
-	eng      *sim.Engine
-	interval sim.Time
+	eng *sim.Engine
 
 	// FailFast panics on the first violation with full detail, freezing the
 	// run at the instant the invariant broke. The experiment harness and
@@ -353,8 +352,7 @@ type Invariants struct {
 	checks     uint64
 	violations []Violation
 	dropped    int // violations beyond MaxRecorded
-	started    bool
-	tickFn     func()
+	ticker     sim.Ticker
 }
 
 type watchedConn struct {
@@ -370,15 +368,15 @@ type watchedMeter struct {
 
 // New creates a checker on eng with the default cadence.
 func New(eng *sim.Engine) *Invariants {
-	inv := &Invariants{eng: eng, interval: DefaultInterval, MaxRecorded: 32}
-	inv.tickFn = inv.tick
+	inv := &Invariants{eng: eng, MaxRecorded: 32}
+	inv.SetInterval(DefaultInterval)
 	return inv
 }
 
 // SetInterval overrides the evaluation cadence; call before Start.
 func (inv *Invariants) SetInterval(d sim.Time) {
 	if d > 0 {
-		inv.interval = d
+		inv.ticker = sim.MakeTicker(inv.eng, d, inv.Check)
 	}
 }
 
@@ -436,18 +434,13 @@ func (inv *Invariants) WatchMeter(name string, m *energy.Meter) {
 
 // Start begins periodic evaluation. Calling Start twice is a no-op.
 func (inv *Invariants) Start() {
-	if inv.started {
-		return
-	}
-	inv.started = true
 	inv.lastNow = inv.eng.Now()
-	inv.eng.ScheduleAfter(inv.interval, inv.tickFn)
+	inv.ticker.Start()
 }
 
-func (inv *Invariants) tick() {
-	inv.Check()
-	inv.eng.ScheduleAfter(inv.interval, inv.tickFn)
-}
+// Stop ends periodic evaluation and cancels the queued one; Check and Final
+// still evaluate on demand.
+func (inv *Invariants) Stop() { inv.ticker.Stop() }
 
 // Check evaluates every invariant right now. The periodic tick calls it;
 // tests and the CLIs may call it at interesting instants as well.

@@ -24,19 +24,15 @@ type Probe func(window sim.Time) Sample
 // average. Start while running is a no-op (no double-counting); Start after
 // Stop resumes metering, extending the same accumulators.
 type Meter struct {
-	eng      *sim.Engine
-	model    Model
-	probe    Probe
-	interval sim.Time
+	eng   *sim.Engine
+	model Model
+	probe Probe
 
 	joules   float64
 	watts    float64  // power over the most recent integrated span
 	metered  sim.Time // total span integrated so far
 	lastTick sim.Time
-	started  bool
-	stopped  bool
-	armed    bool // a tick is scheduled and will fire
-	tickFn   func()
+	ticker   sim.Ticker // runs Flush every interval; running = metering
 }
 
 // NewMeter creates a meter; interval 0 takes DefaultInterval.
@@ -44,8 +40,8 @@ func NewMeter(eng *sim.Engine, model Model, probe Probe, interval sim.Time) *Met
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	m := &Meter{eng: eng, model: model, probe: probe, interval: interval}
-	m.tickFn = m.tick
+	m := &Meter{eng: eng, model: model, probe: probe}
+	m.ticker = sim.MakeTicker(eng, interval, m.Flush)
 	return m
 }
 
@@ -53,26 +49,19 @@ func NewMeter(eng *sim.Engine, model Model, probe Probe, interval sim.Time) *Met
 // is called or the engine's horizon cuts it off. Calling Start on a running
 // meter is a no-op; calling it after Stop resumes metering from now.
 func (m *Meter) Start() {
-	if m.started && !m.stopped {
+	if m.ticker.Running() {
 		return
 	}
-	m.started = true
-	m.stopped = false
 	m.lastTick = m.eng.Now()
-	if !m.armed {
-		m.armed = true
-		m.eng.ScheduleAfter(m.interval, m.tickFn)
-	}
+	m.ticker.Start()
 }
 
 // Stop integrates the residual partial interval since the last tick and
-// halts sampling. Stop on an idle meter is a no-op.
+// halts sampling: the queued tick is cancelled. Stop on an idle meter is a
+// no-op.
 func (m *Meter) Stop() {
-	if !m.started || m.stopped {
-		return
-	}
 	m.Flush()
-	m.stopped = true
+	m.ticker.Stop()
 }
 
 // Flush integrates the span since the last tick immediately, without
@@ -81,7 +70,7 @@ func (m *Meter) Stop() {
 // Joules and MeanPower cover the full run rather than dropping the last
 // partial interval. Flushing a stopped or never-started meter is a no-op.
 func (m *Meter) Flush() {
-	if !m.started || m.stopped {
+	if !m.ticker.Running() {
 		return
 	}
 	now := m.eng.Now()
@@ -93,16 +82,6 @@ func (m *Meter) Flush() {
 	m.metered += dt
 	m.watts = m.model.Power(m.probe(dt))
 	m.joules += m.watts * dt.Seconds()
-}
-
-func (m *Meter) tick() {
-	m.armed = false
-	if m.stopped {
-		return
-	}
-	m.Flush()
-	m.armed = true
-	m.eng.ScheduleAfter(m.interval, m.tickFn)
 }
 
 // Joules returns the energy integrated so far.

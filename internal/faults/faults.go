@@ -99,8 +99,8 @@ func (f Flap) Schedule(eng *sim.Engine, links []*netem.Link) {
 		return
 	}
 	cycle := 0
-	var downFn func()
-	downFn = func() {
+	var flap sim.Ticker
+	flap = sim.MakeTicker(eng, f.Period, func() {
 		for _, l := range links {
 			l.SetDown()
 		}
@@ -110,11 +110,11 @@ func (f Flap) Schedule(eng *sim.Engine, links []*netem.Link) {
 			}
 		})
 		cycle++
-		if f.Count <= 0 || cycle < f.Count {
-			eng.ScheduleAfter(f.Period, downFn)
+		if f.Count > 0 && cycle >= f.Count {
+			flap.Stop()
 		}
-	}
-	eng.Schedule(f.Start, downFn)
+	})
+	eng.Schedule(f.Start, flap.StartNow)
 }
 
 // GilbertElliott drives the links' random-loss probability with the
@@ -140,12 +140,13 @@ func (g GilbertElliott) Schedule(eng *sim.Engine, links []*netem.Link) {
 	}
 	bad := false
 	var saved []float64
-	var tickFn func()
-	tickFn = func() {
+	var chain sim.Ticker
+	chain = sim.MakeTicker(eng, tick, func() {
 		if g.End > 0 && eng.Now() >= g.End {
 			for i, l := range links {
 				l.SetLossProb(saved[i])
 			}
+			chain.Stop()
 			return
 		}
 		if bad {
@@ -162,14 +163,13 @@ func (g GilbertElliott) Schedule(eng *sim.Engine, links []*netem.Link) {
 		for _, l := range links {
 			l.SetLossProb(p)
 		}
-		eng.ScheduleAfter(tick, tickFn)
-	}
+	})
 	eng.Schedule(g.Start, func() {
 		saved = make([]float64, len(links))
 		for i, l := range links {
 			saved[i] = l.LossProb()
 		}
-		tickFn()
+		chain.StartNow()
 	})
 }
 

@@ -461,6 +461,8 @@ func (m *Manager) streamChunk(h handle) {
 	s.lastAcked = acked
 	rate := m.cfg.Stream.Ladder[s.rung]
 	s.conn.Produce(rate * int64(chunk) / int64(sim.Second) / 8)
+	// Not a sim.Ticker: the flowSlot lives in a slice append may move, so it
+	// cannot be queued by address — the handle closure stays.
 	s.chunkTimer = m.eng.After(chunk, func() { m.streamChunk(h) })
 }
 

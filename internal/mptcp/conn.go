@@ -19,7 +19,6 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/trace"
 )
 
 // Config configures a connection.
@@ -70,8 +69,8 @@ type Conn struct {
 	ctl            []subCtl
 	reinjectedSegs int64
 
-	goodput trace.RateMeter
-	views   []core.View
+	ackedBytes uint64
+	views      []core.View
 }
 
 // subCtl is the per-subflow scheduling state the coordinator consults on
@@ -130,12 +129,11 @@ func (c *Conn) Reset(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem
 		subs = append(subs, make([]*tcp.Subflow, n-len(subs))...)
 	}
 	*c = Conn{
-		eng:     eng,
-		cfg:     cfg,
-		subs:    subs[:n],
-		ctl:     append(c.ctl[:0], make([]subCtl, n)...),
-		goodput: *trace.NewRateMeter(eng, 1),
-		views:   append(c.views[:0], make([]core.View, n)...),
+		eng:   eng,
+		cfg:   cfg,
+		subs:  subs[:n],
+		ctl:   append(c.ctl[:0], make([]subCtl, n)...),
+		views: append(c.views[:0], make([]core.View, n)...),
 	}
 	c.SetAlgorithm(alg)
 	mss := cfg.Transport.MSS
@@ -265,7 +263,7 @@ func (c *Conn) NoteAcked(r int, pkts int) {
 	if mss == 0 {
 		mss = 1448
 	}
-	c.goodput.Count(int(counted) * mss)
+	c.ackedBytes += uint64(counted) * uint64(mss)
 	if !c.done && c.totalSegs > 0 && c.ackedSegs >= c.totalSegs {
 		c.done = true
 		c.completedAt = c.eng.Now()
@@ -383,10 +381,7 @@ func (c *Conn) Done() bool { return c.done }
 func (c *Conn) CompletedAt() sim.Time { return c.completedAt }
 
 // AckedBytes returns the goodput delivered so far in bytes.
-func (c *Conn) AckedBytes() uint64 { return c.goodput.TotalBytes() }
-
-// Goodput returns the connection's goodput meter.
-func (c *Conn) Goodput() *trace.RateMeter { return &c.goodput }
+func (c *Conn) AckedBytes() uint64 { return c.ackedBytes }
 
 // MeanThroughputBps returns the average goodput over [0, now] in bits per
 // second (or over [0, completion] for finished transfers).

@@ -154,13 +154,26 @@ func (o *Observer) Start() {
 	}
 }
 
-// Close evaluates the invariants one final time — returning the collected
-// violations, if any, with the record left to Abort — then completes the
-// JSONL record, writes the CSV twin and releases the file.
+// stop cancels the sampling and checking ticks: a closed or aborted observer
+// owns no event.
+func (o *Observer) stop() {
+	if o.rec != nil {
+		o.rec.ticker.Stop()
+	}
+	if o.inv != nil {
+		o.inv.Stop()
+	}
+}
+
+// Close stops sampling and checking and evaluates the invariants one final
+// time — returning the collected violations, if any, with the record left to
+// Abort — then completes the JSONL record, writes the CSV twin and releases
+// the file.
 func (o *Observer) Close() error {
 	if o == nil {
 		return nil
 	}
+	o.stop()
 	if o.inv != nil {
 		o.inv.Final()
 		if err := o.inv.Err(); err != nil {
@@ -186,13 +199,17 @@ func (o *Observer) Close() error {
 
 // Abort is deferred right after NewObserver. After Close completed the
 // record it does nothing; when the run panicked or failed instead — an
-// invariant violation, an event budget, a watchdog trip — it saves what was
-// recorded: the JSONL is flushed through the last completed tick (no
-// summary line) and released, and the CSV twin is written from the rows
-// retained so far. Errors are dropped: the run is already failing with a
-// better one.
+// invariant violation, an event budget, a watchdog trip — it stops sampling
+// and checking and saves what was recorded: the JSONL is flushed through
+// the last completed tick (no summary line) and released, and the CSV twin
+// is written from the rows retained so far. Errors are dropped: the run is
+// already failing with a better one.
 func (o *Observer) Abort() {
-	if o == nil || o.rec == nil || o.done {
+	if o == nil || o.done {
+		return
+	}
+	o.stop()
+	if o.rec == nil {
 		return
 	}
 	_ = o.sink.Close()

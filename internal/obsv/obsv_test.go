@@ -9,8 +9,8 @@ import (
 
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/trace"
 )
 
 // recordLines parses a JSONL record into generic maps, one per line.
@@ -45,7 +45,7 @@ func runSynthetic(t *testing.T, opt Options) (*Recorder, []byte) {
 	rec.AddSampler("clock_s", func() float64 { return eng.Now().Seconds() })
 	rec.AddSampler("bad", func() float64 { return math.NaN() })
 
-	tl := &trace.Timeline{}
+	tl := &tcp.Timeline{}
 	tl.Add(250*sim.Millisecond, "blip")
 	tl.Add(750*sim.Millisecond, "recover")
 	rec.AddTimeline("p0.", tl)

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
 	"mptcpsim/internal/sim"
@@ -245,14 +244,4 @@ func WriteCSV(w io.Writer, series []string, rows []Row) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// sortedKeys returns m's keys in sorted order.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

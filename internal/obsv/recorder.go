@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,7 +13,7 @@ import (
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/trace"
+	"mptcpsim/internal/tcp"
 )
 
 // DefaultInterval is the sampling period when Options.Interval is zero:
@@ -51,7 +53,7 @@ type Recorder struct {
 	started bool
 	closed  bool
 	err     error
-	tickFn  func()
+	ticker  sim.Ticker
 
 	// Hot-path buffers, built once at Start so the steady-state tick
 	// allocates nothing: the sampler scratch row, the JSONL line buffer,
@@ -67,7 +69,7 @@ type Recorder struct {
 // Close, each label prefixed (e.g. "sub1.dead").
 type watchedTimeline struct {
 	prefix string
-	tl     *trace.Timeline
+	tl     *tcp.Timeline
 }
 
 // NewRecorder creates a recorder for one run on eng.
@@ -76,7 +78,7 @@ func NewRecorder(eng *sim.Engine, meta Meta, opt Options) *Recorder {
 		opt.Interval = DefaultInterval
 	}
 	r := &Recorder{eng: eng, meta: meta, opt: opt, summary: make(map[string]float64)}
-	r.tickFn = r.tick
+	r.ticker = sim.MakeTicker(eng, opt.Interval, r.tick)
 	return r
 }
 
@@ -109,7 +111,7 @@ func (r *Recorder) AddSampler(name string, fn func() float64) {
 
 // AddTimeline registers a timeline whose events are written to the record
 // at Close, labels prefixed with prefix.
-func (r *Recorder) AddTimeline(prefix string, tl *trace.Timeline) {
+func (r *Recorder) AddTimeline(prefix string, tl *tcp.Timeline) {
 	r.timelines = append(r.timelines, watchedTimeline{prefix: prefix, tl: tl})
 }
 
@@ -169,7 +171,7 @@ func (r *Recorder) WatchConn(prefix string, conn *mptcp.Conn) {
 				}
 				return row[key]
 			}
-			for _, key := range sortedKeys(row) {
+			for _, key := range slices.Sorted(maps.Keys(row)) {
 				key := key
 				r.AddSampler(sub+key, func() float64 { return component(key) })
 			}
@@ -207,7 +209,7 @@ func (r *Recorder) Start() {
 			Series:          names,
 		})
 	}
-	r.eng.ScheduleAfter(r.opt.Interval, r.tickFn)
+	r.ticker.Start()
 }
 
 // buildKeyTable precomputes the sample line's value-map layout: the series
@@ -219,11 +221,7 @@ func (r *Recorder) buildKeyTable() {
 	for i, name := range r.names {
 		last[name] = i
 	}
-	uniq := make([]string, 0, len(last))
-	for name := range last {
-		uniq = append(uniq, name)
-	}
-	sort.Strings(uniq)
+	uniq := slices.Sorted(maps.Keys(last))
 	r.keyOrder = make([]int, len(uniq))
 	r.keyJSON = make([][]byte, len(uniq))
 	for j, name := range uniq {
@@ -237,9 +235,6 @@ func (r *Recorder) buildKeyTable() {
 }
 
 func (r *Recorder) tick() {
-	if r.closed {
-		return
-	}
 	now := r.eng.Now()
 	vals := r.vals
 	for i, fn := range r.samplers {
@@ -256,7 +251,6 @@ func (r *Recorder) tick() {
 		copy(row, vals)
 		r.rows = append(r.rows, Row{T: now, V: row})
 	}
-	r.eng.ScheduleAfter(r.opt.Interval, r.tickFn)
 }
 
 // EmitFlow streams one flow outcome line. Flow lines are written the moment
@@ -283,6 +277,7 @@ func (r *Recorder) Close() error {
 		return r.err
 	}
 	r.closed = true
+	r.ticker.Stop()
 	if r.opt.Stream != nil {
 		for _, ev := range r.collectEvents() {
 			r.emit(ev)
@@ -299,11 +294,11 @@ func (r *Recorder) Close() error {
 // Events returns the watched timelines' events merged into one time-ordered
 // list with prefixed labels (registration order breaks ties, keeping the
 // merge deterministic).
-func (r *Recorder) Events() []trace.Event {
-	var out []trace.Event
+func (r *Recorder) Events() []tcp.Transition {
+	var out []tcp.Transition
 	for _, wt := range r.timelines {
 		for _, ev := range wt.tl.Events {
-			out = append(out, trace.Event{T: ev.T, Label: wt.prefix + ev.Label})
+			out = append(out, tcp.Transition{T: ev.T, Label: wt.prefix + ev.Label})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })

@@ -29,7 +29,6 @@ const (
 // interface power model and suspends paths that are too expensive
 // relative to the cheapest one. The cheapest path always stays enabled.
 type Selector struct {
-	eng    *sim.Engine
 	conn   *mptcp.Conn
 	models []energy.Model // one per subflow, same order
 	probe  energy.Probe   // the connection's activity over the last period
@@ -37,35 +36,27 @@ type Selector struct {
 	costs     []float64
 	decisions int
 	suspended int
-	tickFn    func()
-	stopped   bool
-	timer     sim.Timer
+	ticker    sim.Ticker
 }
 
 // New creates a selector for conn; models[i] is the power model of
 // subflow i's interface.
 func New(eng *sim.Engine, conn *mptcp.Conn, models []energy.Model) *Selector {
 	s := &Selector{
-		eng:    eng,
 		conn:   conn,
 		models: models,
 		probe:  energy.ConnProbe(conn),
 		costs:  make([]float64, len(conn.Subflows())),
 	}
-	s.tickFn = s.tick
+	s.ticker = sim.MakeTicker(eng, period, s.tick)
 	return s
 }
 
 // Start begins periodic path evaluation.
-func (s *Selector) Start() {
-	s.timer = s.eng.After(period, s.tickFn)
-}
+func (s *Selector) Start() { s.ticker.Start() }
 
 // Stop halts the selector and cancels its pending evaluation.
-func (s *Selector) Stop() {
-	s.stopped = true
-	s.timer.Stop()
-}
+func (s *Selector) Stop() { s.ticker.Stop() }
 
 // Decisions reports how many evaluation rounds have run.
 func (s *Selector) Decisions() int { return s.decisions }
@@ -74,9 +65,6 @@ func (s *Selector) Decisions() int { return s.decisions }
 func (s *Selector) Suspensions() int { return s.suspended }
 
 func (s *Selector) tick() {
-	if s.stopped {
-		return
-	}
 	s.decisions++
 	costs := s.estimate()
 
@@ -93,7 +81,6 @@ func (s *Selector) tick() {
 		}
 		s.conn.SetSubflowEnabled(r, enable)
 	}
-	s.timer = s.eng.After(period, s.tickFn)
 }
 
 // estimate prices each subflow in joules per bit over the last period: the

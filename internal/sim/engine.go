@@ -48,7 +48,16 @@
 // then the packet, with no closure object between the two — by the time a
 // queued event fires, every one of those loads misses the cache. At, After,
 // Schedule and ScheduleAfter take a func() and wrap it in Func; such events
-// (timers, ticks, arrivals) pay one more indirect call, Func.Fire's.
+// (timers, arrivals) pay one more indirect call, Func.Fire's.
+//
+// # Periodic work
+//
+// Work done every period — a meter integrating, a recorder sampling, a
+// generator's packet clock — runs on a Ticker, which is its own Handler. A
+// tick calls fn and only then queues the next one, behind whatever fn
+// scheduled for that instant. Stop unlinks the queued tick, from inside fn
+// too: a stopped owner has nothing in Pending, and a later Start begins a
+// fresh chain one period from then.
 package sim
 
 import (

@@ -80,6 +80,26 @@ func BenchmarkEngineHandler(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineTicker is the same loop through Ticker, the form every
+// periodic owner uses: a Handler that calls a func(), so it should sit between
+// the two lines of BenchmarkEngineHandler, and may not allocate either.
+func BenchmarkEngineTicker(b *testing.B) {
+	eng := NewEngine(1)
+	n := 0
+	tk := MakeTicker(eng, Microsecond, func() { n++ })
+	tk.Start()
+	step := func() { eng.Run(eng.Now() + 64*Microsecond) }
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		b.Fatalf("%v allocations per 64 ticks, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(eng.Now() + Time(b.N)*Microsecond)
+	if n < b.N {
+		b.Fatalf("fired %d ticks, want at least %d", n, b.N)
+	}
+}
+
 // benchDeepQueue keeps depth self-rescheduling events in flight, event i
 // every period(i), and measures one schedule plus one fire at that depth.
 func benchDeepQueue(b *testing.B, depth int, period func(i int) Time) {

@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -78,19 +79,16 @@ func (w *Watchdog) Attach(eng *sim.Engine) {
 		if w.deadline.IsZero() { // one deadline per attempt, however many engines it attaches
 			w.deadline = w.now().Add(w.budget.Wall)
 		}
-		var tick func()
-		tick = func() {
+		wall := sim.MakeTicker(eng, wallCheckEvery, func() {
 			if w.now().After(w.deadline) {
 				panic(&Trip{Kind: KindTimeout, Msg: fmt.Sprintf(
 					"wall-clock deadline %v exceeded at %s", w.budget.Wall, w.lastObsv())})
 			}
-			eng.ScheduleAfter(wallCheckEvery, tick)
-		}
-		eng.ScheduleAfter(wallCheckEvery, tick)
+		})
+		wall.Start()
 	}
 	if w.budget.HeapBytes > 0 {
-		var tick func()
-		tick = func() {
+		heap := sim.MakeTicker(eng, heapCheckEvery, func() {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			if ms.HeapAlloc > w.budget.HeapBytes {
@@ -98,9 +96,8 @@ func (w *Watchdog) Attach(eng *sim.Engine) {
 					"heap budget %d bytes exceeded (HeapAlloc=%d) at %s",
 					w.budget.HeapBytes, ms.HeapAlloc, w.lastObsv())})
 			}
-			eng.ScheduleAfter(heapCheckEvery, tick)
-		}
-		eng.ScheduleAfter(heapCheckEvery, tick)
+		})
+		heap.Start()
 	}
 	if w.budget.Events > 0 {
 		eng.SetEventBudget(w.budget.Events, func() {
@@ -114,6 +111,22 @@ func (w *Watchdog) Attach(eng *sim.Engine) {
 				"sim-time budget %.3fs exhausted at %s", w.budget.SimTime.Seconds(), w.lastObsv())})
 		})
 	}
+}
+
+// StopOnCancel polls ctx every period of simulated time and stops the engine
+// once it is cancelled, so a signal ends the simulation at a clean event
+// boundary — metrics, records and meters then flush normally over whatever
+// simulated time actually elapsed. The poll touches no RNG, so an
+// uncancelled run's results are unchanged by it.
+func StopOnCancel(ctx context.Context, eng *sim.Engine, every sim.Time) {
+	var poll sim.Ticker
+	poll = sim.MakeTicker(eng, every, func() {
+		if ctx.Err() != nil {
+			eng.Stop()
+			poll.Stop()
+		}
+	})
+	poll.Start()
 }
 
 // SetSample registers a hook returning a one-line snapshot of run state

@@ -6,7 +6,6 @@ import (
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/trace"
 )
 
 // Coordinator is the connection-level coordination a subflow needs: access
@@ -134,7 +133,7 @@ type Subflow struct {
 	consecRTO   int
 	probeIval   sim.Time
 	probeTickFn func()
-	transitions trace.Timeline
+	transitions Timeline
 
 	price    float64
 	roundEnd int64
@@ -285,7 +284,7 @@ func (s *Subflow) State() State { return s.state }
 
 // Transitions returns the recorded failover state changes, in order. The
 // timeline is empty for a subflow that never failed.
-func (s *Subflow) Transitions() *trace.Timeline { return &s.transitions }
+func (s *Subflow) Transitions() *Timeline { return &s.transitions }
 
 // View snapshots the subflow state for the congestion-control algorithm.
 // The snapshot is cached and rebuilt only after one of its inputs changed.

@@ -26,17 +26,39 @@ func (s *Sink) Receive(p *netem.Packet) {
 
 var _ netem.Endpoint = (*Sink)(nil)
 
-// CBR injects fixed-size packets at a constant bit rate into a route.
-type CBR struct {
+// source is what both generators are built on: it injects fixed-size
+// packets into a route, one per emit, and counts them.
+type source struct {
 	eng     *sim.Engine
 	route   []*netem.Link
 	sink    *Sink
 	pool    netem.Pool
-	rate    int64
 	pktSize int
 	sent    uint64
-	stopped bool
-	timer   sim.Timer
+}
+
+func (s *source) emit() {
+	p := s.pool.Get()
+	p.Size = int32(s.pktSize)
+	p.SentAt = s.eng.Now()
+	p.SetRoute(s.route, s.sink)
+	p.Send()
+	s.sent++
+}
+
+// Sent reports packets injected so far.
+func (s *source) Sent() uint64 { return s.sent }
+
+// pktInterval is the packet clock of a source sending pktSize-byte packets
+// at rateBps.
+func pktInterval(pktSize int, rateBps int64) sim.Time {
+	return sim.Time(int64(pktSize) * 8 * int64(sim.Second) / rateBps)
+}
+
+// CBR injects fixed-size packets at a constant bit rate into a route.
+type CBR struct {
+	source
+	ticker sim.Ticker
 }
 
 // NewCBR creates a constant-bit-rate source over the given links.
@@ -44,40 +66,20 @@ func NewCBR(eng *sim.Engine, route []*netem.Link, rateBps int64, pktSize int) *C
 	if pktSize <= 0 {
 		pktSize = 1500
 	}
-	return &CBR{eng: eng, route: route, sink: &Sink{}, rate: rateBps, pktSize: pktSize}
+	c := &CBR{source: source{eng: eng, route: route, sink: &Sink{}, pktSize: pktSize}}
+	c.ticker = sim.MakeTicker(eng, pktInterval(pktSize, rateBps), c.emit)
+	return c
 }
 
-// Start begins transmission.
-func (c *CBR) Start() { c.emit() }
+// Start begins transmission with a packet now; on a running source it is a
+// no-op.
+func (c *CBR) Start() { c.ticker.StartNow() }
 
 // Stop halts transmission and cancels the pending emit event.
-func (c *CBR) Stop() {
-	c.stopped = true
-	c.timer.Stop()
-}
-
-// Sent reports packets injected.
-func (c *CBR) Sent() uint64 { return c.sent }
+func (c *CBR) Stop() { c.ticker.Stop() }
 
 // Delivered reports packets that survived to the sink.
 func (c *CBR) Delivered() uint64 { return c.sink.Pkts }
-
-func (c *CBR) interval() sim.Time {
-	return sim.Time(int64(c.pktSize) * 8 * int64(sim.Second) / c.rate)
-}
-
-func (c *CBR) emit() {
-	if c.stopped {
-		return
-	}
-	p := c.pool.Get()
-	p.Size = int32(c.pktSize)
-	p.SentAt = c.eng.Now()
-	p.SetRoute(c.route, c.sink)
-	p.Send()
-	c.sent++
-	c.timer = c.eng.After(c.interval(), c.emit)
-}
 
 // ParetoOnOff is the paper's bursty cross-traffic generator (§VI-B): the
 // source alternates Off and On periods; Off durations are exponential with
@@ -85,29 +87,22 @@ func (c *CBR) emit() {
 // Pareto-distributed with the given mean, and during On it transmits at a
 // fixed rate.
 type ParetoOnOff struct {
-	eng     *sim.Engine
-	route   []*netem.Link
-	sink    *Sink
-	pool    netem.Pool
-	rate    int64
-	pktSize int
+	source
 
 	meanOff sim.Time
 	meanOn  sim.Time
 	shape   float64
 
-	active  bool
-	stopped bool
-	sent    uint64
-	onTime  sim.Time
+	active   bool
+	onTime   sim.Time
+	burstEnd sim.Time // the current burst's packet clock is inert from here on
 
-	// Live timer handles, cancelled by Stop: the pending Off-gap, the
-	// current burst's tick chain, and the current burst's end event. A
-	// stopped generator must leave nothing in the event heap — a live gap
-	// timer would otherwise fire a whole post-Stop burst.
-	gapTimer  sim.Timer
-	tickTimer sim.Timer
-	endTimer  sim.Timer
+	// What the generator has queued, all cancelled by Stop: the pending
+	// Off-gap, the current burst's packet clock, and its end event. A live
+	// gap timer would otherwise fire a whole post-Stop burst.
+	gapTimer sim.Timer
+	ticker   sim.Ticker
+	endTimer sim.Timer
 }
 
 // ParetoConfig parameterizes the generator; zero values take the paper's
@@ -137,79 +132,64 @@ func NewParetoOnOff(eng *sim.Engine, route []*netem.Link, cfg ParetoConfig) *Par
 	if cfg.Shape == 0 {
 		cfg.Shape = 1.5
 	}
-	return &ParetoOnOff{
-		eng:     eng,
-		route:   route,
-		sink:    &Sink{},
-		rate:    cfg.RateBps,
-		pktSize: cfg.PktSize,
+	p := &ParetoOnOff{
+		source:  source{eng: eng, route: route, sink: &Sink{}, pktSize: cfg.PktSize},
 		meanOff: cfg.MeanOff,
 		meanOn:  cfg.MeanOn,
 		shape:   cfg.Shape,
 	}
+	p.ticker = sim.MakeTicker(eng, pktInterval(cfg.PktSize, cfg.RateBps), p.tick)
+	return p
 }
 
-// Start begins the Off/On cycle (starting Off).
-func (p *ParetoOnOff) Start() { p.scheduleOn() }
+// Start begins the Off/On cycle (starting Off); on a running generator it is
+// a no-op.
+func (p *ParetoOnOff) Start() {
+	if !p.active && !p.gapTimer.Active() {
+		p.scheduleOn()
+	}
+}
 
 // Stop halts the generator and cancels its pending events, so a stopped
-// source neither bursts again nor keeps the event heap populated.
+// source neither bursts again nor keeps the event queue populated.
 func (p *ParetoOnOff) Stop() {
-	p.stopped = true
 	p.active = false
 	p.gapTimer.Stop()
-	p.tickTimer.Stop()
+	p.ticker.Stop()
 	p.endTimer.Stop()
 }
 
 // Active reports whether a burst is in progress.
 func (p *ParetoOnOff) Active() bool { return p.active }
 
-// Sent reports packets injected so far.
-func (p *ParetoOnOff) Sent() uint64 { return p.sent }
-
 // OnTime reports the cumulative burst duration so far.
 func (p *ParetoOnOff) OnTime() sim.Time { return p.onTime }
 
 func (p *ParetoOnOff) scheduleOn() {
-	if p.stopped {
-		return
-	}
-	gap := p.expDuration(p.meanOff)
-	p.gapTimer = p.eng.After(gap, p.burst)
+	p.gapTimer = p.eng.After(p.expDuration(p.meanOff), p.burst)
 }
 
 func (p *ParetoOnOff) burst() {
-	if p.stopped {
-		return
-	}
 	dur := p.paretoDuration()
 	p.active = true
 	p.onTime += dur
-	end := p.eng.Now() + dur
-	interval := sim.Time(int64(p.pktSize) * 8 * int64(sim.Second) / p.rate)
-	// One emit closure per burst, reused along the whole chain (the old code
-	// allocated one per packet). Each burst's chain captures its own end, so
-	// a straggler tick from a finished burst stays inert even if the next
-	// burst has already begun.
-	var tick func()
-	tick = func() {
-		if p.stopped || p.eng.Now() >= end {
-			return
-		}
-		pkt := p.pool.Get()
-		pkt.Size = int32(p.pktSize)
-		pkt.SentAt = p.eng.Now()
-		pkt.SetRoute(p.route, p.sink)
-		pkt.Send()
-		p.sent++
-		p.tickTimer = p.eng.After(interval, tick)
+	p.burstEnd = p.eng.Now() + dur
+	p.ticker.StartNow()
+	p.endTimer = p.eng.At(p.burstEnd, p.endBurst)
+}
+
+// tick is the burst's packet clock. A tick that lands on the burst's end
+// ahead of the end event sends nothing.
+func (p *ParetoOnOff) tick() {
+	if p.eng.Now() < p.burstEnd {
+		p.emit()
 	}
-	tick()
-	p.endTimer = p.eng.At(end, func() {
-		p.active = false
-		p.scheduleOn()
-	})
+}
+
+func (p *ParetoOnOff) endBurst() {
+	p.active = false
+	p.ticker.Stop()
+	p.scheduleOn()
 }
 
 // expDuration draws an exponential duration with the given mean.

@@ -82,6 +82,24 @@ func TestParetoOnOffStops(t *testing.T) {
 	}
 }
 
+// TestCBREmitDoesNotAllocate: the packet clock is a sim.Ticker and the packets
+// come from the source's pool, so steady-state cross traffic costs no heap
+// object per packet (it used to build one method value per emit).
+func TestCBREmitDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := NewCBR(eng, []*netem.Link{testLink(eng, netem.Gbps)}, 50*netem.Mbps, 1500)
+	c.Start()
+	eng.Run(sim.Second) // warm the pool and the engine's slab
+	sent := c.Sent()
+	step := func() { eng.Run(eng.Now() + 100*sim.Millisecond) }
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Errorf("%v allocations per 100 ms of a 50 Mb/s source, want 0", allocs)
+	}
+	if per := (c.Sent() - sent) / 11; per < 410 || per > 420 {
+		t.Errorf("%d packets per 100 ms, want ~416", per)
+	}
+}
+
 // TestParetoOnOffStopCancelsPendingEvents is the regression test for the
 // timer leak: Stop used to only set a flag, leaving the Off-gap (or burst
 // tick/end) timer live in the event queue — a zombie event that could fire a

@@ -67,7 +67,32 @@ func (s *System) Lambda(x []float64, r int) float64 {
 	if capacity <= 0 || load <= 0 {
 		return 0
 	}
-	return math.Pow(load/capacity, s.priceExp())
+	return powExact(load/capacity, s.priceExp())
+}
+
+// powExact is math.Pow(u, e) bit for bit, minus its Frexp/Modf/Ldexp
+// bookkeeping, for integer e in [1, 64] and u in [2⁻¹⁵, 2¹⁵]: a Kelly price
+// at the default or the backend's exponent with the load within a factor
+// 2¹⁵ of capacity. math.Pow computes an integer power by this same repeated
+// squaring, on u's Frexp mantissa with the binary exponent carried aside.
+// Scaling a factor by a power of two scales its correctly rounded product
+// by the same power, so the two loops round alike while every value read
+// here is a normal float, and on this domain all lie in [2⁻⁹⁶⁰, 2⁹⁶⁰] (the
+// square after the last set bit may overflow; it is never read). Anything
+// else goes to math.Pow.
+func powExact(u, e float64) float64 {
+	n := int(e)
+	if float64(n) != e || n < 1 || n > 64 || !(u >= 0x1p-15 && u <= 0x1p15) {
+		return math.Pow(u, e)
+	}
+	acc := 1.0
+	for ; n != 0; n >>= 1 {
+		if n&1 == 1 {
+			acc *= u
+		}
+		u *= u
+	}
+	return acc
 }
 
 // Derivative evaluates dx/dt into dx.
@@ -97,19 +122,27 @@ func (s *System) Derivative(x, dx []float64) {
 }
 
 // Integrate advances the system from x0 with classic RK4 for steps of
-// size dt and returns the final state. Rates are floored at a small
-// positive value (a flow never fully disappears — its window is at least
-// one segment).
+// size dt and returns the final state. Rates are floored at 1e-6 packets/s
+// after every step: a flow never fully disappears.
 func (s *System) Integrate(x0 []float64, dt float64, steps int) []float64 {
-	n := len(x0)
-	x := make([]float64, n)
+	x := make([]float64, len(x0))
 	copy(x, x0)
-	k1 := make([]float64, n)
-	k2 := make([]float64, n)
-	k3 := make([]float64, n)
-	k4 := make([]float64, n)
-	tmp := make([]float64, n)
+	s.integrate(x, dt, steps, newRK4(len(x)))
+	return x
+}
 
+// rk4 is RK4's stage storage, allocated once per solve and reused by
+// every batch of it.
+type rk4 struct{ k1, k2, k3, k4, tmp []float64 }
+
+func newRK4(n int) rk4 {
+	buf := make([]float64, 5*n)
+	return rk4{buf[:n], buf[n : 2*n], buf[2*n : 3*n], buf[3*n : 4*n], buf[4*n:]}
+}
+
+// integrate is Integrate in place: x advances steps RK4 steps.
+func (s *System) integrate(x []float64, dt float64, steps int, sc rk4) {
+	k1, k2, k3, k4, tmp := sc.k1, sc.k2, sc.k3, sc.k4, sc.tmp
 	for i := 0; i < steps; i++ {
 		s.Derivative(x, k1)
 		for j := range tmp {
@@ -131,7 +164,6 @@ func (s *System) Integrate(x0 []float64, dt float64, steps int) []float64 {
 			}
 		}
 	}
-	return x
 }
 
 // Equilibrium integrates until the relative derivative is below tol,
@@ -170,9 +202,10 @@ func (s *System) equilibriumAt(x0 []float64, dt, tol float64, maxSteps int) ([]f
 	x := make([]float64, len(x0))
 	copy(x, x0)
 	dx := make([]float64, len(x0))
+	sc := newRK4(len(x0))
 	const batch = 200
 	for step := 0; step < maxSteps; step += batch {
-		x = s.Integrate(x, dt, batch)
+		s.integrate(x, dt, batch, sc)
 		s.Derivative(x, dx)
 		settled := true
 		for r := range x {

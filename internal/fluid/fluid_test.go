@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,54 @@ func TestLambdaShape(t *testing.T) {
 	if s.Lambda([]float64{0}, 0) != 0 {
 		t.Error("price at zero load should be 0")
 	}
+}
+
+// TestPowExactMatchesMathPow holds powExact to math.Pow bit for bit: every
+// exponent of the fast path at the domain's ends, at 1 and its neighbours
+// and at a random interior point, and the fallbacks around it.
+func TestPowExactMatchesMathPow(t *testing.T) {
+	check := func(u, e float64) {
+		t.Helper()
+		if got, want := powExact(u, e), math.Pow(u, e); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("powExact(%x, %v) = %x, math.Pow gives %x", u, e, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for e := 1; e <= 64; e++ {
+		interior := math.Exp2(30*rng.Float64() - 15)
+		for _, u := range []float64{0x1p-15, 0x1p15, 1, math.Nextafter(1, 2), math.Nextafter(1, 0), interior} {
+			check(u, float64(e))
+		}
+	}
+	for _, e := range []float64{6, 20} { // the default and the backend's PriceExp
+		for _, u := range []float64{math.Nextafter(0x1p-15, 0), math.Nextafter(0x1p15, math.Inf(1)), 0x1p-40, 1e300, 0, -2, math.Inf(1), math.NaN()} {
+			check(u, e)
+		}
+	}
+	for _, e := range []float64{0, -1, -20, 0.5, 2.5, 6.000000000000001, 65, 1 << 40, math.Inf(1), math.NaN()} {
+		for _, u := range []float64{0.3, 1, 1.7, 1000} {
+			check(u, e)
+		}
+	}
+}
+
+// FuzzPowExact compares powExact with math.Pow at a fuzzed base, and at the
+// base's mantissa scaled into the fast path's domain, for integer exponents
+// on both sides of [1, 64].
+func FuzzPowExact(f *testing.F) {
+	f.Add(1.05, int8(20))
+	f.Add(0.3, int8(6))
+	f.Add(0x1p15, int8(64))
+	f.Add(-3.0, int8(-2))
+	f.Fuzz(func(t *testing.T, u float64, n int8) {
+		m, _ := math.Frexp(u)
+		e := float64(n)
+		for _, v := range []float64{u, math.Ldexp(math.Abs(m), int(n)%16)} {
+			if got, want := powExact(v, e), math.Pow(v, e); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("powExact(%x, %v) = %x, math.Pow gives %x", v, e, got, want)
+			}
+		}
+	})
 }
 
 func TestIntegrateIsDeterministic(t *testing.T) {

@@ -1,6 +1,10 @@
 package fluid
 
-import "mptcpsim/internal/core"
+import (
+	"math"
+
+	"mptcpsim/internal/core"
+)
 
 // This file turns a registered algorithm's Eq. 3 description (core.Entry)
 // into something a System can evaluate. The conformance harness and the
@@ -52,16 +56,37 @@ func ModelFor(alg string) (AlgModel, bool) {
 
 // uniformPsi adapts a §IV ψ decomposition (core.ParamFunc) into an
 // operating-point-parameterized System.Psi. The views the decomposition
-// reads are refilled in place on every evaluation: one scratch slice per
-// closure, nothing allocated per derivative.
+// reads live in one scratch slice per closure, refilled in place only when
+// x differs from the rate vector they were last filled at: Derivative's n
+// calls at one x fill them once. The comparison is on bits, not ==, so
+// that −0 and +0, which give different views, are told apart and a NaN
+// matches itself; it is on values, not the slice, so x may be mutated in
+// place between calls.
 func uniformPsi(fn core.ParamFunc) func(rtt, frac []float64) func(x []float64, r int) float64 {
 	return func(rtt, frac []float64) func(x []float64, r int) float64 {
 		views := make([]core.View, len(rtt))
+		var filledAt []float64 // nil before the first call
 		return func(x []float64, r int) float64 {
-			fillViews(views, x, rtt, frac)
+			if !sameBits(filledAt, x) {
+				fillViews(views, x, rtt, frac)
+				filledAt = append(filledAt[:0], x...)
+			}
 			return fn(views, r)
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // epsPsi builds ψ_r = ε(baseRTT_r/RTT_r) for the DTS family from an ε

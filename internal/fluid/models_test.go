@@ -87,6 +87,29 @@ func TestEquilibriumSharesSeedsAtHalfFreeCapacity(t *testing.T) {
 	}
 }
 
+// TestEquilibriumAllocsIndependentOfSteps: a solve allocates its RK4 stages
+// once, so what it allocates does not depend on how many 200-step batches it
+// runs. At a loose tolerance the system settles after one batch; at 1e-3 its
+// 1 s path, stepped at a quarter of the 10 ms one's RTT, needs sixteen.
+func TestEquilibriumAllocsIndependentOfSteps(t *testing.T) {
+	s := &System{Paths: []Path{
+		{RTT: 0.01, Capacity: 1333.3},
+		{RTT: 1, Capacity: 666.6, Cross: 333.3},
+	}, PriceExp: 20}
+	s.Psi = s.FromParam(core.PsiLIA, 0.5)
+	if _, rates, ok := s.EquilibriumShares(1e9, 200); !ok {
+		t.Fatalf("tol 1e9 did not settle in one batch: %s", String(rates))
+	}
+	if _, _, ok := s.EquilibriumShares(1e-3, 9*200); ok {
+		t.Fatal("tol 1e-3 settled within nine batches; the test needs a longer solve")
+	}
+	one := testing.AllocsPerRun(10, func() { s.EquilibriumShares(1e9, 400000) })
+	many := testing.AllocsPerRun(10, func() { s.EquilibriumShares(1e-3, 400000) })
+	if one != many {
+		t.Errorf("a one-batch solve allocates %v times, a many-batch solve %v", one, many)
+	}
+}
+
 func TestModelForCoversRegistry(t *testing.T) {
 	// Every entry states exactly one of: a traffic-shifting parameter (Psi,
 	// Eps or both), the delay-based oracle, or the reason it has no model —

@@ -2,7 +2,8 @@
 //
 // The engine advances a virtual clock from event to event. Events scheduled
 // for the same instant run in the order they were scheduled, which — together
-// with a seeded random source — makes every run fully reproducible.
+// with a random source seeded from the engine's seed on its first use —
+// makes every run fully reproducible.
 //
 // # The event queue
 //
@@ -155,9 +156,10 @@ func (t Timer) Active() bool {
 // concurrent use; a simulation run owns exactly one engine. Independent
 // engines may run on separate goroutines (see internal/runner).
 type Engine struct {
-	now Time
-	cur Time // wheel cursor: the instant of the last fire or cascade
-	rng *rand.Rand
+	now  Time
+	cur  Time // wheel cursor: the instant of the last fire or cascade
+	seed int64
+	rng  *rand.Rand // seeded from seed by the first Rand call
 
 	slab    []slabEvent // all live and free event slots; slab[0] is the nil link
 	free    int32       // head of the recycled-slot list, linked through next
@@ -173,16 +175,25 @@ type Engine struct {
 	onBudget     func()
 }
 
-// NewEngine returns an engine whose random source is seeded with seed.
+// NewEngine returns an engine whose random source is seeded with seed. The
+// source is built by the first Rand call, so an engine nothing draws from
+// (one that only builds a topology) never pays for seeding it.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), slab: make([]slabEvent, 1)}
+	return &Engine{seed: seed, slab: make([]slabEvent, 1)}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's deterministic random source: the same
+// *rand.Rand on every call, drawing what rand.New(rand.NewSource(seed))
+// draws whenever it is first called.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Processed reports how many events have run so far.
 func (e *Engine) Processed() uint64 { return e.processed }

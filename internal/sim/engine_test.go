@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,59 @@ func TestEngineSameTimestampFIFO(t *testing.T) {
 			t.Fatalf("order[%d] = %d; same-time events must run FIFO", i, v)
 		}
 	}
+}
+
+var engineSink *Engine
+
+// TestEngineRandSeedsOnFirstUse: the engine's source is built by the first
+// Rand call. Whether that call comes before any event or after some have
+// run, the engine draws what a source seeded at construction draws, and
+// every call returns the one *rand.Rand. An engine nothing draws from
+// allocates twice, 6 192 bytes (the engine and its slab); seeding it at
+// construction allocated twice more, 5 424 bytes (the rand.Rand and its
+// 607-word source, seeded word by word). The test logs both byte counts.
+func TestEngineRandSeedsOnFirstUse(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		for _, late := range []bool{false, true} {
+			e := NewEngine(seed)
+			if late {
+				for i := 0; i < 10; i++ {
+					e.After(Time(i)*Millisecond, func() {})
+				}
+				e.Run(Second)
+			}
+			got := e.Rand()
+			if e.Rand() != got {
+				t.Fatalf("seed %d: two Rand calls return two sources", seed)
+			}
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < 1000; i++ {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d (first Rand after events: %v): draw %d = %d, want %d", seed, late, i, g, w)
+				}
+			}
+		}
+	}
+
+	bare := func() { engineSink = NewEngine(1) }
+	seeded := func() { engineSink = NewEngine(1); engineSink.Rand() }
+	if n := testing.AllocsPerRun(20, bare); n != 2 {
+		t.Errorf("NewEngine allocates %v times, want 2 (engine, slab)", n)
+	}
+	if n := testing.AllocsPerRun(20, seeded); n != 4 {
+		t.Errorf("NewEngine + Rand allocates %v times, want 4 (engine, slab, rand.Rand, source)", n)
+	}
+	bytes := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	b, s := bytes(bare), bytes(seeded)
+	t.Logf("NewEngine: %d bytes; seeding its source: %d more", b, s-b)
 }
 
 func TestEngineClockAdvancesMonotonically(t *testing.T) {

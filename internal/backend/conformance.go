@@ -90,7 +90,7 @@ type ConfRow struct {
 	PacketShare [2]float64 // per-path share measured in the packet run
 	Delta       float64    // max |fluid − packet| over the two paths
 	Tol         float64    // documented tolerance band
-	Converged   bool       // fluid integration reached equilibrium
+	Converged   bool       // fluid solve reached equilibrium
 	OK          bool
 }
 

@@ -77,11 +77,7 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	model, ok := fluid.ModelFor(sc.Algorithm)
-	if !ok {
-		return Result{}, fmt.Errorf("backend: %q has no fluid mapping; use the packet engine", sc.Algorithm)
-	}
-	routes, paths, op, err := fluidPaths(sc)
+	s, model, routes, op, err := fluidSystem(sc, phi)
 	if err != nil {
 		return Result{}, err
 	}
@@ -94,9 +90,9 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 	var shares, rates []float64
 	if model.Oracle != nil {
 		// Delay-based family: the oracle fills each path's free capacity.
-		shares = model.Oracle(paths)
-		rates = make([]float64, len(paths))
-		for r, p := range paths {
+		shares = model.Oracle(s.Paths)
+		rates = make([]float64, len(s.Paths))
+		for r, p := range s.Paths {
 			free := p.Capacity - p.Cross
 			if free < 0 {
 				free = 0
@@ -105,8 +101,6 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 		}
 		res.Converged = true
 	} else {
-		s := &fluid.System{Paths: paths, PriceExp: priceExp, Phi: phi}
-		s.Psi = model.Psi(op.RTT, op.Frac)
 		shares, rates, res.Converged = s.EquilibriumShares(1e-3, 400000)
 	}
 
@@ -118,6 +112,26 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 	}
 	res.Joules = fluidJoules(power, routes, res, sc.Horizon-sc.Warmup)
 	return res, nil
+}
+
+// fluidSystem lowers a defaulted scenario to the Eq. 3 System solveFluid
+// solves: fluidPaths' paths and operating point, the algorithm's ModelFor
+// mapping there, the sharpened Kelly price and the compensative term phi.
+// For a delay-based algorithm s.Psi is nil and model.Oracle answers instead.
+func fluidSystem(sc Scenario, phi func(x []float64, r int) float64) (s *fluid.System, model fluid.AlgModel, routes []*netem.Path, op OperatingPoint, err error) {
+	model, ok := fluid.ModelFor(sc.Algorithm)
+	if !ok {
+		return nil, model, nil, op, fmt.Errorf("backend: %q has no fluid mapping; use the packet engine", sc.Algorithm)
+	}
+	routes, paths, op, err := fluidPaths(sc)
+	if err != nil {
+		return nil, model, nil, op, err
+	}
+	s = &fluid.System{Paths: paths, PriceExp: priceExp, Phi: phi}
+	if model.Psi != nil {
+		s.Psi = model.Psi(op.RTT, op.Frac)
+	}
+	return s, model, routes, op, nil
 }
 
 // fluidPaths converts a topology into its routes, their Eq. 3 paths and the

@@ -1,10 +1,11 @@
-// Package fluid numerically integrates the paper's Eq. 3 fluid model
+// Package fluid solves the paper's Eq. 3 fluid model
 //
 //	dx_r/dt = ψ_r(x)·x_r² / (RTT_r²·(Σ_k x_k)²) − β_r(x)·λ_r(x)·x_r² − φ_r(x)
 //
-// so the §IV/§V analysis can be checked independently of the packet
-// simulator: equilibria, TCP-friendliness (Condition 1) and the effect of
-// the compensative term are computed here and compared against packet-
+// for its fixed point, by damped Newton with RK4 integration as the
+// fallback, so the §IV/§V analysis can be checked independently of the
+// packet simulator: equilibria, TCP-friendliness (Condition 1) and the effect
+// of the compensative term are computed here and compared against packet-
 // level runs in the tests.
 //
 // Loss signals use the standard Kelly congestion price: a path through a
@@ -227,22 +228,29 @@ func (s *System) equilibriumAt(x0 []float64, dt, tol float64, maxSteps int) ([]f
 // This is the one solve path the fluid backend engine and the conformance
 // harness (both internal/backend) go through.
 //
+// The fixed point is found by damped Newton (newton). A Newton answer is
+// returned only if it passes Equilibrium's own test of settled,
+// |dx_r/dt| ≤ tol·max(x_r, 1) on every path; otherwise EquilibriumDamped
+// integrates from the same seed for at most maxSteps steps an attempt.
+//
 // Seeding at half the FREE capacity matters: starting a cross-loaded path
 // above its free share puts it over capacity, where the price crushes the
 // rate to the floor — and recovery from near-zero is glacial in Eq. 3 (the
-// increase scales with x_r²), so the integrator would report a spuriously
-// starved equilibrium.
+// increase scales with x_r²), so RK4 would report a spuriously starved
+// equilibrium.
 //
-// ok = false means the integration never settled even with damped retries;
-// shares then describe the last iterate, not an equilibrium, and callers
-// must surface that (conformance prints "no-converge", the fluid engine
-// clears Result.Converged).
+// ok = false means neither solver settled; shares then describe RK4's last
+// iterate, not an equilibrium, and callers must surface that (conformance
+// prints "no-converge", the fluid engine clears Result.Converged).
 func (s *System) EquilibriumShares(tol float64, maxSteps int) (shares, rates []float64, ok bool) {
 	x0 := make([]float64, len(s.Paths))
 	for r, p := range s.Paths {
 		x0[r] = math.Max((p.Capacity-p.Cross)/2, 1)
 	}
-	x, ok := s.EquilibriumDamped(x0, tol, maxSteps)
+	x, ok := s.newton(x0, tol)
+	if !ok {
+		x, ok = s.EquilibriumDamped(x0, tol, maxSteps)
+	}
 	agg := AggregateRate(x)
 	if agg <= 0 {
 		return make([]float64, len(x)), x, false
@@ -252,6 +260,146 @@ func (s *System) EquilibriumShares(tol float64, maxSteps int) (shares, rates []f
 		shares[r] = v / agg
 	}
 	return shares, x, ok
+}
+
+// Newton's constants: the forward-difference step in u = ln x, the
+// iterations and the smallest line-search fraction before handing over to
+// RK4, the Armijo factor, and the full step that counts as arrived.
+const (
+	newtonH        = 1e-7
+	newtonIters    = 50
+	newtonMinAlpha = 0x1p-20
+	newtonArmijo   = 1e-4
+	newtonDone     = 1e-6
+)
+
+// newton solves Eq. 3's per-path balance g_r(x) = (dx_r/dt)/x_r² = 0 by
+// damped Newton in u = ln x, from x0. Dividing by x_r² removes the root at
+// x_r = 0 that dx/dt itself has; solving in logs keeps every iterate positive
+// without a floor and makes a step a relative change of rate.
+//
+// The Jacobian ∂g/∂u is a forward difference, not a closed form: ψ is
+// described once, in core's table, and some entries have max kinks, so a
+// closed form would describe every algorithm a second time. It only steers
+// the step; the residual decides. A step is capped at |Δu_r| ≤ 1 and halved
+// until the merit max_r |g_r|·x_r falls by the Armijo factor, its weights x_r
+// held at the current iterate so that the Newton step is a descent direction.
+// Iteration stops after a full step of at most newtonDone, or when no step
+// contracts; the result is then held to Equilibrium's test of settled,
+// unfloored. All scratch is allocated here, once per solve.
+func (s *System) newton(x0 []float64, tol float64) ([]float64, bool) {
+	n := len(x0)
+	x := append([]float64(nil), x0...)
+	buf := make([]float64, 6*n+n*n)
+	d, xt := buf[:n], buf[n:2*n]
+	f, g, ft, gt := buf[2*n:3*n], buf[3*n:4*n], buf[4*n:5*n], buf[5*n:6*n]
+	jac := buf[6*n:]
+	eh := math.Exp(newtonH)
+	s.balance(x, f, g)
+	m := merit(g, x)
+iterate:
+	for it := 0; it < newtonIters && m > 0; it++ {
+		for j := range x {
+			copy(xt, x)
+			xt[j] = x[j] * eh
+			s.balance(xt, ft, gt)
+			for i := range g {
+				jac[i*n+j] = (gt[i] - g[i]) / newtonH
+			}
+		}
+		for i, v := range g {
+			d[i] = -v
+		}
+		solveInPlace(jac, d)
+		var step float64
+		for _, v := range d {
+			step = math.Max(step, math.Abs(v))
+		}
+		if !(step < math.Inf(1)) { // a singular Jacobian
+			break
+		}
+		// t is the fraction of the Newton step taken, at most |Δu_r| ≤ 1.
+		t := math.Min(1, 1/step)
+		for alpha := 1.0; ; alpha /= 2 {
+			if alpha < newtonMinAlpha {
+				break iterate
+			}
+			for r := range xt {
+				xt[r] = x[r] * math.Exp(alpha*t*d[r])
+			}
+			s.balance(xt, ft, gt)
+			if merit(gt, x) <= (1-newtonArmijo*alpha*t)*m {
+				t *= alpha
+				break
+			}
+		}
+		copy(x, xt)
+		f, ft, g, gt = ft, f, gt, g
+		m = merit(g, x)
+		if t == 1 && step <= newtonDone {
+			break
+		}
+	}
+	for r, v := range x {
+		if !(math.Abs(f[r]) <= tol*math.Max(v, 1)) {
+			return x, false
+		}
+	}
+	return x, true
+}
+
+// balance evaluates dx/dt at x into f and the balance f_r/x_r² into g.
+func (s *System) balance(x, f, g []float64) {
+	s.Derivative(x, f)
+	for r, v := range x {
+		g[r] = f[r] / (v * v)
+	}
+}
+
+// merit is max_r |g_r|·w_r, NaN if any term is.
+func merit(g, w []float64) float64 {
+	var m float64
+	for r, v := range g {
+		if a := math.Abs(v) * w[r]; !(a <= m) {
+			m = a
+		}
+	}
+	return m
+}
+
+// solveInPlace overwrites b with the solution y of a·y = b by Gaussian
+// elimination with partial pivoting, destroying a (row-major, len(b)²). A
+// singular a leaves a non-finite entry in b.
+func solveInPlace(a, b []float64) {
+	n := len(b)
+	for k := 0; k < n; k++ {
+		p := k
+		for i := k + 1; i < n; i++ {
+			if math.Abs(a[i*n+k]) > math.Abs(a[p*n+k]) {
+				p = i
+			}
+		}
+		if p != k {
+			for j := k; j < n; j++ {
+				a[k*n+j], a[p*n+j] = a[p*n+j], a[k*n+j]
+			}
+			b[k], b[p] = b[p], b[k]
+		}
+		for i := k + 1; i < n; i++ {
+			c := a[i*n+k] / a[k*n+k]
+			for j := k + 1; j < n; j++ {
+				a[i*n+j] -= c * a[k*n+j]
+			}
+			b[i] -= c * b[k]
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		v := b[k]
+		for j := k + 1; j < n; j++ {
+			v -= a[k*n+j] * b[j]
+		}
+		b[k] = v / a[k*n+k]
+	}
 }
 
 func (s *System) minRTT() float64 {

@@ -187,18 +187,17 @@ func TestSupervisionLivesInOnePlace(t *testing.T) {
 }
 
 // selfSchedulers lists the functions TestPeriodicWorkUsesTicker lets schedule
-// themselves, each with the reason sim.Ticker cannot carry it.
+// themselves, each with the reason neither sim.Ticker nor sim.Deadline can
+// carry it.
 var selfSchedulers = map[string]string{
-	"internal/tcp.rtoTick":       "a lazy deadline chaser: it re-arms at rtoDeadline, which every ACK moves, not every period",
-	"internal/tcp.probeTick":     "its interval doubles up to RTOMax",
 	"internal/flows.streamChunk": "its flowSlot lives in a slice append may move, so it cannot be queued by address",
 }
 
-// TestPeriodicWorkUsesTicker keeps the hand-rolled tick loops sim.Ticker
-// replaced from growing back: outside internal/sim no non-test function hands
-// itself to Schedule, ScheduleAfter, At or After — by its own name, as a
-// method value, through the <name>Fn field that holds it, or wrapped in a
-// literal that calls it. benchmark/ is frozen and stands outside.
+// TestPeriodicWorkUsesTicker keeps the hand-rolled tick loops sim.Ticker and
+// sim.Deadline replaced from growing back: outside internal/sim no non-test
+// function hands itself to Schedule, ScheduleAfter, At or After — by its own
+// name, as a method value, through the <name>Fn field that holds it, or
+// wrapped in a literal that calls it. benchmark/ is frozen and stands outside.
 func TestPeriodicWorkUsesTicker(t *testing.T) {
 	fset := token.NewFileSet()
 	found := map[string]bool{}
@@ -229,7 +228,7 @@ func TestPeriodicWorkUsesTicker(t *testing.T) {
 						found[key] = true
 						continue
 					}
-					t.Errorf("%s: %s schedules itself — periodic work goes through sim.Ticker", fset.Position(s.pos), s.name)
+					t.Errorf("%s: %s schedules itself — periodic work goes through sim.Ticker, a moving deadline through sim.Deadline", fset.Position(s.pos), s.name)
 				}
 			}
 		}

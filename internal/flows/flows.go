@@ -27,46 +27,33 @@
 //   - the routes: Net.Paths is memoised by the topology, so every flow of a
 //     host pair runs over the same *netem.Path values and draws its packets
 //     from the pool the previous flow of that pair released them to;
-//   - the connection: a released mptcp.Conn waits in a FIFO and the next
-//     admission rebuilds its head in place with Conn.Reset — the same code
-//     mptcp.New runs on a blank connection, so a recycled connection is
-//     field for field a new one.
+//   - the connection: release retires it with mptcp.Conn.Close and puts it on
+//     a free list, and the next admission rebuilds it in place with
+//     Conn.Reset — the same code mptcp.New runs on a blank connection, so a
+//     recycled connection is field for field a new one.
 //
 // # When a connection may be rebuilt
 //
 // Only when nothing in the simulation can still reach it. Once release has
 // bumped the slot's generation, stopped the stream timers and unwatched the
 // connection, the only references left are the simulation's own: packets in
-// the network, addressed to a subflow or its receiver, and ticks in the
-// engine. The rule (tcp.Subflow.Drained) reads transport state, never the
-// workload. Per subflow:
+// the network, addressed to a subflow or its receiver, and the subflows' RTO
+// and probe deadlines in the engine. Close reads transport state, never the
+// workload, and retires the connection only if every subflow is settled
+// (tcp.Close): it never retransmitted, probed or failed over, and as many
+// ACKs came home as segments went out. Every segment then went out exactly
+// once and drew exactly one ACK, so none of its packets is in a queue or on
+// a wire — whatever loss, reordering or outage the links applied to others —
+// and nobody can make it send again. Close stops the deadlines, whose queued
+// ticks could only have fired inert, so a retired connection owns no event
+// and the next admission may rebuild it at once.
 //
-//   - state == StateActive, PktsRtx == 0 and Fails == 0: it never
-//     retransmitted, probed or failed over. Every segment therefore entered
-//     the network exactly once, is delivered at most once, and is answered
-//     by exactly one ACK if delivered — none otherwise. No probe tick exists.
-//   - acksIn == maxSent, where acksIn counts ACK arrivals at the sender: as
-//     many ACKs came home as segments went out. With at most one ACK per
-//     segment that means every segment was delivered and every ACK arrived,
-//     so no packet of the subflow is in a queue or on a wire — whatever
-//     loss, reordering or outage the links applied to other packets. That
-//     much is "settled", and it is final: a settled subflow sends again only
-//     if someone calls into it, and nobody can.
-//   - !rtoArmed: the lazy RTO tick, the one event a settled subflow may
-//     still own, has fired. A tick armed at the first send stays queued for
-//     RTOInit (1 s) even when the transfer took a millisecond; until then the
-//     connection is "cooling".
-//
-// release queues a connection only if it is settled at that instant, so
-// everything in the FIFO drains within one RTO and a head that never drains
-// cannot exist. A connection with a loss, a lost ACK or a failover behind
-// it, a stream stopped or a flow cut with data in flight is not settled; it
-// is dropped and collected as every connection used to be. If the head is
-// still cooling, the admission allocates. The cooling set is arrival rate ×
-// RTO connections, each of which the queued tick would keep alive anyway, so
-// recycling adds no memory. Reuse is invisible to the simulation: no packet,
-// timer or tie-break moves (TestPopulationsPinned, mptcp's
-// TestResetEqualsNew, tcp's TestDrainedMeansQuiescentForever).
+// A connection with a loss, a lost ACK or a failover behind it, a stream
+// stopped or a flow cut with data in flight is not settled: Close touches
+// nothing, and the connection finishes what it has in flight and is
+// collected. Reuse is invisible to the simulation: no packet, timer or
+// tie-break moves (TestPopulationsPinned, mptcp's TestResetEqualsNew, tcp's
+// TestClosedMeansQuiescentForever).
 //
 // Deliberately not recycled: the congestion-control instance (one core.New
 // per flow; algorithms carry per-connection state and have no reset seam),

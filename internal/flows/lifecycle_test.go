@@ -22,12 +22,13 @@ func miceConfig(total int, rate float64) Config {
 }
 
 // TestMiceLifecycleAllocationBudget is the flow-lifecycle counterpart of
-// sim's TestEngineSteadyStateAllocs: once every host pair's paths are cached
-// and the cooling queue has filled (arrival rate × the lazy RTO tick's one
-// second), a flow's admit → finish may cost at most 4 heap allocations —
-// today the completion closure and whatever core.New hands out — where it
-// used to cost a connection, its subflows, their closures, a path set and
-// every packet sent: 45.
+// sim's TestEngineSteadyStateAllocs: once every host pair's paths are cached,
+// a flow's admit → finish may cost at most 4 heap allocations — today the
+// completion closure and whatever core.New hands out — where it used to cost
+// a connection, its subflows, their closures, a path set and every packet
+// sent: 45. On this lossless population every connection is retired the
+// moment its flow completes, so the run builds no more connections than were
+// ever live at once.
 func TestMiceLifecycleAllocationBudget(t *testing.T) {
 	const warm, measured = 5000, 5000
 	eng := sim.NewEngine(1)
@@ -43,7 +44,7 @@ func TestMiceLifecycleAllocationBudget(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	from, reusedFrom := m.Stats().Completed, m.reused
+	from := m.Stats().Completed
 	eng.Run(eng.Now() + 60*sim.Second)
 	runtime.ReadMemStats(&after)
 
@@ -53,13 +54,34 @@ func TestMiceLifecycleAllocationBudget(t *testing.T) {
 	}
 	flows := st.Completed - from
 	perFlow := float64(after.Mallocs-before.Mallocs) / float64(flows)
-	reused := float64(m.reused-reusedFrom) / float64(flows)
-	t.Logf("%.2f mallocs per flow over %d flows, %.1f%% of them on a rebuilt connection", perFlow, flows, 100*reused)
+	t.Logf("%.2f mallocs per flow over %d flows; %d connections built for a peak of %d live", perFlow, flows, m.built, st.PeakLive)
 	if perFlow > 4 {
 		t.Errorf("%.2f mallocs per flow in steady state, budget 4", perFlow)
 	}
-	if reused < 0.95 {
-		t.Errorf("only %.1f%% of steady-state admissions reused a connection", 100*reused)
+	if m.built > uint64(st.PeakLive) {
+		t.Errorf("%d connections built for a peak of %d live flows", m.built, st.PeakLive)
+	}
+}
+
+// TestPopulationOwnsNoEventsAtDrain: a population alone on its engine leaves
+// nothing behind. When the last flow finishes, every connection has been
+// retired, so no RTO or probe tick of any of them is still queued.
+func TestPopulationOwnsNoEventsAtDrain(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNew(eng, ft, miceConfig(6000, 2000))
+	pending := -1
+	m.OnDrained = func() {
+		pending = eng.Pending()
+		eng.Stop()
+	}
+	m.Start()
+	eng.Run(60 * sim.Second)
+	if st := m.Stats(); st.Completed != 6000 || pending != 0 {
+		t.Errorf("%d of 6000 flows completed, %d events still queued at drain; want 6000 and 0", st.Completed, pending)
 	}
 }
 
@@ -72,7 +94,7 @@ func BenchmarkManagerLifecycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const warm = 30000
+	const warm = 5000 // every host pair's paths cached
 	cfg := miceConfig(warm+b.N, 20000)
 	cfg.WebSizes = SizeDist{Min: 1000, Max: 1000}
 	m := MustNew(eng, ft, cfg)

@@ -187,13 +187,11 @@ type Manager struct {
 	free  []int32
 	live  int
 
-	// cooling is the FIFO of released connections waiting to be rebuilt in
-	// place: cooling[coolHead:] in release order. Only settled connections
-	// enter (mptcp.Conn.Drained), so the head becomes drained as soon as its
-	// last RTO tick has fired and nothing can hold the queue up for good.
-	cooling  []*mptcp.Conn
-	coolHead int
-	reused   uint64 // admissions served from cooling
+	// closed is the free list of connections release retired
+	// (mptcp.Conn.Close), which admissions rebuild in place; built counts
+	// the connections made because it was empty.
+	closed []*mptcp.Conn
+	built  uint64
 
 	mixTotal float64
 	stats    Stats
@@ -340,9 +338,9 @@ func (m *Manager) alloc() (int32, *flowSlot) {
 // release recycles a slot: the generation bump turns every outstanding
 // handle into a tombstone and the references the slot held are dropped, so
 // from here on nothing but the simulation's own packets and ticks can reach
-// the connection. A settled connection has no packets left and is queued
-// for reuse; any other — a loss behind it, a stream or a cut flow with data
-// still in flight — might never drain and is left to the collector.
+// the connection. A connection Close retires owns neither and goes on the
+// free list; any other — a loss behind it, a stream or a cut flow with data
+// still in flight — might never go quiet and is left to the collector.
 func (m *Manager) release(idx int32) {
 	s := &m.slots[idx]
 	s.chunkTimer.Stop()
@@ -350,8 +348,8 @@ func (m *Manager) release(idx int32) {
 	if s.watched && m.cfg.Check != nil {
 		m.cfg.Check.Unwatch(s.conn)
 	}
-	if _, settled := s.conn.Drained(); settled {
-		m.cooling = append(m.cooling, s.conn)
+	if s.conn.Close() {
+		m.closed = append(m.closed, s.conn)
 	}
 	*s = flowSlot{gen: s.gen + 1}
 	m.free = append(m.free, idx)
@@ -392,7 +390,7 @@ func (m *Manager) admit(id uint64, class Class, size int64, streamDur sim.Time, 
 	if class == Stream {
 		s.streamEnd = s.start + streamDur
 		s.rung = 0
-		s.endTimer = m.eng.After(streamDur, func() { m.finishStream(h) })
+		s.endTimer = m.eng.After(streamDur, func() { m.finish(h, m.eng.Now()) })
 		m.streamChunk(h)
 	} else {
 		conn.OnComplete = func(at sim.Time) { m.finish(h, at) }
@@ -400,32 +398,22 @@ func (m *Manager) admit(id uint64, class Class, size int64, streamDur sim.Time, 
 	conn.Start()
 }
 
-// conn returns the connection for a newly admitted flow: the oldest cooling
-// connection rebuilt in place if it has drained, a fresh one otherwise (the
-// head is then still waiting for a tick, and so is everything behind it that
-// was released at about the same age). A bad configuration panics either
-// way, as flows.New has validated what it can.
+// conn returns the connection for a newly admitted flow: the last one
+// release retired, rebuilt in place, or a new one if the free list is empty.
+// A bad configuration panics either way, as flows.New has validated what it
+// can.
 func (m *Manager) conn(cfg mptcp.Config, id uint64, paths []*netem.Path) *mptcp.Conn {
-	if m.coolHead == len(m.cooling) {
+	n := len(m.closed)
+	if n == 0 {
+		m.built++
 		return mptcp.MustNew(m.eng, cfg, id, paths...)
 	}
-	c := m.cooling[m.coolHead]
-	if drained, _ := c.Drained(); !drained {
-		return mptcp.MustNew(m.eng, cfg, id, paths...)
-	}
-	m.cooling[m.coolHead] = nil
-	m.coolHead++
-	if 2*m.coolHead >= len(m.cooling) {
-		// Slide the queue back over its consumed half, so the slice stays
-		// within twice the cooling set however many flows pass through.
-		n := copy(m.cooling, m.cooling[m.coolHead:])
-		clear(m.cooling[n:])
-		m.cooling, m.coolHead = m.cooling[:n], 0
-	}
+	c := m.closed[n-1]
+	m.closed[n-1] = nil
+	m.closed = m.closed[:n-1]
 	if err := c.Reset(m.eng, cfg, id, paths...); err != nil {
 		panic(err)
 	}
-	m.reused++
 	return c
 }
 
@@ -466,43 +454,38 @@ func (m *Manager) streamChunk(h handle) {
 	s.chunkTimer = m.eng.After(chunk, func() { m.streamChunk(h) })
 }
 
-// finish closes out a completed finite transfer.
+// finish closes out a flow that completed at at: a finite transfer whose
+// last segment was acknowledged, or a streaming session at its natural end.
 func (m *Manager) finish(h handle, at sim.Time) {
 	s := m.slot(h)
 	if s == nil {
 		return
 	}
-	m.complete(s, at)
+	m.complete(s, at, "")
 	m.release(h.idx)
 }
 
-// finishStream closes out a streaming session at its natural end.
-func (m *Manager) finishStream(h handle) {
-	s := m.slot(h)
-	if s == nil {
-		return
-	}
-	m.complete(s, m.eng.Now())
-	m.release(h.idx)
-}
-
-// complete records one completed flow: per-class accounting and the
-// streamed report.
-func (m *Manager) complete(s *flowSlot, at sim.Time) {
+// complete records one flow that completed at at, or with shed ShedHorizon
+// was cut alive there: per-class accounting and the streamed report.
+func (m *Manager) complete(s *flowSlot, at sim.Time, shed string) {
 	fct := at - s.start
 	bytes := s.conn.AckedBytes()
 	goodput := 0.0
 	if fct > 0 {
 		goodput = float64(bytes) * 8 / fct.Seconds()
 	}
-	j := m.flowJoules(s, goodput, fct)
-
-	m.stats.Completed++
-	m.stats.CompletedByClass[s.class]++
+	if shed == "" {
+		m.stats.Completed++
+		m.stats.CompletedByClass[s.class]++
+	} else {
+		m.stats.Cut++
+		m.stats.CutByClass[s.class]++
+	}
 	m.stats.AckedBytes += bytes
 	m.report(Report{
 		ID: s.id, Class: s.class, At: at, Bytes: bytes, FCT: fct,
-		GoodputBps: goodput, Joules: j, Subflows: s.subflows,
+		GoodputBps: goodput, Joules: m.flowJoules(s, goodput, fct),
+		Subflows: s.subflows, Shed: shed,
 	})
 }
 
@@ -553,20 +536,7 @@ func (m *Manager) CutLive() {
 		if s.conn == nil {
 			continue
 		}
-		alive := now - s.start
-		bytes := s.conn.AckedBytes()
-		goodput := 0.0
-		if alive > 0 {
-			goodput = float64(bytes) * 8 / alive.Seconds()
-		}
-		m.stats.Cut++
-		m.stats.CutByClass[s.class]++
-		m.stats.AckedBytes += bytes
-		m.report(Report{
-			ID: s.id, Class: s.class, At: now, Bytes: bytes, FCT: alive,
-			GoodputBps: goodput, Joules: m.flowJoules(s, goodput, alive),
-			Subflows: s.subflows, Shed: ShedHorizon,
-		})
+		m.complete(s, now, ShedHorizon)
 		m.release(int32(idx))
 	}
 }

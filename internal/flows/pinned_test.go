@@ -32,7 +32,7 @@ func pinnedRun(t *testing.T, seed int64, horizon sim.Time, cfg Config, faulted b
 	m.Start()
 	eng.Run(horizon)
 	m.CutLive()
-	t.Logf("%d of %d admissions rebuilt a cooled connection", m.reused, m.Stats().Admitted)
+	t.Logf("%d admissions built a connection, %d rebuilt a closed one", m.built, m.Stats().Admitted-m.built)
 	for _, l := range ft.Links() {
 		hops += l.Delivered()
 	}
@@ -44,10 +44,12 @@ func pinnedRun(t *testing.T, seed int64, horizon sim.Time, cfg Config, faulted b
 // recorded at the commit before connections were recycled and paths cached: a
 // reused connection that still had a packet or a tick in the simulation, or a
 // Reset that differs from New in any field the transport reads, moves at
-// least one of these counters. Their event counts are those pins by identity:
-// the two-event link fired a serialization-done event per delivered
-// packet-hop and the finish-time link does not, so events is the old pin
-// minus hops, written as that subtraction.
+// least one of these counters. Every event count is the old pin by identity,
+// written as a subtraction: the two-event link fired a serialization-done
+// event per delivered packet-hop and the finish-time link does not, so the
+// mice pins lose hops; and Close unlinks the RTO tick of every connection it
+// retires, which used to fire inert after release — 4152, 628 and 5504 such
+// ticks, counted on the cooling-queue code.
 func TestPopulationsPinned(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -60,7 +62,7 @@ func TestPopulationsPinned(t *testing.T) {
 		books   string
 	}{
 		{name: "mice", seed: 1, horizon: 60 * sim.Second, cfg: miceConfig(6000, 2000),
-			events: 735376 - 362612, hops: 362612,
+			events: 735376 - 362612 - 4152, hops: 362612,
 			books: "{Offered:6000 Admitted:6000 Completed:6000 ShedCapacity:0 Cut:0 OfferedByClass:[6000 0 0] CompletedByClass:[6000 0 0] ShedByClass:[0 0 0] CutByClass:[0 0 0] PeakLive:15 OfferedBytes:43637778 AckedBytes:48011336}"},
 		// The default web/bulk/stream mix, shed at the admission cap and cut
 		// at a horizon that falls inside the arrival phase. Overloaded, so
@@ -78,10 +80,10 @@ func TestPopulationsPinned(t *testing.T) {
 			MaxConcurrent: 40,
 			Arrivals:      Poisson{Rate: 300},
 		},
-			events: 495710, hops: 493090,
+			events: 495710 - 628, hops: 493090,
 			books: "{Offered:1221 Admitted:365 Completed:325 ShedCapacity:856 Cut:40 OfferedByClass:[845 249 127] CompletedByClass:[252 66 7] ShedByClass:[592 176 88] CutByClass:[1 7 32] PeakLive:40 OfferedBytes:762239684 AckedBytes:65744992}"},
 		{name: "mice-faulted", seed: 3, horizon: 60 * sim.Second, cfg: miceConfig(6000, 2000), faulted: true,
-			events: 741251 - 364608, hops: 364608,
+			events: 741251 - 364608 - 5504, hops: 364608,
 			books: "{Offered:6000 Admitted:6000 Completed:6000 ShedCapacity:0 Cut:0 OfferedByClass:[6000 0 0] CompletedByClass:[6000 0 0] ShedByClass:[0 0 0] CutByClass:[0 0 0] PeakLive:241 OfferedBytes:44170805 AckedBytes:48518136}"},
 	}
 	for _, tc := range cases {

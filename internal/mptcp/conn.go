@@ -109,7 +109,7 @@ func New(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) (*Con
 // before), and only the subflow objects and the per-subflow slices' backing
 // arrays survive. New is Reset on a blank connection, so there is
 // one construction path. On error the connection is left as it was. Call it
-// only on a connection that is Drained and that no caller still drives.
+// only on a connection that Close retired and that no caller still drives.
 func (c *Conn) Reset(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("mptcp: connection needs at least one path")
@@ -152,20 +152,12 @@ func (c *Conn) Reset(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem
 	return nil
 }
 
-// Drained reports whether the simulation can still reach the connection:
-// both answers are the conjunction of tcp.Subflow.Drained over the subflows.
-// settled — no packet of the connection is or will be in the network — is
-// final for a connection nobody drives any more (no Produce, no
-// SetSubflowEnabled, no Start); drained adds that none of its ticks is still
-// queued, which is when Reset is safe.
-func (c *Conn) Drained() (drained, settled bool) {
-	drained, settled = true, true
-	for _, s := range c.subs {
-		d, q := s.Drained()
-		drained, settled = drained && d, settled && q
-	}
-	return drained, settled
-}
+// Close retires a connection nobody drives any more (no Produce, no
+// SetSubflowEnabled, no Start). If every subflow is settled — no packet of
+// the connection is or will be in the network (tcp.Close) — it stops their
+// deadlines and returns true: the connection owns no event, and Reset is
+// safe. Otherwise it touches nothing and returns false.
+func (c *Conn) Close() bool { return tcp.Close(c.subs...) }
 
 // MustNew is New for known-good configurations; it panics on error.
 func MustNew(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) *Conn {

@@ -177,7 +177,7 @@ func TestResetRejectsBadConfigUntouched(t *testing.T) {
 }
 
 // BenchmarkConnRenew times what a churn run pays per admitted flow once its
-// cooling queue is warm: rebuilding a drained connection in place. What it
+// free list is warm: rebuilding a closed connection in place. What it
 // allocates is the algorithm instance core.New hands out — nothing for a
 // stateless algorithm such as lia.
 func BenchmarkConnRenew(b *testing.B) {

@@ -59,6 +59,15 @@
 // scheduled for that instant. Stop unlinks the queued tick, from inside fn
 // too: a stopped owner has nothing in Pending, and a later Start begins a
 // fresh chain one period from then.
+//
+// # Deadlines
+//
+// Work due at an instant that keeps moving — a retransmission timeout every
+// ACK pushes back — runs on a Deadline, chased lazily as kernels do: Set on an
+// idle deadline queues a tick at once, Set on a queued one only records the
+// instant, and a tick that fires early re-queues itself there. A deadline
+// moved earlier than its tick fires at the tick. Stop unlinks the tick, so an
+// owner that is done has nothing in Pending.
 package sim
 
 import (
@@ -141,9 +150,7 @@ func (t Timer) Stop() bool {
 	if !t.Active() {
 		return false
 	}
-	e := t.eng
-	e.unlink(t.id, e.place(e.slab[t.id].at))
-	e.recycle(t.id)
+	t.eng.cancel(t.id)
 	return true
 }
 
@@ -244,6 +251,12 @@ func (e *Engine) push(t Time, h Handler) int32 {
 	e.link(id)
 	e.pending++
 	return id
+}
+
+// cancel unlinks queued event id and retires its slab slot.
+func (e *Engine) cancel(id int32) {
+	e.unlink(id, e.place(e.slab[id].at))
+	e.recycle(id)
 }
 
 // recycle retires an unlinked event's slab slot: the generation bump

@@ -94,7 +94,7 @@ type Subflow struct {
 	nextSeq  int64
 	maxSent  int64 // highest nextSeq reached; sends below it are re-sends
 	cumAck   int64
-	acksIn   int64 // ACK arrivals, duplicates included; see Drained
+	acksIn   int64 // ACK arrivals, duplicates included; see Close
 
 	// sacked holds, sorted, the segments above cumAck the receiver has
 	// reported; retransmitted holds, sorted, the holes already resent this
@@ -118,21 +118,19 @@ type Subflow struct {
 	rto     sim.Time
 	backoff uint
 
-	// Lazy retransmission timer: rtoDeadline moves forward on every ACK,
-	// but the engine event only fires at the old deadline and reschedules
-	// itself, so rearming costs no queue operations (the standard
-	// simulator/kernel trick).
-	rtoDeadline sim.Time
-	rtoArmed    bool
-	rtoTickFn   func()
+	// rtoTimer is the retransmission timer, set while data is in flight.
+	// Every cumulative ACK moves it later, which costs no queue operation:
+	// its queued tick chases the deadline when it fires (sim.Deadline).
+	rtoTimer sim.Deadline
 
 	// Failover: consecRTO counts RTO episodes since the last cumulative-ACK
 	// advance; at cfg.FailTimeouts the subflow freezes (state leaves
-	// StateActive) and probes the path at probeIval, doubling up to RTOMax.
+	// StateActive) and probeTimer sends a probe every probeIval, doubling up
+	// to RTOMax, until an ACK revives the subflow and stops it.
 	state       State
 	consecRTO   int
 	probeIval   sim.Time
-	probeTickFn func()
+	probeTimer  sim.Deadline
 	transitions Timeline
 
 	price    float64
@@ -158,16 +156,22 @@ func NewSubflow(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id 
 
 // Reset rebuilds the subflow in place as NewSubflow would build it: every
 // field is rewritten from the arguments, and only what is expensive to make
-// and carries no state survives — the two tick closures, the receiver
-// object, and the backing arrays of the SACK scoreboard and the reordering
-// buffer (emptied). NewSubflow is Reset on a blank subflow, so there is one
-// construction path. Call it only on a subflow that is Drained: anything the
-// simulation still holds of the old incarnation would reach the new one.
+// and carries no state survives — the two deadlines' closures (rebound only
+// for another engine), the receiver object, and the backing arrays of the
+// SACK scoreboard and the reordering buffer (emptied). NewSubflow is Reset on
+// a blank subflow, so there is one construction path. Call it only on a
+// subflow that Close retired: a packet the simulation still holds of the old
+// incarnation would reach the new one.
 func (s *Subflow) Reset(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id int, path *netem.Path) {
 	cfg = cfg.withDefaults()
-	rx, rtoTickFn, probeTickFn := s.rx, s.rtoTickFn, s.probeTickFn
+	rx, rtoTimer, probeTimer := s.rx, s.rtoTimer, s.probeTimer
+	rtoTimer.Stop()
+	probeTimer.Stop()
 	if rx == nil {
-		rx, rtoTickFn, probeTickFn = new(Receiver), s.rtoTick, s.probeTick
+		rx = new(Receiver)
+	}
+	if s.eng != eng {
+		rtoTimer, probeTimer = sim.MakeDeadline(eng, s.onRTO), sim.MakeDeadline(eng, s.probe)
 	}
 	*rx = Receiver{eng: eng, sub: s, ooo: rx.ooo[:0]}
 	*s = Subflow{
@@ -183,8 +187,8 @@ func (s *Subflow) Reset(eng *sim.Engine, cfg Config, coord Coordinator, flow uin
 		sacked:        s.sacked[:0],
 		retransmitted: s.retransmitted[:0],
 		rto:           cfg.RTOInit,
-		rtoTickFn:     rtoTickFn,
-		probeTickFn:   probeTickFn,
+		rtoTimer:      rtoTimer,
+		probeTimer:    probeTimer,
 		viewDirty:     true,
 	}
 	if w := cfg.MinRTTWindow; w > 0 {
@@ -192,23 +196,30 @@ func (s *Subflow) Reset(eng *sim.Engine, cfg Config, coord Coordinator, flow uin
 	}
 }
 
-// Drained reports whether the simulation can still reach the subflow.
+// Close retires subflows that are done together, as one connection's are. If
+// every one is settled it stops their deadlines, so that none of them owns an
+// event, and returns true: nothing in the simulation reaches them any more,
+// and each may be Reset. Otherwise it touches none of them and returns false.
 //
-// settled means no packet names it and none ever will unless it is made to
-// send again: it never retransmitted and never failed, so every segment went
-// out exactly once and is answered by at most one ACK, and as many ACKs came
-// home as segments went out — nothing was lost in either direction, nothing
-// is in flight, whatever faults dropped, delayed or reordered on the way. A
-// subflow with a retransmission, a lost segment or ACK, or a failover behind
-// it is never settled again; the rule errs towards "reachable".
-//
-// drained adds that no tick is queued either: the lazy RTO tick is the only
-// event a settled subflow can still own (the probe tick needs a failure),
-// and rtoArmed is true exactly while one sits in the engine. A drained
-// subflow that nobody calls into stays drained, and may be Reset.
-func (s *Subflow) Drained() (drained, settled bool) {
-	settled = s.state == StateActive && s.stats.PktsRtx == 0 && s.stats.Fails == 0 && s.acksIn == s.maxSent
-	return settled && !s.rtoArmed, settled
+// A subflow is settled when no packet names it and none ever will unless it
+// is made to send again: it never retransmitted and never failed, so every
+// segment went out exactly once and is answered by at most one ACK, and as
+// many ACKs came home as segments went out — nothing was lost in either
+// direction, nothing is in flight, whatever faults dropped, delayed or
+// reordered on the way. A subflow with a retransmission, a lost segment or
+// ACK, or a failover behind it is never settled again; the rule errs towards
+// "reachable".
+func Close(subs ...*Subflow) bool {
+	for _, s := range subs {
+		if s.state != StateActive || s.stats.PktsRtx != 0 || s.stats.Fails != 0 || s.acksIn != s.maxSent {
+			return false
+		}
+	}
+	for _, s := range subs {
+		s.rtoTimer.Stop()
+		s.probeTimer.Stop()
+	}
+	return true
 }
 
 // Start begins transmitting; call once after the connection is assembled.
@@ -374,57 +385,30 @@ func (s *Subflow) sendSeq(seq int64, rtx bool) {
 // existing deadline — in particular, duplicate ACKs must not keep a stuck
 // flow's timer from ever firing.
 func (s *Subflow) ensureRTO() {
-	if s.Inflight() <= 0 {
-		s.rtoDeadline = 0
-		return
+	if s.Inflight() <= 0 || s.rtoTimer.At() == 0 {
+		s.restartRTO()
 	}
-	if s.rtoDeadline != 0 {
-		return
-	}
-	s.setRTODeadline()
 }
 
 // restartRTO re-bases the deadline; called when the cumulative ACK
 // advances (and after a timeout, with backoff applied).
 func (s *Subflow) restartRTO() {
 	if s.Inflight() <= 0 {
-		s.rtoDeadline = 0
+		s.rtoTimer.Clear()
 		return
 	}
-	s.setRTODeadline()
-}
-
-func (s *Subflow) setRTODeadline() {
 	d := s.rto << s.backoff
 	if d > s.cfg.RTOMax || d < s.rto {
 		// Clamp the exponential backoff (and guard the shift against
 		// overflow, which would make d negative).
 		d = s.cfg.RTOMax
 	}
-	s.rtoDeadline = s.eng.Now() + d
-	if !s.rtoArmed {
-		s.rtoArmed = true
-		s.eng.Schedule(s.rtoDeadline, s.rtoTickFn)
-	}
+	s.rtoTimer.Set(s.eng.Now() + d)
 }
 
-// rtoTick fires at a (possibly stale) deadline: if the deadline moved
-// forward since scheduling, chase it; if it was disarmed, stop.
-func (s *Subflow) rtoTick() {
-	s.rtoArmed = false
-	if s.state != StateActive || s.rtoDeadline == 0 || s.Inflight() <= 0 {
-		return
-	}
-	if now := s.eng.Now(); now < s.rtoDeadline {
-		s.rtoArmed = true
-		s.eng.Schedule(s.rtoDeadline, s.rtoTickFn)
-		return
-	}
-	s.onRTO()
-}
-
+// onRTO is the retransmission timeout, run by rtoTimer at its deadline.
 func (s *Subflow) onRTO() {
-	if s.Inflight() <= 0 {
+	if s.state != StateActive || s.Inflight() <= 0 {
 		return
 	}
 	s.stats.Timeouts++
@@ -458,7 +442,7 @@ func (s *Subflow) onRTO() {
 }
 
 // fail declares the path dead after cfg.FailTimeouts back-to-back RTO
-// episodes: freeze the window, disarm the retransmission timer, roll the
+// episodes: freeze the window, clear the retransmission timer, roll the
 // send point back to the cumulative ACK, hand the unacked range to the
 // connection for re-injection elsewhere, and start probing for recovery.
 func (s *Subflow) fail() {
@@ -466,7 +450,7 @@ func (s *Subflow) fail() {
 	s.state = StateDead
 	s.stats.Fails++
 	s.transitions.Add(s.eng.Now(), "dead")
-	s.rtoDeadline = 0
+	s.rtoTimer.Clear()
 	s.inRecovery = false
 	s.retransmitted = s.retransmitted[:0]
 	s.sacked = s.sacked[:0]
@@ -482,21 +466,19 @@ func (s *Subflow) fail() {
 		obs.OnTimeout(s.coord.Views(), s.id)
 	}
 	s.probeIval = s.cfg.ProbeInterval
-	s.eng.ScheduleAfter(s.probeIval, s.probeTickFn)
+	s.probeTimer.Set(s.eng.Now() + s.probeIval)
 	// Notify last: the coordinator may immediately push the freed budget
 	// onto sibling subflows.
 	s.coord.NoteFailed(s.id, unacked)
 }
 
-// probeTick sends one probe — a retransmission of the first unacked
-// segment — and reschedules itself with the interval doubled, clamped at
-// RTOMax. The receiver's cumulative ACK always covers at least this
-// segment's hole state, so any delivered probe draws an ACK that advances
-// (or re-states) the cumulative ACK; an advance revives the subflow.
-func (s *Subflow) probeTick() {
-	if s.state == StateActive {
-		return
-	}
+// probe, run by probeTimer while the subflow is dead, sends one probe — a
+// retransmission of the first unacked segment — and sets the next one with
+// the interval doubled, clamped at RTOMax. The receiver's cumulative ACK
+// always covers at least this segment's hole state, so any delivered probe
+// draws an ACK that advances (or re-states) the cumulative ACK; an advance
+// revives the subflow.
+func (s *Subflow) probe() {
 	if s.state == StateDead {
 		s.state = StateProbing
 		s.transitions.Add(s.eng.Now(), "probing")
@@ -507,13 +489,14 @@ func (s *Subflow) probeTick() {
 	if s.probeIval > s.cfg.RTOMax {
 		s.probeIval = s.cfg.RTOMax
 	}
-	s.eng.ScheduleAfter(s.probeIval, s.probeTickFn)
+	s.probeTimer.Set(s.eng.Now() + s.probeIval)
 }
 
 // revive returns a dead subflow to service after an ACK proved the path
-// carries traffic again: restart from the (just advanced) cumulative ACK
-// with a minimal window, slow-starting like a fresh flow.
+// carries traffic again: stop probing, and restart from the (just advanced)
+// cumulative ACK with a minimal window, slow-starting like a fresh flow.
 func (s *Subflow) revive() {
+	s.probeTimer.Stop()
 	s.state = StateActive
 	s.stats.Revivals++
 	s.transitions.Add(s.eng.Now(), "active")

@@ -186,6 +186,66 @@ func TestSupervisionLivesInOnePlace(t *testing.T) {
 	}
 }
 
+// TestAlgorithmHooksLiveInTcp keeps the transport the only place an algorithm
+// hears from: outside internal/core and internal/tcp no non-test code calls
+// OnAck, OnRound or OnPath, or type-asserts a value to AckObserver,
+// RoundTuner or PathObserver. benchmark/ is frozen and stands outside.
+func TestAlgorithmHooksLiveInTcp(t *testing.T) {
+	hooks := map[string]bool{"OnAck": true, "OnRound": true, "OnPath": true}
+	observers := map[string]bool{"AckObserver": true, "RoundTuner": true, "PathObserver": true}
+	isObserver := func(e ast.Expr) bool {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && observers[id.Name]
+	}
+	fset := token.NewFileSet()
+	for _, dir := range goPackageDirs(t, "internal", "cmd", "examples") {
+		if dir == "internal/core" || dir == "internal/tcp" {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", file, err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var what string
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && hooks[sel.Sel.Name] {
+						what = "a call to " + sel.Sel.Name
+					}
+				case *ast.TypeAssertExpr:
+					if n.Type != nil && isObserver(n.Type) {
+						what = "a type assertion to an algorithm hook interface"
+					}
+				case *ast.TypeSwitchStmt:
+					for _, c := range n.Body.List {
+						for _, typ := range c.(*ast.CaseClause).List {
+							if isObserver(typ) {
+								what = "a type switch on an algorithm hook interface"
+							}
+						}
+					}
+				}
+				if what != "" {
+					t.Errorf("%s: %s — the transport (internal/tcp) alone drives an algorithm's hooks", fset.Position(n.Pos()), what)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // selfSchedulers lists the functions TestPeriodicWorkUsesTicker lets schedule
 // themselves, each with the reason neither sim.Ticker nor sim.Deadline can
 // carry it.

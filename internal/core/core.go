@@ -9,9 +9,12 @@
 //
 // Algorithms are pure window-evolution policies: the transport layer
 // (internal/tcp, internal/mptcp) keeps a View per subflow current and asks
-// the algorithm how the congestion window changes on ACKs and losses.
-// Algorithm values are per-connection: create one instance per connection
-// via New.
+// the algorithm how the congestion window changes on ACKs and losses. Beside
+// Increase and Decrease an algorithm may take per-ACK detail (AckObserver),
+// set its window once a round (RoundTuner) and react to a timeout, a dead
+// path or a revived one (PathObserver); internal/tcp is the only caller of
+// all five. Algorithm values are per-connection: create one instance per
+// connection via New.
 package core
 
 import "fmt"
@@ -25,6 +28,7 @@ type View struct {
 	LastRTT  float64 // most recent RTT sample
 	BaseRTT  float64 // minimum RTT observed on the path
 	Price    float64 // echoed per-path energy price (0 unless charged)
+	Now      float64 // simulation clock in seconds when the views were taken
 
 	InSlowStart bool
 }
@@ -67,7 +71,8 @@ type Algorithm interface {
 	Increase(flows []View, r int) float64
 
 	// Decrease returns the new congestion window for subflow r after a loss
-	// event (the transport floors it at its minimum window).
+	// event (the transport floors it at its minimum window). It is called
+	// once per loss event, so it is also where an algorithm counts them.
 	Decrease(flows []View, r int) float64
 }
 
@@ -76,12 +81,6 @@ type Algorithm interface {
 // reports whether the ACK carried an ECN echo.
 type AckObserver interface {
 	OnAck(flows []View, r int, ackedPkts int, ece bool)
-}
-
-// LossObserver is implemented by algorithms that track loss events beyond
-// the window decrease itself.
-type LossObserver interface {
-	OnLoss(flows []View, r int)
 }
 
 // Introspector is implemented by algorithms that expose their internal
@@ -97,29 +96,27 @@ type Introspector interface {
 	Introspect(flows []View, r int, out map[string]float64)
 }
 
-// ClockUser is implemented by algorithms whose window law is a function of
-// elapsed wall-clock time (CUBIC). The transport injects its clock (in
-// seconds) right after construction; an algorithm left without a clock
-// falls back to a time-free approximation.
-type ClockUser interface {
-	SetClock(now func() float64)
-}
+// PathEvent is a change in a subflow's path that is not an ACK or a loss.
+type PathEvent uint8
 
-// TimeoutObserver is implemented by algorithms that must reset internal
-// state when subflow r suffers a retransmission timeout or its path is
-// declared failed (CUBIC discards its cubic epoch — the pre-timeout
-// plateau no longer describes the path).
-type TimeoutObserver interface {
-	OnTimeout(flows []View, r int)
-}
+const (
+	// PathTimeout is a retransmission timeout: the window restarts from
+	// the minimum.
+	PathTimeout PathEvent = iota
+	// PathDown is the path declared dead after repeated timeouts; it
+	// takes the place of that last timeout.
+	PathDown
+	// PathUp is a dead path revived by an ACK.
+	PathUp
+)
 
-// MembershipObserver is implemented by algorithms with cross-subflow state
-// that must react when a subflow leaves service (path declared dead) or
-// rejoins (path revived) — wVegas renormalizes its rate-share weights so
-// they keep summing to one over the live set.
-type MembershipObserver interface {
-	OnSubflowDown(r int)
-	OnSubflowUp(r int)
+// PathObserver is implemented by algorithms with state a path event
+// invalidates: CUBIC discards its epoch on a timeout or death (the
+// pre-timeout plateau no longer describes the path), and wVegas moves a
+// dead subflow's weight to the survivors and back on revival, so the
+// weights keep summing to one over the live set.
+type PathObserver interface {
+	OnPath(flows []View, r int, ev PathEvent)
 }
 
 // Weighted is implemented by algorithms that maintain an explicit
@@ -187,7 +184,7 @@ var table = []Entry{
 	// any uncoupled loss-based law settles at the capacity split: the
 	// window-law details shift the loss rate, not the equilibrium share.
 	{Name: "cubic", New: func() Algorithm { return NewCubic() }, Psi: PsiUncoupled,
-		Residual: "the time-based CUBIC window law once the transport sets a clock"},
+		Residual: "the time-based CUBIC window law: the increase is a function of View.Now since the epoch began, which no ψ of windows and RTTs says"},
 	{Name: "dctcp", New: func() Algorithm { return NewDCTCP() },
 		NoModel: "its equilibrium is set by the ECN marking threshold, which the Kelly loss price does not represent"},
 	{Name: "dts", New: func() Algorithm { return &DTS{C: 1} }, Eps: EpsExact},

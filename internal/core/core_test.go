@@ -134,7 +134,7 @@ func TestOLIAAlphaShiftsTowardBestPath(t *testing.T) {
 	flows := []View{v(5, 0.1), v(20, 0.1)}
 	o.OnAck(flows, 0, 1000, false)
 	o.OnAck(flows, 1, 1000, false)
-	o.OnLoss(flows, 1)
+	o.Decrease(flows, 1) // the loss closes path 1's inter-loss interval
 	o.OnAck(flows, 1, 10, false)
 
 	a0 := o.alpha(flows, 0)
@@ -221,10 +221,15 @@ func TestModelDecompositionMatchesDirectForms(t *testing.T) {
 	liaUncapped := func(_ Algorithm, flows []View, r int) bool {
 		return NewLIA().Alpha(flows)/SumCwnd(flows) <= 1/flows[r].Cwnd
 	}
+	// Residuals that vanish nowhere, each with the reason and the test that
+	// covers the entry's ψ instead.
+	never := map[string]string{
+		"cubic": "the increase follows View.Now since the epoch; PsiUncoupled is TestPsiUncoupledIsRenoPerSubflow's",
+	}
 	// Where each named residual vanishes.
 	vanishes := map[string]func(direct Algorithm, flows []View, r int) bool{
 		"coupled":   func(_ Algorithm, flows []View, _ int) bool { return len(flows) == 1 },
-		"cubic":     func(Algorithm, []View, int) bool { return true }, // no clock set
+		"cubic":     func(Algorithm, []View, int) bool { return false },
 		"dts-lia":   liaUncapped,
 		"dtsep-lia": liaUncapped,
 		"lia":       liaUncapped,
@@ -259,7 +264,7 @@ func TestModelDecompositionMatchesDirectForms(t *testing.T) {
 					}
 				}
 			}
-			if compared < 3 {
+			if compared < 3 && never[e.Name] == "" {
 				t.Errorf("only %d points outside the residual; add states", compared)
 			}
 		})

@@ -12,8 +12,7 @@ import "math"
 // W_max·β + α·t/RTT keeps short-RTT paths at least as aggressive as Reno.
 //
 // CUBIC is the one algorithm in the registry whose increase is a function
-// of wall-clock time rather than of the views alone, so it implements
-// ClockUser; without an injected clock it degrades to the Reno increase.
+// of time since its epoch began; it reads the clock from View.Now.
 
 const (
 	cubicC    = 0.4 // plateau curvature (segments/s³), RFC 8312 §5
@@ -28,14 +27,13 @@ type cubicFlow struct {
 	wMax     float64 // plateau of the current epoch
 	wLastMax float64 // plateau before fast convergence shrank it
 	k        float64 // time to reach the plateau, cbrt(wMax·(1−β)/C)
-	epoch    float64 // clock seconds at epoch start
+	epoch    float64 // View.Now at epoch start
 	hasEpoch bool
 }
 
 // Cubic implements per-subflow CUBIC.
 type Cubic struct {
-	clock func() float64
-	st    []cubicFlow
+	st []cubicFlow
 }
 
 // NewCubic returns an MPTCP-CUBIC instance.
@@ -43,9 +41,6 @@ func NewCubic() *Cubic { return &Cubic{} }
 
 // Name implements Algorithm.
 func (*Cubic) Name() string { return "cubic" }
-
-// SetClock implements ClockUser.
-func (c *Cubic) SetClock(now func() float64) { c.clock = now }
 
 func (c *Cubic) ensure(n int) {
 	for len(c.st) < n {
@@ -75,21 +70,17 @@ func (c *Cubic) Increase(flows []View, r int) float64 {
 	if f.Cwnd <= 0 {
 		return 0
 	}
-	if c.clock == nil {
-		return 1 / f.Cwnd
-	}
 	c.ensure(len(flows))
 	st := &c.st[r]
-	now := c.clock()
 	if !st.hasEpoch {
 		// First avoidance ACK without a preceding loss (or after a timeout
 		// wiped the epoch): probe convexly from the current window.
 		st.hasEpoch = true
-		st.epoch = now
+		st.epoch = f.Now
 		st.wMax = f.Cwnd
 		st.k = 0
 	}
-	t := now - st.epoch
+	t := f.Now - st.epoch
 	target := st.wCubic(t)
 	if est := st.wEst(t, f.SRTT); est > target {
 		target = est // TCP-friendly region
@@ -121,20 +112,20 @@ func (c *Cubic) Decrease(flows []View, r int) float64 {
 		st.wLastMax = w
 	}
 	st.k = math.Cbrt(st.wMax * (1 - cubicBeta) / cubicC)
-	st.hasEpoch = false
-	if c.clock != nil {
-		st.epoch = c.clock()
-		st.hasEpoch = true
-	}
+	st.epoch = flows[r].Now
+	st.hasEpoch = true
 	return w * cubicBeta
 }
 
-// OnTimeout implements TimeoutObserver: an RTO (or path failure) discards
-// the epoch entirely — the window restarts from the minimum and the old
-// plateau no longer describes the path.
-func (c *Cubic) OnTimeout(flows []View, r int) {
-	c.ensure(len(flows))
-	c.st[r] = cubicFlow{}
+// OnPath implements PathObserver: a timeout or a dead path discards the
+// epoch entirely — the window restarts from the minimum and the old
+// plateau no longer describes the path. A revived path starts from that
+// reset state.
+func (c *Cubic) OnPath(flows []View, r int, ev PathEvent) {
+	if ev != PathUp {
+		c.ensure(len(flows))
+		c.st[r] = cubicFlow{}
+	}
 }
 
 // Introspect implements Introspector: the epoch quantities behind the
@@ -143,8 +134,8 @@ func (c *Cubic) Introspect(flows []View, r int, out map[string]float64) {
 	c.ensure(len(flows))
 	st := &c.st[r]
 	var t float64
-	if st.hasEpoch && c.clock != nil {
-		t = c.clock() - st.epoch
+	if st.hasEpoch {
+		t = flows[r].Now - st.epoch
 	}
 	out["w_max"] = st.wMax
 	out["w_last_max"] = st.wLastMax
@@ -154,8 +145,7 @@ func (c *Cubic) Introspect(flows []View, r int, out map[string]float64) {
 }
 
 var (
-	_ Algorithm       = (*Cubic)(nil)
-	_ ClockUser       = (*Cubic)(nil)
-	_ TimeoutObserver = (*Cubic)(nil)
-	_ Introspector    = (*Cubic)(nil)
+	_ Algorithm    = (*Cubic)(nil)
+	_ PathObserver = (*Cubic)(nil)
+	_ Introspector = (*Cubic)(nil)
 )

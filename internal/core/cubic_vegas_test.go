@@ -5,23 +5,8 @@ import (
 	"testing"
 )
 
-// fakeClock is a settable clock for driving CUBIC through simulated time.
-type fakeClock struct{ now float64 }
-
-func (c *fakeClock) fn() func() float64 { return func() float64 { return c.now } }
-
-func TestCubicFallsBackToRenoWithoutClock(t *testing.T) {
-	c := NewCubic()
-	flows := []View{v(10, 0.1)}
-	if got := c.Increase(flows, 0); !almostEq(got, 0.1, 1e-12) {
-		t.Errorf("clockless Increase = %g, want Reno 1/w = 0.1", got)
-	}
-}
-
 func TestCubicDecreaseAndFastConvergence(t *testing.T) {
-	clk := &fakeClock{}
 	c := NewCubic()
-	c.SetClock(clk.fn())
 	flows := []View{v(100, 0.1)}
 
 	// First loss at w=100: no prior plateau, so wMax = w and the window
@@ -44,9 +29,7 @@ func TestCubicDecreaseAndFastConvergence(t *testing.T) {
 }
 
 func TestCubicConcaveConvexGrowth(t *testing.T) {
-	clk := &fakeClock{}
 	c := NewCubic()
-	c.SetClock(clk.fn())
 	flows := []View{v(100, 0.05)} // short RTT keeps W_est out of the way early
 
 	c.Decrease(flows, 0) // plateau at 100, K = cbrt(100·0.3/0.4) ≈ 4.22s
@@ -55,13 +38,13 @@ func TestCubicConcaveConvexGrowth(t *testing.T) {
 
 	// Concave region (t < K): growth toward the plateau, slowing as the
 	// window approaches it.
-	clk.now = k / 2
+	flows[0].Now = k / 2
 	early := c.Increase(flows, 0)
 	if early <= 0 {
 		t.Fatalf("no growth in the concave region: %g", early)
 	}
 	flows[0].Cwnd = 99
-	clk.now = k * 0.95
+	flows[0].Now = k * 0.95
 	nearPlateau := c.Increase(flows, 0)
 	if nearPlateau >= early {
 		t.Errorf("growth did not slow near the plateau: %g then %g", early, nearPlateau)
@@ -69,9 +52,9 @@ func TestCubicConcaveConvexGrowth(t *testing.T) {
 
 	// Convex region (t > K): growth accelerates past the plateau.
 	flows[0].Cwnd = 101
-	clk.now = k + 2
+	flows[0].Now = k + 2
 	convex1 := c.Increase(flows, 0)
-	clk.now = k + 4
+	flows[0].Now = k + 4
 	convex2 := c.Increase(flows, 0)
 	if convex2 <= convex1 {
 		t.Errorf("convex growth did not accelerate: %g then %g", convex1, convex2)
@@ -79,16 +62,14 @@ func TestCubicConcaveConvexGrowth(t *testing.T) {
 
 	// The per-ack increment is capped so a long-idle epoch cannot step the
 	// window explosively.
-	clk.now = k + 1000
+	flows[0].Now = k + 1000
 	if got := c.Increase(flows, 0); got > 0.5 {
 		t.Errorf("Increase = %g, want capped at 0.5", got)
 	}
 }
 
 func TestCubicTCPFriendlyRegion(t *testing.T) {
-	clk := &fakeClock{}
 	c := NewCubic()
-	c.SetClock(clk.fn())
 	// Small window, short RTT: standard Reno would regrow faster than the
 	// flat early cubic curve, so W_est = wMax·β + α·t/RTT overtakes W_cubic
 	// and the TCP-friendly region drives the increase.
@@ -96,7 +77,7 @@ func TestCubicTCPFriendlyRegion(t *testing.T) {
 	c.Decrease(flows, 0)
 	flows[0].Cwnd = 7
 
-	clk.now = 0.3 // well before K = cbrt(10·0.3/0.4) ≈ 1.96s
+	flows[0].Now = 0.3 // well before K = cbrt(10·0.3/0.4) ≈ 1.96s
 	st := &c.st[0]
 	if st.wEst(0.3, 0.1) <= st.wCubic(0.3) {
 		t.Fatalf("test premise broken: wEst %g not above wCubic %g", st.wEst(0.3, 0.1), st.wCubic(0.3))
@@ -108,24 +89,26 @@ func TestCubicTCPFriendlyRegion(t *testing.T) {
 }
 
 func TestCubicTimeoutResetsEpoch(t *testing.T) {
-	clk := &fakeClock{}
-	c := NewCubic()
-	c.SetClock(clk.fn())
-	flows := []View{v(100, 0.1)}
-	c.Decrease(flows, 0)
-	if c.st[0].wMax == 0 {
-		t.Fatal("decrease left no plateau")
-	}
-	c.OnTimeout(flows, 0)
-	if c.st[0].wMax != 0 || c.st[0].hasEpoch || c.st[0].wLastMax != 0 {
-		t.Errorf("timeout did not reset the epoch: %+v", c.st[0])
+	for _, ev := range []PathEvent{PathTimeout, PathDown} {
+		c := NewCubic()
+		flows := []View{v(100, 0.1)}
+		c.Decrease(flows, 0)
+		if c.st[0].wMax == 0 {
+			t.Fatal("decrease left no plateau")
+		}
+		c.OnPath(flows, 0, PathUp)
+		if c.st[0].wMax != 100 {
+			t.Errorf("revival touched the epoch: %+v", c.st[0])
+		}
+		c.OnPath(flows, 0, ev)
+		if c.st[0].wMax != 0 || c.st[0].hasEpoch || c.st[0].wLastMax != 0 {
+			t.Errorf("path event %d did not reset the epoch: %+v", ev, c.st[0])
+		}
 	}
 }
 
 func TestCubicIntrospection(t *testing.T) {
-	clk := &fakeClock{}
 	c := NewCubic()
-	c.SetClock(clk.fn())
 	flows := []View{v(100, 0.1)}
 	c.Decrease(flows, 0)
 	m := map[string]float64{}
@@ -196,7 +179,7 @@ func TestWVegasWeightsRenormalizeOnDeath(t *testing.T) {
 		t.Fatalf("Σweights = %g after first round, want 1", got)
 	}
 
-	alg.OnSubflowDown(2)
+	alg.OnPath(flows, 2, PathDown)
 	ws := alg.Weights()
 	if ws[2] != 0 {
 		t.Errorf("dead subflow weight = %g, want 0", ws[2])
@@ -219,7 +202,7 @@ func TestWVegasWeightsRenormalizeOnDeath(t *testing.T) {
 	}
 
 	// Revival re-admits the subflow with a real share and Σ stays 1.
-	alg.OnSubflowUp(2)
+	alg.OnPath(flows, 2, PathUp)
 	ws = alg.Weights()
 	if ws[2] <= 0 {
 		t.Errorf("revived subflow weight = %g, want > 0", ws[2])

@@ -54,13 +54,6 @@ func (o *OLIA) OnAck(flows []View, r int, ackedPkts int, ece bool) {
 	o.paths[r].sinceLoss += float64(ackedPkts)
 }
 
-// OnLoss implements LossObserver.
-func (o *OLIA) OnLoss(flows []View, r int) {
-	o.grow(len(flows))
-	o.paths[r].lastInterval = o.paths[r].sinceLoss
-	o.paths[r].sinceLoss = 0
-}
-
 // sets reports whether path k, in state f, belongs to B — the paths
 // maximizing the rate proxy ℓ_k²/RTT_k — and to M — the paths with the
 // largest window. A path without an RTT sample is in neither.
@@ -128,11 +121,16 @@ func (o *OLIA) Increase(flows []View, r int) float64 {
 	return base + o.alpha(flows, r)/f.Cwnd
 }
 
-// Decrease implements Algorithm.
-func (*OLIA) Decrease(flows []View, r int) float64 { return flows[r].Cwnd / 2 }
+// Decrease implements Algorithm: the loss closes path r's current
+// inter-loss interval, and the window halves.
+func (o *OLIA) Decrease(flows []View, r int) float64 {
+	o.grow(len(flows))
+	o.paths[r].lastInterval = o.paths[r].sinceLoss
+	o.paths[r].sinceLoss = 0
+	return flows[r].Cwnd / 2
+}
 
 var (
-	_ Algorithm    = (*OLIA)(nil)
-	_ AckObserver  = (*OLIA)(nil)
-	_ LossObserver = (*OLIA)(nil)
+	_ Algorithm   = (*OLIA)(nil)
+	_ AckObserver = (*OLIA)(nil)
 )

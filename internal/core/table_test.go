@@ -12,20 +12,17 @@ func TestTableIsSortedByName(t *testing.T) {
 }
 
 // TestHotPathDoesNotAllocate walks the registry: every method the transport
-// or a sampler calls per ACK, per loss, per round or per tick runs without
-// allocating once the algorithm's per-path state has grown to the
-// connection's width.
+// or a sampler calls per ACK, per loss, per round, per path event or per
+// tick runs without allocating once the algorithm's per-path state has grown
+// to the connection's width.
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	for _, name := range Names() {
 		for _, n := range []int{2, 8} {
 			alg := MustNew(name)
-			if cu, ok := alg.(ClockUser); ok {
-				cu.SetClock(func() float64 { return 1.5 })
-			}
 			flows := make([]View, n)
 			for k := range flows {
 				rtt := 0.02 + 0.013*float64(k)
-				flows[k] = View{Cwnd: 10 + 3*float64(k), SSThresh: 8, SRTT: rtt, LastRTT: rtt * 1.1, BaseRTT: rtt * 0.7, Price: 0.5}
+				flows[k] = View{Cwnd: 10 + 3*float64(k), SSThresh: 8, SRTT: rtt, LastRTT: rtt * 1.1, BaseRTT: rtt * 0.7, Price: 0.5, Now: 1.5}
 			}
 			r := n - 1
 			calls := map[string]func(){
@@ -35,14 +32,13 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 			if a, ok := alg.(AckObserver); ok {
 				calls["OnAck"] = func() { a.OnAck(flows, r, 2, false) }
 			}
-			if a, ok := alg.(LossObserver); ok {
-				calls["OnLoss"] = func() { a.OnLoss(flows, r) }
-			}
 			if a, ok := alg.(RoundTuner); ok {
 				calls["OnRound"] = func() { a.OnRound(flows, r) }
 			}
-			if a, ok := alg.(TimeoutObserver); ok {
-				calls["OnTimeout"] = func() { a.OnTimeout(flows, r) }
+			if a, ok := alg.(PathObserver); ok {
+				calls["OnPath(timeout)"] = func() { a.OnPath(flows, r, PathTimeout) }
+				calls["OnPath(down)"] = func() { a.OnPath(flows, r, PathDown) }
+				calls["OnPath(up)"] = func() { a.OnPath(flows, r, PathUp) }
 			}
 			if a, ok := alg.(Introspector); ok {
 				row := map[string]float64{}

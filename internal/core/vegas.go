@@ -29,8 +29,9 @@ func (*Vegas) Increase(flows []View, r int) float64 { return 0 }
 // Decrease implements Algorithm: packet loss still halves the window.
 func (*Vegas) Decrease(flows []View, r int) float64 { return flows[r].Cwnd / 2 }
 
-// diff returns the Vegas backlog estimate for subflow r in packets.
-func (*Vegas) diff(f View) float64 {
+// vegasDiff returns the Vegas backlog estimate of a subflow in packets:
+// w_r·(RTT_r − baseRTT_r)/RTT_r.
+func vegasDiff(f View) float64 {
 	rtt := f.LastRTT
 	if rtt <= 0 {
 		rtt = f.SRTT
@@ -45,33 +46,25 @@ func (*Vegas) diff(f View) float64 {
 	return f.Cwnd * q / rtt
 }
 
-// OnRound implements RoundTuner: once per RTT, steer the backlog into
-// [α, β] by one packet.
-func (v *Vegas) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
-	f := flows[r]
+// vegasRound is the round law Vegas and wVegas share: leave slow start once
+// the backlog exceeds γ, then steer it into [lo, hi] by one packet per
+// round, never below two packets.
+func vegasRound(f View, lo, hi float64) (cwnd, ssthresh float64) {
 	cwnd, ssthresh = f.Cwnd, f.SSThresh
-
-	d := v.diff(f)
+	d := vegasDiff(f)
 	if f.InSlowStart {
 		// Leave slow start as soon as queueing builds up.
 		if d > vegasGamma {
 			ssthresh = f.Cwnd
-			cwnd = f.Cwnd / 2
-			if cwnd < 2 {
-				cwnd = 2
-			}
+			cwnd = max(f.Cwnd/2, 2)
 		}
 		return cwnd, ssthresh
 	}
-
 	switch {
-	case d < vegasAlpha:
+	case d < lo:
 		cwnd = f.Cwnd + 1
-	case d > vegasBeta:
-		cwnd = f.Cwnd - 1
-		if cwnd < 2 {
-			cwnd = 2
-		}
+	case d > hi:
+		cwnd = max(f.Cwnd-1, 2)
 	}
 	// Keep ssthresh below cwnd so the transport stays in congestion
 	// avoidance; Vegas-style control owns the window from here on.
@@ -81,10 +74,16 @@ func (v *Vegas) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
 	return cwnd, ssthresh
 }
 
+// OnRound implements RoundTuner: once per RTT, steer the backlog into
+// [α, β] by one packet.
+func (*Vegas) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
+	return vegasRound(flows[r], vegasAlpha, vegasBeta)
+}
+
 // Introspect implements Introspector: the backlog estimate and its target
 // band.
-func (v *Vegas) Introspect(flows []View, r int, out map[string]float64) {
-	out["diff"] = v.diff(flows[r])
+func (*Vegas) Introspect(flows []View, r int, out map[string]float64) {
+	out["diff"] = vegasDiff(flows[r])
 	out["alpha"] = vegasAlpha
 	out["beta"] = vegasBeta
 }

@@ -9,7 +9,6 @@ package core
 
 const (
 	wvegasTotalAlpha = 10.0 // packets of queue backlog budget, per the paper
-	wvegasGamma      = 1.0  // slow-start exit threshold (packets of backlog)
 	wvegasWeightGain = 0.5  // EWMA gain for the rate-share weights
 )
 
@@ -36,23 +35,6 @@ func (*WVegas) Increase(flows []View, r int) float64 { return 0 }
 
 // Decrease implements Algorithm: packet loss still halves the window.
 func (*WVegas) Decrease(flows []View, r int) float64 { return flows[r].Cwnd / 2 }
-
-// diff returns the Vegas backlog estimate for subflow r in packets:
-// w_r·(RTT_r − baseRTT_r)/RTT_r.
-func (*WVegas) diff(f View) float64 {
-	rtt := f.LastRTT
-	if rtt <= 0 {
-		rtt = f.SRTT
-	}
-	if rtt <= 0 || f.BaseRTT <= 0 {
-		return 0
-	}
-	q := rtt - f.BaseRTT
-	if q < 0 {
-		q = 0
-	}
-	return f.Cwnd * q / rtt
-}
 
 // ensure grows the weight vector to n subflows; newcomers enter with an
 // equal share and the whole vector is renormalized back to Σ = 1.
@@ -122,28 +104,26 @@ func (v *WVegas) updateWeights(flows []View) {
 	}
 }
 
-// OnSubflowDown implements MembershipObserver: a dead subflow's weight is
-// redistributed to the survivors so Σ weights = 1 over the live set —
-// without this, the dead path keeps a slice of the backlog budget forever
-// and the survivors under-fill their targets.
-func (v *WVegas) OnSubflowDown(r int) {
-	v.ensure(r + 1)
-	v.down[r] = true
-	v.renormalize()
-}
-
-// OnSubflowUp implements MembershipObserver: the revived subflow rejoins
-// with an equal share carved out of the survivors.
-func (v *WVegas) OnSubflowUp(r int) {
-	v.ensure(r + 1)
-	v.down[r] = false
-	live := 0
-	for k := range v.down {
-		if !v.down[k] {
-			live++
-		}
+// OnPath implements PathObserver. A dead subflow's weight is redistributed
+// to the survivors so Σ weights = 1 over the live set — without this, the
+// dead path keeps a slice of the backlog budget forever and the survivors
+// under-fill their targets. A revived subflow rejoins with an equal share
+// carved out of the survivors. A timeout changes no weight.
+func (v *WVegas) OnPath(flows []View, r int, ev PathEvent) {
+	if ev == PathTimeout {
+		return
 	}
-	v.weights[r] = 1 / float64(live)
+	v.ensure(r + 1)
+	v.down[r] = ev == PathDown
+	if ev == PathUp {
+		live := 0
+		for k := range v.down {
+			if !v.down[k] {
+				live++
+			}
+		}
+		v.weights[r] = 1 / float64(live)
+	}
 	v.renormalize()
 }
 
@@ -152,41 +132,11 @@ func (v *WVegas) OnSubflowUp(r int) {
 func (v *WVegas) Weights() []float64 { return v.weights }
 
 // OnRound implements RoundTuner: once per RTT, compare the backlog estimate
-// with the weighted target and move the window by one packet.
+// with the weighted target α_r and move the window by one packet.
 func (v *WVegas) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
 	v.updateWeights(flows)
-	f := flows[r]
-	cwnd, ssthresh = f.Cwnd, f.SSThresh
-
-	d := v.diff(f)
-	if f.InSlowStart {
-		// Leave slow start as soon as queueing builds up.
-		if d > wvegasGamma {
-			ssthresh = f.Cwnd
-			cwnd = f.Cwnd / 2
-			if cwnd < 2 {
-				cwnd = 2
-			}
-		}
-		return cwnd, ssthresh
-	}
-
 	alpha := v.weights[r] * wvegasTotalAlpha
-	switch {
-	case d < alpha:
-		cwnd = f.Cwnd + 1
-	case d > alpha:
-		cwnd = f.Cwnd - 1
-		if cwnd < 2 {
-			cwnd = 2
-		}
-	}
-	// Keep ssthresh below cwnd so the transport stays in congestion
-	// avoidance; Vegas-style control owns the window from here on.
-	if ssthresh > cwnd {
-		ssthresh = cwnd
-	}
-	return cwnd, ssthresh
+	return vegasRound(flows[r], alpha, alpha)
 }
 
 // Introspect implements Introspector: the backlog estimate λ-side quantity
@@ -197,15 +147,15 @@ func (v *WVegas) Introspect(flows []View, r int, out map[string]float64) {
 	if r < len(v.weights) {
 		weight = v.weights[r]
 	}
-	out["diff"] = v.diff(f)
+	out["diff"] = vegasDiff(f)
 	out["weight"] = weight
 	out["alpha"] = weight * wvegasTotalAlpha
 }
 
 var (
-	_ Algorithm          = (*WVegas)(nil)
-	_ RoundTuner         = (*WVegas)(nil)
-	_ Introspector       = (*WVegas)(nil)
-	_ MembershipObserver = (*WVegas)(nil)
-	_ Weighted           = (*WVegas)(nil)
+	_ Algorithm    = (*WVegas)(nil)
+	_ RoundTuner   = (*WVegas)(nil)
+	_ Introspector = (*WVegas)(nil)
+	_ PathObserver = (*WVegas)(nil)
+	_ Weighted     = (*WVegas)(nil)
 )

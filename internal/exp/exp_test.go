@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,8 +175,8 @@ func TestFig4PowerGrowsWithRTT(t *testing.T) {
 func TestFig6BoxesOrdered(t *testing.T) {
 	skipIfShort(t)
 	res := Fig6(tiny)
-	if len(res.Rows) != 4*4 {
-		t.Fatalf("fig6 has %d rows, want 16", len(res.Rows))
+	if want := len(fig6Algorithms) * len(fig6Users(tiny)); len(res.Rows) != want {
+		t.Fatalf("fig6 has %d rows, want %d", len(res.Rows), want)
 	}
 	for i := range res.Rows {
 		min := cell(t, res, i, "min_j")
@@ -209,6 +210,20 @@ func TestFig6BoxesOrdered(t *testing.T) {
 		if strings.Join(slice.Rows[i], "|") != strings.Join(want[i], "|") {
 			t.Errorf("olia-slice row %d = %v, full-grid twin %v", i, slice.Rows[i], want[i])
 		}
+	}
+}
+
+// TestFig6UsersDistinct: at the committed tables' scale 0.15 the paper's
+// N = 10 and 20 both scale to the floor of 4; the axis keeps one.
+func TestFig6UsersDistinct(t *testing.T) {
+	cfg := tiny
+	cfg.Scale = 0.15
+	if got, want := fig6Users(cfg), []int{4, 7, 15}; !slices.Equal(got, want) {
+		t.Errorf("fig6 N axis at scale 0.15 = %v, want %v", got, want)
+	}
+	cfg.Scale = 1
+	if got, want := fig6Users(cfg), []int{10, 20, 50, 100}; !slices.Equal(got, want) {
+		t.Errorf("fig6 N axis at full scale = %v, want %v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/energy"
@@ -43,8 +44,7 @@ func Fig6(cfg Config) *Result {
 		alg string
 	}
 	var specs []spec
-	for _, fullN := range []int{10, 20, 50, 100} {
-		n := cfg.scaled(fullN, 4)
+	for _, n := range fig6Users(cfg) {
 		for _, alg := range filterAxis(fig6Algorithms, cfg.Algorithm) {
 			specs = append(specs, spec{n: n, alg: alg})
 		}
@@ -59,6 +59,19 @@ func Fig6(cfg Config) *Result {
 			fmtF(b.Q3, 1), fmtF(b.Max, 1), fmt.Sprintf("%d", len(b.Outliers))}}
 	}))
 	return res
+}
+
+// fig6Users returns the figure's N axis, the paper's 10, 20, 50 and 100
+// scaled, each value once: scaling floors small N at 4, and a repeated N
+// would rerun the same seeded experiment and write its record path twice.
+func fig6Users(cfg Config) []int {
+	var ns []int
+	for _, fullN := range []int{10, 20, 50, 100} {
+		if n := cfg.scaled(fullN, 4); !slices.Contains(ns, n) {
+			ns = append(ns, n)
+		}
+	}
+	return ns
 }
 
 // fig6UserEnergies runs one Fig. 5a experiment and returns the per-user

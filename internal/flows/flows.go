@@ -56,8 +56,10 @@
 // TestClosedMeansQuiescentForever).
 //
 // Deliberately not recycled: the congestion-control instance (one core.New
-// per flow; algorithms carry per-connection state and have no reset seam),
-// and connections that are not settled — making those reusable would mean
+// per flow: the stateless algorithms, lia among them, are zero-size types
+// that core.New builds without allocating, so a reset hook would save an
+// admission nothing; a stateful one such as olia costs one allocation), and
+// connections that are not settled — making those reusable would mean
 // cancelling their packets and timers, which changes the event sequence.
 //
 // Every random draw comes from the engine's RNG in a fixed order, so a run

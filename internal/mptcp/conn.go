@@ -135,7 +135,7 @@ func (c *Conn) Reset(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem
 		ctl:   append(c.ctl[:0], make([]subCtl, n)...),
 		views: append(c.views[:0], make([]core.View, n)...),
 	}
-	c.SetAlgorithm(alg)
+	c.alg = alg
 	mss := cfg.Transport.MSS
 	if mss == 0 {
 		mss = 1448
@@ -170,14 +170,7 @@ func MustNew(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) *
 
 // SetAlgorithm swaps the congestion-control algorithm instance; call it
 // before Start (used for parameterized variants outside the registry).
-// Time-aware algorithms (core.ClockUser, e.g. CUBIC) receive the engine
-// clock here.
-func (c *Conn) SetAlgorithm(alg core.Algorithm) {
-	if cu, ok := alg.(core.ClockUser); ok {
-		cu.SetClock(func() float64 { return c.eng.Now().Seconds() })
-	}
-	c.alg = alg
-}
+func (c *Conn) SetAlgorithm(alg core.Algorithm) { c.alg = alg }
 
 // Start begins the transfer on every subflow.
 func (c *Conn) Start() {
@@ -189,11 +182,14 @@ func (c *Conn) Start() {
 // Alg implements tcp.Coordinator.
 func (c *Conn) Alg() core.Algorithm { return c.alg }
 
-// Views implements tcp.Coordinator. The returned slice is reused between
-// calls; algorithms must not retain it.
+// Views implements tcp.Coordinator: every subflow's view, stamped with the
+// engine clock. The returned slice is reused between calls; algorithms must
+// not retain it.
 func (c *Conn) Views() []core.View {
+	now := c.eng.Now().Seconds()
 	for i, s := range c.subs {
 		c.views[i] = s.View()
+		c.views[i].Now = now
 	}
 	return c.views
 }
@@ -280,9 +276,6 @@ func (c *Conn) NoteFailed(r int, unacked int64) {
 	c.sentSegs -= newCredit
 	c.ctl[r].reinjectCredit += newCredit
 	c.reinjectedSegs += newCredit
-	if obs, ok := c.alg.(core.MembershipObserver); ok {
-		obs.OnSubflowDown(r)
-	}
 	// Kick the survivors: the freed budget is theirs to claim right now.
 	for i, s := range c.subs {
 		if i != r && !c.ctl[i].failed {
@@ -293,12 +286,7 @@ func (c *Conn) NoteFailed(r int, unacked int64) {
 
 // NoteRevived implements tcp.Coordinator: subflow r's path healed and the
 // subflow is back in service (it restarts itself; we only lift the gate).
-func (c *Conn) NoteRevived(r int) {
-	c.ctl[r].failed = false
-	if obs, ok := c.alg.(core.MembershipObserver); ok {
-		obs.OnSubflowUp(r)
-	}
-}
+func (c *Conn) NoteRevived(r int) { c.ctl[r].failed = false }
 
 // SubflowFailed reports whether subflow r is currently marked dead.
 func (c *Conn) SubflowFailed(r int) bool { return c.ctl[r].failed }

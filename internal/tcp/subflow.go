@@ -15,7 +15,8 @@ import (
 type Coordinator interface {
 	// Alg returns the connection's congestion-control algorithm.
 	Alg() core.Algorithm
-	// Views returns the current state of every subflow; index = subflow ID.
+	// Views returns the current state of every subflow, index = subflow ID,
+	// each with Now set to the simulation clock.
 	Views() []core.View
 	// AllowSend reports whether subflow r may put one new segment in
 	// flight (data remains and the connection-level window has room).
@@ -424,9 +425,7 @@ func (s *Subflow) onRTO() {
 	if s.backoff < 6 {
 		s.backoff++
 	}
-	if obs, ok := s.coord.Alg().(core.TimeoutObserver); ok {
-		obs.OnTimeout(s.coord.Views(), s.id)
-	}
+	s.notePath(core.PathTimeout)
 	// Classic post-RTO behaviour: discard the scoreboard, roll the send
 	// point back to the cumulative ACK and slow-start from there. Without
 	// this, the surviving holes of a mass-loss burst keep inflating the
@@ -462,9 +461,7 @@ func (s *Subflow) fail() {
 	s.ssthresh = max(s.cwnd/2, 2)
 	s.cwnd = s.cfg.MinCwnd
 	s.viewDirty = true
-	if obs, ok := s.coord.Alg().(core.TimeoutObserver); ok {
-		obs.OnTimeout(s.coord.Views(), s.id)
-	}
+	s.notePath(core.PathDown)
 	s.probeIval = s.cfg.ProbeInterval
 	s.probeTimer.Set(s.eng.Now() + s.probeIval)
 	// Notify last: the coordinator may immediately push the freed budget
@@ -508,8 +505,17 @@ func (s *Subflow) revive() {
 	s.cwnd = s.cfg.MinCwnd
 	s.viewDirty = true
 	s.coord.NoteRevived(s.id)
+	s.notePath(core.PathUp)
 	s.trySend()
 	s.restartRTO()
+}
+
+// notePath tells a core.PathObserver algorithm about a path event on this
+// subflow.
+func (s *Subflow) notePath(ev core.PathEvent) {
+	if obs, ok := s.coord.Alg().(core.PathObserver); ok {
+		obs.OnPath(s.coord.Views(), s.id, ev)
+	}
 }
 
 // Receive implements netem.Endpoint for returning ACKs.
@@ -693,12 +699,7 @@ func (s *Subflow) noteRetransmitted(seq int64) {
 
 func (s *Subflow) enterRecovery() {
 	s.stats.LossEvents++
-	alg := s.coord.Alg()
-	views := s.coord.Views()
-	if obs, ok := alg.(core.LossObserver); ok {
-		obs.OnLoss(views, s.id)
-	}
-	newCwnd := max(alg.Decrease(views, s.id), s.cfg.MinCwnd)
+	newCwnd := max(s.coord.Alg().Decrease(s.coord.Views(), s.id), s.cfg.MinCwnd)
 	s.ssthresh = max(newCwnd, 2)
 	s.cwnd = newCwnd
 	s.viewDirty = true

@@ -36,14 +36,6 @@ import (
 	"mptcpsim/internal/topo"
 )
 
-// Wire conventions: a full segment occupies wirePkt bytes on the wire (MSS 1448 + 52 header),
-// ACKs ride headerBytes-sized packets.
-const (
-	wirePkt     = 1500
-	mssBytes    = 1448
-	headerBytes = 52
-)
-
 // priceExp is the Kelly price exponent solveFluid uses, sharpened beyond
 // the fluid package's default b = 6: the packet scenarios' DropTail queues
 // are a hard capacity knee (no loss below capacity, heavy loss above), and

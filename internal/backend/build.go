@@ -10,6 +10,7 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/workload"
 )
@@ -72,7 +73,7 @@ func Wire(eng *sim.Engine, sc Scenario, obs *obsv.Observer, ready ...*netem.Path
 			// Cross traffic enters at the shared hop, keeping the sender's
 			// access link clean — the conformance convention.
 			l := pair.CrossEntry(entry.Routes - 1)
-			workload.NewCBR(eng, []*netem.Link{l}, int64(sc.Load*float64(l.Rate())), wirePkt).Start()
+			workload.NewCBR(eng, []*netem.Link{l}, int64(sc.Load*float64(l.Rate())), tcp.WireSize).Start()
 		}
 	}
 	if sc.Algorithm != "" {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mptcpsim/internal/fluid"
+	"mptcpsim/internal/tcp"
 )
 
 // documentedGrid is the grid `mptcp-bench -sweep -loads 0:0.15:28` solves,
@@ -78,7 +79,7 @@ func eq3Points(t *testing.T, fn func(id string, s *fluid.System, x []float64)) {
 		}
 		x := make([]float64, len(p.Fluid.RateBps))
 		for r, bps := range p.Fluid.RateBps {
-			x[r] = bps / (8 * wirePkt)
+			x[r] = bps / (8 * tcp.WireSize)
 		}
 		fn(p.ID(), s, x)
 		n++

@@ -107,7 +107,7 @@ func solveFluid(ctx context.Context, sc Scenario, phi func(x []float64, r int) f
 	res.Shares = shares
 	res.RateBps = make([]float64, len(rates))
 	for r, x := range rates {
-		res.RateBps[r] = x * 8 * wirePkt
+		res.RateBps[r] = x * 8 * tcp.WireSize
 		res.AggregateBps += res.RateBps[r]
 	}
 	res.Joules = fluidJoules(power, routes, res, sc.Horizon-sc.Warmup)
@@ -157,12 +157,12 @@ func fluidPaths(sc Scenario) ([]*netem.Path, []fluid.Path, OperatingPoint, error
 	op := OperatingPoint{RTT: make([]float64, len(ps)), Frac: make([]float64, len(ps))}
 	for r, p := range ps {
 		rate := float64(p.MinRate())
-		base := p.BaseRTT(wirePkt, headerBytes).Seconds()
-		queueDelay := float64(pair.CrossEntry(r).QueueLimit()) * wirePkt * 8 / rate
+		base := p.BaseRTT(tcp.WireSize, tcp.AckBytes).Seconds()
+		queueDelay := float64(pair.CrossEntry(r).QueueLimit()) * tcp.WireSize * 8 / rate
 		srtt := base + queueDelay/2
 		op.RTT[r] = srtt
 		op.Frac[r] = base / srtt
-		paths[r] = fluid.Path{RTT: srtt, Capacity: rate / (8 * wirePkt)}
+		paths[r] = fluid.Path{RTT: srtt, Capacity: rate / (8 * tcp.WireSize)}
 	}
 	if sc.Op != nil {
 		op = *sc.Op

@@ -8,6 +8,7 @@ import (
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
+	"mptcpsim/internal/tcp"
 )
 
 // PacketEngine answers scenarios with a full discrete-event run of the
@@ -104,7 +105,7 @@ func runPacket(ctx context.Context, sc Scenario, check obsv.CheckMode) (Result, 
 	}
 	for r, s := range subs {
 		res.Shares[r] = delta[r] / total
-		res.RateBps[r] = delta[r] * 8 * mssBytes / window
+		res.RateBps[r] = delta[r] * 8 * tcp.MSS / window
 		res.AggregateBps += res.RateBps[r]
 		res.Op.RTT[r] = srttSum[r] / float64(srttN)
 		if base := s.BaseRTT().Seconds(); base > 0 && res.Op.RTT[r] > 0 {

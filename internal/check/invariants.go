@@ -10,6 +10,7 @@ import (
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 )
 
 // DefaultInterval is the invariant-evaluation cadence in simulated time.
@@ -123,7 +124,7 @@ func SnapshotConn(name string, c *mptcp.Conn) ConnState {
 			ID:          s.ID(),
 			Cwnd:        s.Cwnd(),
 			SSThresh:    s.SSThresh(),
-			MinCwnd:     s.Config().MinCwnd,
+			MinCwnd:     tcp.MinCwnd,
 			CumAck:      s.Acked(),
 			NextSeq:     s.NextSeq(),
 			MaxSent:     s.MaxSent(),
@@ -165,7 +166,7 @@ func CheckConn(t sim.Time, st ConnState) []Violation {
 	}
 
 	// Segment conservation. Every distinct segment is charged exactly once
-	// per subflow that carries it (NoteSend), and failures move charges from
+	// per subflow that carries it (Grant), and failures move charges from
 	// Sent to Reinjected without creating or destroying any.
 	var sumMaxSent int64
 	for _, s := range st.Subflows {

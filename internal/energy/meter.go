@@ -3,6 +3,7 @@ package energy
 import (
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 )
 
 // DefaultInterval is the power sampling period (10 ms of simulated time,
@@ -133,7 +134,7 @@ func ConnProbe(conns ...*mptcp.Conn) Probe {
 				lastAcked[i] = acked
 				paths[i] = PathSample{Name: s.Path().Name, RTTSeconds: srtt}
 				if window > 0 {
-					paths[i].ThroughputBps = d * float64(s.MSS()) * 8 / seconds
+					paths[i].ThroughputBps = d * float64(tcp.MSS) * 8 / seconds
 				}
 				i++
 				if live {

@@ -62,15 +62,11 @@ type Conn struct {
 	// OnComplete, when set, fires once when the whole transfer is acked.
 	OnComplete func(at sim.Time)
 
-	// ctl is the per-subflow control block, indexed by subflow ID. One
-	// contiguous slice replaces the former parallel failed / disabled /
-	// reinjectCredit slices, so the per-ack scheduling checks touch one
-	// cache line per subflow instead of three.
+	// ctl is the per-subflow control block, indexed by subflow ID.
 	ctl            []subCtl
 	reinjectedSegs int64
 
-	ackedBytes uint64
-	views      []core.View
+	views []core.View
 }
 
 // subCtl is the per-subflow scheduling state the coordinator consults on
@@ -89,7 +85,6 @@ type subCtl struct {
 	// remaining credit before they count toward ackedSegs or goodput, so
 	// a segment delivered both by the revived subflow and by a re-injected
 	// copy is never counted twice.
-	failed         bool
 	reinjectCredit int64
 }
 
@@ -136,12 +131,8 @@ func (c *Conn) Reset(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem
 		views: append(c.views[:0], make([]core.View, n)...),
 	}
 	c.alg = alg
-	mss := cfg.Transport.MSS
-	if mss == 0 {
-		mss = 1448
-	}
 	if cfg.TransferBytes > 0 {
-		c.totalSegs = (cfg.TransferBytes + int64(mss) - 1) / int64(mss)
+		c.totalSegs = (cfg.TransferBytes + tcp.MSS - 1) / tcp.MSS
 	}
 	for i, p := range paths {
 		if c.subs[i] == nil {
@@ -172,7 +163,9 @@ func MustNew(eng *sim.Engine, cfg Config, flowID uint64, paths ...*netem.Path) *
 // before Start (used for parameterized variants outside the registry).
 func (c *Conn) SetAlgorithm(alg core.Algorithm) { c.alg = alg }
 
-// Start begins the transfer on every subflow.
+// Start begins the transfer on every subflow. Produce and NoteFailed call it
+// again to kick the subflows into taking data that just became theirs; a
+// dead subflow ignores the kick.
 func (c *Conn) Start() {
 	for _, s := range c.subs {
 		s.Start()
@@ -194,20 +187,21 @@ func (c *Conn) Views() []core.View {
 	return c.views
 }
 
-// AllowSend implements tcp.Coordinator.
-func (c *Conn) AllowSend(r int) bool {
-	if c.totalSegs > 0 && c.sentSegs >= c.totalSegs {
+// Grant implements tcp.Coordinator. It refuses for one of three reasons: no
+// data is left to send, the connection-level window is full, or subflow r is
+// disabled. A subflow asks only for a distinct new segment (retransmissions
+// are not re-charged), so sentSegs counts the application segments handed to
+// subflows.
+func (c *Conn) Grant(r int) bool {
+	switch {
+	case c.totalSegs > 0 && c.sentSegs >= c.totalSegs, c.cfg.AppLimited && c.sentSegs >= c.producedSegs:
+		return false
+	case c.cfg.RwndSegments > 0 && c.inflight() >= c.cfg.RwndSegments:
+		return false
+	case c.ctl[r].disabled:
 		return false
 	}
-	if c.cfg.AppLimited && c.sentSegs >= c.producedSegs {
-		return false
-	}
-	if c.cfg.RwndSegments > 0 && c.inflight() >= c.cfg.RwndSegments {
-		return false
-	}
-	if ctl := &c.ctl[r]; ctl.disabled || ctl.failed {
-		return false
-	}
+	c.sentSegs++
 	return true
 }
 
@@ -224,11 +218,6 @@ func (c *Conn) SetSubflowEnabled(r int, enabled bool) {
 func (c *Conn) SubflowEnabled(r int) bool {
 	return !c.ctl[r].disabled
 }
-
-// NoteSend implements tcp.Coordinator. It is called once per unique
-// segment (retransmissions are not re-charged), so sentSegs counts
-// distinct application segments handed to subflows.
-func (c *Conn) NoteSend(r int) { c.sentSegs++ }
 
 // NoteAcked implements tcp.Coordinator. Acks on a subflow carrying
 // re-injection credit are discounted against it first (see the failover
@@ -247,11 +236,6 @@ func (c *Conn) NoteAcked(r int, pkts int) {
 		return
 	}
 	c.ackedSegs += counted
-	mss := c.cfg.Transport.MSS
-	if mss == 0 {
-		mss = 1448
-	}
-	c.ackedBytes += uint64(counted) * uint64(mss)
 	if !c.done && c.totalSegs > 0 && c.ackedSegs >= c.totalSegs {
 		c.done = true
 		c.completedAt = c.eng.Now()
@@ -268,7 +252,6 @@ func (c *Conn) NoteAcked(r int, pkts int) {
 // unconsumed is only charged the delta, keeping the credit equal to the
 // frozen range even across repeated fail/revive cycles.
 func (c *Conn) NoteFailed(r int, unacked int64) {
-	c.ctl[r].failed = true
 	newCredit := unacked - c.ctl[r].reinjectCredit
 	if newCredit < 0 {
 		newCredit = 0
@@ -277,19 +260,8 @@ func (c *Conn) NoteFailed(r int, unacked int64) {
 	c.ctl[r].reinjectCredit += newCredit
 	c.reinjectedSegs += newCredit
 	// Kick the survivors: the freed budget is theirs to claim right now.
-	for i, s := range c.subs {
-		if i != r && !c.ctl[i].failed {
-			s.Start()
-		}
-	}
+	c.Start()
 }
-
-// NoteRevived implements tcp.Coordinator: subflow r's path healed and the
-// subflow is back in service (it restarts itself; we only lift the gate).
-func (c *Conn) NoteRevived(r int) { c.ctl[r].failed = false }
-
-// SubflowFailed reports whether subflow r is currently marked dead.
-func (c *Conn) SubflowFailed(r int) bool { return c.ctl[r].failed }
 
 // ReinjectedSegs reports the total segments handed back by failing
 // subflows for re-injection on survivors over the connection's lifetime.
@@ -331,24 +303,12 @@ func (c *Conn) inflight() int64 {
 // Produce makes bytes of application data available to an AppLimited
 // connection and kicks the subflows so they pick it up immediately.
 func (c *Conn) Produce(bytes int64) {
-	mss := c.cfg.Transport.MSS
-	if mss == 0 {
-		mss = 1448
-	}
-	c.producedSegs += (bytes + int64(mss) - 1) / int64(mss)
-	for _, s := range c.subs {
-		s.Start()
-	}
+	c.producedSegs += (bytes + tcp.MSS - 1) / tcp.MSS
+	c.Start()
 }
 
 // ProducedBytes reports the application data made available so far.
-func (c *Conn) ProducedBytes() int64 {
-	mss := c.cfg.Transport.MSS
-	if mss == 0 {
-		mss = 1448
-	}
-	return c.producedSegs * int64(mss)
-}
+func (c *Conn) ProducedBytes() int64 { return c.producedSegs * tcp.MSS }
 
 // Subflows returns the connection's subflows.
 func (c *Conn) Subflows() []*tcp.Subflow { return c.subs }
@@ -361,7 +321,7 @@ func (c *Conn) Done() bool { return c.done }
 func (c *Conn) CompletedAt() sim.Time { return c.completedAt }
 
 // AckedBytes returns the goodput delivered so far in bytes.
-func (c *Conn) AckedBytes() uint64 { return c.ackedBytes }
+func (c *Conn) AckedBytes() uint64 { return uint64(c.ackedSegs) * tcp.MSS }
 
 // MeanThroughputBps returns the average goodput over [0, now] in bits per
 // second (or over [0, completion] for finished transfers).

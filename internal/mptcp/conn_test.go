@@ -371,12 +371,8 @@ func TestNewValidation(t *testing.T) {
 func TestFinitePreciseByteCount(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := makePath(eng, "p", 10*netem.Mbps, 5*sim.Millisecond, 100)
-	// 10000 bytes with MSS 1000 = exactly 10 segments.
-	c := newConn(t, eng, Config{
-		Algorithm:     "reno",
-		TransferBytes: 10000,
-		Transport:     mustTransport(1000),
-	}, 1, p)
+	// 14480 bytes = exactly 10 segments of tcp.MSS.
+	c := newConn(t, eng, Config{Algorithm: "reno", TransferBytes: 10 * tcp.MSS}, 1, p)
 	c.Start()
 	eng.Run(10 * sim.Second)
 	if !c.Done() {
@@ -385,9 +381,4 @@ func TestFinitePreciseByteCount(t *testing.T) {
 	if got := c.Subflows()[0].Stats().PktsSent; got != 10 {
 		t.Errorf("sent %d new segments, want exactly 10", got)
 	}
-}
-
-func mustTransport(mss int) (cfg tcp.Config) {
-	cfg.MSS = mss
-	return cfg
 }

@@ -6,6 +6,7 @@ import (
 	"mptcpsim/internal/faults"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 )
 
 // The headline robustness scenario: one of two paths dies mid-transfer and
@@ -21,7 +22,7 @@ func TestTransferSurvivesPathOutage(t *testing.T) {
 	faults.Apply(eng, p2, faults.Outage{Down: sim.Second, Up: 4 * sim.Second})
 
 	failedMidRun := false
-	eng.Schedule(3500*sim.Millisecond, func() { failedMidRun = c.SubflowFailed(1) })
+	eng.Schedule(3500*sim.Millisecond, func() { failedMidRun = c.Subflows()[1].State() != tcp.StateActive })
 
 	c.Start()
 	eng.Run(60 * sim.Second)
@@ -37,14 +38,14 @@ func TestTransferSurvivesPathOutage(t *testing.T) {
 		t.Errorf("ackedSegs = %d, want exactly %d", c.ackedSegs, segs)
 	}
 	if !failedMidRun {
-		t.Error("subflow 1 not marked failed while its path was down")
+		t.Error("subflow 1 not dead while its path was down")
 	}
 	st := c.Subflows()[1].Stats()
 	if st.Fails < 1 || st.Revivals < 1 {
 		t.Errorf("sub1 Fails=%d Revivals=%d, want >=1 each", st.Fails, st.Revivals)
 	}
-	if c.SubflowFailed(1) {
-		t.Error("subflow 1 still marked failed after the path healed")
+	if c.Subflows()[1].State() != tcp.StateActive {
+		t.Error("subflow 1 still dead after the path healed")
 	}
 	if c.ReinjectedSegs() == 0 {
 		t.Error("no segments were re-injected despite a mid-transfer outage")
@@ -74,7 +75,7 @@ func TestTransferDegradesToSinglePath(t *testing.T) {
 	if got := c.AckedBytes(); got != segs*1448 {
 		t.Errorf("AckedBytes = %d, want exactly %d", got, segs*1448)
 	}
-	if !c.SubflowFailed(1) {
+	if c.Subflows()[1].State() == tcp.StateActive {
 		t.Error("subflow 1 revived through a permanently dead path")
 	}
 	if st := c.Subflows()[1].Stats(); st.Probes == 0 {

@@ -8,99 +8,56 @@ package tcp
 
 import "mptcpsim/internal/sim"
 
-// Config carries the transport parameters shared by all subflows of a
-// connection. The zero value is completed by withDefaults.
+// Config carries the transport settings shared by all subflows of a
+// connection. Every other transport parameter is a constant below; the zero
+// value is the transport every figure runs.
 type Config struct {
-	// MSS is the payload bytes per segment.
-	MSS int
-	// HeaderBytes is the per-segment header overhead; MSS+HeaderBytes is
-	// the wire size links serialize.
-	HeaderBytes int
-	// AckBytes is the wire size of a pure ACK.
-	AckBytes int
-
-	// InitialCwnd is the initial congestion window in segments.
-	InitialCwnd float64
-	// MinCwnd is the floor the window never drops below.
-	MinCwnd float64
-
-	// RTOMin and RTOMax clamp the retransmission timeout; RTOInit is used
-	// before the first RTT sample.
-	RTOMin  sim.Time
-	RTOMax  sim.Time
-	RTOInit sim.Time
-
-	// DupAckThreshold triggers fast retransmit (standard 3).
-	DupAckThreshold int
-
 	// DisableHystart turns off the delay-based slow-start exit (a
 	// HyStart-style guard that leaves slow start when RTT samples show the
 	// queue building, preventing the deep overshoot losses classic slow
 	// start causes on big queues).
 	DisableHystart bool
+}
 
-	// FailTimeouts is the number of consecutive RTO episodes (no cumulative
+const (
+	// MSS is the payload bytes per segment.
+	MSS = 1448
+	// headerBytes is the per-segment header overhead; WireSize is the size
+	// links serialize.
+	headerBytes = 52
+	// WireSize is the on-the-wire size of one data segment.
+	WireSize = MSS + headerBytes
+	// AckBytes is the wire size of a pure ACK.
+	AckBytes = 52
+
+	// MinCwnd is the floor the window never drops below, in segments.
+	MinCwnd = 1.0
+	// initialCwnd is the initial congestion window in segments.
+	initialCwnd = 10.0
+
+	// rtoMin and rtoMax clamp the retransmission timeout; rtoInit is used
+	// before the first RTT sample.
+	rtoMin  = 200 * sim.Millisecond
+	rtoMax  = 60 * sim.Second
+	rtoInit = sim.Second
+
+	// dupAckThreshold triggers fast retransmit (standard 3).
+	dupAckThreshold = 3
+
+	// failTimeouts is the number of consecutive RTO episodes (no cumulative
 	// ACK progress in between) after which the subflow declares its path
 	// dead, freezes, and hands its unacked data back to the connection for
-	// re-injection on surviving subflows. Default 3.
-	FailTimeouts int
-	// DisableFailover keeps a subflow retransmitting forever instead of
-	// declaring failure, restoring pre-failover behaviour (useful for
-	// single-path runs and RTO-focused tests).
-	DisableFailover bool
-	// ProbeInterval is the initial spacing of the probe segments a dead
+	// re-injection on surviving subflows.
+	failTimeouts = 3
+	// probeInterval is the initial spacing of the probe segments a dead
 	// subflow sends to discover that its path healed; it doubles after
-	// every unanswered probe, clamped at RTOMax. Default 1s.
-	ProbeInterval sim.Time
+	// every unanswered probe, clamped at rtoMax.
+	probeInterval = sim.Second
 
-	// MinRTTWindow bounds how long a min-RTT (baseRTT) observation stays
+	// minRTTWindow bounds how long a min-RTT (baseRTT) observation stays
 	// valid: the floor delay-based algorithms divide by is the minimum over
 	// this trailing window, so a path whose propagation delay ramps up
 	// (mobility, handover, faults delay schedules) re-learns its floor
-	// instead of pinning to a stale lifetime minimum. 0 selects the default
-	// of 30s; negative keeps the lifetime minimum (pre-window behaviour).
-	MinRTTWindow sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1448
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 52
-	}
-	if c.AckBytes == 0 {
-		c.AckBytes = 52
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 10
-	}
-	if c.MinCwnd == 0 {
-		c.MinCwnd = 1
-	}
-	if c.RTOMin == 0 {
-		c.RTOMin = 200 * sim.Millisecond
-	}
-	if c.RTOMax == 0 {
-		c.RTOMax = 60 * sim.Second
-	}
-	if c.RTOInit == 0 {
-		c.RTOInit = sim.Second
-	}
-	if c.DupAckThreshold == 0 {
-		c.DupAckThreshold = 3
-	}
-	if c.FailTimeouts == 0 {
-		c.FailTimeouts = 3
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = sim.Second
-	}
-	if c.MinRTTWindow == 0 {
-		c.MinRTTWindow = 30 * sim.Second
-	}
-	return c
-}
-
-// WireSize returns the on-the-wire size of one data segment.
-func (c Config) WireSize() int { return c.MSS + c.HeaderBytes }
+	// instead of pinning to a stale lifetime minimum.
+	minRTTWindow = 30 * sim.Second
+)

@@ -27,7 +27,7 @@ func (h *hookRecorder) OnPath(_ []core.View, _ int, ev core.PathEvent) {
 
 // TestPathHooksFollowTheOutage drives a recording algorithm through a
 // blackout, the path's death, its revival and the losses of the slow start
-// after it: an RTO delivers PathTimeout, the FailTimeouts-th RTO delivers
+// after it: an RTO delivers PathTimeout, the failTimeouts-th RTO delivers
 // one PathDown in its place, revival delivers PathUp, and each loss event
 // calls Decrease once.
 func TestPathHooksFollowTheOutage(t *testing.T) {
@@ -41,7 +41,7 @@ func TestPathHooksFollowTheOutage(t *testing.T) {
 	coord.sub = s
 	s.Start()
 
-	fails := s.Config().FailTimeouts
+	fails := failTimeouts
 	eng.Run(7500 * sim.Millisecond) // RTOs at t = 1, 3, 7 s; the third kills the path
 	if st := s.Stats(); st.Timeouts != uint64(fails) || st.Fails != 1 {
 		t.Fatalf("Timeouts=%d Fails=%d at t=7.5s, want %d and 1", st.Timeouts, st.Fails, fails)

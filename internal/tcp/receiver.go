@@ -72,7 +72,7 @@ func (r *Receiver) Receive(p *netem.Packet) {
 	ack.IsAck = true
 	ack.Ack = r.rcvNext
 	ack.SackSeq = seq
-	ack.Size = int32(r.sub.cfg.AckBytes)
+	ack.Size = AckBytes
 	ack.ECE = ce
 	ack.EchoedAt = sentAt
 	ack.EchoPrice = price

@@ -56,9 +56,6 @@ func (r *RTTStats) SetWindow(w sim.Time) {
 	r.window = w
 }
 
-// Window returns the configured min-RTT expiry window (0 = lifetime).
-func (r *RTTStats) Window() sim.Time { return r.window }
-
 // HasSample reports whether at least one valid sample has been taken.
 func (r *RTTStats) HasSample() bool { return r.hasSample }
 
@@ -69,9 +66,6 @@ func (r *RTTStats) LatestRTT() sim.Time { return r.latest }
 // SmoothedRTT returns the EWMA-smoothed RTT, 0 before the first sample.
 func (r *RTTStats) SmoothedRTT() sim.Time { return r.smoothed }
 
-// MeanDeviation returns the smoothed mean deviation (RFC 6298 RTTVAR).
-func (r *RTTStats) MeanDeviation() sim.Time { return r.meanDev }
-
 // MinRTT returns the minimum raw RTT over the trailing window (the
 // lifetime minimum when no window is set), 0 before the first sample.
 func (r *RTTStats) MinRTT() sim.Time {
@@ -79,15 +73,6 @@ func (r *RTTStats) MinRTT() sim.Time {
 		return 0
 	}
 	return r.est[0].v
-}
-
-// SmoothedOrInitialRTT returns the smoothed RTT, or initial before the
-// first sample.
-func (r *RTTStats) SmoothedOrInitialRTT(initial sim.Time) sim.Time {
-	if r.hasSample {
-		return r.smoothed
-	}
-	return initial
 }
 
 // RTO returns the RFC 6298 retransmission timeout SRTT + 4·RTTVAR,

@@ -18,16 +18,13 @@ func TestRTTStatsFirstSample(t *testing.T) {
 	if r.MinRTT() != 0 || r.SmoothedRTT() != 0 || r.LatestRTT() != 0 {
 		t.Fatal("zero-value estimator reports non-zero RTTs")
 	}
-	if got := r.SmoothedOrInitialRTT(100 * ms); got != 100*ms {
-		t.Fatalf("SmoothedOrInitialRTT before sample = %v, want initial", got)
-	}
 	if !r.UpdateRTT(300*ms, 0, 0) {
 		t.Fatal("valid sample rejected")
 	}
 	if got := r.SmoothedRTT(); got != 300*ms {
 		t.Errorf("smoothed after first sample = %v, want 300ms", got)
 	}
-	if got := r.MeanDeviation(); got != 150*ms {
+	if got := r.meanDev; got != 150*ms {
 		t.Errorf("meanDev after first sample = %v, want sample/2 = 150ms", got)
 	}
 	if got := r.LatestRTT(); got != 300*ms {
@@ -35,9 +32,6 @@ func TestRTTStatsFirstSample(t *testing.T) {
 	}
 	if got := r.MinRTT(); got != 300*ms {
 		t.Errorf("min = %v, want 300ms", got)
-	}
-	if got := r.SmoothedOrInitialRTT(100 * ms); got != 300*ms {
-		t.Errorf("SmoothedOrInitialRTT after sample = %v, want smoothed", got)
 	}
 }
 
@@ -57,9 +51,9 @@ func TestRTTStatsSmoothing(t *testing.T) {
 		meanDev = (3*meanDev + diff) / 4
 		smoothed = (7*smoothed + s) / 8
 		r.UpdateRTT(s, 0, 0)
-		if r.SmoothedRTT() != smoothed || r.MeanDeviation() != meanDev {
+		if r.SmoothedRTT() != smoothed || r.meanDev != meanDev {
 			t.Fatalf("after sample %v: smoothed=%v meanDev=%v, want %v / %v",
-				s, r.SmoothedRTT(), r.MeanDeviation(), smoothed, meanDev)
+				s, r.SmoothedRTT(), r.meanDev, smoothed, meanDev)
 		}
 	}
 	if got := r.MinRTT(); got != 200*ms {
@@ -162,11 +156,11 @@ func TestRTTStatsLifetimeMinWithoutWindow(t *testing.T) {
 	if got := r.MinRTT(); got != 100*ms {
 		t.Errorf("lifetime min = %v, want 100ms forever with no window", got)
 	}
-	if r.Window() != 0 {
-		t.Errorf("Window() = %v, want 0", r.Window())
+	if r.window != 0 {
+		t.Errorf("window = %v, want 0", r.window)
 	}
 	r.SetWindow(-5)
-	if r.Window() != 0 {
+	if r.window != 0 {
 		t.Error("negative SetWindow did not clamp to 0")
 	}
 }
@@ -254,8 +248,8 @@ func FuzzUpdateRTT(f *testing.F) {
 			if accepted && r.MinRTT() > d {
 				t.Fatalf("MinRTT = %v above the raw sample %v", r.MinRTT(), d)
 			}
-			if r.MeanDeviation() < 0 {
-				t.Fatalf("MeanDeviation = %v negative", r.MeanDeviation())
+			if r.meanDev < 0 {
+				t.Fatalf("meanDev = %v negative", r.meanDev)
 			}
 			if rto := r.RTO(200*ms, 60*sim.Second); rto < 200*ms || rto > 60*sim.Second {
 				t.Fatalf("RTO = %v outside [rtoMin, rtoMax]", rto)

@@ -11,26 +11,24 @@ import (
 // Coordinator is the connection-level coordination a subflow needs: access
 // to the shared congestion-control algorithm and the sibling subflows'
 // state, admission of new data (finite transfers, connection-level receive
-// window), and progress notifications.
+// window), and progress notifications. Whether a subflow is alive is the
+// subflow's own State; the coordinator keeps no copy of it.
 type Coordinator interface {
 	// Alg returns the connection's congestion-control algorithm.
 	Alg() core.Algorithm
 	// Views returns the current state of every subflow, index = subflow ID,
 	// each with Now set to the simulation clock.
 	Views() []core.View
-	// AllowSend reports whether subflow r may put one new segment in
-	// flight (data remains and the connection-level window has room).
-	AllowSend(r int) bool
-	// NoteSend records that subflow r sent one new segment.
-	NoteSend(r int)
+	// Grant reports whether active subflow r may put one new segment in
+	// flight (data remains, the connection-level window has room and r is
+	// enabled) and, when it may, charges that segment to the connection.
+	Grant(r int) bool
 	// NoteAcked records that pkts segments of subflow r were newly acked.
 	NoteAcked(r int, pkts int)
 	// NoteFailed records that subflow r declared its path dead with unacked
 	// segments still outstanding; the connection re-injects that much data
 	// onto surviving subflows.
 	NoteFailed(r int, unacked int64)
-	// NoteRevived records that subflow r's path healed and it resumed.
-	NoteRevived(r int)
 }
 
 // State is the failover state of a subflow.
@@ -39,7 +37,7 @@ type State int
 const (
 	// StateActive is normal operation.
 	StateActive State = iota
-	// StateDead means the path failed (FailTimeouts consecutive RTO
+	// StateDead means the path failed (failTimeouts consecutive RTO
 	// episodes with no cumulative-ACK progress); the subflow is frozen and
 	// its unacked data has been handed back for re-injection.
 	StateDead
@@ -125,9 +123,9 @@ type Subflow struct {
 	rtoTimer sim.Deadline
 
 	// Failover: consecRTO counts RTO episodes since the last cumulative-ACK
-	// advance; at cfg.FailTimeouts the subflow freezes (state leaves
+	// advance; at failTimeouts the subflow freezes (state leaves
 	// StateActive) and probeTimer sends a probe every probeIval, doubling up
-	// to RTOMax, until an ACK revives the subflow and stops it.
+	// to rtoMax, until an ACK revives the subflow and stops it.
 	state       State
 	consecRTO   int
 	probeIval   sim.Time
@@ -164,7 +162,6 @@ func NewSubflow(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id 
 // subflow that Close retired: a packet the simulation still holds of the old
 // incarnation would reach the new one.
 func (s *Subflow) Reset(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id int, path *netem.Path) {
-	cfg = cfg.withDefaults()
 	rx, rtoTimer, probeTimer := s.rx, s.rtoTimer, s.probeTimer
 	rtoTimer.Stop()
 	probeTimer.Stop()
@@ -183,18 +180,16 @@ func (s *Subflow) Reset(eng *sim.Engine, cfg Config, coord Coordinator, flow uin
 		flow:          flow,
 		path:          path,
 		rx:            rx,
-		cwnd:          cfg.InitialCwnd,
+		cwnd:          initialCwnd,
 		ssthresh:      1 << 30,
 		sacked:        s.sacked[:0],
 		retransmitted: s.retransmitted[:0],
-		rto:           cfg.RTOInit,
+		rto:           rtoInit,
 		rtoTimer:      rtoTimer,
 		probeTimer:    probeTimer,
 		viewDirty:     true,
 	}
-	if w := cfg.MinRTTWindow; w > 0 {
-		s.rtt.SetWindow(w)
-	}
+	s.rtt.SetWindow(minRTTWindow)
 }
 
 // Close retires subflows that are done together, as one connection's are. If
@@ -223,7 +218,9 @@ func Close(subs ...*Subflow) bool {
 	return true
 }
 
-// Start begins transmitting; call once after the connection is assembled.
+// Start sends what the window and the coordinator allow: first after the
+// connection is assembled, and again whenever the coordinator has new data
+// or budget for it. A subflow that is not active ignores it.
 func (s *Subflow) Start() { s.trySend() }
 
 // ID returns the subflow index within its connection.
@@ -235,12 +232,6 @@ func (s *Subflow) Path() *netem.Path { return s.path }
 // Stats returns a copy of the subflow's counters.
 func (s *Subflow) Stats() Stats { return s.stats }
 
-// Config returns the subflow's transport parameters with defaults applied.
-func (s *Subflow) Config() Config { return s.cfg }
-
-// MSS returns the payload bytes per segment.
-func (s *Subflow) MSS() int { return s.cfg.MSS }
-
 // Cwnd returns the current congestion window in segments.
 func (s *Subflow) Cwnd() float64 { return s.cwnd }
 
@@ -250,15 +241,11 @@ func (s *Subflow) SSThresh() float64 { return s.ssthresh }
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (s *Subflow) SRTT() sim.Time { return s.rtt.SmoothedRTT() }
 
-// BaseRTT returns the minimum RTT over the configured min-RTT window
-// (the lifetime minimum when the window is disabled).
+// BaseRTT returns the minimum RTT over the trailing min-RTT window.
 func (s *Subflow) BaseRTT() sim.Time { return s.rtt.MinRTT() }
 
 // LastRTT returns the latest RTT sample.
 func (s *Subflow) LastRTT() sim.Time { return s.rtt.LatestRTT() }
-
-// RTTStats exposes the subflow's estimator (read-only use).
-func (s *Subflow) RTTStats() *RTTStats { return &s.rtt }
 
 // RTO returns the current retransmission timeout before backoff.
 func (s *Subflow) RTO() sim.Time { return s.rto }
@@ -284,12 +271,9 @@ func (s *Subflow) NextSeq() int64 { return s.nextSeq }
 
 // MaxSent returns the highest sequence number ever handed to the path —
 // the count of distinct segments this subflow has been charged for via
-// Coordinator.NoteSend (rewinds after an RTO or path failure lower NextSeq
+// Coordinator.Grant (rewinds after an RTO or path failure lower NextSeq
 // but never MaxSent).
 func (s *Subflow) MaxSent() int64 { return s.maxSent }
-
-// InRecovery reports whether a loss episode is in progress.
-func (s *Subflow) InRecovery() bool { return s.inRecovery }
 
 // State returns the failover state (active, dead or probing).
 func (s *Subflow) State() State { return s.state }
@@ -316,7 +300,7 @@ func (s *Subflow) buildView() core.View {
 	if !s.rtt.HasSample() {
 		// Before any sample, present the path's unloaded RTT so coupled
 		// algorithms have something sane to divide by.
-		srtt = s.path.BaseRTT(s.cfg.WireSize(), s.cfg.AckBytes)
+		srtt = s.path.BaseRTT(WireSize, AckBytes)
 	}
 	last := s.rtt.LatestRTT()
 	if last == 0 {
@@ -351,14 +335,13 @@ func (s *Subflow) trySend() {
 			s.nextSeq++
 			continue
 		}
-		if !s.coord.AllowSend(s.id) {
+		if !s.coord.Grant(s.id) {
 			break
 		}
 		s.sendSeq(s.nextSeq, false)
 		s.nextSeq++
 		s.maxSent = s.nextSeq
 		s.stats.PktsSent++
-		s.coord.NoteSend(s.id)
 	}
 	s.ensureRTO()
 }
@@ -368,7 +351,7 @@ func (s *Subflow) sendSeq(seq int64, rtx bool) {
 	p.Flow = s.flow
 	p.Subflow = int32(s.id)
 	p.Seq = seq
-	p.Size = int32(s.cfg.WireSize())
+	p.Size = WireSize
 	p.SentAt = s.eng.Now()
 	p.SetRoute(s.path.Forward, s.rx)
 	p.Send()
@@ -399,10 +382,10 @@ func (s *Subflow) restartRTO() {
 		return
 	}
 	d := s.rto << s.backoff
-	if d > s.cfg.RTOMax || d < s.rto {
+	if d > rtoMax || d < s.rto {
 		// Clamp the exponential backoff (and guard the shift against
 		// overflow, which would make d negative).
-		d = s.cfg.RTOMax
+		d = rtoMax
 	}
 	s.rtoTimer.Set(s.eng.Now() + d)
 }
@@ -414,12 +397,12 @@ func (s *Subflow) onRTO() {
 	}
 	s.stats.Timeouts++
 	s.consecRTO++
-	if !s.cfg.DisableFailover && s.consecRTO >= s.cfg.FailTimeouts {
+	if s.consecRTO >= failTimeouts {
 		s.fail()
 		return
 	}
 	s.ssthresh = max(s.cwnd/2, 2)
-	s.cwnd = s.cfg.MinCwnd
+	s.cwnd = MinCwnd
 	s.viewDirty = true
 	s.inRecovery = false
 	if s.backoff < 6 {
@@ -440,7 +423,7 @@ func (s *Subflow) onRTO() {
 	s.restartRTO()
 }
 
-// fail declares the path dead after cfg.FailTimeouts back-to-back RTO
+// fail declares the path dead after failTimeouts back-to-back RTO
 // episodes: freeze the window, clear the retransmission timer, roll the
 // send point back to the cumulative ACK, hand the unacked range to the
 // connection for re-injection elsewhere, and start probing for recovery.
@@ -459,10 +442,10 @@ func (s *Subflow) fail() {
 	// re-injection credit it is about to get back.
 	s.nextSeq = s.cumAck
 	s.ssthresh = max(s.cwnd/2, 2)
-	s.cwnd = s.cfg.MinCwnd
+	s.cwnd = MinCwnd
 	s.viewDirty = true
 	s.notePath(core.PathDown)
-	s.probeIval = s.cfg.ProbeInterval
+	s.probeIval = probeInterval
 	s.probeTimer.Set(s.eng.Now() + s.probeIval)
 	// Notify last: the coordinator may immediately push the freed budget
 	// onto sibling subflows.
@@ -471,7 +454,7 @@ func (s *Subflow) fail() {
 
 // probe, run by probeTimer while the subflow is dead, sends one probe — a
 // retransmission of the first unacked segment — and sets the next one with
-// the interval doubled, clamped at RTOMax. The receiver's cumulative ACK
+// the interval doubled, clamped at rtoMax. The receiver's cumulative ACK
 // always covers at least this segment's hole state, so any delivered probe
 // draws an ACK that advances (or re-states) the cumulative ACK; an advance
 // revives the subflow.
@@ -483,8 +466,8 @@ func (s *Subflow) probe() {
 	s.stats.Probes++
 	s.sendSeq(s.cumAck, true)
 	s.probeIval *= 2
-	if s.probeIval > s.cfg.RTOMax {
-		s.probeIval = s.cfg.RTOMax
+	if s.probeIval > rtoMax {
+		s.probeIval = rtoMax
 	}
 	s.probeTimer.Set(s.eng.Now() + s.probeIval)
 }
@@ -502,9 +485,8 @@ func (s *Subflow) revive() {
 	s.sacked = s.sacked[:0]
 	s.scanFrom = s.cumAck
 	s.nextSeq = s.cumAck
-	s.cwnd = s.cfg.MinCwnd
+	s.cwnd = MinCwnd
 	s.viewDirty = true
-	s.coord.NoteRevived(s.id)
 	s.notePath(core.PathUp)
 	s.trySend()
 	s.restartRTO()
@@ -628,16 +610,16 @@ func (s *Subflow) onNewAck(p *netem.Packet) {
 }
 
 // sackRetransmit detects holes with enough SACK evidence above them
-// (DupAckThreshold segments, the RFC 6675 rule with per-segment ACKs) and
+// (dupAckThreshold segments, the RFC 6675 rule with per-segment ACKs) and
 // retransmits each once per episode, within the pipe budget. The first
 // detection of an episode triggers the congestion response.
 func (s *Subflow) sackRetransmit() {
-	if len(s.sacked) < s.cfg.DupAckThreshold {
+	if len(s.sacked) < dupAckThreshold {
 		return
 	}
-	// Every hole below lostBound has >= DupAckThreshold sacked segments
+	// Every hole below lostBound has >= dupAckThreshold sacked segments
 	// above it.
-	lostBound := s.sacked[len(s.sacked)-s.cfg.DupAckThreshold]
+	lostBound := s.sacked[len(s.sacked)-dupAckThreshold]
 	if s.cumAck >= lostBound {
 		return
 	}
@@ -699,7 +681,7 @@ func (s *Subflow) noteRetransmitted(seq int64) {
 
 func (s *Subflow) enterRecovery() {
 	s.stats.LossEvents++
-	newCwnd := max(s.coord.Alg().Decrease(s.coord.Views(), s.id), s.cfg.MinCwnd)
+	newCwnd := max(s.coord.Alg().Decrease(s.coord.Views(), s.id), MinCwnd)
 	s.ssthresh = max(newCwnd, 2)
 	s.cwnd = newCwnd
 	s.viewDirty = true
@@ -733,8 +715,8 @@ func (s *Subflow) grow(acked int, views []core.View, alg core.Algorithm) {
 		}
 	}
 	s.cwnd += alg.Increase(views, s.id) * float64(acked)
-	if s.cwnd < s.cfg.MinCwnd {
-		s.cwnd = s.cfg.MinCwnd
+	if s.cwnd < MinCwnd {
+		s.cwnd = MinCwnd
 	}
 	s.viewDirty = true
 }
@@ -766,7 +748,7 @@ func (s *Subflow) roundTick(views []core.View, alg core.Algorithm) {
 	s.stats.RoundTrips++
 	if rt, ok := alg.(core.RoundTuner); ok {
 		cwnd, ssthresh := rt.OnRound(views, s.id)
-		s.cwnd = max(cwnd, s.cfg.MinCwnd)
+		s.cwnd = max(cwnd, MinCwnd)
 		s.ssthresh = max(ssthresh, 2)
 		s.viewDirty = true
 	}
@@ -782,7 +764,7 @@ func (s *Subflow) sampleRTT(rtt sim.Time) {
 	}
 	s.viewDirty = true
 	s.backoff = 0
-	s.rto = s.rtt.RTO(s.cfg.RTOMin, s.cfg.RTOMax)
+	s.rto = s.rtt.RTO(rtoMin, rtoMax)
 }
 
 var _ netem.Endpoint = (*Subflow)(nil)

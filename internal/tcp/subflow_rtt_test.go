@@ -8,20 +8,22 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// quietSubflow builds a subflow whose RTO cannot fire inside the test
-// horizon, so hand-crafted ACKs fully control the estimator (no go-back-N
-// resends sneak real traffic — and real echoes — onto the path).
+// quietSubflow builds a subflow that never sends on its own: it has no data
+// budget, and craftAck stops the RTO deadline after every ACK it delivers, so
+// hand-crafted ACKs fully control the estimator (no go-back-N resends sneak
+// real traffic — and real echoes — onto the path).
 func quietSubflow(eng *sim.Engine) (*Subflow, *netem.Path) {
 	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: 10 * netem.Mbps, Delay: 5 * sim.Millisecond, QueueLimit: 100})
 	rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 10 * netem.Mbps, Delay: 5 * sim.Millisecond, QueueLimit: 100})
 	p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
 	coord := &stubCoord{alg: core.NewReno(), remaining: 0}
-	s := NewSubflow(eng, Config{RTOInit: 50 * sim.Second, RTOMin: 50 * sim.Second, RTOMax: 60 * sim.Second, DisableFailover: true}, coord, 1, 0, p)
+	s := NewSubflow(eng, Config{}, coord, 1, 0, p)
 	coord.sub = s
 	return s, p
 }
 
-// craftAck delivers a hand-built cumulative ACK straight to the subflow.
+// craftAck delivers a hand-built cumulative ACK straight to the subflow and
+// then stops its RTO deadline, which the ACK re-armed.
 func craftAck(s *Subflow, p *netem.Path, ack int64, echoedAt sim.Time) {
 	pk := p.Pool().Get()
 	pk.IsAck = true
@@ -30,6 +32,7 @@ func craftAck(s *Subflow, p *netem.Path, ack int64, echoedAt sim.Time) {
 	pk.Size = 52
 	pk.EchoedAt = echoedAt
 	s.Receive(pk)
+	s.rtoTimer.Stop()
 }
 
 // TestKarnSkipsAmbiguousSample is the failing-before regression for the
@@ -62,8 +65,8 @@ func TestKarnSkipsAmbiguousSample(t *testing.T) {
 	if got := s.LastRTT(); got != 20*sim.Millisecond {
 		t.Errorf("LastRTT = %v, want 20ms: the ambiguous sample must be skipped", got.Duration())
 	}
-	if got := s.RTO(); got != 50*sim.Second {
-		t.Errorf("RTO = %v recomputed from an ambiguous sample, want untouched 50s", got.Duration())
+	if got := s.RTO(); got != rtoMin {
+		t.Errorf("RTO = %v recomputed from an ambiguous sample, want untouched rtoMin=200ms", got.Duration())
 	}
 	// RFC 6298 5.7: only a VALID sample may reset the timer backoff; a bare
 	// cumulative-ACK advance (this one was Karn-suppressed) must not.
@@ -92,14 +95,15 @@ func TestValidSampleResetsBackoff(t *testing.T) {
 	if got := s.SRTT(); got != 20*sim.Millisecond {
 		t.Errorf("SRTT = %v, want 20ms", got.Duration())
 	}
-	if got := s.RTO(); got != 50*sim.Second {
-		t.Errorf("RTO = %v, want clamped to RTOMin=50s", got.Duration())
+	if got := s.RTO(); got != rtoMin {
+		t.Errorf("RTO = %v, want clamped to rtoMin=200ms", got.Duration())
 	}
 }
 
 // TestRTOBackoffSequence pins the RFC 6298 §5 worked sequence end to end:
-// consecutive timeouts double the armed timeout 1s → 2s → 4s → 8s (RTOInit
-// with no samples), and the next valid sample collapses it back to the
+// consecutive timeouts double the armed timeout 1s → 2s → 4s (rtoInit with
+// no samples), the failTimeouts-th episode declares the path dead, and once
+// the path answers, the next valid sample collapses the backoff to the
 // freshly computed RTO.
 func TestRTOBackoffSequence(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -107,52 +111,57 @@ func TestRTOBackoffSequence(t *testing.T) {
 	rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 10 * netem.Mbps, Delay: 5 * sim.Millisecond})
 	p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
 	coord := &stubCoord{alg: core.NewReno(), remaining: -1}
-	s := NewSubflow(eng, Config{DisableFailover: true}, coord, 1, 0, p)
+	s := NewSubflow(eng, Config{}, coord, 1, 0, p)
 	coord.sub = s
 	s.Start()
 
-	// With RTOInit=1s and every packet lost, timeouts land at t=1,3,7,15s —
-	// the doubling staircase. Record each episode's instant.
+	// With rtoInit=1s and every packet lost, timeouts land at t=1,3,7s —
+	// the doubling staircase — and the third kills the path. Record each
+	// episode's instant.
 	var at []sim.Time
-	want := []sim.Time{sim.Second, 3 * sim.Second, 7 * sim.Second, 15 * sim.Second}
-	sampleTimeouts := func() {
-		to := s.Stats().Timeouts
-		if int(to) > len(at) {
-			at = append(at, eng.Now())
-		}
-	}
+	want := []sim.Time{sim.Second, 3 * sim.Second, 7 * sim.Second}
 	var poll func()
 	poll = func() {
-		sampleTimeouts()
-		if eng.Now() < 16*sim.Second {
+		if int(s.Stats().Timeouts) > len(at) {
+			at = append(at, eng.Now())
+		}
+		if eng.Now() < 8500*sim.Millisecond {
 			eng.ScheduleAfter(sim.Millisecond, poll)
 		}
 	}
 	eng.Schedule(0, poll)
-	eng.Run(16 * sim.Second)
+	eng.Run(8500 * sim.Millisecond)
 
-	if len(at) < len(want) {
-		t.Fatalf("observed %d timeouts, want at least %d", len(at), len(want))
+	if len(at) != len(want) {
+		t.Fatalf("observed timeouts at %v, want exactly %v", at, want)
 	}
 	for i, w := range want {
 		if at[i] != w {
 			t.Errorf("timeout %d at %v, want %v (exponential backoff broken)", i, at[i].Duration(), w.Duration())
 		}
 	}
+	if st := s.Stats(); st.Fails != 1 || s.State() == StateActive {
+		t.Fatalf("Fails=%d state=%v after %d timeouts, want 1 and dead", st.Fails, s.State(), len(want))
+	}
 
 	// Now the path "heals" (hand-delivered ACKs; the link stays black).
-	// The first ACK covers the blackout's go-back-N resends, so Karn keeps
-	// it from sampling — backoff must survive it.
+	// The first ACK covers the t=8s probe, a retransmission, so Karn keeps
+	// it from sampling — backoff must survive it — and it revives the
+	// subflow.
 	if s.backoff == 0 {
 		t.Fatal("backoff did not accumulate during the blackout")
 	}
 	backoffBefore := s.backoff
 	craftAck(s, p, s.MaxSent(), 0)
+	if s.State() != StateActive {
+		t.Fatalf("state = %v after the path answered, want active", s.State())
+	}
 	if s.backoff != backoffBefore {
 		t.Errorf("backoff = %d after ambiguous post-blackout ACK, want %d preserved", s.backoff, backoffBefore)
 	}
-	// That ACK moved the send point past every retransmission, so the next
-	// ACK covers only fresh data: a valid sample, and the backoff collapses.
+	// The revived subflow sent fresh data from the cumulative ACK, so the
+	// next ACK covers no retransmission: a valid sample, and the backoff
+	// collapses.
 	if s.NextSeq() <= s.Acked() {
 		t.Fatal("no fresh data sent after the recovery ACK")
 	}
@@ -160,8 +169,8 @@ func TestRTOBackoffSequence(t *testing.T) {
 	if s.backoff != 0 {
 		t.Errorf("backoff = %d after valid sample, want 0", s.backoff)
 	}
-	if got := s.RTO(); got != 200*sim.Millisecond {
-		t.Errorf("RTO = %v after 20ms sample, want RTOMin=200ms", got.Duration())
+	if got := s.RTO(); got != rtoMin {
+		t.Errorf("RTO = %v after 20ms sample, want rtoMin=200ms", got.Duration())
 	}
 }
 
@@ -179,7 +188,7 @@ func TestBaseRTTWindowExpiresStaleFloor(t *testing.T) {
 	rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 50 * netem.Mbps, Delay: 5 * sim.Millisecond, QueueLimit: 20})
 	p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
 	coord := &stubCoord{alg: core.NewReno(), remaining: -1}
-	s := NewSubflow(eng, Config{MinRTTWindow: 5 * sim.Second}, coord, 1, 0, p)
+	s := NewSubflow(eng, Config{}, coord, 1, 0, p)
 	coord.sub = s
 	s.Start()
 
@@ -196,9 +205,14 @@ func TestBaseRTTWindowExpiresStaleFloor(t *testing.T) {
 	if baseBefore <= 0 || baseBefore > 15*sim.Millisecond {
 		t.Fatalf("pre-ramp BaseRTT = %v, want ≈10ms floor", baseBefore.Duration())
 	}
-	// 15 s after the ramp — three windows — the stale 10ms floor must have
-	// expired; with the old lifetime minimum BaseRTT would still equal
-	// baseBefore.
+	// 25 s in, every observation of the old floor is younger than the
+	// 30 s window: it still holds.
+	if got := s.BaseRTT(); got != baseBefore {
+		t.Errorf("BaseRTT = %v inside the window, want the pre-ramp %v", got.Duration(), baseBefore.Duration())
+	}
+	// Two windows after the ramp the stale 10ms floor must have expired;
+	// with the old lifetime minimum BaseRTT would still equal baseBefore.
+	eng.Run(10*sim.Second + 2*minRTTWindow)
 	if got := s.BaseRTT(); got < 50*sim.Millisecond {
 		t.Errorf("BaseRTT = %v long after the delay ramp, want ≥ the new 50ms floor (stale floor never expired)", got.Duration())
 	}

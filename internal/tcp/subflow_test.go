@@ -22,20 +22,20 @@ func (c *stubCoord) Alg() core.Algorithm { return c.alg }
 
 func (c *stubCoord) Views() []core.View { return []core.View{c.sub.View()} }
 
-func (c *stubCoord) AllowSend(int) bool { return c.remaining < 0 || c.remaining > 0 }
-
-func (c *stubCoord) NoteSend(int) {
+func (c *stubCoord) Grant(int) bool {
+	if c.remaining == 0 {
+		return false
+	}
 	c.sent++
 	if c.remaining > 0 {
 		c.remaining--
 	}
+	return true
 }
 
 func (c *stubCoord) NoteAcked(_ int, pkts int) { c.acked += int64(pkts) }
 
 func (c *stubCoord) NoteFailed(int, int64) {}
-
-func (c *stubCoord) NoteRevived(int) {}
 
 func newTestSubflow(eng *sim.Engine, rate int64, delay sim.Time, qlimit int, budget int64) (*Subflow, *stubCoord, *netem.Path) {
 	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: rate, Delay: delay, QueueLimit: qlimit})
@@ -108,33 +108,27 @@ func TestSubflowRecoversFromTotalBlackout(t *testing.T) {
 	}
 }
 
+// TestRTOBackoffClampedAtMax pins the clamp on the backed-off timeout: at
+// backoff 6 the initial 1 s RTO doubles to 64 s, past rtoMax, and at a shift
+// that overflows sim.Time the product turns negative; both arm the deadline
+// at exactly now + rtoMax.
 func TestRTOBackoffClampedAtMax(t *testing.T) {
-	// Regression: the doubled RTO must clamp at RTOMax across many
-	// consecutive timeouts, and stats.Timeouts must count each episode
-	// exactly once. With RTOInit=1s (no RTT samples ever arrive through a
-	// fully black path) and RTOMax=2s, episodes land at t=1,3,5,...,29 —
-	// exactly 15 in 30 s. Unclamped doubling would give only 4 (1,3,7,15)
-	// and double-counting would give far more.
-	eng := sim.NewEngine(1)
-	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: 10 * netem.Mbps, Delay: 5 * sim.Millisecond, LossProb: 1})
-	rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 10 * netem.Mbps, Delay: 5 * sim.Millisecond})
-	p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
-	coord := &stubCoord{alg: core.NewReno(), remaining: -1}
-	s := NewSubflow(eng, Config{RTOMax: 2 * sim.Second, DisableFailover: true}, coord, 1, 0, p)
-	coord.sub = s
-	s.Start()
-	eng.Run(30 * sim.Second)
-	if got := s.Stats().Timeouts; got != 15 {
-		t.Errorf("Timeouts = %d over 30 s with RTOMax=2s, want exactly 15", got)
-	}
-	if s.State() != StateActive {
-		t.Errorf("state = %v with DisableFailover, want active", s.State())
+	for _, backoff := range []uint{6, 63} {
+		eng := sim.NewEngine(1)
+		s, _, _ := newTestSubflow(eng, 10*netem.Mbps, 5*sim.Millisecond, 100, -1)
+		s.nextSeq, s.maxSent = 10, 10 // data in flight, so the timer arms
+		eng.Run(3 * sim.Second)
+		s.backoff = backoff
+		s.restartRTO()
+		if got, want := s.rtoTimer.At(), eng.Now()+rtoMax; got != want {
+			t.Errorf("backoff %d: RTO deadline %v, want now + rtoMax = %v", backoff, got.Duration(), want.Duration())
+		}
 	}
 }
 
 func TestSubflowFailsAfterKTimeoutsAndRevives(t *testing.T) {
 	// Black out the forward direction; the subflow must declare failure
-	// after exactly FailTimeouts RTO episodes, switch to backed-off
+	// after exactly failTimeouts RTO episodes, switch to backed-off
 	// probing, and revive once the path heals.
 	eng := sim.NewEngine(1)
 	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: 10 * netem.Mbps, Delay: 5 * sim.Millisecond, LossProb: 1})
@@ -145,14 +139,14 @@ func TestSubflowFailsAfterKTimeoutsAndRevives(t *testing.T) {
 	coord.sub = s
 	s.Start()
 
-	// Defaults: RTOInit=1s, so episodes at t=1,3,7 and failure at t=7.
+	// rtoInit=1s, so episodes at t=1,3,7 and failure at t=7.
 	eng.Run(7500 * sim.Millisecond)
 	st := s.Stats()
 	if st.Timeouts != 3 || st.Fails != 1 {
 		t.Fatalf("Timeouts=%d Fails=%d at t=7.5s, want 3 and 1", st.Timeouts, st.Fails)
 	}
 	if s.State() == StateActive {
-		t.Fatal("subflow still active after FailTimeouts consecutive RTOs")
+		t.Fatal("subflow still active after failTimeouts consecutive RTOs")
 	}
 	if s.Inflight() != 0 {
 		t.Errorf("Inflight = %d while dead, want 0 (send point rewound)", s.Inflight())
@@ -233,21 +227,6 @@ func TestSubflowPruneBelow(t *testing.T) {
 	}
 	if !s.wasRetransmitted(10) {
 		t.Error("retransmitted entry above prune point was dropped")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.MSS != 1448 || cfg.WireSize() != 1500 {
-		t.Errorf("MSS/WireSize = %d/%d, want 1448/1500", cfg.MSS, cfg.WireSize())
-	}
-	if cfg.RTOMin != 200*sim.Millisecond || cfg.DupAckThreshold != 3 {
-		t.Error("RTO/dupack defaults wrong")
-	}
-	// Explicit values survive.
-	cfg2 := Config{MSS: 1000, DupAckThreshold: 5}.withDefaults()
-	if cfg2.MSS != 1000 || cfg2.DupAckThreshold != 5 {
-		t.Error("explicit config values overridden")
 	}
 }
 

@@ -1,65 +1,43 @@
 // Command mptcp-bench runs the paper-reproduction experiments and prints
 // the rows each figure plots.
 //
-// Usage:
-//
 //	mptcp-bench [-exp figN[,figM...]] [-scale 0.3] [-seed 1] [-reps 0] [-full] [-j 8]
 //	mptcp-bench -sweep [-backend hybrid] [-topos a,b] [-algs x,y] [-loads 0:0.15:28] [-spot-check 0.05] [-tol 0.10]
 //	mptcp-bench -campaign DIR [-exp ...] [-sweep ...] [-seeds 1,2,3] [-scale ...] [-records] [-shard i/n]
 //	mptcp-bench -resume DIR [-j 8] [-shard i/n]
 //
-// -list prints the experiment IDs and exits; -markdown wraps each printed
-// table in a fenced block ready for EXPERIMENTS.md.
+// One invocation runs one mode: -list prints the experiment IDs, -validate
+// the fluid-model conformance suite (CI diffs it against
+// internal/backend/testdata/conformance_golden.txt; a non-OK row exits 1),
+// -campaign/-resume a checkpointed campaign, -sweep a backend sweep, and
+// otherwise the figures. A flag of one mode without it is a usage error
+// (exit 1): the -sweep axes need -sweep, -seeds/-shard/-records need
+// -campaign or -resume, and -campaign excludes -resume.
 //
-// -full sets scale to 1.0 (the published parameters); the default scale
-// keeps the whole suite fast enough for a laptop. -j controls how many
-// simulation runs execute concurrently (tables are byte-identical for any
-// value). -cpuprofile/-memprofile write pprof profiles, and -json records
-// per-experiment wall-clock and event throughput to BENCH_<timestamp>.json.
-// -out DIR exports one machine-readable run record (JSONL + CSV, see
-// internal/obsv and EXPERIMENTS.md) per simulation run; -sample-interval
-// sets the record's sampling period in simulated time.
+// Figures: -full is -scale 1 (the published parameters); -j runs that many
+// simulations at once (tables are identical for any value); -markdown
+// fences each table for EXPERIMENTS.md; -cpuprofile/-memprofile write pprof
+// profiles; -json writes per-experiment wall clock and events to
+// BENCH_<timestamp>.json; -out DIR exports a JSONL + CSV run record
+// (internal/obsv) per run, sampled every -sample-interval of simulated
+// time; -check runs the internal/check invariants on every run. A run that
+// panics, fails an invariant or exceeds -timeout is quarantined by
+// internal/supervise — rows dropped, identity noted on the table and in the
+// -json report — and the invocation exits 3.
 //
-// -sweep fans a (topology × algorithm × load) grid through the backend
-// engines (internal/backend, docs/backends.md) instead of the figure
-// experiments. -backend picks the engine mix: "fluid" solves every point on
-// the Eq. 3 model, "packet" runs every point on the discrete-event stack,
-// and "hybrid" (the default) solves everything on the fluid engine and
-// re-runs a deterministic seed-derived -spot-check fraction on the packet
-// engine, comparing per-path shares within -tol. -topos/-algs narrow the
-// grid (defaults: the four N-path sweep topologies, the calibrated algorithm
-// set); -loads takes either a comma-separated list or lo:hi:n for n evenly
-// spaced loads. A disagreeing spot check exits 3 naming the points. With
-// -campaign, -sweep adds its grid to the campaign as journaled units — see
-// EXPERIMENTS.md, "Hybrid sweeps"; without an explicit -exp the campaign is
-// then sweep-only.
+// -sweep solves a (topology × algorithm × load) grid on the -backend of
+// docs/backends.md: fluid, packet, or hybrid (the default), which re-runs a
+// seed-derived -spot-check fraction on the packet engine and exits 3 when a
+// share disagrees by more than -tol.
 //
-// -campaign expands the selected experiments × -seeds into a checkpointed
-// campaign under DIR (see internal/campaign and EXPERIMENTS.md, "Resumable
-// campaigns"): every completed unit is journaled, so a killed invocation
-// continues with -resume DIR, re-running only unfinished units, and the
-// merged results.txt / campaign.json are byte-identical to an uninterrupted
-// run. -shard i/n restricts one process to its slice of the campaign so n
-// processes (or CI jobs) can split the manifest; -records exports obsv run
-// records under each unit directory.
+// -campaign journals the experiments × -seeds (and a -sweep's grid; without
+// an explicit -exp, only that) as units under DIR; -resume DIR re-runs only
+// unfinished ones, and the merged results.txt / campaign.json match an
+// uninterrupted run byte for byte (EXPERIMENTS.md, "Resumable campaigns").
+// -shard i/n runs one slice of the manifest; -records exports run records.
 //
-// Every simulation run executes under a run supervisor (internal/supervise):
-// a panicking or invariant-violating run is quarantined — its rows dropped,
-// its identity noted on the table and in the -json report — instead of
-// aborting the suite, and the whole invocation exits 3 when anything was
-// quarantined. -timeout bounds each run's wall clock (0 = none).
-//
-// SIGINT/SIGTERM stop the invocation gracefully: in-flight simulation runs
-// drain, writers and the campaign journal flush, and the process exits 4
-// (supervise.ExitInterrupted) — in campaign mode the directory resumes
-// exactly where it left off. A second signal kills immediately.
-//
-// -check runs the internal/check invariant checker on every simulation run
-// (violations quarantine the failing run). -validate
-// skips the experiments and instead runs the fluid-model conformance suite,
-// printing the table compared against internal/backend/testdata/
-// conformance_golden.txt in CI; a non-OK row exits non-zero. See
-// EXPERIMENTS.md, "Validation methodology".
+// SIGINT/SIGTERM drain in-flight runs, flush writers and the journal, and
+// exit 4 (supervise.ExitInterrupted); a second signal kills.
 package main
 
 import (
@@ -71,6 +49,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -93,19 +72,16 @@ func main() {
 	}
 }
 
-// benchTiming is one experiment's wall-clock row — volatile by nature, so
-// it lives in the report's meta section. FlowsPerSec appears only for
-// experiments that churn a flow population (Result.Flows > 0).
-type benchTiming struct {
-	Experiment   string  `json:"experiment"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	FlowsPerSec  float64 `json:"flows_per_sec,omitempty"`
+// benchReport is the -json document. Meta is volatile — clocks, versions,
+// machine facts, whether a signal cut the suite — and diff tooling ignores
+// it; Payload derives from (scale, seed, reps, experiment set) alone, so
+// `jq .payload` is byte-identical across reruns at any -j. Flows counts a
+// churn experiment's offered flows; Quarantined names each failed run.
+type benchReport struct {
+	Meta    benchMeta    `json:"meta"`
+	Payload benchPayload `json:"payload"`
 }
 
-// benchMeta is the volatile half of the -json report: clocks, versions and
-// machine facts that legitimately differ between two otherwise identical
-// invocations. Diff tooling ignores this section.
 type benchMeta struct {
 	Timestamp    string        `json:"timestamp"`
 	GoVersion    string        `json:"go_version"`
@@ -113,44 +89,72 @@ type benchMeta struct {
 	Workers      int           `json:"workers"`
 	TotalWallSec float64       `json:"total_wall_seconds"`
 	Timings      []benchTiming `json:"timings"`
-	// Interrupted: the suite was stopped by SIGINT/SIGTERM before finishing;
-	// the payload covers only the experiments that completed.
-	Interrupted bool `json:"interrupted,omitempty"`
+	Interrupted  bool          `json:"interrupted,omitempty"`
 }
 
-// benchRecord is one experiment's row in the deterministic payload. Flows
-// counts the offered flow population for churn-style experiments (0 and
-// omitted elsewhere).
+type benchTiming struct {
+	Experiment   string  `json:"experiment"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	EventsPerSec float64 `json:"events_per_sec"`
+	FlowsPerSec  float64 `json:"flows_per_sec,omitempty"`
+}
+
+type benchPayload struct {
+	Scale       float64          `json:"scale"`
+	Seed        int64            `json:"seed"`
+	Reps        int              `json:"reps"`
+	Experiments []benchRecord    `json:"experiments"`
+	TotalEvents uint64           `json:"total_events"`
+	Outcomes    supervise.Counts `json:"outcomes"`
+	Quarantined []string         `json:"quarantined,omitempty"`
+}
+
 type benchRecord struct {
 	Experiment string `json:"experiment"`
 	Events     uint64 `json:"events"`
 	Flows      uint64 `json:"flows,omitempty"`
 }
 
-// benchPayload is the deterministic half of the -json report: everything in
-// it derives from (scale, seed, reps, experiment set) alone, so two runs of
-// the same commit with the same flags produce byte-identical payloads at
-// any -j — `jq .payload` diffs cleanly across machines.
-type benchPayload struct {
-	Scale       float64       `json:"scale"`
-	Seed        int64         `json:"seed"`
-	Reps        int           `json:"reps"`
-	Experiments []benchRecord `json:"experiments"`
-	TotalEvents uint64        `json:"total_events"`
-	// Outcomes counts every supervised simulation run across the suite;
-	// Quarantined lists each failed run's identity and error.
-	Outcomes    supervise.Counts `json:"outcomes"`
-	Quarantined []string         `json:"quarantined,omitempty"`
+// mode is what one invocation does: the first of -list, -validate,
+// -campaign/-resume and -sweep that is set, else the figures.
+type mode int
+
+const (
+	figures mode = iota
+	list
+	validate
+	sweep
+	campaignMode
+)
+
+// needs names the flags only one mode reads and the flags that select that
+// mode: parse rejects any of them set without one of its selectors.
+var needs = []struct{ flags, selectors []string }{
+	{[]string{"backend", "topos", "algs", "loads", "spot-check", "tol"}, []string{"sweep"}},
+	{[]string{"seeds", "shard", "records"}, []string{"campaign", "resume"}},
 }
 
-// benchReport is the whole -json document, split so the volatile and
-// deterministic parts diff independently.
-type benchReport struct {
-	Meta    benchMeta    `json:"meta"`
-	Payload benchPayload `json:"payload"`
+// invocation is one parsed command line: its mode and everything that mode
+// reads. cfg is the figures' exp.Config, supervisor included, and carries
+// the -seed that -validate reads too.
+type invocation struct {
+	mode                   mode
+	cfg                    exp.Config
+	experiments            []exp.Experiment
+	markdown, jsonOut      bool
+	cpuprofile, memprofile string
+	sweep                  backend.SweepSpec
+	// A campaign starts in dir from spec, or with resume continues there.
+	dir    string
+	resume bool
+	spec   campaign.Spec
+	opt    campaign.Options
 }
 
-func run(ctx context.Context, args []string) error {
+// parse turns the command line into an invocation. Every flag misuse is
+// rejected here: a mode's flag without the mode, -campaign with -resume, and
+// a malformed value or unknown experiment.
+func parse(args []string) (invocation, error) {
 	fs := flag.NewFlagSet("mptcp-bench", flag.ContinueOnError)
 	var (
 		expFlag     = fs.String("exp", "all", "comma-separated experiment IDs (see -list) or 'all'")
@@ -158,7 +162,7 @@ func run(ctx context.Context, args []string) error {
 		seed        = fs.Int64("seed", 1, "random seed")
 		reps        = fs.Int("reps", 0, "override repetition count (0 = scaled default)")
 		full        = fs.Bool("full", false, "run at the published scale (same as -scale 1)")
-		list        = fs.Bool("list", false, "list experiment IDs and exit")
+		listFlag    = fs.Bool("list", false, "list experiment IDs and exit")
 		markdown    = fs.Bool("markdown", false, "wrap each table in a fenced block for EXPERIMENTS.md")
 		workers     = fs.Int("j", runner.DefaultWorkers(), "concurrent simulation runs (results are identical for any value)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -167,7 +171,7 @@ func run(ctx context.Context, args []string) error {
 		outDir      = fs.String("out", "", "write one JSONL+CSV run record per (algorithm, scenario, seed) to this directory")
 		sampleInt   = fs.Duration("sample-interval", 0, "run-record sampling period in simulated time (0 = 100ms)")
 		checkInv    = fs.Bool("check", false, "run the invariant checker on every simulation run (violations quarantine the run)")
-		validate    = fs.Bool("validate", false, "run the fluid-vs-packet conformance suite instead of experiments")
+		validateF   = fs.Bool("validate", false, "run the fluid-vs-packet conformance suite instead of experiments")
 		timeout     = fs.Duration("timeout", 0, "per-run wall-clock deadline enforced by the run supervisor (0 = none)")
 		campaignDir = fs.String("campaign", "", "start (or continue) a checkpointed campaign in this directory")
 		resumeDir   = fs.String("resume", "", "resume an interrupted campaign from this directory (spec comes from its manifest)")
@@ -183,268 +187,278 @@ func run(ctx context.Context, args []string) error {
 		tol         = fs.Float64("tol", 0.10, "maximum fluid-vs-packet share disagreement a spot check accepts")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return invocation{}, err
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if !*sweepFlag {
-		for _, name := range []string{"backend", "topos", "algs", "loads", "spot-check", "tol"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s requires -sweep", name)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, n := range needs {
+		for _, name := range n.flags {
+			if set[name] && !slices.ContainsFunc(n.selectors, func(sel string) bool { return set[sel] }) {
+				return invocation{}, fmt.Errorf("-%s requires -%s", name, strings.Join(n.selectors, " or -"))
 			}
 		}
 	}
-	if *list {
-		for _, e := range exp.All() {
-			fmt.Printf("%-6s %s\n", e.ID, e.Title)
-		}
-		return nil
-	}
-	if *validate {
-		c, err := backend.RunConformance(backend.Scenario{Seed: *seed})
-		if err != nil {
-			return fmt.Errorf("conformance: %w", err)
-		}
-		fmt.Print(c.Format())
-		if !c.OK() {
-			return fmt.Errorf("conformance: packet-level behaviour disagrees with the fluid model (see rows above)")
-		}
-		return nil
+	if set["campaign"] && set["resume"] {
+		return invocation{}, fmt.Errorf("-campaign and -resume are mutually exclusive")
 	}
 	if *full {
 		*scale = 1
 	}
-
-	if *campaignDir != "" || *resumeDir != "" {
-		if *campaignDir != "" && *resumeDir != "" {
-			return fmt.Errorf("-campaign and -resume are mutually exclusive")
-		}
-		shard, err := parseShard(*shardFlag)
-		if err != nil {
-			return err
-		}
-		seeds, err := parseSeeds(*seedsFlag)
-		if err != nil {
-			return err
-		}
-		if seeds == nil {
-			seeds = []int64{*seed}
-		}
-		experiments := exp.IDs()
-		if *expFlag != "all" {
-			experiments = nil
-			for _, id := range strings.Split(*expFlag, ",") {
-				experiments = append(experiments, strings.TrimSpace(id))
-			}
-		}
-		spec := campaign.Spec{
-			Experiments: experiments, Seeds: seeds, Scale: *scale, Reps: *reps,
-			Records: *records, Check: *checkInv,
-		}
-		if *sweepFlag {
-			sw, err := sweepSpecFromFlags(*backendName, *toposFlag, *algsFlag, *loadsFlag, *spotCheck, *tol)
-			if err != nil {
-				return err
-			}
-			spec.Sweep = &sw
-			// -sweep -campaign without an explicit -exp is a sweep-only
-			// campaign; "all" is only the default for figure campaigns.
-			if !explicit["exp"] {
-				spec.Experiments = nil
-			}
-		}
-		opt := campaign.Options{
-			Workers: *workers, Shard: shard, Timeout: *timeout,
-			SyncEvery: campaign.DefaultSyncEvery, SampleInterval: sim.Time(*sampleInt),
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
-			},
-		}
-		return runCampaign(ctx, *campaignDir, *resumeDir, spec, opt)
+	inv := invocation{
+		cfg: exp.Config{
+			Seed: *seed, Scale: *scale, Reps: *reps, Workers: *workers,
+			OutDir: *outDir, SampleInterval: sim.Time(*sampleInt), Check: *checkInv,
+			Sup: supervise.New(supervise.Budget{Wall: *timeout}),
+		},
+		markdown: *markdown, jsonOut: *jsonOut, cpuprofile: *cpuprofile, memprofile: *memprofile,
+		spec: campaign.Spec{Seeds: []int64{*seed}, Scale: *scale, Reps: *reps, Records: *records, Check: *checkInv},
+		opt: campaign.Options{
+			Workers: *workers, Timeout: *timeout, SyncEvery: campaign.DefaultSyncEvery, SampleInterval: sim.Time(*sampleInt),
+			Log: func(format string, args ...any) { fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...) },
+		},
 	}
-	if *seedsFlag != "" || *shardFlag != "" || *records {
-		return fmt.Errorf("-seeds, -shard and -records require -campaign or -resume")
+	var err error
+	if inv.opt.Shard, err = parseShard(*shardFlag); err != nil {
+		return invocation{}, err
 	}
-
+	if *seedsFlag != "" {
+		if inv.spec.Seeds, err = parseList(*seedsFlag, "seeds", func(v string) (int64, error) { return strconv.ParseInt(v, 10, 64) }); err != nil {
+			return invocation{}, err
+		}
+	}
 	if *sweepFlag {
 		sw, err := sweepSpecFromFlags(*backendName, *toposFlag, *algsFlag, *loadsFlag, *spotCheck, *tol)
 		if err != nil {
-			return err
+			return invocation{}, err
 		}
-		sw.Seed = *seed
-		sw.Workers = *workers
-		res, err := backend.Sweep(ctx, sw)
-		if err != nil {
-			if ctx.Err() != nil {
-				return supervise.InterruptedErr("interrupted by signal before the sweep finished")
+		inv.sweep, inv.spec.Sweep = sw, &sw
+	}
+	switch {
+	case *listFlag:
+		inv.mode = list
+	case *validateF:
+		inv.mode = validate
+	case *campaignDir != "" || *resumeDir != "":
+		inv.mode, inv.dir, inv.resume = campaignMode, *campaignDir+*resumeDir, *resumeDir != ""
+		switch {
+		case *sweepFlag && !set["exp"]:
+			// -sweep -campaign without an explicit -exp is a sweep-only
+			// campaign; "all" is only the default for figure campaigns.
+		case *expFlag == "all":
+			inv.spec.Experiments = exp.IDs()
+		default:
+			inv.spec.Experiments = splitList(*expFlag)
+		}
+	case *sweepFlag:
+		inv.mode = sweep
+		inv.sweep.Seed, inv.sweep.Workers = *seed, *workers
+	case *expFlag == "all":
+		inv.experiments = exp.All()
+	default:
+		for _, id := range strings.Split(*expFlag, ",") {
+			e, ok := exp.Lookup(strings.TrimSpace(id))
+			if !ok {
+				return invocation{}, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(exp.IDs(), ", "))
 			}
-			return err
+			inv.experiments = append(inv.experiments, e)
 		}
-		fmt.Print(res.Format())
-		if !res.OK() {
-			// Exit 3: the table above is complete, but the fluid answers at
-			// the named points cannot be trusted.
-			return supervise.QuarantinedErr("fluid/packet disagreement at %d of %d checked points: %s",
-				len(res.Disagreements), res.Checked, strings.Join(res.Disagreements, "; "))
+	}
+	return inv, nil
+}
+
+func run(ctx context.Context, args []string) error {
+	inv, err := parse(args)
+	if err != nil {
+		return err
+	}
+	out, err := execute(ctx, inv)
+	if err != nil {
+		return err
+	}
+	return out.report(inv)
+}
+
+// outcome is what execute produced for report to print: for the figures,
+// the completed Results, the -json report and the experiment a signal cut.
+type outcome struct {
+	conformance *backend.Conformance
+	sweep       *backend.SweepResult
+	campaign    *campaign.Summary
+	results     []*exp.Result
+	bench       benchReport
+	cut         string
+}
+
+// execute runs the invocation's mode and prints nothing. Its error is a
+// hard failure; a finished run that went wrong is report's to judge.
+func execute(ctx context.Context, inv invocation) (out outcome, err error) {
+	switch inv.mode {
+	case validate:
+		if out.conformance, err = backend.RunConformance(backend.Scenario{Seed: inv.cfg.Seed}); err != nil {
+			err = fmt.Errorf("conformance: %w", err)
 		}
-		return nil
+	case sweep:
+		if out.sweep, err = backend.Sweep(ctx, inv.sweep); err != nil && ctx.Err() != nil {
+			err = supervise.InterruptedErr("interrupted by signal before the sweep finished")
+		}
+	case campaignMode:
+		if inv.resume {
+			out.campaign, err = campaign.Resume(ctx, inv.dir, inv.opt)
+		} else {
+			out.campaign, err = campaign.Start(ctx, inv.dir, inv.spec, inv.opt)
+		}
+	case figures:
+		err = out.runFigures(ctx, inv)
 	}
+	return out, err
+}
 
-	sup := supervise.New(supervise.Budget{Wall: *timeout})
-	cfg := exp.Config{
-		Seed: *seed, Scale: *scale, Reps: *reps, Workers: *workers,
-		OutDir: *outDir, SampleInterval: sim.Time(*sampleInt), Check: *checkInv,
-		Sup: sup, Ctx: ctx,
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// runFigures runs the selected experiments in order under the invocation's
+// supervisor, profiling the suite when asked, and fills the -json report. A
+// signal stops it between experiments; a figure it cut is not a result.
+func (out *outcome) runFigures(ctx context.Context, inv invocation) error {
+	cfg := inv.cfg
+	cfg.Ctx = ctx
+	if inv.cpuprofile != "" {
+		f, err := os.Create(inv.cpuprofile)
+		if err == nil {
+			defer f.Close()
+			err = pprof.StartCPUProfile(f)
+		}
 		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
 			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-
-	var selected []exp.Experiment
-	if *expFlag == "all" {
-		selected = exp.All()
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			e, ok := exp.Lookup(strings.TrimSpace(id))
-			if !ok {
-				return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(exp.IDs(), ", "))
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	report := benchReport{
-		Meta: benchMeta{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Workers:    *workers,
-		},
-		Payload: benchPayload{Scale: *scale, Seed: *seed, Reps: *reps},
-	}
-	suiteStart := time.Now()
-	for _, e := range selected {
+	b, suiteStart := &out.bench, time.Now()
+	b.Meta = benchMeta{Timestamp: suiteStart.UTC().Format(time.RFC3339), GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: cfg.Workers}
+	b.Payload = benchPayload{Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps}
+	for _, e := range inv.experiments {
 		if ctx.Err() != nil {
-			report.Meta.Interrupted = true
+			b.Meta.Interrupted = true
 			break
 		}
 		start := time.Now()
 		res := e.Run(cfg)
 		wall := time.Since(start).Seconds()
 		if res.Interrupted {
-			// A partial figure is not a result: note the interruption and
-			// keep it out of the payload entirely.
-			report.Meta.Interrupted = true
-			fmt.Fprintf(os.Stderr, "interrupted during %s; its rows are discarded\n", e.ID)
+			b.Meta.Interrupted, out.cut = true, e.ID
 			break
-		}
-		if *markdown {
-			fmt.Printf("### %s — %s\n\n```\n%s```\n\n", res.ID, e.Title, res)
-		} else {
-			fmt.Println(res)
-			fmt.Printf("(%s took %.1fs)\n\n", e.ID, wall)
 		}
 		t := benchTiming{Experiment: e.ID, WallSeconds: wall}
 		if wall > 0 {
 			t.EventsPerSec = float64(res.Events) / wall
 			t.FlowsPerSec = float64(res.Flows) / wall
 		}
-		report.Meta.Timings = append(report.Meta.Timings, t)
-		report.Payload.Experiments = append(report.Payload.Experiments, benchRecord{Experiment: e.ID, Events: res.Events, Flows: res.Flows})
-		report.Payload.TotalEvents += res.Events
+		out.results = append(out.results, res)
+		b.Meta.Timings = append(b.Meta.Timings, t)
+		b.Payload.Experiments = append(b.Payload.Experiments, benchRecord{Experiment: e.ID, Events: res.Events, Flows: res.Flows})
+		b.Payload.TotalEvents += res.Events
 	}
-	report.Meta.TotalWallSec = time.Since(suiteStart).Seconds()
-	counts := sup.Counts()
-	report.Payload.Outcomes = counts
-	for _, f := range sup.Failures() {
-		report.Payload.Quarantined = append(report.Payload.Quarantined, fmt.Sprintf("%s: %s: %s", f.ID, f.Kind, f.Msg))
+	b.Meta.TotalWallSec = time.Since(suiteStart).Seconds()
+	b.Payload.Outcomes = cfg.Sup.Counts()
+	for _, f := range cfg.Sup.Failures() {
+		b.Payload.Quarantined = append(b.Payload.Quarantined, fmt.Sprintf("%s: %s: %s", f.ID, f.Kind, f.Msg))
 	}
-	fmt.Printf("outcomes: %s\n", counts)
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if inv.memprofile != "" {
+		f, err := os.Create(inv.memprofile)
+		if err == nil {
+			defer f.Close()
+			runtime.GC()
+			err = pprof.WriteHeapProfile(f)
+		}
 		if err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return fmt.Errorf("memprofile: %w", err)
-		}
-	}
-
-	if *jsonOut {
-		name := fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("20060102T150405Z"))
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d experiments, %.1fs, %d events)\n",
-			name, len(report.Payload.Experiments), report.Meta.TotalWallSec, report.Payload.TotalEvents)
-	}
-	if report.Meta.Interrupted {
-		// Exit 4: stopped by signal after a clean drain — the printed tables
-		// and any written report cover only completed experiments.
-		return supervise.InterruptedErr("interrupted by signal; completed experiments were flushed")
-	}
-	if counts.Failed() > 0 {
-		// Exit 3: the tables above are valid partial results, but at least
-		// one supervised run was quarantined.
-		return supervise.QuarantinedErr("%d of %d supervised runs quarantined (see report)", counts.Failed(), counts.Total())
 	}
 	return nil
 }
 
-// runCampaign drives a checkpointed campaign (start or resume) and maps its
-// summary onto the CLI exit-code contract: 4 when interrupted (resumable),
-// 3 when finished with quarantined units, 0 when clean.
-func runCampaign(ctx context.Context, startDir, resumeDir string, spec campaign.Spec, opt campaign.Options) error {
-	var (
-		sum *campaign.Summary
-		dir string
-		err error
-	)
-	if startDir != "" {
-		dir = startDir
-		sum, err = campaign.Start(ctx, dir, spec, opt)
-	} else {
-		dir = resumeDir
-		sum, err = campaign.Resume(ctx, dir, opt)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "campaign: %d units (%d reused, %d ran, %d quarantined, %d pending); supervised runs: %s\n",
-		sum.Total, sum.Reused, sum.Ran, sum.Quarantined, sum.Pending, sum.Counts)
-	if sum.Merged {
-		results, rerr := os.ReadFile(filepath.Join(dir, "results.txt"))
-		if rerr != nil {
-			return rerr
+// report prints what execute produced — the one place this command writes
+// its results, the -json report included — and returns the error whose
+// supervise.ExitCode is the process's: 3 when the tables are valid but
+// partial (a quarantined run or unit) or a spot check disagrees, 4 when a
+// signal cut the invocation and the output covers what completed.
+func (out outcome) report(inv invocation) error {
+	switch inv.mode {
+	case list:
+		for _, e := range exp.All() {
+			fmt.Printf("%-6s %s\n", e.ID, e.Title)
 		}
-		os.Stdout.Write(results)
-		fmt.Fprintf(os.Stderr, "campaign: merged %s and %s\n",
-			filepath.Join(dir, "results.txt"), filepath.Join(dir, "campaign.json"))
+	case validate:
+		fmt.Print(out.conformance.Format())
+		if !out.conformance.OK() {
+			return fmt.Errorf("conformance: packet-level behaviour disagrees with the fluid model (see rows above)")
+		}
+	case sweep:
+		res := out.sweep
+		fmt.Print(res.Format())
+		if !res.OK() { // the table is complete, but not the fluid answers at these points
+			return supervise.QuarantinedErr("fluid/packet disagreement at %d of %d checked points: %s",
+				len(res.Disagreements), res.Checked, strings.Join(res.Disagreements, "; "))
+		}
+	case campaignMode:
+		sum := out.campaign
+		fmt.Fprintf(os.Stderr, "campaign: %d units (%d reused, %d ran, %d quarantined, %d pending); supervised runs: %s\n",
+			sum.Total, sum.Reused, sum.Ran, sum.Quarantined, sum.Pending, sum.Counts)
+		if sum.Merged {
+			results, err := os.ReadFile(filepath.Join(inv.dir, "results.txt"))
+			if err != nil {
+				return err
+			}
+			os.Stdout.Write(results)
+			fmt.Fprintf(os.Stderr, "campaign: merged %s and %s\n",
+				filepath.Join(inv.dir, "results.txt"), filepath.Join(inv.dir, "campaign.json"))
+		}
+		if sum.Interrupted {
+			return supervise.InterruptedErr("interrupted; continue with -resume %s", inv.dir)
+		}
+		if !sum.Merged {
+			fmt.Fprintln(os.Stderr, "campaign: other shards still pending; the last shard to finish merges")
+		}
+		if sum.Quarantined > 0 {
+			return supervise.QuarantinedErr("%d of %d units quarantined (see results)", sum.Quarantined, sum.Total)
+		}
+	case figures:
+		return out.reportFigures(inv)
 	}
-	if sum.Interrupted {
-		return supervise.InterruptedErr("interrupted; continue with -resume %s", dir)
+	return nil
+}
+
+// reportFigures prints every completed experiment's table and the
+// supervised outcomes, and with -json writes the BENCH report.
+func (out outcome) reportFigures(inv invocation) error {
+	b := out.bench
+	for i, res := range out.results {
+		if e := inv.experiments[i]; inv.markdown {
+			fmt.Printf("### %s — %s\n\n```\n%s```\n\n", res.ID, e.Title, res)
+		} else {
+			fmt.Println(res)
+			fmt.Printf("(%s took %.1fs)\n\n", e.ID, b.Meta.Timings[i].WallSeconds)
+		}
 	}
-	if !sum.Merged {
-		fmt.Fprintln(os.Stderr, "campaign: other shards still pending; the last shard to finish merges")
+	if out.cut != "" {
+		fmt.Fprintf(os.Stderr, "interrupted during %s; its rows are discarded\n", out.cut)
 	}
-	if sum.Quarantined > 0 {
-		return supervise.QuarantinedErr("%d of %d units quarantined (see results)", sum.Quarantined, sum.Total)
+	counts := b.Payload.Outcomes
+	fmt.Printf("outcomes: %s\n", counts)
+	if inv.jsonOut {
+		name := fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("20060102T150405Z"))
+		data, err := json.MarshalIndent(b, "", "  ")
+		if err == nil {
+			err = os.WriteFile(name, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (%d experiments, %.1fs, %d events)\n",
+			name, len(b.Payload.Experiments), b.Meta.TotalWallSec, b.Payload.TotalEvents)
+	}
+	if b.Meta.Interrupted {
+		return supervise.InterruptedErr("interrupted by signal; completed experiments were flushed")
+	}
+	if counts.Failed() > 0 {
+		return supervise.QuarantinedErr("%d of %d supervised runs quarantined (see report)", counts.Failed(), counts.Total())
 	}
 	return nil
 }
@@ -467,24 +481,18 @@ func parseShard(s string) (campaign.Shard, error) {
 // fills them from -seed/-j, the campaign path from its own manifest.
 func sweepSpecFromFlags(backendName, topos, algs, loads string, spotCheck, tol float64) (backend.SweepSpec, error) {
 	sw := backend.DefaultSweepSpec()
-	sw.Seed = 0
-	sw.Backend = backendName
-	sw.SpotCheck = spotCheck
-	sw.Tol = tol
+	sw.Seed, sw.Backend, sw.SpotCheck, sw.Tol = 0, backendName, spotCheck, tol
 	if topos != "" {
 		sw.Topologies = splitList(topos)
 	}
 	if algs != "" {
 		sw.Algorithms = splitList(algs)
 	}
+	var err error
 	if loads != "" {
-		parsed, err := parseLoads(loads)
-		if err != nil {
-			return backend.SweepSpec{}, err
-		}
-		sw.Loads = parsed
+		sw.Loads, err = parseLoads(loads)
 	}
-	return sw, nil
+	return sw, err
 }
 
 // parseLoads parses the -loads axis: "lo:hi:n" expands to n evenly spaced
@@ -510,15 +518,7 @@ func parseLoads(s string) ([]float64, error) {
 		}
 		return out, nil
 	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -loads entry %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return parseList(s, "loads", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 }
 
 // splitList splits a comma-separated flag value, trimming whitespace.
@@ -530,16 +530,13 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseSeeds parses a comma-separated seed list.
-func parseSeeds(s string) ([]int64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
+// parseList parses each entry of a comma-separated -name value.
+func parseList[T any](s, name string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range splitList(s) {
+		v, err := parse(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad -seeds entry %q", part)
+			return nil, fmt.Errorf("bad -%s entry %q", name, part)
 		}
 		out = append(out, v)
 	}

@@ -98,6 +98,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"list", context.Background(), "-list", 0},
 		{"unknown experiment", context.Background(), "-exp nosuch", 1},
 		{"sweep flag without -sweep", context.Background(), "-tol 0.1", 1},
+		{"figures: -seeds without -campaign", context.Background(), "-exp fig1 -seeds 1,2", 1},
+		{"campaign: -campaign with -resume", context.Background(), "-campaign " + dir + " -resume " + ref, 1},
+		{"sweep: -records outside a campaign", context.Background(), "-sweep -records -loads 0", 1},
 		{"one figure", context.Background(), "-exp fig1 -scale 0.05 -j 2", 0},
 		{"sweep whose one spot check disagrees", context.Background(),
 			"-sweep -topos twopath-asym -algs ewtcp -loads 0.05 -spot-check 1 -tol 0.001", 3},

@@ -2,14 +2,18 @@ package mptcpsim_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mptcpsim/internal/faults"
@@ -569,4 +573,223 @@ func fileExistsAt(doc, target string) bool {
 		}
 	}
 	return false
+}
+
+// typedPkg is one non-test package of the module, parsed and type-checked.
+type typedPkg struct {
+	dir   string
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+}
+
+// moduleImporter type-checks the module's packages from source, each once,
+// and the standard library through the source importer.
+type moduleImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	dirs map[string]string // import path -> directory
+	pkgs map[string]*types.Package
+	typd map[string]*typedPkg
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	dir, ok := m.dirs[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	if pkg := m.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	tp := &typedPkg{dir: dir, fset: m.fset, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		tp.files = append(tp.files, f)
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, tp.files, tp.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path], m.typd[path] = pkg, tp
+	return pkg, nil
+}
+
+var (
+	typedOnce sync.Once
+	typed     map[string]*typedPkg // by directory
+	typedErr  error
+)
+
+// typedModule type-checks every non-test package of the module once per
+// test binary and returns them by directory.
+func typedModule(t *testing.T) map[string]*typedPkg {
+	t.Helper()
+	typedOnce.Do(func() {
+		fset := token.NewFileSet()
+		m := &moduleImporter{
+			fset: fset, std: importer.ForCompiler(fset, "source", nil),
+			dirs: map[string]string{}, pkgs: map[string]*types.Package{}, typd: map[string]*typedPkg{},
+		}
+		dirs := goPackageDirs(t, "internal", "cmd", "examples", "benchmark")
+		for _, dir := range dirs {
+			m.dirs["mptcpsim/"+dir] = dir
+		}
+		for _, dir := range dirs {
+			if _, typedErr = m.Import("mptcpsim/" + dir); typedErr != nil {
+				return
+			}
+		}
+		typed = map[string]*typedPkg{}
+		for _, tp := range m.typd {
+			typed[tp.dir] = tp
+		}
+	})
+	if typedErr != nil {
+		t.Fatal(typedErr)
+	}
+	return typed
+}
+
+// exportedWithoutCallers lists the exported functions and methods under
+// internal/ that no non-test code calls yet, each with the reason it stays.
+var exportedWithoutCallers = map[string]string{
+	"check.Invariants.WatchLinks":  "per-link conservation for links no watched path crosses; ROADMAP item 4(c) wires it",
+	"core.FriendlyThroughputBound": "the closed-form friendliness bound; ROADMAP item 10(b) checks the packet stack against it",
+	"fluid.System.Equilibrium":     "the RK4 reference the Newton solve is held to; ROADMAP item 11 calls it",
+
+	// Test surface other packages' tests drive.
+	"pathsel.Selector.Stop":        "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
+	"pathsel.Selector.Decisions":   "the tick count TestStoppedOwnersOwnNoEvents reads",
+	"workload.CBR.Stop":            "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
+	"workload.ParetoOnOff.Stop":    "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
+	"workload.ParetoOnOff.Active":  "the mid-burst state TestStoppedOwnersOwnNoEvents stops a source in",
+	"workload.source.Sent":         "the tick count TestStoppedOwnersOwnNoEvents reads",
+	"topo.FatTree.Links":           "flows' pinned-population test reads every fabric link's counters",
+	"netem.Link.Down":              "the link state faults' tests assert a schedule left",
+	"netem.NewPacket":              "tcp's tests hand-build packets to feed a subflow",
+	"netem.Pool.FreeLen":           "tcp's tests check a subflow recycles its packets",
+	"sim.Engine.Drain":             "netem's tests run an engine to quiescence",
+	"core.MustNew":                 "the algorithm constructor seven packages' tests share",
+	"obsv.ParseRecord":             "the record reader exp's golden-record tests parse with",
+	"supervise.Watchdog.SetSample": "the hook a run adds its own last observation to RunError.LastObsv with; no run registers one yet",
+}
+
+// implicitMethods are called by the standard library through interfaces
+// the module never names: fmt, errors, encoding/json and sort.
+var implicitMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Format": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "Len": true, "Less": true, "Swap": true,
+}
+
+// TestExportedFuncsHaveCallers keeps the exported surface honest: an
+// exported function or method under internal/ needs a caller outside the
+// tests — the commands, the examples, the benchmark or another package —
+// or an entry in exportedWithoutCallers saying why it waits. A method
+// counts as called when code calls it, or calls an interface method of its
+// name.
+func TestExportedFuncsHaveCallers(t *testing.T) {
+	pkgs := typedModule(t)
+	used := map[*types.Func]bool{}
+	viaInterface := map[string]bool{}
+	for _, tp := range pkgs {
+		for _, obj := range tp.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			used[fn.Origin()] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				viaInterface[fn.Name()] = true
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for dir, tp := range pkgs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range tp.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				name := f.Name.Name + "." + fd.Name.Name
+				if fd.Recv != nil {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					switch ix := recv.(type) {
+					case *ast.IndexExpr:
+						recv = ix.X
+					case *ast.IndexListExpr:
+						recv = ix.X
+					}
+					name = f.Name.Name + "." + recv.(*ast.Ident).Name + "." + fd.Name.Name
+					if viaInterface[fd.Name.Name] || implicitMethods[fd.Name.Name] {
+						continue
+					}
+				}
+				seen[name] = true
+				fn := tp.info.Defs[fd.Name].(*types.Func)
+				if _, allowed := exportedWithoutCallers[name]; !used[fn] && !allowed {
+					t.Errorf("%s (%s) has no caller outside the tests: use it, delete it, move it into a _test.go file, or add it to exportedWithoutCallers with a reason", name, dir)
+				}
+			}
+		}
+	}
+	for name := range exportedWithoutCallers {
+		if !seen[name] {
+			t.Errorf("exportedWithoutCallers lists %s, which is gone or now called through an interface: drop the entry", name)
+		}
+	}
+}
+
+// mapOrderPackages are the packages whose iteration order reaches the event
+// queue or the RNG, and so the digest of every run.
+var mapOrderPackages = []string{"internal/topo", "internal/netem", "internal/tcp", "internal/mptcp", "internal/flows"}
+
+// TestNoMapRangeInSimulationPackages fails on a range over a map-typed
+// expression in the packages that schedule events and draw random numbers:
+// Go randomises map order, so such a loop makes two runs of one seed differ.
+// Sort the keys first; topo's (*graph).linksWhere is the one place that
+// does, and the one exemption.
+func TestNoMapRangeInSimulationPackages(t *testing.T) {
+	pkgs := typedModule(t)
+	for _, dir := range mapOrderPackages {
+		tp := pkgs[dir]
+		if tp == nil {
+			t.Fatalf("package %s not found", dir)
+		}
+		for _, f := range tp.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || (dir == "internal/topo" && fd.Name.Name == "linksWhere") {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok {
+						return true
+					}
+					if _, isMap := tp.info.Types[rs.X].Type.Underlying().(*types.Map); isMap {
+						t.Errorf("%s: range over a map in %s; iterate sorted keys instead", tp.fset.Position(rs.Pos()), fd.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
-// Command streaming exercises the paper's future-work scenario: a live media
-// session over WiFi+4G MPTCP under bursty cross traffic, comparing
-// congestion-control algorithms on playback smoothness and handset
-// energy per media-second.
+// Command streaming exercises the paper's future-work scenario: video
+// sessions over MPTCP, compared across congestion-control algorithms on the
+// bitrate they deliver and the energy they cost per media second. Every
+// session is a stream-class flow of an internal/flows population on a
+// FatTree — an app-limited connection fed one chunk per second — so the
+// whole run is one backend.Scenario.
 //
 //	go run ./examples/streaming
 package main
@@ -10,14 +12,20 @@ import (
 	"fmt"
 	"log"
 
-	"mptcpsim/internal/app"
-	"mptcpsim/internal/energy"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/backend"
+	"mptcpsim/internal/flows"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/stats"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
+
+// stream is the session every flow runs: 4 Mb/s in one-second chunks, 10 s
+// on average.
+var stream = flows.StreamConfig{
+	Ladder:  []int64{4e6},
+	Chunk:   sim.Second,
+	MeanDur: 10 * sim.Second,
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -26,9 +34,8 @@ func main() {
 }
 
 func run() error {
-	fmt.Println("8 Mb/s live stream over WiFi+4G, bursty cross traffic, 180 s")
-	fmt.Printf("%-8s %9s %10s %12s %12s %14s\n",
-		"alg", "startup", "rebuffers", "stall_ratio", "played_s", "j_per_media_s")
+	fmt.Println("video sessions on FatTree(k=4), 2 subflows, 5 arrivals/s, 30 s")
+	fmt.Printf("%-8s %9s %10s %10s %14s\n", "alg", "sessions", "mean_mbps", "p10_mbps", "j_per_media_s")
 	for _, alg := range []string{"lia", "dts", "dts-lia"} {
 		if err := one(alg); err != nil {
 			return err
@@ -38,34 +45,34 @@ func run() error {
 }
 
 func one(alg string) error {
-	eng := sim.NewEngine(9)
-	het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(0)},
-		workload.ParetoConfig{RateBps: 8 * netem.Mbps}).Start()
-	workload.NewParetoOnOff(eng, []*netem.Link{het.CrossEntry(1)},
-		workload.ParetoConfig{RateBps: 16 * netem.Mbps}).Start()
-
-	conn, err := mptcp.New(eng, mptcp.Config{
-		Algorithm:    alg,
-		AppLimited:   true,
-		RwndSegments: 45,
-	}, 1, het.Paths()...)
+	var mbps []float64
+	var joules float64
+	sc := backend.Scenario{
+		Topology: "fattree", Net: topo.Params{Size: 4}, EnergyModel: "none",
+		Seed: 9, Horizon: 30 * sim.Second,
+		Population: &flows.Config{
+			Algorithm: alg, Subflows: 2, TotalFlows: 160,
+			Arrivals: flows.Poisson{Rate: 5},
+			Mix:      []flows.ClassMix{{Class: flows.Stream, Weight: 1}},
+			Stream:   stream,
+			Emit: func(r flows.Report) {
+				mbps = append(mbps, r.GoodputBps/1e6)
+				joules += r.Joules
+			},
+		},
+	}
+	eng := sim.NewEngine(sc.Seed)
+	w, err := backend.Wire(eng, sc, nil)
 	if err != nil {
 		return err
 	}
-	stream := app.NewStream(eng, conn, app.StreamConfig{BitrateBps: 8_000_000})
-	meter := energy.NewMeter(eng, energy.NewNexus(), energy.ConnProbe(conn), 0)
-	meter.Start()
+	w.Start()
+	eng.Run(sc.Horizon)
+	w.Settle()
 
-	stream.Start()
-	eng.Run(180 * sim.Second)
-
-	perMediaSec := 0.0
-	if stream.PlayedSeconds() > 0 {
-		perMediaSec = meter.Joules() / stream.PlayedSeconds()
-	}
-	fmt.Printf("%-8s %8.1fs %10d %12.2f %12.1f %14.2f\n",
-		alg, stream.StartupDelay().Seconds(), stream.Rebuffers(),
-		stream.RebufferRatio(), stream.PlayedSeconds(), perMediaSec)
+	st := w.Pop.Stats()
+	mediaSeconds := float64(w.Pop.StreamChunks()) * stream.Chunk.Seconds()
+	fmt.Printf("%-8s %9d %10.2f %10.2f %14.3f\n",
+		alg, st.Completed, stats.Mean(mbps), stats.Percentile(mbps, 10), joules/mediaSeconds)
 	return nil
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"regexp"
 	"strings"
 	"time"
 
@@ -247,7 +246,7 @@ func (sc Scenario) Lower() backend.Scenario {
 // (nil-safe) attached to the engine. It returns the build error (bad
 // algorithm, unresolvable fault target, schedule past horizon: in a soak
 // these quarantine just the one scenario), the failpoint's effect, or the
-// collected invariant violations; a panic out of the engine propagates to
+// collected invariant failure; a panic out of the engine propagates to
 // the supervisor as usual.
 func (sc Scenario) Run(wd *supervise.Watchdog) error {
 	low := sc.Lower()
@@ -338,11 +337,6 @@ func (sc Scenario) installFailpoint(eng *sim.Engine, inv *check.Invariants) erro
 	return nil
 }
 
-// invariantRe extracts the invariant name out of a check failure message,
-// in both its shapes (the FailFast panic and the collected Err summary);
-// Violation.String renders "t=1.234s name: detail".
-var invariantRe = regexp.MustCompile(`t=\d+\.\d+s ([a-zA-Z0-9._-]+):`)
-
 // Signature classifies a RunError into a stable failure signature: the
 // shrinker only accepts a smaller scenario that fails with the SAME
 // signature, and quarantine artifacts are named by it.
@@ -355,11 +349,9 @@ func Signature(re *supervise.RunError) string {
 		return "timeout"
 	case supervise.KindBudget:
 		return "budget"
-	}
-	if m := invariantRe.FindStringSubmatch(re.Msg); m != nil {
-		return "invariant." + m[1]
-	}
-	if re.Kind == supervise.KindPanic {
+	case supervise.KindInvariant:
+		return "invariant." + re.Invariant
+	case supervise.KindPanic:
 		return "panic"
 	}
 	return "error"

@@ -16,6 +16,11 @@
 // functions over snapshot structs, so each invariant is independently
 // testable against deliberately broken synthetic states.
 //
+// A failure has one type, *Failure, in both modes: the value a FailFast
+// checker panics with and the error Err returns. Its Invariant method names
+// the first violated invariant, so internal/supervise classifies a failed
+// run by type and internal/chaos signs it by name; nothing parses the text.
+//
 // The differential half of validation — packet runs against the Eq. 3 fluid
 // equilibrium — is backend.RunConformance, which runs every row under a
 // FailFast checker from this package.

@@ -486,7 +486,7 @@ func (inv *Invariants) report(vs ...Violation) {
 		return
 	}
 	if inv.FailFast {
-		panic("check: invariant violated: " + vs[0].String())
+		panic(&Failure{Violations: vs[:1], Total: 1, fast: true})
 	}
 	for _, v := range vs {
 		if len(inv.violations) < inv.MaxRecorded {
@@ -500,25 +500,44 @@ func (inv *Invariants) report(vs ...Violation) {
 // Checks reports how many evaluation passes have run.
 func (inv *Invariants) Checks() uint64 { return inv.checks }
 
-// Violations returns the recorded violations (up to MaxRecorded).
-func (inv *Invariants) Violations() []Violation { return inv.violations }
-
-// Err returns nil when every check passed, or an error summarizing the
-// violations.
+// Err returns nil when every check passed, or the *Failure summarizing
+// the violations.
 func (inv *Invariants) Err() error {
 	if len(inv.violations) == 0 {
 		return nil
 	}
+	return &Failure{Violations: inv.violations, Total: len(inv.violations) + inv.dropped}
+}
+
+// Failure is the one shape an invariant failure takes: the value a FailFast
+// checker panics with and the error Err returns. Whoever classifies a run
+// finds it with errors.As and reads the first violated invariant's name
+// from Invariant; nobody needs to parse Error's text.
+type Failure struct {
+	// Violations holds the first violation (FailFast) or the recorded ones
+	// (up to MaxRecorded); Total counts every violation found.
+	Violations []Violation
+	Total      int
+	fast       bool
+}
+
+// Invariant names the first violated invariant.
+func (f *Failure) Invariant() string { return f.Violations[0].Invariant }
+
+func (f *Failure) Error() string {
+	if f.fast {
+		return "check: invariant violated: " + f.Violations[0].String()
+	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d invariant violation(s)", len(inv.violations)+inv.dropped)
+	fmt.Fprintf(&sb, "check: %d invariant violation(s)", f.Total)
 	const show = 8
-	for i, v := range inv.violations {
+	for i, v := range f.Violations {
 		if i == show {
-			fmt.Fprintf(&sb, "; … %d more", len(inv.violations)+inv.dropped-show)
+			fmt.Fprintf(&sb, "; … %d more", f.Total-show)
 			break
 		}
 		sb.WriteString("; ")
 		sb.WriteString(v.String())
 	}
-	return fmt.Errorf("check: %s", sb.String())
+	return sb.String()
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -345,8 +346,9 @@ func TestFailFastPanics(t *testing.T) {
 		if r == nil {
 			t.Fatalf("FailFast did not panic")
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, InvEnergy) {
-			t.Fatalf("panic %v does not name the invariant", r)
+		f, ok := r.(*Failure)
+		if !ok || f.Invariant() != InvEnergy || !strings.HasPrefix(f.Error(), "check: invariant violated: t=0.000s "+InvEnergy+": ") {
+			t.Fatalf("panic %v is not a *Failure naming the invariant", r)
 		}
 	}()
 	inv.report(CheckMeter(0, MeterState{Name: "m", Joules: -1})...)
@@ -357,9 +359,12 @@ func TestErrSummarizes(t *testing.T) {
 	eng := sim.NewEngine(1)
 	inv := New(eng)
 	inv.report(Violation{T: sim.Second, Invariant: InvClock, Detail: "x"})
+	inv.report(Violation{T: 2 * sim.Second, Invariant: InvCwnd, Detail: "y"})
 	err := inv.Err()
-	if err == nil || !strings.Contains(err.Error(), InvClock) {
-		t.Fatalf("Err() = %v, want mention of %s", err, InvClock)
+	const want = "check: 2 invariant violation(s); t=1.000s clock: x; t=2.000s subflow.cwnd: y"
+	var f *Failure
+	if err == nil || err.Error() != want || !errors.As(err, &f) || f.Invariant() != InvClock {
+		t.Fatalf("Err() = %v, want a *Failure naming %s first and reading %q", err, InvClock, want)
 	}
 }
 
@@ -378,9 +383,8 @@ func TestInject(t *testing.T) {
 	ff.FailFast = true
 	defer func() {
 		r := recover()
-		s, ok := r.(string)
-		if !ok || !strings.Contains(s, "chaos.failpoint") {
-			t.Fatalf("recovered %v, want FailFast panic naming the invariant", r)
+		if f, ok := r.(*Failure); !ok || f.Invariant() != "chaos.failpoint" {
+			t.Fatalf("recovered %v, want FailFast *Failure naming the invariant", r)
 		}
 	}()
 	ff.Inject(v)

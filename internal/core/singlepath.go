@@ -84,9 +84,6 @@ func (d *DCTCP) OnRound(flows []View, r int) (cwnd, ssthresh float64) {
 	return cwnd, ssthresh
 }
 
-// Alpha exposes the current mark-fraction estimate (for tests and traces).
-func (d *DCTCP) Alpha() float64 { return d.alpha }
-
 // Introspect implements Introspector: the mark-fraction estimate that
 // scales DCTCP's multiplicative decrease.
 func (d *DCTCP) Introspect(flows []View, r int, out map[string]float64) {

@@ -38,7 +38,7 @@ type world struct {
 // JSONL record plus its CSV twin under Config.OutDir and/or checks
 // invariants under Config.Check, and is inert when neither is set. Failures
 // panic — record export is explicitly requested, and a partial record set
-// silently missing runs would be worse than stopping; invariant violations
+// silently missing runs would be worse than stopping; invariant failures
 // likewise panic (FailFast) so the worker pool surfaces them with the
 // failing run's identity. The deferred Abort then still leaves a record
 // that parses through the last tick.

@@ -106,10 +106,6 @@ func (c Class) String() string {
 	}
 }
 
-// Classes lists the classes in declaration order, for deterministic
-// iteration over per-class accounting.
-func Classes() [numClasses]Class { return [numClasses]Class{Web, Bulk, Stream} }
-
 // rng is the narrow randomness surface the samplers draw from; the engine's
 // *rand.Rand satisfies it.
 type rng interface {
@@ -137,19 +133,6 @@ func (d SizeDist) Sample(r rng) int64 {
 		x = float64(d.Max)
 	}
 	return int64(x)
-}
-
-// Mean returns the distribution's analytic mean, for sizing offered load.
-func (d SizeDist) Mean() float64 {
-	if d.Min <= 0 || d.Max <= d.Min || d.Alpha <= 0 {
-		return float64(d.Min)
-	}
-	a, l, h := d.Alpha, float64(d.Min), float64(d.Max)
-	if a == 1 {
-		return l * math.Log(h/l) / (1 - l/h)
-	}
-	lh := math.Pow(l/h, a)
-	return math.Pow(l, a) / (1 - lh) * a / (a - 1) * (1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
 }
 
 // Arrivals is a session arrival process: Next returns the gap until the

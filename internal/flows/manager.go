@@ -195,6 +195,7 @@ type Manager struct {
 
 	mixTotal float64
 	stats    Stats
+	chunks   uint64 // produced by streaming sessions
 	drained  bool
 	offering bool
 	arriveFn func() // m.arrive, bound once: a method value allocates per use
@@ -229,15 +230,6 @@ func New(eng *sim.Engine, net Net, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(eng *sim.Engine, net Net, cfg Config) *Manager {
-	m, err := New(eng, net, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Start begins the arrival process.
 func (m *Manager) Start() {
 	m.offering = true
@@ -247,12 +239,12 @@ func (m *Manager) Start() {
 // Stats returns the current accounting snapshot.
 func (m *Manager) Stats() Stats { return m.stats }
 
+// StreamChunks reports how many chunks the streaming sessions have
+// produced: their media time in units of StreamConfig.Chunk.
+func (m *Manager) StreamChunks() uint64 { return m.chunks }
+
 // Live reports the current concurrent flow count.
 func (m *Manager) Live() int { return m.live }
-
-// SlotsAllocated reports how many pooled flow slots exist — bounded by peak
-// concurrency, never by TotalFlows (the memory-boundedness tests pin this).
-func (m *Manager) SlotsAllocated() int { return len(m.slots) }
 
 func (m *Manager) scheduleArrival() {
 	if int(m.stats.Offered) >= m.cfg.TotalFlows {
@@ -449,6 +441,7 @@ func (m *Manager) streamChunk(h handle) {
 	s.lastAcked = acked
 	rate := m.cfg.Stream.Ladder[s.rung]
 	s.conn.Produce(rate * int64(chunk) / int64(sim.Second) / 8)
+	m.chunks++
 	// Not a sim.Ticker: the flowSlot lives in a slice append may move, so it
 	// cannot be queued by address — the handle closure stays.
 	s.chunkTimer = m.eng.After(chunk, func() { m.streamChunk(h) })

@@ -13,10 +13,7 @@
 // large exponent b approximating a hard capacity constraint.
 package fluid
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Path is one route of the modelled connection: a round-trip time, a
 // bottleneck capacity, and optional constant cross traffic sharing it.
@@ -120,16 +117,6 @@ func (s *System) Derivative(x, dx []float64) {
 		}
 		dx[r] = inc - dec - phi
 	}
-}
-
-// Integrate advances the system from x0 with classic RK4 for steps of
-// size dt and returns the final state. Rates are floored at 1e-6 packets/s
-// after every step: a flow never fully disappears.
-func (s *System) Integrate(x0 []float64, dt float64, steps int) []float64 {
-	x := make([]float64, len(x0))
-	copy(x, x0)
-	s.integrate(x, dt, steps, newRK4(len(x)))
-	return x
 }
 
 // rk4 is RK4's stage storage, allocated once per solve and reused by
@@ -422,16 +409,4 @@ func AggregateRate(x []float64) float64 {
 		sum += v
 	}
 	return sum
-}
-
-// String formats a rate vector for diagnostics.
-func String(x []float64) string {
-	out := "["
-	for i, v := range x {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%.1f", v)
-	}
-	return out + "]"
 }

@@ -307,9 +307,6 @@ func (c *Conn) Produce(bytes int64) {
 	c.Start()
 }
 
-// ProducedBytes reports the application data made available so far.
-func (c *Conn) ProducedBytes() int64 { return c.producedSegs * tcp.MSS }
-
 // Subflows returns the connection's subflows.
 func (c *Conn) Subflows() []*tcp.Subflow { return c.subs }
 

@@ -154,10 +154,6 @@ func (p *Packet) Release() {
 // same domain as the packet that provoked it.
 func (p *Packet) Pool() *Pool { return p.pool }
 
-// Gen returns the packet's recycle generation: a holder that recorded it at
-// allocation can detect that the packet has since been released and reused.
-func (p *Packet) Gen() uint64 { return p.gen }
-
 // SetRoute assigns the chain of links the packet will traverse and the
 // endpoint that consumes it after the last link.
 func (p *Packet) SetRoute(links []*Link, dst Endpoint) {

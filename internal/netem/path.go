@@ -47,13 +47,3 @@ func (p *Path) BaseRTT(dataSize, ackSize int) sim.Time {
 	}
 	return rtt
 }
-
-// PriceSum returns the current total energy price along the forward links.
-// It is the oracle form of the in-band price that data packets accumulate.
-func (p *Path) PriceSum() float64 {
-	var sum float64
-	for _, l := range p.Forward {
-		sum += l.Price()
-	}
-	return sum
-}

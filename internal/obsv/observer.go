@@ -198,8 +198,8 @@ func (o *Observer) Close() error {
 }
 
 // Abort is deferred right after NewObserver. After Close completed the
-// record it does nothing; when the run panicked or failed instead — an
-// invariant violation, an event budget, a watchdog trip — it stops sampling
+// record it does nothing; when the run panicked or failed instead — a
+// failed invariant, an event budget, a watchdog trip — it stops sampling
 // and checking and saves what was recorded: the JSONL is flushed through
 // the last completed tick (no summary line) and released, and the CSV twin
 // is written from the rows retained so far. Errors are dropped: the run is

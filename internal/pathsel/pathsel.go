@@ -61,9 +61,6 @@ func (s *Selector) Stop() { s.ticker.Stop() }
 // Decisions reports how many evaluation rounds have run.
 func (s *Selector) Decisions() int { return s.decisions }
 
-// Suspensions reports how many path-suspension decisions were taken.
-func (s *Selector) Suspensions() int { return s.suspended }
-
 func (s *Selector) tick() {
 	s.decisions++
 	costs := s.estimate()

@@ -42,6 +42,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: fn(%d) panicked: %v", e.Index, e.Value)
 }
 
+// Unwrap exposes a panic value that is itself an error to errors.As.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // MapErrCtx runs fn(0) … fn(n-1) across at most workers goroutines and
 // returns the results and errors both ordered by index (errs[i] is nil for
 // indices that succeeded, and errs is nil when every index did). fn must be

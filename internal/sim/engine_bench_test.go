@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The Engine benchmarks are the perf contract of the hot path: schedule and
 // fire must stay allocation-free in steady state (b.ReportAllocs enforces it
@@ -101,12 +104,15 @@ func BenchmarkEngineTicker(b *testing.B) {
 }
 
 // benchDeepQueue keeps depth self-rescheduling events in flight, event i
-// every period(i), and measures one schedule plus one fire at that depth.
+// every period(i), and measures one schedule plus one fire at that depth,
+// once every event has fired.
 func benchDeepQueue(b *testing.B, depth int, period func(i int) Time) {
 	eng := NewEngine(1)
 	fired, target := 0, -1
+	var longest Time
 	for i := 0; i < depth; i++ {
 		d := period(i)
+		longest = max(longest, d)
 		var tick func()
 		tick = func() {
 			fired++
@@ -117,6 +123,7 @@ func benchDeepQueue(b *testing.B, depth int, period func(i int) Time) {
 		}
 		eng.ScheduleAfter(d, tick)
 	}
+	eng.Run(longest)
 	timeEvents(b, eng, &fired, &target)
 }
 
@@ -153,6 +160,19 @@ func BenchmarkEngineDeepQueue4k(b *testing.B) { benchDeepQueue(b, 4<<10, stagger
 // BenchmarkEngineDeepQueue64k is a queue that no longer fits the L2 cache:
 // cost per event must stay flat in depth, up to cache misses.
 func BenchmarkEngineDeepQueue64k(b *testing.B) { benchDeepQueue(b, 64<<10, staggered) }
+
+// BenchmarkEngineDeepQueueMs schedules at the packet workloads' own
+// timescale rather than the microseconds above: periods of 10–60 ms at
+// nanosecond grain, so pushes land in the wheel's upper levels the way
+// dc-fattree's (72 % at level 3) and sweep-hybrid's (67 % at level 4) do,
+// with 1 k and 16 k events in flight.
+func BenchmarkEngineDeepQueueMs(b *testing.B) {
+	for _, depth := range []int{1 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("%dk", depth>>10), func(b *testing.B) {
+			benchDeepQueue(b, depth, func(i int) Time { return 10*Millisecond + Time(i*7919%50_000_017) })
+		})
+	}
+}
 
 // BenchmarkEngineTimerRestart is the retransmission-timer idiom under
 // traffic: each of 256 flows keeps one timer 200 ms ahead and, on every

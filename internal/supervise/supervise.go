@@ -8,6 +8,9 @@
 // results. Transient failures are retried with capped exponential backoff
 // and seed-derived jitter; every outcome (ok, retried, quarantined,
 // timed-out, over-budget) is counted for the campaign summary.
+// Classification happens in one place: an internal/check failure is
+// recognised by its type, through every wrapper it crossed, and carries
+// its first violated invariant's name; no message is parsed.
 //
 // The package owns the supervised fan-out (Map) and the process boundary
 // (SignalContext, ExitCode, QuarantinedErr, InterruptedErr): it is the one
@@ -33,7 +36,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -47,8 +49,8 @@ type Kind string
 const (
 	// KindPanic is an uncontrolled panic out of the run closure.
 	KindPanic Kind = "panic"
-	// KindInvariant is an internal/check invariant violation (either the
-	// FailFast panic or a collected checker error).
+	// KindInvariant is an internal/check invariant failure (either the
+	// FailFast panic or a collected checker error), found by its type.
 	KindInvariant Kind = "invariant"
 	// KindTimeout is a wall-clock deadline trip.
 	KindTimeout Kind = "timeout"
@@ -126,6 +128,9 @@ type RunError struct {
 	Msg      string `json:"msg"`
 	Stack    string `json:"stack,omitempty"`
 	Attempts int    `json:"attempts"`
+	// Invariant names the first violated invariant of a KindInvariant
+	// failure.
+	Invariant string `json:"invariant,omitempty"`
 	// LastObsv is the final observation before the failure: the engine
 	// clock and event count the watchdog saw, plus the run's own sample
 	// when it registered one (see Watchdog.SetSample).
@@ -312,6 +317,20 @@ type panicked struct {
 
 func (p *panicked) Error() string { return fmt.Sprintf("panic: %v", p.value) }
 
+// Unwrap exposes a panic value that is itself an error — a FailFast
+// checker's failure — to errors.As.
+func (p *panicked) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
+}
+
+// invariantFailure is what an internal/check failure satisfies, in both its
+// shapes: the FailFast panic value and the collected checker error.
+type invariantFailure interface {
+	error
+	Invariant() string
+}
+
 // classify builds the structured RunError for a failed attempt.
 func (s *Supervisor) classify(id RunID, wd *Watchdog, err error, attempt int) *RunError {
 	re := &RunError{ID: id, Attempts: attempt, LastObsv: wd.lastObsv()}
@@ -329,17 +348,11 @@ func (s *Supervisor) classify(id RunID, wd *Watchdog, err error, attempt int) *R
 		re.Kind = KindError
 		re.Msg = err.Error()
 	}
-	if t == nil && isInvariantMsg(re.Msg) { // a watchdog trip keeps its own kind
-		re.Kind = KindInvariant
+	var inv invariantFailure
+	if t == nil && errors.As(err, &inv) { // a watchdog trip keeps its own kind
+		re.Kind, re.Invariant = KindInvariant, inv.Invariant()
 	}
 	return re
-}
-
-// isInvariantMsg recognizes internal/check failures in both shapes: the
-// FailFast panic ("check: invariant violated: …") and the collected error
-// ("check: N invariant violation(s); …").
-func isInvariantMsg(msg string) bool {
-	return strings.Contains(msg, "invariant violat")
 }
 
 // Counts snapshots the outcome counters.

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"mptcpsim/internal/check"
+	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 )
 
@@ -127,13 +129,44 @@ func TestPanicQuarantinedWithStack(t *testing.T) {
 	}
 }
 
+// TestInvariantPanicClassified: an internal/check failure is KindInvariant
+// by its type, in both its shapes and through every wrapper it crosses, and
+// carries the first violated invariant's name; an error or panic whose text
+// merely reads like one is not.
 func TestInvariantPanicClassified(t *testing.T) {
-	s := New(Budget{})
-	rep := s.Run(context.Background(), RunID{Seed: 4, Scenario: "inv", Phase: "test"}, func(wd *Watchdog) error {
-		panic("check: invariant violated: t=1.000s conn.conservation: lost bytes")
-	})
-	if rep.Err == nil || rep.Err.Kind != KindInvariant {
-		t.Fatalf("err = %+v, want KindInvariant", rep.Err)
+	const fast = "check: invariant violated: t=1.000s conn.conservation: lost bytes"
+	failing := func(failFast bool) func(*Watchdog) error {
+		return func(*Watchdog) error {
+			inv := check.New(sim.NewEngine(4))
+			inv.FailFast = failFast
+			inv.Inject(check.Violation{T: sim.Second, Invariant: check.InvConnConserv, Detail: "lost bytes"})
+			inv.Inject(check.Violation{T: sim.Second, Invariant: check.InvCwnd, Detail: "cwnd=0"})
+			return inv.Err()
+		}
+	}
+	pooled := func(*Watchdog) error {
+		_, errs := runner.MapErrCtx(context.Background(), 1, 1, func(int) (int, error) { return 0, failing(true)(nil) })
+		return runner.FirstErr(errs)
+	}
+	cases := []struct {
+		name      string
+		fn        func(*Watchdog) error
+		kind      Kind
+		invariant string
+		msg       string
+	}{
+		{"FailFast panic", failing(true), KindInvariant, check.InvConnConserv, fast},
+		{"collected Err", failing(false), KindInvariant, check.InvConnConserv,
+			"check: 2 invariant violation(s); t=1.000s conn.conservation: lost bytes; t=1.000s subflow.cwnd: cwnd=0"},
+		{"FailFast panic through the runner pool", pooled, KindInvariant, check.InvConnConserv, "runner: fn(0) panicked: " + fast},
+		{"look-alike error", func(*Watchdog) error { return errors.New(fast) }, KindError, "", fast},
+		{"look-alike panic", func(*Watchdog) error { panic(fast) }, KindPanic, "", fast},
+	}
+	for _, tc := range cases {
+		rep := New(Budget{}).Run(context.Background(), RunID{Seed: 4, Scenario: "inv", Phase: "test"}, tc.fn)
+		if e := rep.Err; e == nil || e.Kind != tc.kind || e.Invariant != tc.invariant || e.Msg != tc.msg {
+			t.Errorf("%s: err = %+v, want kind %s, invariant %q, msg %q", tc.name, rep.Err, tc.kind, tc.invariant, tc.msg)
+		}
 	}
 }
 

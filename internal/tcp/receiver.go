@@ -22,13 +22,6 @@ type Receiver struct {
 	oooPeak      int
 }
 
-// Received reports the number of data segments that have arrived (including
-// duplicates).
-func (r *Receiver) Received() uint64 { return r.pktsReceived }
-
-// OutOfOrderPeak reports the largest reordering buffer occupancy seen.
-func (r *Receiver) OutOfOrderPeak() int { return r.oooPeak }
-
 // Receive implements netem.Endpoint for data segments.
 func (r *Receiver) Receive(p *netem.Packet) {
 	if p.IsAck {

@@ -145,14 +145,6 @@ type Subflow struct {
 	stats Stats
 }
 
-// NewSubflow wires a sender over path for subflow id of coordinator coord.
-// The matching receiver is created automatically at the far end.
-func NewSubflow(eng *sim.Engine, cfg Config, coord Coordinator, flow uint64, id int, path *netem.Path) *Subflow {
-	s := new(Subflow)
-	s.Reset(eng, cfg, coord, flow, id, path)
-	return s
-}
-
 // Reset rebuilds the subflow in place as NewSubflow would build it: every
 // field is rewritten from the arguments, and only what is expensive to make
 // and carries no state survives — the two deadlines' closures (rebound only
@@ -243,12 +235,6 @@ func (s *Subflow) SRTT() sim.Time { return s.rtt.SmoothedRTT() }
 
 // BaseRTT returns the minimum RTT over the trailing min-RTT window.
 func (s *Subflow) BaseRTT() sim.Time { return s.rtt.MinRTT() }
-
-// LastRTT returns the latest RTT sample.
-func (s *Subflow) LastRTT() sim.Time { return s.rtt.LatestRTT() }
-
-// RTO returns the current retransmission timeout before backoff.
-func (s *Subflow) RTO() sim.Time { return s.rto }
 
 // Inflight returns the segments sent and not yet cumulatively acked.
 func (s *Subflow) Inflight() int64 { return s.nextSeq - s.cumAck }

@@ -88,11 +88,6 @@ func (b *BCube) Hosts() int {
 	return pow(b.cfg.N, b.dim)
 }
 
-// Switches returns (k+1)·n^k.
-func (b *BCube) Switches() int {
-	return b.dim * pow(b.cfg.N, b.cfg.K)
-}
-
 func pow(base, exp int) int {
 	out := 1
 	for i := 0; i < exp; i++ {
@@ -215,6 +210,3 @@ func routeKey(nodes []int32) string {
 	}
 	return sb.String()
 }
-
-// Links exposes every link.
-func (b *BCube) Links() []*netem.Link { return b.g.Links() }

@@ -89,9 +89,6 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) (*FatTree, error) {
 // Hosts returns the number of hosts, k³/4.
 func (f *FatTree) Hosts() int { return f.k * f.k * f.k / 4 }
 
-// Switches returns the number of switches, 5k²/4.
-func (f *FatTree) Switches() int { return 5 * f.k * f.k / 4 }
-
 func (f *FatTree) host(h int) int32    { return ftHostBase + int32(h) }
 func (f *FatTree) edge(p, e int) int32 { return ftEdgeBase + int32(p*(f.k/2)+e) }
 func (f *FatTree) agg(p, a int) int32  { return ftAggBase + int32(p*(f.k/2)+a) }

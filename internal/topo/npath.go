@@ -66,11 +66,3 @@ func NewNPath(eng *sim.Engine, specs ...NPathSpec) *NPath {
 
 // Paths returns the sender's paths in spec order.
 func (n *NPath) Paths() []*netem.Path { return n.paths }
-
-// CrossEntry returns the forward link of path i that cross traffic shares
-// (the second hop, keeping the sender's access hop clean — the same
-// convention as TwoPath.CrossEntry).
-func (n *NPath) CrossEntry(i int) *netem.Link { return n.paths[i].Forward[1] }
-
-// Links exposes every link for utilization accounting.
-func (n *NPath) Links() []*netem.Link { return n.g.Links() }

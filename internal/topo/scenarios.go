@@ -96,9 +96,6 @@ func (d *Dumbbell) Hosts() int { return d.users }
 // each bottleneck. dst is ignored — every user has its own sink.
 func (d *Dumbbell) Paths(src, _, n int) []*netem.Path { return Fan(d.MPTCPPaths(src), n) }
 
-// Bottlenecks returns the two shared forward bottleneck links.
-func (d *Dumbbell) Bottlenecks() [2]*netem.Link { return d.bottleneck }
-
 // TwoPath is the Fig. 5b scenario: one sender-receiver pair connected by
 // two independent paths whose quality flips between Good and Bad as bursty
 // cross traffic comes and goes. CrossEntry(i) exposes the link cross
@@ -239,6 +236,3 @@ func (v *EC2VPC) buildPaths(src, dst, n int) []*netem.Path {
 	}
 	return out
 }
-
-// Links exposes every link for utilization accounting.
-func (v *EC2VPC) Links() []*netem.Link { return v.g.Links() }

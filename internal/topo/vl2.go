@@ -104,9 +104,6 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) (*VL2, error) {
 // Hosts returns the host count.
 func (v *VL2) Hosts() int { return v.cfg.ToRs * v.cfg.HostsPerToR }
 
-// Switches returns the switch count.
-func (v *VL2) Switches() int { return v.cfg.ToRs + v.cfg.Aggs + v.cfg.Ints }
-
 func (v *VL2) host(h int) int32  { return vl2HostBase + int32(h) }
 func (v *VL2) tor(t int) int32   { return vl2ToRBase + int32(t) }
 func (v *VL2) agg(a int) int32   { return vl2AggBase + int32(a) }
@@ -154,9 +151,6 @@ func (v *VL2) buildPaths(src, dst, n int) []*netem.Path {
 	}
 	return out
 }
-
-// Links exposes every link.
-func (v *VL2) Links() []*netem.Link { return v.g.Links() }
 
 // SwitchLinks returns the switch-to-switch links for energy pricing, in
 // deterministic (from, to) key order (see graph.linksWhere).

@@ -78,9 +78,6 @@ func (c *CBR) Start() { c.ticker.StartNow() }
 // Stop halts transmission and cancels the pending emit event.
 func (c *CBR) Stop() { c.ticker.Stop() }
 
-// Delivered reports packets that survived to the sink.
-func (c *CBR) Delivered() uint64 { return c.sink.Pkts }
-
 // ParetoOnOff is the paper's bursty cross-traffic generator (§VI-B): the
 // source alternates Off and On periods; Off durations are exponential with
 // the given mean (bursts "occur at random intervals"), On durations are
@@ -161,9 +158,6 @@ func (p *ParetoOnOff) Stop() {
 
 // Active reports whether a burst is in progress.
 func (p *ParetoOnOff) Active() bool { return p.active }
-
-// OnTime reports the cumulative burst duration so far.
-func (p *ParetoOnOff) OnTime() sim.Time { return p.onTime }
 
 func (p *ParetoOnOff) scheduleOn() {
 	p.gapTimer = p.eng.After(p.expDuration(p.meanOff), p.burst)

@@ -4,9 +4,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mptcpsim/internal/app"
 	"mptcpsim/internal/check"
 	"mptcpsim/internal/energy"
+	"mptcpsim/internal/flows"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
@@ -84,11 +84,24 @@ var tickerOwners = []tickerOwner{
 			s := pathsel.New(eng, hetConn(t, eng, mptcp.Config{}), []energy.Model{energy.NewWiFi(), energy.NewLTE()})
 			return s.Start, s.Stop, func() uint64 { return uint64(s.Decisions()) }, nil
 		}},
-	{name: "app.Stream", period: 100 * sim.Millisecond, owns: 1, busy: true,
+	// A stream's chunk timer is hand-scheduled, not a Ticker (its flow slot
+	// can move), but releasing the flow must unlink it all the same, with the
+	// session's end timer and, the connection being settled, its RTO timer.
+	{name: "flows stream", period: 100 * sim.Millisecond, owns: 3,
 		build: func(t *testing.T, eng *sim.Engine) (func(), func(), func() uint64, func() bool) {
-			conn := hetConn(t, eng, mptcp.Config{AppLimited: true})
-			s := app.NewStream(eng, conn, app.StreamConfig{})
-			return s.Start, s.Stop, func() uint64 { return uint64(conn.ProducedBytes()) }, nil
+			ft, err := topo.NewFatTree(eng, topo.FatTreeConfig{K: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := flows.New(eng, ft, flows.Config{
+				Algorithm: "lia", TotalFlows: 1, Arrivals: flows.Poisson{Rate: 1000},
+				Mix:    []flows.ClassMix{{Class: flows.Stream, Weight: 1}},
+				Stream: flows.StreamConfig{Chunk: 100 * sim.Millisecond, MeanDur: 1000 * sim.Second},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.Start, m.CutLive, m.StreamChunks, func() bool { return m.Live() > 0 }
 		}},
 	// An empty route is loopback: the generators' packets reach the sink
 	// without an event of their own.

@@ -10,8 +10,8 @@
 //	mptcp-sim -topo fattree -alg lia -churn 5000 -max-flows 600 -check
 //
 // The flags are a front-end: they lower to one backend.Scenario, which the
-// same Validate and builder every other front-end uses check and wire
-// (ARCHITECTURE.md, "How a run is assembled"). -topo names a registered
+// same Validate, builder and run sequence every other front-end uses check,
+// wire and run (backend.Run; ARCHITECTURE.md, "How a run is assembled"). -topo names a registered
 // topology (internal/topo); -subflows fans that many subflows round-robin
 // over a two-path topology's routes and asks a fabric for that many routes
 // from host 0 to the last host; -hosts sizes ec2; -cross adds Pareto bursts
@@ -74,6 +74,7 @@ import (
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/chaos"
+	"mptcpsim/internal/check"
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/flows"
 	"mptcpsim/internal/obsv"
@@ -383,18 +384,13 @@ type outcome struct {
 	interrupted bool
 }
 
-// execute is the one function that runs an engine to its horizon: wire the
-// invocation's scenario on a fresh engine, observe (-trace, -check in
-// collecting mode, so a violating seed of a batch reports cleanly beside the
-// surviving rows), start, run, settle, summarise, close. The deferred Abort
-// leaves a record that parses through its last sample when the run panics
-// (watchdog, event budget) or fails.
+// execute runs the invocation's scenario for one seed through backend.Run,
+// observed per -trace and -check (collecting, so a violating seed of a batch
+// reports beside the surviving rows). A finite transfer ends the run when it
+// completes, a cancelled ctx at the next 100 ms of simulated time.
 func execute(ctx context.Context, inv invocation, seed int64, wd *supervise.Watchdog) (outcome, error) {
 	sc, o := inv.sc, outcome{trace: inv.tracePath(seed)}
-	eng := sim.NewEngine(seed)
-	wd.Attach(eng)
-	supervise.StopOnCancel(ctx, eng, 100*sim.Millisecond)
-
+	sc.Seed = seed
 	oc := obsv.Config{
 		Meta: obsv.Meta{Experiment: "adhoc", Scenario: sc.Topology, Algorithm: sc.Algorithm, Seed: seed},
 		Path: o.trace, Interval: sim.FromDuration(inv.sampleInt),
@@ -413,45 +409,39 @@ func execute(ctx context.Context, inv invocation, seed int64, wd *supervise.Watc
 		}
 		sc.Population, oc.Meta.Experiment, oc.Meta.Algorithm = &pop, "churn", pop.Algorithm
 	}
-	obs, err := obsv.NewObserver(eng, oc)
+	var checker *check.Invariants
+	start := time.Now()
+	w, err := backend.Run(sc, oc, wd, backend.Stages{
+		Attach: func(w *backend.World, obs *obsv.Observer) {
+			w.Observe(obs)
+			checker = obs.Inv()
+			if sc.TransferBytes > 0 {
+				w.Conn.OnComplete = func(sim.Time) {
+					w.Meter.Stop()
+					w.Eng.Stop()
+				}
+			}
+			supervise.StopOnCancel(ctx, w.Eng, 100*sim.Millisecond)
+		},
+		Summary: func(w *backend.World, obs *obsv.Observer) {
+			if w.Conn != nil {
+				obs.Summary("goodput_mbps", w.Conn.MeanThroughputBps()/1e6)
+				obs.Summary("energy_j", w.Meter.Joules())
+				obs.Summary("reinjected_segs", float64(w.Conn.ReinjectedSegs()))
+				return
+			}
+			st := w.Pop.Stats()
+			obs.Summary("flows_offered", float64(st.Offered))
+			obs.Summary("flows_completed", float64(st.Completed))
+			obs.Summary("flows_shed", float64(st.ShedCapacity))
+			obs.Summary("flows_cut", float64(st.Cut))
+		},
+	})
 	if err != nil {
 		return o, err
 	}
-	defer obs.Abort()
-	if o.w, err = backend.Wire(eng, sc, obs); err != nil {
-		return o, err
-	}
-	w := o.w
-	w.Observe(obs)
-	if sc.TransferBytes > 0 {
-		w.Conn.OnComplete = func(sim.Time) {
-			w.Meter.Stop()
-			eng.Stop()
-		}
-	}
-	obs.Start()
-	start := time.Now()
-	w.Start()
-	eng.Run(sc.Horizon)
-	w.Settle() // integrate the meter's residual, cut and account live flows
-	o.wallSecs = time.Since(start).Seconds()
-	o.interrupted = ctx.Err() != nil
-
-	if w.Conn != nil {
-		obs.Summary("goodput_mbps", w.Conn.MeanThroughputBps()/1e6)
-		obs.Summary("energy_j", w.Meter.Joules())
-		obs.Summary("reinjected_segs", float64(w.Conn.ReinjectedSegs()))
-	} else {
-		st := w.Pop.Stats()
-		obs.Summary("flows_offered", float64(st.Offered))
-		obs.Summary("flows_completed", float64(st.Completed))
-		obs.Summary("flows_shed", float64(st.ShedCapacity))
-		obs.Summary("flows_cut", float64(st.Cut))
-	}
-	if err := obs.Close(); err != nil {
-		return o, err
-	}
-	if checker := obs.Inv(); checker != nil {
+	o.w, o.wallSecs, o.interrupted = w, time.Since(start).Seconds(), ctx.Err() != nil
+	if checker != nil {
 		o.checks = checker.Checks()
 	}
 	return o, nil

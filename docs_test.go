@@ -190,6 +190,112 @@ func TestSupervisionLivesInOnePlace(t *testing.T) {
 	}
 }
 
+// TestRunsRunInOnePlace keeps a run assembled and run in one place,
+// backend.Run: no non-test code outside internal/backend calls backend.Wire
+// or obsv.NewObserver, inside it only Run calls Wire, and the one
+// NewObserver call is followed by its error check and then
+// "defer obs.Abort()", so a run that panics or fails still leaves a record
+// that parses. benchmark/ is frozen and stands outside.
+func TestRunsRunInOnePlace(t *testing.T) {
+	fset := token.NewFileSet()
+	observers := 0
+	for _, dir := range goPackageDirs(t, "internal", "cmd", "examples") {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", file, err)
+			}
+			for _, decl := range f.Decls {
+				fn, _ := decl.(*ast.FuncDecl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if block, ok := n.(*ast.BlockStmt); ok {
+						for i, stmt := range block.List {
+							if obs := newObserverResult(stmt); obs != "" {
+								observers++
+								if dir != "internal/backend" {
+									t.Errorf("%s: obsv.NewObserver outside backend.Run", fset.Position(stmt.Pos()))
+								} else if !defersAbort(block.List[i+1:], obs) {
+									t.Errorf("%s: obsv.NewObserver not followed by its error check and defer %s.Abort()", fset.Position(stmt.Pos()), obs)
+								}
+							}
+						}
+					}
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch fun := call.Fun.(type) {
+					case *ast.SelectorExpr:
+						if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "backend" && fun.Sel.Name == "Wire" {
+							t.Errorf("%s: backend.Wire outside backend.Run", fset.Position(call.Pos()))
+						}
+					case *ast.Ident:
+						if dir == "internal/backend" && fun.Name == "Wire" && (fn == nil || fn.Name.Name != "Run") {
+							t.Errorf("%s: Wire called outside Run", fset.Position(call.Pos()))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if observers != 1 {
+		t.Errorf("found %d obsv.NewObserver calls, want the one in backend.Run", observers)
+	}
+}
+
+// newObserverResult returns the variable stmt assigns obsv.NewObserver's
+// observer to ("" when stmt is no such call; "_" when it drops it).
+func newObserverResult(stmt ast.Stmt) string {
+	as, ok := stmt.(*ast.AssignStmt)
+	if !ok || len(as.Rhs) != 1 {
+		return ""
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "NewObserver" {
+		return ""
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "obsv" {
+		return ""
+	}
+	if id, ok := as.Lhs[0].(*ast.Ident); ok {
+		return id.Name
+	}
+	return "_"
+}
+
+// defersAbort reports whether rest opens with an if statement (the error
+// check) and then "defer obs.Abort()".
+func defersAbort(rest []ast.Stmt, obs string) bool {
+	if len(rest) < 2 {
+		return false
+	}
+	if _, ok := rest[0].(*ast.IfStmt); !ok {
+		return false
+	}
+	d, ok := rest[1].(*ast.DeferStmt)
+	if !ok {
+		return false
+	}
+	sel, ok := d.Call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Abort" || len(d.Call.Args) != 0 {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == obs
+}
+
 // TestAlgorithmHooksLiveInTcp keeps the transport the only place an algorithm
 // hears from: outside internal/core and internal/tcp no non-test code calls
 // OnAck, OnRound or OnPath, or type-asserts a value to AckObserver,
@@ -669,20 +775,19 @@ var exportedWithoutCallers = map[string]string{
 	"fluid.System.Equilibrium":     "the RK4 reference the Newton solve is held to; ROADMAP item 11 calls it",
 
 	// Test surface other packages' tests drive.
-	"pathsel.Selector.Stop":        "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
-	"pathsel.Selector.Decisions":   "the tick count TestStoppedOwnersOwnNoEvents reads",
-	"workload.CBR.Stop":            "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
-	"workload.ParetoOnOff.Stop":    "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
-	"workload.ParetoOnOff.Active":  "the mid-burst state TestStoppedOwnersOwnNoEvents stops a source in",
-	"workload.source.Sent":         "the tick count TestStoppedOwnersOwnNoEvents reads",
-	"topo.FatTree.Links":           "flows' pinned-population test reads every fabric link's counters",
-	"netem.Link.Down":              "the link state faults' tests assert a schedule left",
-	"netem.NewPacket":              "tcp's tests hand-build packets to feed a subflow",
-	"netem.Pool.FreeLen":           "tcp's tests check a subflow recycles its packets",
-	"sim.Engine.Drain":             "netem's tests run an engine to quiescence",
-	"core.MustNew":                 "the algorithm constructor seven packages' tests share",
-	"obsv.ParseRecord":             "the record reader exp's golden-record tests parse with",
-	"supervise.Watchdog.SetSample": "the hook a run adds its own last observation to RunError.LastObsv with; no run registers one yet",
+	"pathsel.Selector.Stop":       "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
+	"pathsel.Selector.Decisions":  "the tick count TestStoppedOwnersOwnNoEvents reads",
+	"workload.CBR.Stop":           "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
+	"workload.ParetoOnOff.Stop":   "the owner contract TestStoppedOwnersOwnNoEvents holds every ticker owner to",
+	"workload.ParetoOnOff.Active": "the mid-burst state TestStoppedOwnersOwnNoEvents stops a source in",
+	"workload.source.Sent":        "the tick count TestStoppedOwnersOwnNoEvents reads",
+	"topo.FatTree.Links":          "flows' pinned-population test reads every fabric link's counters",
+	"netem.Link.Down":             "the link state faults' tests assert a schedule left",
+	"netem.NewPacket":             "tcp's tests hand-build packets to feed a subflow",
+	"netem.Pool.FreeLen":          "tcp's tests check a subflow recycles its packets",
+	"sim.Engine.Drain":            "netem's tests run an engine to quiescence",
+	"core.MustNew":                "the algorithm constructor seven packages' tests share",
+	"obsv.ParseRecord":            "the record reader exp's golden-record tests parse with",
 }
 
 // implicitMethods are called by the standard library through interfaces

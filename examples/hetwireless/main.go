@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"mptcpsim/internal/backend"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 )
 
@@ -47,13 +48,9 @@ func one(alg string) (tputBps, joules float64, err error) {
 	if alg == "dtsep" {
 		sc.Price = &backend.Price{Path: 1, Rho: 2.0, Gamma: 0.1, QTarget: 12}
 	}
-	eng := sim.NewEngine(sc.Seed)
-	w, err := backend.Wire(eng, sc, nil)
+	w, err := backend.Run(sc, obsv.Config{}, nil, backend.Stages{})
 	if err != nil {
 		return 0, 0, err
 	}
-	w.Start()
-	eng.Run(horizon)
-	w.Settle()
 	return w.Conn.MeanThroughputBps(), w.Meter.Joules(), nil
 }

@@ -14,6 +14,7 @@ import (
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/flows"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/topo"
@@ -61,14 +62,10 @@ func one(alg string) error {
 			},
 		},
 	}
-	eng := sim.NewEngine(sc.Seed)
-	w, err := backend.Wire(eng, sc, nil)
+	w, err := backend.Run(sc, obsv.Config{}, nil, backend.Stages{})
 	if err != nil {
 		return err
 	}
-	w.Start()
-	eng.Run(sc.Horizon)
-	w.Settle()
 
 	st := w.Pop.Stats()
 	mediaSeconds := float64(w.Pop.StreamChunks()) * stream.Chunk.Seconds()

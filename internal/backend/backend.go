@@ -1,10 +1,13 @@
-// Package backend owns the one description of a run and the two machines
-// that can answer it. A Scenario — registered topology and its parameters,
-// algorithm, subflows, transfer, cross traffic, fault schedule, optional
-// flow population, priced path, energy model, seed, horizon — is what every
-// front-end (the engines here, internal/chaos, cmd/mptcp-sim, the figure
-// runners of internal/exp) lowers its own vocabulary to; Validate checks it
-// and Wire builds it, once (ARCHITECTURE.md, "How a run is assembled").
+// Package backend owns the one description of a run, the one sequence that
+// runs it, and the two machines that can answer it. A Scenario — registered
+// topology and its parameters, algorithm, subflows, transfer, cross traffic,
+// fault schedule, optional flow population, priced path, energy model,
+// seed, horizon — is what every front-end (the engines here,
+// internal/chaos, cmd/mptcp-sim, the figure runners of internal/exp, the
+// examples) lowers its own vocabulary to; Validate checks it, Wire builds
+// it, and Run takes it from a fresh engine through observation, the
+// front-end's Stages and settling to a closed record — each once
+// (ARCHITECTURE.md, "How a run is assembled").
 //
 // Two engines answer a Scenario with a Result (per-path equilibrium rates
 // and shares, aggregate goodput, energy estimate, fidelity tag) behind the
@@ -44,7 +47,7 @@ import (
 const priceExp = 20
 
 // Scenario is the declarative description of one run. Front-ends fill it
-// literally and hand it to Wire; the engines additionally apply
+// literally and hand it to Run; the engines additionally apply
 // WithDefaults, so for them the zero values of Seed/Horizon/Warmup/
 // EnergyModel take defaults and only Topology and Algorithm are required.
 type Scenario struct {

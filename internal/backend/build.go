@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"strings"
 
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/faults"
@@ -10,13 +11,14 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/workload"
 )
 
 // World is a wired Scenario: everything Wire built, ready to observe and
-// start. Fields a scenario does not ask for are nil.
+// start — Run does both. Fields a scenario does not ask for are nil.
 type World struct {
 	Eng   *sim.Engine
 	Net   topo.Net       // the built topology; nil over ready paths
@@ -27,9 +29,9 @@ type World struct {
 }
 
 // Wire validates sc and builds it on eng — the one place a run is
-// assembled. The topology is sc.Topology from the registry or, for a
-// substrate the registry does not name, the ready paths (sc.Subflows fans
-// over either). Construction order is fixed, because same-instant event
+// assembled; outside tests only Run calls it. The topology is sc.Topology
+// from the registry or, for a substrate the registry does not name, the
+// ready paths (sc.Subflows fans over either). Construction order is fixed, because same-instant event
 // order and RNG draws follow it and the committed tables were generated
 // under it: topology → link price → cross traffic → connection → meter →
 // faults → population. obs (nil is fine) supplies the population's
@@ -160,28 +162,96 @@ func (w *World) Observe(obs *obsv.Observer) {
 	}
 }
 
-// Start starts the measured connection and the population. A population
-// alone ends the run when it drains.
-func (w *World) Start() {
+// sample is the world as a tripped watchdog reports it: each measured
+// subflow's state and window, the population's live count.
+func (w *World) sample() string {
+	var b strings.Builder
+	if w.Conn != nil {
+		for _, s := range w.Conn.Subflows() {
+			fmt.Fprintf(&b, "sf%d=%s cwnd=%.1f ", s.ID(), s.State(), s.Cwnd())
+		}
+	}
+	if w.Pop != nil {
+		fmt.Fprintf(&b, "live=%d", w.Pop.Live())
+	}
+	return strings.TrimSpace(b.String())
+}
+
+// Stages are what a front-end adds to Run: the parts of a run a Scenario
+// does not name. Every field may be nil.
+type Stages struct {
+	// Ready builds the paths of a substrate the registry does not name.
+	Ready func(eng *sim.Engine) []*netem.Path
+	// Attach runs on the wired world before anything starts. It adds what
+	// only this front-end has (an algorithm instance, the path selector, its
+	// own users, a failpoint, a stop condition) and registers the observed
+	// series; nil means World.Observe.
+	Attach func(w *World, obs *obsv.Observer)
+	// Drive runs the engine (nil: to sc.Horizon).
+	Drive func(w *World)
+	// Summary files the run's scalar outcomes on the settled world.
+	Summary func(w *World, obs *obsv.Observer)
+}
+
+// Run is the one sequence every run goes through: engine (seeded with
+// sc.Seed) → watchdog (nil is fine) → observer per oc, whose deferred Abort
+// saves a parseable record when the run panics or fails → Ready → Wire →
+// Attach → observer start → connection and population start (a population
+// alone stops the engine when it drains) → Drive → settle → Summary →
+// observer close. Settling flushes the meter, cuts the flows still alive and
+// fails the run if the population's ledger (Offered == Completed +
+// ShedCapacity + Cut) does not balance.
+func Run(sc Scenario, oc obsv.Config, wd *supervise.Watchdog, st Stages) (*World, error) {
+	eng := sim.NewEngine(sc.Seed)
+	wd.Attach(eng)
+	obs, err := obsv.NewObserver(eng, oc)
+	if err != nil {
+		return nil, err
+	}
+	defer obs.Abort()
+	var ready []*netem.Path
+	if st.Ready != nil {
+		ready = st.Ready(eng)
+	}
+	w, err := Wire(eng, sc, obs, ready...)
+	if err != nil {
+		return nil, err
+	}
+	if w.Conn != nil || w.Pop != nil {
+		wd.SetSample(w.sample)
+	}
+	if st.Attach != nil {
+		st.Attach(w, obs)
+	} else {
+		w.Observe(obs)
+	}
+	obs.Start()
 	if w.Conn != nil {
 		w.Conn.Start()
 	}
 	if w.Pop != nil {
 		if w.Conn == nil {
-			w.Pop.OnDrained = w.Eng.Stop
+			w.Pop.OnDrained = eng.Stop
 		}
 		w.Pop.Start()
 	}
-}
-
-// Settle closes the books once the engine has stopped: the meter integrates
-// the residual the horizon cut off, and flows still alive are cut and
-// accounted.
-func (w *World) Settle() {
+	if st.Drive != nil {
+		st.Drive(w)
+	} else {
+		eng.Run(sc.Horizon)
+	}
 	if w.Meter != nil {
 		w.Meter.Flush()
 	}
 	if w.Pop != nil {
 		w.Pop.CutLive()
+		if n := w.Pop.Stats(); n.Offered != n.Completed+n.ShedCapacity+n.Cut {
+			return w, fmt.Errorf("backend: population ledger broken: %d offered != %d completed + %d shed + %d cut",
+				n.Offered, n.Completed, n.ShedCapacity, n.Cut)
+		}
 	}
+	if st.Summary != nil {
+		st.Summary(w, obs)
+	}
+	return w, obs.Close()
 }

@@ -30,8 +30,10 @@ type Options struct {
 	Workers int
 	// Shard restricts this process to its slice of the manifest.
 	Shard Shard
-	// Timeout bounds each simulation run's wall clock via the supervisor
-	// (0 = none).
+	// Timeout bounds the wall clock of each simulation run inside a figure
+	// unit via the supervisor (0 = none). It does not bound sweep units:
+	// execSweepUnit runs backend.Sweep without the run supervisor, and a
+	// sweep-check unit's packet engine attaches no watchdog (ROADMAP 4(f)).
 	Timeout time.Duration
 	// Retries is how many times a transient unit failure (file system
 	// errors, not simulation failures) is re-attempted before quarantine.

@@ -242,39 +242,26 @@ func (sc Scenario) Lower() backend.Scenario {
 	return out
 }
 
-// Run executes the scenario under collecting invariants, with the watchdog
-// (nil-safe) attached to the engine. It returns the build error (bad
-// algorithm, unresolvable fault target, schedule past horizon: in a soak
-// these quarantine just the one scenario), the failpoint's effect, or the
-// collected invariant failure; a panic out of the engine propagates to
-// the supervisor as usual.
+// Run executes the scenario through backend.Run under collecting
+// invariants and the watchdog (nil-safe). It returns the failpoint's parse
+// error, the build error (bad algorithm, unresolvable fault target, schedule
+// past horizon: in a soak these quarantine just the one scenario), a broken
+// population ledger, or the collected invariant failure, in that order; a
+// panic out of the engine propagates to the supervisor as usual.
 func (sc Scenario) Run(wd *supervise.Watchdog) error {
-	low := sc.Lower()
-	eng := sim.NewEngine(low.Seed)
-	wd.Attach(eng)
-	obs, _ := obsv.NewObserver(eng, obsv.Config{Check: obsv.CheckCollect}) // no record, so nothing to fail
-	w, err := backend.Wire(eng, low, obs)
+	at, fire, err := sc.failpoint()
 	if err != nil {
 		return err
 	}
-	if err := sc.installFailpoint(eng, obs.Inv()); err != nil {
-		return err
-	}
-	w.Observe(obs)
-	obs.Start()
-	w.Start()
-	eng.Run(low.Horizon)
-	w.Settle()
-	if w.Pop != nil {
-		// The horizon cut whatever was still live; after that the zero-
-		// silent-loss ledger must balance, faults and all.
-		st := w.Pop.Stats()
-		if st.Offered != st.Completed+st.ShedCapacity+st.Cut {
-			return fmt.Errorf("chaos: churn accounting broken: %d offered != %d completed + %d shed + %d cut",
-				st.Offered, st.Completed, st.ShedCapacity, st.Cut)
-		}
-	}
-	return obs.Close()
+	_, err = backend.Run(sc.Lower(), obsv.Config{Check: obsv.CheckCollect}, wd, backend.Stages{
+		Attach: func(w *backend.World, obs *obsv.Observer) {
+			if inv := obs.Inv(); fire != nil {
+				w.Eng.Schedule(sim.FromDuration(at), func() { fire(inv) })
+			}
+			w.Observe(obs)
+		},
+	})
+	return err
 }
 
 // runUnder runs the scenario once under a supervisor of its own holding
@@ -286,55 +273,45 @@ func (sc Scenario) runUnder(budget supervise.Budget, name string) supervise.Repo
 		supervise.RunID{Seed: sc.Seed, Scenario: name, Phase: "chaos"}, sc.Run)
 }
 
-// installFailpoint arms the scenario's deliberate failure, if any.
-func (sc Scenario) installFailpoint(eng *sim.Engine, inv *check.Invariants) error {
+// failpoint parses the scenario's deliberate failure: the instant it fires
+// at, and what it does there given the run's invariant checker (nil: none).
+func (sc Scenario) failpoint() (time.Duration, func(inv *check.Invariants), error) {
 	if sc.Failpoint == "" {
-		return nil
+		return 0, nil, nil
 	}
 	kind, arg, ok := strings.Cut(sc.Failpoint, "@")
 	if !ok {
-		return fmt.Errorf("chaos: failpoint %q has no @time", sc.Failpoint)
+		return 0, nil, fmt.Errorf("chaos: failpoint %q has no @time", sc.Failpoint)
 	}
-	switch kind {
-	case "panic":
-		at, err := time.ParseDuration(arg)
-		if err != nil {
-			return fmt.Errorf("chaos: failpoint %q: %v", sc.Failpoint, err)
+	if kind != "panic" && kind != "spin" && kind != "trip" {
+		return 0, nil, fmt.Errorf("chaos: unknown failpoint %q (want panic/spin/trip)", kind)
+	}
+	var hangArg string
+	if kind == "spin" {
+		if arg, hangArg, ok = strings.Cut(arg, "="); !ok {
+			return 0, nil, fmt.Errorf("chaos: spin failpoint %q needs @time=duration", sc.Failpoint)
 		}
-		eng.Schedule(sim.FromDuration(at), func() {
+	}
+	at, err := time.ParseDuration(arg)
+	var hang time.Duration
+	if err == nil && kind == "spin" {
+		hang, err = time.ParseDuration(hangArg)
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("chaos: failpoint %q: %v", sc.Failpoint, err)
+	}
+	return at, func(inv *check.Invariants) {
+		switch kind {
+		case "panic":
 			panic(fmt.Sprintf("chaos: injected panic failpoint at %v", at))
-		})
-	case "spin":
-		atStr, durStr, ok := strings.Cut(arg, "=")
-		if !ok {
-			return fmt.Errorf("chaos: spin failpoint %q needs @time=duration", sc.Failpoint)
-		}
-		at, err := time.ParseDuration(atStr)
-		if err != nil {
-			return fmt.Errorf("chaos: failpoint %q: %v", sc.Failpoint, err)
-		}
-		d, err := time.ParseDuration(durStr)
-		if err != nil {
-			return fmt.Errorf("chaos: failpoint %q: %v", sc.Failpoint, err)
-		}
-		eng.Schedule(sim.FromDuration(at), func() {
+		case "spin":
 			// A simulated hang: burn real wall clock inside one event so
 			// only the wall-deadline watchdog can end the run.
-			time.Sleep(d)
-		})
-	case "trip":
-		at, err := time.ParseDuration(arg)
-		if err != nil {
-			return fmt.Errorf("chaos: failpoint %q: %v", sc.Failpoint, err)
+			time.Sleep(hang)
+		default:
+			inv.Inject(check.Violation{T: sim.FromDuration(at), Invariant: "chaos.failpoint", Detail: "injected violation"})
 		}
-		simAt := sim.FromDuration(at)
-		eng.Schedule(simAt, func() {
-			inv.Inject(check.Violation{T: simAt, Invariant: "chaos.failpoint", Detail: "injected violation"})
-		})
-	default:
-		return fmt.Errorf("chaos: unknown failpoint %q (want panic/spin/trip)", kind)
-	}
-	return nil
+	}, nil
 }
 
 // Signature classifies a RunError into a stable failure signature: the

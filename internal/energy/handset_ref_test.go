@@ -7,6 +7,7 @@ import (
 	"mptcpsim/internal/energy"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/topo"
 )
@@ -62,7 +63,7 @@ func (m *refHandsetMeter) tick() {
 }
 
 // TestMeterMatchesHandsetReference runs the handset worlds the figures use
-// through backend.Wire with EnergyModel "nexus5" and the reference beside
+// through backend.Run with EnergyModel "nexus5" and the reference beside
 // it, and compares the two integrals after every 10 ms tick.
 func TestMeterMatchesHandsetReference(t *testing.T) {
 	const horizon = 12 * sim.Second
@@ -85,32 +86,36 @@ func TestMeterMatchesHandsetReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := tc.sc
 			sc.EnergyModel, sc.Seed, sc.Horizon = "nexus5", 3, horizon
-			eng := sim.NewEngine(sc.Seed)
-			var ready []*netem.Path
-			if tc.radios != nil {
-				net, err := topo.Build(eng, "hetwireless", topo.Params{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range tc.radios {
-					ready = append(ready, net.Paths(0, 1, 0)[r])
-				}
-			}
-			w, err := backend.Wire(eng, sc, nil, ready...)
+			var ref *refHandsetMeter
+			ticks := 0
+			w, err := backend.Run(sc, obsv.Config{}, nil, backend.Stages{
+				Ready: func(eng *sim.Engine) []*netem.Path {
+					if tc.radios == nil {
+						return nil
+					}
+					net, err := topo.Build(eng, "hetwireless", topo.Params{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ready []*netem.Path
+					for _, r := range tc.radios {
+						ready = append(ready, net.Paths(0, 1, 0)[r])
+					}
+					return ready
+				},
+				Attach: func(w *backend.World, _ *obsv.Observer) {
+					ref = newRefHandsetMeter(w.Eng, w.Conn, len(w.Paths) == 2)
+					ref.onTick = func() {
+						ticks++
+						if got := w.Meter.Joules(); got != ref.joules {
+							t.Fatalf("tick %d at %v: Meter %v J, reference %v J", ticks, w.Eng.Now().Duration(), got, ref.joules)
+						}
+					}
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefHandsetMeter(eng, w.Conn, len(w.Paths) == 2)
-			ticks := 0
-			ref.onTick = func() {
-				ticks++
-				if got := w.Meter.Joules(); got != ref.joules {
-					t.Fatalf("tick %d at %v: Meter %v J, reference %v J", ticks, eng.Now().Duration(), got, ref.joules)
-				}
-			}
-			w.Start()
-			eng.Run(horizon)
-			w.Settle()
 			if want := int(horizon / energy.DefaultInterval); ticks != want {
 				t.Fatalf("compared %d ticks, want %d", ticks, want)
 			}
@@ -126,28 +131,31 @@ func TestMeterMatchesHandsetReference(t *testing.T) {
 
 // TestMeterIntegratesResidualTheReferenceDropped pins the one intended
 // difference: at a horizon that is not a multiple of the 10 ms interval the
-// reference stopped at its last tick, while World.Settle integrates the
-// partial interval that follows it.
+// reference stopped at its last tick, while backend.Run's settling
+// integrates the partial interval that follows it.
 func TestMeterIntegratesResidualTheReferenceDropped(t *testing.T) {
 	const horizon = 5*sim.Second + 4*sim.Millisecond
 	sc := backend.Scenario{Topology: "hetwireless", Algorithm: "lia", EnergyModel: "nexus5", Seed: 3, Horizon: horizon}
-	eng := sim.NewEngine(sc.Seed)
-	w, err := backend.Wire(eng, sc, nil)
+	var ref *refHandsetMeter
+	w, err := backend.Run(sc, obsv.Config{}, nil, backend.Stages{
+		Attach: func(w *backend.World, _ *obsv.Observer) {
+			ref = newRefHandsetMeter(w.Eng, w.Conn, true)
+			ref.onTick = func() {}
+		},
+		Drive: func(w *backend.World) {
+			w.Eng.Run(horizon)
+			if got := w.Meter.Joules(); got != ref.joules {
+				t.Fatalf("before settling: Meter %v J, reference %v J", got, ref.joules)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefHandsetMeter(eng, w.Conn, true)
-	ref.onTick = func() {}
-	w.Start()
-	eng.Run(horizon)
-	if got := w.Meter.Joules(); got != ref.joules {
-		t.Fatalf("before Settle: Meter %v J, reference %v J", got, ref.joules)
-	}
-	w.Settle()
 	residual := w.Meter.Joules() - ref.joules
 	// 4 ms at handset power: between both radios idle and both saturated.
 	if lo, hi := 0.53*0.004, 3.2*0.004; residual < lo || residual > hi {
-		t.Errorf("Settle added %v J for the last 4 ms, want within [%v, %v]", residual, lo, hi)
+		t.Errorf("settling added %v J for the last 4 ms, want within [%v, %v]", residual, lo, hi)
 	}
 	if got, want := w.Meter.MeanPower(), w.Meter.Joules()/horizon.Seconds(); got != want {
 		t.Errorf("MeanPower %v, want joules over the whole horizon %v", got, want)

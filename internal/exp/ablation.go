@@ -29,11 +29,13 @@ func shiftRunWith(cfg Config, wd *supervise.Watchdog, expID, scenario string, se
 	return shiftOutcome(cfg.run(wd, world{
 		exp: expID, scenario: scenario, alg: alg.Name(),
 		sc: burstTwoPath(seed, "lia", horizon),
-		attach: func(w *backend.World, obs *obsv.Observer) {
-			w.Conn.SetAlgorithm(alg)
-			w.Observe(obs)
+		Stages: backend.Stages{
+			Attach: func(w *backend.World, obs *obsv.Observer) {
+				w.Conn.SetAlgorithm(alg)
+				w.Observe(obs)
+			},
+			Summary: shiftSummary,
 		},
-		summary: shiftSummary,
 	}))
 }
 
@@ -110,18 +112,20 @@ func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed in
 	var share float64
 	w := cfg.run(wd, world{
 		exp: "abl-kappa", scenario: scenario, alg: alg.Name(), sc: sc,
-		attach: func(w *backend.World, obs *obsv.Observer) {
-			w.Conn.SetAlgorithm(alg)
-			w.Observe(obs)
-		},
-		summary: func(w *backend.World, obs *obsv.Observer) {
-			a0 := float64(w.Conn.Subflows()[0].Acked())
-			a1 := float64(w.Conn.Subflows()[1].Acked())
-			if a0+a1 > 0 {
-				share = a1 / (a0 + a1)
-			}
-			obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
-			obs.Summary("priced_path_share", share)
+		Stages: backend.Stages{
+			Attach: func(w *backend.World, obs *obsv.Observer) {
+				w.Conn.SetAlgorithm(alg)
+				w.Observe(obs)
+			},
+			Summary: func(w *backend.World, obs *obsv.Observer) {
+				a0 := float64(w.Conn.Subflows()[0].Acked())
+				a1 := float64(w.Conn.Subflows()[1].Acked())
+				if a0+a1 > 0 {
+					share = a1 / (a0 + a1)
+				}
+				obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
+				obs.Summary("priced_path_share", share)
+			},
 		},
 	})
 	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), share}, events: w.Eng.Processed()}
@@ -150,19 +154,21 @@ func AblationHystart(cfg Config) *Result {
 				Algorithm: "reno", TransferBytes: transfer, Transport: tcp.Config{DisableHystart: disable},
 				EnergyModel: "none", Seed: cfg.Seed, Horizon: 600 * sim.Second,
 			},
-			// One deep-buffered link: no registered topology is a single hop.
-			ready: func(eng *sim.Engine) []*netem.Path {
-				return []*netem.Path{linkPath(eng, "p", 100*netem.Mbps, 20*sim.Millisecond, 1500, 0)}
-			},
-			attach: func(w *backend.World, obs *obsv.Observer) {
-				w.Observe(obs)
-				w.Conn.OnComplete = func(sim.Time) { w.Eng.Stop() }
-			},
-			summary: func(w *backend.World, obs *obsv.Observer) {
-				st = w.Conn.Subflows()[0].Stats()
-				obs.Summary("completion_s", w.Conn.CompletedAt().Seconds())
-				obs.Summary("loss_events", float64(st.LossEvents))
-				obs.Summary("rtx", float64(st.PktsRtx))
+			Stages: backend.Stages{
+				// One deep-buffered link: no registered topology is a single hop.
+				Ready: func(eng *sim.Engine) []*netem.Path {
+					return []*netem.Path{linkPath(eng, "p", 100*netem.Mbps, 20*sim.Millisecond, 1500, 0)}
+				},
+				Attach: func(w *backend.World, obs *obsv.Observer) {
+					w.Observe(obs)
+					w.Conn.OnComplete = func(sim.Time) { w.Eng.Stop() }
+				},
+				Summary: func(w *backend.World, obs *obsv.Observer) {
+					st = w.Conn.Subflows()[0].Stats()
+					obs.Summary("completion_s", w.Conn.CompletedAt().Seconds())
+					obs.Summary("loss_events", float64(st.LossEvents))
+					obs.Summary("rtx", float64(st.PktsRtx))
+				},
 			},
 		})
 		return runRow{events: w.Eng.Processed(), cells: []string{
@@ -208,10 +214,11 @@ func AblationPathsel(cfg Config) *Result {
 // pathselRun runs the Fig. 17 wireless scenario with the given approach.
 func pathselRun(cfg Config, wd *supervise.Watchdog, seed int64, approach string, horizon sim.Time) repOut {
 	r := world{exp: "abl-pathsel", scenario: "hetwireless", alg: approach,
-		sc: handsetWorld(seed, approach, horizon), summary: shiftSummary}
+		sc:     handsetWorld(seed, approach, horizon),
+		Stages: backend.Stages{Summary: shiftSummary}}
 	if approach == "lia+selector" {
 		r.sc.Algorithm = "lia"
-		r.attach = func(w *backend.World, obs *obsv.Observer) {
+		r.Attach = func(w *backend.World, obs *obsv.Observer) {
 			pathsel.New(w.Eng, w.Conn, []energy.Model{energy.NewWiFi(), energy.NewLTE()}).Start()
 			w.Observe(obs)
 		}

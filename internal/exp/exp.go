@@ -1,8 +1,9 @@
 // Package exp reproduces the paper's evaluation: one runner per figure,
 // each declaring its worlds as backend.Scenarios, taking every one through
-// the same run sequence (Config.run) and reporting the same rows/series the
-// paper plots. How a Scenario becomes a wired, observed simulation is
-// internal/backend's business (ARCHITECTURE.md, "How a run is assembled").
+// the one run sequence (backend.Run, by way of Config.run) and reporting the
+// same rows/series the paper plots. How a Scenario becomes a wired, observed,
+// settled simulation is internal/backend's business (ARCHITECTURE.md, "How a
+// run is assembled").
 //
 // Runners accept a Scale knob so the test suite and benchmarks can run
 // reduced versions (fewer users, shorter horizons) while cmd/mptcp-bench
@@ -18,8 +19,6 @@ import (
 	"sort"
 	"strings"
 
-	"mptcpsim/internal/energy"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
@@ -385,14 +384,6 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// meterFor attaches an energy meter with the given model to a set of
-// connections and starts it.
-func meterFor(eng *sim.Engine, model energy.Model, conns ...*mptcp.Conn) *energy.Meter {
-	m := energy.NewMeter(eng, model, energy.ConnProbe(conns...), 0)
-	m.Start()
-	return m
 }
 
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }

@@ -97,28 +97,30 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) runRow {
 				},
 			},
 		},
-		attach: func(w *backend.World, obs *obsv.Observer) {
-			w.Observe(obs)
-			// Fault schedule concurrent with the churn: one switch link dies
-			// mid-storm and heals, another flaps throughout — failover must
-			// keep working while flows are being born and torn down. Instants
-			// are fractions of the arrival phase so every scale exercises
-			// them while arrivals are still coming.
-			links := w.Net.(*topo.FatTree).SwitchLinks()
-			faults.ApplyLinks(w.Eng, links[:1], faults.Outage{Down: arrDur / 4, Up: arrDur / 2})
-			faults.ApplyLinks(w.Eng, links[1:2], faults.Flap{
-				Start: arrDur / 6, Period: arrDur / 3, DownFor: arrDur / 12,
-			})
-		},
-		summary: func(w *backend.World, obs *obsv.Observer) {
-			st = w.Pop.Stats()
-			obs.Summary("flows_offered", float64(st.Offered))
-			obs.Summary("flows_completed", float64(st.Completed))
-			obs.Summary("flows_shed", float64(st.ShedCapacity))
-			obs.Summary("flows_cut", float64(st.Cut))
-			obs.Summary("peak_live", float64(st.PeakLive))
-			obs.Summary("fct_p99_s", p(fcts, 99))
-			obs.Summary("j_per_flow_p99", p(joules, 99))
+		Stages: backend.Stages{
+			Attach: func(w *backend.World, obs *obsv.Observer) {
+				w.Observe(obs)
+				// Fault schedule concurrent with the churn: one switch link dies
+				// mid-storm and heals, another flaps throughout — failover must
+				// keep working while flows are being born and torn down. Instants
+				// are fractions of the arrival phase so every scale exercises
+				// them while arrivals are still coming.
+				links := w.Net.(*topo.FatTree).SwitchLinks()
+				faults.ApplyLinks(w.Eng, links[:1], faults.Outage{Down: arrDur / 4, Up: arrDur / 2})
+				faults.ApplyLinks(w.Eng, links[1:2], faults.Flap{
+					Start: arrDur / 6, Period: arrDur / 3, DownFor: arrDur / 12,
+				})
+			},
+			Summary: func(w *backend.World, obs *obsv.Observer) {
+				st = w.Pop.Stats()
+				obs.Summary("flows_offered", float64(st.Offered))
+				obs.Summary("flows_completed", float64(st.Completed))
+				obs.Summary("flows_shed", float64(st.ShedCapacity))
+				obs.Summary("flows_cut", float64(st.Cut))
+				obs.Summary("peak_live", float64(st.PeakLive))
+				obs.Summary("fct_p99_s", p(fcts, 99))
+				obs.Summary("j_per_flow_p99", p(joules, 99))
+			},
 		},
 	})
 

@@ -49,7 +49,7 @@ func Fig10(cfg Config) *Result {
 	}
 	outcomes := runPar(cfg, res, len(algs), func(i int, wd *supervise.Watchdog) outcome {
 		a := algs[i]
-		meters := make([]*energy.Meter, hosts)
+		var meters []*energy.Meter
 		var out outcome
 		var doneSum float64
 		w := cfg.run(wd, world{
@@ -58,39 +58,22 @@ func Fig10(cfg Config) *Result {
 				Topology: "ec2", Net: topo.Params{Size: hosts},
 				EnergyModel: "none", Seed: cfg.Seed, Horizon: 4000 * sim.Second,
 			},
-			attach: func(w *backend.World, obs *obsv.Observer) {
-				eng := w.Eng
-				perm := workload.Permutation(eng, hosts)
-				remaining := hosts
-				for h := 0; h < hosts; h++ {
-					h := h
-					conn := mptcp.MustNew(eng,
-						mptcp.Config{Algorithm: a.name, TransferBytes: transfer},
-						uint64(h+1), w.Net.Paths(h, perm[h], a.paths)...)
-					meters[h] = meterFor(eng, energy.NewXeon(), conn)
-					if h == 0 {
-						obs.Conn("host0.", conn)
-						obs.Meter("host0.host", meters[h])
+			Stages: backend.Stages{
+				Attach: func(w *backend.World, obs *obsv.Observer) {
+					perm := workload.Permutation(w.Eng, hosts)
+					_, meters = hostUsers(w, obs, "host0.", hosts, mptcp.Config{Algorithm: a.name, TransferBytes: transfer},
+						energy.NewXeon(), func(h int) []*netem.Path { return w.Net.Paths(h, perm[h], a.paths) },
+						func(at sim.Time) { doneSum += at.Seconds() })
+				},
+				Summary: func(_ *backend.World, obs *obsv.Observer) {
+					for _, m := range meters {
+						m.Flush() // transfers the horizon cut off still owe their residual
+						out.joules += m.Joules()
 					}
-					conn.OnComplete = func(at sim.Time) {
-						meters[h].Stop()
-						doneSum += at.Seconds()
-						remaining--
-						if remaining == 0 {
-							eng.Stop()
-						}
-					}
-					conn.Start()
-				}
-			},
-			summary: func(_ *backend.World, obs *obsv.Observer) {
-				for _, m := range meters {
-					m.Flush() // transfers the horizon cut off still owe their residual
-					out.joules += m.Joules()
-				}
-				out.meanDone = doneSum / float64(hosts)
-				obs.Summary("aggregate_j", out.joules)
-				obs.Summary("mean_completion_s", out.meanDone)
+					out.meanDone = doneSum / float64(hosts)
+					obs.Summary("aggregate_j", out.joules)
+					obs.Summary("mean_completion_s", out.meanDone)
+				},
 			},
 		})
 		out.events = w.Eng.Processed()
@@ -143,37 +126,32 @@ func dcRun(cfg Config, wd *supervise.Watchdog, expID, kind, scenario, alg string
 			Topology: kind, Net: dcParams(kind, cfg.Scale),
 			EnergyModel: "none", Seed: seed, Horizon: horizon,
 		},
-		attach: func(w *backend.World, obs *obsv.Observer) {
-			if sw, ok := w.Net.(interface{ SwitchLinks() []*netem.Link }); ok && priced {
-				for _, l := range sw.SwitchLinks() {
-					l.SetPrice(1.0, 0.05, l.QueueLimit()/4)
+		Stages: backend.Stages{
+			Attach: func(w *backend.World, obs *obsv.Observer) {
+				if sw, ok := w.Net.(interface{ SwitchLinks() []*netem.Link }); ok && priced {
+					for _, l := range sw.SwitchLinks() {
+						l.SetPrice(1.0, 0.05, l.QueueLimit()/4)
+					}
 				}
-			}
-			eng, hosts := w.Eng, w.Net.Hosts()
-			for h := 0; h < hosts; h++ {
-				dst := eng.Rand().Intn(hosts - 1)
-				if dst >= h {
-					dst++
+				hosts := w.Net.Hosts()
+				conns, meters = hostUsers(w, obs, "host0.", hosts, mptcp.Config{Algorithm: alg}, energy.NewI7(),
+					func(h int) []*netem.Path {
+						dst := w.Eng.Rand().Intn(hosts - 1)
+						if dst >= h {
+							dst++
+						}
+						return w.Net.Paths(h, dst, subflows)
+					}, nil)
+			},
+			Summary: func(_ *backend.World, obs *obsv.Observer) {
+				for i, c := range conns {
+					meters[i].Flush()
+					joules += meters[i].Joules()
+					bytes += c.AckedBytes()
 				}
-				conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg},
-					uint64(h+1), w.Net.Paths(h, dst, subflows)...)
-				conns = append(conns, conn)
-				meters = append(meters, meterFor(eng, energy.NewI7(), conn))
-				if h == 0 {
-					obs.Conn("host0.", conn)
-					obs.Meter("host0.host", meters[h])
-				}
-				conn.Start()
-			}
-		},
-		summary: func(_ *backend.World, obs *obsv.Observer) {
-			for i, c := range conns {
-				meters[i].Flush()
-				joules += meters[i].Joules()
-				bytes += c.AckedBytes()
-			}
-			obs.Summary("aggregate_j", joules)
-			obs.Summary("agg_goodput_mbps", float64(bytes)*8/horizon.Seconds()/1e6)
+				obs.Summary("aggregate_j", joules)
+				obs.Summary("agg_goodput_mbps", float64(bytes)*8/horizon.Seconds()/1e6)
+			},
 		},
 	})
 	return repOut{v: [4]float64{joules, float64(bytes), float64(bytes) * 8 / horizon.Seconds()}, events: w.Eng.Processed()}
@@ -222,34 +200,12 @@ func Fig14(cfg Config) *Result {
 		"paper expectation: increasing subflows fails to save energy in VL2")
 }
 
-// dcCompareAlgs runs the priced FatTree/VL2 experiment behind Figs. 15-16:
-// LIA vs DTS vs extended DTS with 8 subflows. Run records (if any) are
-// filed under res.ID, and events accumulate straight onto res — Fig15 and
-// Fig16 re-run the same experiment independently.
-func dcCompareAlgs(cfg Config, res *Result) map[string]map[string][3]float64 {
-	cfg = cfg.withDefaults()
-	horizon := cfg.scaledTime(60*sim.Second, 10*sim.Second)
-	reps := cfg.reps(3)
-	kinds := []string{"fattree", "vl2"}
-	algs := []string{"lia", "dts-lia", "dtsep-lia"}
-	means := meanOver(res, reps, runPar(cfg, res, len(kinds)*len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		kind, alg := kinds[i/(len(algs)*reps)], algs[i/reps%len(algs)]
-		return dcRun(cfg, wd, res.ID, kind, fmt.Sprintf("%s-priced-8sub", kind), alg, cfg.Seed+int64(i%reps), 8, horizon, true)
-	}))
-	out := make(map[string]map[string][3]float64)
-	for k, kind := range kinds {
-		out[kind] = make(map[string][3]float64)
-		for a, alg := range algs {
-			m := means[k*len(algs)+a]
-			out[kind][alg] = [3]float64{energy.PerGigabit(m[0], uint64(m[1])), m[2], m[0]}
-		}
-	}
-	return out
-}
-
-// Fig15 reports the energy saving of the extended DTS in FatTree and VL2.
-func Fig15(cfg Config) *Result {
-	res := &Result{
+// dcCompare runs the priced FatTree/VL2 experiment behind Figs. 15-16 —
+// LIA vs DTS vs extended DTS with 8 subflows — once, and renders both
+// figures' tables from it. Run records are filed under id, whose table the
+// grid's events and notes accumulate on.
+func dcCompare(cfg Config, id string) (fig15, fig16 *Result) {
+	fig15 = &Result{
 		ID:      "fig15",
 		Title:   "Extended DTS (Eq. 9) energy, FatTree and VL2, 8 subflows",
 		Columns: []string{"topology", "alg", "j_per_gbit", "saving_vs_lia_pct"},
@@ -257,21 +213,7 @@ func Fig15(cfg Config) *Result {
 			"paper expectation: the extended algorithm saves up to ~20% energy cost vs LIA",
 		},
 	}
-	data := dcCompareAlgs(cfg, res)
-	for _, kind := range []string{"fattree", "vl2"} {
-		base := data[kind]["lia"][0]
-		for _, alg := range []string{"lia", "dts-lia", "dtsep-lia"} {
-			v := data[kind][alg]
-			res.AddRow(kind, alg, fmtF(v[0], 1),
-				fmtF(stats.RelChange(base, v[0])*-100, 1))
-		}
-	}
-	return res
-}
-
-// Fig16 reports the aggregated throughput of the same runs.
-func Fig16(cfg Config) *Result {
-	res := &Result{
+	fig16 = &Result{
 		ID:      "fig16",
 		Title:   "Aggregated throughput, FatTree and VL2, 8 subflows",
 		Columns: []string{"topology", "alg", "agg_goodput_mbps", "vs_lia_pct"},
@@ -279,14 +221,42 @@ func Fig16(cfg Config) *Result {
 			"paper expectation: DTS gets as good utilization as LIA",
 		},
 	}
-	data := dcCompareAlgs(cfg, res)
-	for _, kind := range []string{"fattree", "vl2"} {
-		base := data[kind]["lia"][1]
-		for _, alg := range []string{"lia", "dts-lia", "dtsep-lia"} {
-			v := data[kind][alg]
-			res.AddRow(kind, alg, fmtF(v[1]/1e6, 0),
-				fmtF(stats.RelChange(base, v[1])*100, 1))
+	res := fig15
+	if id == fig16.ID {
+		res = fig16
+	}
+	cfg = cfg.withDefaults()
+	horizon := cfg.scaledTime(60*sim.Second, 10*sim.Second)
+	reps := cfg.reps(3)
+	kinds := []string{"fattree", "vl2"}
+	algs := []string{"lia", "dts-lia", "dtsep-lia"} // LIA first: the baseline
+	means := meanOver(res, reps, runPar(cfg, res, len(kinds)*len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
+		kind, alg := kinds[i/(len(algs)*reps)], algs[i/reps%len(algs)]
+		return dcRun(cfg, wd, res.ID, kind, fmt.Sprintf("%s-priced-8sub", kind), alg, cfg.Seed+int64(i%reps), 8, horizon, true)
+	}))
+	for k, kind := range kinds {
+		var baseJ, baseBps float64
+		for a, alg := range algs {
+			m := means[k*len(algs)+a]
+			jPerGbit := energy.PerGigabit(m[0], uint64(m[1]))
+			if a == 0 {
+				baseJ, baseBps = jPerGbit, m[2]
+			}
+			fig15.AddRow(kind, alg, fmtF(jPerGbit, 1), fmtF(stats.RelChange(baseJ, jPerGbit)*-100, 1))
+			fig16.AddRow(kind, alg, fmtF(m[2]/1e6, 0), fmtF(stats.RelChange(baseBps, m[2])*100, 1))
 		}
 	}
-	return res
+	return fig15, fig16
+}
+
+// Fig15 reports the energy saving of the extended DTS in FatTree and VL2.
+func Fig15(cfg Config) *Result {
+	fig15, _ := dcCompare(cfg, "fig15")
+	return fig15
+}
+
+// Fig16 reports the aggregated throughput of the same runs.
+func Fig16(cfg Config) *Result {
+	_, fig16 := dcCompare(cfg, "fig16")
+	return fig16
 }

@@ -37,11 +37,13 @@ var (
 func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scenario string, horizon sim.Time) repOut {
 	r := world{exp: "faults", scenario: scenario,
 		sc: backend.Scenario{Algorithm: alg, Seed: seed, Horizon: horizon},
-		// Host series ahead of the connection's: the order the committed
-		// faults records list them in.
-		attach: func(w *backend.World, obs *obsv.Observer) {
-			obs.Meter("host", w.Meter)
-			obs.Conn("", w.Conn)
+		Stages: backend.Stages{
+			// Host series ahead of the connection's: the order the committed
+			// faults records list them in.
+			Attach: func(w *backend.World, obs *obsv.Observer) {
+				obs.Meter("host", w.Meter)
+				obs.Conn("", w.Conn)
+			},
 		},
 	}
 	sc := &r.sc
@@ -81,7 +83,7 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 	}
 
 	var out repOut
-	r.summary = func(w *backend.World, obs *obsv.Observer) {
+	r.Summary = func(w *backend.World, obs *obsv.Observer) {
 		conn := w.Conn
 		completed := horizon
 		if conn.Done() {

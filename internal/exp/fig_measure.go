@@ -71,14 +71,16 @@ func Fig1(cfg Config) *Result {
 				Algorithm: algFor(sp.nsub), Subflows: sp.nsub,
 				EnergyModel: "i7", Seed: cfg.Seed, Horizon: horizon,
 			},
-			ready: func(eng *sim.Engine) []*netem.Path {
-				paths := twoNICPaths(100*netem.Mbps, 150*sim.Microsecond, 0)(eng)
-				if sp.singleNIC {
-					paths = paths[:1]
-				}
-				return paths
+			Stages: backend.Stages{
+				Ready: func(eng *sim.Engine) []*netem.Path {
+					paths := twoNICPaths(100*netem.Mbps, 150*sim.Microsecond, 0)(eng)
+					if sp.singleNIC {
+						paths = paths[:1]
+					}
+					return paths
+				},
+				Summary: powerSummary,
 			},
-			summary: powerSummary,
 		})
 		return runRow{events: w.Eng.Processed(), cells: []string{
 			sp.label, fmt.Sprintf("%d", sp.nsub),
@@ -127,23 +129,25 @@ func Fig2(cfg Config) *Result {
 		w := cfg.run(wd, world{
 			exp: "fig2", scenario: sp.label,
 			sc: backend.Scenario{Algorithm: alg, EnergyModel: "nexus5", Seed: cfg.Seed, Horizon: horizon},
-			// One radio alone is a subset of the handset's routes, which a
-			// Scenario cannot say; the routes themselves are the registry's.
-			ready: func(eng *sim.Engine) []*netem.Path {
-				net, err := topo.Build(eng, "hetwireless", topo.Params{})
-				if err != nil {
-					panic(err)
-				}
-				routes := net.Paths(0, 1, 0)
-				switch {
-				case !sp.useLTE:
-					return routes[:1]
-				case !sp.useWiFi:
-					return routes[1:]
-				}
-				return routes
+			Stages: backend.Stages{
+				// One radio alone is a subset of the handset's routes, which a
+				// Scenario cannot say; the routes themselves are the registry's.
+				Ready: func(eng *sim.Engine) []*netem.Path {
+					net, err := topo.Build(eng, "hetwireless", topo.Params{})
+					if err != nil {
+						panic(err)
+					}
+					routes := net.Paths(0, 1, 0)
+					switch {
+					case !sp.useLTE:
+						return routes[:1]
+					case !sp.useWiFi:
+						return routes[1:]
+					}
+					return routes
+				},
+				Summary: powerSummary,
 			},
-			summary: powerSummary,
 		})
 		return runRow{events: w.Eng.Processed(), cells: []string{
 			sp.label, fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}}
@@ -182,7 +186,9 @@ func Fig3a(cfg Config) *Result {
 				Algorithm: "lia", TransferBytes: transfer,
 				EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2000 * sim.Second,
 			},
-			ready: twoNICPaths(mbps/2*netem.Mbps, 150*sim.Microsecond, 0),
+			Stages: backend.Stages{
+				Ready: twoNICPaths(mbps/2*netem.Mbps, 150*sim.Microsecond, 0),
+			},
 		})
 	}))
 	return res
@@ -192,7 +198,7 @@ func Fig3a(cfg Config) *Result {
 // the engine at completion, and renders its row.
 func transferRow(cfg Config, wd *supervise.Watchdog, mbps int64, r world) runRow {
 	var done sim.Time
-	r.attach = func(w *backend.World, obs *obsv.Observer) {
+	r.Attach = func(w *backend.World, obs *obsv.Observer) {
 		w.Observe(obs)
 		w.Conn.OnComplete = func(at sim.Time) {
 			done = at
@@ -200,7 +206,7 @@ func transferRow(cfg Config, wd *supervise.Watchdog, mbps int64, r world) runRow
 			w.Eng.Stop()
 		}
 	}
-	r.summary = func(w *backend.World, obs *obsv.Observer) {
+	r.Summary = func(w *backend.World, obs *obsv.Observer) {
 		if done == 0 {
 			done = w.Eng.Now() // cut by the horizon
 		}
@@ -239,9 +245,11 @@ func Fig3b(cfg Config) *Result {
 				Algorithm: "reno", TransferBytes: transfer,
 				EnergyModel: "wifi", Seed: cfg.Seed, Horizon: 4000 * sim.Second,
 			},
-			// One WiFi link each way: no registered topology is a single hop.
-			ready: func(eng *sim.Engine) []*netem.Path {
-				return []*netem.Path{linkPath(eng, "wifi", mbps*netem.Mbps, 20*sim.Millisecond, 100, 100)}
+			Stages: backend.Stages{
+				// One WiFi link each way: no registered topology is a single hop.
+				Ready: func(eng *sim.Engine) []*netem.Path {
+					return []*netem.Path{linkPath(eng, "wifi", mbps*netem.Mbps, 20*sim.Millisecond, 100, 100)}
+				},
 			},
 		})
 	}))
@@ -276,22 +284,24 @@ func Fig4(cfg Config) *Result {
 		var tput, power float64
 		w := cfg.run(wd, world{
 			exp: "fig4", scenario: fmt.Sprintf("delay-%dus", delay/sim.Microsecond),
-			sc:    backend.Scenario{Algorithm: "lia", EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2 * horizon},
-			ready: twoNICPaths(100*netem.Mbps, delay, 100),
-			// Discard the startup transient so the longer-RTT runs are
-			// measured at the same steady throughput as the short ones.
-			drive: func(w *backend.World) {
-				w.Eng.Run(horizon)
-				bytes0, joules0 := w.Conn.AckedBytes(), w.Meter.Joules()
-				w.Eng.Run(2 * horizon)
-				w.Meter.Flush()
-				window := horizon.Seconds()
-				tput = float64(w.Conn.AckedBytes()-bytes0) * 8 / window
-				power = (w.Meter.Joules() - joules0) / window
-			},
-			summary: func(_ *backend.World, obs *obsv.Observer) {
-				obs.Summary("throughput_mbps", tput/1e6)
-				obs.Summary("power_w", power)
+			sc: backend.Scenario{Algorithm: "lia", EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2 * horizon},
+			Stages: backend.Stages{
+				Ready: twoNICPaths(100*netem.Mbps, delay, 100),
+				// Discard the startup transient so the longer-RTT runs are
+				// measured at the same steady throughput as the short ones.
+				Drive: func(w *backend.World) {
+					w.Eng.Run(horizon)
+					bytes0, joules0 := w.Conn.AckedBytes(), w.Meter.Joules()
+					w.Eng.Run(2 * horizon)
+					w.Meter.Flush()
+					window := horizon.Seconds()
+					tput = float64(w.Conn.AckedBytes()-bytes0) * 8 / window
+					power = (w.Meter.Joules() - joules0) / window
+				},
+				Summary: func(_ *backend.World, obs *obsv.Observer) {
+					obs.Summary("throughput_mbps", tput/1e6)
+					obs.Summary("power_w", power)
+				},
 			},
 		})
 		return runRow{events: w.Eng.Processed(), cells: []string{

@@ -79,7 +79,7 @@ func fig6Users(cfg Config) []int {
 // When records are exported, user 0 is the observed connection (one record
 // per run; the other users are statistically equivalent).
 func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, transfer int64) ([]float64, uint64) {
-	meters := make([]*energy.Meter, n)
+	var meters []*energy.Meter
 	out := make([]float64, n)
 	w := cfg.run(wd, world{
 		exp: "fig6", scenario: fmt.Sprintf("dumbbell-%dusers", n), alg: alg,
@@ -87,41 +87,26 @@ func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, tra
 			Topology: "dumbbell", Net: topo.Params{Size: 3 * n},
 			EnergyModel: "none", Seed: cfg.Seed, Horizon: 600 * sim.Second,
 		},
-		attach: func(w *backend.World, obs *obsv.Observer) {
-			eng, d := w.Eng, w.Net.(*topo.Dumbbell)
-			remaining := n
-			for u := 0; u < n; u++ {
-				u := u
-				conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: alg, TransferBytes: transfer},
-					uint64(u+1), d.MPTCPPaths(u)...)
-				meters[u] = meterFor(eng, energy.NewI7(), conn)
-				if u == 0 {
-					obs.Conn("user0.", conn)
-					obs.Meter("user0.host", meters[u])
+		Stages: backend.Stages{
+			Attach: func(w *backend.World, obs *obsv.Observer) {
+				eng, d := w.Eng, w.Net.(*topo.Dumbbell)
+				_, meters = hostUsers(w, obs, "user0.", n, mptcp.Config{Algorithm: alg, TransferBytes: transfer},
+					energy.NewI7(), d.MPTCPPaths, nil)
+				// 2N long-lived TCP users, N per bottleneck.
+				for u := 0; u < n; u++ {
+					t0 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(1000+u), d.TCPPath(n+u, 0))
+					t1 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(2000+u), d.TCPPath(2*n+u, 1))
+					t0.Start()
+					t1.Start()
 				}
-				conn.OnComplete = func(sim.Time) {
-					meters[u].Stop()
-					remaining--
-					if remaining == 0 {
-						eng.Stop()
-					}
+			},
+			Summary: func(_ *backend.World, obs *obsv.Observer) {
+				for u, m := range meters {
+					m.Flush() // integrate the residual for transfers cut off by the horizon
+					out[u] = m.Joules()
 				}
-				conn.Start()
-			}
-			// 2N long-lived TCP users, N per bottleneck.
-			for u := 0; u < n; u++ {
-				t0 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(1000+u), d.TCPPath(n+u, 0))
-				t1 := mptcp.MustNew(eng, mptcp.Config{Algorithm: "reno"}, uint64(2000+u), d.TCPPath(2*n+u, 1))
-				t0.Start()
-				t1.Start()
-			}
-		},
-		summary: func(_ *backend.World, obs *obsv.Observer) {
-			for u, m := range meters {
-				m.Flush() // integrate the residual for transfers cut off by the horizon
-				out[u] = m.Joules()
-			}
-			obs.Summary("user0_energy_j", out[0])
+				obs.Summary("user0_energy_j", out[0])
+			},
 		},
 	})
 	return out, w.Eng.Processed()
@@ -160,7 +145,8 @@ func shiftOutcome(w *backend.World) repOut {
 func shiftRun(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg string, horizon sim.Time) repOut {
 	return shiftOutcome(cfg.run(wd, world{
 		exp: expID, scenario: "burst-twopath",
-		sc: burstTwoPath(seed, alg, horizon), summary: shiftSummary,
+		sc:     burstTwoPath(seed, alg, horizon),
+		Stages: backend.Stages{Summary: shiftSummary},
 	}))
 }
 
@@ -218,19 +204,21 @@ func Fig8(cfg Config) *Result {
 		w := cfg.run(wd, world{
 			exp: "fig8", scenario: "burst-twopath",
 			sc: burstTwoPath(cfg.Seed, alg, horizon),
-			drive: func(w *backend.World) {
-				var lastBytes uint64
-				step := horizon / samples
-				for i := 1; i <= samples; i++ {
-					w.Eng.Run(step * sim.Time(i))
-					delta := w.Conn.AckedBytes() - lastBytes
-					lastBytes = w.Conn.AckedBytes()
-					out.rows = append(out.rows, []string{alg, fmtF((step * sim.Time(i)).Seconds(), 0),
-						fmtF(float64(delta)*8/step.Seconds()/1e6, 1),
-						fmtF(w.Meter.Joules(), 1)})
-				}
+			Stages: backend.Stages{
+				Drive: func(w *backend.World) {
+					var lastBytes uint64
+					step := horizon / samples
+					for i := 1; i <= samples; i++ {
+						w.Eng.Run(step * sim.Time(i))
+						delta := w.Conn.AckedBytes() - lastBytes
+						lastBytes = w.Conn.AckedBytes()
+						out.rows = append(out.rows, []string{alg, fmtF((step * sim.Time(i)).Seconds(), 0),
+							fmtF(float64(delta)*8/step.Seconds()/1e6, 1),
+							fmtF(w.Meter.Joules(), 1)})
+					}
+				},
+				Summary: func(w *backend.World, obs *obsv.Observer) { obs.Summary("energy_j", w.Meter.Joules()) },
 			},
-			summary: func(w *backend.World, obs *obsv.Observer) { obs.Summary("energy_j", w.Meter.Joules()) },
 		})
 		out.events = w.Eng.Processed()
 		return out

@@ -31,7 +31,8 @@ func handsetWorld(seed int64, alg string, horizon sim.Time) backend.Scenario {
 // parameter prices the energy-expensive 4G hop: the LTE radio's high base
 // power maps to a standing per-packet price plus a queue-pressure term.
 func fig17Run(cfg Config, wd *supervise.Watchdog, seed int64, alg string, horizon sim.Time, priceLTE bool) repOut {
-	r := world{exp: "fig17", scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon), summary: shiftSummary}
+	r := world{exp: "fig17", scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon),
+		Stages: backend.Stages{Summary: shiftSummary}}
 	if priceLTE {
 		r.scenario = "hetwireless-priced"
 		r.sc.Price = &backend.Price{Path: 1, Rho: 2.0, Gamma: 0.1, QTarget: 12}

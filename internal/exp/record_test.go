@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mptcpsim/internal/backend"
@@ -112,14 +111,16 @@ func TestObserverAbortOnViolation(t *testing.T) {
 		cfg.run(nil, world{
 			exp: "abort", scenario: "twopath",
 			sc: backend.Scenario{Topology: "twopath", Algorithm: "lia", EnergyModel: "none", Seed: cfg.Seed, Horizon: 5 * sim.Second},
-			attach: func(w *backend.World, obs *obsv.Observer) {
-				w.Observe(obs)
-				obs.Summary("never_written", 1)
-				w.Eng.At(1250*sim.Millisecond, func() {
-					obs.Inv().Inject(check.Violation{T: w.Eng.Now(), Invariant: "injected", Detail: "test"})
-				})
+			Stages: backend.Stages{
+				Attach: func(w *backend.World, obs *obsv.Observer) {
+					w.Observe(obs)
+					obs.Summary("never_written", 1)
+					w.Eng.At(1250*sim.Millisecond, func() {
+						obs.Inv().Inject(check.Violation{T: w.Eng.Now(), Invariant: "injected", Detail: "test"})
+					})
+				},
+				Summary: func(*backend.World, *obsv.Observer) { t.Error("the run reached its summary") },
 			},
-			summary: func(*backend.World, *obsv.Observer) { t.Error("the run reached its summary") },
 		})
 	}()
 	if panicked == nil {
@@ -151,39 +152,5 @@ func TestObserverAbortOnViolation(t *testing.T) {
 	}
 	if rows := bytes.Count(csv, []byte("\n")); rows != 13 {
 		t.Errorf("CSV twin has %d lines, want the header and 12 rows", rows)
-	}
-}
-
-// TestEveryObserverDefersAbort holds the line the one run sequence needs:
-// the package opens its observer in exactly one place, and defers its Abort
-// in the next statement.
-func TestEveryObserverDefersAbort(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := 0
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(string(src), "\n")
-		for i, line := range lines {
-			if !strings.Contains(line, "obsv.NewObserver(") {
-				continue
-			}
-			sites++
-			rest := strings.Join(lines[i+1:min(i+5, len(lines))], "\n")
-			if !strings.Contains(rest, "}\n\tdefer obs.Abort()") {
-				t.Errorf("%s:%d opens an observer without deferring obs.Abort() right after its error check", name, i+1)
-			}
-		}
-	}
-	if sites != 1 {
-		t.Errorf("found %d obsv.NewObserver sites in the package, want the one in Config.run", sites)
 	}
 }

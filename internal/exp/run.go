@@ -7,6 +7,8 @@ import (
 	"strings"
 
 	"mptcpsim/internal/backend"
+	"mptcpsim/internal/energy"
+	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
@@ -14,37 +16,25 @@ import (
 )
 
 // world is one run closure's simulation: the record it files, the Scenario
-// backend.Wire builds, and the stages a Scenario does not name.
+// it runs, and the stages a Scenario does not name (backend.Stages).
 type world struct {
 	// exp, scenario and alg (default sc.Algorithm) identify the run record:
 	// <exp>_<alg>_<scenario>_seed<sc.Seed> under Config.OutDir.
 	exp, scenario, alg string
 	sc                 backend.Scenario
-	// ready builds the paths of a substrate the registry does not name.
-	ready func(*sim.Engine) []*netem.Path
-	// attach runs on the wired world before anything starts. It adds what
-	// only this figure has (an algorithm instance, the path selector, its
-	// own users) and registers the observed series; nil means
-	// World.Observe — the connection as "", its meter as "host".
-	attach func(w *backend.World, obs *obsv.Observer)
-	// drive runs the engine (nil: to sc.Horizon).
-	drive func(w *backend.World)
-	// summary files the run's scalar outcomes before the record closes.
-	summary func(w *backend.World, obs *obsv.Observer)
+	backend.Stages
 }
 
-// run is the one sequence every figure's simulation goes through: wire →
-// observe → start → run → flush → summarise → close. The observer writes one
-// JSONL record plus its CSV twin under Config.OutDir and/or checks
-// invariants under Config.Check, and is inert when neither is set. Failures
-// panic — record export is explicitly requested, and a partial record set
-// silently missing runs would be worse than stopping; invariant failures
-// likewise panic (FailFast) so the worker pool surfaces them with the
-// failing run's identity. The deferred Abort then still leaves a record
-// that parses through the last tick.
+// run runs one figure's simulation through backend.Run, the one run
+// sequence, observed per the configuration: the observer writes one JSONL
+// record plus its CSV twin under Config.OutDir and/or checks invariants
+// under Config.Check, and is inert when neither is set. Failures panic —
+// record export is explicitly requested, and a partial record set silently
+// missing runs would be worse than stopping; invariant failures likewise
+// panic (FailFast) so the worker pool surfaces them with the failing run's
+// identity. Run's deferred Abort then still leaves a record that parses
+// through the last tick.
 func (c Config) run(wd *supervise.Watchdog, r world) *backend.World {
-	eng := sim.NewEngine(r.sc.Seed)
-	wd.Attach(eng)
 	if r.alg == "" {
 		r.alg = r.sc.Algorithm
 	}
@@ -63,38 +53,45 @@ func (c Config) run(wd *supervise.Watchdog, r world) *backend.World {
 		oc.Path = filepath.Join(c.OutDir,
 			fmt.Sprintf("%s_%s_%s_seed%d.jsonl", slug(r.exp), slug(r.alg), slug(r.scenario), r.sc.Seed))
 	}
-	obs, err := obsv.NewObserver(eng, oc)
-	if err != nil {
-		panic(fmt.Errorf("exp: %w", err))
-	}
-	defer obs.Abort()
-
-	var ready []*netem.Path
-	if r.ready != nil {
-		ready = r.ready(eng)
-	}
-	w, err := backend.Wire(eng, r.sc, obs, ready...)
+	w, err := backend.Run(r.sc, oc, wd, r.Stages)
 	if err != nil {
 		panic(fmt.Errorf("exp: %s: %w", r.exp, err))
 	}
-	if r.attach != nil {
-		r.attach(w, obs)
-	} else {
-		w.Observe(obs)
-	}
-	obs.Start()
-	w.Start()
-	if r.drive != nil {
-		r.drive(w)
-	} else {
-		eng.Run(r.sc.Horizon)
-	}
-	w.Settle()
-	r.summary(w, obs)
-	if err := obs.Close(); err != nil {
-		panic(fmt.Errorf("exp: %w", err))
-	}
 	return w
+}
+
+// hostUsers places n connections of cfg on a wired world — user u over
+// paths(u) with flow id u+1 — each metered on its own host by model; user
+// 0's are observed under prefix. A finite transfer stops its meter when it
+// completes and tells onDone (nil is fine); the last to complete stops the
+// engine.
+func hostUsers(w *backend.World, obs *obsv.Observer, prefix string, n int, cfg mptcp.Config,
+	model energy.Model, paths func(u int) []*netem.Path, onDone func(sim.Time)) ([]*mptcp.Conn, []*energy.Meter) {
+	conns, meters := make([]*mptcp.Conn, n), make([]*energy.Meter, n)
+	remaining := n
+	for u := range conns {
+		c := mptcp.MustNew(w.Eng, cfg, uint64(u+1), paths(u)...)
+		m := energy.NewMeter(w.Eng, model, energy.ConnProbe(c), 0)
+		m.Start()
+		if u == 0 {
+			obs.Conn(prefix, c)
+			obs.Meter(prefix+"host", m)
+		}
+		if cfg.TransferBytes > 0 {
+			c.OnComplete = func(at sim.Time) {
+				m.Stop()
+				if onDone != nil {
+					onDone(at)
+				}
+				if remaining--; remaining == 0 {
+					w.Eng.Stop()
+				}
+			}
+		}
+		c.Start()
+		conns[u], meters[u] = c, m
+	}
+	return conns, meters
 }
 
 // slug normalizes a record filename component: lower case, with anything

@@ -783,6 +783,7 @@ var exportedWithoutCallers = map[string]string{
 	"workload.source.Sent":        "the tick count TestStoppedOwnersOwnNoEvents reads",
 	"topo.FatTree.Links":          "flows' pinned-population test reads every fabric link's counters",
 	"netem.Link.Down":             "the link state faults' tests assert a schedule left",
+	"netem.Link.LossProb":         "the loss state faults' tests assert a schedule left",
 	"netem.NewPacket":             "tcp's tests hand-build packets to feed a subflow",
 	"netem.Pool.FreeLen":          "tcp's tests check a subflow recycles its packets",
 	"sim.Engine.Drain":            "netem's tests run an engine to quiescence",
@@ -860,6 +861,158 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 			t.Errorf("exportedWithoutCallers lists %s, which is gone or now called through an interface: drop the entry", name)
 		}
 	}
+}
+
+// fieldsWithoutWriters lists the exported fields of internal/'s
+// *Config/*Spec/*Options/*Params structs that no non-test code sets, each
+// with the reason the field stays a knob instead of a constant.
+var fieldsWithoutWriters = map[string]string{
+	// Test seams.
+	"campaign.Options.Exec":       "tests run units through a stub instead of the experiment registry",
+	"campaign.Options.OnUnitDone": "tests interrupt a campaign at a chosen journal line",
+
+	// Sizes tests shrink to stay fast.
+	"backend.SweepSpec.Horizon": "sweep tests run 6 s points instead of the 60 s default",
+	"backend.SweepSpec.Warmup":  "sweep tests warm up 2 s instead of the 20 s default",
+	"flows.Config.BulkSizes":    "tests bound bulk flows so a population drains in a short run",
+	"flows.Config.CheckSample":  "tests watch every 8th flow instead of every 64th",
+	"campaign.Options.Retries":  "tests cut the retry budget to 1 to see a unit give up",
+
+	"netem.LinkConfig.FlushOnDown": "the drop-the-queue outage mode netem's reference model and fuzzer pin; no scenario selects it yet",
+}
+
+// TestConfigFieldsHaveWriters keeps the simulated world's knobs honest: an
+// exported field of a *Config/*Spec/*Options/*Params struct under internal/
+// needs a writer outside the tests — a keyed or positional composite
+// literal, an assignment, an increment or an address taken — or an entry
+// in fieldsWithoutWriters saying why it stays. Defaulting does not count:
+// a write through a function's own receiver or parameter is a withDefaults
+// or a constructor filling in the zero values of the config it was handed,
+// and a field only those set is a constant with extra steps.
+func TestConfigFieldsHaveWriters(t *testing.T) {
+	pkgs := typedModule(t)
+	written := map[*types.Var]bool{}
+	for _, tp := range pkgs {
+		for _, f := range tp.files {
+			for _, d := range f.Decls {
+				// Writes through the function's receiver or parameters do
+				// not count.
+				params := map[types.Object]bool{}
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					for _, list := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+						if list == nil { // a function has no receiver list
+							continue
+						}
+						for _, fl := range list.List {
+							for _, n := range fl.Names {
+								params[tp.info.Defs[n]] = true
+							}
+						}
+					}
+				}
+				mark := func(e ast.Expr) {
+					for {
+						switch x := e.(type) {
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							if id, ok := x.X.(*ast.Ident); ok && params[tp.info.Uses[id]] {
+								return
+							}
+							if v, ok := tp.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+								written[v.Origin()] = true
+							}
+							return
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := derefType(tp.info.TypeOf(n)).Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if v, ok := tp.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									written[v.Origin()] = true
+								}
+							} else {
+								written[st.Field(i).Origin()] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							mark(lhs)
+						}
+					case *ast.IncDecStmt:
+						mark(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							mark(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for dir, tp := range pkgs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		pkg := tp.files[0].Name.Name
+		for id, obj := range tp.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.Parent() != tn.Pkg().Scope() || !isKnobStruct(tn.Name()) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fld := st.Field(i)
+				if !fld.Exported() {
+					continue
+				}
+				name := pkg + "." + tn.Name() + "." + fld.Name()
+				seen[name] = true
+				if _, allowed := fieldsWithoutWriters[name]; !written[fld] && !allowed {
+					t.Errorf("%s (%s) is set by no code outside the tests: fold it into the constant it always has, or add it to fieldsWithoutWriters with a reason", name, tp.fset.Position(id.Pos()))
+				}
+			}
+		}
+	}
+	for name := range fieldsWithoutWriters {
+		if !seen[name] {
+			t.Errorf("fieldsWithoutWriters lists %s, which is gone: drop the entry", name)
+		}
+	}
+}
+
+// isKnobStruct reports whether a type name marks a bag of settings.
+func isKnobStruct(name string) bool {
+	for _, suffix := range []string{"Config", "Spec", "Options", "Params"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// derefType strips one pointer.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // mapOrderPackages are the packages whose iteration order reaches the event

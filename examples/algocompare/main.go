@@ -45,7 +45,7 @@ func run() error {
 
 func one(alg string) ([]float64, error) {
 	eng := sim.NewEngine(11)
-	d := topo.NewDumbbell(eng, topo.DumbbellConfig{Users: 3 * users})
+	d := topo.NewDumbbell(eng, 3*users)
 
 	remaining := users
 	meters := make([]*energy.Meter, users)

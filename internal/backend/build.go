@@ -12,7 +12,6 @@ import (
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
-	"mptcpsim/internal/tcp"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/workload"
 )
@@ -68,14 +67,13 @@ func Wire(eng *sim.Engine, sc Scenario, obs *obsv.Observer, ready ...*netem.Path
 	}
 	if pair, ok := w.Net.(*topo.Pair); ok {
 		for i := 0; sc.Cross && i < entry.Routes; i++ {
-			workload.NewParetoOnOff(eng, []*netem.Link{pair.CrossEntry(i)},
-				workload.ParetoConfig{RateBps: pair.BurstRate(i)}).Start()
+			workload.NewParetoOnOff(eng, []*netem.Link{pair.CrossEntry(i)}, pair.BurstRate(i)).Start()
 		}
 		if sc.Load > 0 {
 			// Cross traffic enters at the shared hop, keeping the sender's
 			// access link clean — the conformance convention.
 			l := pair.CrossEntry(entry.Routes - 1)
-			workload.NewCBR(eng, []*netem.Link{l}, int64(sc.Load*float64(l.Rate())), tcp.WireSize).Start()
+			workload.NewCBR(eng, []*netem.Link{l}, int64(sc.Load*float64(l.Rate()))).Start()
 		}
 	}
 	if sc.Algorithm != "" {

@@ -59,6 +59,25 @@ func TestWireBuildsWhatTheScenarioNames(t *testing.T) {
 	}
 }
 
+// TestRunCutsALivePopulation: a population still moving data at the
+// horizon is settled by cutting its live flows, and the ledger balances
+// with them counted — Offered == Completed + ShedCapacity + Cut, Cut > 0.
+func TestRunCutsALivePopulation(t *testing.T) {
+	sc := Scenario{Topology: "fattree", Net: topo.Params{Size: 4}, EnergyModel: "none", Seed: 1,
+		Horizon: 300 * sim.Millisecond, Population: &flows.Config{Algorithm: "lia", TotalFlows: 100}}
+	w, err := Run(sc, obsv.Config{}, nil, Stages{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := w.Pop.Stats()
+	if n.Cut == 0 {
+		t.Fatalf("no flow was live at the %v horizon: %+v", sc.Horizon.Duration(), n)
+	}
+	if n.Offered != n.Completed+n.ShedCapacity+n.Cut {
+		t.Errorf("ledger %+v: want Offered == Completed + ShedCapacity + Cut", n)
+	}
+}
+
 // TestWireRefusesAtBuildTime: what only the built world can show — a fault
 // target or priced path the connection does not have, a fabric too small to
 // have two hosts — is an error from Wire, not a panic or a no-op.

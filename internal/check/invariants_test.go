@@ -255,16 +255,15 @@ func TestCheckMeterMutations(t *testing.T) {
 // with the checker at a tight cadence, and requires zero violations.
 func TestInvariantsLiveRun(t *testing.T) {
 	eng := sim.NewEngine(42)
-	net := topo.NewTwoPath(eng, topo.TwoPathConfig{
-		Rates:      [2]int64{8 * netem.Mbps, 4 * netem.Mbps},
-		QueueLimit: 20,
-	})
+	net := topo.NewNPath(eng,
+		topo.NPathSpec{Rate: 8 * netem.Mbps, Queue: 20},
+		topo.NPathSpec{Rate: 4 * netem.Mbps, Queue: 20})
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, net.Paths()...)
 
 	// Saturating cross traffic on path1 forces drops; a mid-run outage on
 	// path0 forces a failover (dead → probing → active), exercising the
 	// credit invariants.
-	workload.NewCBR(eng, net.Paths()[1].Forward[1:], 3*netem.Mbps, 1500).Start()
+	workload.NewCBR(eng, net.Paths()[1].Forward[1:], 3*netem.Mbps).Start()
 	l0 := net.Paths()[0].Forward[0]
 	eng.Schedule(3*sim.Second, l0.SetDown)
 	eng.Schedule(8*sim.Second, l0.SetUp)
@@ -299,7 +298,7 @@ func TestInvariantsLiveRun(t *testing.T) {
 // invisible), other watches and the links stay.
 func TestUnwatch(t *testing.T) {
 	eng := sim.NewEngine(5)
-	net := topo.NewTwoPath(eng, topo.TwoPathConfig{})
+	net := topo.NewNPath(eng, topo.NPathSpec{}, topo.NPathSpec{})
 	a := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 1, net.Paths()...)
 	b := mptcp.MustNew(eng, mptcp.Config{Algorithm: "lia"}, 2, net.Paths()...)
 

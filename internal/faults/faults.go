@@ -1,7 +1,7 @@
 // Package faults provides deterministic, engine-driven fault injection for
-// netem links and paths: one-shot outages, periodic flapping,
-// Gilbert-Elliott two-state burst loss, and mobility ramps that degrade
-// rate/delay over a window (the WiFi↔cellular handover of the paper's
+// netem links and paths: one-shot outages, periodic flapping, step changes
+// of loss, rate and delay, and mobility ramps that degrade rate/delay over
+// a window (the WiFi↔cellular handover of the paper's
 // heterogeneous-wireless evaluation). Every state change runs as a
 // simulation event on the run's engine, so runs with fault schedules stay
 // byte-for-byte reproducible under a fixed seed.
@@ -115,62 +115,6 @@ func (f Flap) Schedule(eng *sim.Engine, links []*netem.Link) {
 		}
 	})
 	eng.Schedule(f.Start, flap.StartNow)
-}
-
-// GilbertElliott drives the links' random-loss probability with the
-// classic two-state burst-loss chain: in the Good state packets drop with
-// LossGood, in the Bad state with LossBad; every Tick the state flips
-// Good→Bad with PGoodBad and Bad→Good with PBadGood, sampled from the
-// engine's seeded RNG. At End (0 = never) the chain stops and each link's
-// configured loss probability is restored.
-type GilbertElliott struct {
-	Start, End sim.Time
-	Tick       sim.Time // sampling period; default 100 ms
-	PGoodBad   float64  // per-tick Good→Bad transition probability
-	PBadGood   float64  // per-tick Bad→Good transition probability
-	LossGood   float64  // loss probability in the Good state
-	LossBad    float64  // loss probability in the Bad state
-}
-
-// Schedule implements Fault.
-func (g GilbertElliott) Schedule(eng *sim.Engine, links []*netem.Link) {
-	tick := g.Tick
-	if tick <= 0 {
-		tick = 100 * sim.Millisecond
-	}
-	bad := false
-	var saved []float64
-	var chain sim.Ticker
-	chain = sim.MakeTicker(eng, tick, func() {
-		if g.End > 0 && eng.Now() >= g.End {
-			for i, l := range links {
-				l.SetLossProb(saved[i])
-			}
-			chain.Stop()
-			return
-		}
-		if bad {
-			if eng.Rand().Float64() < g.PBadGood {
-				bad = false
-			}
-		} else if eng.Rand().Float64() < g.PGoodBad {
-			bad = true
-		}
-		p := g.LossGood
-		if bad {
-			p = g.LossBad
-		}
-		for _, l := range links {
-			l.SetLossProb(p)
-		}
-	})
-	eng.Schedule(g.Start, func() {
-		saved = make([]float64, len(links))
-		for i, l := range links {
-			saved[i] = l.LossProb()
-		}
-		chain.StartNow()
-	})
 }
 
 // Ramp linearly interpolates the links' rate and/or delay from their values

@@ -84,31 +84,6 @@ func TestFlapRejectsBadShape(t *testing.T) {
 	}
 }
 
-func TestGilbertElliottRestoresConfiguredLoss(t *testing.T) {
-	eng := sim.NewEngine(1)
-	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "fwd", Rate: 10 * netem.Mbps, Delay: sim.Millisecond, LossProb: 0.01})
-	links := []*netem.Link{fwd}
-	ApplyLinks(eng, links, GilbertElliott{
-		Start: sim.Second, End: 5 * sim.Second,
-		PGoodBad: 0.5, PBadGood: 0.5, LossGood: 0, LossBad: 0.9,
-	})
-	sawChange := false
-	for i := 0; i < 40; i++ {
-		eng.Schedule(sim.Second+sim.Time(i)*100*sim.Millisecond+50*sim.Millisecond, func() {
-			if p := fwd.LossProb(); p == 0 || p == 0.9 {
-				sawChange = true
-			}
-		})
-	}
-	eng.Run(10 * sim.Second)
-	if !sawChange {
-		t.Error("Gilbert-Elliott chain never drove the loss probability")
-	}
-	if got := fwd.LossProb(); got != 0.01 {
-		t.Errorf("LossProb = %v after End, want configured 0.01 restored", got)
-	}
-}
-
 func TestRampInterpolatesRateAndDelay(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := twoWayPath(eng)
@@ -128,30 +103,6 @@ func TestRampInterpolatesRateAndDelay(t *testing.T) {
 	}
 	if midRate <= 2*netem.Mbps || midRate >= 10*netem.Mbps {
 		t.Errorf("mid-ramp rate = %d, want strictly between endpoints", midRate)
-	}
-}
-
-func TestFaultScheduleDeterminism(t *testing.T) {
-	// The same seed must produce the identical loss-probability trajectory
-	// from the stochastic Gilbert-Elliott fault.
-	run := func(seed int64) []float64 {
-		eng := sim.NewEngine(seed)
-		p := twoWayPath(eng)
-		Apply(eng, p, GilbertElliott{PGoodBad: 0.3, PBadGood: 0.3, LossBad: 0.5})
-		var got []float64
-		for i := 0; i < 50; i++ {
-			eng.Schedule(sim.Time(i)*100*sim.Millisecond+50*sim.Millisecond, func() {
-				got = append(got, p.Forward[0].LossProb())
-			})
-		}
-		eng.Run(6 * sim.Second)
-		return got
-	}
-	a, b := run(7), run(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at sample %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }
 

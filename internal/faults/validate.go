@@ -37,11 +37,6 @@ func faultWindow(f Fault) (start, end sim.Time) {
 			return f.Start, horizonForever
 		}
 		return f.Start, f.Start + sim.Time(f.Count-1)*f.Period + f.DownFor
-	case GilbertElliott:
-		if f.End > 0 {
-			return f.Start, f.End
-		}
-		return f.Start, horizonForever
 	case Ramp:
 		return f.Start, f.Start + f.Duration
 	case SetLoss:
@@ -109,8 +104,6 @@ func describe(f Fault) string {
 		return "up"
 	case Flap:
 		return "flap"
-	case GilbertElliott:
-		return "gilbert-elliott"
 	case Ramp:
 		return "ramp"
 	case SetLoss:

@@ -89,8 +89,6 @@ func TestFaultWindow(t *testing.T) {
 		{Flap{Start: sim.Second, Period: 4 * sim.Second, DownFor: sim.Second, Count: 3},
 			sim.Second, sim.Second + 2*4*sim.Second + sim.Second},
 		{Flap{Start: sim.Second, Period: 4 * sim.Second, DownFor: sim.Second}, sim.Second, horizonForever},
-		{GilbertElliott{Start: sim.Second, End: 3 * sim.Second}, sim.Second, 3 * sim.Second},
-		{GilbertElliott{Start: sim.Second}, sim.Second, horizonForever},
 		{Ramp{Start: sim.Second, Duration: 2 * sim.Second}, sim.Second, 3 * sim.Second},
 		{SetLoss{At: sim.Second}, sim.Second, sim.Second},
 		{SetRate{At: sim.Second}, sim.Second, sim.Second},

@@ -74,11 +74,6 @@ type Config struct {
 	WebSizes, BulkSizes SizeDist
 	// Stream parameterizes streaming sessions.
 	Stream StreamConfig
-	// Model prices per-flow energy (default the i7 CPU model). Per-flow
-	// joules are marginal: the model at the flow's operating point minus
-	// its idle floor, so the shared idle burn is not multiply counted
-	// across tens of thousands of flows.
-	Model energy.Model
 	// Emit, when set, receives every flow's Report as its outcome is
 	// decided, in simulated-time order. The manager retains only bounded
 	// aggregates; streaming per-flow records is the caller's business.
@@ -109,9 +104,6 @@ func (c Config) withDefaults() Config {
 		c.BulkSizes = SizeDist{Alpha: 1.3, Min: 256 << 10, Max: 32 << 20}
 	}
 	c.Stream = c.Stream.withDefaults()
-	if c.Model == nil {
-		c.Model = energy.NewI7()
-	}
 	if c.CheckSample <= 0 {
 		c.CheckSample = 64
 	}
@@ -482,6 +474,9 @@ func (m *Manager) complete(s *flowSlot, at sim.Time, shed string) {
 	})
 }
 
+// flowModel prices per-flow energy: the i7 CPU model.
+var flowModel energy.Model = energy.NewI7()
+
 // flowJoules prices a flow's attributable energy: the model at the flow's
 // mean operating point minus the idle floor, over its lifetime. Per-flow
 // meters would add one sampling event stream per live flow — a population
@@ -493,7 +488,7 @@ func (m *Manager) flowJoules(s *flowSlot, goodputBps float64, alive sim.Time) fl
 		Subflows:       s.subflows,
 		MeanRTTSeconds: s.conn.MeanSRTTSeconds(),
 	}
-	marginal := m.cfg.Model.Power(op) - m.cfg.Model.Power(energy.Sample{})
+	marginal := flowModel.Power(op) - flowModel.Power(energy.Sample{})
 	if marginal < 0 {
 		marginal = 0
 	}

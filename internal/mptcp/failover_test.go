@@ -83,8 +83,8 @@ func TestTransferDegradesToSinglePath(t *testing.T) {
 	}
 }
 
-// Same seed + same fault schedule (including stochastic Gilbert-Elliott
-// loss) must reproduce byte-identical results.
+// Same seed + same fault schedule (including random loss drawn from the
+// engine's RNG) must reproduce byte-identical results.
 func TestFaultScheduleReproducible(t *testing.T) {
 	run := func() (uint64, sim.Time, uint64, uint64) {
 		eng := sim.NewEngine(99)
@@ -93,7 +93,7 @@ func TestFaultScheduleReproducible(t *testing.T) {
 		c := MustNew(eng, Config{Algorithm: "dts", TransferBytes: 4000 * 1448}, 1, p1, p2)
 		faults.Apply(eng, p2,
 			faults.Flap{Start: sim.Second, Period: 3 * sim.Second, DownFor: sim.Second, Count: 3},
-			faults.GilbertElliott{Start: 0, PGoodBad: 0.1, PBadGood: 0.3, LossBad: 0.3},
+			faults.SetLoss{At: 0, Prob: 0.03},
 		)
 		c.Start()
 		eng.Run(120 * sim.Second)

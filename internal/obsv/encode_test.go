@@ -111,7 +111,7 @@ func TestBuildKeyTableOrder(t *testing.T) {
 // nothing once buffers are warm.
 func TestRecorderStreamingSampleAllocs(t *testing.T) {
 	eng := sim.NewEngine(3)
-	tp := topo.NewTwoPath(eng, topo.TwoPathConfig{})
+	tp := topo.NewNPath(eng, topo.NPathSpec{}, topo.NPathSpec{})
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "dtsep"}, 1, tp.Paths()...)
 
 	rec := NewRecorder(eng, Meta{Experiment: "alloc", Algorithm: "dtsep", Seed: 3},
@@ -149,7 +149,7 @@ func TestRecorderStreamingSampleAllocs(t *testing.T) {
 // (23 series, introspected DTS internals included); allocs/op must be 0.
 func BenchmarkSampleLineEncode(b *testing.B) {
 	eng := sim.NewEngine(3)
-	tp := topo.NewTwoPath(eng, topo.TwoPathConfig{})
+	tp := topo.NewNPath(eng, topo.NPathSpec{}, topo.NPathSpec{})
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "dts"}, 1, tp.Paths()...)
 	rec := NewRecorder(eng, Meta{Experiment: "bench", Algorithm: "dts", Seed: 3},
 		Options{Stream: io.Discard})

@@ -251,7 +251,7 @@ func TestWriteCSV(t *testing.T) {
 func TestWatchConn(t *testing.T) {
 	var buf bytes.Buffer
 	eng := sim.NewEngine(3)
-	tp := topo.NewTwoPath(eng, topo.TwoPathConfig{})
+	tp := topo.NewNPath(eng, topo.NPathSpec{}, topo.NPathSpec{})
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "dts"}, 1, tp.Paths()...)
 
 	rec := NewRecorder(eng, Meta{Experiment: "test", Scenario: "twopath", Algorithm: "dts", Seed: 3},

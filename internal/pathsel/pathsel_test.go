@@ -12,8 +12,11 @@ import (
 // hetConn builds the WiFi+LTE connection with per-radio models.
 func hetConn(t *testing.T, eng *sim.Engine, alg string) (*mptcp.Conn, []energy.Model) {
 	t.Helper()
-	het := topo.NewHetWireless(eng, topo.HetWirelessConfig{})
-	conn, err := mptcp.New(eng, mptcp.Config{Algorithm: alg}, 1, het.Paths()...)
+	het, err := topo.Build(eng, "hetwireless", topo.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := mptcp.New(eng, mptcp.Config{Algorithm: alg}, 1, het.Paths(0, 1, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,45 +21,11 @@ type BCube struct {
 	dim int // k+1 digits
 }
 
-// BCubeConfig parameterizes the cube; zero values take BCube(5, 2) with
-// the paper's 100 Mb/s links.
+// BCubeConfig sizes the cube; zero values take BCube(5, 2). Every link
+// runs at dcRate with dcDelay and a dcQueue-packet queue.
 type BCubeConfig struct {
-	N          int // switch port count / digit base
-	K          int // levels - 1
-	Rate       int64
-	Delay      sim.Time
-	QueueLimit int
-
-	// UseDetours also enumerates the longer altered paths that relay
-	// through extra intermediate servers (Guo et al.'s BuildPathSet).
-	// They add path diversity but consume ~2x the link capacity per bit,
-	// so the default assigns extra subflows to the k+1 short disjoint
-	// rotation paths instead, as the htsim MPTCP evaluation does.
-	UseDetours bool
-}
-
-func (c BCubeConfig) withDefaults() BCubeConfig {
-	if c.N == 0 {
-		c.N = 5
-	}
-	if c.K == 0 {
-		c.K = 2
-	}
-	if c.Rate == 0 {
-		c.Rate = 100 * netem.Mbps
-	}
-	if c.Delay == 0 {
-		// The paper prints "100ms links"; we read that as the
-		// htsim-typical 100 us — at 100 ms per hop a datacenter path's
-		// bandwidth-delay product dwarfs any realistic switch buffer and
-		// every algorithm collapses, which is clearly not what the paper
-		// simulated.
-		c.Delay = 100 * sim.Microsecond
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 100
-	}
-	return c
+	N int // switch port count / digit base
+	K int // levels - 1
 }
 
 const (
@@ -69,12 +35,17 @@ const (
 
 // NewBCube builds the topology.
 func NewBCube(eng *sim.Engine, cfg BCubeConfig) (*BCube, error) {
-	cfg = cfg.withDefaults()
+	if cfg.N == 0 {
+		cfg.N = 5
+	}
+	if cfg.K == 0 {
+		cfg.K = 2
+	}
 	if cfg.N < 2 || cfg.K < 0 {
 		return nil, fmt.Errorf("topo: BCube needs n >= 2 and k >= 0, got n=%d k=%d", cfg.N, cfg.K)
 	}
 	b := &BCube{g: newGraph(eng), cfg: cfg, dim: cfg.K + 1}
-	lc := netem.LinkConfig{Name: "bc", Rate: cfg.Rate, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	lc := netem.LinkConfig{Name: "bc", Rate: dcRate, Delay: dcDelay, QueueLimit: dcQueue}
 	for h := 0; h < b.Hosts(); h++ {
 		for level := 0; level < b.dim; level++ {
 			b.g.biLink(b.host(h), b.swit(level, b.switchIdx(h, level)), lc)
@@ -129,20 +100,10 @@ func (b *BCube) hopNodes(nodes []int32, cur, level, next int) []int32 {
 }
 
 // route builds the node sequence from src to dst correcting digits in
-// rotation order starting at level start; detour != 0 first moves the
-// start digit to an intermediate value (BCube's altered parallel paths).
-func (b *BCube) route(src, dst, start, detour int) []int32 {
+// rotation order starting at level start.
+func (b *BCube) route(src, dst, start int) []int32 {
 	nodes := []int32{b.host(src)}
 	cur := src
-	if detour != 0 && b.dim > 0 {
-		level := start % b.dim
-		v := (b.digit(dst, level) + detour) % b.cfg.N
-		if v != b.digit(cur, level) {
-			next := b.setDigit(cur, level, v)
-			nodes = b.hopNodes(nodes, cur, level, next)
-			cur = next
-		}
-	}
 	for i := 0; i < b.dim; i++ {
 		level := (start + i) % b.dim
 		if b.digit(cur, level) == b.digit(dst, level) {
@@ -152,23 +113,17 @@ func (b *BCube) route(src, dst, start, detour int) []int32 {
 		nodes = b.hopNodes(nodes, cur, level, next)
 		cur = next
 	}
-	// A detour may leave the start digit still wrong; the loop above fixes
-	// it on its pass, except when the detour landed after its turn.
-	for level := 0; level < b.dim; level++ {
-		if b.digit(cur, level) != b.digit(dst, level) {
-			next := b.setDigit(cur, level, b.digit(dst, level))
-			nodes = b.hopNodes(nodes, cur, level, next)
-			cur = next
-		}
-	}
 	return nodes
 }
 
 // Paths returns n routes between two hosts: the k+1 digit-rotation
-// parallel paths (and, with UseDetours, altered paths relaying through
-// extra intermediate servers), deduplicated; once the distinct routes run
-// out, routes repeat (multiple subflows per route). The routes are built
-// once per (src, dst, n) and shared by every caller; see FatTree.Paths.
+// parallel paths, deduplicated; once the distinct routes run out, routes
+// repeat (multiple subflows per route). Guo et al.'s longer altered paths,
+// which relay through extra intermediate servers, are not enumerated: they
+// consume ~2x the link capacity per bit, so extra subflows go to the short
+// disjoint rotation paths instead, as the htsim MPTCP evaluation does. The
+// routes are built once per (src, dst, n) and shared by every caller; see
+// FatTree.Paths.
 func (b *BCube) Paths(src, dst, n int) []*netem.Path {
 	if src == dst {
 		return nil
@@ -177,23 +132,17 @@ func (b *BCube) Paths(src, dst, n int) []*netem.Path {
 }
 
 func (b *BCube) buildPaths(src, dst, n int) []*netem.Path {
-	maxDetour := 1
-	if b.cfg.UseDetours {
-		maxDetour = b.cfg.N
-	}
 	seen := make(map[string]bool, n)
 	var routes [][]int32
 	h := (src*131 + dst*31) % b.dim
-	for detour := 0; detour < maxDetour && len(routes) < n; detour++ {
-		for start := 0; start < b.dim && len(routes) < n; start++ {
-			nodes := b.route(src, dst, (start+h)%b.dim, detour)
-			key := routeKey(nodes)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			routes = append(routes, nodes)
+	for start := 0; start < b.dim && len(routes) < n; start++ {
+		nodes := b.route(src, dst, (start+h)%b.dim)
+		key := routeKey(nodes)
+		if seen[key] {
+			continue
 		}
+		seen[key] = true
+		routes = append(routes, nodes)
 	}
 	out := make([]*netem.Path, 0, n)
 	for i := 0; i < n; i++ {

@@ -15,7 +15,7 @@ func (f *FatTree) Switches() int { return 5 * f.k * f.k / 4 }
 
 // CrossEntry returns the forward link of path i that cross traffic shares
 // (the second hop, keeping the sender's access hop clean — the same
-// convention as TwoPath.CrossEntry).
+// convention as Pair.CrossEntry).
 func (n *NPath) CrossEntry(i int) *netem.Link { return n.paths[i].Forward[1] }
 
 // Links exposes every link for utilization accounting.
@@ -28,7 +28,7 @@ func (d *Dumbbell) Bottlenecks() [2]*netem.Link { return d.bottleneck }
 func (v *EC2VPC) Links() []*netem.Link { return v.g.Links() }
 
 // Switches returns the switch count.
-func (v *VL2) Switches() int { return v.cfg.ToRs + v.cfg.Aggs + v.cfg.Ints }
+func (v *VL2) Switches() int { return v.cfg.ToRs + 2*v.cfg.Switches }
 
 // Links exposes every link.
 func (v *VL2) Links() []*netem.Link { return v.g.Links() }

@@ -15,34 +15,10 @@ type FatTree struct {
 	k int
 }
 
-// FatTreeConfig parameterizes the fat tree; zero values take the paper's
-// settings (k=8, 100 Mb/s, queue 100).
+// FatTreeConfig sizes the fat tree; K 0 takes the paper's k=8. Every link
+// runs at dcRate with dcDelay and a dcQueue-packet queue.
 type FatTreeConfig struct {
-	K          int
-	Rate       int64
-	Delay      sim.Time
-	QueueLimit int
-}
-
-func (c FatTreeConfig) withDefaults() FatTreeConfig {
-	if c.K == 0 {
-		c.K = 8
-	}
-	if c.Rate == 0 {
-		c.Rate = 100 * netem.Mbps
-	}
-	if c.Delay == 0 {
-		// The paper prints "100ms links"; we read that as the
-		// htsim-typical 100 us — at 100 ms per hop a datacenter path's
-		// bandwidth-delay product dwarfs any realistic switch buffer and
-		// every algorithm collapses, which is clearly not what the paper
-		// simulated.
-		c.Delay = 100 * sim.Microsecond
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 100
-	}
-	return c
+	K int
 }
 
 // Node ID blocks. Hosts live at 100000+h.
@@ -55,13 +31,15 @@ const (
 
 // NewFatTree builds the topology. k must be even.
 func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) (*FatTree, error) {
-	cfg = cfg.withDefaults()
 	k := cfg.K
+	if k == 0 {
+		k = 8
+	}
 	if k%2 != 0 || k < 2 {
 		return nil, fmt.Errorf("topo: fat tree arity k=%d must be even and >= 2", k)
 	}
 	g := newGraph(eng)
-	lc := netem.LinkConfig{Name: "ft", Rate: cfg.Rate, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	lc := netem.LinkConfig{Name: "ft", Rate: dcRate, Delay: dcDelay, QueueLimit: dcQueue}
 	half := k / 2
 	ft := &FatTree{g: g, k: k}
 

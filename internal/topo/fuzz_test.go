@@ -17,11 +17,11 @@ func boundCfg(v, m int) int { return v % m }
 // whose host-to-host paths resolve to complete link chains — graph.chain
 // panics on a missing edge, so any wiring gap aborts the fuzzer.
 func FuzzConstructors(f *testing.F) {
-	f.Add(4, 5, 2, 2, 8, 4, 4)  // the paper's figure configurations
-	f.Add(8, 3, 1, 4, 64, 8, 8) // published VL2 scale
-	f.Add(-2, 2, 0, 1, 1, 2, 1) // minimal and invalid corners
-	f.Add(0, 0, 0, 0, 0, 0, 0)  // all defaults
-	f.Fuzz(func(t *testing.T, ftK, bcN, bcK, perToR, tors, aggs, ints int) {
+	f.Add(4, 5, 2, 8, 4)  // the paper's figure configurations
+	f.Add(8, 3, 1, 64, 8) // published VL2 scale
+	f.Add(-2, 2, 0, 1, 2) // minimal and invalid corners
+	f.Add(0, 0, 0, 0, 0)  // all defaults
+	f.Fuzz(func(t *testing.T, ftK, bcN, bcK, tors, switches int) {
 		eng := sim.NewEngine(1)
 		if ft, err := NewFatTree(eng, FatTreeConfig{K: boundCfg(ftK, 11)}); err == nil {
 			requirePaths(t, "fattree", ft.Paths(0, ft.Hosts()-1, 3))
@@ -29,10 +29,7 @@ func FuzzConstructors(f *testing.F) {
 		if bc, err := NewBCube(eng, BCubeConfig{N: boundCfg(bcN, 7), K: boundCfg(bcK, 4)}); err == nil {
 			requirePaths(t, "bcube", bc.Paths(0, bc.Hosts()-1, 3))
 		}
-		v, err := NewVL2(eng, VL2Config{
-			HostsPerToR: boundCfg(perToR, 5), ToRs: boundCfg(tors, 65),
-			Aggs: boundCfg(aggs, 17), Ints: boundCfg(ints, 17),
-		})
+		v, err := NewVL2(eng, VL2Config{ToRs: boundCfg(tors, 65), Switches: boundCfg(switches, 17)})
 		if err == nil && v.Hosts() > 1 {
 			requirePaths(t, "vl2", v.Paths(0, v.Hosts()-1, 3))
 		}

@@ -13,7 +13,7 @@ import (
 // engines fan over: per-path asymmetry makes equilibrium shares
 // distinguishable, and disjoint bottlenecks match the fluid model's
 // per-path loss signal (see internal/backend and docs/backends.md).
-// TwoPath and HetWireless are NPaths of two specs.
+// The registry's twopath and hetwireless entries are NPaths of two specs.
 type NPath struct {
 	g     *graph
 	paths []*netem.Path
@@ -25,7 +25,6 @@ type NPathSpec struct {
 	Delay sim.Time // one-way end-to-end delay (default 10 ms)
 	Queue int      // per-hop DropTail queue (default 100)
 	Name  string   // path and link name (default "path<i>" over "tp" links)
-	Loss  float64  // random loss on both hops, both directions
 }
 
 func (s NPathSpec) withDefaults() NPathSpec {
@@ -42,7 +41,7 @@ func (s NPathSpec) withDefaults() NPathSpec {
 }
 
 // NewNPath builds the scenario: sender node 0, receiver node 1, and one
-// relay switch (node 10+i) per path, mirroring NewTwoPath's layout.
+// relay switch (node 10+i) per path.
 func NewNPath(eng *sim.Engine, specs ...NPathSpec) *NPath {
 	if len(specs) == 0 {
 		panic("topo: NewNPath needs at least one path spec")
@@ -56,7 +55,7 @@ func NewNPath(eng *sim.Engine, specs ...NPathSpec) *NPath {
 		if spec.Name != "" {
 			name, link = spec.Name, spec.Name
 		}
-		lc := netem.LinkConfig{Name: link, Rate: spec.Rate, Delay: spec.Delay / 2, QueueLimit: spec.Queue, LossProb: spec.Loss}
+		lc := netem.LinkConfig{Name: link, Rate: spec.Rate, Delay: spec.Delay / 2, QueueLimit: spec.Queue}
 		g.biLink(0, relay, lc)
 		g.biLink(relay, 1, lc)
 		n.paths = append(n.paths, g.path(name, 0, relay, 1))

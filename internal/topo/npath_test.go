@@ -10,8 +10,8 @@ import (
 
 // TestNPathTwoPathEquivalence pins the builder contract the backend relies
 // on: NPath with two equal-delay specs wires the same nodes, link names and
-// rates as NewTwoPath, so a packet run over either is event-for-event
-// identical — same acked counts, same engine event total.
+// rates as the registry's twopath entry, so a packet run over either is
+// event-for-event identical — same acked counts, same engine event total.
 func TestNPathTwoPathEquivalence(t *testing.T) {
 	run := func(build func(eng *sim.Engine) []*netem.Path) (acked [2]int64, events uint64) {
 		eng := sim.NewEngine(7)
@@ -26,10 +26,14 @@ func TestNPathTwoPathEquivalence(t *testing.T) {
 	}
 
 	twoAck, twoEv := run(func(eng *sim.Engine) []*netem.Path {
-		return NewTwoPath(eng, TwoPathConfig{
+		net, err := Build(eng, "twopath", Params{
 			Rates: [2]int64{16 * netem.Mbps, 8 * netem.Mbps},
-			Delay: 20 * sim.Millisecond, QueueLimit: 50,
-		}).Paths()
+			Delay: 20 * sim.Millisecond, Queue: 50,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.Paths(0, 1, 0)
 	})
 	nAck, nEv := run(func(eng *sim.Engine) []*netem.Path {
 		return NewNPath(eng,

@@ -32,7 +32,7 @@ func dcNets(tb testing.TB) map[string]pathsNet {
 	}
 	return map[string]pathsNet{
 		"fattree": ft, "vl2": vl2, "bcube": bc,
-		"ec2": NewEC2VPC(eng, EC2Config{Hosts: 6}),
+		"ec2": NewEC2VPC(eng, 6),
 	}
 }
 

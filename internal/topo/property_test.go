@@ -18,7 +18,7 @@ func TestDatacenterPathsWellFormedProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vl2, err := NewVL2(eng, VL2Config{HostsPerToR: 2, ToRs: 8, Aggs: 4, Ints: 4})
+	vl2, err := NewVL2(eng, VL2Config{ToRs: 8, Switches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDatacenterPathsWellFormedProperty(t *testing.T) {
 // Property: BCube routes never visit the same link twice (loop freedom).
 func TestBCubeLoopFreeProperty(t *testing.T) {
 	eng := sim.NewEngine(1)
-	bc, err := NewBCube(eng, BCubeConfig{N: 4, K: 2, UseDetours: true})
+	bc, err := NewBCube(eng, BCubeConfig{N: 4, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,48 +54,50 @@ var registry = []Entry{
 		}},
 	{Name: "dumbbell", Desc: "Fig. 5a: Size users (default 1) sharing two 100 Mb/s bottlenecks",
 		build: func(eng *sim.Engine, p Params) (Net, error) {
-			return NewDumbbell(eng, DumbbellConfig{Users: max(p.Size, 1)}), nil
+			return NewDumbbell(eng, max(p.Size, 1)), nil
 		}},
-	// ECN marking is always on: only dctcp reads the mark, and without it
-	// the Fig. 10 dctcp row would be plain reno.
 	{Name: "ec2", Desc: "EC2 VPC: Size hosts (default 40), 4x256 Mb/s ENIs each, ECN marking at 20 packets", Fabric: true,
 		build: func(eng *sim.Engine, p Params) (Net, error) {
-			return NewEC2VPC(eng, EC2Config{Hosts: p.Size, MarkThreshold: 20}), nil
+			return NewEC2VPC(eng, p.Size), nil
 		}},
 	{Name: "fattree", Desc: "k-ary fat tree, k = Size (default 8: the paper's 128 hosts)", Fabric: true,
 		build: func(eng *sim.Engine, p Params) (Net, error) {
 			return NewFatTree(eng, FatTreeConfig{K: p.Size})
 		}},
 	{Name: "hetdelay", Desc: "heterogeneous delays: 16 Mb/s @ 10 ms + 8 Mb/s @ 40 ms", Routes: 2,
-		build: nPath(NPathSpec{Rate: 16e6, Delay: 10 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 8e6, Delay: 40 * sim.Millisecond, Queue: 50})},
+		build: pair(90, NPathSpec{Rate: 16e6, Delay: 10 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 8e6, Delay: 40 * sim.Millisecond, Queue: 50})},
+	// Fig. 17's ns-2 setup: the WiFi path through AP node 10, the 4G path
+	// through base station 11, DropTail queues of 50 packets.
 	{Name: "hetwireless", Desc: "Fig. 17 handset: WiFi 10 Mb/s/40 ms + 4G 20 Mb/s/100 ms, bursts at 80% of each link", Routes: 2,
-		build: func(eng *sim.Engine, _ Params) (Net, error) {
-			return &Pair{routes: NewHetWireless(eng, HetWirelessConfig{}).Paths(), burstPct: 80}, nil
-		}},
+		build: pair(80, NPathSpec{Name: "wifi", Rate: 10 * netem.Mbps, Delay: 40 * sim.Millisecond, Queue: 50},
+			NPathSpec{Name: "lte", Rate: 20 * netem.Mbps, Delay: 100 * sim.Millisecond, Queue: 50})},
 	{Name: "threepath", Desc: "three asymmetric paths: 24 + 12 + 6 Mb/s, 20 ms delay", Routes: 3,
-		build: nPath(NPathSpec{Rate: 24e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 12e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 6e6, Delay: 20 * sim.Millisecond, Queue: 50})},
+		build: pair(90, NPathSpec{Rate: 24e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 12e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 6e6, Delay: 20 * sim.Millisecond, Queue: 50})},
 	{Name: "twopath", Desc: "Fig. 5b: two paths of Rates (default 100 Mb/s), Delay (10 ms), Queue (100), bursts at 90% of each", Routes: 2,
 		build: func(eng *sim.Engine, p Params) (Net, error) {
-			tp := NewTwoPath(eng, TwoPathConfig{Rates: p.Rates, Delay: p.Delay, QueueLimit: p.Queue})
+			tp := NewNPath(eng,
+				NPathSpec{Rate: p.Rates[0], Delay: p.Delay, Queue: p.Queue},
+				NPathSpec{Rate: p.Rates[1], Delay: p.Delay, Queue: p.Queue})
 			return &Pair{routes: tp.Paths(), burstPct: 90}, nil
 		}},
 	{Name: "twopath-asym", Desc: "the conformance scenario: 16 + 8 Mb/s, 20 ms delay", Routes: 2,
-		build: nPath(NPathSpec{Rate: 16e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 8e6, Delay: 20 * sim.Millisecond, Queue: 50})},
+		build: pair(90, NPathSpec{Rate: 16e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 8e6, Delay: 20 * sim.Millisecond, Queue: 50})},
 	{Name: "twopath-sym", Desc: "two symmetric 12 Mb/s paths, 20 ms delay", Routes: 2,
-		build: nPath(NPathSpec{Rate: 12e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 12e6, Delay: 20 * sim.Millisecond, Queue: 50})},
+		build: pair(90, NPathSpec{Rate: 12e6, Delay: 20 * sim.Millisecond, Queue: 50}, NPathSpec{Rate: 12e6, Delay: 20 * sim.Millisecond, Queue: 50})},
 	{Name: "vl2", Desc: "VL2 Clos: Size ToRs of 2 hosts under Size/2 aggregation and intermediate switches (default the paper's 64/8/8)", Fabric: true,
 		build: func(eng *sim.Engine, p Params) (Net, error) {
 			if p.Size == 0 {
 				return NewVL2(eng, VL2Config{})
 			}
-			a := max(p.Size/2, 2)
-			return NewVL2(eng, VL2Config{HostsPerToR: 2, ToRs: p.Size, Aggs: a, Ints: a})
+			return NewVL2(eng, VL2Config{ToRs: p.Size, Switches: max(p.Size/2, 2)})
 		}},
 }
 
-func nPath(specs ...NPathSpec) func(*sim.Engine, Params) (Net, error) {
+// pair builds a fixed NPath seen as a Pair whose bursts run at burstPct of
+// each route's entry link.
+func pair(burstPct int64, specs ...NPathSpec) func(*sim.Engine, Params) (Net, error) {
 	return func(eng *sim.Engine, _ Params) (Net, error) {
-		return &Pair{routes: NewNPath(eng, specs...).Paths(), burstPct: 90}, nil
+		return &Pair{routes: NewNPath(eng, specs...).Paths(), burstPct: burstPct}, nil
 	}
 }
 

@@ -17,14 +17,14 @@ type Dumbbell struct {
 	bottleneck [2]*netem.Link // forward direction
 }
 
-// DumbbellConfig parameterizes the Fig. 5a scenario.
-type DumbbellConfig struct {
-	Users          int      // how many per-user access pairs to provision
-	BottleneckRate int64    // per-bottleneck capacity (default 100 Mb/s)
-	AccessRate     int64    // per-user access capacity (default 1 Gb/s)
-	Delay          sim.Time // one-way per-hop delay (default 5 ms)
-	QueueLimit     int      // bottleneck queue (default 100)
-}
+// The dumbbell's links: 100 Mb/s bottlenecks with 100-packet queues,
+// 1 Gb/s access links with 1000-packet ones, 5 ms one-way on every hop.
+const (
+	dumbBottleneckRate int64 = 100 * netem.Mbps
+	dumbAccessRate     int64 = netem.Gbps
+	dumbDelay                = 5 * sim.Millisecond
+	dumbQueue                = 100
+)
 
 // Node layout: user u's source host is 1000+u, its sink host is 2000+u;
 // the two aggregation switches are 1 (ingress) and two egress switches 2, 3
@@ -35,33 +35,21 @@ const (
 	dumbEgress1 int32 = 3
 )
 
-// NewDumbbell builds the scenario.
-func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	if cfg.BottleneckRate == 0 {
-		cfg.BottleneckRate = 100 * netem.Mbps
-	}
-	if cfg.AccessRate == 0 {
-		cfg.AccessRate = netem.Gbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 5 * sim.Millisecond
-	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 100
-	}
+// NewDumbbell builds the scenario with access pairs for users users.
+func NewDumbbell(eng *sim.Engine, users int) *Dumbbell {
 	g := newGraph(eng)
-	btl := netem.LinkConfig{Name: "btl", Rate: cfg.BottleneckRate, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	btl := netem.LinkConfig{Name: "btl", Rate: dumbBottleneckRate, Delay: dumbDelay, QueueLimit: dumbQueue}
 	g.biLink(dumbIngress, dumbEgress0, btl)
 	g.biLink(dumbIngress, dumbEgress1, btl)
-	acc := netem.LinkConfig{Name: "acc", Rate: cfg.AccessRate, Delay: cfg.Delay, QueueLimit: 1000}
-	for u := 0; u < cfg.Users; u++ {
+	acc := netem.LinkConfig{Name: "acc", Rate: dumbAccessRate, Delay: dumbDelay, QueueLimit: 1000}
+	for u := 0; u < users; u++ {
 		g.biLink(srcHost(u), dumbIngress, acc)
 		g.biLink(dumbEgress0, dstHost(u), acc)
 		g.biLink(dumbEgress1, dstHost(u), acc)
 	}
 	return &Dumbbell{
 		g:     g,
-		users: cfg.Users,
+		users: users,
 		bottleneck: [2]*netem.Link{
 			g.links[[2]int32{dumbIngress, dumbEgress0}],
 			g.links[[2]int32{dumbIngress, dumbEgress1}],
@@ -96,120 +84,40 @@ func (d *Dumbbell) Hosts() int { return d.users }
 // each bottleneck. dst is ignored — every user has its own sink.
 func (d *Dumbbell) Paths(src, _, n int) []*netem.Path { return Fan(d.MPTCPPaths(src), n) }
 
-// TwoPath is the Fig. 5b scenario: one sender-receiver pair connected by
-// two independent paths whose quality flips between Good and Bad as bursty
-// cross traffic comes and goes. CrossEntry(i) exposes the link cross
-// traffic must be injected into.
-type TwoPath = NPath
-
-// TwoPathConfig parameterizes the Fig. 5b scenario.
-type TwoPathConfig struct {
-	Rate       int64    // per-path capacity (default 100 Mb/s)
-	Delay      sim.Time // one-way path delay (default 10 ms)
-	QueueLimit int      // per-path queue (default 100)
-
-	// Rates, when non-zero, overrides Rate per path (index 0 and 1) so the
-	// two paths can have asymmetric capacity.
-	Rates [2]int64
-}
-
-// NewTwoPath builds the scenario: sender 0, receiver 1, relay switches 10
-// and 11, one per path.
-func NewTwoPath(eng *sim.Engine, cfg TwoPathConfig) *TwoPath {
-	for i := range cfg.Rates {
-		if cfg.Rates[i] == 0 {
-			cfg.Rates[i] = cfg.Rate
-		}
-	}
-	return NewNPath(eng,
-		NPathSpec{Rate: cfg.Rates[0], Delay: cfg.Delay, Queue: cfg.QueueLimit},
-		NPathSpec{Rate: cfg.Rates[1], Delay: cfg.Delay, Queue: cfg.QueueLimit})
-}
-
-// HetWireless is the Fig. 17 scenario: a mobile sender with a WiFi path
-// (10 Mb/s, 40 ms; index 0, through AP node 10) and a 4G path (20 Mb/s,
-// 100 ms; index 1, through base station 11), DropTail queues of 50 packets,
-// as in the paper's ns-2 setup.
-type HetWireless = NPath
-
-// HetWirelessConfig parameterizes the Fig. 17 scenario; zero values take
-// the paper's settings.
-type HetWirelessConfig struct {
-	WiFiRate  int64
-	WiFiDelay sim.Time
-	LTERate   int64
-	LTEDelay  sim.Time
-	Queue     int
-	// WiFiLoss adds random loss on the WiFi link (wireless error), 0 by
-	// default as in the paper's base setup.
-	WiFiLoss float64
-}
-
-// NewHetWireless builds the scenario.
-func NewHetWireless(eng *sim.Engine, cfg HetWirelessConfig) *HetWireless {
-	if cfg.WiFiRate == 0 {
-		cfg.WiFiRate = 10 * netem.Mbps
-	}
-	if cfg.WiFiDelay == 0 {
-		cfg.WiFiDelay = 40 * sim.Millisecond
-	}
-	if cfg.LTERate == 0 {
-		cfg.LTERate = 20 * netem.Mbps
-	}
-	if cfg.LTEDelay == 0 {
-		cfg.LTEDelay = 100 * sim.Millisecond
-	}
-	if cfg.Queue == 0 {
-		cfg.Queue = 50
-	}
-	return NewNPath(eng,
-		NPathSpec{Name: "wifi", Rate: cfg.WiFiRate, Delay: cfg.WiFiDelay, Queue: cfg.Queue, Loss: cfg.WiFiLoss},
-		NPathSpec{Name: "lte", Rate: cfg.LTERate, Delay: cfg.LTEDelay, Queue: cfg.Queue})
-}
-
 // EC2VPC is the Fig. 10 scenario: hosts with four elastic network
 // interfaces, each on its own subnet, giving four routes between every
 // host pair. ENI capacity is 256 Mb/s as in the paper.
 type EC2VPC struct {
 	g     *graph
 	hosts int
-	nets  int
 }
 
-// EC2Config parameterizes the VPC.
-type EC2Config struct {
-	Hosts   int      // default 40
-	Subnets int      // default 4 (= ENIs per host)
-	ENIRate int64    // default 256 Mb/s
-	Delay   sim.Time // default 250 us intra-DC hop
-	// MarkThreshold enables DCTCP-style ECN marking on the ENI links.
-	MarkThreshold int
-}
+// The VPC's links: every host has an ENI on each of ec2Subnets subnets,
+// at the paper's 256 Mb/s with a 250 us intra-DC hop, and marks ECN at
+// ec2MarkThreshold packets. Only dctcp reads the mark; without it the
+// Fig. 10 dctcp row would be plain reno.
+const (
+	ec2Subnets             = 4
+	ec2ENIRate       int64 = 256 * netem.Mbps
+	ec2Delay               = 250 * sim.Microsecond
+	ec2MarkThreshold       = 20
+)
 
-// NewEC2VPC builds the VPC.
-func NewEC2VPC(eng *sim.Engine, cfg EC2Config) *EC2VPC {
-	if cfg.Hosts == 0 {
-		cfg.Hosts = 40
-	}
-	if cfg.Subnets == 0 {
-		cfg.Subnets = 4
-	}
-	if cfg.ENIRate == 0 {
-		cfg.ENIRate = 256 * netem.Mbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 250 * sim.Microsecond
+// NewEC2VPC builds the VPC with hosts hosts (0 takes the paper's 40).
+func NewEC2VPC(eng *sim.Engine, hosts int) *EC2VPC {
+	if hosts == 0 {
+		hosts = 40
 	}
 	g := newGraph(eng)
 	// Nodes: host h = 1000+h; subnet switch s = 1+s. Every host has one
 	// ENI (link) to every subnet switch.
-	lc := netem.LinkConfig{Name: "eni", Rate: cfg.ENIRate, Delay: cfg.Delay, QueueLimit: 100, MarkThreshold: cfg.MarkThreshold}
-	for h := 0; h < cfg.Hosts; h++ {
-		for s := 0; s < cfg.Subnets; s++ {
+	lc := netem.LinkConfig{Name: "eni", Rate: ec2ENIRate, Delay: ec2Delay, QueueLimit: 100, MarkThreshold: ec2MarkThreshold}
+	for h := 0; h < hosts; h++ {
+		for s := 0; s < ec2Subnets; s++ {
 			g.biLink(int32(1000+h), int32(1+s), lc)
 		}
 	}
-	return &EC2VPC{g: g, hosts: cfg.Hosts, nets: cfg.Subnets}
+	return &EC2VPC{g: g, hosts: hosts}
 }
 
 // Hosts returns the host count.
@@ -219,17 +127,17 @@ func (v *EC2VPC) Hosts() int { return v.hosts }
 // routes are built once per (src, dst, n) and shared by every caller; see
 // FatTree.Paths.
 func (v *EC2VPC) Paths(src, dst, n int) []*netem.Path {
-	if n <= 0 || n > v.nets {
-		n = v.nets
+	if n <= 0 || n > ec2Subnets {
+		n = ec2Subnets
 	}
 	return v.g.paths(src, dst, n, v.buildPaths)
 }
 
 func (v *EC2VPC) buildPaths(src, dst, n int) []*netem.Path {
 	out := make([]*netem.Path, 0, n)
-	h := (src + dst) % v.nets
+	h := (src + dst) % ec2Subnets
 	for s := 0; s < n; s++ {
-		subnet := (s + h) % v.nets
+		subnet := (s + h) % ec2Subnets
 		out = append(out, v.g.path(
 			fmt.Sprintf("h%d-h%d-net%d", src, dst, subnet),
 			int32(1000+src), int32(1+subnet), int32(1000+dst)))

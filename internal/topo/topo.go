@@ -5,7 +5,11 @@
 // wireless WiFi+4G scenario (Fig. 17).
 //
 // Builders wire netem.Links between integer node IDs and enumerate
-// multipath routes between hosts as netem.Paths ready for mptcp.New.
+// multipath routes between hosts as netem.Paths ready for mptcp.New. Every
+// world's link rates, delays and queues are the paper's, fixed as
+// constants beside its builder; a builder takes only its size. The one-pair
+// worlds are NPaths of explicit specs, named in the registry, whose
+// twopath entry alone reads rates, delay and queue from Params.
 package topo
 
 import (
@@ -16,6 +20,19 @@ import (
 	"mptcpsim/internal/sim"
 )
 
+// The datacenter fabrics' links: FatTree and BCube run every link at
+// dcRate, VL2 its server and switch links at its own two rates, and all
+// three share the per-hop delay and the DropTail queue. The paper prints
+// "100ms links"; we read that as the htsim-typical 100 us — at 100 ms per
+// hop a datacenter path's bandwidth-delay product dwarfs any realistic
+// switch buffer and every algorithm collapses, which is clearly not what
+// the paper simulated.
+const (
+	dcRate  = 100 * netem.Mbps
+	dcDelay = 100 * sim.Microsecond
+	dcQueue = 100
+)
+
 // graph tracks directed links between node IDs, creating each once, and
 // owns the routes enumerated over them.
 type graph struct {
@@ -24,8 +41,7 @@ type graph struct {
 
 	// routes memoises Paths(src, dst, n): a host pair's n routes are built
 	// on the first request and handed out again on every later one, so the
-	// topology owns its paths exactly as TwoPath, HetWireless and NPath own
-	// theirs. That is what lets a path's packet pool outlive any one flow:
+	// topology owns its paths exactly as NPath owns its own. That is what lets a path's packet pool outlive any one flow:
 	// every flow of a host pair sends over the same *netem.Path, and the
 	// packets the last flow released are the ones the next flow sends. The
 	// map is bounded by host pairs × the subflow counts asked for.

@@ -111,7 +111,7 @@ func TestFatTreeSamePairNoPaths(t *testing.T) {
 
 func TestFatTreeEndToEnd(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ft, _ := NewFatTree(eng, FatTreeConfig{K: 4, Delay: sim.Millisecond})
+	ft, _ := NewFatTree(eng, FatTreeConfig{K: 4})
 	if !transferOK(t, eng, ft.Paths(0, 13, 4)) {
 		t.Error("transfer across FatTree(4) did not complete")
 	}
@@ -176,7 +176,7 @@ func TestVL2PaperScale(t *testing.T) {
 
 func TestVL2PathShapes(t *testing.T) {
 	eng := sim.NewEngine(1)
-	v, err := NewVL2(eng, VL2Config{HostsPerToR: 2, ToRs: 8, Aggs: 4, Ints: 4, Delay: sim.Millisecond})
+	v, err := NewVL2(eng, VL2Config{ToRs: 8, Switches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestVL2PathShapes(t *testing.T) {
 
 func TestVL2EndToEnd(t *testing.T) {
 	eng := sim.NewEngine(1)
-	v, _ := NewVL2(eng, VL2Config{HostsPerToR: 2, ToRs: 8, Aggs: 4, Ints: 4, Delay: sim.Millisecond})
+	v, _ := NewVL2(eng, VL2Config{ToRs: 8, Switches: 4})
 	if !transferOK(t, eng, v.Paths(0, 9, 4)) {
 		t.Error("transfer across VL2 did not complete")
 	}
@@ -230,7 +230,7 @@ func TestBCubePaperScale(t *testing.T) {
 
 func TestBCubeSwitchAdjacency(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b, err := NewBCube(eng, BCubeConfig{N: 3, K: 1, Delay: sim.Millisecond})
+	b, err := NewBCube(eng, BCubeConfig{N: 3, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBCubeSwitchAdjacency(t *testing.T) {
 
 func TestBCubePathsAlternateHostSwitch(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b, _ := NewBCube(eng, BCubeConfig{N: 3, K: 1, Delay: sim.Millisecond})
+	b, _ := NewBCube(eng, BCubeConfig{N: 3, K: 1})
 	// Hosts 0 (digits 00) and 8 (digits 22) differ in both digits: the
 	// direct rotation paths have 2 server hops = 4 links.
 	paths := b.Paths(0, 8, 2)
@@ -270,29 +270,9 @@ func TestBCubePathsAlternateHostSwitch(t *testing.T) {
 	}
 }
 
-func TestBCubeDetourPathsDistinct(t *testing.T) {
-	eng := sim.NewEngine(1)
-	b, _ := NewBCube(eng, BCubeConfig{N: 5, K: 2, Delay: sim.Millisecond, UseDetours: true})
-	paths := b.Paths(0, 124, 8)
-	if len(paths) != 8 {
-		t.Fatalf("got %d paths, want 8", len(paths))
-	}
-	keys := make(map[string]bool)
-	for _, p := range paths {
-		key := ""
-		for _, l := range p.Forward {
-			key += l.Name() + "|"
-		}
-		keys[key] = true
-	}
-	if len(keys) < 6 {
-		t.Errorf("only %d distinct routes among 8 requested; BCube(5,2) has plenty", len(keys))
-	}
-}
-
 func TestBCubeEndToEnd(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b, _ := NewBCube(eng, BCubeConfig{N: 3, K: 1, Delay: sim.Millisecond})
+	b, _ := NewBCube(eng, BCubeConfig{N: 3, K: 1})
 	if !transferOK(t, eng, b.Paths(1, 7, 3)) {
 		t.Error("transfer across BCube did not complete")
 	}
@@ -300,7 +280,7 @@ func TestBCubeEndToEnd(t *testing.T) {
 
 func TestEC2VPCPaths(t *testing.T) {
 	eng := sim.NewEngine(1)
-	v := NewEC2VPC(eng, EC2Config{})
+	v := NewEC2VPC(eng, 0)
 	if v.Hosts() != 40 {
 		t.Errorf("hosts = %d, want 40", v.Hosts())
 	}
@@ -323,7 +303,7 @@ func TestEC2VPCPaths(t *testing.T) {
 
 func TestDumbbellScenario(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := NewDumbbell(eng, DumbbellConfig{Users: 3})
+	d := NewDumbbell(eng, 3)
 	mp := d.MPTCPPaths(0)
 	if len(mp) != 2 {
 		t.Fatalf("MPTCP user has %d paths, want 2", len(mp))
@@ -345,8 +325,12 @@ func TestDumbbellScenario(t *testing.T) {
 
 func TestTwoPathScenario(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tp := NewTwoPath(eng, TwoPathConfig{})
-	paths := tp.Paths()
+	net, err := Build(eng, "twopath", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := net.(*Pair)
+	paths := tp.Paths(0, 1, 0)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}
@@ -363,8 +347,11 @@ func TestTwoPathScenario(t *testing.T) {
 
 func TestHetWirelessScenario(t *testing.T) {
 	eng := sim.NewEngine(1)
-	h := NewHetWireless(eng, HetWirelessConfig{})
-	paths := h.Paths()
+	h, err := Build(eng, "hetwireless", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := h.Paths(0, 1, 0)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}

@@ -17,50 +17,20 @@ type VL2 struct {
 	cfg VL2Config
 }
 
-// VL2Config parameterizes the Clos; zero values take the paper's settings.
+// VL2Config sizes the Clos; zero values take the paper's 64 ToRs and 8
+// aggregation + 8 intermediate switches.
 type VL2Config struct {
-	HostsPerToR int
-	ToRs        int
-	Aggs        int
-	Ints        int
-	ServerRate  int64 // host-ToR links (paper: 1 Gb/s)
-	SwitchRate  int64 // inter-switch links (VL2 uses faster: default 10x)
-	Delay       sim.Time
-	QueueLimit  int
+	ToRs     int
+	Switches int // aggregation switches, and as many intermediate ones
 }
 
-func (c VL2Config) withDefaults() VL2Config {
-	if c.HostsPerToR == 0 {
-		c.HostsPerToR = 2
-	}
-	if c.ToRs == 0 {
-		c.ToRs = 64
-	}
-	if c.Aggs == 0 {
-		c.Aggs = 8
-	}
-	if c.Ints == 0 {
-		c.Ints = 8
-	}
-	if c.ServerRate == 0 {
-		c.ServerRate = netem.Gbps
-	}
-	if c.SwitchRate == 0 {
-		c.SwitchRate = 10 * netem.Gbps
-	}
-	if c.Delay == 0 {
-		// The paper prints "100ms links"; we read that as the
-		// htsim-typical 100 us — at 100 ms per hop a datacenter path's
-		// bandwidth-delay product dwarfs any realistic switch buffer and
-		// every algorithm collapses, which is clearly not what the paper
-		// simulated.
-		c.Delay = 100 * sim.Microsecond
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 100
-	}
-	return c
-}
+// VL2's links: 2 hosts per ToR on 1 Gb/s server links, and inter-switch
+// links 10x faster, all with the fabrics' dcDelay and dcQueue.
+const (
+	vl2HostsPerToR       = 2
+	vl2ServerRate  int64 = netem.Gbps
+	vl2SwitchRate  int64 = 10 * netem.Gbps
+)
 
 const (
 	vl2HostBase int32 = 100000
@@ -71,30 +41,32 @@ const (
 
 // NewVL2 builds the topology.
 func NewVL2(eng *sim.Engine, cfg VL2Config) (*VL2, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Aggs < 2 {
-		return nil, fmt.Errorf("topo: VL2 needs at least 2 aggregation switches, got %d", cfg.Aggs)
+	if cfg.ToRs == 0 {
+		cfg.ToRs = 64
 	}
-	// Paths indexes ToRs, hosts and intermediate switches modulo these
-	// counts; non-positive values would panic there instead of erroring here.
-	if cfg.HostsPerToR < 1 || cfg.ToRs < 1 || cfg.Ints < 1 {
-		return nil, fmt.Errorf("topo: VL2 needs at least one ToR, host per ToR and intermediate switch, got tors=%d hosts/tor=%d ints=%d",
-			cfg.ToRs, cfg.HostsPerToR, cfg.Ints)
+	if cfg.Switches == 0 {
+		cfg.Switches = 8
+	}
+	// Paths indexes ToRs and switches modulo these counts; smaller values
+	// would panic there instead of erroring here.
+	if cfg.Switches < 2 || cfg.ToRs < 1 {
+		return nil, fmt.Errorf("topo: VL2 needs at least one ToR and 2 aggregation switches, got tors=%d switches=%d",
+			cfg.ToRs, cfg.Switches)
 	}
 	g := newGraph(eng)
 	v := &VL2{g: g, cfg: cfg}
-	server := netem.LinkConfig{Name: "vl2-srv", Rate: cfg.ServerRate, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
-	sw := netem.LinkConfig{Name: "vl2-sw", Rate: cfg.SwitchRate, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	server := netem.LinkConfig{Name: "vl2-srv", Rate: vl2ServerRate, Delay: dcDelay, QueueLimit: dcQueue}
+	sw := netem.LinkConfig{Name: "vl2-sw", Rate: vl2SwitchRate, Delay: dcDelay, QueueLimit: dcQueue}
 
 	for t := 0; t < cfg.ToRs; t++ {
-		for h := 0; h < cfg.HostsPerToR; h++ {
-			g.biLink(v.host(t*cfg.HostsPerToR+h), v.tor(t), server)
+		for h := 0; h < vl2HostsPerToR; h++ {
+			g.biLink(v.host(t*vl2HostsPerToR+h), v.tor(t), server)
 		}
 		g.biLink(v.tor(t), v.agg(v.torAgg(t, 0)), sw)
 		g.biLink(v.tor(t), v.agg(v.torAgg(t, 1)), sw)
 	}
-	for a := 0; a < cfg.Aggs; a++ {
-		for i := 0; i < cfg.Ints; i++ {
+	for a := 0; a < cfg.Switches; a++ {
+		for i := 0; i < cfg.Switches; i++ {
 			g.biLink(v.agg(a), v.inter(i), sw)
 		}
 	}
@@ -102,7 +74,7 @@ func NewVL2(eng *sim.Engine, cfg VL2Config) (*VL2, error) {
 }
 
 // Hosts returns the host count.
-func (v *VL2) Hosts() int { return v.cfg.ToRs * v.cfg.HostsPerToR }
+func (v *VL2) Hosts() int { return v.cfg.ToRs * vl2HostsPerToR }
 
 func (v *VL2) host(h int) int32  { return vl2HostBase + int32(h) }
 func (v *VL2) tor(t int) int32   { return vl2ToRBase + int32(t) }
@@ -112,9 +84,9 @@ func (v *VL2) inter(i int) int32 { return vl2IntBase + int32(i) }
 // torAgg returns the a-th (0 or 1) aggregation switch of ToR t.
 func (v *VL2) torAgg(t, a int) int {
 	if a == 0 {
-		return t % v.cfg.Aggs
+		return t % v.cfg.Switches
 	}
-	return (t + v.cfg.Aggs/2) % v.cfg.Aggs
+	return (t + v.cfg.Switches/2) % v.cfg.Switches
 }
 
 // Paths returns n routes between two hosts, spread over intermediate
@@ -129,7 +101,7 @@ func (v *VL2) Paths(src, dst, n int) []*netem.Path {
 }
 
 func (v *VL2) buildPaths(src, dst, n int) []*netem.Path {
-	ts, td := src/v.cfg.HostsPerToR, dst/v.cfg.HostsPerToR
+	ts, td := src/vl2HostsPerToR, dst/vl2HostsPerToR
 	out := make([]*netem.Path, 0, n)
 	if ts == td {
 		for i := 0; i < n; i++ {
@@ -139,9 +111,9 @@ func (v *VL2) buildPaths(src, dst, n int) []*netem.Path {
 		}
 		return out
 	}
-	h := (src*131 + dst*31) % v.cfg.Ints
+	h := (src*131 + dst*31) % v.cfg.Switches
 	for i := 0; i < n; i++ {
-		inter := (i + h) % v.cfg.Ints
+		inter := (i + h) % v.cfg.Switches
 		aggS := v.torAgg(ts, (i+h)%2)
 		aggD := v.torAgg(td, (i/2+h)%2)
 		out = append(out, v.g.path(

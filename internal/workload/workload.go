@@ -1,7 +1,10 @@
 // Package workload provides the traffic generators of the paper's
 // evaluation: unresponsive cross traffic with Pareto-distributed bursts
 // (the Fig. 5b / Fig. 7-9 scenario generator), constant-bit-rate sources,
-// and permutation traffic matrices for the datacenter experiments.
+// and permutation traffic matrices for the datacenter experiments. A
+// generator takes only its route and rate: packets are tcp.WireSize bytes,
+// and the burst process's mean gap, mean burst and shape are the paper's
+// constants.
 package workload
 
 import (
@@ -9,6 +12,7 @@ import (
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 )
 
 // Sink is a packet endpoint that counts what arrives.
@@ -26,20 +30,19 @@ func (s *Sink) Receive(p *netem.Packet) {
 
 var _ netem.Endpoint = (*Sink)(nil)
 
-// source is what both generators are built on: it injects fixed-size
-// packets into a route, one per emit, and counts them.
+// source is what both generators are built on: it injects full-size
+// (tcp.WireSize) packets into a route, one per emit, and counts them.
 type source struct {
-	eng     *sim.Engine
-	route   []*netem.Link
-	sink    *Sink
-	pool    netem.Pool
-	pktSize int
-	sent    uint64
+	eng   *sim.Engine
+	route []*netem.Link
+	sink  *Sink
+	pool  netem.Pool
+	sent  uint64
 }
 
 func (s *source) emit() {
 	p := s.pool.Get()
-	p.Size = int32(s.pktSize)
+	p.Size = tcp.WireSize
 	p.SentAt = s.eng.Now()
 	p.SetRoute(s.route, s.sink)
 	p.Send()
@@ -49,25 +52,22 @@ func (s *source) emit() {
 // Sent reports packets injected so far.
 func (s *source) Sent() uint64 { return s.sent }
 
-// pktInterval is the packet clock of a source sending pktSize-byte packets
-// at rateBps.
-func pktInterval(pktSize int, rateBps int64) sim.Time {
-	return sim.Time(int64(pktSize) * 8 * int64(sim.Second) / rateBps)
+// pktInterval is the packet clock of a source sending tcp.WireSize-byte
+// packets at rateBps.
+func pktInterval(rateBps int64) sim.Time {
+	return sim.Time(int64(tcp.WireSize) * 8 * int64(sim.Second) / rateBps)
 }
 
-// CBR injects fixed-size packets at a constant bit rate into a route.
+// CBR injects full-size packets at a constant bit rate into a route.
 type CBR struct {
 	source
 	ticker sim.Ticker
 }
 
 // NewCBR creates a constant-bit-rate source over the given links.
-func NewCBR(eng *sim.Engine, route []*netem.Link, rateBps int64, pktSize int) *CBR {
-	if pktSize <= 0 {
-		pktSize = 1500
-	}
-	c := &CBR{source: source{eng: eng, route: route, sink: &Sink{}, pktSize: pktSize}}
-	c.ticker = sim.MakeTicker(eng, pktInterval(pktSize, rateBps), c.emit)
+func NewCBR(eng *sim.Engine, route []*netem.Link, rateBps int64) *CBR {
+	c := &CBR{source: source{eng: eng, route: route, sink: &Sink{}}}
+	c.ticker = sim.MakeTicker(eng, pktInterval(rateBps), c.emit)
 	return c
 }
 
@@ -80,15 +80,11 @@ func (c *CBR) Stop() { c.ticker.Stop() }
 
 // ParetoOnOff is the paper's bursty cross-traffic generator (§VI-B): the
 // source alternates Off and On periods; Off durations are exponential with
-// the given mean (bursts "occur at random intervals"), On durations are
-// Pareto-distributed with the given mean, and during On it transmits at a
-// fixed rate.
+// mean paretoMeanOff (bursts "occur at random intervals"), On durations are
+// Pareto-distributed with mean paretoMeanOn and shape paretoShape, and
+// during On it transmits at a fixed rate.
 type ParetoOnOff struct {
 	source
-
-	meanOff sim.Time
-	meanOn  sim.Time
-	shape   float64
 
 	active   bool
 	onTime   sim.Time
@@ -102,40 +98,19 @@ type ParetoOnOff struct {
 	endTimer sim.Timer
 }
 
-// ParetoConfig parameterizes the generator; zero values take the paper's
-// settings (45 Mb/s bursts, mean gap 10 s, mean burst 5 s, shape 1.5).
-type ParetoConfig struct {
-	RateBps int64
-	PktSize int
-	MeanOff sim.Time
-	MeanOn  sim.Time
-	Shape   float64
-}
+// The paper's burst process: a mean gap of 10 s, a mean burst of 5 s and
+// Pareto shape 1.5.
+const (
+	paretoMeanOff = 10 * sim.Second
+	paretoMeanOn  = 5 * sim.Second
+	paretoShape   = 1.5
+)
 
-// NewParetoOnOff creates the generator over the given links.
-func NewParetoOnOff(eng *sim.Engine, route []*netem.Link, cfg ParetoConfig) *ParetoOnOff {
-	if cfg.RateBps == 0 {
-		cfg.RateBps = 45 * netem.Mbps
-	}
-	if cfg.PktSize == 0 {
-		cfg.PktSize = 1500
-	}
-	if cfg.MeanOff == 0 {
-		cfg.MeanOff = 10 * sim.Second
-	}
-	if cfg.MeanOn == 0 {
-		cfg.MeanOn = 5 * sim.Second
-	}
-	if cfg.Shape == 0 {
-		cfg.Shape = 1.5
-	}
-	p := &ParetoOnOff{
-		source:  source{eng: eng, route: route, sink: &Sink{}, pktSize: cfg.PktSize},
-		meanOff: cfg.MeanOff,
-		meanOn:  cfg.MeanOn,
-		shape:   cfg.Shape,
-	}
-	p.ticker = sim.MakeTicker(eng, pktInterval(cfg.PktSize, cfg.RateBps), p.tick)
+// NewParetoOnOff creates the generator over the given links, bursting at
+// rateBps.
+func NewParetoOnOff(eng *sim.Engine, route []*netem.Link, rateBps int64) *ParetoOnOff {
+	p := &ParetoOnOff{source: source{eng: eng, route: route, sink: &Sink{}}}
+	p.ticker = sim.MakeTicker(eng, pktInterval(rateBps), p.tick)
 	return p
 }
 
@@ -160,7 +135,7 @@ func (p *ParetoOnOff) Stop() {
 func (p *ParetoOnOff) Active() bool { return p.active }
 
 func (p *ParetoOnOff) scheduleOn() {
-	p.gapTimer = p.eng.After(p.expDuration(p.meanOff), p.burst)
+	p.gapTimer = p.eng.After(p.expDuration(paretoMeanOff), p.burst)
 }
 
 func (p *ParetoOnOff) burst() {
@@ -195,15 +170,16 @@ func (p *ParetoOnOff) expDuration(mean sim.Time) sim.Time {
 	return sim.Time(float64(mean) * -math.Log(u))
 }
 
-// paretoDuration draws a Pareto duration with the configured mean and
-// shape: scale = mean·(shape-1)/shape.
+// paretoDuration draws a Pareto duration with mean paretoMeanOn and shape
+// paretoShape: scale = mean·(shape-1)/shape.
 func (p *ParetoOnOff) paretoDuration() sim.Time {
-	scale := float64(p.meanOn) * (p.shape - 1) / p.shape
+	shape := paretoShape // a variable, so each step rounds as it always has
+	scale := float64(paretoMeanOn) * (shape - 1) / shape
 	u := p.eng.Rand().Float64()
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	return sim.Time(scale / math.Pow(u, 1/p.shape))
+	return sim.Time(scale / math.Pow(u, 1/shape))
 }
 
 // Permutation returns a random permutation of n hosts with no fixed points

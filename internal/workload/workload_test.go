@@ -18,7 +18,7 @@ func testLink(eng *sim.Engine, rate int64) *netem.Link {
 func TestCBRRate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l := testLink(eng, netem.Gbps)
-	c := NewCBR(eng, []*netem.Link{l}, 12*netem.Mbps, 1500)
+	c := NewCBR(eng, []*netem.Link{l}, 12*netem.Mbps)
 	c.Start()
 	eng.Run(10 * sim.Second)
 	// 12 Mb/s for 10 s = 15 MB = 10000 packets of 1500 B.
@@ -33,7 +33,7 @@ func TestCBRRate(t *testing.T) {
 func TestCBRStop(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l := testLink(eng, netem.Gbps)
-	c := NewCBR(eng, []*netem.Link{l}, 10*netem.Mbps, 1500)
+	c := NewCBR(eng, []*netem.Link{l}, 10*netem.Mbps)
 	c.Start()
 	eng.At(sim.Second, c.Stop)
 	eng.Run(10 * sim.Second)
@@ -46,11 +46,7 @@ func TestCBRStop(t *testing.T) {
 func TestParetoOnOffDutyCycle(t *testing.T) {
 	eng := sim.NewEngine(42)
 	l := testLink(eng, netem.Gbps)
-	p := NewParetoOnOff(eng, []*netem.Link{l}, ParetoConfig{
-		RateBps: 45 * netem.Mbps,
-		MeanOff: 10 * sim.Second,
-		MeanOn:  5 * sim.Second,
-	})
+	p := NewParetoOnOff(eng, []*netem.Link{l}, 45*netem.Mbps)
 	p.Start()
 	const horizon = 2000 * sim.Second
 	eng.Run(horizon)
@@ -71,7 +67,7 @@ func TestParetoOnOffDutyCycle(t *testing.T) {
 func TestParetoOnOffStops(t *testing.T) {
 	eng := sim.NewEngine(7)
 	l := testLink(eng, netem.Gbps)
-	p := NewParetoOnOff(eng, []*netem.Link{l}, ParetoConfig{})
+	p := NewParetoOnOff(eng, []*netem.Link{l}, 45*netem.Mbps)
 	p.Start()
 	eng.At(30*sim.Second, p.Stop)
 	eng.Run(60 * sim.Second)
@@ -87,7 +83,7 @@ func TestParetoOnOffStops(t *testing.T) {
 // object per packet (it used to build one method value per emit).
 func TestCBREmitDoesNotAllocate(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := NewCBR(eng, []*netem.Link{testLink(eng, netem.Gbps)}, 50*netem.Mbps, 1500)
+	c := NewCBR(eng, []*netem.Link{testLink(eng, netem.Gbps)}, 50*netem.Mbps)
 	c.Start()
 	eng.Run(sim.Second) // warm the pool and the engine's slab
 	sent := c.Sent()
@@ -108,7 +104,7 @@ func TestParetoOnOffStopCancelsPendingEvents(t *testing.T) {
 	// Stop during the Off gap: the pending burst timer must be cancelled.
 	eng := sim.NewEngine(7)
 	l := testLink(eng, netem.Gbps)
-	p := NewParetoOnOff(eng, []*netem.Link{l}, ParetoConfig{})
+	p := NewParetoOnOff(eng, []*netem.Link{l}, 45*netem.Mbps)
 	p.Start()
 	if eng.Pending() == 0 {
 		t.Fatal("Start scheduled nothing")
@@ -122,7 +118,7 @@ func TestParetoOnOffStopCancelsPendingEvents(t *testing.T) {
 	// A probe event halts the engine as soon as a burst is in progress.
 	eng = sim.NewEngine(7)
 	l = testLink(eng, netem.Gbps)
-	p = NewParetoOnOff(eng, []*netem.Link{l}, ParetoConfig{})
+	p = NewParetoOnOff(eng, []*netem.Link{l}, 45*netem.Mbps)
 	p.Start()
 	var watch func()
 	watch = func() {
@@ -156,22 +152,30 @@ func TestParetoOnOffStopCancelsPendingEvents(t *testing.T) {
 
 func TestParetoDurationMean(t *testing.T) {
 	eng := sim.NewEngine(3)
-	p := NewParetoOnOff(eng, nil, ParetoConfig{MeanOn: 5 * sim.Second, Shape: 2.5})
-	// Shape 2.5 has finite variance; the sample mean should approach 5 s.
-	var sum float64
+	p := NewParetoOnOff(eng, nil, 45*netem.Mbps)
+	// Shape 1.5 has infinite variance, so the sample mean converges too
+	// slowly to test. The log of a draw does not: ln(d/scale) is
+	// exponential with mean 1/shape, and scale = mean·(shape-1)/shape, so
+	// the draws' minimum and log mean pin the 5 s mean.
+	const shape, mean = 1.5, 5.0
+	scale := mean * (shape - 1) / shape
+	var sumLog float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += p.paretoDuration().Seconds()
+		d := p.paretoDuration().Seconds()
+		if d < scale*0.999 {
+			t.Fatalf("draw %.3f s below the Pareto scale %.3f s", d, scale)
+		}
+		sumLog += math.Log(d / scale)
 	}
-	mean := sum / n
-	if math.Abs(mean-5) > 0.5 {
-		t.Errorf("Pareto sample mean %.2f s, want ~5 s", mean)
+	if got := sumLog / n; math.Abs(got-1/shape) > 0.03 {
+		t.Errorf("mean log(draw/scale) = %.3f, want 1/shape = %.3f: the mean is not 5 s", got, 1/shape)
 	}
 }
 
 func TestExpDurationMean(t *testing.T) {
 	eng := sim.NewEngine(3)
-	p := NewParetoOnOff(eng, nil, ParetoConfig{})
+	p := NewParetoOnOff(eng, nil, 45*netem.Mbps)
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {

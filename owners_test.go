@@ -30,7 +30,11 @@ type tickerOwner struct {
 func hetConn(t *testing.T, eng *sim.Engine, cfg mptcp.Config) *mptcp.Conn {
 	t.Helper()
 	cfg.Algorithm = "lia"
-	conn, err := mptcp.New(eng, cfg, 1, topo.NewHetWireless(eng, topo.HetWirelessConfig{}).Paths()...)
+	het, err := topo.Build(eng, "hetwireless", topo.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := mptcp.New(eng, cfg, 1, het.Paths(0, 1, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +111,12 @@ var tickerOwners = []tickerOwner{
 	// without an event of their own.
 	{name: "workload.CBR", period: sim.Millisecond, owns: 1,
 		build: func(t *testing.T, eng *sim.Engine) (func(), func(), func() uint64, func() bool) {
-			c := workload.NewCBR(eng, nil, 12*netem.Mbps, 1500)
+			c := workload.NewCBR(eng, nil, 12*netem.Mbps)
 			return c.Start, c.Stop, c.Sent, nil
 		}},
 	{name: "workload.ParetoOnOff mid-burst", period: sim.Millisecond, owns: 2,
 		build: func(t *testing.T, eng *sim.Engine) (func(), func(), func() uint64, func() bool) {
-			p := workload.NewParetoOnOff(eng, nil, workload.ParetoConfig{RateBps: 12 * netem.Mbps})
+			p := workload.NewParetoOnOff(eng, nil, 12*netem.Mbps)
 			return p.Start, p.Stop, p.Sent, p.Active
 		}},
 }

@@ -877,8 +877,6 @@ var fieldsWithoutWriters = map[string]string{
 	"flows.Config.BulkSizes":    "tests bound bulk flows so a population drains in a short run",
 	"flows.Config.CheckSample":  "tests watch every 8th flow instead of every 64th",
 	"campaign.Options.Retries":  "tests cut the retry budget to 1 to see a unit give up",
-
-	"netem.LinkConfig.FlushOnDown": "the drop-the-queue outage mode netem's reference model and fuzzer pin; no scenario selects it yet",
 }
 
 // TestConfigFieldsHaveWriters keeps the simulated world's knobs honest: an

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mptcpsim/internal/core"
@@ -53,7 +54,8 @@ const weightSumTol = 1e-6
 //
 // Invariants are evaluated against plain snapshot structs, never against
 // live objects, so each rule is a pure function that the negative tests can
-// feed deliberately broken states.
+// feed deliberately broken states. The checker refills one snapshot per
+// watched connection in place at every tick.
 
 // SubflowState is the checked view of one tcp.Subflow.
 type SubflowState struct {
@@ -105,40 +107,40 @@ type MeterState struct {
 	MeanPower  float64
 }
 
-// SnapshotConn extracts the checked state of a connection.
-func SnapshotConn(name string, c *mptcp.Conn) ConnState {
-	st := ConnState{
-		Name:       name,
-		Sent:       c.SentSegs(),
-		Acked:      c.AckedSegs(),
-		Reinjected: c.ReinjectedSegs(),
-		Credits:    c.ReinjectCredits(),
-	}
+// refill reads c's checked state into st in place: every slice keeps its
+// backing array, so a checker that owns one ConnState per watched
+// connection allocates nothing once they have grown.
+func (st *ConnState) refill(c *mptcp.Conn) {
+	st.Sent, st.Acked, st.Reinjected = c.SentSegs(), c.AckedSegs(), c.ReinjectedSegs()
+	st.Credits = c.AppendReinjectCredits(st.Credits[:0])
+	st.Weights = st.Weights[:0]
 	if w, ok := c.Alg().(core.Weighted); ok {
-		if ws := w.Weights(); len(ws) > 0 {
-			st.Weights = append([]float64(nil), ws...)
-		}
+		st.Weights = append(st.Weights, w.Weights()...)
 	}
-	for _, s := range c.Subflows() {
-		sub := SubflowState{
-			ID:          s.ID(),
-			Cwnd:        s.Cwnd(),
-			SSThresh:    s.SSThresh(),
-			MinCwnd:     tcp.MinCwnd,
-			CumAck:      s.Acked(),
-			NextSeq:     s.NextSeq(),
-			MaxSent:     s.MaxSent(),
-			Inflight:    s.Inflight(),
-			Outstanding: s.Outstanding(),
-			State:       s.State().String(),
-		}
+	subs := c.Subflows()
+	st.Subflows = slices.Grow(st.Subflows[:0], len(subs))[:len(subs)]
+	for i, s := range subs {
+		sub := &st.Subflows[i]
+		labels, times := sub.Transitions[:0], sub.TransitionTimes[:0]
 		for _, ev := range s.Transitions().Events {
-			sub.Transitions = append(sub.Transitions, ev.Label)
-			sub.TransitionTimes = append(sub.TransitionTimes, ev.T)
+			labels = append(labels, ev.Label)
+			times = append(times, ev.T)
 		}
-		st.Subflows = append(st.Subflows, sub)
+		*sub = SubflowState{
+			ID:              s.ID(),
+			Cwnd:            s.Cwnd(),
+			SSThresh:        s.SSThresh(),
+			MinCwnd:         tcp.MinCwnd,
+			CumAck:          s.Acked(),
+			NextSeq:         s.NextSeq(),
+			MaxSent:         s.MaxSent(),
+			Inflight:        s.Inflight(),
+			Outstanding:     s.Outstanding(),
+			State:           s.State().String(),
+			Transitions:     labels,
+			TransitionTimes: times,
+		}
 	}
-	return st
 }
 
 // SnapshotLink extracts the checked state of a link.
@@ -356,9 +358,10 @@ type Invariants struct {
 	ticker     sim.Ticker
 }
 
+// watchedConn is a watched connection and the state Check refills from it.
 type watchedConn struct {
-	name string
 	conn *mptcp.Conn
+	st   ConnState
 }
 
 type watchedMeter struct {
@@ -385,7 +388,7 @@ func (inv *Invariants) SetInterval(d sim.Time) {
 // link of the subflows' paths for packet conservation). name tags
 // violations when a run has several connections; "" is fine for one.
 func (inv *Invariants) Watch(name string, c *mptcp.Conn) {
-	inv.conns = append(inv.conns, watchedConn{name: name, conn: c})
+	inv.conns = append(inv.conns, watchedConn{conn: c, st: ConnState{Name: name}})
 	for _, s := range c.Subflows() {
 		inv.WatchPaths(s.Path())
 	}
@@ -453,8 +456,10 @@ func (inv *Invariants) Check() {
 			"engine clock went backwards: %.6fs after %.6fs", now.Seconds(), inv.lastNow.Seconds())})
 	}
 	inv.lastNow = now
-	for _, wc := range inv.conns {
-		inv.report(CheckConn(now, SnapshotConn(wc.name, wc.conn))...)
+	for i := range inv.conns {
+		wc := &inv.conns[i]
+		wc.st.refill(wc.conn)
+		inv.report(CheckConn(now, wc.st)...)
 	}
 	for _, l := range inv.links {
 		inv.report(CheckLink(now, SnapshotLink(l))...)

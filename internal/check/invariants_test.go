@@ -293,6 +293,38 @@ func TestInvariantsLiveRun(t *testing.T) {
 	}
 }
 
+// TestCheckAllocatesNothing: a checker refills each watched connection's
+// state in place, so once a watched two-subflow connection has failed over
+// and recovered — transitions and re-injection credits on record, weights
+// too — an evaluation allocates nothing.
+func TestCheckAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(42)
+	net := topo.NewNPath(eng, topo.NPathSpec{Rate: 8 * netem.Mbps, Queue: 20}, topo.NPathSpec{Rate: 4 * netem.Mbps, Queue: 20})
+	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "wvegas"}, 1, net.Paths()...)
+	l0 := net.Paths()[0].Forward[0]
+	eng.Schedule(3*sim.Second, l0.SetDown)
+	eng.Schedule(8*sim.Second, l0.SetUp)
+	meter := energy.NewMeter(eng, energy.NewI7(), energy.ConnProbe(conn), 100*sim.Millisecond)
+
+	inv := New(eng)
+	inv.Watch("conn", conn)
+	inv.WatchMeter("nic", meter)
+	inv.Start()
+	conn.Start()
+	meter.Start()
+	eng.Run(15 * sim.Second)
+
+	if tl := conn.Subflows()[0].Transitions().Events; len(tl) < 2 {
+		t.Fatalf("path0 recorded %d failover transitions; the outage did not fail it over", len(tl))
+	}
+	if avg := testing.AllocsPerRun(100, inv.Check); avg != 0 {
+		t.Errorf("Check allocates %.1f times per evaluation, want 0", avg)
+	}
+	if err := inv.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestUnwatch verifies a churning population can bound the watched set:
 // unwatched connections are no longer checked (their later corruption is
 // invisible), other watches and the links stay.

@@ -486,6 +486,17 @@ func TestFilterAxisUnknownValueEmpty(t *testing.T) {
 	}
 }
 
+// TestFigFaultsSeedIndependent pins why the suite runs each cell once: it
+// draws nothing at random, so another seed replays the same table.
+func TestFigFaultsSeedIndependent(t *testing.T) {
+	skipIfShort(t)
+	other := tiny
+	other.Seed = 2
+	if a, b := FigFaults(tiny).String(), FigFaults(other).String(); a != b {
+		t.Errorf("faults differs between seeds 1 and 2:\n--- seed 1 ---\n%s--- seed 2 ---\n%s", a, b)
+	}
+}
+
 func TestFigFaultsTransfersComplete(t *testing.T) {
 	res := FigFaults(tiny)
 	if len(res.Rows) != 3*len(faultsAlgorithms) {

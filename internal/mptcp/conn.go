@@ -176,12 +176,13 @@ func (c *Conn) Start() {
 func (c *Conn) Alg() core.Algorithm { return c.alg }
 
 // Views implements tcp.Coordinator: every subflow's view, stamped with the
-// engine clock. The returned slice is reused between calls; algorithms must
-// not retain it.
+// engine clock. Each subflow refreshes its own slot, and only after one of
+// the slot's inputs changed. The returned slice is reused between calls;
+// algorithms must neither retain nor modify it.
 func (c *Conn) Views() []core.View {
 	now := c.eng.Now().Seconds()
 	for i, s := range c.subs {
-		c.views[i] = s.View()
+		s.RefreshView(&c.views[i])
 		c.views[i].Now = now
 	}
 	return c.views
@@ -281,15 +282,15 @@ func (c *Conn) SentSegs() int64 { return c.sentSegs }
 // once).
 func (c *Conn) AckedSegs() int64 { return c.ackedSegs }
 
-// ReinjectCredits returns a copy of the per-subflow re-injection credits:
-// the number of future acks on each subflow that will be discounted because
-// the segments they cover were handed back at failure time.
-func (c *Conn) ReinjectCredits() []int64 {
-	out := make([]int64, len(c.ctl))
+// AppendReinjectCredits appends the per-subflow re-injection credits to dst
+// and returns the extended slice: the number of future acks on each subflow
+// that will be discounted because the segments they cover were handed back
+// at failure time.
+func (c *Conn) AppendReinjectCredits(dst []int64) []int64 {
 	for i := range c.ctl {
-		out[i] = c.ctl[i].reinjectCredit
+		dst = append(dst, c.ctl[i].reinjectCredit)
 	}
-	return out
+	return dst
 }
 
 func (c *Conn) inflight() int64 {

@@ -19,7 +19,7 @@ const DefaultQueueLimit = 100
 
 // LinkConfig describes one unidirectional link. The numbers Enqueue reads
 // come first and fill one cache line of the Link that embeds the config;
-// Name and FlushOnDown, which no hop reads, come last.
+// Name, which no hop reads, comes last.
 type LinkConfig struct {
 	Rate  int64    // line rate, bits per second
 	Delay sim.Time // one-way propagation delay
@@ -45,12 +45,6 @@ type LinkConfig struct {
 	PriceQTarget int
 
 	Name string
-
-	// FlushOnDown controls what happens to queued packets when the link is
-	// taken down (SetDown): false lets the queue drain onto the wire (a
-	// scheduled outage that stops admitting new traffic), true discards the
-	// queue immediately (a cut cable / radio loss).
-	FlushOnDown bool
 }
 
 // Link is a unidirectional link: a DropTail FIFO drained at line rate, each
@@ -85,14 +79,13 @@ type Link struct {
 	headDepart sim.Time
 	queue      departRing // departs of the admitted, undeparted packets, oldest first
 	down       bool
-	doomed     bool // a flush caught the head mid-serialization: dropped at its depart
 
 	cfg LinkConfig
 
 	tail *Packet // the newest queued packet; the rest chain back through prev
 
-	// Counters, exported via methods. sent and sentBytes cover what was admitted
-	// and not flushed, queued or departed; busyTime is spent by busyUntil.
+	// Counters, exported via methods. sent and sentBytes cover what was
+	// admitted, queued or departed; busyTime is spent by busyUntil.
 	arrived   uint64
 	sent      uint64
 	sentBytes uint64
@@ -102,7 +95,7 @@ type Link struct {
 	randDropped uint64
 	outageDrops uint64
 
-	_ [40]byte
+	_ [48]byte
 }
 
 // NewLink creates a link driven by eng.
@@ -148,11 +141,8 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 func (l *Link) RandDropped() uint64 { return l.randDropped }
 
 // OutageDropped reports packets lost to link-down periods: arrivals while
-// down, plus flushed queue contents when FlushOnDown is set.
-func (l *Link) OutageDropped() uint64 {
-	l.settle()
-	return l.outageDrops
-}
+// down.
+func (l *Link) OutageDropped() uint64 { return l.outageDrops }
 
 // LossProb returns the current random-loss probability.
 func (l *Link) LossProb() float64 { return l.cfg.LossProb }
@@ -161,44 +151,12 @@ func (l *Link) LossProb() float64 { return l.cfg.LossProb }
 func (l *Link) Down() bool { return l.down }
 
 // SetDown takes the link down: arriving packets are dropped (counted in
-// OutageDropped) until SetUp. Already-queued packets drain onto the wire
-// unless the link was configured with FlushOnDown, in which case they are
-// discarded immediately (the packet mid-serialization is discarded when its
-// serialization completes — it never reaches the far end).
-func (l *Link) SetDown() {
-	if l.down {
-		return
-	}
-	l.down = true
-	if !l.cfg.FlushOnDown {
-		return
-	}
-	ps := l.queued()
-	for i := len(ps) - 1; i > 0; i-- {
-		l.queue.popBack()
-		l.cut(ps[i])
-	}
-	if len(ps) > 0 {
-		l.tail = ps[0]
-		l.tail.timer.Stop()
-		l.doomed = true
-		l.busyTime -= l.busyUntil - l.headDepart // the flushed never serialized
-		l.busyUntil = l.headDepart
-	}
-}
+// OutageDropped) until SetUp. Already-queued packets drain onto the wire —
+// a scheduled outage that stops admitting new traffic.
+func (l *Link) SetDown() { l.down = true }
 
-// SetUp brings the link back up. A packet a flush caught mid-serialization
-// that is still serializing survives the outage and is delivered after all.
-func (l *Link) SetUp() {
-	if !l.down {
-		return
-	}
-	l.down = false
-	if l.settle(); l.doomed {
-		l.doomed = false
-		l.rearm()
-	}
-}
+// SetUp brings the link back up.
+func (l *Link) SetUp() { l.down = false }
 
 // SetRate changes the line rate. Packets already in serialization finish at
 // the old rate; subsequent packets serialize at the new one.
@@ -290,16 +248,11 @@ func (l *Link) Enqueue(p *Packet) {
 }
 
 // settle retires the queue entries that have departed and returns the queue
-// length. Their packets are in flight or recycled and are not touched, except
-// a doomed head: the link owns it, and with nothing admitted since it is tail.
+// length. Their packets are in flight or recycled and are not touched.
 func (l *Link) settle() int {
 	for now := l.eng.Now(); l.queue.len() > 0 && l.headDepart <= now; {
 		if l.queue.pop(); l.queue.len() > 0 {
 			l.headDepart = *l.queue.at(0)
-		}
-		if l.doomed {
-			l.doomed = false
-			l.cut(l.tail)
 		}
 	}
 	return l.queue.len()
@@ -316,22 +269,12 @@ func (l *Link) queued() []*Packet {
 	return ps
 }
 
-// cut discards a packet that was admitted and will not be delivered after
-// all: its arrival event is cancelled and it becomes an outage drop.
-func (l *Link) cut(p *Packet) {
-	p.timer.Stop()
-	l.sent--
-	l.sentBytes -= uint64(p.Size)
-	l.outageDrops++
-	p.Release()
-}
-
 // rearm re-times what has not departed after a reconfiguration: the head is
 // mid-serialization and keeps its depart, each packet behind it departs one
 // TxTime at the current rate later, every arrival moves to depart + Delay.
 func (l *Link) rearm() {
 	ps := l.queued()
-	if len(ps) == 0 || l.doomed {
+	if len(ps) == 0 {
 		return
 	}
 	depart := l.headDepart

@@ -28,28 +28,6 @@ func TestLinkDownDropsArrivalsQueueDrains(t *testing.T) {
 	}
 }
 
-func TestLinkDownFlushDiscardsQueue(t *testing.T) {
-	eng := sim.NewEngine(1)
-	l := NewLink(eng, LinkConfig{Name: "l", Rate: 10 * Mbps, Delay: sim.Millisecond, FlushOnDown: true})
-	c := &collector{eng: eng}
-	for i := int64(0); i < 5; i++ {
-		sendOne(eng, []*Link{l}, c, 1500, i)
-	}
-	l.SetDown()
-	eng.Run(sim.Second)
-	// Everything dies: 4 flushed immediately, the in-serialization head
-	// discarded when its transmission completes.
-	if len(c.pkts) != 0 {
-		t.Fatalf("delivered %d through a flushed dead link, want 0", len(c.pkts))
-	}
-	if got := l.OutageDropped(); got != 5 {
-		t.Errorf("OutageDropped = %d, want all 5", got)
-	}
-	if l.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d after flush, want 0", l.QueueLen())
-	}
-}
-
 func TestLinkSetUpResumesService(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l := NewLink(eng, LinkConfig{Name: "l", Rate: 10 * Mbps, Delay: sim.Millisecond})

@@ -77,7 +77,6 @@ func decodeSchedule(data []byte) (LinkConfig, []step) {
 		Delay:         sim.Time(hdr[0]/4) * 37 * sim.Microsecond,
 		QueueLimit:    int(hdr[1]%12) + 1,
 		MarkThreshold: int(hdr[2] % 6),
-		FlushOnDown:   hdr[3]&1 == 1,
 		PriceRho:      float64(hdr[3] >> 1 & 1),
 		PriceGamma:    float64(hdr[3]>>2&1) * 0.5,
 		PriceQTarget:  int(hdr[3] >> 3 & 3),
@@ -223,18 +222,18 @@ var refCases = []struct {
 	cfg   LinkConfig
 	steps []step
 }{
-	{"flush mid-serialization, up before depart",
-		LinkConfig{Rate: 8 * Mbps, Delay: 100 * sim.Microsecond, QueueLimit: 8, FlushOnDown: true},
+	{"down mid-serialization, up before depart",
+		LinkConfig{Rate: 8 * Mbps, Delay: 100 * sim.Microsecond, QueueLimit: 8},
 		[]step{{1, stepData, 1000}, {2, stepData, 1000}, {3, stepAck, 40},
 			{500_004, stepDown, 0}, {600_005, stepData, 1000}, {700_006, stepUp, 0},
 			{800_007, stepData, 500}, {900_008, stepProbe, 0}, {1_200_009, stepProbe, 0}}},
-	{"flush mid-serialization, up after depart",
-		LinkConfig{Rate: 8 * Mbps, Delay: 100 * sim.Microsecond, QueueLimit: 8, FlushOnDown: true},
+	{"down mid-serialization, up after depart",
+		LinkConfig{Rate: 8 * Mbps, Delay: 100 * sim.Microsecond, QueueLimit: 8},
 		[]step{{1, stepData, 1000}, {2, stepData, 1000},
 			{500_003, stepDown, 0}, {900_004, stepProbe, 0}, {1_100_005, stepProbe, 0},
 			{1_500_006, stepUp, 0}, {1_600_007, stepData, 1000}}},
-	{"flush, up and down again before depart",
-		LinkConfig{Rate: 8 * Mbps, Delay: 100 * sim.Microsecond, QueueLimit: 8, FlushOnDown: true},
+	{"down, up and down again before depart",
+		LinkConfig{Rate: 8 * Mbps, Delay: 100 * sim.Microsecond, QueueLimit: 8},
 		[]step{{1, stepData, 1000}, {2, stepData, 1000}, {300_003, stepDown, 0}, {400_004, stepUp, 0},
 			{500_005, stepData, 1000}, {600_006, stepDown, 0}, {700_007, stepDelay, 5000},
 			{800_008, stepRate, 2 * Mbps}, {2_000_009, stepUp, 0}, {2_100_010, stepData, 1000}}},
@@ -388,7 +387,7 @@ func (l *refLink) Dropped() uint64 { return l.dropped }
 func (l *refLink) RandDropped() uint64 { return l.randDropped }
 
 // OutageDropped reports packets lost to link-down periods: arrivals while
-// down, plus flushed queue contents when FlushOnDown is set.
+// down.
 func (l *refLink) OutageDropped() uint64 { return l.outageDrops }
 
 // LossProb returns the current random-loss probability.
@@ -398,26 +397,8 @@ func (l *refLink) LossProb() float64 { return l.cfg.LossProb }
 func (l *refLink) Down() bool { return l.down }
 
 // SetDown takes the link down: arriving packets are dropped (counted in
-// OutageDropped) until SetUp. Already-queued packets drain onto the wire
-// unless the link was configured with FlushOnDown, in which case they are
-// discarded immediately (the packet mid-serialization is discarded when its
-// serialization completes — it never reaches the far end).
-func (l *refLink) SetDown() {
-	if l.down {
-		return
-	}
-	l.down = true
-	if l.cfg.FlushOnDown {
-		keep := 0
-		if l.busy {
-			keep = 1 // head is mid-serialization; txDone discards it
-		}
-		for l.queue.len() > keep {
-			l.outageDrops++
-			l.queue.popBack().Release()
-		}
-	}
-}
+// OutageDropped) until SetUp. Already-queued packets drain onto the wire.
+func (l *refLink) SetDown() { l.down = true }
 
 // SetUp brings the link back up and resumes serving whatever survived the
 // outage.
@@ -544,15 +525,9 @@ func (l *refLink) startTx() {
 func (l *refLink) txDone() {
 	p := l.queue.pop()
 	l.busyTime += l.eng.Now() - l.lastTxStart
-	if l.down && l.cfg.FlushOnDown {
-		// The link was cut mid-serialization: the packet never made it.
-		l.outageDrops++
-		p.Release()
-	} else {
-		l.delivered++
-		l.bytesOut += uint64(p.Size)
-		l.eng.AtHandler(l.eng.Now()+l.cfg.Delay, p)
-	}
+	l.delivered++
+	l.bytesOut += uint64(p.Size)
+	l.eng.AtHandler(l.eng.Now()+l.cfg.Delay, p)
 	if l.queue.len() > 0 {
 		l.startTx()
 	} else {
@@ -609,18 +584,6 @@ func (r *refRing) pop() *Packet {
 	if r.n == 0 {
 		r.head = 0
 	}
-	return p
-}
-
-// popBack removes and returns the newest packet (queue flush on link-down).
-func (r *refRing) popBack() *Packet {
-	r.n--
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	p := r.buf[i]
-	r.buf[i] = nil
 	return p
 }
 

@@ -55,7 +55,7 @@ type Packet struct {
 	// Line 1.
 	dst Endpoint
 	// timer is the packet's arrival event at its next hop, held so the link
-	// it is crossing can cancel or re-time it (Link.cut, Link.rearm).
+	// it is crossing can re-time it (Link.rearm).
 	timer sim.Timer
 	pool  *Pool
 	gen   uint64

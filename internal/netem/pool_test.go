@@ -181,7 +181,7 @@ func TestHopLayout(t *testing.T) {
 			"route", "next", "prev", "Price", "Size", "Subflow", "hop", "IsAck", "CE", "ECE", "pooled",
 		}},
 		{reflect.TypeOf(Link{}), 256, 128, []string{
-			"eng", "busyUntil", "headDepart", "queue", "down", "doomed",
+			"eng", "busyUntil", "headDepart", "queue", "down",
 			"cfg.Rate", "cfg.Delay", "cfg.QueueLimit", "cfg.MarkThreshold", "cfg.LossProb",
 			"cfg.PriceRho", "cfg.PriceGamma", "cfg.PriceQTarget",
 		}},

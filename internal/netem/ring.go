@@ -49,9 +49,6 @@ func (r *departRing) pop() {
 	}
 }
 
-// popBack removes the newest entry (queue flush on link-down).
-func (r *departRing) popBack() { r.n-- }
-
 func (r *departRing) grow(limit int) {
 	newCap := 2 * len(r.buf)
 	if newCap == 0 {

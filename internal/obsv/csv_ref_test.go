@@ -7,14 +7,25 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mptcpsim/internal/sim"
 )
 
-// WriteCSV is checked differentially against refWriteCSV, the per-cell
-// fmt.Fprintf writer it replaced, kept here verbatim: whatever rows the
-// table or the fuzzer comes up with, the two must produce the same bytes.
+// The CSV twin's encoders — appendCSVHeader, and appendCSVRow over a tick's
+// JSON cells — and the twin a Recorder streams with them are checked
+// differentially against refWriteCSV, the per-cell fmt.Fprintf writer they
+// replaced, kept here verbatim: whatever rows the table, the fuzzer or a run
+// comes up with, the two must produce the same bytes.
+
+// Row is one sample as the reference writer takes it: the instant plus the
+// value of every series, in series registration order.
+type Row struct {
+	T sim.Time
+	V []float64
+}
 
 func refWriteCSV(w io.Writer, series []string, rows []Row) error {
 	if _, err := io.WriteString(w, "t_s"); err != nil {
@@ -58,37 +69,90 @@ var edgeValues = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1),
 }
 
-// checkCSVAgainstReference renders rows with both writers and fails on the
-// first differing byte.
-func checkCSVAgainstReference(t *testing.T, series []string, rows []Row) {
-	t.Helper()
-	var got, want bytes.Buffer
-	if err := WriteCSV(&got, series, rows); err != nil {
-		t.Fatal(err)
+// encodeCSV renders rows with the row encoder, as a Recorder streams them.
+func encodeCSV(series []string, rows []Row) []byte {
+	b := appendCSVHeader(nil, series)
+	var c tickCells
+	for _, row := range rows {
+		vals := append([]float64{row.T.Seconds()}, row.V...)
+		c.encode(vals)
+		b = appendCSVRow(b, vals, &c)
 	}
+	return b
+}
+
+// checkCSVAgainstReference fails on the first byte where got differs from
+// what the reference writer makes of rows.
+func checkCSVAgainstReference(t *testing.T, got []byte, series []string, rows []Row) {
+	t.Helper()
+	var want bytes.Buffer
 	if err := refWriteCSV(&want, series, rows); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("WriteCSV differs from the per-cell reference:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("the CSV differs from the per-cell reference:\n got %q\nwant %q", got, want.Bytes())
 	}
 }
 
-func TestWriteCSVMatchesReference(t *testing.T) {
-	checkCSVAgainstReference(t, nil, nil)
-	checkCSVAgainstReference(t, []string{"a", "b"}, nil)
-	checkCSVAgainstReference(t, nil, []Row{{T: sim.Second}, {T: 2 * sim.Second}})
+// recordCSV streams a Recorder's CSV twin through a Sink to a file under dir,
+// every series sampling vals(tick) — a panic from vals aborts the run as a
+// failing one would — and returns the file plus the rows sampled.
+func recordCSV(t *testing.T, dir string, series []string, vals func(tick int) []float64) ([]byte, []Row) {
+	t.Helper()
+	path := filepath.Join(dir, "run.csv")
+	var rows []Row
+	func() {
+		s, err := CreateSink(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		defer func() { _ = recover() }()
+		eng := sim.NewEngine(1)
+		rec := NewRecorder(eng, Meta{}, Options{CSV: s})
+		tick, cur := 0, []float64(nil)
+		for i, name := range series {
+			rec.AddSampler(name, func() float64 {
+				if i == 0 {
+					tick++
+					cur = vals(tick)
+					v := make([]float64, len(cur))
+					for j := range cur {
+						v[j] = sanitize(cur[j])
+					}
+					rows = append(rows, Row{T: eng.Now(), V: v})
+				}
+				return cur[i]
+			})
+		}
+		rec.Start()
+		eng.Run(sim.Time(1000) * rec.Interval())
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, rows
+}
 
-	// Every edge value raw (WriteCSV is handed whatever rows the caller
-	// kept) and as a Recorder retains it (NaN/Inf sanitized to 0), over
-	// enough rows to cross several chunk boundaries.
+func TestWriteCSVMatchesReference(t *testing.T) {
+	checkCSVAgainstReference(t, encodeCSV(nil, nil), nil, nil)
+	checkCSVAgainstReference(t, encodeCSV([]string{"a", "b"}, nil), []string{"a", "b"}, nil)
+	rows := []Row{{T: sim.Second}, {T: 2 * sim.Second}}
+	checkCSVAgainstReference(t, encodeCSV(nil, rows), nil, rows)
+
+	// Every edge value raw (the encoder is handed whatever it is given) and
+	// as a Recorder samples it (NaN/Inf sanitized to 0).
 	series := make([]string, len(edgeValues))
 	sanitized := make([]float64, len(edgeValues))
 	for i, v := range edgeValues {
 		series[i] = fmt.Sprintf("s%d", i)
 		sanitized[i] = sanitize(v)
 	}
-	var rows []Row
+	rows = nil
 	for i := 0; i < 400; i++ {
 		v := edgeValues
 		if i%2 == 1 {
@@ -96,7 +160,24 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 		}
 		rows = append(rows, Row{T: sim.Time(i) * 100 * sim.Millisecond, V: v})
 	}
-	checkCSVAgainstReference(t, series, rows)
+	checkCSVAgainstReference(t, encodeCSV(series, rows), series, rows)
+
+	// The twin a Recorder streams through a Sink, over enough ticks to
+	// cross several sink buffers: whole, and cut short by a run that fails
+	// at tick 700, whose file must hold every tick before it.
+	for _, failAt := range []int{0, 700} {
+		data, rows := recordCSV(t, t.TempDir(), series, func(tick int) []float64 {
+			if tick == failAt {
+				panic("invariant violated")
+			}
+			return edgeValues
+		})
+		// The failing tick never got its row.
+		if failAt == 0 && len(rows) != 1000 || failAt > 0 && len(rows) != failAt-1 {
+			t.Fatalf("run failing at tick %d recorded %d ticks", failAt, len(rows))
+		}
+		checkCSVAgainstReference(t, data, series, rows)
+	}
 }
 
 func FuzzWriteCSVReference(f *testing.F) {
@@ -125,7 +206,8 @@ func FuzzWriteCSVReference(f *testing.F) {
 			}
 			rows = append(rows, Row{T: sim.Time(at) + sim.Time(i), V: raw}, Row{T: sim.Time(at) - sim.Time(i), V: clean})
 		}
-		checkCSVAgainstReference(t, []string{"a", "b", "c", "d", "e"}, rows)
+		series := []string{"a", "b", "c", "d", "e"}
+		checkCSVAgainstReference(t, encodeCSV(series, rows), series, rows)
 	})
 }
 
@@ -150,35 +232,45 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 func (w *countingWriter) Close() error { w.closed = true; return nil }
 
-// TestWriteCSVWritesInChunks pins what the change is for: a CSV of N bytes
-// reaches its writer in at most N/32 KB + 2 calls, not one per cell.
+// TestWriteCSVWritesInChunks pins what the sink is for: the CSV twin of N
+// bytes, streamed a row per tick, reaches its file in at most N/64 KB + 2
+// writes, each ending on a row boundary, not one per row or per cell.
 func TestWriteCSVWritesInChunks(t *testing.T) {
 	series := make([]string, 23)
 	for i := range series {
 		series[i] = fmt.Sprintf("sub%d.series", i)
 	}
-	var rows []Row
-	for i := 0; i < 4530; i++ { // one seed of the faults figure
-		v := make([]float64, len(series))
-		for j := range v {
-			v[j] = float64(i*j) / 7
+	run := func(w io.WriteCloser) (recErr, sinkErr error) {
+		s := &Sink{w: w, buf: make([]byte, 0, sinkBuffer)}
+		eng := sim.NewEngine(1)
+		rec := NewRecorder(eng, Meta{}, Options{CSV: s})
+		var tick float64
+		for j, name := range series {
+			rec.AddSampler(name, func() float64 {
+				if j == 0 {
+					tick++
+				}
+				return tick * float64(j) / 7
+			})
 		}
-		rows = append(rows, Row{T: sim.Time(i) * 100 * sim.Millisecond, V: v})
+		rec.Start()
+		eng.Run(4530 * rec.Interval()) // one seed of the faults figure
+		return rec.Close(), s.Close()
 	}
-	var w countingWriter
-	if err := WriteCSV(&w, series, rows); err != nil {
+	var w lineCheckingWriter
+	if _, err := run(&w); err != nil {
 		t.Fatal(err)
 	}
-	if max := w.bytes/csvChunk + 2; w.writes > max {
-		t.Errorf("WriteCSV issued %d writes for %d bytes, want <= %d", w.writes, w.bytes, max)
+	if max := w.bytes/sinkBuffer + 2; w.writes > max || w.broken != 0 {
+		t.Errorf("the CSV took %d writes (%d ending inside a row) for %d bytes, want <= %d whole-row writes", w.writes, w.broken, w.bytes, max)
 	}
 
-	// A failing writer stops the rendering at the first error.
-	w = countingWriter{failAt: 2}
-	if err := WriteCSV(&w, series, rows); !errors.Is(err, errSinkFull) {
-		t.Errorf("WriteCSV on a failing writer returned %v, want the write error", err)
+	// A failing writer stops the stream at the first error.
+	f := countingWriter{failAt: 2}
+	if recErr, sinkErr := run(&f); !errors.Is(sinkErr, errSinkFull) || (recErr != nil && !errors.Is(recErr, errSinkFull)) {
+		t.Errorf("a failing CSV file returned %v and %v, want the write error", recErr, sinkErr)
 	}
-	if w.writes != 2 {
-		t.Errorf("WriteCSV kept writing after the error: %d writes", w.writes)
+	if f.writes != 2 {
+		t.Errorf("the CSV kept writing after the error: %d writes", f.writes)
 	}
 }

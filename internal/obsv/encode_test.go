@@ -71,7 +71,9 @@ func TestAppendSampleLineMatchesMarshal(t *testing.T) {
 	// Hot-path encoding via the precomputed key table.
 	r := &Recorder{names: names}
 	r.buildKeyTable()
-	got := appendSampleLine(nil, 0.30000000000000004, r.keyJSON, r.keyOrder, vals)
+	var c tickCells
+	c.encode(append([]float64{0.30000000000000004}, vals...))
+	got := appendSampleLine(nil, r.keyJSON, r.keyOrder, &c)
 	if !bytes.Equal(got, want) {
 		t.Errorf("appendSampleLine = %q, want %q", got, want)
 	}
@@ -81,7 +83,8 @@ func TestAppendSampleLineMatchesMarshal(t *testing.T) {
 	e.buildKeyTable()
 	wantEmpty, _ := json.Marshal(sampleLine{Type: "sample", T: 0.1, V: map[string]float64{}})
 	wantEmpty = append(wantEmpty, '\n')
-	if gotEmpty := appendSampleLine(nil, 0.1, e.keyJSON, e.keyOrder, nil); !bytes.Equal(gotEmpty, wantEmpty) {
+	c.encode([]float64{0.1})
+	if gotEmpty := appendSampleLine(nil, e.keyJSON, e.keyOrder, &c); !bytes.Equal(gotEmpty, wantEmpty) {
 		t.Errorf("empty appendSampleLine = %q, want %q", gotEmpty, wantEmpty)
 	}
 }
@@ -146,13 +149,14 @@ func TestRecorderStreamingSampleAllocs(t *testing.T) {
 }
 
 // BenchmarkSampleLineEncode times one streamed sampling tick end to end
-// (23 series, introspected DTS internals included); allocs/op must be 0.
+// (23 series, introspected DTS internals included, encoded as a JSONL line
+// and a CSV row); allocs/op must be 0.
 func BenchmarkSampleLineEncode(b *testing.B) {
 	eng := sim.NewEngine(3)
 	tp := topo.NewNPath(eng, topo.NPathSpec{}, topo.NPathSpec{})
 	conn := mptcp.MustNew(eng, mptcp.Config{Algorithm: "dts"}, 1, tp.Paths()...)
 	rec := NewRecorder(eng, Meta{Experiment: "bench", Algorithm: "dts", Seed: 3},
-		Options{Stream: io.Discard})
+		Options{Stream: io.Discard, CSV: io.Discard})
 	rec.WatchConn("", conn)
 	rec.Start()
 	next := eng.Now()

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -30,7 +29,7 @@ const (
 type Config struct {
 	Meta Meta
 	// Path is the JSONL run record to stream ("" = no record); with CSV
-	// set, the twin of the same rows is written beside it at Close.
+	// set, the twin of the same rows streams beside it.
 	Path string
 	CSV  bool
 	// Interval is the record sampling period (0 takes DefaultInterval).
@@ -39,16 +38,14 @@ type Config struct {
 }
 
 // Observer is the per-run observation hook every front-end attaches: a
-// Recorder streaming to one JSONL file (plus the retained rows its CSV twin
-// is written from) and/or an invariant checker. A nil *Observer is valid
-// and inert, so runs register observables unconditionally and observation
-// only happens when requested.
+// Recorder streaming to one JSONL file (and its CSV twin) and/or an
+// invariant checker. A nil *Observer is valid and inert, so runs register
+// observables unconditionally and observation only happens when requested.
 type Observer struct {
-	rec  *Recorder
-	sink *Sink
-	path string
-	csv  bool
-	done bool // Close got past the final invariant check; Abort is a no-op
+	rec   *Recorder
+	sinks []*Sink // the JSONL record, then its CSV twin when asked for
+	path  string
+	done  bool // Close got past the final invariant check; Abort is a no-op
 
 	inv *check.Invariants
 }
@@ -61,7 +58,7 @@ func NewObserver(eng *sim.Engine, c Config) (*Observer, error) {
 	if c.Path == "" && c.Check == CheckOff {
 		return nil, nil
 	}
-	o := &Observer{path: c.Path, csv: c.CSV}
+	o := &Observer{path: c.Path}
 	if c.Check != CheckOff {
 		o.inv = check.New(eng)
 		o.inv.FailFast = c.Check == CheckFailFast
@@ -69,12 +66,23 @@ func NewObserver(eng *sim.Engine, c Config) (*Observer, error) {
 	if c.Path == "" {
 		return o, nil
 	}
-	sink, err := CreateSink(c.Path)
-	if err != nil {
-		return nil, fmt.Errorf("obsv: creating record: %w", err)
+	paths := []string{c.Path}
+	if c.CSV {
+		paths = append(paths, strings.TrimSuffix(c.Path, filepath.Ext(c.Path))+".csv")
 	}
-	o.sink = sink
-	o.rec = NewRecorder(eng, c.Meta, Options{Interval: c.Interval, Stream: sink, Retain: c.CSV})
+	for _, path := range paths {
+		sink, err := CreateSink(path)
+		if err != nil {
+			o.closeSinks()
+			return nil, fmt.Errorf("obsv: creating record: %w", err)
+		}
+		o.sinks = append(o.sinks, sink)
+	}
+	opt := Options{Interval: c.Interval, Stream: o.sinks[0]}
+	if c.CSV {
+		opt.CSV = o.sinks[1]
+	}
+	o.rec = NewRecorder(eng, c.Meta, opt)
 	return o, nil
 }
 
@@ -167,8 +175,7 @@ func (o *Observer) stop() {
 
 // Close stops sampling and checking and evaluates the invariants one final
 // time — returning the collected violations, if any, with the record left to
-// Abort — then completes the JSONL record, writes the CSV twin and releases
-// the file.
+// Abort — then completes the JSONL record and releases both files.
 func (o *Observer) Close() error {
 	if o == nil {
 		return nil
@@ -185,11 +192,8 @@ func (o *Observer) Close() error {
 	}
 	o.done = true
 	err := o.rec.Close()
-	if cerr := o.sink.Close(); err == nil {
+	if cerr := o.closeSinks(); err == nil {
 		err = cerr
-	}
-	if err == nil && o.csv {
-		err = o.writeCSV()
 	}
 	if err != nil {
 		return fmt.Errorf("obsv: writing record %s: %w", o.path, err)
@@ -200,33 +204,24 @@ func (o *Observer) Close() error {
 // Abort is deferred right after NewObserver. After Close completed the
 // record it does nothing; when the run panicked or failed instead — a
 // failed invariant, an event budget, a watchdog trip — it stops sampling
-// and checking and saves what was recorded: the JSONL is flushed through
-// the last completed tick (no summary line) and released, and the CSV twin
-// is written from the rows retained so far. Errors are dropped: the run is
-// already failing with a better one.
+// and checking and saves what was recorded: the JSONL and its CSV twin are
+// flushed through the last completed tick (no summary line) and released.
+// Errors are dropped: the run is already failing with a better one.
 func (o *Observer) Abort() {
 	if o == nil || o.done {
 		return
 	}
 	o.stop()
-	if o.rec == nil {
-		return
-	}
-	_ = o.sink.Close()
-	if o.csv {
-		_ = o.writeCSV()
-	}
+	_ = o.closeSinks()
 }
 
-// writeCSV writes the CSV twin from the recorder's retained rows.
-func (o *Observer) writeCSV() error {
-	cf, err := os.Create(strings.TrimSuffix(o.path, filepath.Ext(o.path)) + ".csv")
-	if err != nil {
-		return err
-	}
-	err = WriteCSV(cf, o.rec.Series(), o.rec.Rows())
-	if cerr := cf.Close(); err == nil {
-		err = cerr
+// closeSinks flushes and releases every file and returns the first error.
+func (o *Observer) closeSinks() error {
+	var err error
+	for _, s := range o.sinks {
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

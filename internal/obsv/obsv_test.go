@@ -62,7 +62,8 @@ func runSynthetic(t *testing.T, opt Options) (*Recorder, []byte) {
 }
 
 func TestRecorderRecordShape(t *testing.T) {
-	rec, data := runSynthetic(t, Options{Retain: true})
+	var csv bytes.Buffer
+	_, data := runSynthetic(t, Options{CSV: &csv})
 	lines := recordLines(t, data)
 
 	// meta first, then 10 samples (100ms..1s inclusive), 2 events, summary.
@@ -119,16 +120,13 @@ func TestRecorderRecordShape(t *testing.T) {
 		t.Errorf("summary v = %v, want total=42 broken=0", v)
 	}
 
-	// Retained rows mirror the streamed samples.
-	rows := rec.Rows()
-	if len(rows) != 10 {
-		t.Fatalf("retained %d rows, want 10", len(rows))
+	// The CSV twin mirrors the streamed samples, NaN sanitized the same way.
+	rows := strings.Split(strings.TrimSuffix(csv.String(), "\n"), "\n")
+	if len(rows) != 11 || rows[0] != "t_s,count,clock_s,bad" {
+		t.Fatalf("CSV twin has %d lines headed %q, want 11 headed t_s,count,clock_s,bad", len(rows), rows[0])
 	}
-	if rows[4].T != 500*sim.Millisecond || rows[4].V[0] != 5 {
-		t.Errorf("row 4 = %+v, want T=500ms count=5", rows[4])
-	}
-	if rows[0].V[2] != 0 {
-		t.Errorf("row 0 bad = %v, want 0 (sanitized before retention)", rows[0].V[2])
+	if rows[5] != "0.5,5,0.5,0" {
+		t.Errorf("CSV row 5 = %q, want 0.5,5,0.5,0", rows[5])
 	}
 }
 
@@ -178,9 +176,6 @@ func TestEmitFlowRoundTrip(t *testing.T) {
 			t.Errorf("flow %d round-trip: got %+v, want %+v", i, got, want)
 		}
 	}
-	if len(rec.Rows()) != 0 {
-		t.Errorf("recorder retained %d rows; flow lines must not be retained", len(rec.Rows()))
-	}
 	// Grammar: a flow line after the summary is rejected.
 	bad := buf.String() + `{"type":"flow","t_s":2,"id":9,"class":"web","bytes":1,"fct_s":1,"goodput_bps":8,"joules":0,"subflows":1}` + "\n"
 	if _, err := ParseRecord(strings.NewReader(bad)); err == nil {
@@ -196,10 +191,35 @@ func TestRecorderDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecorderNoRetain: the recorder keeps nothing per tick. Once its
+// buffers are warm a tick that streams the JSONL line and the CSV row,
+// each through its own Sink, allocates nothing.
 func TestRecorderNoRetain(t *testing.T) {
-	rec, _ := runSynthetic(t, Options{Retain: false})
-	if n := len(rec.Rows()); n != 0 {
-		t.Errorf("Retain=false kept %d rows, want 0", n)
+	eng := sim.NewEngine(1)
+	jsonl := &Sink{w: &countingWriter{}, buf: make([]byte, 0, sinkBuffer)}
+	csv := &Sink{w: &countingWriter{}, buf: make([]byte, 0, sinkBuffer)}
+	rec := NewRecorder(eng, Meta{Experiment: "alloc"}, Options{Stream: jsonl, CSV: csv})
+	var n float64
+	rec.AddSampler("count", func() float64 { n++; return n })
+	rec.AddSampler("fraction", func() float64 { return n / 7 })
+	rec.AddSampler("big", func() float64 { return 1e6 + n/3 })
+	rec.AddSampler("bad", func() float64 { return math.NaN() })
+	rec.Start()
+	next := eng.Now()
+	for i := 0; i < 10; i++ {
+		next += rec.Interval()
+		eng.Run(next)
+	}
+	// Enough ticks to flush both sinks several times.
+	avg := testing.AllocsPerRun(3000, func() {
+		next += rec.Interval()
+		eng.Run(next)
+	})
+	if avg != 0 {
+		t.Errorf("a tick streaming JSONL and CSV allocates %.2f times, want 0", avg)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -231,13 +251,19 @@ func TestRecorderAddSamplerRejectsCSVBreakingNames(t *testing.T) {
 	NewRecorder(sim.NewEngine(1), Meta{}, Options{}).AddSampler("sub0.cwnd_µs [x]", func() float64 { return 0 })
 }
 
+// TestWriteCSV: the CSV twin a Recorder streams is a t_s column and one
+// column per series, a row per tick, in %v's float format.
 func TestWriteCSV(t *testing.T) {
-	rows := []Row{
-		{T: 100 * sim.Millisecond, V: []float64{1, 2.5}},
-		{T: 200 * sim.Millisecond, V: []float64{3, 0}},
-	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, []string{"x", "y"}, rows); err != nil {
+	eng := sim.NewEngine(1)
+	rec := NewRecorder(eng, Meta{}, Options{CSV: &buf})
+	x, y := []float64{1, 3}, []float64{2.5, 0}
+	tick := -1
+	rec.AddSampler("x", func() float64 { tick++; return x[tick] })
+	rec.AddSampler("y", func() float64 { return y[tick] })
+	rec.Start()
+	eng.Run(2 * rec.Interval())
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := "t_s,x,y\n0.1,1,2.5\n0.2,3,0\n"
@@ -267,7 +293,7 @@ func TestWatchConn(t *testing.T) {
 		"sub1.loss_events", "sub1.timeouts", "sub1.state",
 		"sub1.eps", "sub1.psi", "sub1.rtt_ratio",
 	}
-	got := rec.Series()
+	got := rec.names
 	if len(got) != len(wantSeries) {
 		t.Fatalf("series = %v, want %v", got, wantSeries)
 	}

@@ -30,8 +30,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-
-	"mptcpsim/internal/sim"
 )
 
 // SchemaVersion identifies the record layout. Bump it when line shapes or
@@ -174,21 +172,47 @@ func appendCSVFloat(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
+// tickCells is one sampling tick — the instant, then every series value —
+// encoded once in the JSON dialect, cell after cell: the JSONL line copies
+// every cell, the CSV row every cell whose %v form is the same bytes.
+type tickCells struct {
+	b    []byte
+	ends []int // cell i is b[ends[i-1]:ends[i]]
+}
+
+// encode replaces the cells with vals.
+func (c *tickCells) encode(vals []float64) {
+	c.b, c.ends = c.b[:0], c.ends[:0]
+	for _, v := range vals {
+		c.b = appendJSONFloat(c.b, v)
+		c.ends = append(c.ends, len(c.b))
+	}
+}
+
+func (c *tickCells) cell(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = c.ends[i-1]
+	}
+	return c.b[start:c.ends[i]]
+}
+
 // appendSampleLine appends one sample tick in the schema-v1 line format,
 // byte-identical to json.Marshal(sampleLine{...}) plus the trailing newline:
 // field order type,t_s,v and the value map with lexicographically sorted
 // keys. keys holds the pre-encoded (quoted, escaped, colon-terminated) key
-// bytes in sorted order; order maps each key to its series index in vals.
-func appendSampleLine(buf []byte, t float64, keys [][]byte, order []int, vals []float64) []byte {
+// bytes in sorted order; order maps each key to its series index. Cell 0 of
+// c is the instant, cell i+1 the value of series i.
+func appendSampleLine(buf []byte, keys [][]byte, order []int, c *tickCells) []byte {
 	buf = append(buf, `{"type":"sample","t_s":`...)
-	buf = appendJSONFloat(buf, t)
+	buf = append(buf, c.cell(0)...)
 	buf = append(buf, `,"v":{`...)
 	for j, idx := range order {
 		if j > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, keys[j]...)
-		buf = appendJSONFloat(buf, vals[idx])
+		buf = append(buf, c.cell(idx+1)...)
 	}
 	return append(buf, '}', '}', '\n')
 }
@@ -204,44 +228,32 @@ func writeLine(w io.Writer, v any) error {
 	return err
 }
 
-// Row is one retained sample: the instant plus the value of every series,
-// in series registration order.
-type Row struct {
-	T sim.Time
-	V []float64
+// appendCSVHeader appends the CSV twin's header line: a t_s column
+// followed by one column per series, in registration order.
+func appendCSVHeader(b []byte, series []string) []byte {
+	b = append(b, "t_s"...)
+	for _, name := range series {
+		b = append(b, ',')
+		b = append(b, name...)
+	}
+	return append(b, '\n')
 }
 
-// csvChunk is how much WriteCSV renders before it hands the bytes on.
-const csvChunk = 32 << 10
-
-// WriteCSV renders retained rows as CSV: a t_s column followed by one
-// column per series, one row per sampling tick. Values print in Go's
-// shortest-round-trip float format (what %v prints), so the output is
-// deterministic. Rows are rendered into one buffer and written in chunks of
-// at least csvChunk bytes, each ending on a row boundary, so w may be a
-// bare file.
-func WriteCSV(w io.Writer, series []string, rows []Row) error {
-	buf := make([]byte, 0, csvChunk+csvChunk/8)
-	buf = append(buf, "t_s"...)
-	for _, name := range series {
-		buf = append(buf, ',')
-		buf = append(buf, name...)
-	}
-	buf = append(buf, '\n')
-	for _, row := range rows {
-		if len(buf) >= csvChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+// appendCSVRow appends one sampling tick as a CSV row: vals is the instant,
+// then every value in series registration order, and c the same values in
+// the JSON dialect. Zero and every magnitude in [1e-4, 1e6) print the same
+// bytes in both dialects — whole numbers as integers, the rest in shortest
+// 'f' form — so only the other cells are formatted again.
+func appendCSVRow(b []byte, vals []float64, c *tickCells) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		buf = appendCSVFloat(buf, row.T.Seconds())
-		for _, v := range row.V {
-			buf = append(buf, ',')
-			buf = appendCSVFloat(buf, v)
+		if a := math.Abs(v); a == 0 || a >= 1e-4 && a < 1e6 {
+			b = append(b, c.cell(i)...)
+		} else {
+			b = appendCSVFloat(b, v)
 		}
-		buf = append(buf, '\n')
 	}
-	_, err := w.Write(buf)
-	return err
+	return append(b, '\n')
 }

@@ -29,10 +29,10 @@ type Options struct {
 	// the meta line at Start, one sample line per tick, and the event and
 	// summary lines at Close. Streaming keeps memory bounded.
 	Stream io.Writer
-	// Retain keeps every sample row in memory (Rows) so the record can be
-	// exported as CSV or inspected programmatically after the run. Leave it
-	// false for long runs where the JSONL stream is the only consumer.
-	Retain bool
+	// CSV, when set, receives the record's CSV twin as the run progresses:
+	// the header at Start and one row per tick, the series in registration
+	// order.
+	CSV io.Writer
 }
 
 // Recorder samples registered observables on a fixed simulated-time cadence
@@ -49,17 +49,18 @@ type Recorder struct {
 	timelines []watchedTimeline
 	summary   map[string]float64
 
-	rows    []Row
 	started bool
 	closed  bool
 	err     error
 	ticker  sim.Ticker
 
 	// Hot-path buffers, built once at Start so the steady-state tick
-	// allocates nothing: the sampler scratch row, the JSONL line buffer,
-	// and the sample line's value keys pre-sorted and pre-encoded
-	// (quoted, escaped, colon-terminated) with their series indices.
+	// allocates nothing: the sampled row (the instant, then every series),
+	// its cells, the line buffer both streams encode into, and the sample
+	// line's value keys pre-sorted and pre-encoded (quoted, escaped,
+	// colon-terminated) with their series indices.
 	vals     []float64
+	cells    tickCells
 	buf      []byte
 	keyOrder []int
 	keyJSON  [][]byte
@@ -87,12 +88,6 @@ func (r *Recorder) Interval() sim.Time { return r.opt.Interval }
 
 // Err returns the first stream-write error, if any.
 func (r *Recorder) Err() error { return r.err }
-
-// Series returns the registered series names in registration order.
-func (r *Recorder) Series() []string { return r.names }
-
-// Rows returns the retained sample rows (empty unless Options.Retain).
-func (r *Recorder) Rows() []Row { return r.rows }
 
 // AddSampler registers a named series sampled every tick. It panics after
 // Start — the series set is part of the record header — and on a name the
@@ -187,14 +182,14 @@ func (r *Recorder) WatchMeter(prefix string, m *energy.Meter) {
 	r.AddSampler(prefix+".joules", m.Joules)
 }
 
-// Start writes the meta line and begins sampling. The series set is frozen
-// from here on.
+// Start writes the meta line and the CSV header and begins sampling. The
+// series set is frozen from here on.
 func (r *Recorder) Start() {
 	if r.started {
 		return
 	}
 	r.started = true
-	r.vals = make([]float64, len(r.samplers))
+	r.vals = make([]float64, 1+len(r.samplers))
 	if r.opt.Stream != nil {
 		r.buildKeyTable()
 		names := r.names
@@ -208,6 +203,9 @@ func (r *Recorder) Start() {
 			SampleIntervalS: r.opt.Interval.Seconds(),
 			Series:          names,
 		})
+	}
+	if r.opt.CSV != nil {
+		r.write(r.opt.CSV, appendCSVHeader(r.buf[:0], r.names))
 	}
 	r.ticker.Start()
 }
@@ -235,21 +233,27 @@ func (r *Recorder) buildKeyTable() {
 }
 
 func (r *Recorder) tick() {
-	now := r.eng.Now()
 	vals := r.vals
+	vals[0] = r.eng.Now().Seconds()
 	for i, fn := range r.samplers {
-		vals[i] = sanitize(fn())
+		vals[i+1] = sanitize(fn())
 	}
-	if r.opt.Stream != nil && r.err == nil {
-		r.buf = appendSampleLine(r.buf[:0], now.Seconds(), r.keyJSON, r.keyOrder, vals)
-		if _, err := r.opt.Stream.Write(r.buf); err != nil {
-			r.err = err
-		}
+	r.cells.encode(vals)
+	if r.opt.Stream != nil {
+		r.write(r.opt.Stream, appendSampleLine(r.buf[:0], r.keyJSON, r.keyOrder, &r.cells))
 	}
-	if r.opt.Retain {
-		row := make([]float64, len(vals))
-		copy(row, vals)
-		r.rows = append(r.rows, Row{T: now, V: row})
+	if r.opt.CSV != nil {
+		r.write(r.opt.CSV, appendCSVRow(r.buf[:0], vals, &r.cells))
+	}
+}
+
+// write hands one encoded line to w and keeps the grown buffer for the
+// next. After the first write error on either stream nothing more is
+// written.
+func (r *Recorder) write(w io.Writer, line []byte) {
+	r.buf = line
+	if r.err == nil {
+		_, r.err = w.Write(line)
 	}
 }
 

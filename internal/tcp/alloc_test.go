@@ -8,18 +8,6 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// allocCoord is a stubCoord whose Views does not allocate, so the measured
-// window below exercises only the product hot path, not test scaffolding.
-type allocCoord struct {
-	stubCoord
-	views [1]core.View
-}
-
-func (c *allocCoord) Views() []core.View {
-	c.views[0] = c.sub.View()
-	return c.views[:]
-}
-
 // TestSubflowSteadyStatePacketPathAllocs asserts the full data/ACK round
 // trip — segment emission from the path pool, link queueing and forwarding,
 // receiver SACK bookkeeping, ACK generation and the sender's per-ACK
@@ -33,7 +21,7 @@ func TestSubflowSteadyStatePacketPathAllocs(t *testing.T) {
 	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: 50 * netem.Mbps, Delay: 10 * sim.Millisecond, QueueLimit: 64})
 	rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 50 * netem.Mbps, Delay: 10 * sim.Millisecond, QueueLimit: 64})
 	p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
-	coord := &allocCoord{stubCoord: stubCoord{alg: core.NewReno(), remaining: -1}}
+	coord := &stubCoord{alg: core.NewReno(), remaining: -1}
 	s := NewSubflow(eng, Config{}, coord, 1, 0, p)
 	coord.sub = s
 	s.Start()
@@ -59,7 +47,7 @@ func BenchmarkSubflowSteadyState(b *testing.B) {
 	fwd := netem.NewLink(eng, netem.LinkConfig{Name: "f", Rate: 50 * netem.Mbps, Delay: 10 * sim.Millisecond, QueueLimit: 64})
 	rev := netem.NewLink(eng, netem.LinkConfig{Name: "r", Rate: 50 * netem.Mbps, Delay: 10 * sim.Millisecond, QueueLimit: 64})
 	p := &netem.Path{Name: "p", Forward: []*netem.Link{fwd}, Reverse: []*netem.Link{rev}}
-	coord := &allocCoord{stubCoord: stubCoord{alg: core.NewReno(), remaining: -1}}
+	coord := &stubCoord{alg: core.NewReno(), remaining: -1}
 	s := NewSubflow(eng, Config{}, coord, 1, 0, p)
 	coord.sub = s
 	s.Start()

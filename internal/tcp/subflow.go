@@ -135,11 +135,10 @@ type Subflow struct {
 	price    float64
 	roundEnd int64
 
-	// view caches the last snapshot handed to the algorithm; every mutation
-	// of a field View exposes marks it dirty, so the per-ack Views() fan-out
-	// rebuilds only subflows that actually changed (the float conversions in
-	// the rebuild dominate the per-ack cost otherwise).
-	view      core.View
+	// viewDirty marks the coordinator's cached view of this subflow stale:
+	// every mutation of a field RefreshView exposes sets it, so the per-ack
+	// Views() fan-out rebuilds only subflows that actually changed (the
+	// float conversions in the rebuild dominate the per-ack cost otherwise).
 	viewDirty bool
 
 	stats Stats
@@ -268,20 +267,22 @@ func (s *Subflow) State() State { return s.state }
 // timeline is empty for a subflow that never failed.
 func (s *Subflow) Transitions() *Timeline { return &s.transitions }
 
-// View snapshots the subflow state for the congestion-control algorithm.
-// The snapshot is cached and rebuilt only after one of its inputs changed.
-func (s *Subflow) View() core.View {
+// RefreshView brings *v, this subflow's slot in its coordinator's view
+// slice, up to date for the congestion-control algorithm. The slot is the
+// cache: it is rebuilt only after one of its inputs changed, so the per-ack
+// fan-out over every subflow rewrites only those that moved. v must be the
+// same slot on every call, and only this subflow may write it.
+func (s *Subflow) RefreshView(v *core.View) {
 	if s.viewDirty {
-		s.view = s.buildView()
-		// Until the first RTT sample the snapshot substitutes the path's
-		// live BaseRTT, which fault injection can change under us — keep
-		// rebuilding until a sample pins the view to subflow state only.
-		s.viewDirty = !s.rtt.HasSample()
+		s.buildView(v)
 	}
-	return s.view
 }
 
-func (s *Subflow) buildView() core.View {
+func (s *Subflow) buildView(v *core.View) {
+	// Until the first RTT sample the view substitutes the path's live
+	// BaseRTT, which fault injection can change under us — keep rebuilding
+	// until a sample pins the view to subflow state only.
+	s.viewDirty = !s.rtt.HasSample()
 	srtt := s.rtt.SmoothedRTT()
 	if !s.rtt.HasSample() {
 		// Before any sample, present the path's unloaded RTT so coupled
@@ -296,7 +297,7 @@ func (s *Subflow) buildView() core.View {
 	if base == 0 {
 		base = srtt
 	}
-	return core.View{
+	*v = core.View{
 		Cwnd:        s.cwnd,
 		SSThresh:    s.ssthresh,
 		SRTT:        srtt.Seconds(),
@@ -496,7 +497,11 @@ func (s *Subflow) Receive(p *netem.Packet) {
 	if p.ECE {
 		s.stats.MarkedAcked++
 	}
-	s.noteSack(p.SackSeq)
+	if p.SackSeq >= p.Ack {
+		// An in-order arrival's own cumulative ACK covers it: recording it
+		// would only have the prune below erase it again.
+		s.noteSack(p.SackSeq)
+	}
 	if p.Ack > s.cumAck {
 		s.onNewAck(p)
 	}
@@ -529,6 +534,9 @@ func (s *Subflow) noteSack(seq int64) {
 // acknowledgement. Both sets are sorted, so pruning is a cut at the first
 // surviving entry — no per-entry iteration as with the map this replaces.
 func (s *Subflow) pruneBelow(cum int64) {
+	if (len(s.sacked) == 0 || s.sacked[0] >= cum) && (len(s.retransmitted) == 0 || s.retransmitted[0] >= cum) {
+		return
+	}
 	i := sort.Search(len(s.sacked), func(i int) bool { return s.sacked[i] >= cum })
 	if i > 0 {
 		s.sacked = append(s.sacked[:0], s.sacked[i:]...)

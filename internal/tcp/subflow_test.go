@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mptcpsim/internal/core"
@@ -9,18 +11,23 @@ import (
 )
 
 // stubCoord is a minimal single-subflow coordinator with a configurable
-// data budget.
+// data budget. Its Views does not allocate, so the allocation tests measure
+// only the product hot path, not test scaffolding.
 type stubCoord struct {
 	alg       core.Algorithm
 	sub       *Subflow
 	remaining int64 // -1 = unlimited
 	sent      int64
 	acked     int64
+	views     [1]core.View
 }
 
 func (c *stubCoord) Alg() core.Algorithm { return c.alg }
 
-func (c *stubCoord) Views() []core.View { return []core.View{c.sub.View()} }
+func (c *stubCoord) Views() []core.View {
+	c.sub.RefreshView(&c.views[0])
+	return c.views[:]
+}
 
 func (c *stubCoord) Grant(int) bool {
 	if c.remaining == 0 {
@@ -227,6 +234,74 @@ func TestSubflowPruneBelow(t *testing.T) {
 	}
 	if !s.wasRetransmitted(10) {
 		t.Error("retransmitted entry above prune point was dropped")
+	}
+}
+
+// TestSackScoreboardMatchesInsertThenPrune plays the receiver through a loss
+// episode — drops, late arrivals, duplicates — ACK by ACK, and holds the
+// SACK scoreboard after every ACK to the rule it replaced: record the
+// ACK's SackSeq unless it lies below the old cumulative ACK, then prune
+// below the new one.
+func TestSackScoreboardMatchesInsertThenPrune(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s, _, p := newTestSubflow(eng, 10*netem.Mbps, sim.Millisecond, 100, -1)
+	p.Forward[0].SetDown() // the test is the receiver: the data itself is dropped
+	s.Start()
+	rng := rand.New(rand.NewSource(5))
+	var (
+		rcvNext, next int64
+		ooo           = map[int64]bool{}
+		late          []int64 // lost segments, arriving out of order later
+		covered       int     // ACKs whose own cumulative ACK covers SackSeq
+	)
+	for i := 0; i < 5000; i++ {
+		var seq int64
+		switch {
+		case next < s.MaxSent() && rng.Intn(4) != 0:
+			seq, next = next, next+1
+			if rng.Intn(8) == 0 {
+				late = append(late, seq)
+				continue
+			}
+		case len(late) > 0:
+			j := rng.Intn(len(late))
+			seq = late[j]
+			late = slices.Delete(late, j, j+1)
+		case rcvNext > 0:
+			seq = rng.Int63n(rcvNext) // a duplicate of delivered data
+		default:
+			continue
+		}
+		if seq == rcvNext {
+			for rcvNext++; ooo[rcvNext]; rcvNext++ {
+				delete(ooo, rcvNext)
+			}
+		} else if seq > rcvNext {
+			ooo[seq] = true
+		}
+
+		want := slices.Clone(s.sacked)
+		if seq >= s.cumAck {
+			if k, found := slices.BinarySearch(want, seq); !found {
+				want = slices.Insert(want, k, seq)
+			}
+		}
+		if rcvNext > s.cumAck {
+			k, _ := slices.BinarySearch(want, rcvNext)
+			want = want[k:]
+		}
+		if seq < rcvNext {
+			covered++
+		}
+		ack := netem.NewPacket()
+		ack.IsAck, ack.Ack, ack.SackSeq = true, rcvNext, seq
+		s.Receive(ack)
+		if !slices.Equal(s.sacked, want) {
+			t.Fatalf("ACK %d (ack %d, sack %d): scoreboard %v, insert-then-prune gives %v", i, rcvNext, seq, s.sacked, want)
+		}
+	}
+	if st := s.Stats(); st.LossEvents == 0 || covered == 0 || rcvNext < 1000 {
+		t.Errorf("the episode missed a case: %d loss events, %d covered SACKs, %d delivered", st.LossEvents, covered, rcvNext)
 	}
 }
 

@@ -53,13 +53,16 @@ validate:
 sweep:
 	$(GO) run ./cmd/mptcp-bench -sweep -loads 0:0.15:28
 
-# Repository gates (docs_test.go): package comments, package-map
-# coverage, CLI flag docs, markdown file references, and supervision kept
-# in internal/supervise (no stray recover, time.Sleep, os.Exit or exit-code
-# error literal), and periodic work kept on sim.Ticker (no function that
-# schedules itself).
+# Repository gates (docs_test.go), the one list CI's docs job runs:
+# package comments, package-map coverage, CLI flag docs, markdown file
+# references; supervision kept in internal/supervise (no stray recover,
+# time.Sleep, os.Exit or exit-code error literal); runs wired and observed
+# only through backend.Run; algorithm hooks called only from core and tcp;
+# periodic work kept on sim.Ticker (no function that schedules itself);
+# every exported func under internal/ called outside tests, every exported
+# config field written, and no map range in the simulation packages.
 docs:
-	$(GO) test -run 'TestPackageComments|TestPackageMapCoversEveryPackage|TestCLIFlagsDocumented|TestMarkdownFileReferencesResolve|TestSupervisionLivesInOnePlace|TestPeriodicWorkUsesTicker' .
+	$(GO) test -run 'TestPackageComments|TestPackageMapCoversEveryPackage|TestCLIFlagsDocumented|TestMarkdownFileReferencesResolve|TestSupervisionLivesInOnePlace|TestRunsRunInOnePlace|TestAlgorithmHooksLiveInTcp|TestPeriodicWorkUsesTicker|TestExportedFuncsHaveCallers|TestConfigFieldsHaveWriters|TestNoMapRangeInSimulationPackages' -v .
 
 # Bounded chaos soak (EXPERIMENTS.md, "Soak & quarantine methodology"):
 # 60 generated scenarios under invariants and the run supervisor. Exit 3

@@ -22,8 +22,9 @@
 // (internal/obsv) per run, sampled every -sample-interval of simulated
 // time; -check runs the internal/check invariants on every run. A run that
 // panics, fails an invariant or exceeds -timeout is quarantined by
-// internal/supervise — rows dropped, identity noted on the table and in the
-// -json report — and the invocation exits 3.
+// internal/supervise — left out of its row's mean (a row with no finished
+// run is dropped), identity noted on the table and in the -json report —
+// and the invocation exits 3.
 //
 // -sweep solves a (topology × algorithm × load) grid on the -backend of
 // docs/backends.md: fluid, packet, or hybrid (the default), which re-runs a

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/core"
@@ -23,11 +24,11 @@ import (
 // shiftRunWith runs the Fig. 5b scenario with an explicit algorithm
 // instance (for parameterized variants outside the registry). Algorithm
 // instances carry per-run state, so callers running on the pool must
-// construct a fresh instance per run. expID and scenario identify the run
+// construct a fresh instance per run. res and scenario identify the run
 // record when Config.OutDir is set.
-func shiftRunWith(cfg Config, wd *supervise.Watchdog, expID, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) repOut {
+func shiftRunWith(cfg Config, wd *supervise.Watchdog, res *Result, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) [4]float64 {
 	return shiftOutcome(cfg.run(wd, world{
-		exp: expID, scenario: scenario, alg: alg.Name(),
+		res: res, scenario: scenario, alg: alg.Name(),
 		sc: burstTwoPath(seed, "lia", horizon),
 		Stages: backend.Stages{
 			Attach: func(w *backend.World, obs *obsv.Observer) {
@@ -55,13 +56,11 @@ func AblationC(cfg Config) *Result {
 	horizon := cfg.scaledTime(300*sim.Second, 60*sim.Second)
 	reps := cfg.reps(3)
 	cs := []float64{0.5, 1.0, 1.5, 2.0}
-	means := meanOver(res, reps, runPar(cfg, res, len(cs)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		c := cs[i/reps]
+	for ci, m := range means(runPar(cfg, res, len(cs), reps, func(ci int, seed int64, wd *supervise.Watchdog) [4]float64 {
 		// A fresh DTS instance per run: algorithm state is per-connection.
-		return shiftRunWith(cfg, wd, "abl-c", fmt.Sprintf("burst-c%g", c), cfg.Seed+int64(i%reps), &core.DTS{C: c}, horizon)
-	}))
-	for ci, c := range cs {
-		tput, joules := means[ci][0], means[ci][1]
+		return shiftRunWith(cfg, wd, res, fmt.Sprintf("burst-c%g", cs[ci]), seed, &core.DTS{C: cs[ci]}, horizon)
+	})) {
+		c, tput, joules := cs[ci], m[0], m[1]
 		// Condition 1 evaluated at the design-point equilibrium ratio 1/2.
 		eq := []core.View{{Cwnd: 20, SRTT: 0.04, LastRTT: 0.04, BaseRTT: 0.02}}
 		cond := core.SatisfiesCondition1(&core.DTS{C: c}, eq, 1e-9)
@@ -91,19 +90,18 @@ func AblationKappa(cfg Config) *Result {
 	horizon := cfg.scaledTime(120*sim.Second, 30*sim.Second)
 	reps := cfg.reps(3)
 	kappas := []float64{0, 1e-4, 5e-4, 2e-3}
-	means := meanOver(res, reps, runPar(cfg, res, len(kappas)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		kappa := kappas[i/reps]
-		return pricedShiftRun(cfg, wd, fmt.Sprintf("priced-kappa%g", kappa), cfg.Seed+int64(i%reps), &core.DTS{C: 1, LIA: true, Priced: true, Kappa: kappa}, horizon)
-	}))
-	for ki, kappa := range kappas {
-		res.AddRow(fmt.Sprintf("%.0e", kappa), fmtF(means[ki][0]/1e6, 1), fmtF(means[ki][1], 3))
+	for ki, m := range means(runPar(cfg, res, len(kappas), reps, func(ki int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		kappa := kappas[ki]
+		return pricedShiftRun(cfg, wd, res, fmt.Sprintf("priced-kappa%g", kappa), seed, &core.DTS{C: 1, LIA: true, Priced: true, Kappa: kappa}, horizon)
+	})) {
+		res.AddRow(fmt.Sprintf("%.0e", kappas[ki]), fmtF(m[0]/1e6, 1), fmtF(m[1], 3))
 	}
 	return res
 }
 
 // pricedShiftRun runs two clean 50 Mb/s paths with the second one charged
 // an energy price, returning goodput and the priced path's traffic share.
-func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) repOut {
+func pricedShiftRun(cfg Config, wd *supervise.Watchdog, res *Result, scenario string, seed int64, alg core.Algorithm, horizon sim.Time) [4]float64 {
 	sc := backend.Scenario{
 		Topology: "twopath", Net: topo.Params{Rates: [2]int64{50 * netem.Mbps, 50 * netem.Mbps}},
 		Algorithm: "lia", Price: &backend.Price{Path: 1, Rho: 1.0, Gamma: 0.05, QTarget: 25},
@@ -111,7 +109,7 @@ func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed in
 	}
 	var share float64
 	w := cfg.run(wd, world{
-		exp: "abl-kappa", scenario: scenario, alg: alg.Name(), sc: sc,
+		res: res, scenario: scenario, alg: alg.Name(), sc: sc,
 		Stages: backend.Stages{
 			Attach: func(w *backend.World, obs *obsv.Observer) {
 				w.Conn.SetAlgorithm(alg)
@@ -128,7 +126,7 @@ func pricedShiftRun(cfg Config, wd *supervise.Watchdog, scenario string, seed in
 			},
 		},
 	})
-	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), share}, events: w.Eng.Processed()}
+	return [4]float64{w.Conn.MeanThroughputBps(), share}
 }
 
 // AblationHystart compares the transport with and without the delay-based
@@ -145,14 +143,14 @@ func AblationHystart(cfg Config) *Result {
 	}
 	transfer := cfg.scaledBytes(256<<20, 8<<20)
 	variants := []bool{false, true}
-	res.addRows(runPar(cfg, res, len(variants), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(variants), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		disable := variants[i]
 		var st tcp.Stats
 		w := cfg.run(wd, world{
-			exp: "abl-hystart", scenario: fmt.Sprintf("hystart-%v", !disable),
+			res: res, scenario: fmt.Sprintf("hystart-%v", !disable),
 			sc: backend.Scenario{
 				Algorithm: "reno", TransferBytes: transfer, Transport: tcp.Config{DisableHystart: disable},
-				EnergyModel: "none", Seed: cfg.Seed, Horizon: 600 * sim.Second,
+				EnergyModel: "none", Seed: seed, Horizon: 600 * sim.Second,
 			},
 			Stages: backend.Stages{
 				// One deep-buffered link: no registered topology is a single hop.
@@ -171,12 +169,12 @@ func AblationHystart(cfg Config) *Result {
 				},
 			},
 		})
-		return runRow{events: w.Eng.Processed(), cells: []string{
+		return []string{
 			fmt.Sprintf("%v", !disable),
 			fmtF(w.Conn.CompletedAt().Seconds(), 2),
 			fmt.Sprintf("%d", st.LossEvents),
-			fmt.Sprintf("%d", st.PktsRtx)}}
-	}))
+			fmt.Sprintf("%d", st.PktsRtx)}
+	})...)
 	return res
 }
 
@@ -199,12 +197,11 @@ func AblationPathsel(cfg Config) *Result {
 	horizon := cfg.scaledTime(200*sim.Second, 40*sim.Second)
 	reps := cfg.reps(3)
 	approaches := []string{"lia", "dts-lia", "lia+selector"}
-	means := meanOver(res, reps, runPar(cfg, res, len(approaches)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		return pathselRun(cfg, wd, cfg.Seed+int64(i%reps), approaches[i/reps], horizon)
-	}))
-	for ai, approach := range approaches {
-		tput, joules := means[ai][0], means[ai][1]
-		res.AddRow(approach, fmtF(tput/1e6, 2),
+	for ai, m := range means(runPar(cfg, res, len(approaches), reps, func(ai int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		return pathselRun(cfg, wd, res, seed, approaches[ai], horizon)
+	})) {
+		tput, joules := m[0], m[1]
+		res.AddRow(approaches[ai], fmtF(tput/1e6, 2),
 			fmtF(joules/horizon.Seconds(), 2),
 			fmtF(joules/(tput*horizon.Seconds()/1e9), 1))
 	}
@@ -212,8 +209,8 @@ func AblationPathsel(cfg Config) *Result {
 }
 
 // pathselRun runs the Fig. 17 wireless scenario with the given approach.
-func pathselRun(cfg Config, wd *supervise.Watchdog, seed int64, approach string, horizon sim.Time) repOut {
-	r := world{exp: "abl-pathsel", scenario: "hetwireless", alg: approach,
+func pathselRun(cfg Config, wd *supervise.Watchdog, res *Result, seed int64, approach string, horizon sim.Time) [4]float64 {
+	r := world{res: res, scenario: "hetwireless", alg: approach,
 		sc:     handsetWorld(seed, approach, horizon),
 		Stages: backend.Stages{Summary: shiftSummary}}
 	if approach == "lia+selector" {

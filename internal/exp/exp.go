@@ -5,6 +5,14 @@
 // settled simulation is internal/backend's business (ARCHITECTURE.md, "How a
 // run is assembled").
 //
+// A figure is one grid of cells × repetitions. runPar fans it over the
+// worker pool, handing each run its cell and its repetition's seed, and
+// returns each cell's finished outcomes; means averages them. Config.run
+// adds each finished run's events and offered flows to the figure's
+// Result. A run that fails under a supervisor is noted and contributes
+// nothing: a cell with no finished repetition has no row, and a column
+// relative to a baseline cell that has no row prints "-".
+//
 // Runners accept a Scale knob so the test suite and benchmarks can run
 // reduced versions (fewer users, shorter horizons) while cmd/mptcp-bench
 // -full reproduces the published parameters. Absolute joules depend on the
@@ -16,11 +24,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
+	"sync"
 
 	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
 )
 
@@ -91,30 +102,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// runPar fans n independent run closures of one figure over the config's
-// worker pool. Closures must not share engines or any mutable state; each
-// derives everything (including its seed) from its index, and must attach
-// the given watchdog to the engine it builds (Attach is nil-safe, so the
+// runPar fans one figure's grid — cells × reps independent runs — over the
+// config's worker pool and hands each closure its cell index and its
+// repetition's seed, cfg.Seed+rep: run i = cell*reps+rep, so a seed derives
+// from the repetition alone, never from the cell or the worker. Closures
+// must not share engines or any mutable state, and must attach the given
+// watchdog to the engine they build (Attach is nil-safe, so the
 // unsupervised path passes wd = nil).
 //
-// With cfg.Sup set, each index runs under the supervisor: a failed index
-// yields the zero T (figures collecting runRow drop it via addRows) and a
-// deterministic note on res, ordered by index regardless of Workers. With
-// cfg.Sup nil, the first captured panic is re-raised — the historical
-// fail-fast contract the test suite relies on.
+// It returns, per cell, the outcomes of the repetitions that finished, in
+// repetition order. A failed or skipped run contributes nothing — not a
+// zero to a mean, not a row — so a cell none of whose runs finished is
+// empty and renders no row.
 //
-// With cfg.Ctx cancelled, runs the pool never started are skipped: each
-// drops its row with a note and the Result is marked Interrupted, so a
-// campaign knows the table is partial and must not checkpoint it.
-func runPar[T any](cfg Config, res *Result, n int, fn func(i int, wd *supervise.Watchdog) T) []T {
+// With cfg.Sup set, each run is supervised under its own seed: a failed run
+// leaves a deterministic note on res, ordered by run index regardless of
+// Workers.
+// With cfg.Sup nil, the first captured panic is re-raised with its own
+// value — the fail-fast contract the test suite relies on.
+//
+// With cfg.Ctx cancelled, runs the pool never started are skipped: each is
+// noted and the Result is marked Interrupted, so a campaign knows the table
+// is partial and must not checkpoint it.
+func runPar[T any](cfg Config, res *Result, cells, reps int, fn func(cell int, seed int64, wd *supervise.Watchdog) T) [][]T {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := cells * reps
+	seed := func(i int) int64 { return cfg.Seed + int64(i%reps) }
+	run := func(i int, wd *supervise.Watchdog) (T, error) { return fn(i/reps, seed(i), wd), nil }
+	dropped := make([]bool, n) // failed or skipped; errs is nil when no run failed
+	var out []T
 	if cfg.Sup == nil {
-		out, errs := runner.MapErrCtx(ctx, cfg.Workers, n, func(i int) (T, error) {
-			return fn(i, nil), nil
-		})
+		var errs []error
+		out, errs = runner.MapErrCtx(ctx, cfg.Workers, n, func(i int) (T, error) { return run(i, nil) })
 		for i, err := range errs {
 			var pe *runner.PanicError
 			switch {
@@ -122,25 +144,71 @@ func runPar[T any](cfg Config, res *Result, n int, fn func(i int, wd *supervise.
 				panic(pe.Value)
 			case errors.Is(err, runner.ErrSkipped):
 				res.noteSkipped(i)
+				dropped[i] = true
 			}
 		}
-		return out
-	}
-	out, reports := supervise.Map(ctx, cfg.Sup, cfg.Workers, n,
-		func(i int) supervise.RunID {
-			return supervise.RunID{Seed: cfg.Seed, Scenario: fmt.Sprintf("%s[%d]", res.ID, i), Phase: res.ID}
-		},
-		func(i int, wd *supervise.Watchdog) (T, error) { return fn(i, wd), nil })
-	for i, rep := range reports {
-		switch {
-		case rep.Outcome == supervise.Skipped:
-			res.noteSkipped(i)
-		case rep.Outcome.Failed():
-			res.Notes = append(res.Notes,
-				fmt.Sprintf("run %s[%d] %s: %s", res.ID, i, rep.Outcome, rep.Err.Msg))
+	} else {
+		var reports []supervise.Report
+		out, reports = supervise.Map(ctx, cfg.Sup, cfg.Workers, n,
+			func(i int) supervise.RunID {
+				return supervise.RunID{Seed: seed(i), Scenario: fmt.Sprintf("%s[%d]", res.ID, i), Phase: res.ID}
+			}, run)
+		for i, rep := range reports {
+			switch {
+			case rep.Outcome == supervise.Skipped:
+				res.noteSkipped(i)
+				dropped[i] = true
+			case rep.Outcome.Failed():
+				res.Notes = append(res.Notes,
+					fmt.Sprintf("run %s[%d] %s: %s", res.ID, i, rep.Outcome, rep.Err.Msg))
+				dropped[i] = true
+			}
 		}
 	}
-	return out
+	grid := make([][]T, cells)
+	for i, v := range out {
+		if !dropped[i] {
+			grid[i/reps] = append(grid[i/reps], v)
+		}
+	}
+	return grid
+}
+
+// means yields, in cell order, every cell of a grid that has a finished
+// repetition, with the mean of its outcomes: summed in repetition order —
+// the order every printed digit was produced under — and divided by the
+// number that finished. A cell with none is passed over: it has no row.
+func means(grid [][][4]float64) iter.Seq2[int, [4]float64] {
+	return func(yield func(int, [4]float64) bool) {
+		for c, outs := range grid {
+			if len(outs) == 0 {
+				continue
+			}
+			var m [4]float64
+			for _, o := range outs {
+				for k, v := range o {
+					m[k] += v
+				}
+			}
+			for k := range m {
+				m[k] /= float64(len(outs))
+			}
+			if !yield(c, m) {
+				return
+			}
+		}
+	}
+}
+
+// relPct renders v's relative change from base[key] times scale (100 for
+// a change in percent, -100 for a saving), or "-" when the baseline cell
+// has no row.
+func relPct(base map[string]float64, key string, v, scale float64) string {
+	b, ok := base[key]
+	if !ok {
+		return "-"
+	}
+	return fmtF(stats.RelChange(b, v)*scale, 1)
 }
 
 // noteSkipped marks the Result interrupted and notes run i, which the pool
@@ -198,14 +266,17 @@ type Result struct {
 	// Notes carries the paper's expected qualitative outcome and any scale
 	// substitutions, for EXPERIMENTS.md.
 	Notes []string
-	// Events counts the simulation events processed across every run of
-	// the experiment; cmd/mptcp-bench reports it (with wall-clock) in the
-	// BENCH JSON. It is not part of the rendered table.
+	// Events counts the simulation events processed across every finished
+	// run of the experiment; cmd/mptcp-bench reports it (with wall-clock)
+	// in the BENCH JSON. It is not part of the rendered table.
 	Events uint64
-	// Flows counts the workload flows the experiment offered, for the
-	// population-scale runs; cmd/mptcp-bench derives a flows/sec figure
-	// from it. Zero for figures without a flow population.
+	// Flows counts the workload flows the experiment's finished runs
+	// offered, for the population-scale runs; cmd/mptcp-bench derives a
+	// flows/sec figure from it. Zero for figures without a flow population.
 	Flows uint64
+	// mu guards Events and Flows, which Config.run adds to as the figure's
+	// runs finish on the pool.
+	mu sync.Mutex
 	// Interrupted reports that Config.Ctx was cancelled before every run
 	// of the figure was dispatched: the table is missing rows (each noted)
 	// and must not be treated as the figure's deterministic output —
@@ -216,57 +287,6 @@ type Result struct {
 // AddRow appends a formatted row.
 func (r *Result) AddRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
-}
-
-// runRow is one parallel run's rendered table row plus its event count and
-// the flows it offered; figures whose runs map 1:1 to rows collect these
-// from the pool.
-type runRow struct {
-	cells  []string
-	events uint64
-	flows  uint64
-}
-
-// addRows appends pool-collected rows in submission order and accumulates
-// their event counts. Rows with nil cells — quarantined runs under a
-// supervisor — are dropped: the table keeps only the runs that finished,
-// and the Result's notes name the missing ones.
-func (r *Result) addRows(rows []runRow) {
-	for _, row := range rows {
-		if row.cells == nil {
-			continue
-		}
-		r.AddRow(row.cells...)
-		r.Events += row.events
-		r.Flows += row.flows
-	}
-}
-
-// repOut is one repetition's outcome on the pool, for the figures that average
-// repetitions: up to four scalars plus the events the run processed.
-type repOut struct {
-	v      [4]float64
-	events uint64
-}
-
-// meanOver averages each consecutive group of reps pool outcomes — group g
-// is outs[g*reps : (g+1)*reps] — summing in index order, the order every
-// printed digit was produced under, and adds the runs' events to r.
-func meanOver(r *Result, reps int, outs []repOut) [][4]float64 {
-	means := make([][4]float64, len(outs)/reps)
-	for i, o := range outs {
-		m := &means[i/reps]
-		for k, v := range o.v {
-			m[k] += v
-		}
-		r.Events += o.events
-	}
-	for g := range means {
-		for k := range means[g] {
-			means[g][k] /= float64(reps)
-		}
-	}
-	return means
 }
 
 // String renders an aligned text table.

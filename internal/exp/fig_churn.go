@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/faults"
@@ -31,8 +32,8 @@ var (
 
 // runChurn executes one algorithm under one arrival regime on a FatTree
 // sized by the scale knob, with a switch-link fault schedule running
-// concurrently with the arrival storm.
-func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) runRow {
+// concurrently with the arrival storm, and renders its row.
+func runChurn(cfg Config, wd *supervise.Watchdog, res *Result, seed int64, alg, scenario string) []string {
 	params := dcParams("fattree", cfg.Scale)
 	k := params.Size
 	if k == 0 {
@@ -75,10 +76,10 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) runRow {
 		return stats.Percentile(xs, q)
 	}
 	var st flows.Stats
-	w := cfg.run(wd, world{
-		exp: "churn", scenario: scenario, alg: alg,
+	cfg.run(wd, world{
+		res: res, scenario: scenario, alg: alg,
 		sc: backend.Scenario{
-			Topology: "fattree", Net: params, EnergyModel: "none", Seed: cfg.Seed,
+			Topology: "fattree", Net: params, EnergyModel: "none", Seed: seed,
 			// Generous backstop: the run normally stops when the population
 			// drains; whatever is still alive at the horizon is cut and
 			// accounted.
@@ -124,20 +125,16 @@ func runChurn(cfg Config, wd *supervise.Watchdog, alg, scenario string) runRow {
 		},
 	})
 
-	return runRow{
-		cells: []string{
-			scenario, alg,
-			fmt.Sprintf("%d", st.Offered),
-			fmt.Sprintf("%d", st.Completed),
-			fmt.Sprintf("%d", st.ShedCapacity),
-			fmt.Sprintf("%d", st.Cut),
-			fmt.Sprintf("%d", st.PeakLive),
-			fmtF(p(fcts, 50), 3), fmtF(p(fcts, 95), 3), fmtF(p(fcts, 99), 3),
-			fmtF(p(gputs, 50)/1e6, 2),
-			fmtF(p(joules, 50), 3), fmtF(p(joules, 95), 3), fmtF(p(joules, 99), 3),
-		},
-		events: w.Eng.Processed(),
-		flows:  st.Offered,
+	return []string{
+		scenario, alg,
+		fmt.Sprintf("%d", st.Offered),
+		fmt.Sprintf("%d", st.Completed),
+		fmt.Sprintf("%d", st.ShedCapacity),
+		fmt.Sprintf("%d", st.Cut),
+		fmt.Sprintf("%d", st.PeakLive),
+		fmtF(p(fcts, 50), 3), fmtF(p(fcts, 95), 3), fmtF(p(fcts, 99), 3),
+		fmtF(p(gputs, 50)/1e6, 2),
+		fmtF(p(joules, 50), 3), fmtF(p(joules, 95), 3), fmtF(p(joules, 99), 3),
 	}
 }
 
@@ -159,8 +156,8 @@ func FigChurn(cfg Config) *Result {
 	}
 	algs := filterAxis(churnAlgorithms, cfg.Algorithm)
 	scenarios := filterAxis(churnScenarios, cfg.Scenario)
-	res.addRows(runPar(cfg, res, len(scenarios)*len(algs), func(i int, wd *supervise.Watchdog) runRow {
-		return runChurn(cfg, wd, algs[i%len(algs)], scenarios[i/len(algs)])
-	}))
+	res.Rows = slices.Concat(runPar(cfg, res, len(scenarios)*len(algs), 1, func(c int, seed int64, wd *supervise.Watchdog) []string {
+		return runChurn(cfg, wd, res, seed, algs[c%len(algs)], scenarios[c/len(algs)])
+	})...)
 	return res
 }

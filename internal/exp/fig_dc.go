@@ -9,7 +9,6 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/workload"
@@ -33,30 +32,27 @@ func Fig10(cfg Config) *Result {
 	hosts := cfg.scaled(40, 8)
 	transfer := cfg.scaledBytes(10<<30, 16<<20)
 
-	type outcome struct {
-		joules   float64
-		meanDone float64
-		events   uint64
-	}
 	algs := []struct {
 		name  string
 		paths int
 	}{
-		{name: "reno", paths: 1},
+		{name: "reno", paths: 1}, // the baseline
 		{name: "dctcp", paths: 1},
 		{name: "lia", paths: 4},
 		{name: "dts-lia", paths: 4},
 	}
-	outcomes := runPar(cfg, res, len(algs), func(i int, wd *supervise.Watchdog) outcome {
+	aggJ := make(map[string]float64)
+	// Each run yields its aggregate energy (J) and mean completion time (s).
+	for i, m := range means(runPar(cfg, res, len(algs), 1, func(i int, seed int64, wd *supervise.Watchdog) [4]float64 {
 		a := algs[i]
 		var meters []*energy.Meter
-		var out outcome
+		var out [4]float64
 		var doneSum float64
-		w := cfg.run(wd, world{
-			exp: "fig10", scenario: fmt.Sprintf("ec2-%dhosts", hosts), alg: a.name,
+		cfg.run(wd, world{
+			res: res, scenario: fmt.Sprintf("ec2-%dhosts", hosts), alg: a.name,
 			sc: backend.Scenario{
 				Topology: "ec2", Net: topo.Params{Size: hosts},
-				EnergyModel: "none", Seed: cfg.Seed, Horizon: 4000 * sim.Second,
+				EnergyModel: "none", Seed: seed, Horizon: 4000 * sim.Second,
 			},
 			Stages: backend.Stages{
 				Attach: func(w *backend.World, obs *obsv.Observer) {
@@ -68,24 +64,20 @@ func Fig10(cfg Config) *Result {
 				Summary: func(_ *backend.World, obs *obsv.Observer) {
 					for _, m := range meters {
 						m.Flush() // transfers the horizon cut off still owe their residual
-						out.joules += m.Joules()
+						out[0] += m.Joules()
 					}
-					out.meanDone = doneSum / float64(hosts)
-					obs.Summary("aggregate_j", out.joules)
-					obs.Summary("mean_completion_s", out.meanDone)
+					out[1] = doneSum / float64(hosts)
+					obs.Summary("aggregate_j", out[0])
+					obs.Summary("mean_completion_s", out[1])
 				},
 			},
 		})
-		out.events = w.Eng.Processed()
 		return out
-	})
-	base := outcomes[0].joules // algs[0] is reno
-	for i, a := range algs {
-		o := outcomes[i]
-		res.Events += o.events
+	})) {
+		a := algs[i]
+		aggJ[a.name] = m[0]
 		res.AddRow(a.name, fmt.Sprintf("%d", a.paths),
-			fmtF(o.meanDone, 2), fmtF(o.joules, 0),
-			fmtF(stats.RelChange(base, o.joules)*-100, 1))
+			fmtF(m[1], 2), fmtF(m[0], 0), relPct(aggJ, "reno", m[0], -100))
 	}
 	return res
 }
@@ -112,16 +104,16 @@ func dcParams(kind string, scale float64) topo.Params {
 // chosen at random"): destinations may collide, which is precisely why
 // extra subflows cannot add capacity in the single-NIC FatTree/VL2 hosts
 // but keep helping BCube's multi-NIC servers. It returns aggregate energy
-// (J), aggregate goodput (bytes, and b/s over the horizon) for meanOver;
-// the record holds host 0's connection and meter plus the aggregate outcome.
-// priced enables the Eq. 6 energy price on the switch-to-switch links.
-func dcRun(cfg Config, wd *supervise.Watchdog, expID, kind, scenario, alg string, seed int64, subflows int, horizon sim.Time, priced bool) repOut {
+// (J), aggregate goodput (bytes, and b/s over the horizon); the record
+// holds host 0's connection and meter plus the aggregate outcome. priced
+// enables the Eq. 6 energy price on the switch-to-switch links.
+func dcRun(cfg Config, wd *supervise.Watchdog, res *Result, kind, scenario, alg string, seed int64, subflows int, horizon sim.Time, priced bool) [4]float64 {
 	var conns []*mptcp.Conn
 	var meters []*energy.Meter
 	var joules float64
 	var bytes uint64
-	w := cfg.run(wd, world{
-		exp: expID, scenario: scenario, alg: alg,
+	cfg.run(wd, world{
+		res: res, scenario: scenario, alg: alg,
 		sc: backend.Scenario{
 			Topology: kind, Net: dcParams(kind, cfg.Scale),
 			EnergyModel: "none", Seed: seed, Horizon: horizon,
@@ -154,7 +146,7 @@ func dcRun(cfg Config, wd *supervise.Watchdog, expID, kind, scenario, alg string
 			},
 		},
 	})
-	return repOut{v: [4]float64{joules, float64(bytes), float64(bytes) * 8 / horizon.Seconds()}, events: w.Eng.Processed()}
+	return [4]float64{joules, float64(bytes), float64(bytes) * 8 / horizon.Seconds()}
 }
 
 // dcOverheadSweep produces one of Figs. 12-14: energy overhead (J per
@@ -170,13 +162,12 @@ func dcOverheadSweep(cfg Config, kind, expect string) *Result {
 	horizon := cfg.scaledTime(60*sim.Second, 10*sim.Second)
 	reps := cfg.reps(3)
 	subflows := []int{1, 2, 4, 8}
-	means := meanOver(res, reps, runPar(cfg, res, len(subflows)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		nsub := subflows[i/reps]
-		return dcRun(cfg, wd, res.ID, kind, fmt.Sprintf("%s-%dsub", kind, nsub), "lia", cfg.Seed+int64(i%reps), nsub, horizon, false)
-	}))
-	for s, nsub := range subflows {
-		joules, bytes, tput := means[s][0], uint64(means[s][1]), means[s][2]
-		res.AddRow(fmt.Sprintf("%d", nsub), fmtF(tput/1e6, 0),
+	for s, m := range means(runPar(cfg, res, len(subflows), reps, func(s int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		nsub := subflows[s]
+		return dcRun(cfg, wd, res, kind, fmt.Sprintf("%s-%dsub", kind, nsub), "lia", seed, nsub, horizon, false)
+	})) {
+		joules, bytes, tput := m[0], uint64(m[1]), m[2]
+		res.AddRow(fmt.Sprintf("%d", subflows[s]), fmtF(tput/1e6, 0),
 			fmtF(joules, 0), fmtF(energy.PerGigabit(joules, bytes), 1))
 	}
 	return res
@@ -203,7 +194,8 @@ func Fig14(cfg Config) *Result {
 // dcCompare runs the priced FatTree/VL2 experiment behind Figs. 15-16 —
 // LIA vs DTS vs extended DTS with 8 subflows — once, and renders both
 // figures' tables from it. Run records are filed under id, whose table the
-// grid's events and notes accumulate on.
+// grid's events and notes accumulate on. A relative column whose topology's
+// LIA cell has no row prints "-".
 func dcCompare(cfg Config, id string) (fig15, fig16 *Result) {
 	fig15 = &Result{
 		ID:      "fig15",
@@ -230,21 +222,17 @@ func dcCompare(cfg Config, id string) (fig15, fig16 *Result) {
 	reps := cfg.reps(3)
 	kinds := []string{"fattree", "vl2"}
 	algs := []string{"lia", "dts-lia", "dtsep-lia"} // LIA first: the baseline
-	means := meanOver(res, reps, runPar(cfg, res, len(kinds)*len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		kind, alg := kinds[i/(len(algs)*reps)], algs[i/reps%len(algs)]
-		return dcRun(cfg, wd, res.ID, kind, fmt.Sprintf("%s-priced-8sub", kind), alg, cfg.Seed+int64(i%reps), 8, horizon, true)
-	}))
-	for k, kind := range kinds {
-		var baseJ, baseBps float64
-		for a, alg := range algs {
-			m := means[k*len(algs)+a]
-			jPerGbit := energy.PerGigabit(m[0], uint64(m[1]))
-			if a == 0 {
-				baseJ, baseBps = jPerGbit, m[2]
-			}
-			fig15.AddRow(kind, alg, fmtF(jPerGbit, 1), fmtF(stats.RelChange(baseJ, jPerGbit)*-100, 1))
-			fig16.AddRow(kind, alg, fmtF(m[2]/1e6, 0), fmtF(stats.RelChange(baseBps, m[2])*100, 1))
-		}
+	// Each cell's J/Gb and goodput by "kind/alg", for the relative columns.
+	jPerGbit, bps := make(map[string]float64), make(map[string]float64)
+	for c, m := range means(runPar(cfg, res, len(kinds)*len(algs), reps, func(c int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		kind := kinds[c/len(algs)]
+		return dcRun(cfg, wd, res, kind, fmt.Sprintf("%s-priced-8sub", kind), algs[c%len(algs)], seed, 8, horizon, true)
+	})) {
+		kind, alg := kinds[c/len(algs)], algs[c%len(algs)]
+		key := kind + "/" + alg
+		jPerGbit[key], bps[key] = energy.PerGigabit(m[0], uint64(m[1])), m[2]
+		fig15.AddRow(kind, alg, fmtF(jPerGbit[key], 1), relPct(jPerGbit, kind+"/lia", jPerGbit[key], -100))
+		fig16.AddRow(kind, alg, fmtF(m[2]/1e6, 0), relPct(bps, kind+"/lia", m[2], 100))
 	}
 	return fig15, fig16
 }

@@ -30,12 +30,12 @@ var (
 )
 
 // runFaultScenario executes one algorithm under one fault scenario and
-// returns completion time (s), goodput (Mb/s), J/Gb and re-injected segments
-// for meanOver. Fault instants are fractions of the horizon so every Scale
+// returns completion time (s), goodput (Mb/s), J/Gb and re-injected
+// segments. Fault instants are fractions of the horizon so every Scale
 // still exercises failure, survival and recovery before the transfer would
 // finish.
-func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scenario string, horizon sim.Time) repOut {
-	r := world{exp: "faults", scenario: scenario,
+func runFaultScenario(cfg Config, wd *supervise.Watchdog, res *Result, seed int64, alg, scenario string, horizon sim.Time) [4]float64 {
+	r := world{res: res, scenario: scenario,
 		sc: backend.Scenario{Algorithm: alg, Seed: seed, Horizon: horizon},
 		Stages: backend.Stages{
 			// Host series ahead of the connection's: the order the committed
@@ -82,7 +82,7 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 		panic("exp: unknown fault scenario " + scenario)
 	}
 
-	var out repOut
+	var out [4]float64
 	r.Summary = func(w *backend.World, obs *obsv.Observer) {
 		conn := w.Conn
 		completed := horizon
@@ -93,14 +93,14 @@ func runFaultScenario(cfg Config, wd *supervise.Watchdog, seed int64, alg, scena
 		if completed > 0 {
 			goodputMbps = float64(conn.AckedBytes()) * 8 / completed.Seconds() / 1e6
 		}
-		out.v = [4]float64{completed.Seconds(), goodputMbps,
+		out = [4]float64{completed.Seconds(), goodputMbps,
 			energy.PerGigabit(w.Meter.Joules(), conn.AckedBytes()), float64(conn.ReinjectedSegs())}
-		obs.Summary("completed_s", out.v[0])
-		obs.Summary("goodput_mbps", out.v[1])
-		obs.Summary("j_per_gbit", out.v[2])
-		obs.Summary("reinjected_segs", out.v[3])
+		obs.Summary("completed_s", out[0])
+		obs.Summary("goodput_mbps", out[1])
+		obs.Summary("j_per_gbit", out[2])
+		obs.Summary("reinjected_segs", out[3])
 	}
-	out.events = cfg.run(wd, r).Eng.Processed()
+	cfg.run(wd, r)
 	return out
 }
 
@@ -122,14 +122,10 @@ func FigFaults(cfg Config) *Result {
 	// no random loss), so a repetition on another seed would replay it.
 	algs := filterAxis(faultsAlgorithms, cfg.Algorithm)
 	scenarios := filterAxis(faultsScenarios, cfg.Scenario)
-	means := meanOver(res, 1, runPar(cfg, res, len(scenarios)*len(algs), func(i int, wd *supervise.Watchdog) repOut {
-		return runFaultScenario(cfg, wd, cfg.Seed, algs[i%len(algs)], scenarios[i/len(algs)], horizon)
-	}))
-	for s, scenario := range scenarios {
-		for a, alg := range algs {
-			m := means[s*len(algs)+a]
-			res.AddRow(scenario, alg, fmtF(m[0], 2), fmtF(m[1], 2), fmtF(m[2], 1), fmt.Sprintf("%.0f", m[3]))
-		}
+	for c, m := range means(runPar(cfg, res, len(scenarios)*len(algs), 1, func(c int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		return runFaultScenario(cfg, wd, res, seed, algs[c%len(algs)], scenarios[c/len(algs)], horizon)
+	})) {
+		res.AddRow(scenarios[c/len(algs)], algs[c%len(algs)], fmtF(m[0], 2), fmtF(m[1], 2), fmtF(m[2], 1), fmt.Sprintf("%.0f", m[3]))
 	}
 	return res
 }

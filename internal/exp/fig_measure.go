@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/netem"
@@ -63,13 +64,13 @@ func Fig1(cfg Config) *Result {
 		{"mptcp-2nic", 6, false},
 		{"mptcp-2nic", 8, false},
 	}
-	res.addRows(runPar(cfg, res, len(specs), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(specs), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		sp := specs[i]
 		w := cfg.run(wd, world{
-			exp: "fig1", scenario: fmt.Sprintf("%s-%dsub", sp.label, sp.nsub),
+			res: res, scenario: fmt.Sprintf("%s-%dsub", sp.label, sp.nsub),
 			sc: backend.Scenario{
 				Algorithm: algFor(sp.nsub), Subflows: sp.nsub,
-				EnergyModel: "i7", Seed: cfg.Seed, Horizon: horizon,
+				EnergyModel: "i7", Seed: seed, Horizon: horizon,
 			},
 			Stages: backend.Stages{
 				Ready: func(eng *sim.Engine) []*netem.Path {
@@ -82,10 +83,9 @@ func Fig1(cfg Config) *Result {
 				Summary: powerSummary,
 			},
 		})
-		return runRow{events: w.Eng.Processed(), cells: []string{
-			sp.label, fmt.Sprintf("%d", sp.nsub),
-			fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}}
-	}))
+		return []string{sp.label, fmt.Sprintf("%d", sp.nsub),
+			fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}
+	})...)
 	return res
 }
 
@@ -120,15 +120,15 @@ func Fig2(cfg Config) *Result {
 		{"tcp-lte", false, true},
 		{"mptcp-wifi+lte", true, true},
 	}
-	res.addRows(runPar(cfg, res, len(specs), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(specs), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		sp := specs[i]
 		alg := "lia"
 		if !sp.useWiFi || !sp.useLTE {
 			alg = "reno"
 		}
 		w := cfg.run(wd, world{
-			exp: "fig2", scenario: sp.label,
-			sc: backend.Scenario{Algorithm: alg, EnergyModel: "nexus5", Seed: cfg.Seed, Horizon: horizon},
+			res: res, scenario: sp.label,
+			sc: backend.Scenario{Algorithm: alg, EnergyModel: "nexus5", Seed: seed, Horizon: horizon},
 			Stages: backend.Stages{
 				// One radio alone is a subset of the handset's routes, which a
 				// Scenario cannot say; the routes themselves are the registry's.
@@ -149,9 +149,8 @@ func Fig2(cfg Config) *Result {
 				Summary: powerSummary,
 			},
 		})
-		return runRow{events: w.Eng.Processed(), cells: []string{
-			sp.label, fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}}
-	}))
+		return []string{sp.label, fmtF(w.Conn.MeanThroughputBps()/1e6, 1), fmtF(w.Meter.MeanPower(), 2)}
+	})...)
 	return res
 }
 
@@ -178,25 +177,25 @@ func Fig3a(cfg Config) *Result {
 	transfer := cfg.scaledBytes(10<<30, 64<<20)
 
 	rates := []int64{200, 400, 600, 800, 1000}
-	res.addRows(runPar(cfg, res, len(rates), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(rates), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		mbps := rates[i]
 		return transferRow(cfg, wd, mbps, world{
-			exp: "fig3a", scenario: fmt.Sprintf("wired-%dmbps", mbps),
+			res: res, scenario: fmt.Sprintf("wired-%dmbps", mbps),
 			sc: backend.Scenario{
 				Algorithm: "lia", TransferBytes: transfer,
-				EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2000 * sim.Second,
+				EnergyModel: "i7", Seed: seed, Horizon: 2000 * sim.Second,
 			},
 			Stages: backend.Stages{
 				Ready: twoNICPaths(mbps/2*netem.Mbps, 150*sim.Microsecond, 0),
 			},
 		})
-	}))
+	})...)
 	return res
 }
 
 // transferRow runs one fixed transfer (Figs. 3a/3b), stopping the meter and
 // the engine at completion, and renders its row.
-func transferRow(cfg Config, wd *supervise.Watchdog, mbps int64, r world) runRow {
+func transferRow(cfg Config, wd *supervise.Watchdog, mbps int64, r world) []string {
 	var done sim.Time
 	r.Attach = func(w *backend.World, obs *obsv.Observer) {
 		w.Observe(obs)
@@ -214,12 +213,12 @@ func transferRow(cfg Config, wd *supervise.Watchdog, mbps int64, r world) runRow
 		obs.Summary("time_s", done.Seconds())
 	}
 	w := cfg.run(wd, r)
-	return runRow{events: w.Eng.Processed(), cells: []string{
+	return []string{
 		fmt.Sprintf("%d", mbps),
 		fmtF(w.Conn.MeanThroughputBps()/1e6, 1),
 		fmtF(w.Meter.MeanPower(), 2),
 		fmtF(w.Meter.Joules(), 1),
-		fmtF(done.Seconds(), 2)}}
+		fmtF(done.Seconds(), 2)}
 }
 
 // Fig3b downloads a fixed amount of data over WiFi at increasing rates.
@@ -237,13 +236,13 @@ func Fig3b(cfg Config) *Result {
 	transfer := cfg.scaledBytes(500<<20, 16<<20)
 
 	rates := []int64{10, 20, 30, 40, 50}
-	res.addRows(runPar(cfg, res, len(rates), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(rates), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		mbps := rates[i]
 		return transferRow(cfg, wd, mbps, world{
-			exp: "fig3b", scenario: fmt.Sprintf("wifi-%dmbps", mbps),
+			res: res, scenario: fmt.Sprintf("wifi-%dmbps", mbps),
 			sc: backend.Scenario{
 				Algorithm: "reno", TransferBytes: transfer,
-				EnergyModel: "wifi", Seed: cfg.Seed, Horizon: 4000 * sim.Second,
+				EnergyModel: "wifi", Seed: seed, Horizon: 4000 * sim.Second,
 			},
 			Stages: backend.Stages{
 				// One WiFi link each way: no registered topology is a single hop.
@@ -252,7 +251,7 @@ func Fig3b(cfg Config) *Result {
 				},
 			},
 		})
-	}))
+	})...)
 	return res
 }
 
@@ -279,12 +278,12 @@ func Fig4(cfg Config) *Result {
 	// make LIA's coupled recovery span the whole horizon and throughput
 	// would no longer be held fixed (the paper's testbed delays are small).
 	delays := []sim.Time{500 * sim.Microsecond, 2 * sim.Millisecond, 5 * sim.Millisecond}
-	res.addRows(runPar(cfg, res, len(delays), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(delays), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		delay := delays[i]
 		var tput, power float64
 		w := cfg.run(wd, world{
-			exp: "fig4", scenario: fmt.Sprintf("delay-%dus", delay/sim.Microsecond),
-			sc: backend.Scenario{Algorithm: "lia", EnergyModel: "i7", Seed: cfg.Seed, Horizon: 2 * horizon},
+			res: res, scenario: fmt.Sprintf("delay-%dus", delay/sim.Microsecond),
+			sc: backend.Scenario{Algorithm: "lia", EnergyModel: "i7", Seed: seed, Horizon: 2 * horizon},
 			Stages: backend.Stages{
 				Ready: twoNICPaths(100*netem.Mbps, delay, 100),
 				// Discard the startup transient so the longer-RTT runs are
@@ -304,11 +303,11 @@ func Fig4(cfg Config) *Result {
 				},
 			},
 		})
-		return runRow{events: w.Eng.Processed(), cells: []string{
+		return []string{
 			fmtF(delay.Seconds()*1000, 1),
 			fmtF(w.Conn.MeanSRTTSeconds()*1000, 1),
 			fmtF(tput/1e6, 1),
-			fmtF(power, 2)}}
-	}))
+			fmtF(power, 2)}
+	})...)
 	return res
 }

@@ -49,15 +49,14 @@ func Fig6(cfg Config) *Result {
 			specs = append(specs, spec{n: n, alg: alg})
 		}
 	}
-	res.addRows(runPar(cfg, res, len(specs), func(i int, wd *supervise.Watchdog) runRow {
+	res.Rows = slices.Concat(runPar(cfg, res, len(specs), 1, func(i int, seed int64, wd *supervise.Watchdog) []string {
 		sp := specs[i]
-		energies, events := fig6UserEnergies(cfg, wd, sp.n, sp.alg, transfer)
-		b := stats.NewBox(energies)
-		return runRow{events: events, cells: []string{
+		b := stats.NewBox(fig6UserEnergies(cfg, wd, res, seed, sp.n, sp.alg, transfer))
+		return []string{
 			fmt.Sprintf("%d", sp.n), sp.alg,
 			fmtF(b.Min, 1), fmtF(b.Q1, 1), fmtF(b.Median, 1),
-			fmtF(b.Q3, 1), fmtF(b.Max, 1), fmt.Sprintf("%d", len(b.Outliers))}}
-	}))
+			fmtF(b.Q3, 1), fmtF(b.Max, 1), fmt.Sprintf("%d", len(b.Outliers))}
+	})...)
 	return res
 }
 
@@ -75,17 +74,17 @@ func fig6Users(cfg Config) []int {
 }
 
 // fig6UserEnergies runs one Fig. 5a experiment and returns the per-user
-// energy consumption of the N MPTCP transfers plus the events processed.
-// When records are exported, user 0 is the observed connection (one record
-// per run; the other users are statistically equivalent).
-func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, transfer int64) ([]float64, uint64) {
+// energy consumption of the N MPTCP transfers. When records are exported,
+// user 0 is the observed connection (one record per run; the other users
+// are statistically equivalent).
+func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, res *Result, seed int64, n int, alg string, transfer int64) []float64 {
 	var meters []*energy.Meter
 	out := make([]float64, n)
-	w := cfg.run(wd, world{
-		exp: "fig6", scenario: fmt.Sprintf("dumbbell-%dusers", n), alg: alg,
+	cfg.run(wd, world{
+		res: res, scenario: fmt.Sprintf("dumbbell-%dusers", n), alg: alg,
 		sc: backend.Scenario{
 			Topology: "dumbbell", Net: topo.Params{Size: 3 * n},
-			EnergyModel: "none", Seed: cfg.Seed, Horizon: 600 * sim.Second,
+			EnergyModel: "none", Seed: seed, Horizon: 600 * sim.Second,
 		},
 		Stages: backend.Stages{
 			Attach: func(w *backend.World, obs *obsv.Observer) {
@@ -109,7 +108,7 @@ func fig6UserEnergies(cfg Config, wd *supervise.Watchdog, n int, alg string, tra
 			},
 		},
 	})
-	return out, w.Eng.Processed()
+	return out
 }
 
 // fig7Algorithms are the existing algorithms compared for traffic shifting
@@ -129,22 +128,21 @@ func burstTwoPath(seed int64, alg string, horizon sim.Time) backend.Scenario {
 }
 
 // shiftSummary and shiftOutcome are the filed and returned outcomes of a
-// Fig. 5b run, and of a Fig. 17 handset run: mean goodput (b/s), sender
-// energy (J), events processed.
+// Fig. 5b run, and of a Fig. 17 handset run: mean goodput (b/s) and sender
+// energy (J).
 func shiftSummary(w *backend.World, obs *obsv.Observer) {
 	obs.Summary("throughput_mbps", w.Conn.MeanThroughputBps()/1e6)
 	obs.Summary("energy_j", w.Meter.Joules())
 }
 
-func shiftOutcome(w *backend.World) repOut {
-	return repOut{v: [4]float64{w.Conn.MeanThroughputBps(), w.Meter.Joules()}, events: w.Eng.Processed()}
+func shiftOutcome(w *backend.World) [4]float64 {
+	return [4]float64{w.Conn.MeanThroughputBps(), w.Meter.Joules()}
 }
 
-// shiftRun runs one Fig. 5b experiment; expID names the figure the run
-// record (if any) is filed under.
-func shiftRun(cfg Config, wd *supervise.Watchdog, expID string, seed int64, alg string, horizon sim.Time) repOut {
+// shiftRun runs one Fig. 5b experiment for the figure res.
+func shiftRun(cfg Config, wd *supervise.Watchdog, res *Result, seed int64, alg string, horizon sim.Time) [4]float64 {
 	return shiftOutcome(cfg.run(wd, world{
-		exp: expID, scenario: "burst-twopath",
+		res: res, scenario: "burst-twopath",
 		sc:     burstTwoPath(seed, alg, horizon),
 		Stages: backend.Stages{Summary: shiftSummary},
 	}))
@@ -164,15 +162,12 @@ func Fig7(cfg Config) *Result {
 	}
 	horizon := cfg.scaledTime(300*sim.Second, 60*sim.Second)
 	reps := cfg.reps(5)
-	// One pool run per (algorithm, repetition); the seed depends only on
-	// the repetition index, exactly as the sequential loops derived it.
-	means := meanOver(res, reps, runPar(cfg, res, len(fig7Algorithms)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		return shiftRun(cfg, wd, "fig7", cfg.Seed+int64(i%reps), fig7Algorithms[i/reps], horizon)
-	}))
-	for a, alg := range fig7Algorithms {
-		tput, joules := means[a][0], means[a][1]
+	for a, m := range means(runPar(cfg, res, len(fig7Algorithms), reps, func(a int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		return shiftRun(cfg, wd, res, seed, fig7Algorithms[a], horizon)
+	})) {
+		tput, joules := m[0], m[1]
 		gbits := tput * horizon.Seconds() / 1e9
-		res.AddRow(alg, fmtF(tput/1e6, 1), fmtF(joules, 1), fmtF(joules/gbits, 1))
+		res.AddRow(fig7Algorithms[a], fmtF(tput/1e6, 1), fmtF(joules, 1), fmtF(joules/gbits, 1))
 	}
 	return res
 }
@@ -192,18 +187,14 @@ func Fig8(cfg Config) *Result {
 	horizon := cfg.scaledTime(300*sim.Second, 60*sim.Second)
 	const samples = 10
 	algs := []string{"lia", "dts-lia"}
-	type traceOut struct {
-		rows   [][]string
-		events uint64
-	}
 	// The per-sample stepping is inherently sequential within one run, so
 	// the pool fans out over algorithms only.
-	traces := runPar(cfg, res, len(algs), func(ai int, wd *supervise.Watchdog) traceOut {
+	traces := runPar(cfg, res, len(algs), 1, func(ai int, seed int64, wd *supervise.Watchdog) [][]string {
 		alg := algs[ai]
-		var out traceOut
-		w := cfg.run(wd, world{
-			exp: "fig8", scenario: "burst-twopath",
-			sc: burstTwoPath(cfg.Seed, alg, horizon),
+		var rows [][]string
+		cfg.run(wd, world{
+			res: res, scenario: "burst-twopath",
+			sc: burstTwoPath(seed, alg, horizon),
 			Stages: backend.Stages{
 				Drive: func(w *backend.World) {
 					var lastBytes uint64
@@ -212,7 +203,7 @@ func Fig8(cfg Config) *Result {
 						w.Eng.Run(step * sim.Time(i))
 						delta := w.Conn.AckedBytes() - lastBytes
 						lastBytes = w.Conn.AckedBytes()
-						out.rows = append(out.rows, []string{alg, fmtF((step * sim.Time(i)).Seconds(), 0),
+						rows = append(rows, []string{alg, fmtF((step * sim.Time(i)).Seconds(), 0),
 							fmtF(float64(delta)*8/step.Seconds()/1e6, 1),
 							fmtF(w.Meter.Joules(), 1)})
 					}
@@ -220,12 +211,10 @@ func Fig8(cfg Config) *Result {
 				Summary: func(w *backend.World, obs *obsv.Observer) { obs.Summary("energy_j", w.Meter.Joules()) },
 			},
 		})
-		out.events = w.Eng.Processed()
-		return out
+		return rows
 	})
-	for _, tr := range traces {
-		res.Rows = append(res.Rows, tr.rows...)
-		res.Events += tr.events
+	for _, rows := range slices.Concat(traces...) {
+		res.Rows = append(res.Rows, rows...)
 	}
 	return res
 }
@@ -247,19 +236,13 @@ func Fig9(cfg Config) *Result {
 	reps := cfg.reps(10)
 
 	perGbit := make(map[string]float64)
-	tputs := make(map[string]float64)
-	algs := []string{"lia", "dts", "dts-lia", "dts-taylor"}
-	means := meanOver(res, reps, runPar(cfg, res, len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		return shiftRun(cfg, wd, "fig9", cfg.Seed+int64(i%reps), algs[i/reps], horizon)
-	}))
-	for a, alg := range algs {
-		tput, joules := means[a][0], means[a][1]
+	algs := []string{"lia", "dts", "dts-lia", "dts-taylor"} // LIA first: the baseline
+	for a, m := range means(runPar(cfg, res, len(algs), reps, func(a int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		return shiftRun(cfg, wd, res, seed, algs[a], horizon)
+	})) {
+		alg, tput, joules := algs[a], m[0], m[1]
 		perGbit[alg] = joules / (tput * horizon.Seconds() / 1e9)
-		tputs[alg] = tput
-	}
-	for _, alg := range algs {
-		saving := stats.RelChange(perGbit["lia"], perGbit[alg]) * -100
-		res.AddRow(alg, fmtF(tputs[alg]/1e6, 1), fmtF(perGbit[alg], 1), fmtF(saving, 1))
+		res.AddRow(alg, fmtF(tput/1e6, 1), fmtF(perGbit[alg], 1), relPct(perGbit, "lia", perGbit[alg], -100))
 	}
 	return res
 }

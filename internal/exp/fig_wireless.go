@@ -3,7 +3,6 @@ package exp
 import (
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
 )
 
@@ -26,12 +25,12 @@ func handsetWorld(seed int64, alg string, horizon sim.Time) backend.Scenario {
 	}
 }
 
-// fig17Run executes one 200 s (scaled) run and returns goodput (b/s),
-// handset energy (J) and events processed. With priceLTE the compensative
+// fig17Run executes one 200 s (scaled) run and returns goodput (b/s) and
+// handset energy (J). With priceLTE the compensative
 // parameter prices the energy-expensive 4G hop: the LTE radio's high base
 // power maps to a standing per-packet price plus a queue-pressure term.
-func fig17Run(cfg Config, wd *supervise.Watchdog, seed int64, alg string, horizon sim.Time, priceLTE bool) repOut {
-	r := world{exp: "fig17", scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon),
+func fig17Run(cfg Config, wd *supervise.Watchdog, res *Result, seed int64, alg string, horizon sim.Time, priceLTE bool) [4]float64 {
+	r := world{res: res, scenario: "hetwireless", sc: handsetWorld(seed, alg, horizon),
 		Stages: backend.Stages{Summary: shiftSummary}}
 	if priceLTE {
 		r.scenario = "hetwireless-priced"
@@ -57,23 +56,19 @@ func Fig17(cfg Config) *Result {
 
 	perGbit := make(map[string]float64)
 	tputs := make(map[string]float64)
-	algs := []string{"lia", "dts", "dts-lia", "dtsep"}
-	means := meanOver(res, reps, runPar(cfg, res, len(algs)*reps, func(i int, wd *supervise.Watchdog) repOut {
-		alg := algs[i/reps]
-		return fig17Run(cfg, wd, cfg.Seed+int64(i%reps), alg, horizon, alg == "dtsep")
-	}))
-	for a, alg := range algs {
-		tput, joules := means[a][0], means[a][1]
+	algs := []string{"lia", "dts", "dts-lia", "dtsep"} // LIA first: the baseline
+	for a, m := range means(runPar(cfg, res, len(algs), reps, func(a int, seed int64, wd *supervise.Watchdog) [4]float64 {
+		return fig17Run(cfg, wd, res, seed, algs[a], horizon, algs[a] == "dtsep")
+	})) {
+		alg, tput, joules := algs[a], m[0], m[1]
 		gbits := tput * horizon.Seconds() / 1e9
 		perGbit[alg] = joules / gbits
 		tputs[alg] = tput
-	}
-	for _, alg := range algs {
 		res.AddRow(alg,
-			fmtF(tputs[alg]/1e6, 2),
+			fmtF(tput/1e6, 2),
 			fmtF(perGbit[alg], 1),
-			fmtF(stats.RelChange(perGbit["lia"], perGbit[alg])*-100, 1),
-			fmtF(stats.RelChange(tputs["lia"], tputs[alg])*100, 1))
+			relPct(perGbit, "lia", perGbit[alg], -100),
+			relPct(tputs, "lia", tput, 100))
 	}
 	return res
 }

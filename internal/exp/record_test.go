@@ -109,7 +109,7 @@ func TestObserverAbortOnViolation(t *testing.T) {
 	func() {
 		defer func() { panicked = recover() }()
 		cfg.run(nil, world{
-			exp: "abort", scenario: "twopath",
+			res: &Result{ID: "abort"}, scenario: "twopath",
 			sc: backend.Scenario{Topology: "twopath", Algorithm: "lia", EnergyModel: "none", Seed: cfg.Seed, Horizon: 5 * sim.Second},
 			Stages: backend.Stages{
 				Attach: func(w *backend.World, obs *obsv.Observer) {

@@ -15,13 +15,17 @@ import (
 	"mptcpsim/internal/supervise"
 )
 
-// world is one run closure's simulation: the record it files, the Scenario
-// it runs, and the stages a Scenario does not name (backend.Stages).
+// world is one run closure's simulation: the figure it counts toward, the
+// record it files, the Scenario it runs, and the stages a Scenario does not
+// name (backend.Stages).
 type world struct {
-	// exp, scenario and alg (default sc.Algorithm) identify the run record:
-	// <exp>_<alg>_<scenario>_seed<sc.Seed> under Config.OutDir.
-	exp, scenario, alg string
-	sc                 backend.Scenario
+	// res is the figure's Result: the run's events and offered flows add
+	// to it, and its ID names the record.
+	res *Result
+	// scenario and alg (default sc.Algorithm) identify the run record:
+	// <res.ID>_<alg>_<scenario>_seed<sc.Seed> under Config.OutDir.
+	scenario, alg string
+	sc            backend.Scenario
 	backend.Stages
 }
 
@@ -33,13 +37,15 @@ type world struct {
 // missing runs would be worse than stopping; invariant failures likewise
 // panic (FailFast) so the worker pool surfaces them with the failing run's
 // identity. Run's deferred Abort then still leaves a record that parses
-// through the last tick.
+// through the last tick. A run that returns adds its events, and the flows
+// its population offered, to the figure's Result; one that panics adds
+// nothing.
 func (c Config) run(wd *supervise.Watchdog, r world) *backend.World {
 	if r.alg == "" {
 		r.alg = r.sc.Algorithm
 	}
 	oc := obsv.Config{
-		Meta:     obsv.Meta{Experiment: r.exp, Scenario: r.scenario, Algorithm: r.alg, Seed: r.sc.Seed, Scale: c.Scale},
+		Meta:     obsv.Meta{Experiment: r.res.ID, Scenario: r.scenario, Algorithm: r.alg, Seed: r.sc.Seed, Scale: c.Scale},
 		Interval: c.SampleInterval,
 		CSV:      true,
 	}
@@ -51,12 +57,18 @@ func (c Config) run(wd *supervise.Watchdog, r world) *backend.World {
 			panic(fmt.Errorf("exp: creating record dir: %w", err))
 		}
 		oc.Path = filepath.Join(c.OutDir,
-			fmt.Sprintf("%s_%s_%s_seed%d.jsonl", slug(r.exp), slug(r.alg), slug(r.scenario), r.sc.Seed))
+			fmt.Sprintf("%s_%s_%s_seed%d.jsonl", slug(r.res.ID), slug(r.alg), slug(r.scenario), r.sc.Seed))
 	}
 	w, err := backend.Run(r.sc, oc, wd, r.Stages)
 	if err != nil {
-		panic(fmt.Errorf("exp: %s: %w", r.exp, err))
+		panic(fmt.Errorf("exp: %s: %w", r.res.ID, err))
 	}
+	r.res.mu.Lock()
+	r.res.Events += w.Eng.Processed()
+	if w.Pop != nil {
+		r.res.Flows += w.Pop.Stats().Offered
+	}
+	r.res.mu.Unlock()
 	return w
 }
 

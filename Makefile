@@ -56,7 +56,8 @@ sweep:
 # Repository gates (docs_test.go), the one list CI's docs job runs:
 # package comments, package-map coverage, CLI flag docs, markdown file
 # references; supervision kept in internal/supervise (no stray recover,
-# time.Sleep, os.Exit or exit-code error literal); runs wired and observed
+# time.Sleep, os.Exit, exit-code error literal or internal/runner import
+# outside it and its pool); runs wired and observed
 # only through backend.Run; algorithm hooks called only from core and tcp;
 # periodic work kept on sim.Ticker (no function that schedules itself);
 # every exported func under internal/ called outside tests, every exported

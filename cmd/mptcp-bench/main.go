@@ -58,7 +58,6 @@ import (
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/campaign"
 	"mptcpsim/internal/exp"
-	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
 )
@@ -77,7 +76,8 @@ func main() {
 // machine facts, whether a signal cut the suite — and diff tooling ignores
 // it; Payload derives from (scale, seed, reps, experiment set) alone, so
 // `jq .payload` is byte-identical across reruns at any -j. Flows counts a
-// churn experiment's offered flows; Quarantined names each failed run.
+// churn experiment's offered flows; Quarantined names each failed run, in
+// experiment and then run-index order.
 type benchReport struct {
 	Meta    benchMeta    `json:"meta"`
 	Payload benchPayload `json:"payload"`
@@ -165,7 +165,7 @@ func parse(args []string) (invocation, error) {
 		full        = fs.Bool("full", false, "run at the published scale (same as -scale 1)")
 		listFlag    = fs.Bool("list", false, "list experiment IDs and exit")
 		markdown    = fs.Bool("markdown", false, "wrap each table in a fenced block for EXPERIMENTS.md")
-		workers     = fs.Int("j", runner.DefaultWorkers(), "concurrent simulation runs (results are identical for any value)")
+		workers     = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent simulation runs (results are identical for any value)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		jsonOut     = fs.Bool("json", false, "write per-experiment timing and event counts to BENCH_<timestamp>.json")
@@ -342,6 +342,9 @@ func (out *outcome) runFigures(ctx context.Context, inv invocation) error {
 		start := time.Now()
 		res := e.Run(cfg)
 		wall := time.Since(start).Seconds()
+		for _, f := range res.Failures {
+			b.Payload.Quarantined = append(b.Payload.Quarantined, fmt.Sprintf("%s: %s: %s", f.ID, f.Kind, f.Msg))
+		}
 		if res.Interrupted {
 			b.Meta.Interrupted, out.cut = true, e.ID
 			break
@@ -358,9 +361,6 @@ func (out *outcome) runFigures(ctx context.Context, inv invocation) error {
 	}
 	b.Meta.TotalWallSec = time.Since(suiteStart).Seconds()
 	b.Payload.Outcomes = cfg.Sup.Counts()
-	for _, f := range cfg.Sup.Failures() {
-		b.Payload.Quarantined = append(b.Payload.Quarantined, fmt.Sprintf("%s: %s: %s", f.ID, f.Kind, f.Msg))
-	}
 	if inv.memprofile != "" {
 		f, err := os.Create(inv.memprofile)
 		if err == nil {

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -124,5 +127,50 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	if string(got) != string(want) || len(got) == 0 {
 		t.Errorf("resumed campaign's results.txt differs from an uninterrupted one:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestJSONListsFailuresByRunIndex: under a deadline no fig9 run can meet,
+// -json lists every run as quarantined in run-index order, and its payload
+// is byte-identical at -j 1 and -j 2.
+func TestJSONListsFailuresByRunIndex(t *testing.T) {
+	t.Chdir(t.TempDir()) // -json writes BENCH_<timestamp>.json here
+	payload := func(j string) []byte {
+		args := strings.Fields("-exp fig9 -scale 0.05 -reps 2 -timeout 40ms -json -j " + j)
+		if got := supervise.ExitCode(run(context.Background(), args)); got != supervise.ExitQuarantined {
+			t.Fatalf("-j %s: exited %d, want %d", j, got, supervise.ExitQuarantined)
+		}
+		names, err := filepath.Glob("BENCH_*.json")
+		if err != nil || len(names) != 1 {
+			t.Fatalf("-j %s: BENCH reports %v (%v), want one", j, names, err)
+		}
+		data, err := os.ReadFile(names[0])
+		if err == nil {
+			err = os.Remove(names[0])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report struct{ Payload json.RawMessage }
+		if err := json.Unmarshal(data, &report); err != nil {
+			t.Fatal(err)
+		}
+		return report.Payload
+	}
+	seq, par := payload("1"), payload("2")
+	var p benchPayload
+	if err := json.Unmarshal(seq, &p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Quarantined) < 2 || int64(len(p.Quarantined)) != p.Outcomes.TimedOut {
+		t.Fatalf("quarantined %q, outcomes %v: want every run listed", p.Quarantined, p.Outcomes)
+	}
+	for i, q := range p.Quarantined {
+		if want := "fig9/fig9[" + strconv.Itoa(i) + "] "; !strings.HasPrefix(q, want) {
+			t.Errorf("quarantined[%d] = %q, want it to name run %d (prefix %q)", i, q, i, want)
+		}
+	}
+	if !bytes.Equal(seq, par) {
+		t.Errorf("payload differs across -j:\n-j 1: %s\n-j 2: %s", seq, par)
 	}
 }

@@ -68,6 +68,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -78,7 +79,6 @@ import (
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/flows"
 	"mptcpsim/internal/obsv"
-	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
@@ -146,7 +146,7 @@ func parse(args []string) (invocation, error) {
 		rwnd      = fs.Int64("rwnd", 0, "connection receive window in segments (0 = unlimited)")
 		fault     = fs.String("fault", "", `fault schedule, e.g. "path1:down@2s,up@5s;path0:flap@1s+6s/500ms" or "wifi:ramp@5s+10s=1Mbps/100ms" (see internal/faults)`)
 		runs      = fs.Int("runs", 1, "independent runs with seeds seed..seed+runs-1")
-		workers   = fs.Int("j", runner.DefaultWorkers(), "concurrent runs when -runs > 1")
+		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent runs when -runs > 1")
 		traceOut  = fs.String("trace", "", "stream a JSONL run record to this file (per-seed files when -runs > 1)")
 		sampleInt = fs.Duration("sample-interval", 0, "run-record sampling period in simulated time (0 = 100ms)")
 		checkInv  = fs.Bool("check", false, "evaluate simulator invariants during the run; violations fail the run")

@@ -125,13 +125,14 @@ func goPackageDirs(t *testing.T, roots ...string) []string {
 	return dirs
 }
 
-// TestSupervisionLivesInOnePlace keeps the copies PR 23 deleted from growing
-// back: outside internal/runner (the bare pool) and internal/supervise (the
-// retry loop, the classifier, the process boundary) no non-test code
-// recovers a panic, sleeps on the wall clock, exits the process or builds an
-// exit-code error by hand. The exceptions are the two main functions, which
-// exit with supervise.ExitCode, and the chaos spin failpoint, whose job is to
-// hang. benchmark/ is frozen and stands outside.
+// TestSupervisionLivesInOnePlace keeps supervision and fan-out from growing
+// second copies: outside internal/runner (supervise.Map's pool) and
+// internal/supervise (the one fan-out, the retry loop, the classifier, the
+// process boundary) no non-test code imports internal/runner, recovers a
+// panic, sleeps on the wall clock, exits the process or builds an exit-code
+// error by hand. The exceptions are the two main functions, which exit with
+// supervise.ExitCode, and the chaos spin failpoint, whose job is to hang.
+// benchmark/ is frozen and stands outside.
 func TestSupervisionLivesInOnePlace(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, dir := range goPackageDirs(t, "internal", "cmd", "examples") {
@@ -149,6 +150,11 @@ func TestSupervisionLivesInOnePlace(t *testing.T) {
 				t.Fatalf("parsing %s: %v", file, err)
 			}
 			file = filepath.ToSlash(file)
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"mptcpsim/internal/runner"` && !owner {
+					t.Errorf("%s: imports internal/runner — fan out with supervise.Map (a nil Supervisor is fail-fast)", fset.Position(imp.Pos()))
+				}
+			}
 			for _, decl := range f.Decls {
 				fn, _ := decl.(*ast.FuncDecl)
 				inMain := fn != nil && fn.Name.Name == "main" && fn.Recv == nil && strings.HasPrefix(dir, "cmd/")

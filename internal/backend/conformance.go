@@ -118,7 +118,7 @@ func RunConformance(base Scenario) (*Conformance, error) {
 	out := &Conformance{}
 	for _, spec := range confSpecs() {
 		sc := spec.scenario(base)
-		pkt, err := runPacket(ctx, sc, obsv.CheckFailFast)
+		pkt, err := runPacket(ctx, sc, obsv.CheckFailFast, nil)
 		if err != nil {
 			return nil, fmt.Errorf("conformance %s: %w", spec.name, err)
 		}

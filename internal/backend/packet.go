@@ -21,15 +21,16 @@ func (PacketEngine) Name() string { return "packet" }
 // Run implements Engine. Cancelling ctx stops the simulation at the next
 // simulated-second boundary and returns the context's error.
 func (PacketEngine) Run(ctx context.Context, sc Scenario) (Result, error) {
-	return runPacket(ctx, sc, obsv.CheckOff)
+	return runPacket(ctx, sc, obsv.CheckOff, nil)
 }
 
 // runPacket is the one packet-side measurement protocol, shared by the
 // engine and the conformance harness (which runs it under fail-fast
 // invariants): snapshot cumulative acks at warmup, sample SRTT every 250 ms
 // through the window, read the deltas at the horizon, and report shares,
-// rates and the measured operating point.
-func runPacket(ctx context.Context, sc Scenario, check obsv.CheckMode) (Result, error) {
+// rates and the measured operating point. wd, when set, is the supervised
+// sweep's watchdog for the run's engine.
+func runPacket(ctx context.Context, sc Scenario, check obsv.CheckMode, wd *supervise.Watchdog) (Result, error) {
 	sc = sc.WithDefaults()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -42,7 +43,7 @@ func runPacket(ctx context.Context, sc Scenario, check obsv.CheckMode) (Result, 
 		srttSum []float64
 		srttN   int
 	)
-	w, err := Run(sc, obsv.Config{Check: check}, nil, Stages{Drive: func(w *World) {
+	w, err := Run(sc, obsv.Config{Check: check}, wd, Stages{Drive: func(w *World) {
 		eng, subs, meter := w.Eng, w.Conn.Subflows(), w.Meter
 		ackAt, srttSum = make([]int64, len(subs)), make([]float64, len(subs))
 		eng.Schedule(sc.Warmup, func() {

@@ -9,8 +9,9 @@ import (
 	"strconv"
 	"strings"
 
-	"mptcpsim/internal/runner"
+	"mptcpsim/internal/obsv"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/supervise"
 )
 
 // SweepSpec describes a (topology × algorithm × load) grid and how to run
@@ -41,6 +42,10 @@ type SweepSpec struct {
 
 	// Workers caps run-level parallelism (0 = one per CPU, 1 = inline).
 	Workers int
+
+	// Sup supervises every point, its Budget bounding each packet run (nil:
+	// fail-fast). How points run is not what a manifest records.
+	Sup *supervise.Supervisor `json:"-"`
 
 	// Horizon/Warmup override the per-scenario defaults (60 s / 20 s).
 	Horizon sim.Time
@@ -229,8 +234,8 @@ func (r *SweepResult) Format() string {
 // documents. The sweep itself never fails on a disagreement; callers gate
 // on SweepResult.OK (mptcp-bench exits non-zero naming the points).
 //
-// An error from any engine run (unknown name, cancelled context, starved
-// scenario) aborts the sweep.
+// A point that fails (unknown name, cancelled context, starved scenario,
+// or under Sup a watchdog trip or panic) aborts the sweep.
 func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	spec = spec.WithDefaults()
 	switch spec.Backend {
@@ -251,29 +256,23 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	out := &SweepResult{Points: make([]PointResult, len(pts))}
 
 	if spec.Backend == "packet" {
-		results, errs := runner.MapErrCtx(ctx, spec.Workers, len(pts), func(i int) (Result, error) {
-			return PacketEngine{}.Run(ctx, pts[i].Scenario(spec))
-		})
-		if err := runner.FirstErr(errs); err != nil {
+		results, err := sweepPass(ctx, spec, pts, true)
+		if err != nil {
 			return nil, err
 		}
 		for i := range pts {
-			res := results[i]
-			out.Points[i] = PointResult{Point: pts[i], Packet: &res}
+			out.Points[i] = PointResult{Point: pts[i], Packet: &results[i]}
 		}
 		return out, nil
 	}
 
 	// Fluid pass over the whole grid.
-	results, errs := runner.MapErrCtx(ctx, spec.Workers, len(pts), func(i int) (Result, error) {
-		return FluidEngine{}.Run(ctx, pts[i].Scenario(spec))
-	})
-	if err := runner.FirstErr(errs); err != nil {
+	results, err := sweepPass(ctx, spec, pts, false)
+	if err != nil {
 		return nil, err
 	}
 	for i := range pts {
-		res := results[i]
-		out.Points[i] = PointResult{Point: pts[i], Fluid: &res}
+		out.Points[i] = PointResult{Point: pts[i], Fluid: &results[i]}
 	}
 	if spec.Backend == "fluid" {
 		return out, nil
@@ -281,24 +280,22 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 
 	// Packet spot checks on the seed-derived sample.
 	picked := spec.SpotIndices(pts)
-	sample := make([]int, 0, len(picked))
+	var sample []Point
+	var at []int
 	for i := range pts {
 		if picked[i] {
-			sample = append(sample, i)
+			sample, at = append(sample, pts[i]), append(at, i)
 		}
 	}
-	checks, errs := runner.MapErrCtx(ctx, spec.Workers, len(sample), func(k int) (Result, error) {
-		return PacketEngine{}.Run(ctx, pts[sample[k]].Scenario(spec))
-	})
-	if err := runner.FirstErr(errs); err != nil {
+	checks, err := sweepPass(ctx, spec, sample, true)
+	if err != nil {
 		return nil, err
 	}
-	for k, i := range sample {
+	for k, i := range at {
 		pr := &out.Points[i]
-		res := checks[k]
-		pr.Packet = &res
+		pr.Packet = &checks[k]
 		pr.Checked = true
-		pr.Delta = shareDelta(pr.Fluid.Shares, res.Shares)
+		pr.Delta = shareDelta(pr.Fluid.Shares, pr.Packet.Shares)
 		pr.OK = pr.Fluid.Converged && pr.Delta <= spec.Tol
 		out.Checked++
 		if !pr.OK {
@@ -307,4 +304,35 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// sweepPass runs pts on the packet or the fluid engine through supervise.Map
+// under spec.Sup and returns the results by index, or the first failure by
+// index: the point's own error (errors.Is sees a cancelled context), else
+// its supervised verdict, or for a point never started the context's cause.
+func sweepPass(ctx context.Context, spec SweepSpec, pts []Point, packet bool) ([]Result, error) {
+	errs := make([]error, len(pts))
+	results, reports := supervise.Map(ctx, spec.Sup, spec.Workers, len(pts),
+		func(i int) supervise.RunID {
+			return supervise.RunID{Seed: spec.Seed, Scenario: pts[i].ID(), Phase: "sweep"}
+		},
+		func(i int, wd *supervise.Watchdog) (res Result, _ error) {
+			if packet {
+				res, errs[i] = runPacket(ctx, pts[i].Scenario(spec), obsv.CheckOff, wd)
+			} else {
+				res, errs[i] = FluidEngine{}.Run(ctx, pts[i].Scenario(spec))
+			}
+			return res, errs[i]
+		})
+	for i, rep := range reports {
+		switch {
+		case errs[i] != nil:
+			return nil, errs[i]
+		case rep.Outcome.Failed():
+			return nil, fmt.Errorf("backend: %s %s: %s", pts[i].ID(), rep.Outcome, rep.Err.Msg)
+		case rep.Outcome == supervise.Skipped:
+			return nil, fmt.Errorf("backend: %s skipped: %w", pts[i].ID(), context.Cause(ctx))
+		}
+	}
+	return results, nil
 }

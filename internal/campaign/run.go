@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mptcpsim/internal/exp"
-	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/supervise"
 )
@@ -30,10 +29,8 @@ type Options struct {
 	Workers int
 	// Shard restricts this process to its slice of the manifest.
 	Shard Shard
-	// Timeout bounds the wall clock of each simulation run inside a figure
-	// unit via the supervisor (0 = none). It does not bound sweep units:
-	// execSweepUnit runs backend.Sweep without the run supervisor, and a
-	// sweep-check unit's packet engine attaches no watchdog (ROADMAP 4(f)).
+	// Timeout bounds the wall clock of each simulation run inside a unit
+	// via the run supervisor (0 = none).
 	Timeout time.Duration
 	// Retries is how many times a transient unit failure (file system
 	// errors, not simulation failures) is re-attempted before quarantine.
@@ -79,8 +76,8 @@ type Summary struct {
 	// Merged: every manifest unit (all shards) reached a terminal state
 	// and the merged outputs were (re)written.
 	Merged bool
-	// Counts aggregates the figure-level supervised run outcomes of the
-	// units that executed in this invocation.
+	// Counts aggregates the supervised run outcomes inside the units that
+	// executed in this invocation: figure runs and sweep points.
 	Counts supervise.Counts
 }
 
@@ -129,9 +126,6 @@ func run(ctx context.Context, dir string, m *Manifest, opt Options) (*Summary, e
 	if err := opt.Shard.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runner.DefaultWorkers()
-	}
 	if opt.Retries == 0 {
 		opt.Retries = DefaultRetries
 	}
@@ -178,11 +172,12 @@ func run(ctx context.Context, dir string, m *Manifest, opt Options) (*Summary, e
 	logf("%d units total on this shard: %d reused from journal, %d to run",
 		sum.Total, sum.Reused, len(pending))
 
-	// runSup bounds and counts the simulation runs inside each figure
-	// (Summary.Counts); unitSup retries a unit whose file system hiccuped and
-	// quarantines one that fails for good. The pool's own supervisor turns
-	// what escapes the checkpoint step into a report that fails the
-	// invocation: a journal that cannot be written cannot promise resumability.
+	// runSup bounds and counts the simulation runs inside each unit, a
+	// figure's runs and a sweep unit's points (Summary.Counts); unitSup
+	// retries a unit whose file system hiccuped and quarantines one that
+	// fails for good. The pool's own supervisor turns what escapes the
+	// checkpoint step into a report that fails the invocation: a journal
+	// that cannot be written cannot promise resumability.
 	runSup := supervise.New(supervise.Budget{Wall: opt.Timeout})
 	unitSup := supervise.New(supervise.Budget{})
 	unitSup.Retries = opt.Retries

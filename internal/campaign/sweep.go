@@ -109,14 +109,16 @@ func isSweepUnit(u Unit) bool {
 // execSweepUnit is the unit executor for the sweep namespace. Both unit
 // kinds delegate to backend.Sweep narrowed to the unit's slice of the
 // grid, so the campaign path and the ad-hoc `mptcp-bench -sweep` path
-// produce identical tables for identical points.
-func execSweepUnit(ctx context.Context, u Unit, udir string, spec Spec) (UnitOutput, error) {
+// produce identical tables for identical points. sup, the campaign's run
+// supervisor, bounds and counts each point; a point it fails fails the unit.
+func execSweepUnit(ctx context.Context, u Unit, udir string, spec Spec, sup *supervise.Supervisor) (UnitOutput, error) {
 	if spec.Sweep == nil {
 		return UnitOutput{}, fmt.Errorf("campaign: manifest holds sweep unit %s but the spec has no sweep", u.ID())
 	}
 	sw := spec.Sweep.WithDefaults()
 	sw.Seed = u.Seed
 	sw.Workers = 1 // the campaign parallelizes across units, not inside them
+	sw.Sup = sup
 
 	switch u.Experiment {
 	case sweepFluidExp:
@@ -168,7 +170,7 @@ func execSweepUnit(ctx context.Context, u Unit, udir string, spec Spec) (UnitOut
 func dispatchUnit(spec Spec) func(context.Context, Unit, string, exp.Config) (UnitOutput, error) {
 	return func(ctx context.Context, u Unit, udir string, cfg exp.Config) (UnitOutput, error) {
 		if isSweepUnit(u) {
-			return execSweepUnit(ctx, u, udir, spec)
+			return execSweepUnit(ctx, u, udir, spec, cfg.Sup)
 		}
 		return execUnit(ctx, u, udir, cfg)
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mptcpsim/internal/backend"
 	"mptcpsim/internal/sim"
@@ -226,6 +227,34 @@ func TestSweepCampaignQuarantinesDisagreement(t *testing.T) {
 	}
 }
 
+// TestSweepCheckUnitTimesOut: the campaign's -timeout reaches a sweep-check
+// unit's packet run. With a deadline far below one packet point, the run
+// supervisor times the point out, the run counts say so, and the unit is
+// quarantined with a journal note naming the point and its outcome.
+func TestSweepCheckUnitTimesOut(t *testing.T) {
+	spec := Spec{Sweep: &backend.SweepSpec{
+		Backend:    "packet", // one sweep-check unit per point, no fluid units
+		Topologies: []string{"twopath-asym"},
+		Algorithms: []string{"ewtcp"},
+		Loads:      []float64{0},
+	}}
+	dir := t.TempDir()
+	sum, err := Start(context.Background(), dir, spec, Options{Workers: 1, Timeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Total != 1 || sum.Quarantined != 1 || sum.Counts.TimedOut != 1 {
+		t.Fatalf("summary %+v, want the one check unit quarantined on one timed-out run", sum)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(journal), "twopath-asym/ewtcp@0 timed-out: wall-clock deadline 1ms exceeded") {
+		t.Errorf("journal does not note the timed-out point:\n%s", journal)
+	}
+}
+
 // TestSweepUnitInterrupted: cancelling mid-unit reports Interrupted instead
 // of failing the unit, so the campaign can resume it later.
 func TestSweepUnitInterrupted(t *testing.T) {
@@ -237,7 +266,7 @@ func TestSweepUnitInterrupted(t *testing.T) {
 	sw.Warmup = 2 * sim.Second
 	spec.Sweep = &sw
 	u := Unit{Experiment: sweepCheckExp, Algorithm: "ewtcp", Scenario: "twopath-asym@0", Seed: 1}
-	out, err := execSweepUnit(ctx, u, t.TempDir(), spec)
+	out, err := execSweepUnit(ctx, u, t.TempDir(), spec, nil)
 	if err != nil {
 		t.Fatalf("cancelled unit returned error %v, want Interrupted output", err)
 	}
@@ -248,10 +277,10 @@ func TestSweepUnitInterrupted(t *testing.T) {
 
 func TestSweepUnitRejectsForeignUnit(t *testing.T) {
 	spec := sweepSpec()
-	if _, err := execSweepUnit(context.Background(), Unit{Experiment: "fig1"}, t.TempDir(), spec); err == nil {
+	if _, err := execSweepUnit(context.Background(), Unit{Experiment: "fig1"}, t.TempDir(), spec, nil); err == nil {
 		t.Error("non-sweep unit accepted by the sweep executor")
 	}
-	if _, err := execSweepUnit(context.Background(), Unit{Experiment: sweepFluidExp}, t.TempDir(), Spec{}); err == nil {
+	if _, err := execSweepUnit(context.Background(), Unit{Experiment: sweepFluidExp}, t.TempDir(), Spec{}, nil); err == nil {
 		t.Error("sweep unit accepted by a spec with no sweep")
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
-	"mptcpsim/internal/runner"
 	"mptcpsim/internal/supervise"
 )
 
@@ -181,7 +181,7 @@ func (r *SoakResult) Failed() bool { return len(r.Failures) > 0 }
 // budget is the deterministic bound).
 func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.Workers <= 0 {
-		cfg.Workers = runner.DefaultWorkers()
+		cfg.Workers = runtime.GOMAXPROCS(0) // the batch size reads it
 	}
 	logf := cfg.Log
 	if logf == nil {

@@ -5,13 +5,14 @@
 // settled simulation is internal/backend's business (ARCHITECTURE.md, "How a
 // run is assembled").
 //
-// A figure is one grid of cells × repetitions. runPar fans it over the
-// worker pool, handing each run its cell and its repetition's seed, and
+// A figure is one grid of cells × repetitions. runPar fans it over
+// supervise.Map, handing each run its cell and its repetition's seed, and
 // returns each cell's finished outcomes; means averages them. Config.run
 // adds each finished run's events and offered flows to the figure's
-// Result. A run that fails under a supervisor is noted and contributes
-// nothing: a cell with no finished repetition has no row, and a column
-// relative to a baseline cell that has no row prints "-".
+// Result. A run that fails under a supervisor is noted, listed in
+// Result.Failures and contributes nothing: a cell with no finished
+// repetition has no row, and a column relative to a baseline cell that has
+// no row prints "-".
 //
 // Runners accept a Scale knob so the test suite and benchmarks can run
 // reduced versions (fewer users, shorter horizons) while cmd/mptcp-bench
@@ -22,14 +23,12 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"sort"
 	"strings"
 	"sync"
 
-	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/supervise"
@@ -75,11 +74,11 @@ type Config struct {
 	// exposed as -check on cmd/mptcp-bench.
 	Check bool
 	// Sup, when set, supervises every pool run: panics and invariant trips
-	// are quarantined into the supervisor (the failing row is dropped and
-	// noted on the Result) instead of aborting the whole experiment, and
-	// the supervisor's Budget bounds each run's wall clock and event count.
-	// Nil keeps the historical fail-fast behaviour: the first panic
-	// propagates to the caller.
+	// are quarantined (the failing run is dropped, noted on the Result and
+	// listed in Result.Failures) instead of aborting the whole experiment,
+	// and the supervisor's Budget bounds each run's wall clock and event
+	// count. Nil is fail-fast: the first panic by run index propagates to
+	// the caller.
 	Sup *supervise.Supervisor
 	// Ctx, when set, lets the caller stop a figure mid-flight: once it is
 	// cancelled the pool dispatches no further runs, in-flight runs drain
@@ -96,14 +95,11 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = runner.DefaultWorkers()
-	}
 	return c
 }
 
-// runPar fans one figure's grid — cells × reps independent runs — over the
-// config's worker pool and hands each closure its cell index and its
+// runPar fans one figure's grid — cells × reps independent runs — over
+// supervise.Map under cfg.Sup and hands each closure its cell index and its
 // repetition's seed, cfg.Seed+rep: run i = cell*reps+rep, so a seed derives
 // from the repetition alone, never from the cell or the worker. Closures
 // must not share engines or any mutable state, and must attach the given
@@ -116,10 +112,10 @@ func (c Config) withDefaults() Config {
 // empty and renders no row.
 //
 // With cfg.Sup set, each run is supervised under its own seed: a failed run
-// leaves a deterministic note on res, ordered by run index regardless of
-// Workers.
-// With cfg.Sup nil, the first captured panic is re-raised with its own
-// value — the fail-fast contract the test suite relies on.
+// leaves a note on res and its RunError in res.Failures, both in run-index
+// order regardless of Workers. With cfg.Sup nil, the first panic by index
+// is re-raised with its own value — the fail-fast contract the test suite
+// relies on.
 //
 // With cfg.Ctx cancelled, runs the pool never started are skipped: each is
 // noted and the Result is marked Interrupted, so a campaign knows the table
@@ -129,46 +125,23 @@ func runPar[T any](cfg Config, res *Result, cells, reps int, fn func(cell int, s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := cells * reps
 	seed := func(i int) int64 { return cfg.Seed + int64(i%reps) }
-	run := func(i int, wd *supervise.Watchdog) (T, error) { return fn(i/reps, seed(i), wd), nil }
-	dropped := make([]bool, n) // failed or skipped; errs is nil when no run failed
-	var out []T
-	if cfg.Sup == nil {
-		var errs []error
-		out, errs = runner.MapErrCtx(ctx, cfg.Workers, n, func(i int) (T, error) { return run(i, nil) })
-		for i, err := range errs {
-			var pe *runner.PanicError
-			switch {
-			case errors.As(err, &pe):
-				panic(pe.Value)
-			case errors.Is(err, runner.ErrSkipped):
-				res.noteSkipped(i)
-				dropped[i] = true
-			}
-		}
-	} else {
-		var reports []supervise.Report
-		out, reports = supervise.Map(ctx, cfg.Sup, cfg.Workers, n,
-			func(i int) supervise.RunID {
-				return supervise.RunID{Seed: seed(i), Scenario: fmt.Sprintf("%s[%d]", res.ID, i), Phase: res.ID}
-			}, run)
-		for i, rep := range reports {
-			switch {
-			case rep.Outcome == supervise.Skipped:
-				res.noteSkipped(i)
-				dropped[i] = true
-			case rep.Outcome.Failed():
-				res.Notes = append(res.Notes,
-					fmt.Sprintf("run %s[%d] %s: %s", res.ID, i, rep.Outcome, rep.Err.Msg))
-				dropped[i] = true
-			}
-		}
-	}
+	out, reports := supervise.Map(ctx, cfg.Sup, cfg.Workers, cells*reps,
+		func(i int) supervise.RunID {
+			return supervise.RunID{Seed: seed(i), Scenario: fmt.Sprintf("%s[%d]", res.ID, i), Phase: res.ID}
+		},
+		func(i int, wd *supervise.Watchdog) (T, error) { return fn(i/reps, seed(i), wd), nil })
 	grid := make([][]T, cells)
-	for i, v := range out {
-		if !dropped[i] {
-			grid[i/reps] = append(grid[i/reps], v)
+	for i, rep := range reports {
+		switch {
+		case rep.Outcome == supervise.Skipped:
+			res.Interrupted = true
+			res.Notes = append(res.Notes, fmt.Sprintf("run %s[%d] skipped: interrupted before start", res.ID, i))
+		case rep.Outcome.Failed():
+			res.Notes = append(res.Notes, fmt.Sprintf("run %s[%d] %s: %s", res.ID, i, rep.Outcome, rep.Err.Msg))
+			res.Failures = append(res.Failures, *rep.Err)
+		default:
+			grid[i/reps] = append(grid[i/reps], out[i])
 		}
 	}
 	return grid
@@ -208,14 +181,11 @@ func relPct(base map[string]float64, key string, v, scale float64) string {
 	if !ok {
 		return "-"
 	}
-	return fmtF(stats.RelChange(b, v)*scale, 1)
-}
-
-// noteSkipped marks the Result interrupted and notes run i, which the pool
-// skipped after cancellation.
-func (r *Result) noteSkipped(i int) {
-	r.Interrupted = true
-	r.Notes = append(r.Notes, fmt.Sprintf("run %s[%d] skipped: interrupted before start", r.ID, i))
+	r := stats.RelChange(b, v) * scale
+	if r == 0 {
+		r = 0 // a baseline against itself is 0 * -100, which would print "-0.0"
+	}
+	return fmtF(r, 1)
 }
 
 // scaled returns n scaled down, never below min.
@@ -277,6 +247,9 @@ type Result struct {
 	// mu guards Events and Flows, which Config.run adds to as the figure's
 	// runs finish on the pool.
 	mu sync.Mutex
+	// Failures holds the RunError of every run the supervisor failed, in
+	// run-index order; cmd/mptcp-bench lists them in its -json report.
+	Failures []supervise.RunError
 	// Interrupted reports that Config.Ctx was cancelled before every run
 	// of the figure was dispatched: the table is missing rows (each noted)
 	// and must not be treated as the figure's deterministic output —

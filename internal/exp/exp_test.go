@@ -90,6 +90,24 @@ func TestResultRendering(t *testing.T) {
 	if !strings.Contains(out, "== x: t ==") || !strings.Contains(out, "bb") {
 		t.Errorf("rendered table missing pieces:\n%s", out)
 	}
+	// A relative column: the baseline row against itself, a saving, a
+	// change, and a baseline with no row.
+	base := map[string]float64{"lia": 50}
+	for _, tc := range []struct {
+		v, scale float64
+		key      string
+		want     string
+	}{
+		{50, -100, "lia", "0.0"},
+		{50, 100, "lia", "0.0"},
+		{40, -100, "lia", "20.0"},
+		{55, 100, "lia", "10.0"},
+		{40, -100, "reno", "-"},
+	} {
+		if got := relPct(base, tc.key, tc.v, tc.scale); got != tc.want {
+			t.Errorf("relPct(%v, %q, %v, %v) = %q, want %q", base, tc.key, tc.v, tc.scale, got, tc.want)
+		}
+	}
 }
 
 func TestFig1PowerGrowsWithSubflows(t *testing.T) {

@@ -105,36 +105,14 @@ func TestRunParQuarantineDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("notes = %v, want one note naming index 4", seq.Notes)
 	}
 	for _, sup := range []*supervise.Supervisor{seqSup, parSup} {
-		c := sup.Counts()
-		if c.OK != 8 || c.Quarantined != 1 {
+		if c := sup.Counts(); c.OK != 8 || c.Quarantined != 1 {
 			t.Fatalf("supervisor counts = %v, want ok=8 quarantined=1", c)
 		}
-		if f := sup.Failures(); len(f) != 1 || f[0].ID.Seed != 8 {
-			t.Fatalf("failures = %v, want one naming the failed run's own seed 8", f)
-		}
 	}
-}
-
-// TestRunParFailFastWithoutSupervisor pins the legacy contract: with no
-// supervisor, the injected panic propagates to the caller in every mode.
-func TestRunParFailFastWithoutSupervisor(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		func() {
-			defer func() {
-				if r := recover(); r != "injected" {
-					t.Fatalf("workers=%d: recovered %v, want the injected panic", workers, r)
-				}
-			}()
-			cfg := Config{Seed: 1, Workers: workers}.withDefaults()
-			res := &Result{ID: "failfast-test"}
-			runPar(cfg, res, 6, 1, func(i int, _ int64, wd *supervise.Watchdog) int {
-				if i == 3 {
-					panic("injected")
-				}
-				return i
-			})
-			t.Fatalf("workers=%d: runPar returned despite panic", workers)
-		}()
+	for _, res := range []*Result{seq, par} {
+		if f := res.Failures; len(f) != 1 || f[0].ID.Seed != 8 || f[0].ID.Scenario != "inject-test[4]" {
+			t.Fatalf("failures = %v, want one naming run 4 under its own seed 8", f)
+		}
 	}
 }
 

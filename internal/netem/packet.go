@@ -20,7 +20,8 @@ type Endpoint interface {
 // pays for every 64-byte line it touches (TestHopLayout pins the map):
 //
 //	line 0  what Fire and Link.Enqueue read and write on every hop
-//	line 1  what only the last hop, a release or a reconfiguration reads
+//	line 1  timer, which Link.Enqueue writes on every hop, and what only the
+//	        last hop, a release or a reconfiguration reads
 //	line 2  what only the endpoints read
 //
 // The small fields are 32 bits wide and the flags share a word so that line 0

@@ -6,7 +6,8 @@
 // Determinism is preserved by construction — every run derives its seed from
 // its own identity (figure parameters, repetition index), never from the
 // worker that happens to execute it, and results are collected by submission
-// index so output is byte-identical for any worker count.
+// index so output is byte-identical for any worker count. It is
+// supervise.Map's pool; outside that, only the benchmark calls it.
 package runner
 
 import (
@@ -18,10 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// DefaultWorkers is the pool width used when a caller passes workers <= 0:
-// one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ErrSkipped marks an index that was never started because the context was
 // cancelled before the pool reached it. Callers distinguish "this run
@@ -52,8 +49,8 @@ func (e *PanicError) Unwrap() error {
 // returns the results and errors both ordered by index (errs[i] is nil for
 // indices that succeeded, and errs is nil when every index did). fn must be
 // safe to call concurrently with itself on distinct indices (for simulation
-// runs: build your own engine, share nothing). workers <= 0 means
-// DefaultWorkers; workers == 1 runs inline on the calling goroutine in
+// runs: build your own engine, share nothing). workers <= 0 means one per
+// CPU (GOMAXPROCS); workers == 1 runs inline on the calling goroutine in
 // index order, which is the reference execution the determinism tests
 // compare against.
 //
@@ -73,7 +70,7 @@ func MapErrCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, er
 		return nil, nil
 	}
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

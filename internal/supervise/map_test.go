@@ -100,7 +100,8 @@ func TestMapCancelledBeforeStart(t *testing.T) {
 }
 
 // TestMapCancelledMidPool: the indices already started drain and keep their
-// reports; the rest are Skipped.
+// reports; the rest are Skipped. Indices after the cancelling one wait for
+// the cancel, so no worker can run through the whole batch before it lands.
 func TestMapCancelledMidPool(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -111,8 +112,11 @@ func TestMapCancelledMidPool(t *testing.T) {
 			mu.Lock()
 			started[i] = true
 			mu.Unlock()
-			if i == 2 {
+			switch {
+			case i == 2:
 				cancel()
+			case i > 2:
+				<-ctx.Done()
 			}
 			return i + 1, nil
 		})
@@ -131,6 +135,72 @@ func TestMapCancelledMidPool(t *testing.T) {
 		}
 		if workers == 1 && len(started) != 3 {
 			t.Errorf("the inline pool started %d indices after a cancel inside the third, want 3", len(started))
+		}
+	}
+}
+
+// TestMapNilSupervisorFailsFast: without a supervisor every index runs once
+// with a nil watchdog and an error ends its index Quarantined; after the
+// pool drains, the first panic by index — not the first in time — is
+// re-raised with its own value, at any pool width.
+func TestMapNilSupervisorFailsFast(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		vals, reps := Map(context.Background(), nil, workers, 6, testID, func(i int, wd *Watchdog) (int, error) {
+			if wd != nil {
+				t.Errorf("workers=%d index %d: a nil supervisor handed out a watchdog", workers, i)
+			}
+			if i == 2 {
+				return 99, errors.New("boom")
+			}
+			return i * i, nil
+		})
+		for i, rep := range reps {
+			want, wantVal := Report{Outcome: OK, Attempts: 1}, i*i
+			if i == 2 {
+				want = Report{Outcome: Quarantined, Attempts: 1, Err: &RunError{ID: testID(2), Kind: KindError, Msg: "boom", Attempts: 1}}
+				wantVal = 0
+			}
+			if !reflect.DeepEqual(rep, want) || vals[i] != wantVal {
+				t.Errorf("workers=%d index %d: value %d report %+v, want %d %+v", workers, i, vals[i], rep, wantVal, want)
+			}
+		}
+
+		var ran atomic.Int64
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			Map(context.Background(), nil, workers, 12, testID, func(i int, _ *Watchdog) (int, error) {
+				ran.Add(1)
+				if i == 3 || i == 9 {
+					panic(fmt.Sprintf("injected %d", i))
+				}
+				return i, nil
+			})
+			return nil
+		}()
+		if got != "injected 3" || ran.Load() != 12 {
+			t.Errorf("workers=%d: recovered %v after %d of 12 indices ran, want the panic of index 3 after all of them", workers, got, ran.Load())
+		}
+	}
+}
+
+// TestMapNilSupervisorSkipsUnstarted: without a supervisor, the indices the
+// pool never started after a cancellation are Skipped too.
+func TestMapNilSupervisorSkipsUnstarted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, reps := Map(ctx, nil, 1, 6, testID, func(i int, _ *Watchdog) (int, error) {
+		if i == 2 {
+			cancel()
+		}
+		return i, nil
+	})
+	for i, rep := range reps {
+		want := Report{Outcome: OK, Attempts: 1}
+		if i > 2 {
+			want = Report{Outcome: Skipped}
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("index %d: report %+v, want %+v", i, rep, want)
 		}
 	}
 }
@@ -163,8 +233,25 @@ func TestRunCancelledMidBackoff(t *testing.T) {
 	if len(asked) != 1 || asked[0] != backoffDelay(11, 1) {
 		t.Errorf("waited %v, want one wait of %v", asked, backoffDelay(11, 1))
 	}
-	if c := s.Counts(); c.Total() != 0 || len(s.Failures()) != 0 {
-		t.Errorf("an interrupted retry was counted: %v %v", c, s.Failures())
+	if c := s.Counts(); c.Total() != 0 {
+		t.Errorf("an interrupted retry was counted: %v", c)
+	}
+}
+
+// TestRunCutByCancellation: an attempt that returns the cancelled context's
+// own error (a packet sweep point stopped mid-run) reached no verdict: it is
+// Skipped and not counted. Any other error after a cancel is still one.
+func TestRunCutByCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := New(Budget{})
+	rep := s.Run(ctx, testID(1), func(*Watchdog) error { return fmt.Errorf("point: %w", ctx.Err()) })
+	if rep.Outcome != Skipped || rep.Attempts != 1 || s.Counts().Total() != 0 {
+		t.Errorf("cut attempt: report %+v, counts %v; want Skipped, uncounted", rep, s.Counts())
+	}
+	rep = s.Run(ctx, testID(2), func(*Watchdog) error { return errors.New("starved") })
+	if rep.Outcome != Quarantined || s.Counts().Quarantined != 1 {
+		t.Errorf("plain failure after a cancel: report %+v, counts %v; want Quarantined", rep, s.Counts())
 	}
 }
 

@@ -12,13 +12,13 @@
 // recognised by its type, through every wrapper it crossed, and carries
 // its first violated invariant's name; no message is parsed.
 //
-// The package owns the supervised fan-out (Map) and the process boundary
+// The package owns the program's one fan-out (Map) and the process boundary
 // (SignalContext, ExitCode, QuarantinedErr, InterruptedErr): it is the one
 // place a unit of work is run, retried, classified and given an exit code.
-// internal/runner's pool is used bare only where a failure must not be
-// absorbed or there is nothing to supervise: backend.Sweep, exp's fail-fast
-// branch and the benchmark. ARCHITECTURE.md, "Run supervision", tabulates
-// what can go wrong with a unit and where each case ends up.
+// Map with a nil Supervisor is the fail-fast fan-out — a panic propagates —
+// for callers with nothing to absorb; internal/runner is only Map's pool.
+// ARCHITECTURE.md, "Run supervision", tabulates what can go wrong with a
+// unit and where each case ends up.
 //
 // The package is deliberately engine-agnostic on the happy path: the
 // supervisor never touches a run's engine itself, it only recovers what
@@ -145,7 +145,7 @@ func (e *RunError) Error() string {
 type Report struct {
 	Outcome  Outcome
 	Attempts int       // attempts made: >= 1, or 0 for a run Skipped before it started
-	Err      *RunError // nil for OK and Retried; the last failure for a run Skipped mid-backoff
+	Err      *RunError // nil for OK and Retried; for a Skipped run, the failure the cancellation cut short
 }
 
 // transientError marks an error as worth retrying.
@@ -195,10 +195,6 @@ func (c Counts) String() string {
 		c.OK, c.Retried, c.Quarantined, c.TimedOut, c.OverBudget)
 }
 
-// maxFailures bounds the retained RunError list; the counters keep rising
-// past it.
-const maxFailures = 64
-
 // Supervisor runs closures under a shared Budget and retry policy and
 // aggregates their outcomes. It is safe for concurrent use — one supervisor
 // typically spans a whole campaign's worker pool.
@@ -215,9 +211,8 @@ type Supervisor struct {
 	after func(time.Duration) <-chan time.Time
 	now   func() time.Time
 
-	mu       sync.Mutex
-	counts   [Skipped]int64 // verdicts by Outcome
-	failures []RunError
+	mu     sync.Mutex
+	counts [Skipped]int64 // verdicts by Outcome
 }
 
 // New returns a supervisor with the given budget and no retries.
@@ -250,8 +245,18 @@ func backoffDelay(seed int64, attempt int) time.Duration {
 // Every failure mode — a returned error, a panic, a watchdog trip — ends in
 // a Report instead of propagating, so callers on a worker pool can always
 // collect partial results. ctx cuts a retry backoff short (the run returns
-// Skipped at once); stopping an attempt that is executing is fn's business.
+// Skipped at once); stopping an attempt that is executing is fn's business,
+// and an attempt that fails with ctx's own error is Skipped, not a verdict.
+//
+// A nil Supervisor is fail-fast: fn runs once with a nil watchdog, a panic
+// propagates, an error ends the run Quarantined, and nothing is counted.
 func (s *Supervisor) Run(ctx context.Context, id RunID, fn func(wd *Watchdog) error) Report {
+	if s == nil {
+		if err := fn(nil); err != nil {
+			return Report{Outcome: Quarantined, Attempts: 1, Err: classify(id, nil, err, 1)}
+		}
+		return Report{Outcome: OK, Attempts: 1}
+	}
 	for attempt := 1; ; attempt++ {
 		wd := &Watchdog{budget: s.Budget, now: s.now}
 		err := runAttempt(wd, fn)
@@ -261,8 +266,11 @@ func (s *Supervisor) Run(ctx context.Context, id RunID, fn func(wd *Watchdog) er
 			}
 			return s.verdict(Report{Outcome: OK, Attempts: attempt})
 		}
-		rep := Report{Outcome: Quarantined, Attempts: attempt, Err: s.classify(id, wd, err, attempt)}
+		rep := Report{Outcome: Quarantined, Attempts: attempt, Err: classify(id, wd, err, attempt)}
 		switch {
+		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+			rep.Outcome = Skipped
+			return rep
 		case rep.Err.Kind == KindTimeout:
 			rep.Outcome = TimedOut
 		case rep.Err.Kind == KindBudget:
@@ -280,15 +288,11 @@ func (s *Supervisor) Run(ctx context.Context, id RunID, fn func(wd *Watchdog) er
 	}
 }
 
-// verdict counts a finished run and retains its failure (the list is
-// bounded; the counters are not).
+// verdict counts a finished run.
 func (s *Supervisor) verdict(rep Report) Report {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.counts[rep.Outcome]++
-	if rep.Err != nil && len(s.failures) < maxFailures {
-		s.failures = append(s.failures, *rep.Err)
-	}
+	s.mu.Unlock()
 	return rep
 }
 
@@ -332,7 +336,7 @@ type invariantFailure interface {
 }
 
 // classify builds the structured RunError for a failed attempt.
-func (s *Supervisor) classify(id RunID, wd *Watchdog, err error, attempt int) *RunError {
+func classify(id RunID, wd *Watchdog, err error, attempt int) *RunError {
 	re := &RunError{ID: id, Attempts: attempt, LastObsv: wd.lastObsv()}
 	var t *Trip
 	var p *panicked
@@ -368,24 +372,16 @@ func (s *Supervisor) Counts() Counts {
 	}
 }
 
-// Failures returns the retained RunErrors (bounded; the counters are not).
-func (s *Supervisor) Failures() []RunError {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]RunError, len(s.failures))
-	copy(out, s.failures)
-	return out
-}
-
-// Map is the supervised fan-out: fn(0) … fn(n-1) on internal/runner's pool
-// (results by index, identical for any worker count), each under s.Run as
-// id(i). Every index ends in exactly one Report: a failed one yields the
-// zero T, one the pool never started because ctx was cancelled is Skipped
-// with no attempts, and those already running drain and keep theirs.
+// Map is the program's one fan-out: fn(0) … fn(n-1) on internal/runner's
+// pool (workers <= 0: one per CPU; 1: inline), results and reports by index
+// at every width. Each index runs under s.Run as id(i) and ends in one
+// Report: a failed one yields the zero T, one the pool never started because
+// ctx was cancelled is Skipped with no attempts. With a nil s, the first
+// panic by index is re-raised with its own value once the pool drains.
 func Map[T any](ctx context.Context, s *Supervisor, workers, n int,
 	id func(i int) RunID, fn func(i int, wd *Watchdog) (T, error)) ([]T, []Report) {
 	reports := make([]Report, n)
-	out, _ := runner.MapErrCtx(ctx, workers, n, func(i int) (T, error) {
+	out, errs := runner.MapErrCtx(ctx, workers, n, func(i int) (T, error) {
 		var v T // set by the attempt that succeeds, if one does
 		reports[i] = s.Run(ctx, id(i), func(wd *Watchdog) error {
 			r, err := fn(i, wd)
@@ -396,6 +392,11 @@ func Map[T any](ctx context.Context, s *Supervisor, workers, n int,
 		})
 		return v, nil
 	})
+	for _, err := range errs { // in index order; only a nil s lets a panic reach the pool
+		if pe, ok := err.(*runner.PanicError); ok {
+			panic(pe.Value)
+		}
+	}
 	for i := range reports {
 		if reports[i].Attempts == 0 { // the pool never reached it
 			reports[i].Outcome = Skipped

@@ -307,21 +307,6 @@ func TestHeapBytesBudget(t *testing.T) {
 	}
 }
 
-func TestFailuresBounded(t *testing.T) {
-	s := New(Budget{})
-	for i := 0; i < maxFailures+10; i++ {
-		s.Run(context.Background(), RunID{Seed: int64(i), Scenario: "f", Phase: "test"}, func(wd *Watchdog) error {
-			return fmt.Errorf("fail %d", i)
-		})
-	}
-	if got := len(s.Failures()); got != maxFailures {
-		t.Fatalf("retained %d failures, want cap %d", got, maxFailures)
-	}
-	if c := s.Counts(); c.Quarantined != maxFailures+10 {
-		t.Fatalf("counter must keep rising past the cap: %v", c)
-	}
-}
-
 func TestBackoffDeterministicPerSeed(t *testing.T) {
 	a := backoffDelay(42, 1)
 	b := backoffDelay(42, 1)

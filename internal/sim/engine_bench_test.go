@@ -165,10 +165,12 @@ func BenchmarkEngineDeepQueue64k(b *testing.B) { benchDeepQueue(b, 64<<10, stagg
 // timescale rather than the microseconds above: periods of 10–60 ms at
 // nanosecond grain, so pushes land in the wheel's upper levels the way
 // dc-fattree's (72 % at level 3) and sweep-hybrid's (67 % at level 4) do,
-// with 1 k and 16 k events in flight.
+// with 64 and 256 events in flight (faults-observed's and sweep-hybrid's
+// depths, where most slots are short enough to fire from a run), 1024 and
+// 16384. Subtests are named by that event count.
 func BenchmarkEngineDeepQueueMs(b *testing.B) {
-	for _, depth := range []int{1 << 10, 16 << 10} {
-		b.Run(fmt.Sprintf("%dk", depth>>10), func(b *testing.B) {
+	for _, depth := range []int{64, 256, 1 << 10, 16 << 10} {
+		b.Run(fmt.Sprint(depth), func(b *testing.B) {
 			benchDeepQueue(b, depth, func(i int) Time { return 10*Millisecond + Time(i*7919%50_000_017) })
 		})
 	}

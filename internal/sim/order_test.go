@@ -276,13 +276,26 @@ func runProgram(q queue, prog []byte) []string {
 
 // checkWheel verifies the wheel's invariants and bookkeeping: cursor ≤ now
 // ≤ every queued instant, every event in the slot place assigns it, list
-// links and occupancy bits consistent, and Pending equal to the events
-// actually linked.
+// links and occupancy bits consistent, a live run sorted and holding its
+// whole window, and Pending equal to the events actually queued.
 func (e *Engine) checkWheel() error {
 	if e.cur > e.now {
 		return fmt.Errorf("cursor %d past clock %d", e.cur, e.now)
 	}
-	linked := 0
+	live := e.rh < e.rn
+	queued := 0
+	for j, r := range e.run[e.rh:e.rn] {
+		ev := e.slab[r.id]
+		switch {
+		case j > 0 && r.at < e.run[e.rh+j-1].at:
+			return fmt.Errorf("run entry %d at %d before its predecessor at %d", j, r.at, e.run[e.rh+j-1].at)
+		case r.at < e.now || r.at > e.runLast:
+			return fmt.Errorf("run entry %d at %d outside [clock %d, %d]", j, r.at, e.now, e.runLast)
+		case ev.h == nil || ev.at != r.at:
+			return fmt.Errorf("run entry %d: event %d at %d, its slab slot at %d with handler %v", j, r.id, r.at, ev.at, ev.h)
+		}
+		queued++
+	}
 	for i := range e.slots {
 		k, s := uint(i)>>levelBits, uint(i)&slotMask
 		sl := e.slots[i]
@@ -301,15 +314,21 @@ func (e *Engine) checkWheel() error {
 			if pi := e.place(ev.at); pi != uint(i) {
 				return fmt.Errorf("event %d at %d (cursor %d) sits in level %d slot %d, place says index %d", id, ev.at, e.cur, k, s, pi)
 			}
+			// The cursor lies in the run's window, so an event at a level
+			// below the run's agrees with it on every bit above the window
+			// and lies inside it: "after the window" is "levels below empty".
+			if live && ev.at <= e.runLast {
+				return fmt.Errorf("event %d at %d in level %d while the run holds every instant to %d", id, ev.at, k, e.runLast)
+			}
 			prev = id
-			linked++
+			queued++
 		}
 		if prev != sl.tail {
 			return fmt.Errorf("level %d slot %d: tail %d, list ends at %d", k, s, sl.tail, prev)
 		}
 	}
-	if linked != e.pending {
-		return fmt.Errorf("%d events linked, Pending %d", linked, e.pending)
+	if queued != e.pending {
+		return fmt.Errorf("%d events queued, Pending %d", queued, e.pending)
 	}
 	return nil
 }
@@ -440,6 +459,73 @@ func orderSeeds() [][]byte {
 		[4]byte{opRun, spanOf(Second)}, // the 3 s event lies beyond: no trip
 		[4]byte{opDrain},
 	)
+	// The run. Level 3 slot 1 is [2^18, 2^19); from a clock of 4096 its
+	// instants within reach are 2^18 and 2^18+1 (At) and 2^18+4095 and
+	// 2^18+4096 (After). A cascaded slot of exactly runMax events, the
+	// instants scheduled late to early, and one of runMax+1.
+	var short [][4]byte
+	for i := 0; i < runMax; i++ {
+		switch i % 4 {
+		case 0:
+			short = append(short, [4]byte{opAfter, spanOf(1 << 18), actNone})
+		case 1:
+			short = append(short, [4]byte{opSchedAfter, spanOf(1<<18 - 1), actNow, 1})
+		case 2:
+			short = append(short, [4]byte{opAt, instantOf(1 << 18), actNone, 2})
+		case 3:
+			short = append(short, [4]byte{opSchedule, instantOf(1 << 18), actAfter, 1})
+		}
+	}
+	runOf := func(body ...[4]byte) [][4]byte {
+		return append([][4]byte{{opRun, spanOf(4096)}}, body...)
+	}
+	add(append(runOf(short...), [4]byte{opDrain})...)
+	add(append(runOf(append(short, [4]byte{opAt, instantOf(1 << 18), actNone, 1})...), [4]byte{opDrain})...)
+	// A bounded Run that ends inside a live run: until 2^18 cascades the
+	// slot and the head, at 2^18+1, lies beyond. Then pushes before the
+	// head (one of them into the past), at its instant, between its
+	// entries, at the window's last instant and past the window; then
+	// Stop of the run's head (handle 4), a middle (7) and its last event
+	// (8), and of the event past the window (9).
+	add(
+		[4]byte{opAt, instantOf(1 << 18), actNone, 2},
+		[4]byte{opRun, spanOf(4096)},
+		[4]byte{opAfter, spanOf(1 << 18), actNone},
+		[4]byte{opAt, instantOf(1 << 18), actNow, 2},
+		[4]byte{opRun, instantOf(1 << 18), 1},
+		[4]byte{opAt, instantOf(1 << 18), actNone, 0}, // 2^18-1: clamps to the clock
+		[4]byte{opAfter, spanOf(0), actNow},
+		[4]byte{opAt, instantOf(1 << 18), actNow, 2},
+		[4]byte{opAfter, spanOf(4095), actNone},
+		[4]byte{opAfter, spanOf(1<<18 - 1), actAfter, spanOf(1)},
+		[4]byte{opAfter, spanOf(1 << 18), actNone},
+		[4]byte{opStop, 4}, [4]byte{opStop, 7}, [4]byte{opStop, 8}, [4]byte{opStop, 9},
+		[4]byte{opRun, spanOf(1)},
+		[4]byte{opStop, 3}, [4]byte{opStop, 1},
+		[4]byte{opDrain},
+	)
+	// A push into a full run spills it, same-instant entries among them;
+	// the push after the spill goes to the wheel.
+	full := [][4]byte{
+		{opAt, instantOf(1 << 18), actNone, 2},
+		{opRun, instantOf(1 << 18), 1},
+	}
+	for i := 0; i < runMax+1; i++ {
+		full = append(full, [4]byte{opAfter, []byte{spanOf(4095), spanOf(1), spanOf(0), spanOf(64), spanOf(1)}[i%5], actNow})
+	}
+	add(append(full, [4]byte{opAfter, spanOf(1), actNone}, [4]byte{opDrain})...)
+	// The budget trips while a run is live, two events into a slot of
+	// runMax; pushes then find the run at the end of its array, so it
+	// moves down twice before the third push spills it.
+	add(append(runOf(short...),
+		[4]byte{opBudget, 2},
+		[4]byte{opRun, instantOf(1 << 24), 1},
+		[4]byte{opAfter, spanOf(4095), actNone},
+		[4]byte{opAfter, spanOf(0), actNone},
+		[4]byte{opAfter, spanOf(4095), actNone},
+		[4]byte{opBudget, 0},
+		[4]byte{opDrain},
+	)...)
 	return seeds
 }
 
@@ -493,5 +579,63 @@ func TestPlaceCoversEveryInstant(t *testing.T) {
 	}
 	if got := bits.Len64(uint64(maxTime)); got > levels*levelBits {
 		t.Fatalf("a Time has %d value bits, the wheel covers %d", got, levels*levelBits)
+	}
+}
+
+// TestShortSlotFiresFromRun pins the run itself: a cascaded slot of runMax
+// events fires in instant order from the run, with every level below the
+// slot's empty throughout, while a slot of runMax+1 cascades down the wheel.
+func TestShortSlotFiresFromRun(t *testing.T) {
+	for _, n := range []int{runMax, runMax + 1} {
+		e := NewEngine(1)
+		var order []Time
+		lowEmpty := true
+		for i := range n {
+			// Instants in [2^18, 2^19), scheduled late to early: level 3
+			// slot 1 under the cursor at 0.
+			at := 1<<18 + Time(n-i)*1000
+			if i == 0 && e.place(at)>>levelBits != 3 {
+				t.Fatalf("instant %d is not in level 3", at)
+			}
+			e.Schedule(at, func() {
+				order = append(order, e.Now())
+				lowEmpty = lowEmpty && e.occ[0]|e.occ[1]|e.occ[2] == 0
+				if err := e.checkWheel(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		e.Drain()
+		if len(order) != n || !slices.IsSorted(order) {
+			t.Fatalf("%d events fired at %v, want %d in instant order", len(order), order, n)
+		}
+		if fromRun := n <= runMax; lowEmpty != fromRun {
+			t.Errorf("slot of %d events: levels below it empty throughout = %v, want %v", n, lowEmpty, fromRun)
+		}
+	}
+}
+
+// TestDeadlineStopInRun stops a deadline whose tick sits in a live run, and
+// lets another chase a later deadline into it.
+func TestDeadlineStopInRun(t *testing.T) {
+	e := NewEngine(1)
+	var log []Time
+	d1 := MakeDeadline(e, func() { t.Error("a stopped deadline fired") })
+	d2 := MakeDeadline(e, func() { log = append(log, e.Now()) })
+	d1.Set(1<<18 + 10)
+	d2.Set(1<<18 + 20)
+	e.Schedule(1<<18+5, func() { log = append(log, e.Now()) })
+	e.Run(1 << 18) // the slot becomes the run; its head lies beyond until
+	if e.rn-e.rh != 3 {
+		t.Fatalf("run holds %d events, want 3", e.rn-e.rh)
+	}
+	d1.Stop()
+	d2.Set(1<<18 + 30) // the tick at +20 re-queues itself into the run
+	if err := e.checkWheel(); err != nil || e.Pending() != 2 {
+		t.Fatalf("after Stop: %v, Pending %d, want 2", err, e.Pending())
+	}
+	e.Drain()
+	if !slices.Equal(log, []Time{1<<18 + 5, 1<<18 + 30}) || e.Processed() != 3 || e.Pending() != 0 {
+		t.Errorf("fired at %v after %d events, %d pending", log, e.Processed(), e.Pending())
 	}
 }
